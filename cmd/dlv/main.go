@@ -382,9 +382,8 @@ func run(ctx context.Context, cmd string, args []string) error {
 		repoDir := fs.String("repo", ".", "repository directory")
 		algo := fs.String("algo", "pas-mt", "plan algorithm: pas-mt pas-pt mst spt last best")
 		alpha := fs.Float64("alpha", 2.0, "recreation budget scalar (x SPT cost)")
-		parallel := fs.Bool("parallel", false, "optimize for the parallel retrieval scheme")
-		schemeName := fs.String("scheme", "",
-			"retrieval scheme budgets are evaluated under: independent parallel reusable concurrent (overrides -parallel)")
+		schemeName := fs.String("scheme", "independent",
+			"retrieval scheme budgets are evaluated under: independent parallel reusable concurrent")
 		purge := fs.Bool("purge", false, "delete raw weights after archiving")
 		ckptScheme := fs.String("checkpoint-scheme", "",
 			"lossy float scheme for checkpoint (non-latest) snapshots: float16 bfloat16 fixed-N quant-N")
@@ -397,15 +396,9 @@ func run(ctx context.Context, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		scheme := pas.Independent
-		if *parallel {
-			scheme = pas.Parallel
-		}
-		if *schemeName != "" {
-			var err error
-			if scheme, err = pas.ParseScheme(*schemeName); err != nil {
-				return err
-			}
+		scheme, err := pas.ParseScheme(*schemeName)
+		if err != nil {
+			return err
 		}
 		opts := dlv.ArchiveOptions{
 			Algorithm: *algo, Scheme: scheme, Alpha: *alpha, Purge: *purge,

@@ -16,9 +16,11 @@ import (
 
 	"modelhub/internal/dlv"
 	"modelhub/internal/dql"
+	"modelhub/internal/floatenc"
 	"modelhub/internal/hub"
 	"modelhub/internal/pas"
 	"modelhub/internal/synth"
+	"modelhub/internal/tensor"
 )
 
 func TestEndToEndSDWorkload(t *testing.T) {
@@ -40,23 +42,16 @@ func TestEndToEndSDWorkload(t *testing.T) {
 		t.Fatalf("versions = %d", len(versions))
 	}
 
-	// Remember every snapshot's exact weights before archival.
-	type key struct {
-		id   int64
-		snap string
-	}
-	truth := map[key]map[string]float32{}
+	// Remember every snapshot's exact weights before archival, in archive
+	// order (version, then snapshot).
+	var truth []map[string]*tensor.Matrix
 	for _, v := range versions {
 		for _, snap := range v.Snapshots {
 			w, err := repo.Weights(v.ID, snap, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			probe := map[string]float32{}
-			for name, m := range w {
-				probe[name] = m.At(0, 0)
-			}
-			truth[key{v.ID, snap}] = probe
+			truth = append(truth, w)
 		}
 	}
 
@@ -75,23 +70,48 @@ func TestEndToEndSDWorkload(t *testing.T) {
 		t.Fatal("optimized plan must not exceed full materialization")
 	}
 
-	// Every snapshot of every version recreates exactly, under every
-	// retrieval scheme.
-	schemes := []pas.Scheme{pas.Independent, pas.Parallel, pas.Reusable}
-	i := 0
-	for _, v := range versions {
-		for _, snap := range v.Snapshots {
-			w, err := repo.Weights(v.ID, snap, 4)
-			if err != nil {
-				t.Fatalf("v%d/%s: %v", v.ID, snap, err)
-			}
-			for name, want := range truth[key{v.ID, snap}] {
-				if got := w[name].At(0, 0); got != want {
-					t.Fatalf("v%d/%s/%s: probe %v != %v", v.ID, snap, name, got, want)
+	// Every snapshot of every version recreates from the archive as the
+	// source weights (bit-identical at prefix 4, their byte-plane truncation
+	// below), through dlv checkout and under every retrieval scheme.
+	snapIDs := store.Snapshots()
+	if len(snapIDs) != len(truth) {
+		t.Fatalf("archive holds %d snapshots, repository had %d", len(snapIDs), len(truth))
+	}
+	sameAsSource := func(label string, got, src map[string]*tensor.Matrix, prefix int) {
+		t.Helper()
+		if len(got) != len(src) {
+			t.Fatalf("%s: %d matrices, source has %d", label, len(got), len(src))
+		}
+		for name, m := range src {
+			want := m
+			if prefix < floatenc.NumPlanes {
+				if want, err = floatenc.Segment(m).Truncated(prefix); err != nil {
+					t.Fatal(err)
 				}
 			}
-			_ = schemes[i%3]
-			i++
+			if !got[name].Equal(want) {
+				t.Fatalf("%s/%s at prefix %d differs from the source", label, name, prefix)
+			}
+		}
+	}
+	for prefix := floatenc.NumPlanes; prefix >= 1; prefix-- {
+		i := 0
+		for _, v := range versions {
+			for _, snap := range v.Snapshots {
+				w, err := repo.Weights(v.ID, snap, prefix)
+				if err != nil {
+					t.Fatalf("v%d/%s: %v", v.ID, snap, err)
+				}
+				sameAsSource(snapIDs[i], w, truth[i], prefix)
+				for _, scheme := range []pas.Scheme{pas.Independent, pas.Parallel, pas.Reusable, pas.Concurrent} {
+					w, err := store.GetSnapshot(snapIDs[i], prefix, scheme)
+					if err != nil {
+						t.Fatalf("%s under %v: %v", snapIDs[i], scheme, err)
+					}
+					sameAsSource(snapIDs[i]+" under "+scheme.String(), w, truth[i], prefix)
+				}
+				i++
+			}
 		}
 	}
 
@@ -144,11 +164,8 @@ func TestEndToEndSDWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range truth[key{last.ID, dlv.LatestSnap}] {
-		if got := w[name].At(0, 0); got != want {
-			t.Fatalf("pulled weights differ at %s", name)
-		}
-	}
+	// Snapshots list latest last, so the final truth entry is last/latest.
+	sameAsSource("pulled", w, truth[len(truth)-1], 4)
 }
 
 // testDigits builds a deterministic labelled digit set for the integration

@@ -48,25 +48,17 @@ func TestWeightsTruncatedRawFile(t *testing.T) {
 }
 
 // A corrupted archive chunk must surface as a typed store error through the
-// full checkout path (Repo.Weights -> PAS concurrent retrieval).
+// full checkout path (Repo.Weights -> PAS retrieval).
 func TestWeightsCorruptArchiveChunk(t *testing.T) {
 	r := initRepo(t)
 	id, _, _ := commitToy(t, r, "toy", 22, 0)
 	if _, err := r.Archive(ArchiveOptions{Algorithm: "pas-mt", Alpha: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Payload files of either layout: segment files (default) or legacy
-	// per-chunk files.
-	pasDir := filepath.Join(r.Root(), ".dlv", "pas")
-	files, err := filepath.Glob(filepath.Join(pasDir, "segments", "seg-*.seg"))
+	files, err := filepath.Glob(filepath.Join(r.Root(), ".dlv", "pas", "segments", "seg-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := filepath.Glob(filepath.Join(pasDir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, legacy...)
 	if len(files) == 0 {
 		t.Fatal("archive has no chunk payload files")
 	}

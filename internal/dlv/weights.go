@@ -177,8 +177,8 @@ func degradeSnapshot(w map[string]*tensor.Matrix, scheme floatenc.Scheme) (map[s
 func (r *Repo) pasPath() string { return filepath.Join(r.root, dlvDir, pasDir) }
 
 // openArchive returns the PAS store if the repo has been archived. The store
-// is memoized on the Repo so the concurrent retrieval engine's decoded-plane
-// LRU persists across Weights/WeightIntervals calls.
+// is memoized on the Repo so the retrieval engine's decoded-plane LRU
+// persists across Weights/WeightIntervals calls.
 func (r *Repo) openArchive() (*pas.Store, error) {
 	r.pasMu.Lock()
 	defer r.pasMu.Unlock()
@@ -240,7 +240,7 @@ func (r *Repo) WeightsCtx(ctx context.Context, versionID int64, snap string, pre
 
 // WeightIntervals returns lo/hi bounds of one layer's weights at a given
 // byte-plane prefix, serving progressive evaluation over archived models.
-// Reads go through the concurrent engine, whose (node, prefix) LRU pays off
+// Reads go through the store's (node, prefix) plane LRU, which pays off
 // exactly here: progressive evaluation revisits the same chains at
 // escalating prefixes.
 func (r *Repo) WeightIntervals(versionID int64, snap, layer string, prefix int) (lo, hi *tensor.Matrix, err error) {
@@ -248,5 +248,5 @@ func (r *Repo) WeightIntervals(versionID int64, snap, layer string, prefix int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	return store.GetIntervalsConcurrent(pas.MatrixRef{Snapshot: pasSnapID(versionID, snap), Name: layer}, prefix)
+	return store.GetIntervals(pas.MatrixRef{Snapshot: pasSnapID(versionID, snap), Name: layer}, prefix)
 }

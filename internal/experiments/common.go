@@ -17,6 +17,7 @@ import (
 
 	"modelhub/internal/data"
 	"modelhub/internal/dnn"
+	"modelhub/internal/floatenc"
 	"modelhub/internal/tensor"
 	"modelhub/internal/zoo"
 )
@@ -44,6 +45,39 @@ func RunMeta() Meta {
 		Arch:       runtime.GOARCH,
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
+}
+
+// sourceAt returns what retrieving src at a byte-plane prefix must yield —
+// the matrices themselves at prefix 4, their truncation below — so retrieval
+// experiments check against the archive's input, not against another
+// retrieval.
+func sourceAt(src map[string]*tensor.Matrix, prefix int) (map[string]*tensor.Matrix, error) {
+	if prefix >= floatenc.NumPlanes {
+		return src, nil
+	}
+	out := make(map[string]*tensor.Matrix, len(src))
+	for name, m := range src {
+		t, err := floatenc.Segment(m).Truncated(prefix)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = t
+	}
+	return out, nil
+}
+
+// sameWeights reports the first matrix of got that is missing from or differs
+// from want.
+func sameWeights(got, want map[string]*tensor.Matrix) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("retrieved %d matrices, source has %d", len(got), len(want))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || !g.Equal(w) {
+			return fmt.Errorf("matrix %s differs from the source", name)
+		}
+	}
+	return nil
 }
 
 // TrainedModel is a shared fixture: an architecture trained on the digit

@@ -9,6 +9,7 @@ import (
 	"modelhub/internal/dlv"
 	"modelhub/internal/pas"
 	"modelhub/internal/synth"
+	"modelhub/internal/tensor"
 )
 
 // Tab5Row is one row of Table V: average wall-clock time to recreate a
@@ -45,7 +46,8 @@ func (c Tab5Config) withDefaults() Tab5Config {
 }
 
 // RunTable5 builds an SD repository, archives it under the three plans the
-// paper compares, and measures snapshot recreation times.
+// paper compares, and measures snapshot recreation times. Every retrieval is
+// verified against the raw weights the repository held before archiving.
 func RunTable5(dir string, cfg Tab5Config) ([]Tab5Row, error) {
 	cfg = cfg.withDefaults()
 	repo, err := synth.GenerateSD(dir, synth.SDConfig{
@@ -61,6 +63,19 @@ func RunTable5(dir string, cfg Tab5Config) ([]Tab5Row, error) {
 	versions, err := repo.List()
 	if err != nil {
 		return nil, err
+	}
+
+	// Raw weights in archive order (version, then snapshot), read while the
+	// versions are still unarchived.
+	var source []map[string]*tensor.Matrix
+	for _, v := range versions {
+		for _, snap := range v.Snapshots {
+			w, err := repo.Weights(v.ID, snap, 4)
+			if err != nil {
+				return nil, err
+			}
+			source = append(source, w)
+		}
 	}
 
 	plans := []struct {
@@ -93,43 +108,53 @@ func RunTable5(dir string, cfg Tab5Config) ([]Tab5Row, error) {
 			return nil, err
 		}
 		for _, q := range queries {
-			indep, err := timeRetrieval(store, versions, q.prefix, pas.Independent)
-			if err != nil {
-				return nil, err
+			truth := make([]map[string]*tensor.Matrix, len(source))
+			for i, w := range source {
+				if truth[i], err = sourceAt(w, q.prefix); err != nil {
+					return nil, err
+				}
 			}
-			par, err := timeRetrieval(store, versions, q.prefix, pas.Parallel)
-			if err != nil {
-				return nil, err
+			row := Tab5Row{Plan: p.label, Query: q.label}
+			for _, col := range []struct {
+				scheme pas.Scheme
+				avg    *time.Duration
+			}{
+				{pas.Independent, &row.Independent},
+				{pas.Parallel, &row.Parallel},
+				{pas.Reusable, &row.Reusable},
+				{pas.Concurrent, &row.Concurrent},
+			} {
+				if *col.avg, err = timeRetrieval(store, truth, q.prefix, col.scheme); err != nil {
+					return nil, fmt.Errorf("%s, %s, %v: %w", p.label, q.label, col.scheme, err)
+				}
 			}
-			reuse, err := timeRetrieval(store, versions, q.prefix, pas.Reusable)
-			if err != nil {
-				return nil, err
-			}
-			conc, err := timeRetrieval(store, versions, q.prefix, pas.Concurrent)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Tab5Row{
-				Plan: p.label, Query: q.label,
-				Independent: indep, Parallel: par, Reusable: reuse, Concurrent: conc,
-			})
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
 // timeRetrieval measures the average time to retrieve every snapshot in the
-// archive.
-func timeRetrieval(store *pas.Store, versions []*dlv.Version, prefix int, scheme pas.Scheme) (time.Duration, error) {
+// archive; truth holds the expected result per snapshot, in archive order,
+// and is compared outside the timed section.
+func timeRetrieval(store *pas.Store, truth []map[string]*tensor.Matrix, prefix int, scheme pas.Scheme) (time.Duration, error) {
 	snaps := store.Snapshots()
-	start := time.Now()
-	for _, snap := range snaps {
-		if _, err := store.GetSnapshot(snap, prefix, scheme); err != nil {
+	if len(snaps) != len(truth) {
+		return 0, fmt.Errorf("archive holds %d snapshots, source has %d", len(snaps), len(truth))
+	}
+	var total time.Duration
+	for i, snap := range snaps {
+		start := time.Now()
+		got, err := store.GetSnapshot(snap, prefix, scheme)
+		total += time.Since(start)
+		if err != nil {
 			return 0, err
 		}
+		if err := sameWeights(got, truth[i]); err != nil {
+			return 0, fmt.Errorf("snapshot %s: %w", snap, err)
+		}
 	}
-	_ = versions
-	return time.Since(start) / time.Duration(len(snaps)), nil
+	return total / time.Duration(len(snaps)), nil
 }
 
 // PrintTable5 renders the recreation-performance comparison.

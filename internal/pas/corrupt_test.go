@@ -4,26 +4,18 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
 
-// chunkFiles lists every file holding chunk payloads, for whichever layout
-// the archive uses: segment files under segments/, or per-chunk files under
-// chunks/. Sorted for determinism.
+// chunkFiles lists the segment files holding the archive's chunk payloads,
+// sorted.
 func chunkFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	out, err := filepath.Glob(filepath.Join(dir, "segments", "seg-*.seg"))
+	out, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, legacy...)
-	sort.Strings(out)
 	if len(out) == 0 {
 		t.Fatal("archive has no chunk payload files")
 	}
@@ -43,7 +35,7 @@ func corruptEverySnapshot(t *testing.T, mutate func(t *testing.T, path string)) 
 	}
 	files := chunkFiles(t, dir)
 	mutate(t, files[0])
-	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
+	for _, scheme := range allSchemes {
 		st, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -78,9 +70,8 @@ func TestGetSnapshotBitFlippedChunk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The last byte is always chunk payload under both layouts (a
-		// middle byte could land in a segment record header, which reads
-		// do not traverse).
+		// The last byte is always chunk payload (a middle byte could land
+		// in a segment record header, which reads do not traverse).
 		blob[len(blob)-1] ^= 0x40
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)

@@ -1,0 +1,158 @@
+package pas
+
+import (
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"modelhub/internal/delta"
+)
+
+// hostileManifests are single-field corruptions of a valid manifest, each of
+// which used to reach an index expression, an allocation or a map lookup
+// unchecked. manifest.json arrives inside every pulled repository.
+var hostileManifests = []struct {
+	name   string
+	mutate func(m *manifest)
+}{
+	{"version 0", func(m *manifest) { m.Version = 0 }},
+	{"version 3", func(m *manifest) { m.Version = 3 }},
+	{"delta op intsub", func(m *manifest) { m.DeltaOp = uint8(delta.IntSub) }},
+	{"delta op unknown", func(m *manifest) { m.DeltaOp = 200 }},
+	{"negative plane start", func(m *manifest) { m.Nodes[0].PlaneStart = -1 }},
+	{"plane end past 4", func(m *manifest) { m.Nodes[0].PlaneEnd = 9 }},
+	{"empty plane range", func(m *manifest) { m.Nodes[0].PlaneStart, m.Nodes[0].PlaneEnd = 2, 2 }},
+	{"plane start without end", func(m *manifest) { m.Nodes[0].PlaneStart, m.Nodes[0].PlaneEnd = 1, 0 }},
+	{"negative rows", func(m *manifest) { m.Nodes[0].Rows = -4 }},
+	{"negative cols", func(m *manifest) { m.Nodes[0].Cols = -1 }},
+	{"shape overflows", func(m *manifest) { m.Nodes[0].Rows, m.Nodes[0].Cols = 1<<40, 1<<40 }},
+	{"shape beyond any payload", func(m *manifest) { m.Nodes[0].Rows, m.Nodes[0].Cols = 1<<20, 1<<20 }},
+	{"unknown tier", func(m *manifest) { m.Nodes[0].Tier = 7 }},
+	{"negative tier", func(m *manifest) { m.Nodes[0].Tier = -1 }},
+	{"unknown parent", func(m *manifest) { m.Nodes[1].Parent = 9999 }},
+	{"negative parent", func(m *manifest) { m.Nodes[1].Parent = -2 }},
+	{"duplicate node id", func(m *manifest) { m.Nodes[1].ID = m.Nodes[0].ID }},
+	{"node id 0", func(m *manifest) { m.Nodes[0].ID = 0 }},
+}
+
+// hostileArchive creates a small valid archive and returns its directory and
+// parsed manifest.
+func hostileArchive(t testing.TB) (string, manifest) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := Create(dir, makeSnaps(90, 3, 0), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, st.man
+}
+
+// mutated returns the manifest JSON after one corruption; Nodes is copied so
+// rows do not see each other's damage.
+func mutated(t testing.TB, man manifest, mutate func(*manifest)) []byte {
+	t.Helper()
+	man.Nodes = append([]manifestNode(nil), man.Nodes...)
+	mutate(&man)
+	blob, err := json.Marshal(&man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// Every row panicked (index out of range, makeslice, inside a worker
+// goroutine nothing can recover from) or was silently accepted before Open
+// validated the manifest; all must now be ErrStore at Open, as Version 1 and
+// as Version 2.
+func TestOpenRejectsHostileManifest(t *testing.T) {
+	dir, man := hostileArchive(t)
+	path := filepath.Join(dir, "manifest.json")
+	for _, row := range hostileManifests {
+		for _, version := range []int{2, 1} {
+			blob := mutated(t, man, func(m *manifest) {
+				m.Version = version
+				row.mutate(m)
+			})
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir); !errors.Is(err, ErrStore) {
+				t.Errorf("%s (as version %d): Open = %v, want ErrStore", row.name, version, err)
+			}
+		}
+	}
+	// The unmutated manifest still opens: the table rejects the mutation,
+	// not the fixture.
+	if err := os.WriteFile(path, mutated(t, man, func(*manifest) {}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("valid manifest rejected: %v", err)
+	}
+	for _, snap := range st.Snapshots() {
+		if _, err := st.GetSnapshot(snap, 4, Concurrent); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// FuzzOpenManifest feeds arbitrary bytes to Open as the manifest of an
+// otherwise valid archive. Open either fails with ErrStore or returns a
+// store on which retrieval, occupancy stats and GC fail typed at worst —
+// never a panic (wired into make fuzz-smoke).
+func FuzzOpenManifest(f *testing.F) {
+	base, man := hostileArchive(f)
+	f.Add(mutated(f, man, func(*manifest) {}))
+	for _, row := range hostileManifests {
+		f.Add(mutated(f, man, row.mutate))
+	}
+	paths, err := filepath.Glob(filepath.Join(base, segmentsDir, "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	segFiles := map[string][]byte{}
+	for _, path := range paths {
+		if segFiles[filepath.Base(path)], err = os.ReadFile(path); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, segmentsDir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range segFiles {
+			if err := os.WriteFile(filepath.Join(dir, segmentsDir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			if !errors.Is(err, ErrStore) {
+				t.Fatalf("Open error %v is not ErrStore", err)
+			}
+			return
+		}
+		defer st.Close()
+		for _, snap := range st.Snapshots() {
+			for _, prefix := range []int{4, 2} {
+				if _, err := st.GetSnapshot(snap, prefix, Concurrent); err != nil && !errors.Is(err, ErrStore) {
+					t.Fatalf("retrieval error %v is not ErrStore", err)
+				}
+			}
+		}
+		st.SegmentStats()
+		if _, err := st.GC(); err != nil && !errors.Is(err, ErrStore) {
+			t.Fatalf("GC error %v is not ErrStore", err)
+		}
+	})
+}

@@ -6,7 +6,7 @@ import "modelhub/internal/obs"
 // once at package init; every update is gated on obs.Enable, so the
 // disabled cost is one atomic load and a branch (BenchmarkObsOverhead).
 var (
-	// Decoded-plane LRU of the concurrent engine.
+	// Decoded-plane LRUs of the retrieval engine.
 	mPlaneCacheHits      = obs.GetCounter("pas.plane_cache.hits")
 	mPlaneCacheMisses    = obs.GetCounter("pas.plane_cache.misses")
 	mPlaneCacheEvictions = obs.GetCounter("pas.plane_cache.evictions")
@@ -25,10 +25,7 @@ var (
 	// Fig. 8-10 byte savings, observable live.
 	mLowOrderBytesAvoided = obs.GetCounter("pas.progressive.low_order_bytes_avoided")
 
-	// Segment storage engine (gen 2, DESIGN.md §10). pas.chunk.opens
-	// counts per-file chunk opens on the legacy layout; pas.segment.opens
-	// counts segment file opens — the pair BENCH_store.json compares.
-	mChunkOpens         = obs.GetCounter("pas.chunk.opens")
+	// Segment storage engine (DESIGN.md §10).
 	mSegmentOpens       = obs.GetCounter("pas.segment.opens")
 	mSegmentDedupHits   = obs.GetCounter("pas.segment.dedup_hits")
 	mSegmentDedupBytes  = obs.GetCounter("pas.segment.dedup_bytes_saved")

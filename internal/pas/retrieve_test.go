@@ -11,35 +11,12 @@ import (
 	"modelhub/internal/tensor"
 )
 
-// Regression for the reusable-cache poisoning bug: plane sets cached during
-// a prefix-2 retrieval have zero-filled low planes, and keying the cache by
+// Regression for the plane-cache poisoning bug: plane sets cached during a
+// prefix-2 retrieval have zero-filled low planes, and keying the cache by
 // node id alone let them satisfy later full-precision lookups. Alternating
-// prefixes on one store must keep matching a cache-free retrieval.
-func TestReusablePrefixPoisoningRegression(t *testing.T) {
-	snaps := makeSnaps(21, 4, 0)
-	st := createStore(t, snaps, Options{})
-	for _, prefix := range []int{2, 4, 1, 3, 4, 2} {
-		for _, snap := range snaps {
-			got, err := st.GetSnapshot(snap.ID, prefix, Reusable)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := st.GetSnapshot(snap.ID, prefix, Independent)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name := range snap.Matrices {
-				if !got[name].Equal(want[name]) {
-					t.Fatalf("prefix %d %s/%s: reusable retrieval poisoned by earlier prefix", prefix, snap.ID, name)
-				}
-			}
-		}
-	}
-}
-
-// The Concurrent scheme must be bit-exact with Independent at every prefix,
-// on matrix-granular, plane-granular, and remote-tier archives.
-func TestConcurrentMatchesIndependentAllPrefixes(t *testing.T) {
+// prefixes on one store must keep matching the source under every scheme —
+// on matrix-granular, plane-granular and remote-tier archives.
+func TestSchemesMatchSourceAlternatingPrefixes(t *testing.T) {
 	snaps := makeSnaps(22, 4, 0)
 	stores := map[string]*Store{
 		"matrix": createStore(t, snaps, Options{}),
@@ -47,75 +24,26 @@ func TestConcurrentMatchesIndependentAllPrefixes(t *testing.T) {
 		"remote": createStore(t, snaps, Options{Algorithm: "pas-mt", Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}}),
 	}
 	for label, st := range stores {
-		for _, prefix := range []int{2, 4, 1, 3} { // alternating order also exercises the LRU
-			for _, snap := range snaps {
-				got, err := st.GetSnapshot(snap.ID, prefix, Concurrent)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				want, err := st.GetSnapshot(snap.ID, prefix, Independent)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name := range snap.Matrices {
-					if !got[name].Equal(want[name]) {
-						t.Fatalf("%s prefix %d %s/%s: concurrent != independent", label, prefix, snap.ID, name)
+		t.Run(label, func(t *testing.T) {
+			for _, prefix := range []int{2, 4, 1, 3, 4, 2} {
+				for _, snap := range snaps {
+					for _, scheme := range allSchemes {
+						checkSnapshot(t, st, snap, prefix, scheme)
 					}
 				}
 			}
-		}
-	}
-}
-
-// GetMatrixConcurrent and GetIntervalsConcurrent share the engine and must
-// agree with their sequential counterparts.
-func TestConcurrentMatrixAndIntervals(t *testing.T) {
-	snaps := makeSnaps(23, 3, 0)
-	st := createStore(t, snaps, Options{})
-	for prefix := 1; prefix <= 4; prefix++ {
-		for name := range snaps[2].Matrices {
-			ref := MatrixRef{Snapshot: "c", Name: name}
-			got, err := st.GetMatrixConcurrent(ref, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := st.GetMatrix(ref, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("prefix %d %s: GetMatrixConcurrent mismatch", prefix, name)
-			}
-			glo, ghi, err := st.GetIntervalsConcurrent(ref, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wlo, whi, err := st.GetIntervals(ref, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !glo.Equal(wlo) || !ghi.Equal(whi) {
-				t.Fatalf("prefix %d %s: GetIntervalsConcurrent mismatch", prefix, name)
-			}
-		}
+		})
 	}
 }
 
 // Run with -race: goroutines mixing the Concurrent and Parallel schemes (and
-// the matrix/interval entry points) on one store, with a cache resize in the
-// middle, must be data-race free and correct.
+// the interval entry point) on one store, with a cache small enough to evict
+// throughout, must be data-race free and correct.
 func TestStoreConcurrentAndParallelRace(t *testing.T) {
 	snaps := makeSnaps(24, 4, 0)
 	st := createStore(t, snaps, Options{})
-	st.SetConcurrency(4)
-	truth := map[string]map[string]*tensor.Matrix{}
-	for _, snap := range snaps {
-		got, err := st.GetSnapshot(snap.ID, 4, Independent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth[snap.ID] = got
-	}
+	st.workers = 4
+	st.planes.lru.limit = 1 << 16
 	var wg sync.WaitGroup
 	errs := make([]error, 16)
 	for g := 0; g < 16; g++ {
@@ -129,16 +57,13 @@ func TestStoreConcurrentAndParallelRace(t *testing.T) {
 			for it := 0; it < 4; it++ {
 				snap := snaps[(g+it)%len(snaps)]
 				prefix := 1 + (g+it)%4
-				if g == 7 && it == 2 {
-					st.SetPlaneCacheBytes(1 << 16)
-				}
 				got, err := st.GetSnapshot(snap.ID, prefix, scheme)
 				if err != nil {
 					errs[g] = err
 					return
 				}
 				if prefix == 4 {
-					for name, want := range truth[snap.ID] {
+					for name, want := range snap.Matrices {
 						if !got[name].Equal(want) {
 							errs[g] = fmt.Errorf("goroutine %d: %s/%s mismatch", g, snap.ID, name)
 							return
@@ -146,7 +71,7 @@ func TestStoreConcurrentAndParallelRace(t *testing.T) {
 					}
 				}
 				ref := MatrixRef{Snapshot: snap.ID, Name: "ip1"}
-				if _, _, err := st.GetIntervalsConcurrent(ref, prefix); err != nil {
+				if _, _, err := st.GetIntervals(ref, prefix); err != nil {
 					errs[g] = err
 					return
 				}
@@ -177,7 +102,7 @@ func TestStoreDeepChainIterative(t *testing.T) {
 	}
 	st := createStore(t, snaps, Options{Algorithm: "mst"})
 	last := snaps[n-1]
-	for _, scheme := range []Scheme{Independent, Reusable, Concurrent} {
+	for _, scheme := range allSchemes {
 		got, err := st.GetSnapshot(last.ID, 4, scheme)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
@@ -222,26 +147,19 @@ func TestStoreManifestCycleDetected(t *testing.T) {
 	}
 	parent.Parent = child.ID
 
-	for name, resolve := range map[string]func() error{
-		"planes": func() error { _, err := st.resolvePlanes(child.ID, 4, false); return err },
-		"full":   func() error { _, err := st.resolveFull(child.ID, false); return err },
-		"concurrent": func() error {
-			_, err := st.resolvePlanesConcurrent(child.ID, 4)
-			return err
-		},
-	} {
-		err := resolve()
+	for _, scheme := range allSchemes {
+		_, err := st.resolveChain(st.engineFor(scheme), child.ID, 4)
 		if !errors.Is(err, ErrCycle) {
-			t.Fatalf("%s: want ErrCycle, got %v", name, err)
+			t.Fatalf("%v: want ErrCycle, got %v", scheme, err)
 		}
 		if !errors.Is(err, ErrStore) {
-			t.Fatalf("%s: ErrCycle should wrap ErrStore, got %v", name, err)
+			t.Fatalf("%v: ErrCycle should wrap ErrStore, got %v", scheme, err)
 		}
 	}
 }
 
 // The engine's plane LRU must respect its byte bound, evict in LRU order,
-// and support being disabled.
+// and cache nothing at limit 0.
 func TestPlaneLRUBound(t *testing.T) {
 	var c planeLRU
 	c.limit = 100
@@ -269,45 +187,41 @@ func TestPlaneLRUBound(t *testing.T) {
 	if _, ok := c.get(planeKey{4, 4}); ok {
 		t.Fatal("oversized entry should not be cached")
 	}
-	c.setLimit(0) // disable: drops everything, refuses new entries
-	if c.size != 0 || c.ll.Len() != 0 {
-		t.Fatalf("disabled cache should be empty, size=%d len=%d", c.size, c.ll.Len())
-	}
-	c.add(planeKey{5, 4}, mk(10))
-	if _, ok := c.get(planeKey{5, 4}); ok {
-		t.Fatal("disabled cache accepted an entry")
+	var off planeLRU
+	off.add(planeKey{5, 4}, mk(10))
+	if _, ok := off.get(planeKey{5, 4}); ok || off.size != 0 {
+		t.Fatal("zero-limit cache accepted an entry")
 	}
 }
 
-// The store-level cache bound applies during Concurrent retrieval.
+// The store retains decoded planes only inside its LRU bound, whatever the
+// scheme: Concurrent fills the store's cache up to the limit, Reusable's
+// cache dies with the call, Independent and Parallel keep nothing.
 func TestStorePlaneCacheBounded(t *testing.T) {
 	snaps := makeSnaps(27, 5, 0)
-	st := createStore(t, snaps, Options{})
-	const limit = 4 << 10
-	st.SetPlaneCacheBytes(limit)
-	for _, snap := range snaps {
-		if _, err := st.GetSnapshot(snap.ID, 4, Concurrent); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.eng.lru.mu.Lock()
-	size, entries := st.eng.lru.size, st.eng.lru.ll.Len()
-	st.eng.lru.mu.Unlock()
-	if size > limit {
-		t.Fatalf("plane cache %d bytes exceeds bound %d", size, limit)
-	}
-	if entries == 0 {
-		t.Fatal("plane cache unexpectedly empty under a nonzero bound")
-	}
-	st.SetPlaneCacheBytes(0)
-	if _, err := st.GetSnapshot("a", 4, Concurrent); err != nil {
+	dir := t.TempDir()
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	st.eng.lru.mu.Lock()
-	size = st.eng.lru.size
-	st.eng.lru.mu.Unlock()
-	if size != 0 {
-		t.Fatalf("disabled plane cache holds %d bytes", size)
+	for _, limit := range []int64{4 << 10, 0} {
+		for _, scheme := range allSchemes {
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.planes.lru.limit = limit
+			checkoutAllExact(t, st, snaps, scheme)
+			size, entries := st.planes.lru.size, st.planes.lru.ll.Len()
+			if size > limit {
+				t.Fatalf("%v: store retains %d plane bytes, bound is %d", scheme, size, limit)
+			}
+			if wantEntries := scheme == Concurrent && limit > 0; (entries > 0) != wantEntries {
+				t.Fatalf("%v at limit %d: store retains %d plane sets", scheme, limit, entries)
+			}
+			if len(st.planes.flights) != 0 {
+				t.Fatalf("%v: %d flights outlived their retrievals", scheme, len(st.planes.flights))
+			}
+		}
 	}
 }
 

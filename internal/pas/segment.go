@@ -1,10 +1,7 @@
 package pas
 
-// Storage-engine generation 2: the segment archive layout (manifest
-// Version 2).
-//
-// Instead of one file per (node, plane, tier) chunk, compressed chunk
-// payloads are packed into a small number of append-only segment files under
+// The archive layout (manifest Version 2). Compressed chunk payloads are
+// packed into a small number of append-only segment files under
 // <dir>/segments/, and payloads are content-addressed by the SHA-256 the
 // manifest already records per plane: identical payloads — frozen layers,
 // repeated deltas, re-archived snapshots — are stored once. A segment file
@@ -49,13 +46,6 @@ import (
 	"modelhub/internal/obs"
 )
 
-// Layout names accepted by Options.Layout and the MODELHUB_PAS_LAYOUT
-// environment variable. "chunk" and "v1" are aliases for LayoutLegacy.
-const (
-	LayoutSegment = "segment"
-	LayoutLegacy  = "legacy"
-)
-
 const (
 	segmentsDir  = "segments"
 	segIndexName = "index.json"
@@ -68,36 +58,6 @@ const (
 	// additional segments so GC can rewrite them piecemeal.
 	segTargetBytes = 256 << 20
 )
-
-// layout codes of an opened store.
-const (
-	layoutLegacy = iota
-	layoutSegment
-)
-
-// DefaultLayout resolves the layout new archives are created with when
-// Options.Layout is empty: MODELHUB_PAS_LAYOUT if set, else the segment
-// layout. The same switch decides whether Open migrates Version-1 archives.
-func DefaultLayout() string {
-	switch os.Getenv("MODELHUB_PAS_LAYOUT") {
-	case LayoutLegacy, "chunk", "v1":
-		return LayoutLegacy
-	}
-	return LayoutSegment
-}
-
-func resolveLayout(name string) (int, error) {
-	if name == "" {
-		name = DefaultLayout()
-	}
-	switch name {
-	case LayoutSegment:
-		return layoutSegment, nil
-	case LayoutLegacy, "chunk", "v1":
-		return layoutLegacy, nil
-	}
-	return 0, fmt.Errorf("%w: unknown layout %q (want %q or %q)", ErrStore, name, LayoutSegment, LayoutLegacy)
-}
 
 // segIndex is the persisted segments/index.json: where every stored chunk
 // payload physically lives.
@@ -437,8 +397,7 @@ func loadOrInitSegIndex(dir string) *segIndex {
 }
 
 // segReader serves chunk payloads out of segment files: an in-memory index
-// plus lazily opened, long-lived file handles — the open() economy over the
-// per-chunk layout, where every plane read was its own open. GC swaps in a
+// plus lazily opened, long-lived file handles. GC swaps in a
 // rewritten index under the mutex and retires the handles of unlinked
 // segments to a graveyard that stays open until Close, so a concurrent
 // reader's in-flight ReadAt still sees the bytes its index snapshot named.
@@ -525,50 +484,23 @@ func (r *segReader) close() error {
 	return err
 }
 
-// Layout reports the on-disk layout of the opened archive: LayoutSegment
-// (manifest Version 2) or LayoutLegacy (Version 1, one file per chunk).
-func (s *Store) Layout() string {
-	if s.layout == layoutSegment {
-		return LayoutSegment
-	}
-	return LayoutLegacy
-}
-
 // Close releases the store's open segment file handles, including handles
-// GC retired while readers were in flight. Closing a legacy-layout store is
-// a no-op. The store must not be used after Close.
+// GC retired while readers were in flight. The store must not be used after
+// Close.
 func (s *Store) Close() error {
-	if s.layout != layoutSegment {
-		return nil
-	}
 	return s.seg.close()
 }
 
-// StoredChunks counts physically stored chunk payloads: index records under
-// the segment layout (after dedup), stored planes under the legacy layout
-// (one file each).
+// StoredChunks counts physically stored chunk payloads: index records,
+// after dedup.
 func (s *Store) StoredChunks() int {
-	if s.layout == layoutSegment {
-		idx := s.seg.snapshotIndex()
-		return len(idx.Chunks)
-	}
-	count := 0
-	for i := range s.man.Nodes {
-		start, end := nodePlanes(&s.man.Nodes[i])
-		count += end - start
-	}
-	return count
+	return len(s.seg.snapshotIndex().Chunks)
 }
 
-// SegmentDiskBytes sums the on-disk sizes of the archive's segment files
-// (0 under the legacy layout).
+// SegmentDiskBytes sums the on-disk sizes of the archive's segment files.
 func (s *Store) SegmentDiskBytes() int64 {
-	if s.layout != layoutSegment {
-		return 0
-	}
-	idx := s.seg.snapshotIndex()
 	var total int64
-	for _, sf := range idx.Segments {
+	for _, sf := range s.seg.snapshotIndex().Segments {
 		total += sf.Size
 	}
 	return total
@@ -623,9 +555,6 @@ func (s *Store) Repack() (GCStats, error) {
 }
 
 func (s *Store) compact(all bool) (GCStats, error) {
-	if s.layout != layoutSegment {
-		return GCStats{}, fmt.Errorf("%w: gc requires the segment layout (this archive is per-chunk; reopen it with the segment layout to migrate)", ErrStore)
-	}
 	s.seg.cmu.Lock()
 	defer s.seg.cmu.Unlock()
 	idx := s.seg.snapshotIndex()
@@ -758,12 +687,8 @@ type SegmentStat struct {
 	DeadChunks int
 }
 
-// SegmentStats reports per-segment occupancy under the segment layout
-// (nil for legacy archives).
+// SegmentStats reports per-segment occupancy.
 func (s *Store) SegmentStats() []SegmentStat {
-	if s.layout != layoutSegment {
-		return nil
-	}
 	idx := s.seg.snapshotIndex()
 	live := s.liveSums()
 	out := make([]SegmentStat, len(idx.Segments))
@@ -781,23 +706,67 @@ func (s *Store) SegmentStats() []SegmentStat {
 	return out
 }
 
-// migrateLegacy converts a Version-1 per-chunk archive to the segment layout
-// in place. Commit order mirrors Create: segment files → index → manifest
-// (the commit point) → legacy chunk unlink. A crash at any step leaves
-// either a readable Version-1 or a readable Version-2 archive. Chunk
+// storePayloads appends to dir's segment files every payload its index does
+// not already hold — content-addressed dedup, against the directory and
+// within the batch — and persists the index. It returns the number of
+// segment files written.
+func storePayloads(dir string, payloads []segPayload) (int, error) {
+	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	idx := loadOrInitSegIndex(dir)
+	seen := make(map[string]bool, len(payloads))
+	var fresh []segPayload
+	for _, p := range payloads {
+		if _, ok := idx.Chunks[p.sum]; ok || seen[p.sum] {
+			mSegmentDedupHits.Inc()
+			mSegmentDedupBytes.Add(int64(len(p.data)))
+			continue
+		}
+		seen[p.sum] = true
+		fresh = append(fresh, p)
+	}
+	infos, locs, err := writeSegments(dir, idx, fresh)
+	if err != nil {
+		return 0, fmt.Errorf("%w: writing segments: %v", ErrStore, err)
+	}
+	base := len(idx.Segments)
+	idx.Segments = append(idx.Segments, infos...)
+	for sum, loc := range locs {
+		loc.Seg += base
+		idx.Chunks[sum] = loc
+	}
+	if err := saveSegIndex(dir, idx); err != nil {
+		return 0, err
+	}
+	return len(infos), nil
+}
+
+// chunkPath names the file of one chunk in a Version-1 archive.
+func chunkPath(dir string, node, plane, tier int) string {
+	sub := "chunks"
+	if tier == tierRemote {
+		sub = "remote"
+	}
+	return filepath.Join(dir, sub, fmt.Sprintf("n%06d.p%d", node, plane))
+}
+
+// migrateLegacy converts a Version-1 archive (one file per chunk) to
+// segments in place. Commit order mirrors Create: segment files → index →
+// manifest (the commit point) → legacy chunk unlink. A crash at any step
+// leaves either a readable Version-1 or a readable Version-2 archive. Chunk
 // payloads are not verified here — reads verify against the manifest, so
-// pre-existing corruption surfaces exactly where it did before, at
-// retrieval. Already-missing chunk files are skipped; their sums stay absent
-// from the index and retrieval reports them missing, as on the legacy path.
+// pre-existing corruption surfaces at retrieval. Already-missing chunk files
+// are skipped; their sums stay absent from the index and retrieval reports
+// them missing.
 func migrateLegacy(dir string, man *manifest) error {
 	var payloads []segPayload
-	seen := make(map[string]bool)
 	for i := range man.Nodes {
 		n := &man.Nodes[i]
 		start, end := nodePlanes(n)
 		for p := start; p < end; p++ {
 			sum := n.PlaneSum[p]
-			if sum == "" || seen[sum] {
+			if sum == "" {
 				continue
 			}
 			z, err := os.ReadFile(chunkPath(dir, n.ID, p, n.Tier))
@@ -807,32 +776,11 @@ func migrateLegacy(dir string, man *manifest) error {
 				}
 				return fmt.Errorf("%w: migrating node %d plane %d: %v", ErrStore, n.ID, p, err)
 			}
-			seen[sum] = true
 			payloads = append(payloads, segPayload{sum: sum, data: z})
 		}
 	}
-	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
-		return fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	idx := loadOrInitSegIndex(dir)
-	var fresh []segPayload
-	for _, p := range payloads {
-		if _, ok := idx.Chunks[p.sum]; ok {
-			continue
-		}
-		fresh = append(fresh, p)
-	}
-	infos, locs, err := writeSegments(dir, idx, fresh)
+	segments, err := storePayloads(dir, payloads)
 	if err != nil {
-		return fmt.Errorf("%w: migrating chunks into segments: %v", ErrStore, err)
-	}
-	base := len(idx.Segments)
-	idx.Segments = append(idx.Segments, infos...)
-	for sum, loc := range locs {
-		loc.Seg += base
-		idx.Chunks[sum] = loc
-	}
-	if err := saveSegIndex(dir, idx); err != nil {
 		return err
 	}
 	man.Version = 2
@@ -842,7 +790,7 @@ func migrateLegacy(dir string, man *manifest) error {
 	removeLegacyDirs(dir)
 	mSegmentMigrations.Inc()
 	obs.Logger().Info("pas: migrated legacy archive to segment layout",
-		"dir", dir, "chunks", len(payloads), "segments", len(infos))
+		"dir", dir, "chunks", len(payloads), "segments", segments)
 	return nil
 }
 

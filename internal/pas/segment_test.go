@@ -1,11 +1,12 @@
 package pas
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,159 +16,216 @@ import (
 	"modelhub/internal/tensor"
 )
 
-// checkoutAllExact asserts every snapshot decodes bit-exact under scheme.
+// checkSnapshot retrieves one snapshot and compares it with the source
+// matrices it was archived from: bit-identical at prefix 4, their byte-plane
+// truncation below.
+func checkSnapshot(t *testing.T, st *Store, snap SnapshotIn, prefix int, scheme Scheme) {
+	t.Helper()
+	got, err := st.GetSnapshot(snap.ID, prefix, scheme)
+	if err != nil {
+		t.Fatalf("%v: snapshot %s prefix %d: %v", scheme, snap.ID, prefix, err)
+	}
+	if len(got) != len(snap.Matrices) {
+		t.Fatalf("%v: snapshot %s: got %d matrices, want %d", scheme, snap.ID, len(got), len(snap.Matrices))
+	}
+	for name, src := range snap.Matrices {
+		want, err := segTrunc(src, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[name].Equal(want) {
+			t.Fatalf("%v: snapshot %s matrix %s prefix %d differs from the source", scheme, snap.ID, name, prefix)
+		}
+	}
+}
+
+// checkoutAllExact asserts every snapshot matches its source under scheme,
+// at every prefix.
 func checkoutAllExact(t *testing.T, st *Store, snaps []SnapshotIn, scheme Scheme) {
 	t.Helper()
-	for _, snap := range snaps {
-		got, err := st.GetSnapshot(snap.ID, 4, scheme)
-		if err != nil {
-			t.Fatalf("%v: snapshot %s: %v", scheme, snap.ID, err)
-		}
-		for name, want := range snap.Matrices {
-			if !got[name].Equal(want) {
-				t.Fatalf("%v: snapshot %s matrix %s mismatch", scheme, snap.ID, name)
-			}
+	for prefix := floatenc.NumPlanes; prefix >= 1; prefix-- {
+		for _, snap := range snaps {
+			checkSnapshot(t, st, snap, prefix, scheme)
 		}
 	}
 }
 
-// rawPlanes flattens a snapshot retrieval at a prefix into comparable bytes.
-func rawPlanes(t *testing.T, st *Store, snapID string, prefix int, scheme Scheme) []byte {
+var allSchemes = []Scheme{Independent, Parallel, Reusable, Concurrent}
+
+// toVersion1 rewrites the freshly created archive in dir as the Version-1
+// layout Open still reads and migrates: one chunks/nNNNNNN.pP file per
+// stored plane (remote/ for tier-1 nodes), a "version": 1 manifest, and no
+// segments directory.
+func toVersion1(t *testing.T, dir string) {
 	t.Helper()
-	names, err := st.MatrixNames(snapID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, name := range names {
-		m, err := st.GetMatrix(MatrixRef{Snapshot: snapID, Name: name}, prefix)
-		if scheme == Concurrent {
-			m, err = st.GetMatrixConcurrent(MatrixRef{Snapshot: snapID, Name: name}, prefix)
-		}
-		if err != nil {
-			t.Fatalf("%v: %s/%s prefix %d: %v", scheme, snapID, name, prefix, err)
-		}
-		seg := floatenc.Segment(m)
-		for p := 0; p < floatenc.NumPlanes; p++ {
-			buf.Write(seg.Planes[p])
-		}
-	}
-	return buf.Bytes()
-}
-
-// The acceptance bar: checkout of any snapshot is bit-identical between the
-// legacy and segment layouts, for every scheme and every prefix.
-func TestLayoutsBitIdentical(t *testing.T) {
-	snaps := makeSnaps(31, 4, 0)
-	legacyDir, segDir := t.TempDir(), t.TempDir()
-	if _, err := Create(legacyDir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(segDir, snaps, Options{Layout: LayoutSegment}); err != nil {
-		t.Fatal(err)
-	}
-	lst, err := OpenWith(legacyDir, OpenOptions{KeepLegacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst, err := Open(segDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lst.Layout() != LayoutLegacy || sst.Layout() != LayoutSegment {
-		t.Fatalf("layouts = %s / %s", lst.Layout(), sst.Layout())
-	}
-	for _, scheme := range []Scheme{Independent, Concurrent} {
-		for prefix := 1; prefix <= floatenc.NumPlanes; prefix++ {
-			for _, snap := range snaps {
-				a := rawPlanes(t, lst, snap.ID, prefix, scheme)
-				b := rawPlanes(t, sst, snap.ID, prefix, scheme)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("%v: snapshot %s prefix %d differs between layouts", scheme, snap.ID, prefix)
-				}
-			}
-		}
-	}
-	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
-		checkoutAllExact(t, sst, snaps, scheme)
-	}
-}
-
-// A Version-1 archive must migrate in place on Open: chunks repack into
-// segments, the per-chunk files disappear, and every retrieval stays
-// bit-exact. A second Open must not migrate again.
-func TestMigrateLegacyRoundTrip(t *testing.T) {
-	// The CI layout matrix pins MODELHUB_PAS_LAYOUT=legacy, which would
-	// (correctly) suppress the migration this test is about.
-	t.Setenv("MODELHUB_PAS_LAYOUT", LayoutSegment)
-	snaps := makeSnaps(32, 3, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "chunks")); err != nil {
-		t.Fatalf("legacy archive missing chunks dir: %v", err)
-	}
-	obs.Enable() // counters are no-ops while metrics are disabled
-	migrations := mSegmentMigrations.Value()
-
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout() != LayoutSegment {
-		t.Fatalf("layout after migration = %s", st.Layout())
+	for _, sub := range []string{"chunks", "remote"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if mSegmentMigrations.Value() != migrations+1 {
-		t.Fatal("migration counter did not advance")
+	for i := range st.man.Nodes {
+		n := &st.man.Nodes[i]
+		start, end := nodePlanes(n)
+		for p := start; p < end; p++ {
+			z, err := st.seg.read(n.PlaneSum[p])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(chunkPath(dir, n.ID, p, n.Tier), z, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "chunks")); !os.IsNotExist(err) {
-		t.Fatalf("legacy chunks dir survived migration: %v", err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segment files after migration: %v", err)
-	}
-	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
-		checkoutAllExact(t, st, snaps, scheme)
-	}
-
-	// Idempotent: reopening migrates nothing further.
-	st2, err := Open(dir)
-	if err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if mSegmentMigrations.Value() != migrations+1 {
-		t.Fatal("second open migrated again")
+	if err := os.RemoveAll(filepath.Join(dir, segmentsDir)); err != nil {
+		t.Fatal(err)
 	}
-	checkoutAllExact(t, st2, snaps, Concurrent)
+	man := st.man
+	man.Version = 1
+	if err := writeManifest(dir, &man); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// KeepLegacy (and the legacy env default) must leave a Version-1 archive
-// untouched.
-func TestOpenKeepLegacyDoesNotMigrate(t *testing.T) {
-	snaps := makeSnaps(33, 2, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenWith(dir, OpenOptions{KeepLegacy: true})
+// dirState maps every file under dir to its size and modification time.
+func dirState(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	state := map[string]string{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			state[path] = fmt.Sprint(info.Size(), info.ModTime().UnixNano())
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Layout() != LayoutLegacy {
-		t.Fatalf("layout = %s, want legacy", st.Layout())
+	return state
+}
+
+// A Version-1 archive must migrate in place on Open: chunks repack into
+// segments, the per-chunk files disappear, and every retrieval matches the
+// source — on matrix-granular, plane-granular and remote-tier archives. A
+// second Open must neither migrate again nor write anything.
+func TestMigrateLegacyRoundTrip(t *testing.T) {
+	snaps := makeSnaps(32, 3, 0)
+	for label, opts := range map[string]Options{
+		"matrix": {},
+		"plane":  {PlaneGranularity: true},
+		"remote": {Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
+	} {
+		dir := t.TempDir()
+		if _, err := Create(dir, snaps, opts); err != nil {
+			t.Fatal(err)
+		}
+		toVersion1(t, dir)
+		obs.Enable() // counters are no-ops while metrics are disabled
+		migrations := mSegmentMigrations.Value()
+
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if mSegmentMigrations.Value() != migrations+1 {
+			t.Fatalf("%s: migration counter did not advance", label)
+		}
+		for _, sub := range []string{"chunks", "remote"} {
+			if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
+				t.Fatalf("%s: legacy %s dir survived migration: %v", label, sub, err)
+			}
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("%s: no segment files after migration: %v", label, err)
+		}
+		for _, scheme := range allSchemes {
+			checkoutAllExact(t, st, snaps, scheme)
+		}
+
+		before := dirState(t, dir)
+		st2, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mSegmentMigrations.Value() != migrations+1 {
+			t.Fatalf("%s: second open migrated again", label)
+		}
+		if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: reopening a migrated archive wrote to it:\nbefore %v\nafter  %v", label, before, after)
+		}
+		checkoutAllExact(t, st2, snaps, Concurrent)
 	}
-	if _, err := os.Stat(filepath.Join(dir, segmentsDir)); !os.IsNotExist(err) {
-		t.Fatal("KeepLegacy open created a segments dir")
+}
+
+// A chunk file lost before migration must not fail Open: its payload stays
+// absent from the index, and the retrievals that need it report ErrStore.
+func TestMigrateLegacyMissingChunk(t *testing.T) {
+	snaps := makeSnaps(33, 3, 0)
+	dir := t.TempDir()
+	if _, err := Create(dir, snaps, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	toVersion1(t, dir)
+	lost, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
+	if err != nil || len(lost) == 0 {
+		t.Fatalf("no legacy chunk files: %v", err)
+	}
+	if err := os.Remove(lost[0]); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open with a missing chunk file: %v", err)
+	}
+	failed := 0
+	for _, snap := range snaps {
+		if _, err := st.GetSnapshot(snap.ID, 4, Concurrent); err != nil {
+			failed++
+			if !errors.Is(err, ErrStore) {
+				t.Fatalf("snapshot %s: error %v is not ErrStore", snap.ID, err)
+			}
+			continue
+		}
+		checkSnapshot(t, st, snap, 4, Independent)
+	}
+	if failed == 0 {
+		t.Fatal("no retrieval noticed the missing chunk")
+	}
+}
+
+// Chunk directories that outlive the manifest's flip to Version 2 — a crash
+// between the migration commit and the unlink, or a re-archive over a
+// Version-1 directory — are swept by the next Open.
+func TestOpenSweepsLeftoverChunkDirs(t *testing.T) {
+	snaps := makeSnaps(34, 2, 0)
+	dir := t.TempDir()
+	if _, err := Create(dir, snaps, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"chunks", "remote"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sub, "n000001.p0"), []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := Create(dir, snaps, Options{Algorithm: "mst"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"chunks", "remote"} {
+		if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
+			t.Fatalf("leftover %s dir survived: %v", sub, err)
+		}
 	}
 	checkoutAllExact(t, st, snaps, Concurrent)
-}
-
-func TestCreateRejectsUnknownLayout(t *testing.T) {
-	if _, err := Create(t.TempDir(), makeSnaps(34, 1, 0), Options{Layout: "tape"}); !errors.Is(err, ErrStore) {
-		t.Fatalf("unknown layout = %v, want ErrStore", err)
-	}
 }
 
 // frozenSnaps builds snapshots where layer "emb" never changes — the
@@ -194,7 +252,7 @@ func frozenSnaps(seed int64, n int) []SnapshotIn {
 func TestSegmentDedupFrozenLayers(t *testing.T) {
 	snaps := frozenSnaps(35, 5)
 	dir := t.TempDir()
-	st, err := Create(dir, snaps, Options{Algorithm: "mst", Layout: LayoutSegment})
+	st, err := Create(dir, snaps, Options{Algorithm: "mst"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +267,7 @@ func TestSegmentDedupFrozenLayers(t *testing.T) {
 
 	// Re-archiving identical content must add no payload bytes at all.
 	before := st.SegmentDiskBytes()
-	st2, err := Create(dir, snaps, Options{Algorithm: "mst", Layout: LayoutSegment})
+	st2, err := Create(dir, snaps, Options{Algorithm: "mst"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +283,10 @@ func TestSegmentDedupFrozenLayers(t *testing.T) {
 func TestCreateSegmentKeepsGarbageUntilGC(t *testing.T) {
 	snaps := makeSnaps(36, 5, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Create(dir, snaps[:2], Options{Layout: LayoutSegment})
+	st, err := Create(dir, snaps[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +334,7 @@ func TestRepackCoalescesSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Three appends → up to three segment files plus garbage.
 	for _, end := range []int{2, 3, 4} {
-		if _, err := Create(dir, snaps[:end], Options{Layout: LayoutSegment}); err != nil {
+		if _, err := Create(dir, snaps[:end], Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,16 +364,15 @@ func TestRepackCoalescesSegments(t *testing.T) {
 	}
 }
 
-// GC must not disturb concurrent Concurrent-scheme readers of the same
-// store (run under -race): live payloads stay readable through the index
+// GC must not disturb concurrent readers of the same store (run under -race): live payloads stay readable through the index
 // flip and victim unlink, via the reader's handle graveyard.
 func TestGCConcurrentReaders(t *testing.T) {
 	snaps := makeSnaps(38, 6, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, snaps[:3], Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps[:3], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir)
@@ -329,7 +386,7 @@ func TestGCConcurrentReaders(t *testing.T) {
 	}()
 	// Force disk reads on every retrieval so readers race the GC's file
 	// swap rather than hitting the plane LRU.
-	st.SetPlaneCacheBytes(0)
+	st.planes.lru.limit = 0
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -370,27 +427,12 @@ func TestGCConcurrentReaders(t *testing.T) {
 	}
 }
 
-func TestGCRequiresSegmentLayout(t *testing.T) {
-	snaps := makeSnaps(39, 2, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenWith(dir, OpenOptions{KeepLegacy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.GC(); !errors.Is(err, ErrStore) {
-		t.Fatalf("GC on legacy layout = %v, want ErrStore", err)
-	}
-}
-
 // A missing or corrupted segments/index.json rebuilds from the segment
 // record headers on open — retrievals stay bit-exact either way.
 func TestSegmentIndexRebuild(t *testing.T) {
 	snaps := makeSnaps(40, 3, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	idxPath := filepath.Join(dir, segmentsDir, segIndexName)
@@ -418,7 +460,7 @@ func TestSegmentIndexRebuild(t *testing.T) {
 func TestSegmentTruncationTypedErrors(t *testing.T) {
 	snaps := makeSnaps(41, 3, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
@@ -463,10 +505,10 @@ func TestSegmentTruncationTypedErrors(t *testing.T) {
 func TestGCRefusesCorruptedSegment(t *testing.T) {
 	snaps := makeSnaps(42, 4, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Layout: LayoutSegment}); err != nil {
+	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Create(dir, snaps[:2], Options{Layout: LayoutSegment})
+	st, err := Create(dir, snaps[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,36 +533,5 @@ func TestGCRefusesCorruptedSegment(t *testing.T) {
 	}
 	if _, err := st.GC(); !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("GC over corrupted segment = %v, want ErrStore checksum mismatch", err)
-	}
-}
-
-// The layout env var steers both Create defaults and legacy migration.
-func TestLayoutEnvVar(t *testing.T) {
-	t.Setenv("MODELHUB_PAS_LAYOUT", LayoutLegacy)
-	snaps := makeSnaps(43, 2, 0)
-	dir := t.TempDir()
-	st, err := Create(dir, snaps, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Layout() != LayoutLegacy {
-		t.Fatalf("env-selected layout = %s, want legacy", st.Layout())
-	}
-	// Open must not migrate while the env pins legacy.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Layout() != LayoutLegacy {
-		t.Fatal("open migrated despite legacy env layout")
-	}
-
-	t.Setenv("MODELHUB_PAS_LAYOUT", "segment")
-	st3, err := Create(t.TempDir(), snaps, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.Layout() != LayoutSegment {
-		t.Fatalf("layout = %s, want segment", st3.Layout())
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
-	"sync"
 
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
@@ -42,10 +42,6 @@ type Options struct {
 	// Alpha, when > 0, overrides all budgets with α·Cr(SPT, s_i) — the
 	// Fig 6(c) protocol. When 0, the per-snapshot budgets are used as given.
 	Alpha float64
-	// DeltaOp is the delta operator for chunk chains. XOR (the default) is
-	// the only operator that composes exactly per byte plane, which partial
-	// (prefix < 4) retrieval requires.
-	DeltaOp delta.Op
 	// ZlibLevel for chunk compression; 0 means "unset" and defaults to 6
 	// like the paper. Pass ExplicitZero (-1) to request actual zlib level 0
 	// (stored, uncompressed deflate blocks).
@@ -67,19 +63,13 @@ type Options struct {
 	// every matrix splits into a high-plane node (planes 0-1) and a
 	// low-plane node (planes 2-3) that pick delta parents independently —
 	// compressible high planes ride delta chains while near-random low
-	// planes can materialize for cheap recreation. Requires XOR deltas.
+	// planes can materialize for cheap recreation.
 	PlaneGranularity bool
-	// Layout selects the on-disk archive layout: LayoutSegment (packed
-	// segment files with content-addressed dedup, the default) or
-	// LayoutLegacy (one file per chunk). Empty means DefaultLayout(), which
-	// honors the MODELHUB_PAS_LAYOUT environment variable.
-	Layout string
 	// Remote, when non-nil, adds a second storage option per candidate edge
 	// modelling a remote/cold tier: cheaper to keep, slower to read (paper
 	// Sec. IV-C: "one edge corresponding to a remote storage option, where
 	// the storage cost is lower and the recreation cost is higher"). The
-	// optimizer picks the tier per delta; remote chunks land under
-	// <dir>/remote/.
+	// optimizer picks the tier per delta and the manifest records it.
 	Remote *RemoteTier
 }
 
@@ -99,6 +89,12 @@ const (
 	tierRemote = 1
 )
 
+// deltaOp is the delta operator of every chunk chain. XOR is the only
+// operator that composes exactly per byte plane, which partial (prefix < 4)
+// retrieval and plane-granular plans rely on; Open rejects a manifest that
+// records any other.
+const deltaOp = delta.XOR
+
 // ExplicitZero is the sentinel for Options fields whose zero value means
 // "unset, use the default": pass it to request an actual 0 (e.g.
 // Options.ZlibLevel = ExplicitZero selects zlib level 0, store-only).
@@ -107,9 +103,6 @@ const ExplicitZero = -1
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
 		o.Algorithm = "pas-mt"
-	}
-	if o.DeltaOp == delta.None {
-		o.DeltaOp = delta.XOR
 	}
 	switch o.ZlibLevel {
 	case 0:
@@ -167,35 +160,23 @@ type manifestSnap struct {
 	Recreation float64 `json:"recreation"`
 }
 
-// planeKey identifies the decoded byte planes of one node resolved at one
-// prefix. Caching planes by node id alone is wrong: a retrieval at prefix 2
-// produces zero-filled planes 2-3, which must never satisfy a later lookup
-// at prefix 4.
-type planeKey struct {
-	id     int
-	prefix int
-}
-
 // Store is an opened parameter archive.
 type Store struct {
-	dir    string
-	man    manifest
-	layout int
+	dir string
+	man manifest
 
-	// seg serves chunk payloads under the segment layout (manifest
-	// Version 2); unused for legacy archives.
+	// seg serves chunk payloads out of the segment files.
 	seg segReader
 
-	mu        sync.Mutex
-	cache     map[planeKey]*[4][]byte // (node, prefix) -> byte planes (reusable scheme)
-	fullCache map[int]*tensor.Matrix  // node -> exact matrix (reusable scheme)
 	// byRef maps a matrix to its node ids; plane-granular archives have one
 	// node per plane segment, tiling [0, 4).
 	byRef map[MatrixRef][]int
 
-	// eng is the concurrent retrieval engine (worker pool, single-flight
-	// deduplication, bounded plane LRU) behind the Concurrent scheme.
-	eng *engine
+	// workers is the width of the retrieval engine's worker gate
+	// (GOMAXPROCS at Open); planes is the store-wide plane cache the
+	// Concurrent scheme and the single-matrix entry points share.
+	workers int
+	planes  planeCache
 }
 
 // ErrStore reports archive-level failures (corruption, missing chunks,
@@ -226,12 +207,6 @@ type candidates struct {
 func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: no snapshots", ErrStore)
-	}
-	if opts.DeltaOp != delta.XOR && opts.DeltaOp != delta.IntSub {
-		return nil, fmt.Errorf("%w: delta op %v is not exactly invertible", ErrStore, opts.DeltaOp)
-	}
-	if opts.PlaneGranularity && opts.DeltaOp != delta.XOR {
-		return nil, fmt.Errorf("%w: plane granularity requires XOR deltas", ErrStore)
 	}
 
 	// Each matrix becomes one node (full plane range) or, under plane
@@ -292,7 +267,7 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 	}
 	// Materialization edges \u03bd0 -> m (one per part node).
 	for id := 1; id < len(nodes); id++ {
-		d, err := delta.Compute(opts.DeltaOp, nil, nodes[id].m)
+		d, err := delta.Compute(deltaOp, nil, nodes[id].m)
 		if err != nil {
 			return nil, err
 		}
@@ -327,11 +302,11 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 		if !okA || !okB {
 			return nil, fmt.Errorf("%w: delta pair references unknown matrix %v / %v", ErrStore, p[0], p[1])
 		}
-		dAB, err := delta.Compute(opts.DeltaOp, matrixOf[p[0]], matrixOf[p[1]])
+		dAB, err := delta.Compute(deltaOp, matrixOf[p[0]], matrixOf[p[1]])
 		if err != nil {
 			return nil, err
 		}
-		dBA, err := delta.Compute(opts.DeltaOp, matrixOf[p[1]], matrixOf[p[0]])
+		dBA, err := delta.Compute(deltaOp, matrixOf[p[1]], matrixOf[p[0]])
 		if err != nil {
 			return nil, err
 		}
@@ -407,16 +382,10 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	layout, err := resolveLayout(opts.Layout)
-	if err != nil {
-		return nil, err
-	}
-
-	// Deflate the chosen plan's chunk payloads and build the manifest; the
-	// layout dispatch below decides where the payload bytes land.
+	// Deflate the chosen plan's chunk payloads and build the manifest.
 	man := manifest{
-		Version:     1,
-		DeltaOp:     uint8(opts.DeltaOp),
+		Version:     2,
+		DeltaOp:     uint8(deltaOp),
 		Scheme:      int(opts.Scheme),
 		Algorithm:   opts.Algorithm,
 		StorageCost: plan.StorageCost(),
@@ -424,12 +393,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		SPTCost:     spt.StorageCost(),
 		Feasible:    feasible,
 	}
-	type chunkOut struct {
-		node, plane, tier int
-		sum               string
-		data              []byte
-	}
-	var chunks []chunkOut
+	var chunks []segPayload
 	for id := 1; id < len(cand.refs); id++ {
 		eid := plan.ParentEdge[id]
 		body := payloads[eid]
@@ -453,8 +417,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 			sum := sha256.Sum256(z)
 			mn.PlaneSum[p] = hex.EncodeToString(sum[:])
 			mn.PlaneBytes[p] = len(z)
-			chunks = append(chunks, chunkOut{node: id, plane: p, tier: mn.Tier,
-				sum: mn.PlaneSum[p], data: z})
+			chunks = append(chunks, segPayload{sum: mn.PlaneSum[p], data: z})
 		}
 		man.Nodes = append(man.Nodes, mn)
 	}
@@ -467,74 +430,17 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		})
 	}
 
-	switch layout {
-	case layoutLegacy:
-		// One file per chunk, clearing any previous archive first (stale
-		// chunks from an earlier plan would otherwise linger unreferenced).
-		for _, sub := range []string{"chunks", "remote", segmentsDir} {
-			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-				return nil, fmt.Errorf("%w: clearing old archive: %v", ErrStore, err)
-			}
-		}
-		if err := os.MkdirAll(filepath.Join(dir, "chunks"), 0o755); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrStore, err)
-		}
-		if opts.Remote != nil {
-			if err := os.MkdirAll(filepath.Join(dir, "remote"), 0o755); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrStore, err)
-			}
-		}
-		for _, c := range chunks {
-			if err := writeFileAtomic(chunkPath(dir, c.node, c.plane, c.tier), c.data); err != nil {
-				return nil, fmt.Errorf("%w: writing chunk: %v", ErrStore, err)
-			}
-		}
-	case layoutSegment:
-		// Payloads pack into segment files, deduplicated content-addressed
-		// against anything already stored in the directory: re-archiving
-		// appends only payloads the index has never seen, and the displaced
-		// older ones become garbage for the next GC.
-		for _, sub := range []string{"chunks", "remote"} {
-			if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-				return nil, fmt.Errorf("%w: clearing old archive: %v", ErrStore, err)
-			}
-		}
-		if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrStore, err)
-		}
-		idx := loadOrInitSegIndex(dir)
-		seen := make(map[string]bool, len(chunks))
-		var fresh []segPayload
-		for _, c := range chunks {
-			if _, ok := idx.Chunks[c.sum]; ok || seen[c.sum] {
-				mSegmentDedupHits.Inc()
-				mSegmentDedupBytes.Add(int64(len(c.data)))
-				continue
-			}
-			seen[c.sum] = true
-			fresh = append(fresh, segPayload{sum: c.sum, data: c.data})
-		}
-		infos, locs, err := writeSegments(dir, idx, fresh)
-		if err != nil {
-			return nil, fmt.Errorf("%w: writing segments: %v", ErrStore, err)
-		}
-		base := len(idx.Segments)
-		idx.Segments = append(idx.Segments, infos...)
-		for sum, loc := range locs {
-			loc.Seg += base
-			idx.Chunks[sum] = loc
-		}
-		if err := saveSegIndex(dir, idx); err != nil {
-			return nil, err
-		}
-		man.Version = 2
+	// Payloads pack into segment files, deduplicated content-addressed
+	// against anything already stored in the directory: re-archiving appends
+	// only payloads the index has never seen, and the displaced older ones
+	// become garbage for the next GC.
+	if _, err := storePayloads(dir, chunks); err != nil {
+		return nil, err
 	}
 	if err := writeManifest(dir, &man); err != nil {
 		return nil, err
 	}
-	// KeepLegacy: a deliberately legacy-layout archive must not migrate
-	// right back on this open.
-	return OpenWith(dir, OpenOptions{KeepLegacy: layout == layoutLegacy})
+	return Open(dir)
 }
 
 // writeManifest persists the manifest atomically (temp + fsync + rename +
@@ -604,22 +510,10 @@ func solve(g *Graph, opts Options) (*Plan, bool, error) {
 	}
 }
 
-// Open loads an existing archive. Version-1 (one file per chunk) archives
-// migrate in place to the segment layout unless MODELHUB_PAS_LAYOUT selects
-// the legacy layout.
+// Open loads an existing archive. The manifest arrives inside every pulled
+// repository, so it is validated before anything indexes by its fields. A
+// Version-1 (one file per chunk) archive migrates in place to segments.
 func Open(dir string) (*Store, error) {
-	return OpenWith(dir, OpenOptions{})
-}
-
-// OpenOptions control Open behavior for tests and tooling.
-type OpenOptions struct {
-	// KeepLegacy opens a Version-1 per-chunk archive as-is instead of
-	// migrating it to the segment layout.
-	KeepLegacy bool
-}
-
-// OpenWith is Open with explicit control over legacy migration.
-func OpenWith(dir string, o OpenOptions) (*Store, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStore, err)
@@ -628,49 +522,98 @@ func OpenWith(dir string, o OpenOptions) (*Store, error) {
 	if err := json.Unmarshal(blob, &man); err != nil {
 		return nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
 	}
-	switch man.Version {
-	case 1:
-		if o.KeepLegacy || DefaultLayout() == LayoutLegacy {
-			return newStore(dir, &man, layoutLegacy), nil
-		}
+	if err := validateManifest(&man); err != nil {
+		return nil, err
+	}
+	if man.Version == 1 {
 		if err := migrateLegacy(dir, &man); err != nil {
 			return nil, err
 		}
-	case 2:
+	} else {
 		reconcileSegmentDir(dir)
-	default:
-		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrStore, man.Version)
 	}
 	idx, err := loadSegIndex(dir)
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(dir, &man, layoutSegment)
-	s.seg.idx = idx
-	noteSegmentGauges(idx)
-	return s, nil
-}
-
-func newStore(dir string, man *manifest, layout int) *Store {
-	s := &Store{dir: dir, man: *man, layout: layout,
-		cache:     make(map[planeKey]*[4][]byte),
-		fullCache: make(map[int]*tensor.Matrix),
-		byRef:     make(map[MatrixRef][]int),
-		eng:       newEngine()}
+	if err := checkShapes(&man, idx); err != nil {
+		return nil, err
+	}
+	s := &Store{dir: dir, man: man,
+		byRef:   make(map[MatrixRef][]int),
+		workers: runtime.GOMAXPROCS(0)}
+	s.planes.lru.limit = DefaultPlaneCacheBytes
 	s.seg.dir = dir
+	s.seg.idx = idx
 	s.seg.files = make(map[string]*os.File)
 	for _, n := range man.Nodes {
 		s.byRef[n.Ref] = append(s.byRef[n.Ref], n.ID)
 	}
-	return s
+	noteSegmentGauges(idx)
+	return s, nil
 }
 
-func chunkPath(dir string, node, plane, tier int) string {
-	sub := "chunks"
-	if tier == tierRemote {
-		sub = "remote"
+// validateManifest rejects a manifest whose fields would index out of range,
+// overflow an allocation or name a node that does not exist — every check a
+// retrieval, GC or migration otherwise takes on trust.
+func validateManifest(man *manifest) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: manifest: %s", ErrStore, fmt.Sprintf(format, args...))
 	}
-	return filepath.Join(dir, sub, fmt.Sprintf("n%06d.p%d", node, plane))
+	if man.Version != 1 && man.Version != 2 {
+		return bad("unsupported version %d", man.Version)
+	}
+	if man.DeltaOp != uint8(deltaOp) {
+		return bad("delta op %v is not %v", delta.Op(man.DeltaOp), deltaOp)
+	}
+	known := make(map[int]bool, len(man.Nodes))
+	for i := range man.Nodes {
+		n := &man.Nodes[i]
+		if n.ID < 1 || known[n.ID] {
+			return bad("node id %d is not positive and unique", n.ID)
+		}
+		known[n.ID] = true
+		fullRange := n.PlaneStart == 0 && n.PlaneEnd == 0
+		if !fullRange && !(0 <= n.PlaneStart && n.PlaneStart < n.PlaneEnd && n.PlaneEnd <= floatenc.NumPlanes) {
+			return bad("node %d stores planes [%d, %d)", n.ID, n.PlaneStart, n.PlaneEnd)
+		}
+		if n.Rows < 0 || n.Cols < 0 || (n.Cols > 0 && n.Rows > math.MaxInt/n.Cols) {
+			return bad("node %d has shape %d x %d", n.ID, n.Rows, n.Cols)
+		}
+		if n.Tier != tierLocal && n.Tier != tierRemote {
+			return bad("node %d is on unknown tier %d", n.ID, n.Tier)
+		}
+	}
+	for i := range man.Nodes {
+		if n := &man.Nodes[i]; n.Parent != 0 && !known[n.Parent] {
+			return bad("node %d has unknown parent %d", n.ID, n.Parent)
+		}
+	}
+	return nil
+}
+
+// maxInflateRatio is deflate's maximum expansion: no payload of n bytes
+// inflates to more than 1032·n.
+const maxInflateRatio = 1032
+
+// checkShapes rejects a node whose claimed plane size no stored payload
+// could inflate to. Retrieval allocates rows × cols bytes per plane before
+// it reads anything, so a hostile shape must not get that far.
+func checkShapes(man *manifest, idx *segIndex) error {
+	var maxPayload int64
+	for _, loc := range idx.Chunks {
+		if loc.Len > maxPayload {
+			maxPayload = loc.Len
+		}
+	}
+	for i := range man.Nodes {
+		n := &man.Nodes[i]
+		if int64(n.Rows*n.Cols)/maxInflateRatio > maxPayload {
+			return fmt.Errorf("%w: manifest: node %d has shape %d x %d, larger than any stored payload inflates to",
+				ErrStore, n.ID, n.Rows, n.Cols)
+		}
+	}
+	return nil
 }
 
 // Snapshots lists the archived snapshot ids in archive order.
@@ -728,376 +671,12 @@ func (s *Store) node(id int) (*manifestNode, error) {
 }
 
 // nodePlanes returns the byte-plane range a node stores; PlaneEnd == 0
-// denotes the legacy full range.
+// denotes the full range.
 func nodePlanes(n *manifestNode) (int, int) {
 	if n.PlaneEnd == 0 {
 		return 0, floatenc.NumPlanes
 	}
 	return n.PlaneStart, n.PlaneEnd
-}
-
-// readChunk fetches the compressed payload of one stored plane from
-// whichever layout the archive uses; readPlane verifies it.
-func (s *Store) readChunk(n *manifestNode, p int) ([]byte, error) {
-	if s.layout == layoutSegment {
-		return s.seg.read(n.PlaneSum[p])
-	}
-	mChunkOpens.Inc()
-	return os.ReadFile(chunkPath(s.dir, n.ID, p, n.Tier))
-}
-
-// readPlane loads, verifies and inflates one stored byte plane of a node.
-func (s *Store) readPlane(n *manifestNode, p int) ([]byte, error) {
-	z, err := s.readChunk(n, p)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading chunk for node %d plane %d: %v", ErrStore, n.ID, p, err)
-	}
-	sum := sha256.Sum256(z)
-	if hex.EncodeToString(sum[:]) != n.PlaneSum[p] {
-		return nil, fmt.Errorf("%w: chunk checksum mismatch for node %d plane %d", ErrStore, n.ID, p)
-	}
-	raw, err := floatenc.Inflate(z)
-	if err != nil {
-		return nil, fmt.Errorf("%w: node %d plane %d: %v", ErrStore, n.ID, p, err)
-	}
-	if size := n.Rows * n.Cols; len(raw) != size {
-		return nil, fmt.Errorf("%w: node %d plane %d has %d bytes, want %d", ErrStore, n.ID, p, len(raw), size)
-	}
-	mChunkReads.Inc()
-	mChunkReadBytes.Add(int64(len(z)))
-	return raw, nil
-}
-
-// readPlanes loads and verifies the byte planes of a node's chunk that fall
-// inside both the node's stored range and the first `prefix` planes,
-// zero-filling the rest.
-func (s *Store) readPlanes(n *manifestNode, prefix int) (*[4][]byte, error) {
-	var planes [4][]byte
-	size := n.Rows * n.Cols
-	start, end := nodePlanes(n)
-	countAvoidedPlanes(n, prefix)
-	for p := 0; p < floatenc.NumPlanes; p++ {
-		if p >= prefix || p < start || p >= end {
-			planes[p] = make([]byte, size)
-			continue
-		}
-		raw, err := s.readPlane(n, p)
-		if err != nil {
-			return nil, err
-		}
-		planes[p] = raw
-	}
-	return &planes, nil
-}
-
-// chainOf returns the delta chain of node id, leaf first, ending at the
-// node materialized from ν0. The walk is iterative — thousand-checkpoint
-// chains must not grow the stack — and returns ErrCycle when the manifest's
-// parent pointers loop.
-func (s *Store) chainOf(id int) ([]int, error) {
-	var chain []int
-	for cur := id; cur != 0; {
-		n, err := s.node(cur)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, cur)
-		if len(chain) > len(s.man.Nodes) {
-			return nil, fmt.Errorf("%w through node %d", ErrCycle, id)
-		}
-		cur = n.Parent
-	}
-	return chain, nil
-}
-
-// resolveFull reconstructs the exact full-precision matrix of node id by
-// reading all four planes of each delta chunk along the chain and applying
-// the archive's delta operator. This is the path for any exactly invertible
-// operator (XOR or IntSub). useCache enables the reusable retrieval scheme.
-func (s *Store) resolveFull(id int, useCache bool) (*tensor.Matrix, error) {
-	chain, err := s.chainOf(id)
-	if err != nil {
-		return nil, err
-	}
-	var base *tensor.Matrix
-	for i := len(chain) - 1; i >= 0; i-- {
-		nid := chain[i]
-		if useCache {
-			s.mu.Lock()
-			m, ok := s.fullCache[nid]
-			s.mu.Unlock()
-			if ok {
-				base = m
-				continue
-			}
-		}
-		n, err := s.node(nid)
-		if err != nil {
-			return nil, err
-		}
-		planes, err := s.readPlanes(n, floatenc.NumPlanes)
-		if err != nil {
-			return nil, err
-		}
-		body, err := segmentedOf(n, planes).Reconstruct()
-		if err != nil {
-			return nil, err
-		}
-		d := &delta.Delta{Op: delta.Op(s.man.DeltaOp), Rows: n.Rows, Cols: n.Cols, Body: body}
-		out, err := d.Apply(base)
-		if err != nil {
-			return nil, err
-		}
-		if useCache {
-			s.mu.Lock()
-			s.fullCache[nid] = out
-			s.mu.Unlock()
-		}
-		base = out
-	}
-	return base, nil
-}
-
-// resolvePlanes computes the exact first `prefix` byte planes of node id's
-// *matrix* (not its delta) by walking the delta chain from ν0, leaf-ward
-// from the root-most node. XOR deltas compose per byte, so a prefix of
-// planes is exact even without the low-order chunks; other operators must
-// use resolveFull. useCache enables the reusable retrieval scheme, whose
-// cache is keyed by (node, prefix) — a prefix-2 result must never satisfy a
-// prefix-4 lookup.
-func (s *Store) resolvePlanes(id, prefix int, useCache bool) (*[4][]byte, error) {
-	if s.man.DeltaOp != uint8(delta.XOR) {
-		return nil, fmt.Errorf("%w: partial retrieval requires XOR deltas", ErrStore)
-	}
-	chain, err := s.chainOf(id)
-	if err != nil {
-		return nil, err
-	}
-	var parent *[4][]byte
-	var pn *manifestNode
-	for i := len(chain) - 1; i >= 0; i-- {
-		nid := chain[i]
-		n, err := s.node(nid)
-		if err != nil {
-			return nil, err
-		}
-		if useCache {
-			s.mu.Lock()
-			c, ok := s.cache[planeKey{nid, prefix}]
-			s.mu.Unlock()
-			if ok {
-				parent, pn = c, n
-				continue
-			}
-		}
-		planes, err := s.readPlanes(n, prefix)
-		if err != nil {
-			return nil, err
-		}
-		if n.Parent != 0 {
-			// The delta body has the child's shape; XOR against the parent
-			// resized to that shape (delta.ResizeTo semantics, per plane),
-			// only over the planes this node actually stores.
-			start, end := nodePlanes(n)
-			for p := start; p < end && p < prefix; p++ {
-				xorResized(planes[p], parent[p], n.Rows, n.Cols, pn.Rows, pn.Cols)
-			}
-		}
-		if useCache {
-			s.mu.Lock()
-			s.cache[planeKey{nid, prefix}] = planes
-			s.mu.Unlock()
-		}
-		parent, pn = planes, n
-	}
-	return parent, nil
-}
-
-// xorResized XORs the parent's plane (pr x pc) into dst (r x c), cropping or
-// zero-padding the parent exactly like delta.ResizeTo does on floats.
-func xorResized(dst, parent []byte, r, c, pr, pc int) {
-	cr := r
-	if pr < cr {
-		cr = pr
-	}
-	cc := c
-	if pc < cc {
-		cc = pc
-	}
-	for i := 0; i < cr; i++ {
-		drow := dst[i*c : i*c+cc]
-		prow := parent[i*pc : i*pc+cc]
-		for j := range drow {
-			drow[j] ^= prow[j]
-		}
-	}
-}
-
-// segmented assembles a floatenc.Segmented view of a node's planes.
-func segmentedOf(n *manifestNode, planes *[4][]byte) *floatenc.Segmented {
-	seg := &floatenc.Segmented{Rows: n.Rows, Cols: n.Cols}
-	seg.Planes = *planes
-	return seg
-}
-
-// resolveRef assembles the first `prefix` byte planes of a matrix from all
-// of its part nodes (one full-range node, or high/low segment nodes under
-// plane granularity), each following its own delta chain.
-func (s *Store) resolveRef(ref MatrixRef, prefix int, useCache bool) (*[4][]byte, int, int, error) {
-	return s.resolveRefWith(ref, prefix, func(id, prefix int) (*[4][]byte, error) {
-		return s.resolvePlanes(id, prefix, useCache)
-	})
-}
-
-// resolveRefWith is resolveRef with a pluggable per-node chain resolver (the
-// sequential resolvePlanes, or the concurrent engine's).
-func (s *Store) resolveRefWith(ref MatrixRef, prefix int, resolve func(id, prefix int) (*[4][]byte, error)) (*[4][]byte, int, int, error) {
-	ids, ok := s.byRef[ref]
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: unknown matrix %v", ErrStore, ref)
-	}
-	first, err := s.node(ids[0])
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	rows, cols := first.Rows, first.Cols
-	var out [4][]byte
-	size := rows * cols
-	for p := 0; p < floatenc.NumPlanes; p++ {
-		out[p] = make([]byte, size)
-	}
-	for _, id := range ids {
-		n, err := s.node(id)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		start, end := nodePlanes(n)
-		if start >= prefix {
-			continue // nothing to read from this segment
-		}
-		if n.Rows != rows || n.Cols != cols {
-			return nil, 0, 0, fmt.Errorf("%w: part nodes of %v disagree on shape", ErrStore, ref)
-		}
-		planes, err := resolve(id, prefix)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for p := start; p < end && p < prefix; p++ {
-			out[p] = planes[p]
-		}
-	}
-	return &out, rows, cols, nil
-}
-
-// getMatrixRef resolves one matrix at the given prefix, optionally caching
-// intermediate chain results (the reusable scheme).
-func (s *Store) getMatrixRef(ref MatrixRef, prefix int, useCache bool) (*tensor.Matrix, error) {
-	if s.man.DeltaOp != uint8(delta.XOR) {
-		// IntSub archives are matrix-granular and full-precision only.
-		ids, ok := s.byRef[ref]
-		if !ok {
-			return nil, fmt.Errorf("%w: unknown matrix %v", ErrStore, ref)
-		}
-		if prefix < floatenc.NumPlanes {
-			return nil, fmt.Errorf("%w: partial retrieval requires XOR deltas", ErrStore)
-		}
-		return s.resolveFull(ids[0], useCache)
-	}
-	planes, rows, cols, err := s.resolveRef(ref, prefix, useCache)
-	if err != nil {
-		return nil, err
-	}
-	seg := &floatenc.Segmented{Rows: rows, Cols: cols, Planes: *planes}
-	if prefix >= floatenc.NumPlanes {
-		return seg.Reconstruct()
-	}
-	return seg.Truncated(prefix)
-}
-
-// GetMatrix retrieves one matrix. With prefix = 4 the result is bit-exact;
-// with a smaller prefix the low-order bytes are zero (the interval lower
-// reconstruction), which requires XOR deltas.
-func (s *Store) GetMatrix(ref MatrixRef, prefix int) (*tensor.Matrix, error) {
-	return s.getMatrixRef(ref, prefix, false)
-}
-
-// GetIntervals retrieves the guaranteed value intervals for one matrix from
-// a prefix of byte planes — the input to progressive query evaluation. At
-// prefix 4 the intervals are degenerate (lo == hi == exact value).
-func (s *Store) GetIntervals(ref MatrixRef, prefix int) (lo, hi *tensor.Matrix, err error) {
-	if s.man.DeltaOp != uint8(delta.XOR) {
-		m, err := s.getMatrixRef(ref, floatenc.NumPlanes, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		return m, m.Clone(), nil
-	}
-	planes, rows, cols, err := s.resolveRef(ref, prefix, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	seg := &floatenc.Segmented{Rows: rows, Cols: cols, Planes: *planes}
-	return seg.Intervals(prefix)
-}
-
-// GetSnapshot retrieves all matrices of a snapshot under the given retrieval
-// scheme (paper Table III): Independent walks each chain sequentially,
-// Parallel uses one goroutine per matrix, Reusable caches shared chain
-// prefixes across matrices, and Concurrent schedules chain resolution over a
-// worker pool with single-flight deduplication and a persistent plane LRU.
-func (s *Store) GetSnapshot(snapshot string, prefix int, scheme Scheme) (map[string]*tensor.Matrix, error) {
-	countRetrieval(scheme)
-	defer mRetrievalSeconds.Time()()
-	names, err := s.MatrixNames(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]*tensor.Matrix, len(names))
-	switch scheme {
-	case Concurrent:
-		return s.getSnapshotConcurrent(snapshot, names, prefix)
-	case Parallel:
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		errs := make([]error, len(names))
-		for i, name := range names {
-			wg.Add(1)
-			go func(i int, name string) {
-				defer wg.Done()
-				m, err := s.GetMatrix(MatrixRef{Snapshot: snapshot, Name: name}, prefix)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				mu.Lock()
-				out[name] = m
-				mu.Unlock()
-			}(i, name)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	case Reusable:
-		for _, name := range names {
-			m, err := s.getMatrixRef(MatrixRef{Snapshot: snapshot, Name: name}, prefix, true)
-			if err != nil {
-				return nil, err
-			}
-			out[name] = m
-		}
-	default: // Independent
-		for _, name := range names {
-			m, err := s.GetMatrix(MatrixRef{Snapshot: snapshot, Name: name}, prefix)
-			if err != nil {
-				return nil, err
-			}
-			out[name] = m
-		}
-	}
-	return out, nil
 }
 
 // SnapshotCostInfo explains one snapshot group's recreation cost under the

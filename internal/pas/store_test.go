@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -64,16 +63,8 @@ func TestStoreRoundTripExact(t *testing.T) {
 func TestStoreAllRetrievalSchemesAgree(t *testing.T) {
 	snaps := makeSnaps(2, 3, 0)
 	st := createStore(t, snaps, Options{})
-	for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
-		got, err := st.GetSnapshot("c", 4, scheme)
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
-		}
-		for name, want := range snaps[2].Matrices {
-			if !got[name].Equal(want) {
-				t.Fatalf("%v: matrix %s mismatch", scheme, name)
-			}
-		}
+	for _, scheme := range allSchemes {
+		checkoutAllExact(t, st, snaps, scheme)
 	}
 }
 
@@ -102,20 +93,19 @@ func TestStorePartialRetrievalMatchesTruncation(t *testing.T) {
 	}
 }
 
-// segTrunc truncates m to its first `prefix` byte planes via floatenc — the
-// ground truth partial retrieval is checked against.
+// segTrunc is the ground truth retrieval is checked against: m itself at
+// prefix 4, its truncation to the first `prefix` byte planes below.
 func segTrunc(m *tensor.Matrix, prefix int) (*tensor.Matrix, error) {
+	if prefix >= floatenc.NumPlanes {
+		return m, nil
+	}
 	return floatenc.Segment(m).Truncated(prefix)
-}
-
-func segTruncDirect(m *tensor.Matrix, prefix int) (*tensor.Matrix, error) {
-	return segTrunc(m, prefix)
 }
 
 func TestStoreIntervalsContainTruth(t *testing.T) {
 	snaps := makeSnaps(4, 3, 0)
 	st := createStore(t, snaps, Options{})
-	for prefix := 1; prefix <= 3; prefix++ {
+	for prefix := 1; prefix <= 4; prefix++ {
 		for name, want := range snaps[2].Matrices {
 			lo, hi, err := st.GetIntervals(MatrixRef{Snapshot: "c", Name: name}, prefix)
 			if err != nil {
@@ -125,6 +115,9 @@ func TestStoreIntervalsContainTruth(t *testing.T) {
 				if !(lo.Data()[i] <= v && v <= hi.Data()[i]) {
 					t.Fatalf("prefix %d %s elem %d: %v outside [%v,%v]", prefix, name, i, v, lo.Data()[i], hi.Data()[i])
 				}
+			}
+			if prefix == 4 && (!lo.Equal(want) || !hi.Equal(want)) {
+				t.Fatalf("%s: full-precision intervals must be degenerate at the exact value", name)
 			}
 		}
 	}
@@ -198,8 +191,7 @@ func TestStoreCorruptChunkDetected(t *testing.T) {
 	if _, err := Create(dir, snaps, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte in some chunk file (layout-agnostic: the last
-	// byte of a payload file is chunk data under both layouts).
+	// Flip a payload byte: the last byte of a segment file is chunk data.
 	matches := chunkFiles(t, dir)
 	blob, err := os.ReadFile(matches[0])
 	if err != nil {
@@ -230,28 +222,6 @@ func TestStoreCorruptChunkDetected(t *testing.T) {
 func TestStoreMissingManifest(t *testing.T) {
 	if _, err := Open(t.TempDir()); !errors.Is(err, ErrStore) {
 		t.Fatal("missing manifest must error")
-	}
-}
-
-func TestStoreRejectsLossyDeltaOp(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Create(dir, makeSnaps(10, 2, 0), Options{DeltaOp: delta.Sub}); !errors.Is(err, ErrStore) {
-		t.Fatal("float-sub deltas must be rejected for archival")
-	}
-}
-
-func TestStoreIntSubFullRetrievalOnly(t *testing.T) {
-	snaps := makeSnaps(11, 3, 0)
-	st := createStore(t, snaps, Options{DeltaOp: delta.IntSub})
-	got, err := st.GetSnapshot("c", 4, Independent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["ip1"].Equal(snaps[2].Matrices["ip1"]) {
-		t.Fatal("intsub full retrieval must be exact")
-	}
-	if _, err := st.GetMatrix(MatrixRef{Snapshot: "c", Name: "ip1"}, 2); !errors.Is(err, ErrStore) {
-		t.Fatal("partial retrieval must be refused for non-XOR deltas")
 	}
 }
 
@@ -303,7 +273,7 @@ func TestStoreShapeMismatchedDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := segTruncDirect(small, 2)
+	want, err := segTrunc(small, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +395,9 @@ func TestStoreConcurrentRetrieval(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			schemes := []Scheme{Independent, Parallel, Reusable}
 			for i := 0; i < 10; i++ {
 				snap := snaps[(g+i)%len(snaps)]
-				got, err := st.GetSnapshot(snap.ID, 4, schemes[(g+i)%3])
+				got, err := st.GetSnapshot(snap.ID, 4, allSchemes[(g+i)%len(allSchemes)])
 				if err != nil {
 					t.Errorf("concurrent get: %v", err)
 					return
@@ -443,40 +412,6 @@ func TestStoreConcurrentRetrieval(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestCreateClearsStaleChunks pins the legacy layout: per-chunk files are
-// deleted eagerly on re-archive. The segment layout instead keeps displaced
-// payloads as garbage until GC (TestCreateSegmentKeepsGarbageUntilGC).
-func TestCreateClearsStaleChunks(t *testing.T) {
-	snaps := makeSnaps(60, 4, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Algorithm: "spt", Layout: LayoutLegacy}); err != nil {
-		t.Fatal(err)
-	}
-	big, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-archive just the first two snapshots: old chunks must be gone.
-	st, err := Create(dir, snaps[:2], Options{Algorithm: "mst", Layout: LayoutLegacy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(small) >= len(big) {
-		t.Fatalf("stale chunks left behind: %d -> %d", len(big), len(small))
-	}
-	got, err := st.GetSnapshot("b", 4, Independent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["ip1"].Equal(snaps[1].Matrices["ip1"]) {
-		t.Fatal("re-archived store must still serve exact matrices")
-	}
 }
 
 func TestSnapshotCostsExplain(t *testing.T) {
@@ -502,18 +437,8 @@ func TestSnapshotCostsExplain(t *testing.T) {
 func TestStorePlaneGranularityRoundTrip(t *testing.T) {
 	snaps := makeSnaps(80, 4, 0)
 	st := createStore(t, snaps, Options{PlaneGranularity: true})
-	for _, snap := range snaps {
-		for _, scheme := range []Scheme{Independent, Parallel, Reusable, Concurrent} {
-			got, err := st.GetSnapshot(snap.ID, 4, scheme)
-			if err != nil {
-				t.Fatalf("%v: %v", scheme, err)
-			}
-			for name, want := range snap.Matrices {
-				if !got[name].Equal(want) {
-					t.Fatalf("%v %s/%s: granular retrieval mismatch", scheme, snap.ID, name)
-				}
-			}
-		}
+	for _, scheme := range allSchemes {
+		checkoutAllExact(t, st, snaps, scheme)
 	}
 	// Partial retrieval equals truncation of the truth, and intervals are
 	// sound, exactly as in the matrix-granular store.
@@ -577,14 +502,6 @@ func TestStorePlaneGranularitySplitsDecisions(t *testing.T) {
 	}
 	if split == 0 {
 		t.Log("no hi/lo split decisions in this plan (acceptable, but unusual for drifting snapshots)")
-	}
-}
-
-func TestStorePlaneGranularityRejectsIntSub(t *testing.T) {
-	if _, err := Create(t.TempDir(), makeSnaps(82, 2, 0), Options{
-		PlaneGranularity: true, DeltaOp: delta.IntSub,
-	}); !errors.Is(err, ErrStore) {
-		t.Fatal("plane granularity requires XOR")
 	}
 }
 
