@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -142,12 +143,12 @@ func TestFlakyPullCutClientResumes(t *testing.T) {
 	if _, err := mh.TrainAndCommit("m", core.TrainOptions{Epochs: 1, Examples: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Publish(src, "r"); err != nil {
+	if err := client.Publish(context.Background(), src, "r"); err != nil {
 		t.Fatal(err)
 	}
 
 	dest := t.TempDir()
-	if err := client.Pull("r", dest); err != nil {
+	if err := client.Pull(context.Background(), "r", dest); err != nil {
 		t.Fatalf("pull through fault injection: %v", err)
 	}
 	if _, err := core.Open(dest); err != nil {

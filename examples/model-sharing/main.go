@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -36,6 +37,7 @@ func main() {
 	}
 	go http.Serve(ln, srv.Handler()) //nolint:errcheck // demo server
 	remote := "http://" + ln.Addr().String()
+	ctx := context.Background()
 	fmt.Println("modelhub server listening at", remote)
 
 	// --- Publisher side ---
@@ -62,13 +64,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("publisher: dlv publish -name digits-models")
-	if err := pub.Publish(remote, "digits-models"); err != nil {
+	if err := pub.PublishWith(ctx, remote, "digits-models", hub.Options{}); err != nil {
 		log.Fatal(err)
 	}
 
 	// --- Consumer side ---
 	fmt.Println("\nconsumer: dlv search -q digits")
-	found, err := core.Search(remote, "digits")
+	found, err := core.SearchWith(ctx, remote, "digits", hub.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func main() {
 	}
 	defer os.RemoveAll(conDir)
 	fmt.Println("consumer: dlv pull -name digits-models")
-	con, err := core.Pull(remote, "digits-models", conDir)
+	con, err := core.PullWith(ctx, remote, "digits-models", conDir, hub.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

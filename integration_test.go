@@ -7,6 +7,7 @@ package modelhub
 // a publish/pull round trip. Skipped under -short.
 
 import (
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -148,12 +149,12 @@ func TestEndToEndSDWorkload(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := hub.NewClient(ts.URL)
-	if err := client.Publish(root, "sd-workload"); err != nil {
+	client := hub.NewClientWith(ts.URL, hub.Options{})
+	if err := client.Publish(context.Background(), root, "sd-workload"); err != nil {
 		t.Fatal(err)
 	}
 	dest := t.TempDir()
-	if err := client.Pull("sd-workload", dest); err != nil {
+	if err := client.Pull(context.Background(), "sd-workload", dest); err != nil {
 		t.Fatal(err)
 	}
 	pulled, err := dlv.Open(dest)

@@ -192,37 +192,33 @@ func (m *ModelHub) Repack() (pas.GCStats, error) {
 	return m.Repo.Repack()
 }
 
-// Publish uploads the repository to a hub server (dlv publish).
-func (m *ModelHub) Publish(remote, name string) error {
-	return m.PublishWith(context.Background(), remote, name, hub.Options{})
-}
-
-// PublishWith is Publish with explicit transfer options (timeouts, stall
-// watchdog, retry policy) and a caller context: cancelling ctx aborts the
-// in-flight upload, including its retry backoffs.
+// PublishWith uploads the repository to a hub server (dlv publish) with
+// explicit transfer options (timeouts, stall watchdog, retry policy) and a
+// caller context: cancelling ctx aborts the in-flight upload.
 func (m *ModelHub) PublishWith(ctx context.Context, remote, name string, o hub.Options) error {
-	return hub.NewClientWith(remote, o).PublishCtx(ctx, m.Repo.Root(), name)
+	c := hub.NewClientWith(remote, o)
+	// The client and its transport live for this one operation: without the
+	// close, its keep-alive connection would hold a socket on both sides
+	// until the idle timeout.
+	defer c.HTTP.CloseIdleConnections()
+	return c.Publish(ctx, m.Repo.Root(), name)
 }
 
-// Search queries a hub server (dlv search).
-func Search(remote, q string) ([]hub.RepoInfo, error) {
-	return SearchWith(context.Background(), remote, q, hub.Options{})
-}
-
-// SearchWith is Search with explicit transfer options and a caller context.
+// SearchWith queries a hub server (dlv search) with explicit transfer
+// options and a caller context.
 func SearchWith(ctx context.Context, remote, q string, o hub.Options) ([]hub.RepoInfo, error) {
-	return hub.NewClientWith(remote, o).SearchCtx(ctx, q)
+	c := hub.NewClientWith(remote, o)
+	defer c.HTTP.CloseIdleConnections()
+	return c.Search(ctx, q)
 }
 
-// Pull downloads a published repository into dir and opens it (dlv pull).
-func Pull(remote, name, dir string) (*ModelHub, error) {
-	return PullWith(context.Background(), remote, name, dir, hub.Options{})
-}
-
-// PullWith is Pull with explicit transfer options and a caller context:
-// cancelling ctx aborts the download mid-stream or mid-backoff.
+// PullWith downloads a published repository into dir and opens it (dlv
+// pull) with explicit transfer options and a caller context: cancelling ctx
+// aborts the download mid-stream or mid-backoff.
 func PullWith(ctx context.Context, remote, name, dir string, o hub.Options) (*ModelHub, error) {
-	if err := hub.NewClientWith(remote, o).PullCtx(ctx, name, dir); err != nil {
+	c := hub.NewClientWith(remote, o)
+	defer c.HTTP.CloseIdleConnections()
+	if err := c.Pull(ctx, name, dir); err != nil {
 		return nil, err
 	}
 	return Open(dir)

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"modelhub/internal/dlv"
 	"modelhub/internal/hub"
@@ -80,6 +85,7 @@ func TestPublishSearchPullViaFacade(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	ctx := context.Background()
 
 	mh, err := Init(t.TempDir())
 	if err != nil {
@@ -88,14 +94,14 @@ func TestPublishSearchPullViaFacade(t *testing.T) {
 	if _, err := mh.TrainAndCommit("shared-model", TrainOptions{Epochs: 1, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mh.Publish(ts.URL, "myrepo"); err != nil {
+	if err := mh.PublishWith(ctx, ts.URL, "myrepo", hub.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	found, err := Search(ts.URL, "shared")
+	found, err := SearchWith(ctx, ts.URL, "shared", hub.Options{})
 	if err != nil || len(found) != 1 {
 		t.Fatalf("search = %v, %v", found, err)
 	}
-	pulled, err := Pull(ts.URL, "myrepo", t.TempDir())
+	pulled, err := PullWith(ctx, ts.URL, "myrepo", t.TempDir(), hub.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +111,52 @@ func TestPublishSearchPullViaFacade(t *testing.T) {
 	}
 	if v.Accuracy <= 0 {
 		t.Fatalf("pulled version = %+v", v)
+	}
+}
+
+// Each *With call owns its hub client and transport for one operation; none
+// may leave a keep-alive connection behind on the server once it returned.
+func TestHubOperationsLeaveNoOpenConnections(t *testing.T) {
+	srv, err := hub.NewServer(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	ctx := context.Background()
+
+	mh, err := Init(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mh.TrainAndCommit("m", TrainOptions{Epochs: 1, Examples: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mh.PublishWith(ctx, ts.URL, "r", hub.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := PullWith(ctx, ts.URL, "r", t.TempDir(), hub.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The server notices a closed connection on its own goroutine.
+	deadline := time.Now().Add(5 * time.Second)
+	for open.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := open.Load(); n != 0 {
+		t.Fatalf("%d connections still open on the server after 1 publish + 20 pulls returned", n)
 	}
 }
 

@@ -27,41 +27,30 @@ import (
 type Client struct {
 	// Base is the server URL, e.g. "http://localhost:8080".
 	Base string
-	// HTTP is the transport; nil selects DefaultHTTPClient (sane dial and
-	// response-header timeouts, no whole-request ceiling).
+	// HTTP is the transport; NewClientWith sets DefaultHTTPClient (sane dial
+	// and response-header timeouts, no whole-request ceiling).
 	HTTP *http.Client
 	// Opts tunes timeouts, the stall watchdog, and the retry policy.
 	// Zero fields select defaults; see Options.
 	Opts Options
 }
 
-// NewClient creates a client with default transfer options.
-func NewClient(base string) *Client { return NewClientWith(base, Options{}) }
-
-// NewClientWith creates a client with explicit transfer options.
+// NewClientWith creates a client with the given transfer options (the zero
+// Options selects every default) and a transport of its own. A caller that
+// makes one client per operation closes its idle connections when the
+// operation returns (c.HTTP.CloseIdleConnections), or each one strands a
+// socket until the transport's idle timeout.
 func NewClientWith(base string, o Options) *Client {
 	return &Client{Base: strings.TrimRight(base, "/"), HTTP: DefaultHTTPClient(), Opts: o}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return DefaultHTTPClient()
 }
 
 // Publish packs the repository at root and uploads it under the given name
 // (dlv publish). The archive is packed to a temp file and hashed, the hash
 // travels in DigestHeader, and the server rejects any upload whose streamed
 // bytes do not match — a cut upload can never become visible server state.
-func (c *Client) Publish(root, name string) error {
-	return c.PublishCtx(context.Background(), root, name)
-}
-
-// PublishCtx is Publish under a caller-supplied context: cancelling ctx
-// aborts the in-flight upload immediately instead of leaving it to stream
-// until the stall watchdog notices.
-func (c *Client) PublishCtx(ctx context.Context, root, name string) (err error) {
+// Cancelling ctx aborts the in-flight upload immediately instead of leaving
+// it to stream until the stall watchdog notices.
+func (c *Client) Publish(ctx context.Context, root, name string) (err error) {
 	rctx, span := obs.Start(ctx, "hub.client.publish")
 	span.SetAttr("hub.name", name)
 	defer func() { c.endAndExport(span, err) }()
@@ -103,7 +92,7 @@ func (c *Client) PublishCtx(ctx context.Context, root, name string) (err error) 
 	req.Header.Set("Content-Type", "application/gzip")
 	req.Header.Set(DigestHeader, digest)
 	span.Inject(req.Header)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		// rctx, not the derived ctx: the stall watchdog cancels the child
 		// and must keep reporting as a stall, not a caller abort.
@@ -121,14 +110,9 @@ func (c *Client) PublishCtx(ctx context.Context, root, name string) (err error) 
 // Search queries the server for repositories matching q (dlv search).
 // Transient failures (connection errors, cut responses, 5xx) are retried
 // with backoff under a per-attempt timeout; each attempt is a child span of
-// one search trace.
-func (c *Client) Search(q string) ([]RepoInfo, error) {
-	return c.SearchCtx(context.Background(), q)
-}
-
-// SearchCtx is Search under a caller-supplied context: cancellation aborts
-// the in-flight attempt and any backoff wait between retries.
-func (c *Client) SearchCtx(ctx context.Context, q string) (out []RepoInfo, err error) {
+// one search trace. Cancelling ctx aborts the in-flight attempt and any
+// backoff wait between retries.
+func (c *Client) Search(ctx context.Context, q string) (out []RepoInfo, err error) {
 	rctx, span := obs.Start(ctx, "hub.client.search")
 	span.SetAttr("hub.query", q)
 	defer func() { c.endAndExport(span, err) }()
@@ -159,7 +143,7 @@ func (c *Client) searchAttempt(ctx context.Context, u string, out *[]RepoInfo) e
 		return fmt.Errorf("%w: search: %v", ErrHub, err)
 	}
 	obs.FromContext(ctx).Inject(req.Header)
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return transientf("search: %v", err)
 	}
@@ -183,15 +167,10 @@ func (c *Client) searchAttempt(ctx context.Context, u string, out *[]RepoInfo) e
 // digest-verified against the server's DigestHeader, extracted into a
 // staging directory, and promoted into destRoot with one atomic rename —
 // a failed or interrupted pull leaves destRoot untouched, so a retry
-// always starts clean.
-func (c *Client) Pull(name, destRoot string) error {
-	return c.PullCtx(context.Background(), name, destRoot)
-}
-
-// PullCtx is Pull under a caller-supplied context: a cancelled ctx aborts
-// the in-flight download (and any retry backoff) within one backoff
-// interval instead of streaming on until the stall watchdog fires.
-func (c *Client) PullCtx(ctx context.Context, name, destRoot string) (err error) {
+// always starts clean. A cancelled ctx aborts the in-flight download (and
+// any retry backoff) within one backoff interval instead of streaming on
+// until the stall watchdog fires.
+func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 	rctx, span := obs.Start(ctx, "hub.client.pull")
 	span.SetAttr("hub.name", name)
 	defer func() { c.endAndExport(span, err) }()
@@ -309,7 +288,7 @@ func (c *Client) pullAttempt(ctx context.Context, opts Options, name string, f *
 			req.Header.Set("If-Range", etagFor(*expected))
 		}
 	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return transientf("pull: %v", err)
 	}
@@ -414,7 +393,7 @@ func (c *Client) exportTrace(tid obs.TraceID) {
 		return
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		obs.Logger().Debug("trace export failed", "err", err)
 		return

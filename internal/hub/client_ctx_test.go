@@ -56,24 +56,24 @@ func assertCancels(t *testing.T, what string, op func(ctx context.Context) error
 	}
 }
 
-func TestPublishCtxCancelAbortsUpload(t *testing.T) {
+func TestPublishCancelAbortsUpload(t *testing.T) {
 	ts := hangingServer(t)
 	root := makeRepo(t, "m")
 	client := NewClientWith(ts.URL, cancelOpts())
-	assertCancels(t, "PublishCtx", func(ctx context.Context) error {
-		return client.PublishCtx(ctx, root, "r")
+	assertCancels(t, "Publish", func(ctx context.Context) error {
+		return client.Publish(ctx, root, "r")
 	})
 }
 
-func TestPullCtxCancelAbortsDownload(t *testing.T) {
+func TestPullCancelAbortsDownload(t *testing.T) {
 	ts := hangingServer(t)
 	client := NewClientWith(ts.URL, cancelOpts())
-	assertCancels(t, "PullCtx", func(ctx context.Context) error {
-		return client.PullCtx(ctx, "r", t.TempDir())
+	assertCancels(t, "Pull", func(ctx context.Context) error {
+		return client.Pull(ctx, "r", t.TempDir())
 	})
 }
 
-func TestSearchCtxCancelCutsBackoff(t *testing.T) {
+func TestSearchCancelCutsBackoff(t *testing.T) {
 	// Every attempt fails transiently (503), so the client sits in its
 	// retry backoff — made enormous here so only cancellation can end the
 	// call quickly.
@@ -84,8 +84,8 @@ func TestSearchCtxCancelCutsBackoff(t *testing.T) {
 	client := NewClientWith(ts.URL, Options{
 		Timeout: 5 * time.Second, Retries: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour,
 	})
-	assertCancels(t, "SearchCtx", func(ctx context.Context) error {
-		_, err := client.SearchCtx(ctx, "q")
+	assertCancels(t, "Search", func(ctx context.Context) error {
+		_, err := client.Search(ctx, "q")
 		return err
 	})
 }

@@ -2,14 +2,12 @@ package hub
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -104,6 +102,16 @@ type cluster struct {
 	repairInterval time.Duration
 	peerTimeout    time.Duration
 	hc             *http.Client
+	relay          relay
+}
+
+// relay is everything that tells the two tiers handing a publish on to its
+// owners apart: a storage node that does not own the name, and the gateway.
+type relay struct {
+	span           string // "hub.cluster.forward" or "hub.gateway.publish"
+	from           string // ForwardedHeader stamp
+	dir            string // spool directory; "" selects os.TempDir
+	routed, failed *obs.Counter
 }
 
 func newCluster(cfg ClusterConfig, needSelf bool) (*cluster, error) {
@@ -144,6 +152,7 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 	if err != nil {
 		return err
 	}
+	cl.relay = relay{span: "hub.cluster.forward", from: cl.self, dir: s.dir, routed: mForwarded, failed: mForwardFailed}
 	s.cluster = cl
 	return nil
 }
@@ -159,7 +168,7 @@ func newerThan(a, b RepoInfo) bool {
 	return a.SHA256 > b.SHA256
 }
 
-// acceptReplica is the storeBlob policy for replica receives and repair:
+// acceptReplica is the commit policy for replica receives and repair:
 // take the record unless the local one is strictly newer. Equal records are
 // re-accepted on purpose — that is how repair overwrites a corrupt blob
 // whose index entry still looks right.
@@ -170,10 +179,18 @@ func acceptReplica(info RepoInfo) func(prev RepoInfo, exists bool) bool {
 }
 
 // replicateOut pushes a freshly stored record to the other owners of its
-// name, sequentially, each push a child span of the publish request trace.
-// Failures are counted and logged, never fatal: the publish already
-// committed locally, and anti-entropy re-converges the missing replicas.
+// name, sequentially, each push a child span of the publish request trace:
+// the blob goes to the peer's /api/replicate with its digest in DigestHeader
+// and the metadata record in RepoInfoHeader. Failures are counted and
+// logged, never fatal: the publish already committed locally, and
+// anti-entropy re-converges the missing replicas.
 func (cl *cluster) replicateOut(ctx context.Context, s *Server, info RepoInfo) {
+	meta, err := json.Marshal(info)
+	if err != nil {
+		obs.Logger().Warn("replica record unencodable", "name", info.Name, "err", err)
+		return
+	}
+	hdr := map[string]string{RepoInfoHeader: string(meta), ReplicaHeader: cl.self}
 	for _, peer := range cl.ring.Owners(info.Name, cl.replicas) {
 		if peer == cl.self {
 			continue
@@ -181,7 +198,11 @@ func (cl *cluster) replicateOut(ctx context.Context, s *Server, info RepoInfo) {
 		rctx, span := obs.Start(ctx, "hub.cluster.replicate")
 		span.SetAttr("hub.peer", peer)
 		span.SetAttr("hub.name", info.Name)
-		err := cl.pushReplica(rctx, s.blobPath(info.Name, info.SHA256), info, peer)
+		status, _, err := cl.postBlob(rctx, peer+"/api/replicate?name="+url.QueryEscape(info.Name),
+			s.blobPath(info.Name, info.SHA256), info.SHA256, hdr)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("%s answered %d", peer, status)
+		}
 		if err != nil {
 			span.SetError()
 			mReplicateFail.Inc()
@@ -193,56 +214,44 @@ func (cl *cluster) replicateOut(ctx context.Context, s *Server, info RepoInfo) {
 	}
 }
 
-// pushReplica streams one blob to peer's /api/replicate, digest in
-// DigestHeader and the metadata record in RepoInfoHeader.
-func (cl *cluster) pushReplica(ctx context.Context, blobPath string, info RepoInfo, peer string) error {
-	f, err := os.Open(blobPath)
+// postBlob POSTs the blob file at path to a peer endpoint u — Content-Length,
+// the digest, hdr and the trace context set — under the streaming peer
+// timeout, and returns the status with up to 4 KiB of the answer.
+func (cl *cluster) postBlob(ctx context.Context, u, path, digest string, hdr map[string]string) (int, []byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("%w: replicate: %v", ErrHub, err)
+		return 0, nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("%w: replicate: %v", ErrHub, err)
+		return 0, nil, err
 	}
-	meta, err := json.Marshal(info)
-	if err != nil {
-		return fmt.Errorf("%w: replicate: %v", ErrHub, err)
-	}
-	rctx, cancel := context.WithTimeout(ctx, 10*cl.peerTimeout)
+	ctx, cancel := context.WithTimeout(ctx, 10*cl.peerTimeout)
 	defer cancel()
-	u := fmt.Sprintf("%s/api/replicate?name=%s", peer, url.QueryEscape(info.Name))
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, u, f)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, f)
 	if err != nil {
-		return fmt.Errorf("%w: replicate: %v", ErrHub, err)
+		return 0, nil, err
 	}
 	req.ContentLength = st.Size()
 	req.Header.Set("Content-Type", "application/gzip")
-	req.Header.Set(DigestHeader, info.SHA256)
-	req.Header.Set(RepoInfoHeader, string(meta))
-	req.Header.Set(ReplicaHeader, cl.self)
-	obs.FromContext(rctx).Inject(req.Header)
+	req.Header.Set(DigestHeader, digest)
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	obs.FromContext(ctx).Inject(req.Header)
 	resp, err := cl.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: replicate to %s: %v", ErrHub, peer, err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	//mhlint:ignore errcheck best-effort drain so the connection can be reused
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: replicate to %s failed (%d)", ErrHub, peer, resp.StatusCode)
-	}
-	return nil
+	msg, err := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	return resp.StatusCode, msg, err
 }
 
-// handleReplicate receives a blob pushed by an owner peer (or repair):
-// stream to temp hashing, verify against the advertised digest, then commit
-// through the shared storeBlob path under last-writer-wins.
+// handleReplicate receives a blob pushed by an owner peer: spooled against
+// the record's digest, then committed under last-writer-wins.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.cluster == nil {
 		http.Error(w, ErrHub.Error()+": not a cluster node", http.StatusPreconditionFailed)
 		return
@@ -261,25 +270,12 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, ErrHub.Error()+": metadata does not match the request", http.StatusBadRequest)
 		return
 	}
-	tmpName, digest, _, err := s.spoolBody(r.Body)
+	sp, err := spool(s.dir, r.Body, info.SHA256)
 	if err != nil {
-		http.Error(w, "replica upload aborted or unreadable: "+err.Error(), http.StatusBadRequest)
+		ingestFailed(w, err)
 		return
 	}
-	stored := false
-	defer func() {
-		if !stored {
-			//mhlint:ignore errcheck best-effort cleanup of an unpromoted replica upload
-			_ = os.Remove(tmpName)
-		}
-	}()
-	if !strings.EqualFold(digest, info.SHA256) {
-		mDigestMismatch.Inc()
-		http.Error(w, fmt.Sprintf("digest mismatch: body is %s, record says %s", digest, info.SHA256),
-			http.StatusBadRequest)
-		return
-	}
-	stored, err = s.storeBlob(tmpName, info, acceptReplica(info))
+	stored, err := s.commit(sp, info, acceptReplica(info))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -289,55 +285,17 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		mReplicaSkip.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//mhlint:ignore errcheck a response-write failure means the peer went away; nothing to do
-	_ = json.NewEncoder(w).Encode(map[string]bool{"stored": stored})
+	writeJSON(w, map[string]bool{"stored": stored})
 }
 
-// spoolBody streams an upload body into a temp file in the data directory,
-// hashing while it lands, and returns the temp path, hex digest, and size.
-// Bodies beyond maxPublishBytes are rejected. The caller owns the temp file
-// on success.
-func (s *Server) spoolBody(body io.Reader) (tmpName, digest string, size int64, err error) {
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"replica-*")
-	if err != nil {
-		return "", "", 0, err
-	}
-	return spoolTo(tmp, body)
-}
-
-// spoolTo is the shared spool core: stream body into the open temp file,
-// hashing while it lands. On error the temp file is removed. Used by both
-// storage nodes (spoolBody) and the gateway, which has no data directory.
-func spoolTo(tmp *os.File, body io.Reader) (tmpName, digest string, size int64, err error) {
-	tmpName = tmp.Name()
-	h := sha256.New()
-	size, err = io.Copy(io.MultiWriter(tmp, h), io.LimitReader(body, maxPublishBytes+1))
-	if err == nil && size > maxPublishBytes {
-		err = fmt.Errorf("archive exceeds the %d-byte publish limit", maxPublishBytes)
-	}
-	if err != nil {
-		//mhlint:ignore errcheck the copy error takes precedence over cleanup
-		_ = tmp.Close()
-		//mhlint:ignore errcheck the copy error takes precedence over cleanup
-		_ = os.Remove(tmpName)
-		return "", "", 0, err
-	}
-	if err := syncClose(tmp); err != nil {
-		//mhlint:ignore errcheck the sync error takes precedence over cleanup
-		_ = os.Remove(tmpName)
-		return "", "", 0, err
-	}
-	return tmpName, digestString(h.Sum(nil)), size, nil
-}
-
-// forwardPublish relays a publish this node does not own to the name's
-// replica set: spool + hash first (so the upload is verified once and can
-// be retried against each owner), then POST the spooled archive to owners
-// in ring order until one accepts.
-func (s *Server) forwardPublish(w http.ResponseWriter, r *http.Request, name string) {
-	cl := s.cluster
-	ctx, span := obs.Start(r.Context(), "hub.cluster.forward")
+// relayPublish hands a publish to the name's replica set on behalf of a tier
+// that does not store it (cl.relay says which): spool + verify first, so the
+// upload is checked once and can be replayed, then POST the spooled archive
+// to the owners in ring order until one answers. Connection failures and 5xx
+// move on to the next owner; any definitive answer (2xx/4xx) is relayed
+// as-is.
+func (cl *cluster) relayPublish(w http.ResponseWriter, r *http.Request, name string) {
+	ctx, span := obs.Start(r.Context(), cl.relay.span)
 	span.SetAttr("hub.name", name)
 	ok := false
 	defer func() {
@@ -346,137 +304,66 @@ func (s *Server) forwardPublish(w http.ResponseWriter, r *http.Request, name str
 		}
 		span.End()
 	}()
-	tmpName, digest, _, err := s.spoolBody(r.Body)
+	sp, err := spool(cl.relay.dir, r.Body, r.Header.Get(DigestHeader))
 	if err != nil {
-		http.Error(w, "upload aborted or unreadable: "+err.Error(), http.StatusBadRequest)
+		ingestFailed(w, err)
 		return
 	}
-	defer func() {
-		//mhlint:ignore errcheck best-effort cleanup after the forward outcome is decided
-		_ = os.Remove(tmpName)
-	}()
-	if want := r.Header.Get(DigestHeader); want != "" && !strings.EqualFold(want, digest) {
-		mDigestMismatch.Inc()
-		http.Error(w, fmt.Sprintf("digest mismatch: body is %s, %s says %s", digest, DigestHeader, want),
-			http.StatusBadRequest)
-		return
-	}
-	owners := cl.ring.Owners(name, cl.replicas)
-	status, body, derr := forwardSpooled(ctx, cl.hc, cl.self, owners, name, tmpName, digest, cl.peerTimeout)
-	if derr != nil {
-		mForwardFailed.Inc()
-		http.Error(w, derr.Error(), http.StatusBadGateway)
-		return
-	}
-	ok = status == http.StatusOK
-	if ok {
-		mForwarded.Inc()
-		w.Header().Set(DigestHeader, digest)
-	}
-	w.WriteHeader(status)
-	//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
-	_, _ = w.Write(body)
-}
-
-// forwardSpooled POSTs a spooled archive to each owner in order until one
-// answers. Connection failures and 5xx move on to the next owner; any
-// definitive answer (2xx/4xx) is relayed as-is. from is stamped into
-// ForwardedHeader ("gateway" when relayed by the stateless tier).
-func forwardSpooled(ctx context.Context, hc *http.Client, from string, owners []string,
-	name, tmpName, digest string, peerTimeout time.Duration) (status int, body []byte, err error) {
-	if from == "" {
-		from = "gateway"
-	}
+	defer sp.discard()
+	hdr := map[string]string{ForwardedHeader: cl.relay.from}
 	var lastErr error
-	for _, peer := range owners {
-		f, err := os.Open(tmpName)
-		if err != nil {
-			return 0, nil, fmt.Errorf("%w: forward: %v", ErrHub, err)
+	for _, peer := range cl.ring.Owners(name, cl.replicas) {
+		status, body, err := cl.postBlob(ctx, peer+"/api/publish?name="+url.QueryEscape(name), sp.f.Name(), sp.digest, hdr)
+		if err == nil && status >= 500 {
+			err = fmt.Errorf("owner %s answered %d", peer, status)
 		}
-		st, err := f.Stat()
 		if err != nil {
-			//mhlint:ignore errcheck the stat error takes precedence over cleanup
-			_ = f.Close()
-			return 0, nil, fmt.Errorf("%w: forward: %v", ErrHub, err)
-		}
-		actx, cancel := context.WithTimeout(ctx, 10*peerTimeout)
-		u := fmt.Sprintf("%s/api/publish?name=%s", peer, url.QueryEscape(name))
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, u, f)
-		if err != nil {
-			cancel()
-			//mhlint:ignore errcheck the request error takes precedence over cleanup
-			_ = f.Close()
-			return 0, nil, fmt.Errorf("%w: forward: %v", ErrHub, err)
-		}
-		req.ContentLength = st.Size()
-		req.Header.Set("Content-Type", "application/gzip")
-		req.Header.Set(DigestHeader, digest)
-		req.Header.Set(ForwardedHeader, from)
-		obs.FromContext(ctx).Inject(req.Header)
-		resp, err := hc.Do(req)
-		//mhlint:ignore errcheck the response outcome takes precedence over closing the spool handle
-		_ = f.Close()
-		if err != nil {
-			cancel()
 			lastErr = err
 			continue
 		}
-		msg, rerr := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		//mhlint:ignore errcheck best-effort close; the body was already read
-		_ = resp.Body.Close()
-		cancel()
-		if rerr != nil {
-			lastErr = rerr
-			continue
+		ok = status == http.StatusOK
+		if ok {
+			cl.relay.routed.Inc()
+			span.SetAttr("hub.owner", peer)
+			w.Header().Set(DigestHeader, sp.digest)
 		}
-		if resp.StatusCode >= 500 {
-			lastErr = fmt.Errorf("owner %s answered %d", peer, resp.StatusCode)
-			continue
-		}
-		return resp.StatusCode, msg, nil
+		w.WriteHeader(status)
+		//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
+		_, _ = w.Write(body)
+		return
 	}
-	return 0, nil, fmt.Errorf("%w: no owner of %q reachable: %v", ErrHub, name, lastErr)
+	cl.relay.failed.Inc()
+	http.Error(w, fmt.Sprintf("%v: no owner of %q reachable: %v", ErrHub, name, lastErr), http.StatusBadGateway)
 }
 
 // handleInventory lists the local index as sorted JSON — the per-peer
 // digest inventory that anti-entropy sweeps diff against each other.
 func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	s.mu.RLock()
-	out := make([]RepoInfo, 0, len(s.index))
-	for _, info := range s.index {
-		out = append(out, info)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	w.Header().Set("Content-Type", "application/json")
-	//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
-	_ = json.NewEncoder(w).Encode(out)
+	writeRepoList(w, s.repos(""))
 }
 
-// fetchInventory retrieves one peer's /api/inventory.
-func (cl *cluster) fetchInventory(ctx context.Context, peer string) ([]RepoInfo, error) {
-	actx, cancel := context.WithTimeout(ctx, cl.peerTimeout)
+// fetchRepos GETs one peer's []RepoInfo answer for path (/api/inventory or
+// /api/search?q=) under PeerTimeout, so one hung peer costs a sweep or a
+// fan-out that long and no longer.
+func (cl *cluster) fetchRepos(ctx context.Context, peer, path string) ([]RepoInfo, error) {
+	ctx, cancel := context.WithTimeout(ctx, cl.peerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, peer+"/api/inventory", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%w: inventory: %v", ErrHub, err)
+		return nil, fmt.Errorf("%w: %v", ErrHub, err)
 	}
 	obs.FromContext(ctx).Inject(req.Header)
 	resp, err := cl.hc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: inventory from %s: %v", ErrHub, peer, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrHub, peer, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: inventory from %s failed (%d)", ErrHub, peer, resp.StatusCode)
+		return nil, fmt.Errorf("%w: %s answered %d", ErrHub, peer, resp.StatusCode)
 	}
 	var out []RepoInfo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("%w: inventory from %s: %v", ErrHub, peer, err)
+		return nil, fmt.Errorf("%w: %s: %v", ErrHub, peer, err)
 	}
 	return out, nil
 }

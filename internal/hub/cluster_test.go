@@ -179,7 +179,7 @@ func (tc *testCluster) replicaCount(name string) int {
 
 func TestClusterReplicatesToAllOwners(t *testing.T) {
 	tc := newTestCluster(t, 3, 3)
-	if err := tc.client(0).Publish(makeRepo(t, "m"), "replicated"); err != nil {
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "replicated"); err != nil {
 		t.Fatal(err)
 	}
 	// Replication is synchronous with the publish response: every node
@@ -203,7 +203,7 @@ func TestClusterForwardsPublishToOwner(t *testing.T) {
 			break
 		}
 	}
-	if err := tc.client(via).Publish(root, name); err != nil {
+	if err := tc.client(via).Publish(context.Background(), root, name); err != nil {
 		t.Fatal(err)
 	}
 	for i, node := range tc.nodes {
@@ -221,14 +221,14 @@ func TestClusterSurvivesReplicaDeathMidPublish(t *testing.T) {
 
 	// Publishing with a dead replica must still succeed: the live owners
 	// commit, the dead peer's push fails softly.
-	if err := tc.client(0).Publish(makeRepo(t, "m"), "during-outage"); err != nil {
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "during-outage"); err != nil {
 		t.Fatalf("publish with a dead replica: %v", err)
 	}
 	if got := tc.replicaCount("during-outage"); got != 2 {
 		t.Fatalf("live replicas: %d, want 2", got)
 	}
 	// Reads succeed from the survivors.
-	if err := tc.client(1).Pull("during-outage", t.TempDir()); err != nil {
+	if err := tc.client(1).Pull(context.Background(), "during-outage", t.TempDir()); err != nil {
 		t.Fatalf("pull from survivor: %v", err)
 	}
 
@@ -249,7 +249,7 @@ func TestClusterSurvivesReplicaDeathMidPublish(t *testing.T) {
 
 func TestClusterRepairHealsCorruptReplica(t *testing.T) {
 	tc := newTestCluster(t, 3, 3)
-	if err := tc.client(0).Publish(makeRepo(t, "m"), "bitrot"); err != nil {
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "bitrot"); err != nil {
 		t.Fatal(err)
 	}
 	// Flip bytes in one node's blob without touching its index: the index
@@ -287,7 +287,7 @@ func TestClusterRepairHealsCorruptReplica(t *testing.T) {
 
 func TestClusterRepairSurvivesDeadSource(t *testing.T) {
 	tc := newTestCluster(t, 3, 3)
-	if err := tc.client(0).Publish(makeRepo(t, "m"), "resilient"); err != nil {
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "resilient"); err != nil {
 		t.Fatal(err)
 	}
 	// Node 1 loses its copy on disk AND node 2 (one of the two possible
@@ -352,7 +352,7 @@ func TestReplicateRejectsDigestMismatch(t *testing.T) {
 func TestNameLocksStayBounded(t *testing.T) {
 	srv, client := newTestServer(t)
 	for i := 0; i < 8; i++ {
-		if err := client.Publish(makeRepo(t, "m"), fmt.Sprintf("name-%d", i)); err != nil {
+		if err := client.Publish(context.Background(), makeRepo(t, "m"), fmt.Sprintf("name-%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +371,7 @@ func TestNameLocksBoundedUnderContention(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				name := fmt.Sprintf("contended-%d", (p+i)%3)
-				if err := client.Publish(roots[i%2], name); err != nil {
+				if err := client.Publish(context.Background(), roots[i%2], name); err != nil {
 					t.Error(err)
 					return
 				}
@@ -381,6 +381,21 @@ func TestNameLocksBoundedUnderContention(t *testing.T) {
 	wg.Wait()
 	if got := srv.nameLockCount(); got != 0 {
 		t.Fatalf("nameLocks entries after the hammer: %d, want 0", got)
+	}
+}
+
+// plantBlob commits a small packed repository under name on one node,
+// through the ingest path but behind routing's back — the state a ring
+// change leaves behind.
+func plantBlob(t *testing.T, srv *Server, name string) {
+	t.Helper()
+	sp, err := spool(srv.dir, packedRepo(t, makeRepo(t, "m")), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := RepoInfo{Name: name, SizeBytes: sp.size, PublishedAt: "2026-01-01T00:00:00Z", Models: []string{"m"}, SHA256: sp.digest}
+	if _, err := srv.commit(sp, info, acceptAlways); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -417,26 +432,13 @@ func TestPullDuringRebalanceReadsThrough(t *testing.T) {
 		}
 	}
 	// Plant the blob on the OLD owner only, replicating the state right
-	// after the ring grew: storeBlob directly, bypassing routing.
-	srv := tc.nodes[oldIdx].server()
-	root := makeRepo(t, "m")
-	var buf bytes.Buffer
-	if err := PackRepo(root, &buf); err != nil {
-		t.Fatal(err)
-	}
-	tmpName, digest, size, err := srv.spoolBody(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := RepoInfo{Name: name, SizeBytes: size, PublishedAt: "2026-01-01T00:00:00Z", Models: []string{"m"}, SHA256: digest}
-	if _, err := srv.storeBlob(tmpName, info, func(RepoInfo, bool) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	// after the ring grew.
+	plantBlob(t, tc.nodes[oldIdx].server(), name)
 
 	// A pull routed to the new owner 404s locally — but one sweep on the
 	// new owner pulls the blob over, and direct pulls from the old owner
 	// keep working the whole time (repair never deletes).
-	if err := tc.client(oldIdx).Pull(name, t.TempDir()); err != nil {
+	if err := tc.client(oldIdx).Pull(context.Background(), name, t.TempDir()); err != nil {
 		t.Fatalf("pull from old owner during rebalance: %v", err)
 	}
 	stats, err := tc.nodes[2].server().RepairOnce(context.Background())
@@ -446,7 +448,7 @@ func TestPullDuringRebalanceReadsThrough(t *testing.T) {
 	if stats.Repaired != 1 {
 		t.Fatalf("repair stats: %+v", stats)
 	}
-	if err := tc.client(2).Pull(name, t.TempDir()); err != nil {
+	if err := tc.client(2).Pull(context.Background(), name, t.TempDir()); err != nil {
 		t.Fatalf("pull from new owner after repair: %v", err)
 	}
 	if !tc.nodes[oldIdx].hasBlob(name) {

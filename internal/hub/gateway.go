@@ -1,17 +1,12 @@
 package hub
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"os"
-	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"modelhub/internal/obs"
 )
@@ -43,13 +38,7 @@ var (
 // The gateway holds no index and no blobs: consistent hashing over the
 // shared peer list is its only routing state, so any number of gateways can
 // run side by side.
-type Gateway struct {
-	ring        *Ring
-	peers       []string
-	replicas    int
-	peerTimeout time.Duration
-	hc          *http.Client
-}
+type Gateway struct{ *cluster }
 
 // NewGateway builds a gateway over cfg.Peers. cfg.Self is ignored — the
 // gateway is not a replica.
@@ -59,13 +48,8 @@ func NewGateway(cfg ClusterConfig) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Gateway{
-		ring:        cl.ring,
-		peers:       cl.peers,
-		replicas:    cl.replicas,
-		peerTimeout: cl.peerTimeout,
-		hc:          cl.hc,
-	}, nil
+	cl.relay = relay{span: "hub.gateway.publish", from: "gateway", routed: mGwPublish, failed: mGwPeerErrors}
+	return &Gateway{cl}, nil
 }
 
 // Handler returns the gateway's HTTP surface, wrapped in the same obs
@@ -73,10 +57,10 @@ func NewGateway(cfg ClusterConfig) (*Gateway, error) {
 // trace extraction) and serving the /debug/traces flight recorder.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/publish", g.handlePublish)
-	mux.HandleFunc("/api/search", g.handleSearch)
-	mux.HandleFunc("/api/pull", g.handlePull)
-	mux.HandleFunc("/api/inventory", g.handleInventory)
+	mux.HandleFunc("POST /api/publish", g.handlePublish)
+	mux.HandleFunc("GET /api/search", g.handleSearch)
+	mux.HandleFunc("GET /api/pull", g.handlePull)
+	mux.HandleFunc("GET /api/inventory", g.handleInventory)
 	mux.Handle("/debug/traces", obs.TracesHandler())
 	return obs.WrapHandler(mux, obs.MiddlewareOptions{
 		Prefix:    "hub.http",
@@ -84,67 +68,14 @@ func (g *Gateway) Handler() http.Handler {
 	})
 }
 
-// handlePublish spools the upload (verifying the client digest), then
-// relays it to the name's owners in ring order until one commits it.
+// handlePublish relays the upload to the name's owners (relayPublish).
 func (g *Gateway) handlePublish(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("name")
 	if err := validateName(name); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ctx, span := obs.Start(r.Context(), "hub.gateway.publish")
-	span.SetAttr("hub.name", name)
-	ok := false
-	defer func() {
-		if !ok {
-			span.SetError()
-		}
-		span.End()
-	}()
-	tmpName, digest, _, err := g.spool(r.Body)
-	if err != nil {
-		http.Error(w, "upload aborted or unreadable: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer func() {
-		//mhlint:ignore errcheck best-effort cleanup after the relay outcome is decided
-		_ = os.Remove(tmpName)
-	}()
-	if want := r.Header.Get(DigestHeader); want != "" && !strings.EqualFold(want, digest) {
-		mDigestMismatch.Inc()
-		http.Error(w, fmt.Sprintf("digest mismatch: body is %s, %s says %s", digest, DigestHeader, want),
-			http.StatusBadRequest)
-		return
-	}
-	owners := g.ring.Owners(name, g.replicas)
-	status, body, derr := forwardSpooled(ctx, g.hc, "gateway", owners, name, tmpName, digest, g.peerTimeout)
-	if derr != nil {
-		mGwPeerErrors.Inc()
-		http.Error(w, derr.Error(), http.StatusBadGateway)
-		return
-	}
-	ok = status == http.StatusOK
-	if ok {
-		mGwPublish.Inc()
-		span.SetAttr("hub.owner", owners[0])
-		w.Header().Set(DigestHeader, digest)
-	}
-	w.WriteHeader(status)
-	//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
-	_, _ = w.Write(body)
-}
-
-// spool streams a request body to a temp file, hashing as it lands.
-func (g *Gateway) spool(body io.Reader) (tmpName, digest string, size int64, err error) {
-	tmp, err := os.CreateTemp("", "hub-gateway-*.tar.gz")
-	if err != nil {
-		return "", "", 0, err
-	}
-	return spoolTo(tmp, body)
+	g.relayPublish(w, r, name)
 }
 
 // handlePull routes a pull to the name's owners first, then reads through
@@ -153,10 +84,6 @@ func (g *Gateway) spool(body io.Reader) (tmpName, digest string, size int64, err
 // pass through untouched, so client resume semantics are identical to
 // talking to a storage node directly.
 func (g *Gateway) handlePull(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("name")
 	if err := validateName(name); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -260,10 +187,6 @@ func copyHeader(dst, src http.Header, keys ...string) {
 // the answers: deduplicated by name with the newest record winning, sorted,
 // always a JSON array. The search succeeds while at least one peer answers.
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	g.fanout(w, r, "hub.gateway.search", "/api/search?q="+url.QueryEscape(r.URL.Query().Get("q")))
 }
 
@@ -271,10 +194,6 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 // cluster holds with its winning record. Handy for debugging and for the
 // smoke tests' convergence asserts.
 func (g *Gateway) handleInventory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	g.fanout(w, r, "hub.gateway.inventory", "/api/inventory")
 }
 
@@ -297,7 +216,7 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, spanName, path 
 		wg.Add(1)
 		go func(i int, peer string) {
 			defer wg.Done()
-			results[i], errs[i] = g.fetchRepoList(ctx, peer, path)
+			results[i], errs[i] = g.fetchRepos(ctx, peer, path)
 		}(i, peer)
 	}
 	wg.Wait()
@@ -321,35 +240,9 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, spanName, path 
 		return
 	}
 	ok = true
-	// Empty results must encode as the JSON array [], not null.
 	out := make([]RepoInfo, 0, len(merged))
 	for _, info := range merged {
 		out = append(out, info)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
-	w.Header().Set("Content-Type", "application/json")
-	//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
-	_ = json.NewEncoder(w).Encode(out)
-}
-
-// fetchRepoList GETs one peer's []RepoInfo answer for path.
-func (g *Gateway) fetchRepoList(ctx context.Context, peer, path string) ([]RepoInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	obs.FromContext(ctx).Inject(req.Header)
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%w: peer %s answered %d", ErrHub, peer, resp.StatusCode)
-	}
-	var out []RepoInfo
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	writeRepoList(w, out)
 }

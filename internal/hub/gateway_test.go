@@ -43,7 +43,7 @@ func gatewayFor(t *testing.T, tc *testCluster) (*Gateway, *Client) {
 func TestGatewayRoutesPublishAndPull(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	_, client := gatewayFor(t, tc)
-	if err := client.Publish(makeRepo(t, "m"), "via-gateway"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "m"), "via-gateway"); err != nil {
 		t.Fatal(err)
 	}
 	// The gateway holds nothing itself; the blob landed on exactly the
@@ -51,15 +51,59 @@ func TestGatewayRoutesPublishAndPull(t *testing.T) {
 	if got := tc.replicaCount("via-gateway"); got != 2 {
 		t.Fatalf("replicas after gateway publish: %d, want 2", got)
 	}
-	if err := client.Pull("via-gateway", t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), "via-gateway", t.TempDir()); err != nil {
 		t.Fatalf("pull through gateway: %v", err)
+	}
+}
+
+// Whichever entrance takes a publish — the gateway, a node that does not own
+// the name, an owner — it ends on exactly the name's owners, under one digest.
+func TestPublishEntrancesConverge(t *testing.T) {
+	tc := newTestCluster(t, 3, 2)
+	gw, gwClient := gatewayFor(t, tc)
+	root := makeRepo(t, "m")
+	for _, entrance := range []string{"gateway", "non-owner", "owner"} {
+		name := "via-" + entrance
+		owns := map[string]bool{}
+		for _, u := range gw.ring.Owners(name, 2) {
+			owns[u] = true
+		}
+		client := gwClient
+		for i, u := range tc.urls {
+			if entrance == "owner" && owns[u] || entrance == "non-owner" && !owns[u] {
+				client = tc.client(i)
+			}
+		}
+		if err := client.Publish(context.Background(), root, name); err != nil {
+			t.Fatalf("publish through %s: %v", entrance, err)
+		}
+		digests := map[string]bool{}
+		for _, u := range tc.urls {
+			infos, err := gw.fetchRepos(context.Background(), u, "/api/inventory")
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := ""
+			for _, info := range infos {
+				if info.Name == name {
+					held = info.SHA256
+					digests[held] = true
+				}
+			}
+			if (held != "") != owns[u] {
+				t.Errorf("through %s: node %s lists %q = %v, owner = %v", entrance, u, name, held != "", owns[u])
+			}
+		}
+		if len(digests) != 1 {
+			t.Errorf("through %s: owners hold digests %v, want one", entrance, digests)
+		}
 	}
 }
 
 func TestGatewayPullFailsOverDeadOwner(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	_, client := gatewayFor(t, tc)
-	if err := client.Publish(makeRepo(t, "m"), "failover-model"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "m"), "failover-model"); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the primary owner; the gateway must serve the pull from the
@@ -70,7 +114,7 @@ func TestGatewayPullFailsOverDeadOwner(t *testing.T) {
 			tc.nodes[i].kill()
 		}
 	}
-	if err := client.Pull("failover-model", t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), "failover-model", t.TempDir()); err != nil {
 		t.Fatalf("pull with dead primary: %v", err)
 	}
 }
@@ -80,11 +124,11 @@ func TestGatewaySearchMergesAndDedups(t *testing.T) {
 	_, client := gatewayFor(t, tc)
 	names := []string{"search-a", "search-b", "search-c"}
 	for _, name := range names {
-		if err := client.Publish(makeRepo(t, "m"), name); err != nil {
+		if err := client.Publish(context.Background(), makeRepo(t, "m"), name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	infos, err := client.Search("search-")
+	infos, err := client.Search(context.Background(), "search-")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +144,7 @@ func TestGatewaySearchMergesAndDedups(t *testing.T) {
 	// With one node down every name still has a live replica (replicas=2
 	// over 3 nodes), so the fanout keeps answering complete results.
 	tc.nodes[0].kill()
-	infos, err = client.Search("search-")
+	infos, err = client.Search(context.Background(), "search-")
 	if err != nil {
 		t.Fatalf("search with a dead peer: %v", err)
 	}
@@ -114,8 +158,41 @@ func TestGatewaySearchAllPeersDown(t *testing.T) {
 	_, client := gatewayFor(t, tc)
 	tc.nodes[0].kill()
 	tc.nodes[1].kill()
-	if _, err := client.Search("anything"); !errors.Is(err, ErrHub) {
+	if _, err := client.Search(context.Background(), "anything"); !errors.Is(err, ErrHub) {
 		t.Fatalf("search with every peer down: %v, want ErrHub", err)
+	}
+}
+
+// A peer that accepts the request and never answers costs a search fan-out
+// PeerTimeout, not the caller's patience: the live peers' merged answer comes
+// back on time.
+func TestGatewaySearchBoundsHungPeer(t *testing.T) {
+	tc := newTestCluster(t, 2, 2)
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "served"); err != nil {
+		t.Fatal(err)
+	}
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // until the gateway gives up on this peer
+	}))
+	defer hung.Close()
+	gw, err := NewGateway(ClusterConfig{
+		Peers:       append([]string{hung.URL}, tc.urls...),
+		Replicas:    2,
+		PeerTimeout: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(gw.Handler())
+	defer ts.Close()
+	client := NewClientWith(ts.URL, Options{Timeout: 5 * time.Second, Retries: -1})
+	start := time.Now()
+	infos, err := client.Search(context.Background(), "served")
+	if err != nil || len(infos) != 1 || infos[0].Name != "served" {
+		t.Fatalf("search with a hung peer = %v, %v; want the live peers' one record", infos, err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("search with a hung peer took %v at PeerTimeout 200ms", took)
 	}
 }
 
@@ -125,7 +202,7 @@ func TestGatewaySearchAllPeersDown(t *testing.T) {
 // surviving replica, and the download completes digest-verified.
 func TestGatewayPullResumesAcrossNodeDeath(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
-	if err := tc.client(0).Publish(makeRepo(t, "m"), "cut-model"); err != nil {
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "cut-model"); err != nil {
 		t.Fatal(err)
 	}
 	primary := tc.nodes[0].server().cluster.ring.Owners("cut-model", 1)[0]
@@ -161,7 +238,7 @@ func TestGatewayPullResumesAcrossNodeDeath(t *testing.T) {
 	tc.restart(primaryNode)
 
 	_, client := gatewayFor(t, tc)
-	if err := client.Pull("cut-model", t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), "cut-model", t.TempDir()); err != nil {
 		t.Fatalf("pull across a mid-stream node death: %v", err)
 	}
 	primaryNode.wg.Wait()
@@ -225,21 +302,12 @@ func TestGatewayReadThroughDuringRebalance(t *testing.T) {
 			oldIdx = i
 		}
 	}
-	srv := tc.nodes[oldIdx].server()
-	root := makeRepo(t, "m")
-	tmpName, digest, size, err := srv.spoolBody(packedRepo(t, root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := RepoInfo{Name: name, SizeBytes: size, PublishedAt: "2026-01-01T00:00:00Z", Models: []string{"m"}, SHA256: digest}
-	if _, err := srv.storeBlob(tmpName, info, func(RepoInfo, bool) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	plantBlob(t, tc.nodes[oldIdx].server(), name)
 
 	// The gateway routes to the new owner first, gets a 404, and reads
 	// through to the old owner: the pull never fails.
 	_, client := gatewayFor(t, tc)
-	if err := client.Pull(name, t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), name, t.TempDir()); err != nil {
 		t.Fatalf("pull during rebalance through gateway: %v", err)
 	}
 	// Anti-entropy on the new owner converges it; the pull then serves
@@ -250,7 +318,7 @@ func TestGatewayReadThroughDuringRebalance(t *testing.T) {
 	if !tc.nodes[2].hasBlob(name) {
 		t.Fatal("new owner did not converge")
 	}
-	if err := client.Pull(name, t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), name, t.TempDir()); err != nil {
 		t.Fatalf("pull after convergence: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"archive/tar"
 	"bytes"
 	"compress/gzip"
+	"context"
 	"errors"
 	"math/rand"
 	"net/http/httptest"
@@ -47,7 +48,7 @@ func newTestServer(t *testing.T) (*Server, *Client) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, NewClient(ts.URL)
+	return srv, NewClientWith(ts.URL, Options{})
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
@@ -101,11 +102,11 @@ func TestUnpackRejectsTraversal(t *testing.T) {
 func TestPublishSearchPull(t *testing.T) {
 	_, client := newTestServer(t)
 	root := makeRepo(t, "alexnet_v1")
-	if err := client.Publish(root, "vision-models"); err != nil {
+	if err := client.Publish(context.Background(), root, "vision-models"); err != nil {
 		t.Fatal(err)
 	}
 	// Search by repo name substring.
-	res, err := client.Search("vision")
+	res, err := client.Search(context.Background(), "vision")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +117,18 @@ func TestPublishSearchPull(t *testing.T) {
 		t.Fatalf("models = %v", res[0].Models)
 	}
 	// Search by model name substring.
-	res, err = client.Search("alexnet")
+	res, err = client.Search(context.Background(), "alexnet")
 	if err != nil || len(res) != 1 {
 		t.Fatalf("model search = %+v, %v", res, err)
 	}
 	// No match.
-	res, err = client.Search("zzz")
+	res, err = client.Search(context.Background(), "zzz")
 	if err != nil || len(res) != 0 {
 		t.Fatalf("miss search = %+v, %v", res, err)
 	}
 	// Pull into a fresh root and open it.
 	dest := t.TempDir()
-	if err := client.Pull("vision-models", dest); err != nil {
+	if err := client.Pull(context.Background(), "vision-models", dest); err != nil {
 		t.Fatal(err)
 	}
 	repo, err := dlv.Open(dest)
@@ -143,7 +144,7 @@ func TestPublishRejectsBadNames(t *testing.T) {
 	_, client := newTestServer(t)
 	root := makeRepo(t, "m")
 	for _, bad := range []string{"", "../evil", "a/b", ".hidden", "sp ace"} {
-		if err := client.Publish(root, bad); err == nil {
+		if err := client.Publish(context.Background(), root, bad); err == nil {
 			t.Errorf("name %q must be rejected", bad)
 		}
 	}
@@ -151,7 +152,7 @@ func TestPublishRejectsBadNames(t *testing.T) {
 
 func TestPublishRejectsGarbage(t *testing.T) {
 	_, client := newTestServer(t)
-	resp, err := client.httpClient().Post(client.Base+"/api/publish?name=x", "application/gzip",
+	resp, err := client.HTTP.Post(client.Base+"/api/publish?name=x", "application/gzip",
 		bytes.NewReader([]byte("not a tarball")))
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,7 @@ func TestPublishRejectsGarbage(t *testing.T) {
 
 func TestPullUnknown(t *testing.T) {
 	_, client := newTestServer(t)
-	if err := client.Pull("ghost", t.TempDir()); !errors.Is(err, ErrHub) {
+	if err := client.Pull(context.Background(), "ghost", t.TempDir()); !errors.Is(err, ErrHub) {
 		t.Fatal("unknown pull must fail")
 	}
 }
@@ -172,10 +173,10 @@ func TestPullUnknown(t *testing.T) {
 func TestPullIntoExistingRepo(t *testing.T) {
 	_, client := newTestServer(t)
 	root := makeRepo(t, "m")
-	if err := client.Publish(root, "r"); err != nil {
+	if err := client.Publish(context.Background(), root, "r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Pull("r", root); !errors.Is(err, ErrHub) {
+	if err := client.Pull(context.Background(), "r", root); !errors.Is(err, ErrHub) {
 		t.Fatal("pull into existing repo must fail")
 	}
 }
@@ -187,8 +188,8 @@ func TestServerIndexPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	client := NewClient(ts.URL)
-	if err := client.Publish(makeRepo(t, "m"), "persisted"); err != nil {
+	client := NewClientWith(ts.URL, Options{})
+	if err := client.Publish(context.Background(), makeRepo(t, "m"), "persisted"); err != nil {
 		t.Fatal(err)
 	}
 	ts.Close()
@@ -199,7 +200,7 @@ func TestServerIndexPersistence(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	res, err := NewClient(ts2.URL).Search("persisted")
+	res, err := NewClientWith(ts2.URL, Options{}).Search(context.Background(), "persisted")
 	if err != nil || len(res) != 1 {
 		t.Fatalf("reloaded search = %+v, %v", res, err)
 	}
@@ -207,13 +208,13 @@ func TestServerIndexPersistence(t *testing.T) {
 
 func TestRepublishOverwrites(t *testing.T) {
 	_, client := newTestServer(t)
-	if err := client.Publish(makeRepo(t, "m1"), "r"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "m1"), "r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Publish(makeRepo(t, "m2"), "r"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "m2"), "r"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := client.Search("r")
+	res, err := client.Search(context.Background(), "r")
 	if err != nil || len(res) != 1 {
 		t.Fatalf("search = %+v, %v", res, err)
 	}
@@ -223,21 +224,21 @@ func TestRepublishOverwrites(t *testing.T) {
 }
 
 func TestClientUnreachableServer(t *testing.T) {
-	client := NewClient("http://127.0.0.1:1") // nothing listens there
-	if err := client.Publish(makeRepo(t, "m"), "x"); !errors.Is(err, ErrHub) {
+	client := NewClientWith("http://127.0.0.1:1", Options{}) // nothing listens there
+	if err := client.Publish(context.Background(), makeRepo(t, "m"), "x"); !errors.Is(err, ErrHub) {
 		t.Fatal("publish to dead server must fail with ErrHub")
 	}
-	if _, err := client.Search("x"); !errors.Is(err, ErrHub) {
+	if _, err := client.Search(context.Background(), "x"); !errors.Is(err, ErrHub) {
 		t.Fatal("search against dead server must fail")
 	}
-	if err := client.Pull("x", t.TempDir()); !errors.Is(err, ErrHub) {
+	if err := client.Pull(context.Background(), "x", t.TempDir()); !errors.Is(err, ErrHub) {
 		t.Fatal("pull from dead server must fail")
 	}
 }
 
 func TestServerMethodNotAllowed(t *testing.T) {
 	_, client := newTestServer(t)
-	resp, err := client.httpClient().Get(client.Base + "/api/publish?name=x")
+	resp, err := client.HTTP.Get(client.Base + "/api/publish?name=x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestServerMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("GET publish = %d", resp.StatusCode)
 	}
-	resp, err = client.httpClient().Post(client.Base+"/api/search", "", nil)
+	resp, err = client.HTTP.Post(client.Base+"/api/search", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestServerMethodNotAllowed(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("POST search = %d", resp.StatusCode)
 	}
-	resp, err = client.httpClient().Post(client.Base+"/api/pull?name=x", "", nil)
+	resp, err = client.HTTP.Post(client.Base+"/api/pull?name=x", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

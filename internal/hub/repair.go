@@ -2,11 +2,9 @@ package hub
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -85,19 +83,13 @@ func (s *Server) RepairOnce(ctx context.Context) (RepairStats, error) {
 			}
 		}
 	}
-	s.mu.RLock()
-	local := make([]RepoInfo, 0, len(s.index))
-	for _, info := range s.index {
-		local = append(local, info)
-	}
-	s.mu.RUnlock()
-	merge("", local)
+	merge("", s.repos(""))
 	for _, peer := range cl.peers {
 		if peer == cl.self {
 			continue
 		}
 		stats.PeersProbed++
-		infos, err := cl.fetchInventory(ctx, peer)
+		infos, err := cl.fetchRepos(ctx, peer, "/api/inventory")
 		if err != nil {
 			stats.PeersFailed++
 			obs.Logger().Warn("anti-entropy inventory fetch failed", "peer", peer, "err", err)
@@ -169,9 +161,8 @@ func (s *Server) replicaDefect(name string, want RepoInfo) string {
 }
 
 // repairName re-pulls one name's wanted archive from the first source peer
-// that delivers bytes matching the wanted digest, committing through the
-// shared storeBlob path. Trying every source means a peer dying mid-repair
-// costs one failed attempt, not the sweep.
+// that delivers bytes matching the wanted digest. Trying every source means
+// a peer dying mid-repair costs one failed attempt, not the sweep.
 func (s *Server) repairName(ctx context.Context, want RepoInfo, sources []string, reason string) error {
 	rctx, span := obs.Start(ctx, "hub.cluster.repair.pull")
 	span.SetAttr("hub.name", want.Name)
@@ -199,8 +190,8 @@ func (s *Server) repairName(ctx context.Context, want RepoInfo, sources []string
 	return lastErr
 }
 
-// fetchReplica pulls want's archive from one peer, verifies the streamed
-// bytes against want.SHA256, and commits it under last-writer-wins.
+// fetchReplica pulls want's archive from one peer, spools it against
+// want.SHA256, and commits it under last-writer-wins.
 func (s *Server) fetchReplica(ctx context.Context, peer string, want RepoInfo) error {
 	cl := s.cluster
 	actx, cancel := context.WithTimeout(ctx, 10*cl.peerTimeout)
@@ -219,27 +210,12 @@ func (s *Server) fetchReplica(ctx context.Context, peer string, want RepoInfo) e
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%w: repair pull from %s failed (%d)", ErrHub, peer, resp.StatusCode)
 	}
-	tmpName, digest, _, err := s.spoolBody(resp.Body)
+	sp, err := spool(s.dir, resp.Body, want.SHA256)
 	if err != nil {
 		return fmt.Errorf("%w: repair pull from %s: %v", ErrHub, peer, err)
 	}
-	stored := false
-	defer func() {
-		if !stored {
-			//mhlint:ignore errcheck best-effort cleanup of an unpromoted repair download
-			_ = os.Remove(tmpName)
-		}
-	}()
-	if !strings.EqualFold(digest, want.SHA256) {
-		mDigestMismatch.Inc()
-		return fmt.Errorf("%w: repair pull from %s: digest mismatch (got %s, want %s)",
-			ErrHub, peer, digest, want.SHA256)
-	}
-	stored, err = s.storeBlob(tmpName, want, acceptReplica(want))
-	if err != nil {
-		return err
-	}
-	return nil
+	_, err = s.commit(sp, want, acceptReplica(want))
+	return err
 }
 
 // StartAntiEntropy launches the background repair loop at the configured
@@ -279,10 +255,6 @@ func (s *Server) StartAntiEntropy() (stop func()) {
 // and returns its stats — how the smoke tests and operators assert
 // convergence without waiting out the background interval.
 func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.cluster == nil {
 		http.Error(w, ErrHub.Error()+": not a cluster node", http.StatusPreconditionFailed)
 		return
@@ -292,7 +264,5 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
-	_ = json.NewEncoder(w).Encode(stats)
+	writeJSON(w, stats)
 }

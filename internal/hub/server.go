@@ -1,11 +1,8 @@
 package hub
 
 import (
-	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"modelhub/internal/dlv"
 	"modelhub/internal/obs"
 )
 
@@ -283,7 +279,8 @@ func validateName(name string) error {
 //
 // Pull responses carry Content-Length, an X-Content-SHA256 digest header,
 // and a digest-derived ETag, and honour Range/If-Range so interrupted
-// clients resume from their verified offset.
+// clients resume from their verified offset. The mux answers 405 to any
+// other method on a route.
 //
 // The mux is wrapped in the obs middleware stack: panic recovery is always
 // active (a panicking handler yields a 500 with an ErrHub body instead of a
@@ -291,16 +288,16 @@ func validateName(name string) error {
 // request logs follow the global obs gate.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/publish", s.handlePublish)
-	mux.HandleFunc("/api/search", s.handleSearch)
-	mux.HandleFunc("/api/pull", s.handlePull)
+	mux.HandleFunc("POST /api/publish", s.handlePublish)
+	mux.HandleFunc("GET /api/search", s.handleSearch)
+	mux.HandleFunc("GET /api/pull", s.handlePull)
 	// Cluster surface: replicate receives blobs pushed by owner peers and
 	// repair triggers one anti-entropy sweep on demand (both answer 412
 	// until EnableCluster is called); inventory lists the local index and
 	// is always served — it is what peers diff against during repair.
-	mux.HandleFunc("/api/replicate", s.handleReplicate)
-	mux.HandleFunc("/api/inventory", s.handleInventory)
-	mux.HandleFunc("/api/repair", s.handleRepair)
+	mux.HandleFunc("POST /api/replicate", s.handleReplicate)
+	mux.HandleFunc("GET /api/inventory", s.handleInventory)
+	mux.HandleFunc("POST /api/repair", s.handleRepair)
 	// The flight recorder rides the API mux so every deployment (and every
 	// httptest server in the suite) serves GET /debug/traces and accepts
 	// client-side trace exports on POST. WrapHandler excludes /debug/ paths
@@ -313,10 +310,6 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("name")
 	if err := validateName(name); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -325,201 +318,79 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	cl := s.cluster
 	if cl != nil && r.Header.Get(ForwardedHeader) == "" && !cl.ring.Owns(name, cl.self, cl.replicas) {
 		// Not an owner of this name: spool and hand the publish to the
-		// replica set, exactly as the gateway would. ForwardedHeader breaks
+		// replica set, exactly as the gateway does. ForwardedHeader breaks
 		// forward loops when peers disagree about ring membership.
-		s.forwardPublish(w, r, name)
+		cl.relayPublish(w, r, name)
 		return
 	}
 
-	// Stream the body to a temp file, hashing as it lands: no whole-archive
-	// buffer in memory, and nothing visible to search/pull until promotion.
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"publish-*")
+	sp, err := spool(s.dir, r.Body, r.Header.Get(DigestHeader))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		ingestFailed(w, err)
 		return
 	}
-	tmpName := tmp.Name()
-	promoted := false
-	defer func() {
-		if !promoted {
-			//mhlint:ignore errcheck best-effort cleanup of an unpromoted upload
-			_ = os.Remove(tmpName)
-		}
-	}()
-	h := sha256.New()
-	size, err := io.Copy(io.MultiWriter(tmp, h), http.MaxBytesReader(w, r.Body, maxPublishBytes))
-	if err != nil {
-		//mhlint:ignore errcheck the copy error takes precedence over cleanup
-		_ = tmp.Close()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, fmt.Sprintf("archive exceeds the %d-byte publish limit", maxPublishBytes),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-		// The client disconnected or the body was malformed mid-upload;
-		// nothing was promoted, so the failed publish is unobservable.
-		http.Error(w, "upload aborted or unreadable: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	digest := digestString(h.Sum(nil))
-	if want := r.Header.Get(DigestHeader); want != "" && !strings.EqualFold(want, digest) {
-		//mhlint:ignore errcheck the digest failure takes precedence over cleanup
-		_ = tmp.Close()
-		mDigestMismatch.Inc()
-		http.Error(w, fmt.Sprintf("digest mismatch: body is %s, %s says %s", digest, DigestHeader, want),
-			http.StatusBadRequest)
-		return
-	}
-	if err := syncClose(tmp); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	models, err := inspectArchive(tmpName)
+	defer sp.discard()
+	models, err := inspectArchive(r.Context(), sp.f.Name())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-
 	info := RepoInfo{
 		Name:        name,
-		SizeBytes:   size,
+		SizeBytes:   sp.size,
 		PublishedAt: s.now().UTC().Format(time.RFC3339),
 		Models:      models,
-		SHA256:      digest,
+		SHA256:      sp.digest,
 	}
-	// Promote: blob rename first, index save second, old blob unlink last —
-	// all under the per-name lock so concurrent publishes of one name
-	// serialize and their blob/index states never interleave. A client
-	// publish always replaces the current record.
-	if _, err := s.storeBlob(tmpName, info, func(RepoInfo, bool) bool { return true }); err != nil {
+	if _, err := s.commit(sp, info, acceptAlways); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	promoted = true
 	if cl != nil && r.Header.Get(ReplicaHeader) == "" {
 		// Push the fresh record to the other owners while the publisher
 		// waits: a 200 means every reachable replica holds the blob.
 		// Unreachable peers are converged by the anti-entropy loop.
 		cl.replicateOut(r.Context(), s, info)
 	}
-	mPublishBytes.Observe(float64(size))
-	w.Header().Set(DigestHeader, digest)
+	mPublishBytes.Observe(float64(info.SizeBytes))
+	w.Header().Set(DigestHeader, info.SHA256)
 	w.WriteHeader(http.StatusOK)
 }
 
-// storeBlob promotes a digest-verified temp file and its metadata record
-// into the store under the per-name lock: blob rename first, index save
-// second, superseded-blob unlink last — the same commit order as a direct
-// publish, shared by replica receives and anti-entropy repair. accept
-// decides, given the current entry, whether the incoming record replaces
-// it (publishes always win; replicas only accept records at least as new
-// as what they hold). When accept declines, the temp file is removed and
-// stored is false.
-func (s *Server) storeBlob(tmpName string, info RepoInfo, accept func(prev RepoInfo, exists bool) bool) (stored bool, err error) {
-	unlock := s.lockName(info.Name)
-	defer unlock()
+// repos lists the index records whose name or models contain q (lower
+// case; "" matches every record).
+func (s *Server) repos(q string) []RepoInfo {
 	s.mu.RLock()
-	prev, exists := s.index[info.Name]
-	s.mu.RUnlock()
-	if !accept(prev, exists) {
-		//mhlint:ignore errcheck best-effort cleanup of a declined replica blob
-		_ = os.Remove(tmpName)
-		return false, nil
-	}
-	if err := os.Rename(tmpName, s.blobPath(info.Name, info.SHA256)); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	s.index[info.Name] = info
-	err = s.saveIndexLocked()
-	if err != nil {
-		// Roll the in-memory index back to match the persisted one.
-		if exists {
-			s.index[info.Name] = prev
-		} else {
-			delete(s.index, info.Name)
-		}
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	if exists && prev.SHA256 != "" && prev.SHA256 != info.SHA256 {
-		// Unlink the superseded blob. In-flight pulls keep their open file
-		// handle; new pulls already resolve the new digest.
-		//mhlint:ignore errcheck best-effort removal; reconcile sweeps strays at next startup
-		_ = os.Remove(s.blobPath(info.Name, prev.SHA256))
-	}
-	return true, nil
-}
-
-// inspectArchive unpacks a stored archive into a temp dir and lists its
-// model names, validating the archive in the process. For repositories with
-// an archived version, the first archived snapshot is probed at byte-plane
-// prefix 1 through the PAS concurrent engine — a cheap high-plane integrity
-// check that rejects archives whose parameter store cannot be read back.
-func inspectArchive(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	tmp, err := os.MkdirTemp("", "hub-inspect-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	if err := UnpackRepo(f, tmp); err != nil {
-		return nil, err
-	}
-	repo, err := dlv.Open(tmp)
-	if err != nil {
-		return nil, err
-	}
-	versions, err := repo.List()
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var models []string
-	probed := false
-	for _, v := range versions {
-		if !seen[v.Name] {
-			seen[v.Name] = true
-			models = append(models, v.Name)
-		}
-		if !probed && v.Archived && len(v.Snapshots) > 0 {
-			probed = true
-			if _, err := repo.Weights(v.ID, v.Snapshots[0], 1); err != nil {
-				return nil, fmt.Errorf("%w: archived weights unreadable: %v", ErrHub, err)
-			}
-		}
-	}
-	sort.Strings(models)
-	return models, nil
-}
-
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	q := strings.ToLower(r.URL.Query().Get("q"))
-	s.mu.RLock()
-	// Empty results must encode as the JSON array [], not null — strict
-	// clients reject null where a list is promised.
-	out := []RepoInfo{}
+	defer s.mu.RUnlock()
+	var out []RepoInfo
 	for _, info := range s.index {
 		if q == "" || strings.Contains(strings.ToLower(info.Name), q) || matchModels(info.Models, q) {
 			out = append(out, info)
 		}
 	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
+}
+
+// writeJSON answers 200 with v as the JSON body.
+func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	//mhlint:ignore errcheck a response-write failure means the client went away; nothing to do
-	_ = json.NewEncoder(w).Encode(out)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeRepoList answers with the records sorted by name. An empty list
+// encodes as the JSON array [], never null — strict clients reject null where
+// a list is promised.
+func writeRepoList(w http.ResponseWriter, infos []RepoInfo) {
+	if infos == nil {
+		infos = []RepoInfo{}
+	}
+	sort.Slice(infos, func(a, b int) bool { return infos[a].Name < infos[b].Name })
+	writeJSON(w, infos)
+}
+
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	writeRepoList(w, s.repos(strings.ToLower(r.URL.Query().Get("q"))))
 }
 
 func matchModels(models []string, q string) bool {
@@ -532,10 +403,6 @@ func matchModels(models []string, q string) bool {
 }
 
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
 	name := r.URL.Query().Get("name")
 	if err := validateName(name); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -2,6 +2,7 @@ package hub
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"modelhub/internal/obs"
 )
 
 // packBytes packs the repo at root into memory.
@@ -30,7 +33,7 @@ func packBytes(t *testing.T, root string) []byte {
 // on a non-200.
 func publishTo(t *testing.T, client *Client, root, name string) {
 	t.Helper()
-	if err := client.Publish(root, name); err != nil {
+	if err := client.Publish(context.Background(), root, name); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,25 +85,71 @@ type errorReader struct{}
 
 func (errorReader) Read([]byte) (int, error) { return 0, errors.New("injected upload cut") }
 
-// Only the MaxBytesReader limit may answer 413; transport failures are 400.
+// Every publish entrance — an owner node, a non-owner node that relays, the
+// gateway — answers a rejected upload alike: 413 for the size limit only, 400
+// for a digest mismatch (counted once) or a cut body, and no file left in any
+// data or spool directory.
 func TestPublishStatusDistinguishesLimitFromDisconnect(t *testing.T) {
 	old := maxPublishBytes
 	maxPublishBytes = 1024
-	defer func() { maxPublishBytes = old }()
+	t.Cleanup(func() { maxPublishBytes = old })
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	spoolDir := t.TempDir()
+	t.Setenv("TMPDIR", spoolDir) // the gateway spools under os.TempDir
 
-	srv, err := NewServer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	const name = "r"
+	tc := newTestCluster(t, 2, 1)
+	gw, _ := gatewayFor(t, tc)
+	owner := 0
+	if !tc.nodes[0].server().cluster.ring.Owns(name, tc.urls[0], 1) {
+		owner = 1
 	}
-	req := httptest.NewRequest(http.MethodPost, "/api/publish?name=r",
-		bytes.NewReader(make([]byte, 4096)))
-	rec := httptest.NewRecorder()
-	srv.handlePublish(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize publish status = %d, want 413", rec.Code)
+	entrances := []struct {
+		name    string
+		handler http.Handler
+	}{
+		{"owner", tc.nodes[owner].server().Handler()},
+		{"non-owner", tc.nodes[1-owner].server().Handler()},
+		{"gateway", gw.Handler()},
 	}
-	if !strings.Contains(rec.Body.String(), "publish limit") {
-		t.Fatalf("oversize body = %q", rec.Body.String())
+	small := []byte("not even a tarball")
+	failures := []struct {
+		name       string
+		body       func() io.Reader
+		digest     string
+		status     int
+		mismatches int64
+		msg        string
+	}{
+		{"oversize", func() io.Reader { return bytes.NewReader(make([]byte, 4096)) }, "",
+			http.StatusRequestEntityTooLarge, 0, "publish limit"},
+		{"digest mismatch", func() io.Reader { return bytes.NewReader(small) }, strings.Repeat("f", 64),
+			http.StatusBadRequest, 1, "digest mismatch"},
+		{"cut body", func() io.Reader { return io.MultiReader(bytes.NewReader(small), errorReader{}) }, "",
+			http.StatusBadRequest, 0, "upload aborted"},
+	}
+	for _, e := range entrances {
+		for _, f := range failures {
+			req := httptest.NewRequest(http.MethodPost, "/api/publish?name="+name, f.body())
+			if f.digest != "" {
+				req.Header.Set(DigestHeader, f.digest)
+			}
+			before := mDigestMismatch.Value()
+			rec := httptest.NewRecorder()
+			e.handler.ServeHTTP(rec, req)
+			if rec.Code != f.status || !strings.Contains(rec.Body.String(), f.msg) {
+				t.Errorf("%s, %s: answered %d %q, want %d with %q", e.name, f.name, rec.Code, rec.Body.String(), f.status, f.msg)
+			}
+			if got := mDigestMismatch.Value() - before; got != f.mismatches {
+				t.Errorf("%s, %s: hub.transfer.digest_mismatch moved by %d, want %d", e.name, f.name, got, f.mismatches)
+			}
+			for _, dir := range []string{tc.nodes[0].dir, tc.nodes[1].dir, spoolDir} {
+				for _, left := range serverFiles(t, dir) {
+					t.Errorf("%s, %s: left %q in %s", e.name, f.name, left, dir)
+				}
+			}
+		}
 	}
 }
 
@@ -152,7 +201,7 @@ func TestSearchEmptyEncodesAsArray(t *testing.T) {
 func TestPullHeadersAndRange(t *testing.T) {
 	_, client := newTestServer(t)
 	publishTo(t, client, makeRepo(t, "m"), "r")
-	infos, err := client.Search("r")
+	infos, err := client.Search(context.Background(), "r")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
@@ -257,7 +306,7 @@ func TestReconcileRepublishCrashKeepsOldVersion(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	client := NewClientWith(ts.URL, Options{})
 	publishTo(t, client, makeRepo(t, "v1-model"), "r")
-	infos, err := client.Search("r")
+	infos, err := client.Search(context.Background(), "r")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
@@ -279,7 +328,7 @@ func TestReconcileRepublishCrashKeepsOldVersion(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	client2 := NewClientWith(ts2.URL, Options{})
-	infos2, err := client2.Search("r")
+	infos2, err := client2.Search(context.Background(), "r")
 	if err != nil || len(infos2) != 1 || infos2[0].SHA256 != oldDigest {
 		t.Fatalf("after crash-restart: %+v, %v (want digest %s)", infos2, err, oldDigest)
 	}
@@ -291,7 +340,7 @@ func TestReconcileRepublishCrashKeepsOldVersion(t *testing.T) {
 	}
 	// And the old version still pulls + digest-verifies end to end.
 	dest := t.TempDir()
-	if err := client2.Pull("r", dest); err != nil {
+	if err := client2.Pull(context.Background(), "r", dest); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -306,7 +355,7 @@ func TestReconcileDropsIndexedButMissing(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	client := NewClientWith(ts.URL, Options{})
 	publishTo(t, client, makeRepo(t, "m"), "gone")
-	infos, err := client.Search("gone")
+	infos, err := client.Search(context.Background(), "gone")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
@@ -350,7 +399,7 @@ func TestReconcileMigratesLegacyLayout(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := NewClientWith(ts.URL, Options{})
-	infos, err := client.Search("legacy")
+	infos, err := client.Search(context.Background(), "legacy")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
@@ -361,7 +410,7 @@ func TestReconcileMigratesLegacyLayout(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "legacy.tar.gz")); !os.IsNotExist(err) {
 		t.Fatal("legacy blob not renamed")
 	}
-	if err := client.Pull("legacy", t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), "legacy", t.TempDir()); err != nil {
 		t.Fatalf("pull of migrated repo: %v", err)
 	}
 }
@@ -402,7 +451,7 @@ func TestConcurrentPublishPullSearch(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if err := client.Publish(roots[(p+i)%2], "hammer"); err != nil {
+				if err := client.Publish(context.Background(), roots[(p+i)%2], "hammer"); err != nil {
 					report("publish: %v", err)
 				}
 			}
@@ -439,7 +488,7 @@ func TestConcurrentPublishPullSearch(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				if _, err := client.Search("hammer"); err != nil {
+				if _, err := client.Search(context.Background(), "hammer"); err != nil {
 					report("search: %v", err)
 				}
 			}

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"context"
 	"net/http"
 	"testing"
 	"time"
@@ -52,10 +53,10 @@ func pullTraceRecords(t *testing.T, wantSpans int) []obs.SpanRecord {
 func TestPullTraceClientServerRoundTrip(t *testing.T) {
 	tracingTest(t)
 	_, client := newTestServer(t)
-	if err := client.Publish(makeRepo(t, "traced-model"), "r"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "traced-model"), "r"); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Pull("r", t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), "r", t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,17 +92,17 @@ func TestPullTraceClientServerRoundTrip(t *testing.T) {
 func TestPullTraceResumeHasAttemptChildren(t *testing.T) {
 	tracingTest(t)
 	_, client := newTestServer(t)
-	if err := client.Publish(makeRepo(t, "traced-resume"), "r"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "traced-resume"), "r"); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := client.Search("r")
+	infos, err := client.Search(context.Background(), "r")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
 	cutAt := infos[0].SizeBytes / 2
 	client.HTTP = &http.Client{Transport: &flakyTransport{base: http.DefaultTransport, cutAt: cutAt, cuts: 1}}
 	client.Opts = fastOpts(3)
-	if err := client.Pull("r", t.TempDir()); err != nil {
+	if err := client.Pull(context.Background(), "r", t.TempDir()); err != nil {
 		t.Fatalf("pull with cut stream: %v", err)
 	}
 
@@ -154,7 +155,7 @@ func TestPullTraceResumeHasAttemptChildren(t *testing.T) {
 func TestServerHandlerServesDebugTraces(t *testing.T) {
 	tracingTest(t)
 	_, client := newTestServer(t)
-	resp, err := client.httpClient().Get(client.Base + "/debug/traces")
+	resp, err := client.HTTP.Get(client.Base + "/debug/traces")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,10 +96,10 @@ var (
 	jitterSeedSeq  atomic.Int64
 )
 
-// DefaultHTTPClient builds the client used when Client.HTTP is nil: dial and
-// response-header timeouts so a hung or unreachable server fails fast, but
-// no whole-request ceiling — streaming transfers are guarded by the
-// per-attempt stall watchdog instead.
+// DefaultHTTPClient builds the client that NewClientWith and a ClusterConfig
+// without one use: dial and response-header timeouts so a hung or unreachable
+// server fails fast, but no whole-request ceiling — streaming transfers are
+// guarded by the per-attempt stall watchdog instead.
 func DefaultHTTPClient() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{

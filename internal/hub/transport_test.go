@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -89,10 +90,10 @@ func TestPullResumesAfterCutStream(t *testing.T) {
 	resumesBefore := obs.GetCounter("hub.transfer.resumes").Value()
 
 	_, client := newTestServer(t)
-	if err := client.Publish(makeRepo(t, "resumed-model"), "r"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "resumed-model"), "r"); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := client.Search("r")
+	infos, err := client.Search(context.Background(), "r")
 	if err != nil || len(infos) != 1 {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
@@ -105,7 +106,7 @@ func TestPullResumesAfterCutStream(t *testing.T) {
 	client.Opts = fastOpts(3)
 
 	dest := t.TempDir()
-	if err := client.Pull("r", dest); err != nil {
+	if err := client.Pull(context.Background(), "r", dest); err != nil {
 		t.Fatalf("pull with cut stream: %v", err)
 	}
 	repo, err := dlv.Open(dest)
@@ -130,13 +131,13 @@ func TestPullResumesAfterCutStream(t *testing.T) {
 // destination untouched so a later retry starts clean.
 func TestPullCutEveryAttemptFailsClean(t *testing.T) {
 	_, client := newTestServer(t)
-	if err := client.Publish(makeRepo(t, "m"), "r"); err != nil {
+	if err := client.Publish(context.Background(), makeRepo(t, "m"), "r"); err != nil {
 		t.Fatal(err)
 	}
 	client.HTTP = &http.Client{Transport: &flakyTransport{base: http.DefaultTransport, cutAt: 16, cuts: 100}}
 	client.Opts = fastOpts(2)
 	dest := t.TempDir()
-	if err := client.Pull("r", dest); !errors.Is(err, ErrHub) {
+	if err := client.Pull(context.Background(), "r", dest); !errors.Is(err, ErrHub) {
 		t.Fatalf("pull = %v, want ErrHub", err)
 	}
 	assertDirClean(t, dest)
@@ -191,14 +192,14 @@ func TestPullFailedExtractThenRetrySucceeds(t *testing.T) {
 
 	client := NewClientWith(ts.URL, fastOpts(0))
 	dest := t.TempDir()
-	if err := client.Pull("r", dest); !errors.Is(err, ErrHub) {
+	if err := client.Pull(context.Background(), "r", dest); !errors.Is(err, ErrHub) {
 		t.Fatalf("pull of truncated archive = %v, want ErrHub", err)
 	}
 	assertDirClean(t, dest)
 
 	// The retry against a healthy server must succeed into the SAME dest.
 	setBlob(good)
-	if err := client.Pull("r", dest); err != nil {
+	if err := client.Pull(context.Background(), "r", dest); err != nil {
 		t.Fatalf("retry after failed extract: %v", err)
 	}
 	if _, err := dlv.Open(dest); err != nil {
@@ -223,7 +224,7 @@ func TestPullDigestMismatchRejected(t *testing.T) {
 	defer ts.Close()
 
 	client := NewClientWith(ts.URL, fastOpts(1))
-	err := client.Pull("r", t.TempDir())
+	err := client.Pull(context.Background(), "r", t.TempDir())
 	if !errors.Is(err, ErrHub) || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("pull = %v, want digest mismatch", err)
 	}
@@ -246,7 +247,7 @@ func TestSearchRetriesServerErrors(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
-	out, err := NewClientWith(ts.URL, fastOpts(2)).Search("r")
+	out, err := NewClientWith(ts.URL, fastOpts(2)).Search(context.Background(), "r")
 	if err != nil || len(out) != 1 || out[0].Name != "r" {
 		t.Fatalf("search = %v, %v", out, err)
 	}
@@ -262,7 +263,7 @@ func TestSearchRetriesServerErrors(t *testing.T) {
 	})
 	ts2 := httptest.NewServer(mux2)
 	defer ts2.Close()
-	if _, err := NewClientWith(ts2.URL, fastOpts(3)).Search("r"); !errors.Is(err, ErrHub) {
+	if _, err := NewClientWith(ts2.URL, fastOpts(3)).Search(context.Background(), "r"); !errors.Is(err, ErrHub) {
 		t.Fatalf("search on 400 = %v, want ErrHub", err)
 	}
 	if calls.Load() != 1 {
@@ -285,7 +286,7 @@ func TestSearchTimesOutOnHungServer(t *testing.T) {
 
 	client := NewClientWith(ts.URL, Options{Timeout: 50 * time.Millisecond, Retries: -1})
 	done := make(chan error, 1)
-	go func() { _, err := client.Search("x"); done <- err }()
+	go func() { _, err := client.Search(context.Background(), "x"); done <- err }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrHub) {
@@ -315,7 +316,7 @@ func TestPullStallWatchdogAborts(t *testing.T) {
 
 	client := NewClientWith(ts.URL, Options{StallTimeout: 100 * time.Millisecond, Retries: -1})
 	done := make(chan error, 1)
-	go func() { done <- client.Pull("r", t.TempDir()) }()
+	go func() { done <- client.Pull(context.Background(), "r", t.TempDir()) }()
 	select {
 	case err := <-done:
 		if !errors.Is(err, ErrHub) {
@@ -362,7 +363,7 @@ func TestOptionsDefaultsAndDisable(t *testing.T) {
 
 // NewClient must not hand out the timeout-free http.DefaultClient.
 func TestNewClientHasTimeouts(t *testing.T) {
-	c := NewClient("http://example.invalid")
+	c := NewClientWith("http://example.invalid", Options{})
 	if c.HTTP == nil || c.HTTP == http.DefaultClient {
 		t.Fatal("NewClient must default to a timeout-configured client")
 	}
@@ -387,7 +388,7 @@ func TestPullRefusesExistingRepoBeforeDownload(t *testing.T) {
 	if err := os.Mkdir(filepath.Join(dest, ".dlv"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := NewClientWith(ts.URL, fastOpts(0)).Pull("r", dest); !errors.Is(err, ErrHub) {
+	if err := NewClientWith(ts.URL, fastOpts(0)).Pull(context.Background(), "r", dest); !errors.Is(err, ErrHub) {
 		t.Fatalf("pull into existing repo = %v", err)
 	}
 	if pulls.Load() != 0 {
