@@ -68,15 +68,17 @@ bench-train:
 bench-scaling:
 	$(GO) run ./cmd/mhbench -exp scaling -scaling-json BENCH_scaling.json
 
-# The compute-core suites under a GOMAXPROCS matrix with the race detector,
-# like the CI compute-scaling job: the determinism contract (bit-identical
-# results at any worker count) must hold at every proc count.
+# The compute-core suites, and the PAS write path (pas.Create prices
+# candidates on a GOMAXPROCS-wide gate), under a GOMAXPROCS matrix with the
+# race detector, like the CI compute-scaling job: the determinism contract
+# (bit-identical results and archive bytes at any worker count) must hold at
+# every proc count.
 # -count=1 defeats the test cache: GOMAXPROCS is read by the runtime, not
 # through os.Getenv in test code, so cached results would not re-run.
 test-scaling:
 	for procs in 1 2 4; do \
 		echo "== GOMAXPROCS=$$procs =="; \
-		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/pas ./internal/floatenc || exit 1; \
 	done
 
 check: build vet fmt-check lint test test-race
@@ -95,5 +97,5 @@ help:
 	@echo "bench       - run all benchmarks once"
 	@echo "bench-train - training-substrate kernel benchmarks"
 	@echo "bench-scaling - GOMAXPROCS x workers compute sweep (BENCH_scaling.json)"
-	@echo "test-scaling - tensor/dnn/dql suites with -race under GOMAXPROCS 1/2/4"
+	@echo "test-scaling - tensor/dnn/dql/pas/floatenc suites with -race under GOMAXPROCS 1/2/4"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

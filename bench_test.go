@@ -484,6 +484,23 @@ func BenchmarkAblationZlibLevel(b *testing.B) {
 	}
 }
 
+// The codec alone at the plane sizes archiving prices: B/op shows whether a
+// call builds compressor state or reuses it.
+func BenchmarkDeflate(b *testing.B) {
+	for _, size := range []int{4 << 10, 64 << 10} {
+		plane := floatenc.Segment(tensor.RandNormal(rand.New(rand.NewSource(29)), size/64, 64, 0.1)).Planes[1]
+		b.Run(fmt.Sprintf("%dKB", size>>10), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(plane)))
+			for i := 0; i < b.N; i++ {
+				if _, err := floatenc.Deflate(plane, floatenc.DefaultZlibLevel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkAblationBudgetSplit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunAblationBudgetSplit(17, []float64{1.6}); err != nil {
@@ -700,8 +717,8 @@ func BenchmarkArchiveCreate(b *testing.B) {
 	cur := base
 	for i := 0; i < 4; i++ {
 		snap := pas.SnapshotIn{ID: fmt.Sprintf("s%d", i), Matrices: map[string]*tensor.Matrix{}}
-		for name, m := range cur {
-			snap.Matrices[name] = m.Perturb(rng, 1e-3)
+		for _, name := range dnn.SortedNames(cur) { // map order would reseed the fixture per run
+			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)
 		cur = snap.Matrices
@@ -711,6 +728,7 @@ func BenchmarkArchiveCreate(b *testing.B) {
 		plane bool
 	}{{"matrix", false}, {"plane", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				dir, err := os.MkdirTemp("", "bench-create-*")
 				if err != nil {

@@ -1,8 +1,11 @@
 package dlv
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -334,6 +337,25 @@ func TestArchiveAndRetrieve(t *testing.T) {
 			t.Fatal("interval does not contain true weight")
 		}
 	}
+	// Archive offers its delta pairs in sorted order, so re-archiving the
+	// unchanged repo solves the same graph: same manifest, nothing new stored.
+	manifest := filepath.Join(r.pasPath(), "manifest.json")
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := r.Archive(ArchiveOptions{Algorithm: "pas-mt", Alpha: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) || again.StoredChunks() != store.StoredChunks() {
+		t.Fatalf("re-archive changed the plan: manifest equal %v, stored chunks %d -> %d",
+			bytes.Equal(before, after), store.StoredChunks(), again.StoredChunks())
+	}
 }
 
 func TestArchivePurge(t *testing.T) {
@@ -355,6 +377,24 @@ func TestArchiveEmpty(t *testing.T) {
 	r := initRepo(t)
 	if _, err := r.Archive(ArchiveOptions{}); !errors.Is(err, ErrRepo) {
 		t.Fatal("archiving an empty repo must fail")
+	}
+}
+
+// Within a version every layer of a snapshot is chained to the previous
+// snapshot; a layer the previous snapshot lacks is an error from Create, not
+// a silently dropped delta candidate.
+func TestArchiveRejectsLayerMissingFromPreviousSnapshot(t *testing.T) {
+	r := initRepo(t)
+	w := map[string]*tensor.Matrix{"fc": tensor.NewMatrix(2, 3)}
+	grown := map[string]*tensor.Matrix{"fc": tensor.NewMatrix(2, 3), "head": tensor.NewMatrix(3, 2)}
+	if _, err := r.Commit(CommitInput{
+		Name: "grown", NetDef: zoo.LeNet("grown"),
+		Checkpoints: []dnn.Checkpoint{{Iter: 1, Weights: w}}, Final: grown,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Archive(ArchiveOptions{}); !errors.Is(err, pas.ErrStore) {
+		t.Fatalf("err = %v, want pas.ErrStore", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"modelhub/internal/catalog"
+	"modelhub/internal/dnn"
 	"modelhub/internal/floatenc"
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
@@ -55,8 +56,22 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 	}
 	var snaps []pas.SnapshotIn
 	var extra [][2]pas.MatrixRef
-	firstSnapOf := map[int64]string{}
-	latestSnapOf := map[int64]string{}
+	// link offers a delta from one snapshot to another for every layer name
+	// of the target (sharedOnly: that the source has too; otherwise a name the
+	// source lacks fails Create), in sorted order: pair order is edge
+	// insertion order, which must not replay map iteration order.
+	link := func(from, to pas.SnapshotIn, sharedOnly bool) {
+		for _, name := range dnn.SortedNames(to.Matrices) {
+			if _, ok := from.Matrices[name]; ok || !sharedOnly {
+				extra = append(extra, [2]pas.MatrixRef{
+					{Snapshot: from.ID, Name: name},
+					{Snapshot: to.ID, Name: name},
+				})
+			}
+		}
+	}
+	firstOf := map[int64]pas.SnapshotIn{}
+	latestOf := map[int64]pas.SnapshotIn{}
 	for _, v := range versions {
 		for i, snap := range v.Snapshots {
 			w, err := r.readRawSnapshot(v.ID, snap)
@@ -68,59 +83,29 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 					return nil, err
 				}
 			}
-			budget := opts.CheckpointBudget
+			in := pas.SnapshotIn{ID: pasSnapID(v.ID, snap), Matrices: w, Budget: opts.CheckpointBudget}
 			if snap == LatestSnap {
-				budget = opts.LatestBudget
+				in.Budget = opts.LatestBudget
+				latestOf[v.ID] = in
 			}
-			id := pasSnapID(v.ID, snap)
-			snaps = append(snaps, pas.SnapshotIn{ID: id, Matrices: w, Budget: budget})
 			if i == 0 {
-				firstSnapOf[v.ID] = id
+				firstOf[v.ID] = in
+			} else {
+				link(snaps[len(snaps)-1], in, false) // in-version chain: adjacent snapshots share layer names
 			}
-			if i > 0 {
-				// In-version chain: adjacent snapshots share layer names.
-				prevID := pasSnapID(v.ID, v.Snapshots[i-1])
-				for name := range w {
-					extra = append(extra, [2]pas.MatrixRef{
-						{Snapshot: prevID, Name: name},
-						{Snapshot: id, Name: name},
-					})
-				}
-			}
-			if snap == LatestSnap {
-				latestSnapOf[v.ID] = id
-			}
+			snaps = append(snaps, in)
 		}
 	}
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: nothing to archive", ErrRepo)
 	}
 	// Cross-version candidates along lineage: parent's latest snapshot vs
-	// the child's first snapshot, for layer names they share.
+	// the child's first snapshot.
 	for _, v := range versions {
-		if v.ParentID == 0 {
-			continue
-		}
-		parentLatest, okP := latestSnapOf[v.ParentID]
-		childFirst, okC := firstSnapOf[v.ID]
-		if !okP || !okC {
-			continue
-		}
-		pw, err := r.readRawSnapshot(v.ParentID, LatestSnap)
-		if err != nil {
-			return nil, err
-		}
-		cw, err := r.readRawSnapshot(v.ID, v.Snapshots[0])
-		if err != nil {
-			return nil, err
-		}
-		for name := range cw {
-			if _, ok := pw[name]; ok {
-				extra = append(extra, [2]pas.MatrixRef{
-					{Snapshot: parentLatest, Name: name},
-					{Snapshot: childFirst, Name: name},
-				})
-			}
+		parentLatest, okP := latestOf[v.ParentID]
+		childFirst, okC := firstOf[v.ID]
+		if v.ParentID != 0 && okP && okC {
+			link(parentLatest, childFirst, true)
 		}
 	}
 	store, err := pas.Create(r.pasPath(), snaps, pas.Options{

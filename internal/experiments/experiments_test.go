@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"modelhub/internal/delta"
+	"modelhub/internal/obs"
+	"modelhub/internal/pas"
 	"modelhub/internal/synth"
 )
 
@@ -264,28 +267,36 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := RunTable5(t.TempDir(), Tab5Config{Versions: 2, SnapshotsPerVersion: 2, Seed: 6})
+	dir := t.TempDir()
+	rows, err := RunTable5(dir, Tab5Config{Versions: 2, SnapshotsPerVersion: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	find := func(planPrefix, query string) Tab5Row {
-		for _, r := range rows {
-			if strings.HasPrefix(r.Plan, planPrefix) && r.Query == query {
-				return r
+	// Partial retrieval reads fewer bytes than full retrieval for the PAS
+	// plan, the archive RunTable5 archives last and leaves in dir. The bytes
+	// are counted: the rows hold one sub-millisecond wall-clock timing per
+	// query, which a single preemption inverts.
+	store, err := pas.Open(filepath.Join(dir, ".dlv", "pas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	obs.Enable() // counters are no-ops while metrics are disabled
+	readBytes := obs.GetCounter("pas.chunk.read_bytes")
+	read := func(prefix int) int64 {
+		before := readBytes.Value()
+		for _, snap := range store.Snapshots() {
+			if _, err := store.GetSnapshot(snap, prefix, pas.Independent); err != nil {
+				t.Fatal(err)
 			}
 		}
-		t.Fatalf("missing row %s/%s", planPrefix, query)
-		return Tab5Row{}
+		return readBytes.Value() - before
 	}
-	// Partial retrieval reads fewer bytes than full retrieval for the PAS
-	// plan.
-	pasFull := find("pas", "full")
-	pas1 := find("pas", "1 byte")
-	if pas1.Independent >= pasFull.Independent {
-		t.Fatalf("1-byte retrieval (%v) should beat full (%v)", pas1.Independent, pasFull.Independent)
+	if one, full := read(1), read(4); one <= 0 || one >= full {
+		t.Fatalf("1-byte retrieval read %d bytes, full retrieval %d", one, full)
 	}
 	var buf bytes.Buffer
 	PrintTable5(&buf, rows)

@@ -1,6 +1,8 @@
 package floatenc
 
 import (
+	"bytes"
+	"compress/zlib"
 	"math"
 	"math/rand"
 	"testing"
@@ -193,7 +195,7 @@ func TestDeflateInflateRoundTrip(t *testing.T) {
 		if len(z) >= len(data) {
 			t.Fatalf("level %d: repetitive data should compress (%d >= %d)", level, len(z), len(data))
 		}
-		back, err := Inflate(z)
+		back, err := Inflate(z, len(data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,8 +206,75 @@ func TestDeflateInflateRoundTrip(t *testing.T) {
 }
 
 func TestInflateGarbage(t *testing.T) {
-	if _, err := Inflate([]byte{1, 2, 3}); err == nil {
+	if _, err := Inflate([]byte{1, 2, 3}, 3); err == nil {
 		t.Fatal("want error for garbage zlib data")
+	}
+}
+
+// Deflate reuses pooled writers; at every level zlib accepts, whichever
+// writer a call draws must produce the bytes of a freshly built one, and a
+// level outside that range is an error, not an index into the pool.
+func TestDeflatePooledMatchesFreshWriter(t *testing.T) {
+	seg := Segment(randMat(27, 40, 40))
+	for level := zlib.HuffmanOnly; level <= zlib.BestCompression; level++ {
+		for round := 0; round < 3; round++ { // later rounds draw writers earlier ones returned
+			for p, plane := range seg.Planes {
+				var fresh bytes.Buffer
+				zw, err := zlib.NewWriterLevel(&fresh, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := zw.Write(plane); err != nil {
+					t.Fatal(err)
+				}
+				if err := zw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := Deflate(plane, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, fresh.Bytes()) {
+					t.Fatalf("level %d round %d plane %d: pooled writer output differs from a fresh writer's", level, round, p)
+				}
+			}
+		}
+	}
+	for _, level := range []int{zlib.HuffmanOnly - 1, zlib.BestCompression + 1, math.MinInt, math.MaxInt} {
+		if _, err := Deflate(seg.Planes[0], level); err == nil {
+			t.Fatalf("level %d: want an error", level)
+		}
+	}
+}
+
+// Inflate yields exactly the declared size or an error: a stream that is
+// longer, shorter or fails its checksum is rejected, and the pooled reader
+// stays usable afterwards.
+func TestInflateExactSize(t *testing.T) {
+	plane := Segment(randMat(28, 30, 30)).Planes[1]
+	z, err := Deflate(plane, DefaultZlibLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badSum := append([]byte(nil), z...)
+	badSum[len(badSum)-1] ^= 1
+	for name, c := range map[string]struct {
+		data []byte
+		size int
+	}{
+		"runs past":    {z, len(plane) - 1},
+		"ends short":   {z, len(plane) + 1},
+		"empty target": {z, 0},
+		"bad checksum": {badSum, len(plane)},
+		"truncated":    {z[:len(z)/2], len(plane)},
+	} {
+		if _, err := Inflate(c.data, c.size); err == nil {
+			t.Errorf("%s: want an error", name)
+		}
+		back, err := Inflate(z, len(plane))
+		if err != nil || !bytes.Equal(back, plane) {
+			t.Fatalf("after %q: exact-size inflate failed: %v", name, err)
+		}
 	}
 }
 

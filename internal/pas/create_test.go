@@ -1,0 +1,242 @@
+package pas
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"modelhub/internal/delta"
+	"modelhub/internal/floatenc"
+	"modelhub/internal/obs"
+	"modelhub/internal/tensor"
+)
+
+// archiveDigest hashes everything Create writes: manifest.json,
+// segments/index.json and every segment file, names included.
+func archiveDigest(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(paths)
+	paths = append([]string{filepath.Join(dir, "manifest.json"), segIndexPath(dir)}, paths...)
+	h := sha256.New()
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(filepath.ToSlash(rel)))
+		h.Write([]byte{0})
+		h.Write(blob)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// reshapedSnaps is makeSnaps plus a last snapshot whose "ip2" lost a row —
+// the fine-tune that changes the label domain — so the default pairing holds
+// two same-shape pairs and one differing-shape pair into the last snapshot.
+func reshapedSnaps(seed int64, nSnaps int) []SnapshotIn {
+	snaps := makeSnaps(seed, nSnaps, 0)
+	last := snaps[len(snaps)-1].Matrices
+	ip2 := last["ip2"]
+	return append(snaps, SnapshotIn{ID: "reshaped", Matrices: map[string]*tensor.Matrix{
+		"conv1": last["conv1"],
+		"ip1":   last["ip1"],
+		"ip2":   delta.ResizeTo(ip2, ip2.Rows()-1, ip2.Cols()),
+	}})
+}
+
+// The bytes Create writes are a function of its input alone: equal at every
+// worker count, and equal to what the serial implementation this one replaced
+// wrote, before candidate pricing was pooled, shared between twin edges and
+// run on a worker gate. The want digests come from that implementation: check
+// out e3e714e, give its store_test.go makeSnaps the sorted-name loop it has
+// here (the only fixture change), add this file reduced to archiveDigest,
+// reshapedSnaps and this test, and run it — the eight digests it prints (two
+// fixtures x four worker counts) are the two constants below.
+func TestCreateBytesAreWorkerInvariant(t *testing.T) {
+	for _, fx := range []struct {
+		name  string
+		snaps []SnapshotIn
+		opts  Options
+		want  string
+	}{
+		{"matrix", makeSnaps(60, 5, 0), Options{Algorithm: "pas-mt", Alpha: 1.6},
+			"02e8829c7ccf46cc35dcbefae56d654ede06fb2857dcad412b245a2451a637c0"},
+		{"plane+remote+reshaped", reshapedSnaps(61, 4),
+			Options{Algorithm: "pas-mt", Alpha: 1.6, PlaneGranularity: true,
+				Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
+			"fa692e9f00647cf7ad02216e832ecfa2bfba6853be58f75e8c726d342a182006"},
+	} {
+		for _, procs := range []int{1, 2, 4, 8} {
+			prev := runtime.GOMAXPROCS(procs)
+			dir := t.TempDir()
+			st, err := Create(dir, fx.snaps, fx.opts)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("%s at GOMAXPROCS=%d: %v", fx.name, procs, err)
+			}
+			checkoutAllExact(t, st, fx.snaps, Concurrent)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := archiveDigest(t, dir); got != fx.want {
+				t.Errorf("%s at GOMAXPROCS=%d: archive digest %s, want %s", fx.name, procs, got, fx.want)
+			}
+		}
+	}
+}
+
+// Pricing deflates each plane of each distinct candidate body exactly once —
+// one body per matrix, one per same-shape pair, two per differing-shape
+// pair — and the write loop deflates nothing, whatever the node granularity
+// or tier options.
+func TestCreateDeflatesEachPlaneOnce(t *testing.T) {
+	snaps := reshapedSnaps(62, 3) // 4 snapshots x 3 matrices; 9 default pairs, 1 of them reshaped
+	const matrices, sameShape, reshaped = 12, 8, 1
+	obs.Enable() // counters are no-ops while metrics are disabled
+	for _, opts := range []Options{
+		{},
+		{PlaneGranularity: true, Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
+	} {
+		deflated, shared := mCreatePlanesDeflated.Value(), mCreatePlanesShared.Value()
+		createStore(t, snaps, opts)
+		if got, want := mCreatePlanesDeflated.Value()-deflated, int64((matrices+sameShape+2*reshaped)*floatenc.NumPlanes); got != want {
+			t.Errorf("%+v: %d planes deflated, want %d", opts, got, want)
+		}
+		if got, want := mCreatePlanesShared.Value()-shared, int64(sameShape*floatenc.NumPlanes); got != want {
+			t.Errorf("%+v: %d planes shared, want %d", opts, got, want)
+		}
+	}
+}
+
+// When a pair's shapes differ the two directions crop and pad different
+// bases, so they are priced separately, cost differently, and each inverts
+// bit-exactly when a plan picks it: Prim's tree roots at the matrix that is
+// cheaper to materialize, which the wide one's column count decides here.
+func TestCreateDifferingShapePairPricesBothDirections(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	tall := tensor.RandNormal(rng, 20, 6, 0.1)
+	used := map[[2]int]bool{}
+	for _, cols := range []int{9, 15} {
+		wide := delta.ResizeTo(tall, 10, cols).Perturb(rng, 1e-4)
+		snaps := []SnapshotIn{
+			{ID: "v1", Matrices: map[string]*tensor.Matrix{"fc": tall}},
+			{ID: "v2", Matrices: map[string]*tensor.Matrix{"fc": wide}},
+		}
+		g, err := BuildGraph(snaps, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Edges: ν0→v1, ν0→v2, v1→v2, v2→v1.
+		if len(g.Edges) != 4 || g.Edges[2].Storage == g.Edges[3].Storage {
+			t.Fatalf("directed costs of a reshaped pair: %+v", g.Edges)
+		}
+		st := createStore(t, snaps, Options{Algorithm: "mst"})
+		used[[2]int{st.man.Nodes[0].Parent, st.man.Nodes[1].Parent}] = true
+		checkoutAllExact(t, st, snaps, Concurrent)
+	}
+	if !used[[2]int{0, 1}] || !used[[2]int{2, 0}] {
+		t.Fatalf("plans %v did not use both directions of the pair", used)
+	}
+}
+
+// A pricing failure surfaces as one ErrStore, nothing is written, and every
+// worker has exited by the time Create returns.
+func TestCreatePricingErrorSurfacesOnce(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	_, err := Create(dir, makeSnaps(64, 6, 0), Options{ZlibLevel: 42})
+	if !errors.Is(err, ErrStore) {
+		t.Fatalf("Create with an invalid zlib level = %v, want ErrStore", err)
+	}
+	if n := strings.Count(err.Error(), "invalid compression level"); n != 1 {
+		t.Fatalf("error names the failure %d times: %v", n, err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("failed Create left %d entries behind", len(left))
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Create, %d after", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
+	}
+}
+
+// A pulled archive's chunk is untrusted even when its digest matches the
+// manifest: a payload that inflates past the plane size its node declares is
+// rejected after at most that many bytes, not after the whole expansion.
+func TestReadPlaneBoundsHostileInflate(t *testing.T) {
+	snaps := makeSnaps(65, 2, 0)
+	dir := t.TempDir()
+	st, err := Create(dir, snaps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const bombSize = 8 << 20
+	bomb, err := floatenc.Deflate(make([]byte, bombSize), floatenc.DefaultZlibLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(bomb)
+	if _, err := storePayloads(dir, []segPayload{{sum: hex.EncodeToString(sum[:]), data: bomb}}); err != nil {
+		t.Fatal(err)
+	}
+	man := st.man
+	man.Nodes = append([]manifestNode(nil), man.Nodes...)
+	man.Nodes[0].PlaneSum[0] = hex.EncodeToString(sum[:])
+	man.Nodes[0].PlaneBytes[0] = len(bomb)
+	if err := writeManifest(dir, &man); err != nil {
+		t.Fatal(err)
+	}
+	hostile, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hostile.Close()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = hostile.GetSnapshot(snaps[0].ID, 4, Independent)
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrStore) {
+		t.Fatalf("retrieval through a %d-byte payload inflating to %d bytes = %v, want ErrStore", len(bomb), bombSize, err)
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > bombSize/8 {
+		t.Fatalf("rejecting the payload allocated %d bytes", grew)
+	}
+	// A payload shorter than its declared plane is typed the same way.
+	man.Nodes[0] = st.man.Nodes[0]
+	man.Nodes[0].Rows++
+	if err := writeManifest(dir, &man); err != nil {
+		t.Fatal(err)
+	}
+	short, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer short.Close()
+	if _, err := short.GetSnapshot(snaps[0].ID, 4, Independent); !errors.Is(err, ErrStore) {
+		t.Fatalf("retrieval of a short payload = %v, want ErrStore", err)
+	}
+}

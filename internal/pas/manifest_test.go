@@ -112,6 +112,10 @@ func FuzzOpenManifest(f *testing.F) {
 	for _, row := range hostileManifests {
 		f.Add(mutated(f, man, row.mutate))
 	}
+	// Shapes Open accepts but the stored payloads inflate past, or fall
+	// short of: retrieval must stop at the declared plane size.
+	f.Add(mutated(f, man, func(m *manifest) { m.Nodes[0].Rows, m.Nodes[0].Cols = 1, 1 }))
+	f.Add(mutated(f, man, func(m *manifest) { m.Nodes[0].Rows++ }))
 	paths, err := filepath.Glob(filepath.Join(base, segmentsDir, "*"))
 	if err != nil {
 		f.Fatal(err)

@@ -35,6 +35,12 @@ var (
 	gSegmentCount       = obs.GetGauge("pas.segment.count")
 	gSegmentDiskBytes   = obs.GetGauge("pas.segment.disk_bytes")
 
+	// Create's pricing step: planes deflated (exactly one per plane of each
+	// distinct candidate delta body, none in the write loop) and planes a
+	// same-shape pair's reverse edge took from its twin instead.
+	mCreatePlanesDeflated = obs.GetCounter("pas.create.planes_deflated")
+	mCreatePlanesShared   = obs.GetCounter("pas.create.planes_shared")
+
 	// Snapshot retrievals per scheme, and their latency.
 	mRetrievalSeconds = obs.GetHistogram("pas.retrieval.seconds")
 	mRetrievalScheme  = [...]*obs.Counter{

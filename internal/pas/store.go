@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
@@ -187,23 +189,100 @@ var ErrStore = errors.New("pas: store error")
 // ErrStore, so errors.Is(err, ErrStore) also matches.
 var ErrCycle = fmt.Errorf("%w: parent cycle", ErrStore)
 
-// candidates is the output of graph construction: the storage graph plus
-// the delta payload and tier of every candidate edge.
+// priced is one candidate delta body after the only Segment + Deflate it
+// gets: its shape and its four compressed planes. Every edge that would store
+// the same body — the part nodes of one matrix, the two directions of a
+// same-shape pair, the remote-tier twins — shares one.
+type priced struct {
+	rows, cols int
+	z          [floatenc.NumPlanes][]byte
+}
+
+// price computes, segments and deflates the delta body that recreates target
+// from base (nil: ν0, whose delta body is target itself).
+func price(base, target *tensor.Matrix, level int) (*priced, error) {
+	body := target
+	if base != nil {
+		d, err := delta.Compute(deltaOp, base, target)
+		if err != nil {
+			return nil, err
+		}
+		body = d.Body
+	}
+	seg := floatenc.Segment(body)
+	b := &priced{rows: seg.Rows, cols: seg.Cols}
+	for p, plane := range seg.Planes {
+		z, err := floatenc.Deflate(plane, level)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrStore, err)
+		}
+		b.z[p] = z
+	}
+	mCreatePlanesDeflated.Add(floatenc.NumPlanes)
+	return b, nil
+}
+
+// priceAll prices {base, target} jobs behind a GOMAXPROCS-wide worker gate.
+// Results land by job index, so nothing built from them depends on the worker
+// count or on scheduling. After a failure the workers stop taking jobs and
+// the first error recorded is the one returned.
+func priceAll(jobs [][2]*tensor.Matrix, level int) ([]*priced, error) {
+	out := make([]*priced, len(jobs))
+	var next atomic.Int64
+	var failed atomic.Pointer[error]
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0) && w < len(jobs); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for failed.Load() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(jobs) {
+					return
+				}
+				var err error
+				if out[i], err = price(jobs[i][0], jobs[i][1], level); err != nil {
+					failed.CompareAndSwap(nil, &err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := failed.Load(); err != nil {
+		return nil, *err
+	}
+	return out, nil
+}
+
+// candNode is one node of the storage graph: the matrix it belongs to, the
+// byte planes it covers, and the pricing job of its materialization.
+type candNode struct {
+	ref  MatrixRef
+	part [2]int
+	job  int
+}
+
+// candEdge is what Create writes if the plan picks the edge.
+type candEdge struct {
+	body *priced
+	tier int
+}
+
+// candidates is the output of graph construction: the storage graph, its
+// nodes (index 0, ν0, unused) and every candidate edge by EdgeID.
 type candidates struct {
-	g        *Graph
-	payloads map[EdgeID]*tensor.Matrix
-	tiers    map[EdgeID]int
-	byRef    map[MatrixRef][]int
-	// refs[id] is the matrix reference of node id (index 0 unused);
-	// planeRange[id] bounds the byte planes the node covers.
-	refs       []MatrixRef
-	planeRange [][2]int
+	g     *Graph
+	nodes []candNode
+	edges []candEdge
 }
 
 // buildCandidates measures every candidate edge of the matrix storage graph
 // for the given snapshots: materialization edges from \u03bd0, same-name deltas
 // between consecutive snapshots (unless disabled), explicit extra pairs, and
-// remote-tier variants. Costs are real compressed byte counts.
+// remote-tier variants. Costs are real compressed byte counts. Each distinct
+// delta body is priced once, in parallel; edges are then added serially in a
+// fixed order, so edge ids — and with them the plan and the archive bytes —
+// are the same at any worker count.
 func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: no snapshots", ErrStore)
@@ -216,14 +295,10 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 		parts = [][2]int{{0, 2}, {2, floatenc.NumPlanes}}
 	}
 
-	// Assign node ids in deterministic order.
-	type nodeInfo struct {
-		ref  MatrixRef
-		m    *tensor.Matrix
-		part [2]int
-	}
-	var nodes []nodeInfo // index 0 unused (\u03bd0)
-	nodes = append(nodes, nodeInfo{})
+	// Assign node ids in deterministic order. jobs lists the distinct delta
+	// bodies to price; the part nodes of one matrix share its body.
+	nodes := []candNode{{}}
+	var jobs [][2]*tensor.Matrix
 	byRef := make(map[MatrixRef][]int)
 	matrixOf := make(map[MatrixRef]*tensor.Matrix)
 	for _, s := range snaps {
@@ -235,90 +310,82 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 			matrixOf[ref] = s.Matrices[name]
 			for _, part := range parts {
 				byRef[ref] = append(byRef[ref], len(nodes))
-				nodes = append(nodes, nodeInfo{ref: ref, m: s.Matrices[name], part: part})
+				nodes = append(nodes, candNode{ref: ref, part: part, job: len(jobs)})
 			}
+			jobs = append(jobs, [2]*tensor.Matrix{nil, s.Matrices[name]})
 		}
 	}
 
-	g := NewGraph(len(nodes) - 1)
-	// Candidate edge payloads, keyed by edge id, so the chosen plan can
-	// write chunks without recomputing deltas. Edge tiers record which
-	// storage option (local or remote) an edge models. Costs measure only
-	// the planes the target node covers.
-	payloads := make(map[EdgeID]*tensor.Matrix)
-	tiers := make(map[EdgeID]int)
-	addEdge := func(from, to int, body *tensor.Matrix) error {
-		part := nodes[to].part
-		fp, err := measurePlanes(body, opts.ZlibLevel, part[0], part[1])
-		if err != nil {
-			return err
-		}
-		cost := float64(fp)
-		eid := g.AddEdge(NodeID(from), NodeID(to), cost, cost)
-		payloads[eid] = body
-		tiers[eid] = tierLocal
-		if opts.Remote != nil {
-			rid := g.AddEdge(NodeID(from), NodeID(to),
-				cost*opts.Remote.StorageFactor, cost*opts.Remote.RecreationFactor)
-			payloads[rid] = body
-			tiers[rid] = tierRemote
-		}
-		return nil
-	}
-	// Materialization edges \u03bd0 -> m (one per part node).
-	for id := 1; id < len(nodes); id++ {
-		d, err := delta.Compute(deltaOp, nil, nodes[id].m)
-		if err != nil {
-			return nil, err
-		}
-		if err := addEdge(0, id, d.Body); err != nil {
-			return nil, err
-		}
-	}
 	// Default delta candidates: same-name matrices in consecutive snapshots.
 	// Shared names are sorted before pairing: pair order decides delta-edge
 	// insertion order, which must not replay map iteration order.
 	var pairs [][2]MatrixRef
 	for i := 1; i < len(snaps) && !opts.NoDefaultPairs; i++ {
 		prev, cur := snaps[i-1], snaps[i]
-		var shared []string
-		for name := range cur.Matrices {
+		for _, name := range sortedKeys(cur.Matrices) {
 			if _, ok := prev.Matrices[name]; ok {
-				shared = append(shared, name)
+				pairs = append(pairs, [2]MatrixRef{
+					{Snapshot: prev.ID, Name: name},
+					{Snapshot: cur.ID, Name: name},
+				})
 			}
-		}
-		sort.Strings(shared)
-		for _, name := range shared {
-			pairs = append(pairs, [2]MatrixRef{
-				{Snapshot: prev.ID, Name: name},
-				{Snapshot: cur.ID, Name: name},
-			})
 		}
 	}
 	pairs = append(pairs, opts.ExtraPairs...)
-	for _, p := range pairs {
-		aids, okA := byRef[p[0]]
-		bids, okB := byRef[p[1]]
+	// pairJobs[i] holds the jobs of pair i's two directions. XOR is
+	// symmetric, so a same-shape pair has one body for both; when the shapes
+	// differ the base is cropped or padded to the target's, the two bodies
+	// really differ, and each direction is priced.
+	pairJobs := make([][2]int, len(pairs))
+	for i, p := range pairs {
+		a, okA := matrixOf[p[0]]
+		b, okB := matrixOf[p[1]]
 		if !okA || !okB {
 			return nil, fmt.Errorf("%w: delta pair references unknown matrix %v / %v", ErrStore, p[0], p[1])
 		}
-		dAB, err := delta.Compute(deltaOp, matrixOf[p[0]], matrixOf[p[1]])
-		if err != nil {
-			return nil, err
+		pairJobs[i] = [2]int{len(jobs), len(jobs)}
+		jobs = append(jobs, [2]*tensor.Matrix{a, b})
+		if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
+			pairJobs[i][1] = len(jobs)
+			jobs = append(jobs, [2]*tensor.Matrix{b, a})
+		} else {
+			mCreatePlanesShared.Add(floatenc.NumPlanes)
 		}
-		dBA, err := delta.Compute(deltaOp, matrixOf[p[1]], matrixOf[p[0]])
-		if err != nil {
-			return nil, err
+	}
+	bodies, err := priceAll(jobs, opts.ZlibLevel)
+	if err != nil {
+		return nil, err
+	}
+
+	// An edge keeps its priced body, so the chosen plan writes chunks
+	// without recomputing or recompressing a delta, and the storage option
+	// (local or remote) it models. Its cost counts only the planes the
+	// target node covers.
+	cand := &candidates{g: NewGraph(len(nodes) - 1), nodes: nodes}
+	addEdge := func(from, to int, body *priced) {
+		cost := 0.0
+		for p := nodes[to].part[0]; p < nodes[to].part[1]; p++ {
+			cost += float64(len(body.z[p]))
 		}
-		// Deltas connect same-part nodes only (parts are stored and
-		// recreated independently).
+		cand.g.AddEdge(NodeID(from), NodeID(to), cost, cost)
+		cand.edges = append(cand.edges, candEdge{body, tierLocal})
+		if opts.Remote != nil {
+			cand.g.AddEdge(NodeID(from), NodeID(to),
+				cost*opts.Remote.StorageFactor, cost*opts.Remote.RecreationFactor)
+			cand.edges = append(cand.edges, candEdge{body, tierRemote})
+		}
+	}
+	// Materialization edges \u03bd0 -> m (one per part node).
+	for id := 1; id < len(nodes); id++ {
+		addEdge(0, id, bodies[nodes[id].job])
+	}
+	// Deltas connect same-part nodes only (parts are stored and recreated
+	// independently).
+	for i, p := range pairs {
+		aids, bids := byRef[p[0]], byRef[p[1]]
 		for pi := range aids {
-			if err := addEdge(aids[pi], bids[pi], dAB.Body); err != nil {
-				return nil, err
-			}
-			if err := addEdge(bids[pi], aids[pi], dBA.Body); err != nil {
-				return nil, err
-			}
+			addEdge(aids[pi], bids[pi], bodies[pairJobs[i][0]])
+			addEdge(bids[pi], aids[pi], bodies[pairJobs[i][1]])
 		}
 	}
 	// Snapshot groups: all part nodes of the snapshot's matrices are
@@ -330,16 +397,9 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 				ids = append(ids, NodeID(id))
 			}
 		}
-		g.AddSnapshot(s.ID, ids, s.Budget)
+		cand.g.AddSnapshot(s.ID, ids, s.Budget)
 	}
-	refs := make([]MatrixRef, len(nodes))
-	planeRange := make([][2]int, len(nodes))
-	for id := 1; id < len(nodes); id++ {
-		refs[id] = nodes[id].ref
-		planeRange[id] = nodes[id].part
-	}
-	return &candidates{g: g, payloads: payloads, tiers: tiers, byRef: byRef,
-		refs: refs, planeRange: planeRange}, nil
+	return cand, nil
 }
 
 // BuildGraph constructs and measures the matrix storage graph for the given
@@ -362,7 +422,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, payloads, tiers := cand.g, cand.payloads, cand.tiers
+	g := cand.g
 	if opts.Alpha > 0 {
 		if _, err := SetBudgetsAlphaSPT(g, opts.Scheme, opts.Alpha); err != nil {
 			return nil, err
@@ -382,7 +442,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		return nil, err
 	}
 
-	// Deflate the chosen plan's chunk payloads and build the manifest.
+	// The chosen plan's chunk payloads are the bytes pricing kept.
 	man := manifest{
 		Version:     2,
 		DeltaOp:     uint8(deltaOp),
@@ -394,26 +454,21 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		Feasible:    feasible,
 	}
 	var chunks []segPayload
-	for id := 1; id < len(cand.refs); id++ {
-		eid := plan.ParentEdge[id]
-		body := payloads[eid]
-		seg := floatenc.Segment(body)
-		part := cand.planeRange[id]
+	for id := 1; id < len(cand.nodes); id++ {
+		e := cand.edges[plan.ParentEdge[id]]
+		part := cand.nodes[id].part
 		mn := manifestNode{
 			ID:         id,
-			Ref:        cand.refs[id],
-			Rows:       body.Rows(),
-			Cols:       body.Cols(),
+			Ref:        cand.nodes[id].ref,
+			Rows:       e.body.rows,
+			Cols:       e.body.cols,
 			Parent:     int(plan.Parent(NodeID(id))),
-			Tier:       tiers[eid],
+			Tier:       e.tier,
 			PlaneStart: part[0],
 			PlaneEnd:   part[1],
 		}
 		for p := part[0]; p < part[1]; p++ {
-			z, err := floatenc.Deflate(seg.Planes[p], opts.ZlibLevel)
-			if err != nil {
-				return nil, err
-			}
+			z := e.body.z[p]
 			sum := sha256.Sum256(z)
 			mn.PlaneSum[p] = hex.EncodeToString(sum[:])
 			mn.PlaneBytes[p] = len(z)
@@ -728,26 +783,6 @@ func (s *Store) TierChunkBytes(tier int) int64 {
 		}
 	}
 	return total
-}
-
-// measureBytewise returns the summed per-plane compressed size of a matrix
-// body — the storage cost model used for plan optimization.
-func measureBytewise(m *tensor.Matrix, level int) (int, error) {
-	return measurePlanes(m, level, 0, floatenc.NumPlanes)
-}
-
-// measurePlanes measures the compressed size of a plane subrange.
-func measurePlanes(m *tensor.Matrix, level, start, end int) (int, error) {
-	seg := floatenc.Segment(m)
-	total := 0
-	for p := start; p < end; p++ {
-		z, err := floatenc.Deflate(seg.Planes[p], level)
-		if err != nil {
-			return 0, err
-		}
-		total += len(z)
-	}
-	return total, nil
 }
 
 func sortedKeys(m map[string]*tensor.Matrix) []string {

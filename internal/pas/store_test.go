@@ -25,8 +25,10 @@ func makeSnaps(seed int64, nSnaps int, budget float64) []SnapshotIn {
 	cur := base
 	for i := 0; i < nSnaps; i++ {
 		snap := SnapshotIn{ID: string(rune('a' + i)), Matrices: map[string]*tensor.Matrix{}, Budget: budget}
-		for name, m := range cur {
-			snap.Matrices[name] = m.Perturb(rng, 1e-3)
+		// Sorted names: map order would draw the perturbations, and so build
+		// the fixture and its plan, differently on every run.
+		for _, name := range sortedKeys(cur) {
+			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)
 		cur = snap.Matrices
