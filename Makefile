@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet fmt-check lint lint-baseline test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke bench bench-train bench-scaling check help
+.PHONY: build vet fmt-check lint lint-baseline test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke bench check help
 
 build:
 	$(GO) build ./...
@@ -58,16 +58,6 @@ cluster-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# Training-substrate kernels: conv kernels, GEMM, parallel enumeration.
-bench-train:
-	$(GO) test -bench='BenchmarkConvForward|BenchmarkGemm$$|BenchmarkEvaluateGrid|BenchmarkTrainingStep' -run=^$$ .
-
-# Multicore scaling sweep: GOMAXPROCS x workers over GEMM, conv passes, full
-# training steps (scratch arena on/off), and concurrent DQL evaluate. Writes
-# BENCH_scaling.json with a hardware-metadata block.
-bench-scaling:
-	$(GO) run ./cmd/mhbench -exp scaling -scaling-json BENCH_scaling.json
-
 # The compute-core suites, and the PAS write path (pas.Create prices
 # candidates on a GOMAXPROCS-wide gate), under a GOMAXPROCS matrix with the
 # race detector, like the CI compute-scaling job: the determinism contract
@@ -95,7 +85,5 @@ help:
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "bench       - run all benchmarks once"
-	@echo "bench-train - training-substrate kernel benchmarks"
-	@echo "bench-scaling - GOMAXPROCS x workers compute sweep (BENCH_scaling.json)"
 	@echo "test-scaling - tensor/dnn/dql/pas/floatenc suites with -race under GOMAXPROCS 1/2/4"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

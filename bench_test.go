@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -575,7 +576,7 @@ func BenchmarkTrainingStep(b *testing.B) {
 // top for readability of the bench list.
 func newEngine(repo *dlv.Repo) *dql.Engine { return dql.NewEngine(repo) }
 
-// ---- training substrate kernels (mhbench -exp training) ----
+// ---- training substrate kernels ----
 
 // conv3Net is a conv-dominated 3-conv chain for kernel comparisons.
 func conv3Net() *dnn.NetDef {
@@ -591,8 +592,9 @@ func conv3Net() *dnn.NetDef {
 	)
 }
 
-// BenchmarkConvForward compares the naive six-loop convolution against the
-// im2col/GEMM kernel on a batch-16 forward pass through a 3-conv network.
+// BenchmarkConvForward times a batch-16 forward pass through a 3-conv
+// network on the im2col/GEMM kernel (its comparison against the six-loop
+// reference is BenchmarkConvKernels in internal/dnn, beside the oracle).
 func BenchmarkConvForward(b *testing.B) {
 	net, err := dnn.Build(conv3Net(), rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -608,23 +610,14 @@ func BenchmarkConvForward(b *testing.B) {
 		}
 		batchIn[i] = v
 	}
-	for _, cfg := range []struct {
-		name   string
-		kernel dnn.ConvKernel
-	}{{"naive", dnn.ConvNaive}, {"im2col", dnn.ConvIm2col}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			prev := dnn.SetConvKernel(cfg.kernel)
-			defer dnn.SetConvKernel(prev)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				net.ForwardBatch(batchIn)
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ForwardBatch(batchIn)
 	}
 }
 
 // BenchmarkGemm compares the reference triple loop against the blocked
-// kernel at 1 worker and at GOMAXPROCS.
+// kernel at GOMAXPROCS 1 and at the machine's width.
 func BenchmarkGemm(b *testing.B) {
 	const n = 192
 	rng := rand.New(rand.NewSource(5))
@@ -640,14 +633,13 @@ func BenchmarkGemm(b *testing.B) {
 			}
 		}
 	})
-	workerCounts := []int{1}
-	if w := tensor.GemmWorkers(); w > 1 {
-		workerCounts = append(workerCounts, w)
+	procs := []int{1}
+	if w := runtime.GOMAXPROCS(0); w > 1 {
+		procs = append(procs, w)
 	}
-	for _, workers := range workerCounts {
+	for _, workers := range procs {
 		b.Run(fmt.Sprintf("gemm-w%d", workers), func(b *testing.B) {
-			prev := tensor.SetGemmWorkers(workers)
-			defer tensor.SetGemmWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 			b.SetBytes(flops)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	mhbench -exp all            # every experiment
-//	mhbench -exp fig6a          # one of: tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval training ablations
+//	mhbench -exp fig6a          # one of: tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval scale ablations
 //	mhbench -exp fig6c -scale 3 # scale up the synthetic workloads
 //	mhbench -exp all -metrics BENCH_metrics.json  # dump the obs registry after the run
 package main
@@ -24,11 +24,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval training scale scaling ablations")
+	exp := flag.String("exp", "all", "experiment: all tab1 fig6a fig6b fig6c fig6d tab4 tab5 retrieval scale ablations")
 	scale := flag.Int("scale", 1, "workload scale multiplier for synthetic experiments")
 	seed := flag.Int64("seed", 1, "random seed")
 	metricsFile := flag.String("metrics", "", "enable the obs registry and write its JSON snapshot to this file on exit")
-	scalingJSON := flag.String("scaling-json", "", "write the multicore scaling sweep to this JSON file")
 	flag.Parse()
 
 	if *metricsFile != "" {
@@ -156,17 +155,6 @@ func main() {
 		return nil
 	})
 
-	run("training", func() error {
-		rows, err := experiments.RunTraining(experiments.TrainingConfig{
-			Iters: 8 * *scale, Examples: 240 * *scale, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintTraining(os.Stdout, rows)
-		return nil
-	})
-
 	run("scale", func() error {
 		sizes := []int{25, 50, 100, 200}
 		if *scale > 1 {
@@ -179,23 +167,6 @@ func main() {
 			return err
 		}
 		experiments.PrintScale(os.Stdout, rows)
-		return nil
-	})
-
-	run("scaling", func() error {
-		rows, err := experiments.RunScaling(experiments.ScalingConfig{
-			Scale: *scale, Seed: *seed,
-		})
-		if err != nil {
-			return err
-		}
-		experiments.PrintScaling(os.Stdout, rows)
-		if *scalingJSON != "" {
-			if err := experiments.WriteScalingJSON(*scalingJSON, rows, experiments.RunMeta()); err != nil {
-				return err
-			}
-			fmt.Printf("wrote scaling sweep to %s\n", *scalingJSON)
-		}
 		return nil
 	})
 
@@ -226,9 +197,8 @@ func main() {
 	})
 }
 
-// writeMetrics dumps the obs registry snapshot collected across the run —
-// the live counterpart of the BENCH_*.json result files — wrapped with the
-// hardware metadata every mhbench JSON output carries.
+// writeMetrics dumps the obs registry snapshot collected across the run,
+// wrapped with the hardware metadata that makes its numbers attributable.
 func writeMetrics(path string) {
 	blob, err := obs.SnapshotJSON()
 	if err != nil {

@@ -6,8 +6,81 @@ import (
 	"testing"
 )
 
+// forwardNaive is the six-deep scalar convolution loop, the oracle the
+// im2col/GEMM kernel is checked against: per output element, bias first, then
+// terms in (ic, ky, kx) order.
+func forwardNaive(l *convLayer, in *Volume) *Volume {
+	out := NewVolume(l.out)
+	k, pad := l.spec.K, l.spec.Pad
+	biasCol := l.w.Cols() - 1
+	for oc := 0; oc < l.out.C; oc++ {
+		wrow := l.w.Row(oc)
+		for oy := 0; oy < l.out.H; oy++ {
+			for ox := 0; ox < l.out.W; ox++ {
+				sum := wrow[biasCol]
+				for ic := 0; ic < l.in.C; ic++ {
+					for ky := 0; ky < k; ky++ {
+						iy := oy*l.stride + ky - pad
+						if iy < 0 || iy >= l.in.H {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*l.stride + kx - pad
+							if ix < 0 || ix >= l.in.W {
+								continue
+							}
+							sum += wrow[(ic*k+ky)*k+kx] * in.At(ic, iy, ix)
+						}
+					}
+				}
+				out.Set(oc, oy, ox, sum)
+			}
+		}
+	}
+	return out
+}
+
+// backwardNaive is forwardNaive's adjoint: it accumulates the weight and bias
+// gradients of input in under dOut into l.g and returns the input gradient.
+func backwardNaive(l *convLayer, in, dOut *Volume) *Volume {
+	dIn := NewVolume(l.in)
+	k, pad := l.spec.K, l.spec.Pad
+	biasCol := l.w.Cols() - 1
+	for oc := 0; oc < l.out.C; oc++ {
+		wrow := l.w.Row(oc)
+		grow := l.g.Row(oc)
+		for oy := 0; oy < l.out.H; oy++ {
+			for ox := 0; ox < l.out.W; ox++ {
+				d := dOut.At(oc, oy, ox)
+				if d == 0 {
+					continue
+				}
+				grow[biasCol] += d
+				for ic := 0; ic < l.in.C; ic++ {
+					for ky := 0; ky < k; ky++ {
+						iy := oy*l.stride + ky - pad
+						if iy < 0 || iy >= l.in.H {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*l.stride + kx - pad
+							if ix < 0 || ix >= l.in.W {
+								continue
+							}
+							idx := (ic*k+ky)*k + kx
+							grow[idx] += d * in.At(ic, iy, ix)
+							dIn.Data[(ic*l.in.H+iy)*l.in.W+ix] += d * wrow[idx]
+						}
+					}
+				}
+			}
+		}
+	}
+	return dIn
+}
+
 // newConvPair builds two identically-weighted conv layers for the same spec
-// so the im2col and naive kernels can be run side by side.
+// so the im2col kernel and the naive reference can be run side by side.
 func newConvPair(t *testing.T, spec LayerSpec, in Shape, rng *rand.Rand) (a, b *convLayer) {
 	t.Helper()
 	mk := func() *convLayer {
@@ -49,8 +122,6 @@ func randVol(rng *rand.Rand, s Shape) *Volume {
 // Gradients are compared after a single backward pass from zeroed
 // accumulators; accumulating further passes re-associates the running sums.
 func TestConvIm2colMatchesNaive(t *testing.T) {
-	prev := SetConvKernel(ConvIm2col)
-	defer SetConvKernel(prev)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		inShape := Shape{C: 1 + rng.Intn(3), H: 3 + rng.Intn(8), W: 3 + rng.Intn(8)}
@@ -67,19 +138,15 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 		fast, naive := newConvPair(t, spec, inShape, rng)
 		in := randVol(rng, inShape)
 
-		SetConvKernel(ConvIm2col)
 		outFast := fast.Forward(in)
-		SetConvKernel(ConvNaive)
-		outNaive := naive.Forward(in)
+		outNaive := forwardNaive(naive, in)
 		if !equalBits(outFast.Data, outNaive.Data) {
 			t.Fatalf("trial %d (%+v in %v): forward differs", trial, spec, inShape)
 		}
 
 		dOut := randVol(rng, fast.OutShape())
-		SetConvKernel(ConvIm2col)
 		dInFast := fast.Backward(dOut)
-		SetConvKernel(ConvNaive)
-		dInNaive := naive.Backward(dOut)
+		dInNaive := backwardNaive(naive, in, dOut)
 
 		if !fast.g.Equal(naive.g) {
 			t.Fatalf("trial %d (%+v in %v): weight gradient differs", trial, spec, inShape)
@@ -92,8 +159,6 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 
 // TestConvIm2colStridePadEdges pins the awkward geometries explicitly.
 func TestConvIm2colStridePadEdges(t *testing.T) {
-	prev := SetConvKernel(ConvIm2col)
-	defer SetConvKernel(prev)
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
 		in   Shape
@@ -108,12 +173,11 @@ func TestConvIm2colStridePadEdges(t *testing.T) {
 	for _, c := range cases {
 		fast, naive := newConvPair(t, c.spec, c.in, rng)
 		in := randVol(rng, c.in)
-		SetConvKernel(ConvIm2col)
+		dOut := randVol(rand.New(rand.NewSource(9)), fast.OutShape())
 		outFast := fast.Forward(in)
-		dInFast := fast.Backward(randVol(rand.New(rand.NewSource(9)), fast.OutShape()))
-		SetConvKernel(ConvNaive)
-		outNaive := naive.Forward(in)
-		dInNaive := naive.Backward(randVol(rand.New(rand.NewSource(9)), naive.OutShape()))
+		dInFast := fast.Backward(dOut)
+		outNaive := forwardNaive(naive, in)
+		dInNaive := backwardNaive(naive, in, dOut)
 		if !equalBits(outFast.Data, outNaive.Data) {
 			t.Fatalf("%+v in %v: forward differs", c.spec, c.in)
 		}
@@ -124,6 +188,33 @@ func TestConvIm2colStridePadEdges(t *testing.T) {
 			t.Fatalf("%+v in %v: input gradient differs", c.spec, c.in)
 		}
 	}
+}
+
+// BenchmarkConvKernels times one 8→12-channel 3×3 convolution over a 24×24
+// input on the product kernel and on the six-loop reference.
+func BenchmarkConvKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	inShape := Shape{C: 8, H: 24, W: 24}
+	spec := LayerSpec{Name: "conv", Kind: KindConv, Out: 12, K: 3, Stride: 1, Pad: 1}
+	l, err := buildLayer(spec, inShape)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conv := l.(*convLayer)
+	for i := range conv.w.Data() {
+		conv.w.Data()[i] = float32(rng.NormFloat64())
+	}
+	in := randVol(rng, inShape)
+	b.Run("im2col", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			conv.Forward(in)
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			forwardNaive(conv, in)
+		}
+	})
 }
 
 // TestFullLayerKernelMatchesScalar guards the fullLayer GEMM/axpy routing

@@ -86,10 +86,9 @@ type convLayer struct {
 	layerBase
 	stride int
 	w, g   *tensor.Matrix
-	lastIn *Volume
-	// cols holds the im2col unroll of lastIn (C·k·k × outH·outW); dcols the
-	// matching gradient buffer. Both are lazily allocated once per layer and
-	// reused across examples, so steady-state training and batched
+	// cols holds the im2col unroll of the last input (C·k·k × outH·outW);
+	// dcols the matching gradient buffer. Both are lazily allocated once per
+	// layer and reused across examples, so steady-state training and batched
 	// evaluation do no per-example column allocation. Forward fills cols and
 	// Backward consumes it, so the forward pass's unroll doubles as the dW
 	// operand for free.
@@ -108,14 +107,9 @@ func (l *convLayer) release() {
 	releaseMatrix(&l.dcols)
 	releaseVolume(&l.outBuf)
 	releaseVolume(&l.dInBuf)
-	l.lastIn = nil
 }
 
 func (l *convLayer) Forward(in *Volume) *Volume {
-	if ActiveConvKernel() == ConvNaive {
-		return l.forwardNaive(in)
-	}
-	l.lastIn = in
 	k, pad := l.spec.K, l.spec.Pad
 	kk := l.in.C * k * k   // contraction depth (weight columns sans bias)
 	n := l.out.H * l.out.W // output pixels
@@ -125,7 +119,7 @@ func (l *convLayer) Forward(in *Volume) *Volume {
 	out := scratchVolume(&l.outBuf, l.out, false)
 	// Seed each output row with its bias, then accumulate W·cols on top:
 	// per-element summation order (bias first, then k ascending) matches the
-	// naive kernel bit-for-bit.
+	// six-loop reference (im2col_test.go) bit-for-bit.
 	biasCol := l.w.Cols() - 1
 	for oc := 0; oc < l.out.C; oc++ {
 		b := l.w.Row(oc)[biasCol]
@@ -139,9 +133,6 @@ func (l *convLayer) Forward(in *Volume) *Volume {
 }
 
 func (l *convLayer) Backward(dOut *Volume) *Volume {
-	if ActiveConvKernel() == ConvNaive {
-		return l.backwardNaive(dOut)
-	}
 	k, pad := l.spec.K, l.spec.Pad
 	kk := l.in.C * k * k
 	n := l.out.H * l.out.W
@@ -160,77 +151,6 @@ func (l *convLayer) Backward(dOut *Volume) *Volume {
 	tensor.GemmTNStrided(kk, n, l.out.C, l.w.Data(), l.w.Cols(), dOut.Data, n, dcols.Data(), n, false)
 	dIn := scratchVolume(&l.dInBuf, l.in, true) // col2im scatter-adds
 	col2im(dcols, dIn, k, l.stride, pad, l.out.H, l.out.W)
-	return dIn
-}
-
-func (l *convLayer) forwardNaive(in *Volume) *Volume {
-	l.lastIn = in
-	// Every output element is assigned below, so no zero-on-reuse.
-	out := scratchVolume(&l.outBuf, l.out, false)
-	k, pad := l.spec.K, l.spec.Pad
-	biasCol := l.w.Cols() - 1
-	for oc := 0; oc < l.out.C; oc++ {
-		wrow := l.w.Row(oc)
-		for oy := 0; oy < l.out.H; oy++ {
-			for ox := 0; ox < l.out.W; ox++ {
-				sum := wrow[biasCol]
-				for ic := 0; ic < l.in.C; ic++ {
-					for ky := 0; ky < k; ky++ {
-						iy := oy*l.stride + ky - pad
-						if iy < 0 || iy >= l.in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*l.stride + kx - pad
-							if ix < 0 || ix >= l.in.W {
-								continue
-							}
-							sum += wrow[(ic*k+ky)*k+kx] * in.At(ic, iy, ix)
-						}
-					}
-				}
-				out.Set(oc, oy, ox, sum)
-			}
-		}
-	}
-	return out
-}
-
-func (l *convLayer) backwardNaive(dOut *Volume) *Volume {
-	in := l.lastIn
-	dIn := scratchVolume(&l.dInBuf, l.in, true) // scatter-add target
-	k, pad := l.spec.K, l.spec.Pad
-	biasCol := l.w.Cols() - 1
-	for oc := 0; oc < l.out.C; oc++ {
-		wrow := l.w.Row(oc)
-		grow := l.g.Row(oc)
-		for oy := 0; oy < l.out.H; oy++ {
-			for ox := 0; ox < l.out.W; ox++ {
-				d := dOut.At(oc, oy, ox)
-				if d == 0 {
-					continue
-				}
-				grow[biasCol] += d
-				for ic := 0; ic < l.in.C; ic++ {
-					for ky := 0; ky < k; ky++ {
-						iy := oy*l.stride + ky - pad
-						if iy < 0 || iy >= l.in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*l.stride + kx - pad
-							if ix < 0 || ix >= l.in.W {
-								continue
-							}
-							idx := (ic*k+ky)*k + kx
-							grow[idx] += d * in.At(ic, iy, ix)
-							dIn.Data[(ic*l.in.H+iy)*l.in.W+ix] += d * wrow[idx]
-						}
-					}
-				}
-			}
-		}
-	}
 	return dIn
 }
 
@@ -258,7 +178,7 @@ func (l *poolLayer) Forward(in *Volume) *Volume {
 	k := l.spec.K
 	isMax := l.spec.Mode == PoolMax
 	if isMax {
-		if sz := l.out.Size(); ScratchPooling() && cap(l.argmax) >= sz {
+		if sz := l.out.Size(); cap(l.argmax) >= sz {
 			l.argmax = l.argmax[:sz]
 		} else {
 			l.argmax = make([]int, sz)

@@ -272,16 +272,11 @@ func (n *Network) PredictBatch(ins []*Volume) []int {
 func (n *Network) LossAndBackward(in *Volume, label int) (loss float64, correct bool) {
 	logitsNode := n.logitsNode()
 	logits := n.forwardUpTo(in, logitsNode)
-	var probs []float32
-	if ScratchPooling() {
-		if cap(n.probs) < len(logits.Data) {
-			n.probs = make([]float32, len(logits.Data))
-		}
-		probs = n.probs[:len(logits.Data)]
-		softmaxInto(probs, logits.Data)
-	} else {
-		probs = Softmax(logits.Data)
+	if cap(n.probs) < len(logits.Data) {
+		n.probs = make([]float32, len(logits.Data))
 	}
+	probs := n.probs[:len(logits.Data)]
+	softmaxInto(probs, logits.Data)
 	loss = -math.Log(math.Max(float64(probs[label]), 1e-12))
 	best, bi := float32(math.Inf(-1)), 0
 	for i, v := range probs {

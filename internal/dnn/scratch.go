@@ -2,7 +2,6 @@ package dnn
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"modelhub/internal/tensor"
 )
@@ -20,25 +19,7 @@ import (
 //
 // Determinism: pooling changes where bytes live, never what is computed —
 // buffers that are scatter-add targets are zeroed on reuse, and every other
-// kernel writes each output element. SetScratchPooling(false) restores the
-// allocate-per-call behavior so the effect is measurable (mhbench -exp
-// scaling reports train_step and train_step_nopool side by side).
-
-// scratchOn gates the arena; default on. Stored inverted-free as a Bool set
-// at init so the zero value of the package is still usable in tests that
-// poke internals.
-var scratchOn atomic.Bool
-
-func init() { scratchOn.Store(true) }
-
-// SetScratchPooling enables or disables scratch-buffer pooling and returns
-// the previous setting. Disabling restores per-call allocation (the
-// pre-pooling behavior) — useful only for measuring the pooling win; results
-// are bit-identical either way.
-func SetScratchPooling(on bool) bool { return scratchOn.Swap(on) }
-
-// ScratchPooling reports whether scratch-buffer pooling is enabled.
-func ScratchPooling() bool { return scratchOn.Load() }
+// kernel writes each output element.
 
 // Size-class pools: class i holds []float32 slices of capacity exactly
 // 1<<(scratchMinBits+i). Requests round up to the next class; requests
@@ -82,8 +63,8 @@ func getFloats(n int) []float32 {
 }
 
 // putFloats returns a slice to its size-class pool. Slices whose capacity is
-// not exactly a pooled class size (e.g. allocated while pooling was off) are
-// dropped for the GC — the pool never holds odd-sized arenas.
+// not exactly a pooled class size (oversized requests getFloats served with
+// plain make) are dropped for the GC — the pool never holds odd-sized arenas.
 func putFloats(s []float32) {
 	c := cap(s)
 	if c == 0 || c&(c-1) != 0 {
@@ -98,15 +79,10 @@ func putFloats(s []float32) {
 }
 
 // scratchVolume returns a shape-s volume for a layer- or network-owned slot.
-// With pooling on, the slot's buffer is reused across calls (re-acquired
-// from the shared pool when the shape changes); zero=true clears it first —
-// required for scatter-add targets, skipped for kernels that write every
-// element. With pooling off, every call allocates a fresh zeroed volume and
-// the slot stays empty.
+// The slot's buffer is reused across calls (re-acquired from the shared pool
+// when the shape changes); zero=true clears it first — required for
+// scatter-add targets, skipped for kernels that write every element.
 func scratchVolume(slot **Volume, s Shape, zero bool) *Volume {
-	if !scratchOn.Load() {
-		return NewVolume(s)
-	}
 	v := *slot
 	if v == nil || v.Shape != s {
 		if v != nil {
@@ -127,30 +103,14 @@ func scratchVolume(slot **Volume, s Shape, zero bool) *Volume {
 // scratchMapVolume is scratchVolume for per-node slots keyed by name (merge
 // inputs, backward gradient accumulators).
 func scratchMapVolume(slots map[string]*Volume, name string, s Shape, zero bool) *Volume {
-	if !scratchOn.Load() {
-		return NewVolume(s)
-	}
 	v := slots[name]
-	if v == nil || v.Shape != s {
-		if v != nil {
-			putFloats(v.Data)
-		}
-		v = &Volume{Shape: s, Data: getFloats(s.Size())}
-		slots[name] = v
-		return v
-	}
-	if zero {
-		for i := range v.Data {
-			v.Data[i] = 0
-		}
-	}
-	return v
+	out := scratchVolume(&v, s, zero)
+	slots[name] = out
+	return out
 }
 
-// scratchMatrix returns a rows×cols matrix for a layer-owned slot. The slot
-// persists in both pooling modes (conv column buffers were persistent before
-// the arena existed); pooling only changes whether the backing array comes
-// from — and returns to — the shared pool.
+// scratchMatrix returns a rows×cols matrix for a layer-owned slot, its
+// backing array drawn from — and returned to — the shared pool.
 func scratchMatrix(slot **tensor.Matrix, rows, cols int) *tensor.Matrix {
 	if m := *slot; m != nil && m.Rows() == rows && m.Cols() == cols {
 		return m
@@ -158,14 +118,8 @@ func scratchMatrix(slot **tensor.Matrix, rows, cols int) *tensor.Matrix {
 	if *slot != nil {
 		putFloats((*slot).Data())
 	}
-	var m *tensor.Matrix
-	if scratchOn.Load() {
-		m = tensor.MustFromSlice(rows, cols, getFloats(rows*cols))
-	} else {
-		m = tensor.NewMatrix(rows, cols)
-	}
-	*slot = m
-	return m
+	*slot = tensor.MustFromSlice(rows, cols, getFloats(rows*cols))
+	return *slot
 }
 
 // releaseVolume returns a slot's buffer to the shared pool and clears it.

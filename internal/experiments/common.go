@@ -22,10 +22,10 @@ import (
 	"modelhub/internal/zoo"
 )
 
-// Meta identifies the hardware and runtime a benchmark result came from.
-// Every BENCH_*.json file mhbench writes embeds one, so numbers are
-// attributable: a scaling curve measured on a 1-vCPU container and one from
-// a 16-core workstation are different claims and must say so.
+// Meta identifies the hardware and runtime a result came from. The metrics
+// snapshot mhbench -metrics writes embeds one, so numbers are attributable:
+// a run on a 1-vCPU container and one on a 16-core workstation are different
+// claims and must say so.
 type Meta struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +26,18 @@ func fixture(t *testing.T) *TrainedModel {
 		t.Fatalf("fixture accuracy too low: %v", m.BaseAcc)
 	}
 	return m
+}
+
+// TestRunMeta: the block stamped onto mhbench's JSON output names the
+// hardware and runtime it ran on.
+func TestRunMeta(t *testing.T) {
+	m := RunMeta()
+	if m.NumCPU != runtime.NumCPU() || m.GOMAXPROCS != runtime.GOMAXPROCS(0) || m.GoVersion != runtime.Version() {
+		t.Fatalf("meta block not stamped: %+v", m)
+	}
+	if m.Timestamp == "" || m.OS != runtime.GOOS || m.Arch != runtime.GOARCH {
+		t.Fatalf("meta block incomplete: %+v", m)
+	}
 }
 
 func TestTable1(t *testing.T) {

@@ -29,7 +29,6 @@ var (
 	mSegmentOpens       = obs.GetCounter("pas.segment.opens")
 	mSegmentDedupHits   = obs.GetCounter("pas.segment.dedup_hits")
 	mSegmentDedupBytes  = obs.GetCounter("pas.segment.dedup_bytes_saved")
-	mSegmentMigrations  = obs.GetCounter("pas.segment.migrations")
 	mSegmentGCRuns      = obs.GetCounter("pas.segment.gc_runs")
 	mSegmentGCReclaimed = obs.GetCounter("pas.segment.gc_reclaimed_bytes")
 	gSegmentCount       = obs.GetGauge("pas.segment.count")

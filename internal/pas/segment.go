@@ -18,17 +18,16 @@ package pas
 // Commit orders (each step durable via temp-file + fsync + rename + parent
 // dir fsync):
 //
-//	Create/migrate: write segment files → write index → write manifest
-//	                (the commit point) → unlink legacy chunks
-//	GC/repack:      write replacement segments → flip index (the commit
-//	                point) → unlink victim segments
+//	Create:    write segment files → write index → write manifest (the
+//	           commit point)
+//	GC/repack: write replacement segments → flip index (the commit point)
+//	           → unlink victim segments
 //
-// A crash at any step leaves a readable archive: either the old manifest
-// still names the old layout, or the new index still resolves every live
-// payload. Concurrent readers inside one process survive GC because the
-// reader keeps displaced file handles open in a graveyard until Close —
-// an in-flight ReadAt on an unlinked segment still returns the bytes its
-// index snapshot promised.
+// A crash at any step leaves a readable archive: the manifest on disk names
+// only payloads the index on disk still resolves. Concurrent readers inside
+// one process survive GC because the reader keeps displaced file handles open
+// in a graveyard until Close — an in-flight ReadAt on an unlinked segment
+// still returns the bytes its index snapshot promised.
 
 import (
 	"crypto/sha256"
@@ -742,75 +741,10 @@ func storePayloads(dir string, payloads []segPayload) (int, error) {
 	return len(infos), nil
 }
 
-// chunkPath names the file of one chunk in a Version-1 archive.
-func chunkPath(dir string, node, plane, tier int) string {
-	sub := "chunks"
-	if tier == tierRemote {
-		sub = "remote"
-	}
-	return filepath.Join(dir, sub, fmt.Sprintf("n%06d.p%d", node, plane))
-}
-
-// migrateLegacy converts a Version-1 archive (one file per chunk) to
-// segments in place. Commit order mirrors Create: segment files → index →
-// manifest (the commit point) → legacy chunk unlink. A crash at any step
-// leaves either a readable Version-1 or a readable Version-2 archive. Chunk
-// payloads are not verified here — reads verify against the manifest, so
-// pre-existing corruption surfaces at retrieval. Already-missing chunk files
-// are skipped; their sums stay absent from the index and retrieval reports
-// them missing.
-func migrateLegacy(dir string, man *manifest) error {
-	var payloads []segPayload
-	for i := range man.Nodes {
-		n := &man.Nodes[i]
-		start, end := nodePlanes(n)
-		for p := start; p < end; p++ {
-			sum := n.PlaneSum[p]
-			if sum == "" {
-				continue
-			}
-			z, err := os.ReadFile(chunkPath(dir, n.ID, p, n.Tier))
-			if err != nil {
-				if os.IsNotExist(err) {
-					continue
-				}
-				return fmt.Errorf("%w: migrating node %d plane %d: %v", ErrStore, n.ID, p, err)
-			}
-			payloads = append(payloads, segPayload{sum: sum, data: z})
-		}
-	}
-	segments, err := storePayloads(dir, payloads)
-	if err != nil {
-		return err
-	}
-	man.Version = 2
-	if err := writeManifest(dir, man); err != nil {
-		return err
-	}
-	removeLegacyDirs(dir)
-	mSegmentMigrations.Inc()
-	obs.Logger().Info("pas: migrated legacy archive to segment layout",
-		"dir", dir, "chunks", len(payloads), "segments", segments)
-	return nil
-}
-
-// removeLegacyDirs clears the per-chunk directories after the manifest has
-// committed to the segment layout. Failures are logged, not fatal: the
-// archive is already valid, and the next Open retries the sweep.
-func removeLegacyDirs(dir string) {
-	for _, sub := range []string{"chunks", "remote"} {
-		if err := os.RemoveAll(filepath.Join(dir, sub)); err != nil {
-			obs.Logger().Warn("pas: could not remove legacy chunk dir", "dir", sub, "err", err)
-		}
-	}
-}
-
-// reconcileSegmentDir sweeps crash leftovers of a segment-layout archive:
-// legacy chunk directories that survived a crash between the migration
-// commit and their unlink, and orphaned temp files from interrupted segment
-// or index writes. Best-effort; failures are logged.
+// reconcileSegmentDir sweeps crash leftovers of an archive: orphaned temp
+// files from interrupted segment or index writes. Best-effort; failures are
+// logged.
 func reconcileSegmentDir(dir string) {
-	removeLegacyDirs(dir)
 	for _, pat := range []string{
 		filepath.Join(dir, segTmpPrefix+"*"),
 		segPath(dir, segTmpPrefix+"*"),

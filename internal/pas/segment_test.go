@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"modelhub/internal/floatenc"
-	"modelhub/internal/obs"
 	"modelhub/internal/tensor"
 )
 
@@ -53,47 +52,6 @@ func checkoutAllExact(t *testing.T, st *Store, snaps []SnapshotIn, scheme Scheme
 
 var allSchemes = []Scheme{Independent, Parallel, Reusable, Concurrent}
 
-// toVersion1 rewrites the freshly created archive in dir as the Version-1
-// layout Open still reads and migrates: one chunks/nNNNNNN.pP file per
-// stored plane (remote/ for tier-1 nodes), a "version": 1 manifest, and no
-// segments directory.
-func toVersion1(t *testing.T, dir string) {
-	t.Helper()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range []string{"chunks", "remote"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range st.man.Nodes {
-		n := &st.man.Nodes[i]
-		start, end := nodePlanes(n)
-		for p := start; p < end; p++ {
-			z, err := st.seg.read(n.PlaneSum[p])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(chunkPath(dir, n.ID, p, n.Tier), z, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, segmentsDir)); err != nil {
-		t.Fatal(err)
-	}
-	man := st.man
-	man.Version = 1
-	if err := writeManifest(dir, &man); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // dirState maps every file under dir to its size and modification time.
 func dirState(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -110,11 +68,10 @@ func dirState(t *testing.T, dir string) map[string]string {
 	return state
 }
 
-// A Version-1 archive must migrate in place on Open: chunks repack into
-// segments, the per-chunk files disappear, and every retrieval matches the
-// source — on matrix-granular, plane-granular and remote-tier archives. A
-// second Open must neither migrate again nor write anything.
-func TestMigrateLegacyRoundTrip(t *testing.T) {
+// Opening an archive is a read: a second Open of a matrix-granular,
+// plane-granular or remote-tier archive writes nothing to its directory, and
+// every retrieval still matches the source.
+func TestOpenWritesNothing(t *testing.T) {
 	snaps := makeSnaps(32, 3, 0)
 	for label, opts := range map[string]Options{
 		"matrix": {},
@@ -122,123 +79,86 @@ func TestMigrateLegacyRoundTrip(t *testing.T) {
 		"remote": {Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
 	} {
 		dir := t.TempDir()
-		if _, err := Create(dir, snaps, opts); err != nil {
-			t.Fatal(err)
-		}
-		toVersion1(t, dir)
-		obs.Enable() // counters are no-ops while metrics are disabled
-		migrations := mSegmentMigrations.Value()
-
-		st, err := Open(dir)
+		st, err := Create(dir, snaps, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
-		}
-		if mSegmentMigrations.Value() != migrations+1 {
-			t.Fatalf("%s: migration counter did not advance", label)
-		}
-		for _, sub := range []string{"chunks", "remote"} {
-			if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
-				t.Fatalf("%s: legacy %s dir survived migration: %v", label, sub, err)
-			}
-		}
-		segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
-		if err != nil || len(segs) == 0 {
-			t.Fatalf("%s: no segment files after migration: %v", label, err)
 		}
 		for _, scheme := range allSchemes {
 			checkoutAllExact(t, st, snaps, scheme)
 		}
-
 		before := dirState(t, dir)
 		st2, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mSegmentMigrations.Value() != migrations+1 {
-			t.Fatalf("%s: second open migrated again", label)
-		}
 		if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
-			t.Fatalf("%s: reopening a migrated archive wrote to it:\nbefore %v\nafter  %v", label, before, after)
+			t.Fatalf("%s: reopening an archive wrote to it:\nbefore %v\nafter  %v", label, before, after)
 		}
 		checkoutAllExact(t, st2, snaps, Concurrent)
 	}
 }
 
-// A chunk file lost before migration must not fail Open: its payload stays
-// absent from the index, and the retrievals that need it report ErrStore.
-func TestMigrateLegacyMissingChunk(t *testing.T) {
-	snaps := makeSnaps(33, 3, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{}); err != nil {
+// The one-file-per-chunk layout ("version": 1) has had no writer since
+// segments became the only layout Create produces; Open refuses it with a
+// typed error that names the version.
+func TestOpenRejectsVersion1(t *testing.T) {
+	dir, man := hostileArchive(t)
+	blob := mutated(t, man, func(m *manifest) { m.Version = 1 })
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	toVersion1(t, dir)
-	lost, err := filepath.Glob(filepath.Join(dir, "chunks", "*"))
-	if err != nil || len(lost) == 0 {
-		t.Fatalf("no legacy chunk files: %v", err)
-	}
-	// Every file carrying the lost payload goes: a dedup twin (another
-	// node's plane with the same bytes) would let migration store it anyway.
-	payload, err := os.ReadFile(lost[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range lost {
-		if twin, err := os.ReadFile(path); err != nil {
-			t.Fatal(err)
-		} else if bytes.Equal(twin, payload) {
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open with a missing chunk file: %v", err)
-	}
-	failed := 0
-	for _, snap := range snaps {
-		if _, err := st.GetSnapshot(snap.ID, 4, Concurrent); err != nil {
-			failed++
-			if !errors.Is(err, ErrStore) {
-				t.Fatalf("snapshot %s: error %v is not ErrStore", snap.ID, err)
-			}
-			continue
-		}
-		checkSnapshot(t, st, snap, 4, Independent)
-	}
-	if failed == 0 {
-		t.Fatal("no retrieval noticed the missing chunk")
+	_, err := Open(dir)
+	if !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Open on a version-1 manifest = %v, want ErrStore naming the version", err)
 	}
 }
 
-// Chunk directories that outlive the manifest's flip to Version 2 — a crash
-// between the migration commit and the unlink, or a re-archive over a
-// Version-1 directory — are swept by the next Open.
-func TestOpenSweepsLeftoverChunkDirs(t *testing.T) {
-	snaps := makeSnaps(34, 2, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range []string{"chunks", "remote"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			t.Fatal(err)
+// Nothing shipped may produce the retired layout: no example, script or
+// command, and no document, writes a chunks/ directory or a "version": 1
+// manifest, or names the options that once selected them. CHANGES.md and
+// ISSUE.md are exempt: they record removals by name.
+func TestNoLegacyLayoutWriter(t *testing.T) {
+	root := filepath.Join("..", "..")
+	needles := []string{"chunks/", "n%06d.p%d", `"version": 1`, `"version":1`,
+		"MODELHUB_PAS_LAYOUT", "LayoutLegacy", "KeepLegacy", "-layout"}
+	shipped := map[string]bool{"examples": true, "scripts": true, "cmd": true}
+	checked := 0
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-		if err := os.WriteFile(filepath.Join(dir, sub, "n000001.p0"), []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && rel != "." {
+				return filepath.SkipDir
+			}
+			return nil
 		}
-	}
-	st, err := Create(dir, snaps, Options{Algorithm: "mst"})
+		top := strings.Split(filepath.ToSlash(rel), "/")[0]
+		if !shipped[top] && filepath.Ext(rel) != ".md" {
+			return nil
+		}
+		if rel == "CHANGES.md" || rel == "ISSUE.md" {
+			return nil
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, needle := range needles {
+			if bytes.Contains(blob, []byte(needle)) {
+				t.Errorf("%s mentions %q: the one-file-per-chunk layout must have no writer", rel, needle)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"chunks", "remote"} {
-		if _, err := os.Stat(filepath.Join(dir, sub)); !os.IsNotExist(err) {
-			t.Fatalf("leftover %s dir survived: %v", sub, err)
-		}
+	if checked < 10 {
+		t.Fatalf("only %d files checked under %s: wrong root?", checked, root)
 	}
-	checkoutAllExact(t, st, snaps, Concurrent)
 }
 
 // frozenSnaps builds snapshots where layer "emb" never changes — the

@@ -499,7 +499,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 }
 
 // writeManifest persists the manifest atomically (temp + fsync + rename +
-// parent dir fsync) — the commit point of Create and of legacy migration.
+// parent dir fsync) — the commit point of Create.
 func writeManifest(dir string, man *manifest) error {
 	blob, err := json.MarshalIndent(man, "", " ")
 	if err != nil {
@@ -566,8 +566,7 @@ func solve(g *Graph, opts Options) (*Plan, bool, error) {
 }
 
 // Open loads an existing archive. The manifest arrives inside every pulled
-// repository, so it is validated before anything indexes by its fields. A
-// Version-1 (one file per chunk) archive migrates in place to segments.
+// repository, so it is validated before anything indexes by its fields.
 func Open(dir string) (*Store, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
@@ -580,13 +579,7 @@ func Open(dir string) (*Store, error) {
 	if err := validateManifest(&man); err != nil {
 		return nil, err
 	}
-	if man.Version == 1 {
-		if err := migrateLegacy(dir, &man); err != nil {
-			return nil, err
-		}
-	} else {
-		reconcileSegmentDir(dir)
-	}
+	reconcileSegmentDir(dir)
 	idx, err := loadSegIndex(dir)
 	if err != nil {
 		return nil, err
@@ -610,12 +603,12 @@ func Open(dir string) (*Store, error) {
 
 // validateManifest rejects a manifest whose fields would index out of range,
 // overflow an allocation or name a node that does not exist — every check a
-// retrieval, GC or migration otherwise takes on trust.
+// retrieval or GC otherwise takes on trust.
 func validateManifest(man *manifest) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: manifest: %s", ErrStore, fmt.Sprintf(format, args...))
 	}
-	if man.Version != 1 && man.Version != 2 {
+	if man.Version != 2 {
 		return bad("unsupported version %d", man.Version)
 	}
 	if man.DeltaOp != uint8(deltaOp) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the compute core behind the DNN engine's hot paths: a
@@ -16,103 +15,39 @@ import (
 // blocking or worker count — parallelism only partitions output rows, never
 // a single element's reduction.
 //
-// Parallel dispatch is a work-stealing chunk queue on a shared persistent
-// worker pool: output rows are cut into fine-grained chunks sized by a flop
-// target, and every participant (the caller plus pool workers) claims the
-// next unstarted chunk off an atomic counter until the queue drains. Fast
-// workers therefore steal work a static band split would have stranded on
-// slow or preempted ones. Cache-blocking depth (the k panel) is autotuned
-// from the multiply's column width against an L2 budget instead of a fixed
-// constant; SetGemmKC pins it for experiments.
+// Parallel dispatch is a fork-join over row bands: a multiply large enough to
+// pay for goroutines is cut into one even-height band per worker
+// (GOMAXPROCS), the caller computes the first band and waits for the rest.
+// Cache-blocking depth (the k panel) is derived from the multiply's column
+// width against an L2 budget.
 
 const (
-	// gemmL2Bytes is the per-core L2 budget the k-panel autotuner targets.
+	// gemmL2Bytes is the per-core L2 budget the k-panel depth targets.
 	// Typical x86 cores have 256KB-1.25MB private L2; the conservative end
 	// keeps the streamed B panel resident even on small parts, and larger
 	// caches simply see more reuse.
 	gemmL2Bytes = 256 << 10
-	// gemmKCMin/Max clamp the autotuned k-blocking depth: below 64 the
-	// per-panel loop overhead dominates, above 1024 the panel thrashes L1
-	// evictions for no additional reuse.
+	// gemmKCMin/Max clamp the k-blocking depth: below 64 the per-panel loop
+	// overhead dominates, above 1024 the panel thrashes L1 evictions for no
+	// additional reuse.
 	gemmKCMin = 64
 	gemmKCMax = 1024
-	// gemmParallelMin is the flop floor (m*n*k) below which dispatching to
-	// the worker pool costs more than the multiply.
-	gemmParallelMin = 32 * 1024
-	// gemmChunkFlops is the work-stealing granularity target: each claimed
-	// chunk carries at least this many flops so the claim's atomic increment
-	// and cache handoff are amortized.
-	gemmChunkFlops = 96 * 1024
-	// gemmChunksPerWorker bounds how fine chunking may get: at most this
-	// many chunks per worker, so tiny multiplies are not shredded into
-	// claim-counter contention.
-	gemmChunksPerWorker = 8
-	// gemmMaxWorkers is the clamp ceiling for SetGemmWorkers — beyond it the
-	// claim counter and memory bandwidth are the bottleneck, not cores.
-	gemmMaxWorkers = 256
-	// gemmMaxPoolWorkers caps the persistent pool; dispatches wanting more
-	// helpers than this spawn the difference as fresh goroutines.
-	gemmMaxPoolWorkers = 64
+	// gemmBandFlops is the least work (rows*n*k) one parallel band may carry,
+	// so a multiply under twice this runs inline on the caller. Measured
+	// reason: the largest GEMM any zoo model issues per example is 82,944
+	// flops (vgg-mini conv1_2, 8x144x72), where starting and joining a
+	// goroutine costs more than the multiply — every shipped model stays
+	// inline — while a 192^3 product (7M flops) goes GOMAXPROCS wide.
+	gemmBandFlops = 96 * 1024
 )
 
-// gemmWorkerOverride holds the package-level worker override; <= 0 means use
-// GOMAXPROCS.
-var gemmWorkerOverride atomic.Int32
-
-// SetGemmWorkers overrides the number of workers GEMM dispatches to and
-// returns the previous override. Values clamp to a documented rule rather
-// than silently misbehaving: n <= 0 restores the GOMAXPROCS-derived default,
-// and n > 256 (gemmMaxWorkers) clamps to 256. Safe to call concurrently with
-// running kernels (they snapshot the setting at dispatch).
-func SetGemmWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	if n > gemmMaxWorkers {
-		n = gemmMaxWorkers
-	}
-	return int(gemmWorkerOverride.Swap(int32(n)))
-}
-
-// GemmWorkers returns the effective worker count: the override if set,
-// otherwise GOMAXPROCS (clamped to the same 256 ceiling as SetGemmWorkers).
-func GemmWorkers() int {
-	v := int(gemmWorkerOverride.Load())
-	if v <= 0 {
-		v = runtime.GOMAXPROCS(0)
-	}
-	if v > gemmMaxWorkers {
-		v = gemmMaxWorkers
-	}
-	return v
-}
-
-// gemmKCOverride pins the k-blocking depth for experiments; 0 = autotune.
-var gemmKCOverride atomic.Int32
-
-// SetGemmKC pins the k-blocking depth (panel height) and returns the
-// previous override. kc <= 0 restores autotuning; kc > 1024 clamps to 1024.
-// Blocking depth never changes results — each element's k-summation stays in
-// ascending order across panel boundaries — so this is purely a performance
-// knob.
-func SetGemmKC(kc int) int {
-	if kc < 0 {
-		kc = 0
-	}
-	if kc > gemmKCMax {
-		kc = gemmKCMax
-	}
-	return int(gemmKCOverride.Swap(int32(kc)))
-}
-
-// gemmKCFor autotunes the k-blocking depth for an n-column multiply: the
+// gemmKCFor picks the k-blocking depth for an n-column multiply: the
 // streamed B panel (kc × n float32) targets half the per-core L2 budget so
 // it stays resident while a band of C rows streams over it. Narrow outputs
-// get deeper panels, wide ones shallower, clamped to [64, 1024].
+// get deeper panels, wide ones shallower, clamped to [64, 1024]. Blocking
+// depth never changes results — each element's k-summation stays in
+// ascending order across panel boundaries.
 func gemmKCFor(n int) int {
-	if v := gemmKCOverride.Load(); v > 0 {
-		return int(v)
-	}
 	kc := gemmL2Bytes / 2 / 4 / n
 	if kc < gemmKCMin {
 		kc = gemmKCMin
@@ -123,138 +58,40 @@ func gemmKCFor(n int) int {
 	return kc
 }
 
-// gemmPool is the shared persistent worker pool all GEMM dispatches hand
-// chunks to. It starts lazily on the first parallel kernel and grows on
-// demand up to gemmMaxPoolWorkers when GOMAXPROCS (or the override) rises —
-// workers are never torn down. Tasks that cannot be enqueued without
-// blocking (queue saturated by nested parallelism, e.g. concurrent DQL
-// candidates each running GEMMs) fall back to fresh goroutines so dispatch
-// never deadlocks.
-var gemmPool struct {
-	once    sync.Once
-	mu      sync.Mutex // serializes growth
-	started atomic.Int32
-	tasks   chan func()
-}
-
-// gemmPoolEnsure grows the pool to at least `want` workers (capped at
-// gemmMaxPoolWorkers).
-func gemmPoolEnsure(want int) {
-	if want > gemmMaxPoolWorkers {
-		want = gemmMaxPoolWorkers
-	}
-	if int(gemmPool.started.Load()) >= want {
-		return
-	}
-	gemmPool.once.Do(func() { gemmPool.tasks = make(chan func(), gemmMaxPoolWorkers) })
-	gemmPool.mu.Lock()
-	for int(gemmPool.started.Load()) < want {
-		gemmPool.started.Add(1)
-		go func() {
-			for f := range gemmPool.tasks {
-				f()
-			}
-		}()
-	}
-	gemmPool.mu.Unlock()
-	gGemmPoolWorkers.Set(int64(gemmPool.started.Load()))
-}
-
-// runChunks executes body(0..chunks-1) across the caller plus workers-1
-// helpers, with chunk indices handed out by an atomic claim counter — the
-// work-stealing queue. Helpers come from the persistent pool when its queue
-// has room and are spawned fresh otherwise.
-func runChunks(chunks, workers int, body func(chunk int)) {
-	gemmPoolEnsure(workers - 1)
-	var (
-		next    atomic.Int64
-		stolen  atomic.Int64
-		spawned int64
-		wg      sync.WaitGroup
-	)
-	// fair is the even-split share; anything a participant claims beyond it
-	// was stolen from a slower participant.
-	fair := (chunks + workers - 1) / workers
-	run := func() {
-		defer wg.Done()
-		claimed := 0
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= chunks {
-				break
-			}
-			body(i)
-			claimed++
-		}
-		if claimed > fair {
-			stolen.Add(int64(claimed - fair))
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers-1; w++ {
-		select {
-		case gemmPool.tasks <- run:
-		default:
-			spawned++
-			go run()
-		}
-	}
-	run() // the caller participates as the last worker
-	wg.Wait()
-	mGemmDispatchParallel.Inc()
-	mGemmChunks.Add(int64(chunks))
-	if s := stolen.Load(); s > 0 {
-		mGemmChunksStolen.Add(s)
-	}
-	if spawned > 0 {
-		mGemmSpawnFallback.Add(spawned)
-	}
-}
-
-// chunkRows picks the work-stealing granularity: rows per chunk such that a
-// chunk carries at least gemmChunkFlops of work, bounded below so no more
-// than workers*gemmChunksPerWorker chunks exist.
-func chunkRows(m, n, k, workers int) int {
-	rowFlops := n * k
-	rows := (gemmChunkFlops + rowFlops - 1) / rowFlops
-	if maxChunks := workers * gemmChunksPerWorker; maxChunks > 0 {
-		if minRows := (m + maxChunks - 1) / maxChunks; rows < minRows {
-			rows = minRows
-		}
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	return rows
-}
-
-// dispatchRows cuts rows [0, m) into claim-counter chunks and runs them on
-// the shared pool when the multiply is large enough to amortize dispatch.
+// dispatchRows runs body over rows [0, m) of an m×n×k multiply: inline when
+// fewer than two bands of gemmBandFlops fit, otherwise as one band per
+// worker with the caller taking the first. Band heights are even so the
+// kernels' two-row register tiles never straddle a band edge.
 func dispatchRows(m, n, k int, body func(i0, i1 int)) {
-	workers := GemmWorkers()
-	if workers <= 1 || m == 1 || m*n*k < gemmParallelMin {
+	workers := runtime.GOMAXPROCS(0)
+	if most := m * n * k / gemmBandFlops; workers > most {
+		workers = most
+	}
+	rows := m
+	if workers > 1 {
+		rows = (m + workers - 1) / workers
+		rows += rows & 1
+	}
+	if rows >= m {
 		mGemmDispatchInline.Inc()
 		body(0, m)
 		return
 	}
-	rows := chunkRows(m, n, k, workers)
-	chunks := (m + rows - 1) / rows
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		mGemmDispatchInline.Inc()
-		body(0, m)
-		return
-	}
-	runChunks(chunks, workers, func(chunk int) {
-		i0 := chunk * rows
+	var wg sync.WaitGroup
+	for i0 := rows; i0 < m; i0 += rows {
 		i1 := i0 + rows
 		if i1 > m {
 			i1 = m
 		}
-		body(i0, i1)
-	})
+		wg.Add(1)
+		go func(i0, i1 int) {
+			defer wg.Done()
+			body(i0, i1)
+		}(i0, i1)
+	}
+	body(0, rows)
+	wg.Wait()
+	mGemmDispatchParallel.Inc()
 }
 
 // AddScaled computes dst[i] += alpha * x[i] (axpy). It panics if the slices
@@ -319,7 +156,7 @@ func GemmTNStrided(m, n, k int, a []float32, lda int, b []float32, ldb int, c []
 		return
 	}
 	kc := gemmKCFor(n)
-	if n >= 4 && m*n*k >= 4*m*k { // packing cost m*k is negligible vs m*n*k
+	if n >= 4 { // the m*k packing copy is paid back by n passes over the panel
 		bufp := packPool.Get().(*[]float32)
 		buf := *bufp
 		if cap(buf) < m*k {

@@ -1,10 +1,12 @@
 package tensor
 
 import (
-	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+
+	"modelhub/internal/obs"
 )
 
 func randMat(rng *rand.Rand, rows, cols int) *Matrix {
@@ -44,24 +46,34 @@ func TestGemmMatchesRef(t *testing.T) {
 	}
 }
 
+// gemmProcs are the GOMAXPROCS points the dispatcher is checked at: GEMM
+// width follows GOMAXPROCS and nothing else (make test-scaling and the CI
+// compute-scaling job sweep the same variable from outside).
+var gemmProcs = []int{1, 2, 3, 4, 8}
+
+// restoreProcs puts GOMAXPROCS back when the test ends.
+func restoreProcs(t testing.TB) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestGemmWorkerInvariance: results must not depend on the worker count.
 func TestGemmWorkerInvariance(t *testing.T) {
+	restoreProcs(t)
 	rng := rand.New(rand.NewSource(2))
 	a, b := randMat(rng, 120, 90), randMat(rng, 90, 110)
-	prev := SetGemmWorkers(1)
-	defer SetGemmWorkers(prev)
-	serial := NewMatrix(120, 110)
-	if err := Gemm(serial, a, b); err != nil {
+	want, err := a.MatMulRef(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 3, 8} {
-		SetGemmWorkers(w)
+	for _, procs := range gemmProcs {
+		runtime.GOMAXPROCS(procs)
 		got := NewMatrix(120, 110)
 		if err := Gemm(got, a, b); err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(serial) {
-			t.Fatalf("workers=%d differs from serial", w)
+		if !got.Equal(want) {
+			t.Fatalf("GOMAXPROCS=%d differs from reference", procs)
 		}
 	}
 }
@@ -178,14 +190,14 @@ func TestAddScaled(t *testing.T) {
 	AddScaled(dst, []float32{1}, 1)
 }
 
-// TestGemmConcurrent hammers the shared worker pool from many goroutines;
-// meaningful under -race (make test-race).
+// TestGemmConcurrent runs fork-join dispatches from many goroutines at once
+// (64³ is wide enough to split); meaningful under -race (make test-race).
 func TestGemmConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	a, b := randMat(rng, 64, 64), randMat(rng, 64, 64)
 	want, _ := a.MatMulRef(b)
-	prev := SetGemmWorkers(4)
-	defer SetGemmWorkers(prev)
+	restoreProcs(t)
+	runtime.GOMAXPROCS(4)
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -230,124 +242,89 @@ func TestTransposeBlockedLarge(t *testing.T) {
 	}
 }
 
-// TestSetGemmWorkersClamp pins the documented clamp rules: negatives restore
-// the GOMAXPROCS default (stored as 0), absurd values clamp to the 256
-// ceiling, and the previous value is returned.
-func TestSetGemmWorkersClamp(t *testing.T) {
-	prev := SetGemmWorkers(0)
-	defer SetGemmWorkers(prev)
-
-	if got := SetGemmWorkers(-5); got != 0 {
-		t.Fatalf("previous after reset = %d, want 0", got)
-	}
-	if got := GemmWorkers(); got < 1 {
-		t.Fatalf("GemmWorkers with negative override = %d, want >= 1", got)
-	}
-	SetGemmWorkers(1 << 20)
-	if got := GemmWorkers(); got != 256 {
-		t.Fatalf("GemmWorkers after absurd override = %d, want 256", got)
-	}
-	if got := SetGemmWorkers(3); got != 256 {
-		t.Fatalf("previous after clamp = %d, want 256", got)
-	}
-	if got := GemmWorkers(); got != 3 {
-		t.Fatalf("GemmWorkers = %d, want 3", got)
-	}
-}
-
-// TestSetGemmKCClamp pins the blocking-depth override rules: 0 restores
-// autotuning, oversized values clamp to 1024, and the autotuned depth stays
-// within [64, 1024] across output widths.
-func TestSetGemmKCClamp(t *testing.T) {
-	prev := SetGemmKC(0)
-	defer SetGemmKC(prev)
-
-	SetGemmKC(1 << 20)
-	if got := gemmKCFor(8); got != 1024 {
-		t.Fatalf("pinned kc = %d, want 1024", got)
-	}
-	SetGemmKC(0)
+// TestGemmKCForRange pins the k-panel depth rule: within [64, 1024] at any
+// output width, and narrower outputs get panels at least as deep as wider
+// ones.
+func TestGemmKCForRange(t *testing.T) {
 	for _, n := range []int{1, 8, 64, 512, 4096, 1 << 20} {
 		kc := gemmKCFor(n)
 		if kc < 64 || kc > 1024 {
-			t.Fatalf("autotuned kc for n=%d is %d, outside [64, 1024]", n, kc)
+			t.Fatalf("kc for n=%d is %d, outside [64, 1024]", n, kc)
 		}
 	}
-	// Narrower outputs must get panels at least as deep as wider ones.
 	if gemmKCFor(16) < gemmKCFor(1024) {
 		t.Fatalf("kc not monotone: n=16 -> %d < n=1024 -> %d", gemmKCFor(16), gemmKCFor(1024))
 	}
 }
 
-// TestSetGemmWorkersConcurrent hammers the worker and KC knobs from many
-// goroutines while kernels run, asserting (under -race) that tuning is safe
-// mid-flight and that every result stays bit-identical to the reference.
-func TestSetGemmWorkersConcurrent(t *testing.T) {
-	prevW := SetGemmWorkers(0)
-	prevKC := SetGemmKC(0)
-	defer func() {
-		SetGemmWorkers(prevW)
-		SetGemmKC(prevKC)
-	}()
-
-	rng := rand.New(rand.NewSource(17))
-	a := randMat(rng, 48, 40)
-	b := randMat(rng, 40, 52)
-	want, err := a.MatMulRef(b)
-	if err != nil {
-		t.Fatal(err)
+// TestGemmWorkerInvarianceLarge drives every strided kernel through the
+// fork-join dispatcher at each width, on shapes whose rows carry enough
+// flops to split: m = 1 and 2 (never split: bands are two rows high), 3 and 5
+// (more workers than bands, one-row last band) and 191 (odd, short last
+// band). n = 3 takes GemmTNStrided's unpacked path, wider n its packed one.
+// All must be bit-equal to MatMulRef.
+func TestGemmWorkerInvarianceLarge(t *testing.T) {
+	restoreProcs(t)
+	rng := rand.New(rand.NewSource(23))
+	shapes := [][3]int{ // m, n, k
+		{1, 264, 250}, {2, 264, 250}, {3, 264, 250}, {5, 264, 250}, {191, 96, 90},
+		{1, 3, 22000}, {2, 3, 22000}, {3, 3, 22000}, {5, 3, 22000}, {191, 3, 2900},
 	}
-
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 30; i++ {
-				SetGemmWorkers((g+i)%7 - 1) // sweeps -1..5, exercising the clamp
-				SetGemmKC((i % 3) * 128)
-				got := NewMatrix(48, 52)
-				if err := Gemm(got, a, b); err != nil {
-					errc <- err
-					return
-				}
+	for _, sh := range shapes {
+		m, n, k := sh[0], sh[1], sh[2]
+		a, b := randMat(rng, m, k), randMat(rng, k, n)
+		at, bt := a.Transpose(), b.Transpose()
+		want, err := a.MatMulRef(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels := map[string]func(c []float32){
+			"GemmStrided":   func(c []float32) { GemmStrided(m, n, k, a.data, k, b.data, n, c, n, false) },
+			"GemmTNStrided": func(c []float32) { GemmTNStrided(m, n, k, at.data, m, b.data, n, c, n, false) },
+			"GemmNTStrided": func(c []float32) { GemmNTStrided(m, n, k, a.data, k, bt.data, k, c, n, false) },
+		}
+		for _, procs := range gemmProcs {
+			runtime.GOMAXPROCS(procs)
+			for name, kernel := range kernels {
+				got := NewMatrix(m, n)
+				kernel(got.data)
 				if !got.Equal(want) {
-					errc <- fmt.Errorf("result diverged from reference at g=%d i=%d", g, i)
-					return
+					t.Fatalf("%s %dx%dx%d at GOMAXPROCS=%d differs from reference", name, m, n, k, procs)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		t.Fatalf("concurrent tuning: %v", err)
+		}
 	}
 }
 
-// TestGemmWorkerInvarianceLarge runs a multiply big enough to engage the
-// chunked work-stealing dispatcher (many chunks per worker) and checks
-// bit-identity across worker counts, including counts above the chunk count.
-func TestGemmWorkerInvarianceLarge(t *testing.T) {
-	prev := SetGemmWorkers(1)
-	defer SetGemmWorkers(prev)
-
-	rng := rand.New(rand.NewSource(23))
-	a := randMat(rng, 200, 96)
-	b := randMat(rng, 96, 64)
-	want := NewMatrix(200, 64)
-	if err := Gemm(want, a, b); err != nil {
-		t.Fatal(err)
+// TestGemmDispatchFloor pins the one inline/parallel decision: the largest
+// multiply a zoo model issues (vgg-mini conv1_2, 8x144x72) stays on the
+// caller at any width, and a 192³ product forks once GOMAXPROCS allows.
+func TestGemmDispatchFloor(t *testing.T) {
+	restoreProcs(t)
+	if !obs.Enabled() { // counters are no-ops while metrics are disabled
+		obs.Enable()
+		t.Cleanup(obs.Disable)
 	}
-	for _, w := range []int{2, 3, 5, 16, 256} {
-		SetGemmWorkers(w)
-		got := NewMatrix(200, 64)
-		if err := Gemm(got, a, b); err != nil {
+	rng := rand.New(rand.NewSource(29))
+	run := func(m, n, k int) (parallel, inline int64) {
+		a, b, c := randMat(rng, m, k), randMat(rng, k, n), NewMatrix(m, n)
+		p0, i0 := mGemmDispatchParallel.Value(), mGemmDispatchInline.Value()
+		if err := Gemm(c, a, b); err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want) {
-			t.Fatalf("workers=%d diverged from workers=1", w)
+		return mGemmDispatchParallel.Value() - p0, mGemmDispatchInline.Value() - i0
+	}
+	for _, procs := range gemmProcs {
+		runtime.GOMAXPROCS(procs)
+		if p, i := run(8, 72, 144); p != 0 || i != 1 {
+			t.Fatalf("GOMAXPROCS=%d: 8x144x72 dispatched parallel=%d inline=%d, want inline", procs, p, i)
+		}
+		wantParallel := int64(0)
+		if procs > 1 {
+			wantParallel = 1
+		}
+		if p, i := run(192, 192, 192); p != wantParallel || p+i != 1 {
+			t.Fatalf("GOMAXPROCS=%d: 192³ dispatched parallel=%d inline=%d", procs, p, i)
 		}
 	}
 }

@@ -2,27 +2,14 @@ package tensor
 
 import "modelhub/internal/obs"
 
-// GEMM dispatch metrics (see DESIGN.md §8). All counters are registered at
+// GEMM dispatch metrics (see DESIGN.md §8). Both counters are registered at
 // init and gated by the global obs enable switch, so disabled-path overhead
-// is one atomic load per dispatch. Chunk-level accounting is accumulated in
-// plain locals inside a dispatch and published with a single Add per
-// counter when the dispatch completes.
+// is one atomic load per dispatch.
 var (
-	// mGemmDispatchParallel counts kernel calls that went to the worker pool.
+	// mGemmDispatchParallel counts kernel calls that forked row bands onto
+	// other goroutines.
 	mGemmDispatchParallel = obs.GetCounter("tensor.gemm.dispatch.parallel")
 	// mGemmDispatchInline counts kernel calls executed on the caller alone
-	// (small products, one effective worker, or single-row outputs).
+	// (small products, one worker, or too few rows to split).
 	mGemmDispatchInline = obs.GetCounter("tensor.gemm.dispatch.inline")
-	// mGemmChunks counts row chunks claimed across all parallel dispatches.
-	mGemmChunks = obs.GetCounter("tensor.gemm.chunks")
-	// mGemmChunksStolen counts chunks a participant claimed beyond its fair
-	// share ceil(chunks/participants) — the work-stealing imbalance signal:
-	// zero means perfectly even progress, large values mean fast workers
-	// drained chunks that a static band split would have left on slow ones.
-	mGemmChunksStolen = obs.GetCounter("tensor.gemm.chunks.stolen")
-	// mGemmSpawnFallback counts helper goroutines spawned fresh because the
-	// shared pool's queue was saturated (nested parallelism).
-	mGemmSpawnFallback = obs.GetCounter("tensor.gemm.pool.spawn_fallback")
-	// gGemmPoolWorkers reports the persistent pool's current worker count.
-	gGemmPoolWorkers = obs.GetGauge("tensor.gemm.pool.workers")
 )
