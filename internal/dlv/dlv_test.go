@@ -3,6 +3,7 @@ package dlv
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"modelhub/internal/delta"
 	"modelhub/internal/dnn"
 	"modelhub/internal/floatenc"
+	"modelhub/internal/obs"
 	"modelhub/internal/pas"
 	"modelhub/internal/tensor"
 	"modelhub/internal/zoo"
@@ -518,6 +520,70 @@ func TestArchiveUsesCrossVersionDeltas(t *testing.T) {
 			linked.TotalChunkBytes(4), unlinked.TotalChunkBytes(4))
 	}
 	_ = pas.Independent
+}
+
+// A fine-tune that records its parent's latest weights as its first
+// snapshot repeats them; Archive compresses their planes once, with the
+// parent's. On a three-version lineage of 6 distinct weight sets and 5 deltas
+// between them, the two repeated snapshots and their zero deltas against the
+// parents' latest add at most one plane per matrix — all-zero — to the
+// planes compressed.
+func TestArchivePricesRepeatedSnapshotOnce(t *testing.T) {
+	r := initRepo(t)
+	rng := rand.New(rand.NewSource(24))
+	latest := map[string]*tensor.Matrix{
+		"conv1": tensor.RandNormal(rng, 8, 10, 0.1),
+		"ip1":   tensor.RandNormal(rng, 16, 33, 0.1),
+	}
+	step := func(w map[string]*tensor.Matrix) map[string]*tensor.Matrix {
+		out := map[string]*tensor.Matrix{}
+		for _, name := range dnn.SortedNames(w) {
+			out[name] = w[name].Perturb(rng, 1e-3)
+		}
+		return out
+	}
+	var parent int64
+	for v := 1; v <= 3; v++ {
+		var ckpts []dnn.Checkpoint
+		if parent != 0 {
+			ckpts = append(ckpts, dnn.Checkpoint{Iter: 0, Weights: latest})
+		}
+		mid := step(latest)
+		ckpts = append(ckpts, dnn.Checkpoint{Iter: 10, Weights: mid})
+		latest = step(mid)
+		id, err := r.Commit(CommitInput{Name: fmt.Sprintf("ft%d", v), NetDef: zoo.LeNet("ft"),
+			Checkpoints: ckpts, Final: latest, ParentID: parent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent = id
+	}
+	const matrices, snaps, pairs = 2, 8, 7 // pairs: 5 within versions, 2 parent latest -> child first
+	const distinctSnaps, distinctDeltas = 6, 5
+	obs.Enable() // counters are no-ops while metrics are disabled
+	counters := []*obs.Counter{
+		obs.GetCounter("pas.create.planes_deflated"),
+		obs.GetCounter("pas.create.planes_stored"),
+		obs.GetCounter("pas.create.planes_shared"),
+	}
+	var before [3]int64
+	for i, c := range counters {
+		before[i] = c.Value()
+	}
+	if _, err := r.Archive(ArchiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var n [3]int64
+	for i, c := range counters {
+		n[i] = c.Value() - before[i]
+	}
+	compressed := n[0] + n[1]
+	if total, want := compressed+n[2], int64((snaps+2*pairs)*matrices*floatenc.NumPlanes); total != want {
+		t.Fatalf("%d planes deflated, %d stored, %d shared: %d priced, want %d", n[0], n[1], n[2], total, want)
+	}
+	if limit := int64((distinctSnaps+distinctDeltas)*matrices*floatenc.NumPlanes + matrices); compressed > limit {
+		t.Fatalf("%d planes compressed, want at most %d: a repeated snapshot was priced again", compressed, limit)
+	}
 }
 
 func trainFinal(t *testing.T, seed int64) map[string]*tensor.Matrix {

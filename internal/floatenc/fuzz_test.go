@@ -1,12 +1,32 @@
 package floatenc
 
 import (
+	"bytes"
+	"compress/zlib"
 	"encoding/binary"
 	"math"
 	"testing"
 
 	"modelhub/internal/tensor"
 )
+
+// FuzzDeflateInflate compresses arbitrary bytes at every level zlib accepts:
+// the output decodes to the input through Inflate and the standard library,
+// and is never longer than the input's stored form.
+func FuzzDeflateInflate(f *testing.F) {
+	f.Add([]byte{}, uint8(8))
+	f.Add([]byte{0x5a}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3}, 100), uint8(3))
+	f.Add([]byte("\x8f\x13\xd2\x07\xe1\x5c\x9b\x44\xa0\x3e\x71\xfd\x26\xc8\x58\xbb"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, level uint8) {
+		lvl := zlib.HuffmanOnly + int(level)%(zlib.BestCompression-zlib.HuffmanOnly+1)
+		z, err := Deflate(data, lvl)
+		if err != nil {
+			t.Fatalf("level %d: %v", lvl, err)
+		}
+		checkDeflated(t, z, data)
+	})
+}
 
 // FuzzSegmentRoundTrip feeds arbitrary byte patterns (reinterpreted as
 // float32 matrices) through the bytewise segmentation codec and checks its

@@ -98,46 +98,35 @@ func TestLASTLooseAlphaApproachesMST(t *testing.T) {
 	}
 }
 
-func TestPASMTSatisfiesBudgets(t *testing.T) {
-	for _, scheme := range []Scheme{Independent, Parallel} {
-		g := randomGraph(3, 50, 5)
-		if _, err := SetBudgetsAlphaSPT(g, scheme, 1.6); err != nil {
-			t.Fatal(err)
-		}
-		plan, ok, err := PASMT(g, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("%v: PAS-MT failed to satisfy α=1.6 budgets", scheme)
-		}
-		if err := plan.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if feasible, violated := plan.Feasible(scheme); !feasible {
-			t.Fatalf("%v: plan claims ok but violates %v", scheme, violated)
+// checkSatisfiesBudgets runs a PAS optimizer on seeded random graphs under
+// α=1.6 budgets and checks its plans without trusting its own ok: each plan
+// is a spanning arborescence, Feasible finds every snapshot within budget,
+// and ok says the same.
+func checkSatisfiesBudgets(t *testing.T, name string, algo func(*Graph, Scheme) (*Plan, bool, error)) {
+	t.Helper()
+	for seed := int64(0); seed < 24; seed++ {
+		for _, scheme := range []Scheme{Independent, Parallel} {
+			g := randomGraph(seed, 50, 5)
+			if _, err := SetBudgetsAlphaSPT(g, scheme, 1.6); err != nil {
+				t.Fatal(err)
+			}
+			plan, ok, err := algo(g, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.Validate(); err != nil {
+				t.Errorf("%s seed %d %v: %v", name, seed, scheme, err)
+			}
+			if feasible, violated := plan.Feasible(scheme); !feasible || !ok {
+				t.Errorf("%s seed %d %v: ok=%v, Feasible=%v (violates %v) under α=1.6 budgets", name, seed, scheme, ok, feasible, violated)
+			}
 		}
 	}
 }
 
-func TestPASPTSatisfiesBudgets(t *testing.T) {
-	for _, scheme := range []Scheme{Independent, Parallel} {
-		g := randomGraph(4, 50, 5)
-		if _, err := SetBudgetsAlphaSPT(g, scheme, 1.6); err != nil {
-			t.Fatal(err)
-		}
-		plan, ok, err := PASPT(g, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("%v: PAS-PT failed to satisfy α=1.6 budgets", scheme)
-		}
-		if err := plan.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
+func TestPASMTSatisfiesBudgets(t *testing.T) { checkSatisfiesBudgets(t, "PAS-MT", PASMT) }
+
+func TestPASPTSatisfiesBudgets(t *testing.T) { checkSatisfiesBudgets(t, "PAS-PT", PASPT) }
 
 // With unconstrained budgets both PAS algorithms must return (near-)MST
 // storage; with α=1 they must be close to the SPT.

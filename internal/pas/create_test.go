@@ -20,8 +20,9 @@ import (
 )
 
 // archiveDigest hashes everything Create writes: manifest.json,
-// segments/index.json and every segment file, names included.
-func archiveDigest(t *testing.T, dir string) string {
+// segments/index.json and every segment file, names included. It also
+// returns the files' total size.
+func archiveDigest(t *testing.T, dir string) (string, int) {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
 	if err != nil {
@@ -30,6 +31,7 @@ func archiveDigest(t *testing.T, dir string) string {
 	sort.Strings(paths)
 	paths = append([]string{filepath.Join(dir, "manifest.json"), segIndexPath(dir)}, paths...)
 	h := sha256.New()
+	size := 0
 	for _, path := range paths {
 		blob, err := os.ReadFile(path)
 		if err != nil {
@@ -42,8 +44,9 @@ func archiveDigest(t *testing.T, dir string) string {
 		h.Write([]byte(filepath.ToSlash(rel)))
 		h.Write([]byte{0})
 		h.Write(blob)
+		size += len(blob)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), size
 }
 
 // reshapedSnaps is makeSnaps plus a last snapshot whose "ip2" lost a row —
@@ -62,25 +65,31 @@ func reshapedSnaps(seed int64, nSnaps int) []SnapshotIn {
 
 // The bytes Create writes are a function of its input alone: equal at every
 // worker count, and equal to what the serial implementation this one replaced
-// wrote, before candidate pricing was pooled, shared between twin edges and
-// run on a worker gate. The want digests come from that implementation: check
-// out e3e714e, give its store_test.go makeSnaps the sorted-name loop it has
-// here (the only fixture change), add this file reduced to archiveDigest,
-// reshapedSnaps and this test, and run it — the eight digests it prints (two
-// fixtures x four worker counts) are the two constants below.
+// wrote, before candidate pricing was pooled, shared between twin and equal
+// planes, run on a worker gate and allowed to skip zlib's compressor on
+// incompressible planes. The want digests come from that implementation:
+// check out e3e714e, give its store_test.go makeSnaps the sorted-name loop it
+// has here (the only fixture change), add this file reduced to
+// archiveDigest, reshapedSnaps and this test, and run it — the eight digests
+// it prints (two fixtures x four worker counts) are the two constants below,
+// and the sizes beside them are those archives' total bytes. The stored
+// shortcut kept them: on these fixtures every plane it writes is the stream
+// zlib level 6 wrote. A change that has to move a digest states why and
+// keeps the archive within 0.1 % of wantBytes.
 func TestCreateBytesAreWorkerInvariant(t *testing.T) {
 	for _, fx := range []struct {
-		name  string
-		snaps []SnapshotIn
-		opts  Options
-		want  string
+		name      string
+		snaps     []SnapshotIn
+		opts      Options
+		want      string
+		wantBytes int
 	}{
 		{"matrix", makeSnaps(60, 5, 0), Options{Algorithm: "pas-mt", Alpha: 1.6},
-			"02e8829c7ccf46cc35dcbefae56d654ede06fb2857dcad412b245a2451a637c0"},
+			"02e8829c7ccf46cc35dcbefae56d654ede06fb2857dcad412b245a2451a637c0", 30376},
 		{"plane+remote+reshaped", reshapedSnaps(61, 4),
 			Options{Algorithm: "pas-mt", Alpha: 1.6, PlaneGranularity: true,
 				Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
-			"fa692e9f00647cf7ad02216e832ecfa2bfba6853be58f75e8c726d342a182006"},
+			"fa692e9f00647cf7ad02216e832ecfa2bfba6853be58f75e8c726d342a182006", 30747},
 	} {
 		for _, procs := range []int{1, 2, 4, 8} {
 			prev := runtime.GOMAXPROCS(procs)
@@ -94,32 +103,83 @@ func TestCreateBytesAreWorkerInvariant(t *testing.T) {
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := archiveDigest(t, dir); got != fx.want {
+			got, size := archiveDigest(t, dir)
+			if diff := size - fx.wantBytes; diff*1000 > fx.wantBytes || -diff*1000 > fx.wantBytes {
+				t.Errorf("%s at GOMAXPROCS=%d: archive is %d bytes, more than 0.1 %% off %d", fx.name, procs, size, fx.wantBytes)
+			}
+			if got != fx.want {
 				t.Errorf("%s at GOMAXPROCS=%d: archive digest %s, want %s", fx.name, procs, got, fx.want)
 			}
 		}
 	}
 }
 
-// Pricing deflates each plane of each distinct candidate body exactly once —
-// one body per matrix, one per same-shape pair, two per differing-shape
-// pair — and the write loop deflates nothing, whatever the node granularity
-// or tier options.
+// Pricing compresses each distinct plane of the candidate delta bodies exactly
+// once — the bodies are one per matrix, one per same-shape pair and two per
+// differing-shape pair, and a plane equal to one already met, such as a
+// matrix a later snapshot repeats, is shared instead — and the write loop
+// compresses nothing, whatever the node granularity, tier options or worker
+// count.
 func TestCreateDeflatesEachPlaneOnce(t *testing.T) {
 	snaps := reshapedSnaps(62, 3) // 4 snapshots x 3 matrices; 9 default pairs, 1 of them reshaped
-	const matrices, sameShape, reshaped = 12, 8, 1
+	const matrices, pairs, sameShape = 12, 9, 8
+	priced := (matrices + 2*pairs) * floatenc.NumPlanes
+	// The distinct planes of every body a candidate edge stores, found
+	// without the pricing code.
+	distinct := map[string]bool{}
+	addBody := func(m *tensor.Matrix) {
+		for _, p := range floatenc.Segment(m).Planes {
+			distinct[string(p)] = true
+		}
+	}
+	for i, s := range snaps {
+		for name, m := range s.Matrices {
+			addBody(m)
+			if i == 0 {
+				continue
+			}
+			prev := snaps[i-1].Matrices[name]
+			for _, d := range [][2]*tensor.Matrix{{prev, m}, {m, prev}} {
+				body, err := delta.Compute(deltaOp, d[0], d[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				addBody(body.Body)
+			}
+		}
+	}
+	compressed := len(distinct)
+	// The reshaped snapshot repeats conv1 and ip1 of the one before it: their
+	// eight planes are shared on top of the same-shape twins.
+	if priced-compressed < (sameShape+2)*floatenc.NumPlanes {
+		t.Fatalf("fixture has %d distinct planes of %d; it no longer repeats a matrix", compressed, priced)
+	}
 	obs.Enable() // counters are no-ops while metrics are disabled
 	for _, opts := range []Options{
 		{},
 		{PlaneGranularity: true, Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
 	} {
-		deflated, shared := mCreatePlanesDeflated.Value(), mCreatePlanesShared.Value()
-		createStore(t, snaps, opts)
-		if got, want := mCreatePlanesDeflated.Value()-deflated, int64((matrices+sameShape+2*reshaped)*floatenc.NumPlanes); got != want {
-			t.Errorf("%+v: %d planes deflated, want %d", opts, got, want)
-		}
-		if got, want := mCreatePlanesShared.Value()-shared, int64(sameShape*floatenc.NumPlanes); got != want {
-			t.Errorf("%+v: %d planes shared, want %d", opts, got, want)
+		var serial [2]int64 // deflated and stored at GOMAXPROCS=1
+		for _, procs := range []int{1, 2, 4, 8} {
+			deflated, stored, shared := mCreatePlanesDeflated.Value(), mCreatePlanesStored.Value(), mCreatePlanesShared.Value()
+			prev := runtime.GOMAXPROCS(procs)
+			createStore(t, snaps, opts)
+			runtime.GOMAXPROCS(prev)
+			deflated = mCreatePlanesDeflated.Value() - deflated
+			stored = mCreatePlanesStored.Value() - stored
+			shared = mCreatePlanesShared.Value() - shared
+			if deflated+stored != int64(compressed) || shared != int64(priced-compressed) {
+				t.Errorf("%+v at GOMAXPROCS=%d: %d planes deflated + %d stored, %d shared; want %d compressed, %d shared",
+					opts, procs, deflated, stored, shared, compressed, priced-compressed)
+			}
+			if deflated == 0 || stored == 0 {
+				t.Errorf("%+v at GOMAXPROCS=%d: %d planes deflated, %d stored; the fixture has both kinds", opts, procs, deflated, stored)
+			}
+			if procs == 1 {
+				serial = [2]int64{deflated, stored}
+			} else if serial != [2]int64{deflated, stored} {
+				t.Errorf("%+v at GOMAXPROCS=%d: %d deflated, %d stored; serially %d, %d", opts, procs, deflated, stored, serial[0], serial[1])
+			}
 		}
 	}
 }

@@ -34,10 +34,13 @@ var (
 	gSegmentCount       = obs.GetGauge("pas.segment.count")
 	gSegmentDiskBytes   = obs.GetGauge("pas.segment.disk_bytes")
 
-	// Create's pricing step: planes deflated (exactly one per plane of each
-	// distinct candidate delta body, none in the write loop) and planes a
-	// same-shape pair's reverse edge took from its twin instead.
+	// Create's pricing step, one count per plane of each candidate delta
+	// body: compressed to Huffman-coded blocks, kept as stored blocks (what
+	// floatenc.Deflate writes for incompressible input without running the
+	// compressor), or shared with an equal plane or a same-shape pair's twin.
+	// Each distinct plane is compressed once; the write loop adds none.
 	mCreatePlanesDeflated = obs.GetCounter("pas.create.planes_deflated")
+	mCreatePlanesStored   = obs.GetCounter("pas.create.planes_stored")
 	mCreatePlanesShared   = obs.GetCounter("pas.create.planes_shared")
 
 	// Snapshot retrievals per scheme, and their latency.

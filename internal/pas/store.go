@@ -189,18 +189,73 @@ var ErrStore = errors.New("pas: store error")
 // ErrStore, so errors.Is(err, ErrStore) also matches.
 var ErrCycle = fmt.Errorf("%w: parent cycle", ErrStore)
 
-// priced is one candidate delta body after the only Segment + Deflate it
-// gets: its shape and its four compressed planes. Every edge that would store
-// the same body — the part nodes of one matrix, the two directions of a
-// same-shape pair, the remote-tier twins — shares one.
+// priced is one candidate delta body after the only Segment it gets: its
+// shape and its four compressed planes. Every edge that would store the same
+// body — the part nodes of one matrix, the two directions of a same-shape
+// pair, the remote-tier twins — shares one.
 type priced struct {
 	rows, cols int
 	z          [floatenc.NumPlanes][]byte
 }
 
-// price computes, segments and deflates the delta body that recreates target
-// from base (nil: ν0, whose delta body is target itself).
-func price(base, target *tensor.Matrix, level int) (*priced, error) {
+// planeMemo compresses each distinct plane of one pricing run once. Planes
+// are keyed by the SHA-256 of their raw bytes: a fine-tune's snapshots repeat
+// whole matrices (a version's last checkpoint is its latest), and the XOR
+// body between two such copies is four equal zero planes. A worker that
+// meets a plane another is still compressing waits for that result, so the
+// count of compressions is the count of distinct planes at any worker count.
+type planeMemo struct {
+	level int
+	mu    sync.Mutex
+	z     map[[sha256.Size]byte]*memoPlane
+}
+
+// memoPlane is one distinct plane's compressed bytes, valid once done is
+// closed.
+type memoPlane struct {
+	done chan struct{}
+	z    []byte
+	err  error
+}
+
+// deflate returns plane compressed at the memo's level, sharing the bytes
+// with every equal plane of the run.
+func (m *planeMemo) deflate(plane []byte) ([]byte, error) {
+	key := sha256.Sum256(plane)
+	m.mu.Lock()
+	e, seen := m.z[key]
+	if !seen {
+		e = &memoPlane{done: make(chan struct{})}
+		m.z[key] = e
+	}
+	m.mu.Unlock()
+	if seen {
+		<-e.done
+		mCreatePlanesShared.Inc()
+		return e.z, e.err
+	}
+	e.z, e.err = floatenc.Deflate(plane, m.level)
+	close(e.done)
+	if e.err != nil {
+		return nil, e.err
+	}
+	if storedStream(e.z) {
+		mCreatePlanesStored.Inc()
+	} else {
+		mCreatePlanesDeflated.Inc()
+	}
+	return e.z, nil
+}
+
+// storedStream reports whether a zlib stream opens with a stored block (the
+// block type bits of its first deflate byte are 00): floatenc.Deflate writes
+// a plane it finds incompressible that way without running the compressor,
+// and zlib ends there too on the few planes that check lets through.
+func storedStream(z []byte) bool { return len(z) > 2 && z[2]&0b110 == 0 }
+
+// price computes, segments and compresses the delta body that recreates
+// target from base (nil: ν0, whose delta body is target itself).
+func price(base, target *tensor.Matrix, memo *planeMemo) (*priced, error) {
 	body := target
 	if base != nil {
 		d, err := delta.Compute(deltaOp, base, target)
@@ -212,21 +267,21 @@ func price(base, target *tensor.Matrix, level int) (*priced, error) {
 	seg := floatenc.Segment(body)
 	b := &priced{rows: seg.Rows, cols: seg.Cols}
 	for p, plane := range seg.Planes {
-		z, err := floatenc.Deflate(plane, level)
+		z, err := memo.deflate(plane)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrStore, err)
 		}
 		b.z[p] = z
 	}
-	mCreatePlanesDeflated.Add(floatenc.NumPlanes)
 	return b, nil
 }
 
-// priceAll prices {base, target} jobs behind a GOMAXPROCS-wide worker gate.
-// Results land by job index, so nothing built from them depends on the worker
-// count or on scheduling. After a failure the workers stop taking jobs and
-// the first error recorded is the one returned.
+// priceAll prices {base, target} jobs behind a GOMAXPROCS-wide worker gate,
+// through one planeMemo. Results land by job index, so nothing built from
+// them depends on the worker count or on scheduling. After a failure the
+// workers stop taking jobs and the first error recorded is the one returned.
 func priceAll(jobs [][2]*tensor.Matrix, level int) ([]*priced, error) {
+	memo := &planeMemo{level: level, z: make(map[[sha256.Size]byte]*memoPlane)}
 	out := make([]*priced, len(jobs))
 	var next atomic.Int64
 	var failed atomic.Pointer[error]
@@ -241,7 +296,7 @@ func priceAll(jobs [][2]*tensor.Matrix, level int) ([]*priced, error) {
 					return
 				}
 				var err error
-				if out[i], err = price(jobs[i][0], jobs[i][1], level); err != nil {
+				if out[i], err = price(jobs[i][0], jobs[i][1], memo); err != nil {
 					failed.CompareAndSwap(nil, &err)
 				}
 			}
