@@ -59,8 +59,9 @@ cluster-smoke:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# The compute-core suites, and the PAS write path (pas.Create prices
-# candidates on a GOMAXPROCS-wide gate), under a GOMAXPROCS matrix with the
+# The compute-core suites, the PAS write path (pas.Create prices candidates
+# on a GOMAXPROCS-wide gate) and batched interval evaluation (perturb's
+# GEMMs go parallel), under a GOMAXPROCS matrix with the
 # race detector, like the CI compute-scaling job: the determinism contract
 # (bit-identical results and archive bytes at any worker count) must hold at
 # every proc count.
@@ -69,7 +70,7 @@ bench:
 test-scaling:
 	for procs in 1 2 4; do \
 		echo "== GOMAXPROCS=$$procs =="; \
-		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/pas ./internal/floatenc || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/pas ./internal/floatenc ./internal/perturb || exit 1; \
 	done
 
 check: build vet fmt-check lint test test-race

@@ -56,15 +56,19 @@ func main() {
 		log.Fatal(err)
 	}
 	src := perturb.NewSegmentedSource(snap)
+	ins := make([]*dnn.Volume, len(test))
+	for i, ex := range test {
+		ins[i] = ex.Input
+	}
+	results, err := perturb.ProgressiveBatch(ev, src, ins, 1, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var hist [5]int
 	correct := 0
-	for _, ex := range test {
-		res, err := perturb.Progressive(ev, src, ex.Input, 1, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, res := range results {
 		hist[res.PrefixUsed]++
-		if res.Labels[0] == ex.Label {
+		if res.Labels[0] == test[i].Label {
 			correct++
 		}
 	}

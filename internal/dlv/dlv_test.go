@@ -686,6 +686,10 @@ func TestEvalProgressiveTopK(t *testing.T) {
 	if _, err := r.EvalProgressiveTopK(id, LatestSnap, test, 0); !errors.Is(err, ErrRepo) {
 		t.Fatal("k=0 must error")
 	}
+	// dlv eval -progressive -topk 11 on a 10-class model.
+	if _, err := r.EvalProgressiveTopK(id, LatestSnap, test, def.Labels+1); !errors.Is(err, ErrRepo) {
+		t.Fatalf("k above the logit count: err %v, want ErrRepo", err)
+	}
 }
 
 // The full lifecycle works on DAG models with skip connections: commit,

@@ -59,9 +59,6 @@ func (r *Repo) EvalProgressive(versionID int64, snap string, examples []dnn.Exam
 // (the paper evaluates both top-1 and top-5): accuracy counts a query
 // correct when the true label is anywhere in the certified top-k set.
 func (r *Repo) EvalProgressiveTopK(versionID int64, snap string, examples []dnn.Example, k int) (*ProgressiveEvalResult, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("%w: top-k needs k >= 1", ErrRepo)
-	}
 	v, err := r.Version(versionID)
 	if err != nil {
 		return nil, err
@@ -73,23 +70,25 @@ func (r *Repo) EvalProgressiveTopK(versionID int64, snap string, examples []dnn.
 	if err != nil {
 		return nil, err
 	}
-	// Fetch all layers of a prefix concurrently (PrefetchSource) on top of
-	// the archive's concurrent retrieval engine; results cache across the
-	// whole example batch, so each (layer, prefix) hits the store once.
-	base := perturb.SourceFunc(func(layer string, prefix int) (*tensor.Matrix, *tensor.Matrix, error) {
+	// One batched pass per prefix over the still-undetermined examples, so
+	// each (layer, prefix) is read from the archive once per call.
+	src := perturb.SourceFunc(func(layer string, prefix int) (*tensor.Matrix, *tensor.Matrix, error) {
 		return r.WeightIntervals(versionID, snap, layer, prefix)
 	})
-	src := perturb.NewPrefetchSource(base, perturb.ParametricNames(v.NetDef), 0)
+	ins := make([]*dnn.Volume, len(examples))
+	for i, ex := range examples {
+		ins[i] = ex.Input
+	}
+	outs, err := perturb.ProgressiveBatch(ev, src, ins, k, 1)
+	if err != nil {
+		return nil, fmt.Errorf("%w: progressive eval: %w", ErrRepo, err)
+	}
 	res := &ProgressiveEvalResult{}
 	correct := 0
-	for _, ex := range examples {
-		out, err := perturb.Progressive(ev, src, ex.Input, k, 1)
-		if err != nil {
-			return nil, err
-		}
+	for i, out := range outs {
 		res.PrefixHistogram[out.PrefixUsed]++
 		for _, label := range out.Labels {
-			if label == ex.Label {
+			if label == examples[i].Label {
 				correct++
 				break
 			}

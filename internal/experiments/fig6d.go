@@ -40,6 +40,10 @@ func RunFig6d(m *TrainedModel, queries int) ([]Fig6dRow, error) {
 		}
 	}
 
+	ins := make([]*dnn.Volume, len(test))
+	for i, ex := range test {
+		ins[i] = ex.Input
+	}
 	var rows []Fig6dRow
 	for prefix := 1; prefix <= 3; prefix++ {
 		w := perturb.WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
@@ -64,16 +68,16 @@ func RunFig6d(m *TrainedModel, queries int) ([]Fig6dRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		los, his, err := ev.ForwardBatch(ins, w)
+		if err != nil {
+			return nil, err
+		}
 		var wrong, undet1, undet5 int
-		for _, ex := range test {
-			full := m.Net.Predict(ex.Input)
-			lo, hi, err := ev.Forward(ex.Input, w)
-			if err != nil {
-				return nil, err
-			}
-			if truncNet.Predict(ex.Input) != full {
+		for i, ex := range test {
+			if truncNet.Predict(ex.Input) != m.Net.Predict(ex.Input) {
 				wrong++
 			}
+			lo, hi := los[i], his[i]
 			if ok, _ := perturb.TopKDetermined(lo, hi, 1); !ok {
 				undet1++
 			}

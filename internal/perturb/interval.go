@@ -9,46 +9,11 @@ package perturb
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"modelhub/internal/dnn"
 	"modelhub/internal/tensor"
 )
-
-// Interval is a closed range [Lo, Hi].
-type Interval struct {
-	Lo, Hi float32
-}
-
-// IVolume is a feature volume whose every element is an interval.
-type IVolume struct {
-	Shape  dnn.Shape
-	Lo, Hi []float32
-}
-
-// NewIVolume allocates a zero interval volume.
-func NewIVolume(s dnn.Shape) *IVolume {
-	n := s.Size()
-	return &IVolume{Shape: s, Lo: make([]float32, n), Hi: make([]float32, n)}
-}
-
-// Exact wraps a concrete volume as a degenerate interval volume.
-func Exact(v *dnn.Volume) *IVolume {
-	iv := NewIVolume(v.Shape)
-	copy(iv.Lo, v.Data)
-	copy(iv.Hi, v.Data)
-	return iv
-}
-
-// mulInterval returns the product interval of [al,ah] x [bl,bh].
-func mulInterval(al, ah, bl, bh float32) (float32, float32) {
-	p1 := float64(al) * float64(bl)
-	p2 := float64(al) * float64(bh)
-	p3 := float64(ah) * float64(bl)
-	p4 := float64(ah) * float64(bh)
-	lo := math.Min(math.Min(p1, p2), math.Min(p3, p4))
-	hi := math.Max(math.Max(p1, p2), math.Max(p3, p4))
-	return float32(lo), float32(hi)
-}
 
 // WeightBounds carries the lo/hi matrices of every parametric layer.
 type WeightBounds struct {
@@ -63,16 +28,23 @@ func ExactWeights(w map[string]*tensor.Matrix) WeightBounds {
 // Evaluator runs interval forward passes of a network definition under
 // uncertain weights (paper Problem 2). It mirrors the dnn DAG executor:
 // chains are the common case; add/concat merge nodes propagate intervals by
-// interval addition and concatenation.
+// interval addition and concatenation. An Evaluator is read-only after
+// construction, so concurrent passes may share one.
 type Evaluator struct {
-	def   *dnn.NetDef
-	order []string
-	specs map[string]dnn.LayerSpec
-	preds map[string][]string
-	// inShape/outShape are the static activation shapes per node.
-	inShape, outShape map[string]dnn.Shape
-	in                dnn.Shape
-	sink              string
+	nodes []evalNode // topological order
+	in    dnn.Shape
+	// logits is the position in nodes of the node whose output is returned:
+	// the sink, or its predecessor when the sink is a softmax.
+	logits int
+	// params lists the parametric layers in definition order.
+	params []string
+}
+
+// evalNode is one DAG node with its static activation shapes.
+type evalNode struct {
+	spec    dnn.LayerSpec
+	in, out dnn.Shape
+	preds   []int // positions in Evaluator.nodes
 }
 
 // NewEvaluator validates the definition and precomputes the DAG shapes.
@@ -84,161 +56,201 @@ func NewEvaluator(def *dnn.NetDef) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
-		def:      def,
-		order:    order,
-		specs:    map[string]dnn.LayerSpec{},
-		preds:    map[string][]string{},
-		inShape:  map[string]dnn.Shape{},
-		outShape: map[string]dnn.Shape{},
-		in:       dnn.Shape{C: def.InC, H: def.InH, W: def.InW},
-	}
-	var sinks []string
+	e := &Evaluator{in: dnn.Shape{C: def.InC, H: def.InH, W: def.InW}}
+	specs := map[string]dnn.LayerSpec{}
+	sinks := 0
 	for _, l := range def.Nodes {
-		e.specs[l.Name] = l
-		e.preds[l.Name] = def.Prev(l.Name)
+		specs[l.Name] = l
+		if l.Parametric() {
+			e.params = append(e.params, l.Name)
+		}
 		if len(def.Next(l.Name)) == 0 {
-			sinks = append(sinks, l.Name)
+			sinks++
 		}
 	}
-	if len(sinks) != 1 {
-		return nil, fmt.Errorf("perturb: network needs exactly one sink, got %d", len(sinks))
+	if sinks != 1 {
+		return nil, fmt.Errorf("perturb: network needs exactly one sink, got %d", sinks)
 	}
-	e.sink = sinks[0]
-	for _, name := range order {
-		in, err := e.mergeInputShape(name)
-		if err != nil {
+	pos := make(map[string]int, len(order))
+	for i, name := range order {
+		pos[name] = i
+	}
+	e.nodes = make([]evalNode, len(order))
+	for i, name := range order {
+		nd := &e.nodes[i]
+		nd.spec = specs[name]
+		for _, p := range def.Prev(name) {
+			nd.preds = append(nd.preds, pos[p])
+		}
+		if nd.in, err = e.mergeInputShape(nd); err != nil {
 			return nil, err
 		}
-		e.inShape[name] = in
-		spec := e.specs[name]
-		if spec.Kind == dnn.KindAdd || spec.Kind == dnn.KindConcat {
-			e.outShape[name] = in
-			continue
-		}
-		out, err := spec.OutShape(in)
-		if err != nil {
+		if nd.spec.Kind == dnn.KindAdd || nd.spec.Kind == dnn.KindConcat {
+			nd.out = nd.in
+		} else if nd.out, err = nd.spec.OutShape(nd.in); err != nil {
 			return nil, err
 		}
-		e.outShape[name] = out
+		if len(def.Next(name)) == 0 {
+			e.logits = i
+			if nd.spec.Kind == dnn.KindSoftmax && len(nd.preds) == 1 {
+				e.logits = nd.preds[0]
+			}
+		}
 	}
 	return e, nil
 }
 
-func (e *Evaluator) mergeInputShape(name string) (dnn.Shape, error) {
-	preds := e.preds[name]
-	spec := e.specs[name]
+func (e *Evaluator) mergeInputShape(nd *evalNode) (dnn.Shape, error) {
 	switch {
-	case len(preds) == 0:
+	case len(nd.preds) == 0:
 		return e.in, nil
-	case len(preds) == 1:
-		return e.outShape[preds[0]], nil
-	case spec.Kind == dnn.KindAdd:
-		first := e.outShape[preds[0]]
-		for _, p := range preds[1:] {
-			if e.outShape[p] != first {
-				return dnn.Shape{}, fmt.Errorf("perturb: add node %q input shapes differ", name)
+	case len(nd.preds) == 1:
+		return e.nodes[nd.preds[0]].out, nil
+	case nd.spec.Kind == dnn.KindAdd:
+		first := e.nodes[nd.preds[0]].out
+		for _, p := range nd.preds[1:] {
+			if e.nodes[p].out != first {
+				return dnn.Shape{}, fmt.Errorf("perturb: add node %q input shapes differ", nd.spec.Name)
 			}
 		}
 		return first, nil
-	case spec.Kind == dnn.KindConcat:
-		first := e.outShape[preds[0]]
+	case nd.spec.Kind == dnn.KindConcat:
+		first := e.nodes[nd.preds[0]].out
 		total := 0
-		for _, p := range preds {
-			s := e.outShape[p]
+		for _, p := range nd.preds {
+			s := e.nodes[p].out
 			if s.H != first.H || s.W != first.W {
-				return dnn.Shape{}, fmt.Errorf("perturb: concat node %q spatial extents differ", name)
+				return dnn.Shape{}, fmt.Errorf("perturb: concat node %q spatial extents differ", nd.spec.Name)
 			}
 			total += s.C
 		}
 		return dnn.Shape{C: total, H: first.H, W: first.W}, nil
 	default:
 		return dnn.Shape{}, fmt.Errorf("perturb: node %q (%s) has %d inputs; only add/concat merge",
-			name, spec.Kind, len(preds))
+			nd.spec.Name, nd.spec.Kind, len(nd.preds))
 	}
 }
 
-// Forward propagates the input through the DAG under the weight bounds and
-// returns the interval of every output logit. A trailing softmax layer is
-// skipped: softmax preserves the ordering of logits, so Lemma 4 applies to
-// the logits directly.
+// Forward is ForwardBatch for one input.
 func (e *Evaluator) Forward(in *dnn.Volume, w WeightBounds) (lo, hi []float32, err error) {
-	if in.Shape != e.in {
-		return nil, nil, fmt.Errorf("perturb: input shape %v, want %v", in.Shape, e.in)
+	los, his, err := e.ForwardBatch([]*dnn.Volume{in}, w)
+	if err != nil {
+		return nil, nil, err
 	}
-	outputs := map[string]*IVolume{}
-	logitsNode := e.sink
-	if e.specs[e.sink].Kind == dnn.KindSoftmax {
-		if preds := e.preds[e.sink]; len(preds) == 1 {
-			logitsNode = preds[0]
+	return los[0], his[0], nil
+}
+
+// ForwardBatch propagates every input through the DAG under the weight bounds
+// and returns the interval of every output logit, per input. A trailing
+// softmax layer is skipped: softmax preserves the ordering of logits, so
+// Lemma 4 applies to the logits directly.
+//
+// Each input's bounds are bit-identical however the batch is composed: every
+// output element is summed in a fixed order that does not depend on the other
+// columns of its GEMM, and a sign-split term skipped for one batch but not
+// another would add only zeros (see affine).
+func (e *Evaluator) ForwardBatch(ins []*dnn.Volume, w WeightBounds) (lo, hi [][]float32, err error) {
+	sc := getScratch()
+	defer sc.release()
+	return e.forward(sc, ins, w)
+}
+
+// forward is ForwardBatch on a caller-held scratch, which it rewinds first.
+func (e *Evaluator) forward(sc *scratch, ins []*dnn.Volume, w WeightBounds) (lo, hi [][]float32, err error) {
+	for i, in := range ins {
+		if in.Shape != e.in {
+			return nil, nil, fmt.Errorf("perturb: input %d shape %v, want %v", i, in.Shape, e.in)
 		}
 	}
-	for _, name := range e.order {
-		x := e.nodeInput(name, in, outputs)
-		spec := e.specs[name]
-		inShape, outShape := e.inShape[name], e.outShape[name]
-		var y *IVolume
-		switch spec.Kind {
-		case dnn.KindConv:
-			y, err = e.conv(spec, inShape, outShape, x, w)
-		case dnn.KindFull:
-			y, err = e.full(spec, inShape, outShape, x, w)
+	if len(ins) == 0 {
+		return nil, nil, nil
+	}
+	sc.used = 0
+	b := len(ins)
+	vals := make([]ivals, e.logits+1)
+	for i := range vals {
+		nd := &e.nodes[i]
+		x := e.nodeInput(sc, nd, ins, vals)
+		switch nd.spec.Kind {
+		case dnn.KindConv, dnn.KindFull:
+			vals[i], err = affine(sc, nd, x, b, w)
 		case dnn.KindPool:
-			y = e.pool(spec, inShape, outShape, x)
+			vals[i] = pool(sc, nd, x, b)
 		case dnn.KindReLU, dnn.KindSigmoid, dnn.KindTanh:
-			y = e.activate(spec, x)
-		case dnn.KindAdd, dnn.KindConcat:
-			y = x // nodeInput already merged the predecessors
-		case dnn.KindSoftmax:
-			y = x // ordering-preserving; Lemma 4 applies to logits
+			vals[i] = activate(sc, nd.spec.Kind, x)
+		case dnn.KindAdd, dnn.KindConcat, dnn.KindSoftmax:
+			// nodeInput already merged the predecessors; a softmax before the
+			// logits node preserves ordering, as above.
+			vals[i] = x
 		default:
-			err = fmt.Errorf("perturb: unsupported layer kind %q", spec.Kind)
+			err = fmt.Errorf("perturb: unsupported layer kind %q", nd.spec.Kind)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		outputs[name] = y
-		if name == logitsNode {
-			return y.Lo, y.Hi, nil
-		}
 	}
-	out := outputs[logitsNode]
-	return out.Lo, out.Hi, nil
+	n := e.nodes[e.logits].out.Size()
+	return perExample(vals[e.logits].lo, b, n), perExample(vals[e.logits].hi, b, n), nil
 }
+
+// perExample copies a logits batch out of scratch, one slice per input.
+func perExample(v []float32, b, n int) [][]float32 {
+	flat := append([]float32(nil), v[:b*n]...)
+	out := make([][]float32, b)
+	for e := range out {
+		out[e] = flat[e*n : (e+1)*n : (e+1)*n]
+	}
+	return out
+}
+
+// ivals is a batch of interval volumes, example-major: example e's volume is
+// lo[e·size : (e+1)·size] (hi likewise), channel-major inside. lo and hi may
+// alias when the values are exact.
+type ivals struct{ lo, hi []float32 }
 
 // nodeInput assembles a node's interval input from its predecessors,
-// merging for add (interval sums) and concat (concatenation).
-func (e *Evaluator) nodeInput(name string, in *dnn.Volume, outputs map[string]*IVolume) *IVolume {
-	preds := e.preds[name]
+// merging for add (interval sums) and concat (per-example concatenation).
+func (e *Evaluator) nodeInput(sc *scratch, nd *evalNode, ins []*dnn.Volume, vals []ivals) ivals {
 	switch {
-	case len(preds) == 0:
-		return Exact(in)
-	case len(preds) == 1:
-		return outputs[preds[0]]
-	case e.specs[name].Kind == dnn.KindAdd:
-		out := NewIVolume(e.inShape[name])
-		for _, p := range preds {
-			pv := outputs[p]
-			for i := range out.Lo {
-				out.Lo[i] += pv.Lo[i]
-				out.Hi[i] += pv.Hi[i]
+	case len(nd.preds) == 0:
+		size := e.in.Size()
+		x := sc.floats(len(ins) * size)
+		for i, in := range ins {
+			copy(x[i*size:], in.Data)
+		}
+		return ivals{lo: x, hi: x}
+	case len(nd.preds) == 1:
+		return vals[nd.preds[0]]
+	case nd.spec.Kind == dnn.KindAdd:
+		first := vals[nd.preds[0]]
+		y := ivals{lo: sc.floats(len(first.lo)), hi: sc.floats(len(first.hi))}
+		copy(y.lo, first.lo)
+		copy(y.hi, first.hi)
+		for _, p := range nd.preds[1:] {
+			pv := vals[p]
+			for i := range y.lo {
+				y.lo[i] += pv.lo[i]
+				y.hi[i] += pv.hi[i]
 			}
 		}
-		return out
+		return y
 	default: // concat
-		out := NewIVolume(e.inShape[name])
+		size := nd.in.Size()
+		y := ivals{lo: sc.floats(len(ins) * size), hi: sc.floats(len(ins) * size)}
 		off := 0
-		for _, p := range preds {
-			pv := outputs[p]
-			copy(out.Lo[off:], pv.Lo)
-			copy(out.Hi[off:], pv.Hi)
-			off += pv.Shape.Size()
+		for _, p := range nd.preds {
+			pv, psize := vals[p], e.nodes[p].out.Size()
+			for i := range ins {
+				copy(y.lo[i*size+off:], pv.lo[i*psize:(i+1)*psize])
+				copy(y.hi[i*size+off:], pv.hi[i*psize:(i+1)*psize])
+			}
+			off += psize
 		}
-		return out
+		return y
 	}
 }
 
-func (e *Evaluator) weightRows(spec dnn.LayerSpec, in dnn.Shape, w WeightBounds) (lo, hi *tensor.Matrix, err error) {
+func weightRows(spec dnn.LayerSpec, in dnn.Shape, w WeightBounds) (lo, hi *tensor.Matrix, err error) {
 	rows, cols, err := spec.ParamShape(in)
 	if err != nil {
 		return nil, nil, err
@@ -255,132 +267,212 @@ func (e *Evaluator) weightRows(spec dnn.LayerSpec, in dnn.Shape, w WeightBounds)
 	return lo, hi, nil
 }
 
-func (e *Evaluator) conv(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume, w WeightBounds) (*IVolume, error) {
-	wl, wh, err := e.weightRows(spec, in, w)
+// affine runs a conv or full layer over the whole batch as one GEMM on
+// sign-split operands. With w⁺ = max(w,0), w⁻ = min(w,0) and likewise for x,
+//
+//	lo = Wl⁺·xl⁺ + Wl⁻·xh⁺ + Wh⁺·xl⁻ + Wh⁻·xh⁻
+//	hi = Wh⁺·xh⁺ + Wh⁻·xl⁺ + Wl⁺·xh⁻ + Wl⁻·xl⁻
+//
+// In real arithmetic this is the interval product summed over k whenever no
+// weight interval straddles zero — byte-plane bounds never do, the sign bit
+// being in plane 1 — and contains it otherwise. The lo and hi rows are stacked
+// into one 2·Cout × 4K operand against one 4K × (batch·pixels) unroll (a full
+// layer is a conv with one output pixel) whose rows run (xl⁺_t, xh⁺_t) for
+// every t, then (xl⁻_t, xh⁻_t). That order pairs the terms so that exact
+// weights and inputs give lo == hi, and puts the x⁻ half last: when no input
+// bound is negative — every layer after a ReLU — it is all zero and the GEMM
+// stops at 2K. Whether it is skipped depends on the whole batch, which
+// leaves every example's bits alone: an example with no negative input adds
+// only ±0 there, to a sum that already holds a W⁺·x⁺ term, which is +0 or
+// positive, so the sum is not −0 and adding zeros leaves it unchanged.
+func affine(sc *scratch, nd *evalNode, x ivals, b int, w WeightBounds) (ivals, error) {
+	wl, wh, err := weightRows(nd.spec, nd.in, w)
 	if err != nil {
-		return nil, err
+		return ivals{}, err
 	}
-	stride := spec.Stride
-	if stride == 0 {
-		stride = 1
+	in, out := nd.in, nd.out
+	kh, kw, stride, pad := in.H, in.W, 1, 0 // full: one window over the input
+	if nd.spec.Kind == dnn.KindConv {
+		kh, kw, pad = nd.spec.K, nd.spec.K, nd.spec.Pad
+		if nd.spec.Stride > 0 {
+			stride = nd.spec.Stride
+		}
 	}
-	k, pad := spec.K, spec.Pad
-	biasCol := wl.Cols() - 1
-	y := NewIVolume(out)
-	oi := 0
-	for oc := 0; oc < out.C; oc++ {
+	kk := wl.Cols() - 1 // in.C·kh·kw; the last column is the bias
+	cout, pixels := out.C, out.H*out.W
+	n := b * pixels
+	// Both bounds are scanned: rounding can leave hi an ulp below lo.
+	neg := hasNegative(x.lo) || hasNegative(x.hi)
+	depth := 2 * kk
+	if neg {
+		depth = 4 * kk
+	}
+
+	a := sc.floats(2 * cout * depth)
+	for oc := 0; oc < cout; oc++ {
 		rl, rh := wl.Row(oc), wh.Row(oc)
-		for oy := 0; oy < out.H; oy++ {
-			for ox := 0; ox < out.W; ox++ {
-				sumLo := float64(rl[biasCol])
-				sumHi := float64(rh[biasCol])
-				for ic := 0; ic < in.C; ic++ {
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky - pad
-						if iy < 0 || iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx - pad
-							if ix < 0 || ix >= in.W {
-								continue
-							}
-							wi := (ic*k+ky)*k + kx
-							xi := (ic*in.H+iy)*in.W + ix
-							l, h := mulInterval(rl[wi], rh[wi], x.Lo[xi], x.Hi[xi])
-							sumLo += float64(l)
-							sumHi += float64(h)
-						}
-					}
-				}
-				y.Lo[oi] = float32(sumLo)
-				y.Hi[oi] = float32(sumHi)
-				oi++
+		alo := a[oc*depth : (oc+1)*depth]
+		ahi := a[(cout+oc)*depth : (cout+oc+1)*depth]
+		for t := 0; t < kk; t++ {
+			lp, ln := signSplit(rl[t])
+			hp, hn := signSplit(rh[t])
+			alo[2*t], alo[2*t+1] = lp, ln // × xl⁺, xh⁺
+			ahi[2*t], ahi[2*t+1] = hn, hp
+			if neg {
+				alo[2*kk+2*t], alo[2*kk+2*t+1] = hp, hn // × xl⁻, xh⁻
+				ahi[2*kk+2*t], ahi[2*kk+2*t+1] = ln, lp
 			}
 		}
 	}
-	return y, nil
-}
 
-func (e *Evaluator) full(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume, w WeightBounds) (*IVolume, error) {
-	wl, wh, err := e.weightRows(spec, in, w)
-	if err != nil {
-		return nil, err
+	cols := sc.floats(depth * n)
+	unroll(cols, x, in, b, kh, kw, stride, pad, out.H, out.W, neg)
+
+	// Seed each row with its bias, then accumulate: bias first, then k
+	// ascending, the order the dnn layers use.
+	c := sc.floats(2 * cout * n)
+	for oc := 0; oc < cout; oc++ {
+		fill(c[oc*n:(oc+1)*n], wl.At(oc, kk))
+		fill(c[(cout+oc)*n:(cout+oc+1)*n], wh.At(oc, kk))
 	}
-	biasCol := wl.Cols() - 1
-	y := NewIVolume(out)
-	for o := 0; o < out.C; o++ {
-		rl, rh := wl.Row(o), wh.Row(o)
-		sumLo := float64(rl[biasCol])
-		sumHi := float64(rh[biasCol])
-		for i := range x.Lo {
-			l, h := mulInterval(rl[i], rh[i], x.Lo[i], x.Hi[i])
-			sumLo += float64(l)
-			sumHi += float64(h)
+	tensor.GemmStrided(2*cout, n, depth, a, depth, cols, n, c, n, true)
+
+	// C is channel-major over the batch; activations are example-major.
+	y := ivals{lo: sc.floats(b * out.Size()), hi: sc.floats(b * out.Size())}
+	for e := 0; e < b; e++ {
+		for oc := 0; oc < cout; oc++ {
+			dst := e*out.Size() + oc*pixels
+			src := oc*n + e*pixels
+			copy(y.lo[dst:dst+pixels], c[src:src+pixels])
+			copy(y.hi[dst:dst+pixels], c[cout*n+src:cout*n+src+pixels])
 		}
-		y.Lo[o] = float32(sumLo)
-		y.Hi[o] = float32(sumHi)
 	}
 	return y, nil
 }
 
-func (e *Evaluator) pool(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume) *IVolume {
-	stride := spec.Stride
-	if stride == 0 {
-		stride = spec.K
+func hasNegative(v []float32) bool {
+	for _, x := range v {
+		if x < 0 {
+			return true
+		}
 	}
-	k := spec.K
-	y := NewIVolume(out)
-	oi := 0
-	for c := 0; c < out.C; c++ {
-		for oy := 0; oy < out.H; oy++ {
-			for ox := 0; ox < out.W; ox++ {
-				if spec.Mode == dnn.PoolMax {
-					lo := float32(math.Inf(-1))
-					hi := float32(math.Inf(-1))
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= in.W {
-								continue
-							}
-							xi := (c*in.H+iy)*in.W + ix
-							if x.Lo[xi] > lo {
-								lo = x.Lo[xi]
-							}
-							if x.Hi[xi] > hi {
-								hi = x.Hi[xi]
-							}
-						}
-					}
-					y.Lo[oi], y.Hi[oi] = lo, hi
-				} else {
-					var sumLo, sumHi float64
-					n := 0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= in.W {
-								continue
-							}
-							xi := (c*in.H+iy)*in.W + ix
-							sumLo += float64(x.Lo[xi])
-							sumHi += float64(x.Hi[xi])
-							n++
-						}
-					}
-					y.Lo[oi] = float32(sumLo / float64(n))
-					y.Hi[oi] = float32(sumHi / float64(n))
+	return false
+}
+
+func fill(dst []float32, v float32) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
+// signSplit returns (max(v,0), min(v,0)), with +0 for the zero part.
+func signSplit(v float32) (pos, neg float32) {
+	switch {
+	case v > 0:
+		return v, 0
+	case v < 0:
+		return 0, v
+	}
+	return 0, 0
+}
+
+// unroll writes the sign-split im2col of a batch into cols: for window
+// offset t = (ic·kh+ky)·kw+kx, rows 2t and 2t+1 hold xl⁺ and xh⁺ and, when
+// neg, rows 2K+2t and 2K+2t+1 hold xl⁻ and xh⁻; column e·outH·outW + oy·outW
+// + ox reads example e at (ic, oy·stride+ky-pad, ox·stride+kx-pad), or 0 in
+// the padding. Every cell is written.
+func unroll(cols []float32, x ivals, in dnn.Shape, b, kh, kw, stride, pad, outH, outW int, neg bool) {
+	kk := in.C * kh * kw
+	n := b * outH * outW
+	size, plane := in.Size(), in.H*in.W
+	t := 0
+	for ic := 0; ic < in.C; ic++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				lp := cols[2*t*n : (2*t+1)*n]
+				hp := cols[(2*t+1)*n : (2*t+2)*n]
+				var ln, hn []float32
+				if neg {
+					ln = cols[(2*kk+2*t)*n : (2*kk+2*t+1)*n]
+					hn = cols[(2*kk+2*t+1)*n : (2*kk+2*t+2)*n]
 				}
-				oi++
+				t++
+				j := 0
+				for e := 0; e < b; e++ {
+					base := e*size + ic*plane
+					for oy := 0; oy < outH; oy++ {
+						iy := oy*stride + ky - pad
+						for ox := 0; ox < outW; ox++ {
+							ix := ox*stride + kx - pad
+							var vl, vh float32
+							if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
+								vl, vh = x.lo[base+iy*in.W+ix], x.hi[base+iy*in.W+ix]
+							}
+							pl, nl := signSplit(vl)
+							ph, nh := signSplit(vh)
+							lp[j], hp[j] = pl, ph
+							if neg {
+								ln[j], hn[j] = nl, nh
+							}
+							j++
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func pool(sc *scratch, nd *evalNode, x ivals, b int) ivals {
+	in, out := nd.in, nd.out
+	stride := nd.spec.Stride
+	if stride == 0 {
+		stride = nd.spec.K
+	}
+	k, isMax := nd.spec.K, nd.spec.Mode == dnn.PoolMax
+	y := ivals{lo: sc.floats(b * out.Size()), hi: sc.floats(b * out.Size())}
+	oi := 0
+	for e := 0; e < b; e++ {
+		base := e * in.Size()
+		for c := 0; c < out.C; c++ {
+			for oy := 0; oy < out.H; oy++ {
+				for ox := 0; ox < out.W; ox++ {
+					maxLo, maxHi := float32(math.Inf(-1)), float32(math.Inf(-1))
+					var sumLo, sumHi float64
+					cnt := 0
+					for ky := 0; ky < k; ky++ {
+						iy := oy*stride + ky
+						if iy >= in.H {
+							continue
+						}
+						for kx := 0; kx < k; kx++ {
+							ix := ox*stride + kx
+							if ix >= in.W {
+								continue
+							}
+							xi := base + (c*in.H+iy)*in.W + ix
+							if isMax {
+								if x.lo[xi] > maxLo {
+									maxLo = x.lo[xi]
+								}
+								if x.hi[xi] > maxHi {
+									maxHi = x.hi[xi]
+								}
+							} else {
+								sumLo += float64(x.lo[xi])
+								sumHi += float64(x.hi[xi])
+								cnt++
+							}
+						}
+					}
+					if isMax {
+						y.lo[oi], y.hi[oi] = maxLo, maxHi
+					} else {
+						y.lo[oi] = float32(sumLo / float64(cnt))
+						y.hi[oi] = float32(sumHi / float64(cnt))
+					}
+					oi++
+				}
 			}
 		}
 	}
@@ -388,10 +480,10 @@ func (e *Evaluator) pool(spec dnn.LayerSpec, in, out dnn.Shape, x *IVolume) *IVo
 }
 
 // activate applies a monotone activation to both bounds.
-func (e *Evaluator) activate(spec dnn.LayerSpec, x *IVolume) *IVolume {
-	y := NewIVolume(x.Shape)
+func activate(sc *scratch, kind string, x ivals) ivals {
+	y := ivals{lo: sc.floats(len(x.lo)), hi: sc.floats(len(x.hi))}
 	var f func(float32) float32
-	switch spec.Kind {
+	switch kind {
 	case dnn.KindReLU:
 		f = func(v float32) float32 {
 			if v > 0 {
@@ -404,9 +496,37 @@ func (e *Evaluator) activate(spec dnn.LayerSpec, x *IVolume) *IVolume {
 	case dnn.KindTanh:
 		f = func(v float32) float32 { return float32(math.Tanh(float64(v))) }
 	}
-	for i := range x.Lo {
-		y.Lo[i] = f(x.Lo[i])
-		y.Hi[i] = f(x.Hi[i])
+	for i := range x.lo {
+		y.lo[i] = f(x.lo[i])
+		y.hi[i] = f(x.hi[i])
 	}
 	return y
+}
+
+// scratch is the buffer set of one interval pass. Buffers are handed out in
+// request order and keep their capacity across passes, so the next pass — the
+// next prefix of a ProgressiveBatch call, which holds one scratch throughout,
+// or the next call, which takes it from scratchPool — re-runs the same request
+// sequence without allocating. Every consumer writes each element it hands
+// on, so buffers are not cleared.
+type scratch struct {
+	bufs [][]float32
+	used int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+func (s *scratch) release() { scratchPool.Put(s) }
+
+func (s *scratch) floats(n int) []float32 {
+	if s.used == len(s.bufs) {
+		s.bufs = append(s.bufs, nil)
+	}
+	if cap(s.bufs[s.used]) < n {
+		s.bufs[s.used] = make([]float32, n)
+	}
+	s.used++
+	return s.bufs[s.used-1][:n]
 }

@@ -84,13 +84,9 @@ func TestIntervalSoundnessAcrossPrefixes(t *testing.T) {
 	in := randIn(4, dnn.Shape{C: 2, H: 6, W: 6})
 	want := n.Logits(in)
 	for prefix := 1; prefix <= 4; prefix++ {
-		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, name := range parametricNames(def) {
-			lo, hi, err := src.WeightIntervals(name, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Lo[name], w.Hi[name] = lo, hi
+		w, err := fetch(ev.params, src, prefix)
+		if err != nil {
+			t.Fatal(err)
 		}
 		lo, hi, err := ev.Forward(in, w)
 		if err != nil {
@@ -292,13 +288,9 @@ func TestIntervalWidthShrinks(t *testing.T) {
 	in := randIn(17, dnn.Shape{C: 2, H: 6, W: 6})
 	prev := float64(-1)
 	for prefix := 1; prefix <= 4; prefix++ {
-		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, name := range parametricNames(def) {
-			lo, hi, err := src.WeightIntervals(name, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Lo[name], w.Hi[name] = lo, hi
+		w, err := fetch(ev.params, src, prefix)
+		if err != nil {
+			t.Fatal(err)
 		}
 		lo, hi, err := ev.Forward(in, w)
 		if err != nil {

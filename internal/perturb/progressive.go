@@ -2,9 +2,12 @@ package perturb
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"modelhub/internal/dnn"
+	"modelhub/internal/floatenc"
 	"modelhub/internal/tensor"
 )
 
@@ -37,7 +40,8 @@ func TopKDetermined(lo, hi []float32, k int) (bool, []int) {
 
 // IntervalSource supplies weight bounds at increasing byte-plane prefixes —
 // pas.Store satisfies this via a small adapter. Prefix 4 must return exact
-// (degenerate) intervals.
+// (degenerate) intervals. ProgressiveBatch asks for several layers at once, so
+// an IntervalSource must be safe for concurrent use.
 type IntervalSource interface {
 	// WeightIntervals returns the lo/hi bound matrices of the named layer
 	// when only the first `prefix` byte planes are read.
@@ -54,39 +58,93 @@ type Result struct {
 	Lo, Hi []float32
 }
 
-// Progressive runs the paper's progressive query: evaluate with 1 byte
-// plane; if the top-k prediction is not determined, fetch one more plane and
-// repeat. Prefix 4 yields exact weights, where determination is guaranteed
-// up to exact ties (broken by index order, matching dnn.Network.Predict).
+// Progressive is ProgressiveBatch for one input.
 func Progressive(ev *Evaluator, src IntervalSource, in *dnn.Volume, k, startPrefix int) (*Result, error) {
-	if startPrefix < 1 {
-		startPrefix = 1
+	res, err := ProgressiveBatch(ev, src, []*dnn.Volume{in}, k, startPrefix)
+	if err != nil {
+		return nil, err
 	}
-	names := parametricNames(ev.def)
-	for prefix := startPrefix; prefix <= 4; prefix++ {
-		w := WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}
-		for _, name := range names {
-			lo, hi, err := src.WeightIntervals(name, prefix)
-			if err != nil {
-				return nil, err
-			}
-			w.Lo[name], w.Hi[name] = lo, hi
-		}
-		lo, hi, err := ev.Forward(in, w)
+	return res[0], nil
+}
+
+// ProgressiveBatch runs the paper's progressive query for every input:
+// evaluate with startPrefix byte planes; while some input's top-k prediction
+// is not determined, fetch one more plane and re-run those inputs only. Each
+// layer is fetched once per prefix and each prefix is one batched interval
+// pass, so an input's result does not depend on which others share the call.
+// Prefix 4 yields exact weights, where determination is guaranteed up to exact
+// ties (broken by index order, matching dnn.Network.Predict).
+func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, startPrefix int) ([]*Result, error) {
+	if n := ev.nodes[ev.logits].out.Size(); k < 1 || k > n {
+		return nil, fmt.Errorf("perturb: top-k needs 1 <= k <= %d logits, got %d", n, k)
+	}
+	if startPrefix < 1 || startPrefix > floatenc.NumPlanes {
+		return nil, fmt.Errorf("perturb: start prefix %d outside 1..%d", startPrefix, floatenc.NumPlanes)
+	}
+	out := make([]*Result, len(ins))
+	pending := make([]int, len(ins))
+	for i := range pending {
+		pending[i] = i
+	}
+	batch := make([]*dnn.Volume, 0, len(ins))
+	sc := getScratch()
+	defer sc.release()
+	for prefix := startPrefix; len(pending) > 0; prefix++ {
+		w, err := fetch(ev.params, src, prefix)
 		if err != nil {
 			return nil, err
 		}
-		if ok, labels := TopKDetermined(lo, hi, k); ok {
-			return &Result{Labels: labels, PrefixUsed: prefix, Lo: lo, Hi: hi}, nil
+		batch = batch[:0]
+		for _, i := range pending {
+			batch = append(batch, ins[i])
 		}
-		if prefix == 4 {
-			// Exact weights but tied logits: fall back to argsort by value,
-			// the same order a plain forward pass would produce.
-			labels := argsortDesc(lo)[:k]
-			return &Result{Labels: labels, PrefixUsed: 4, Lo: lo, Hi: hi}, nil
+		lo, hi, err := ev.forward(sc, batch, w)
+		if err != nil {
+			return nil, err
 		}
+		undetermined := pending[:0]
+		for j, i := range pending {
+			if ok, labels := TopKDetermined(lo[j], hi[j], k); ok {
+				out[i] = &Result{Labels: labels, PrefixUsed: prefix, Lo: lo[j], Hi: hi[j]}
+			} else if prefix == floatenc.NumPlanes {
+				// Exact weights but tied logits: fall back to argsort by value,
+				// the same order a plain forward pass would produce.
+				out[i] = &Result{Labels: argsortDesc(lo[j])[:k], PrefixUsed: prefix, Lo: lo[j], Hi: hi[j]}
+			} else {
+				undetermined = append(undetermined, i)
+			}
+		}
+		pending = undetermined
 	}
-	return nil, fmt.Errorf("perturb: unreachable")
+	return out, nil
+}
+
+// fetch reads every named layer at a prefix, up to GOMAXPROCS layers at a
+// time: a store-backed source decodes planes on each call. When several
+// layers fail, the first in the list is the error returned.
+func fetch(layers []string, src IntervalSource, prefix int) (WeightBounds, error) {
+	lo, hi := make([]*tensor.Matrix, len(layers)), make([]*tensor.Matrix, len(layers))
+	errs := make([]error, len(layers))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, name := range layers {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, name string) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			lo[i], hi[i], errs[i] = src.WeightIntervals(name, prefix)
+		}(i, name)
+	}
+	wg.Wait()
+	w := WeightBounds{Lo: make(map[string]*tensor.Matrix, len(layers)), Hi: make(map[string]*tensor.Matrix, len(layers))}
+	for i, name := range layers {
+		if errs[i] != nil {
+			return WeightBounds{}, errs[i]
+		}
+		w.Lo[name], w.Hi[name] = lo[i], hi[i]
+	}
+	return w, nil
 }
 
 func argsortDesc(v []float32) []int {
@@ -97,17 +155,3 @@ func argsortDesc(v []float32) []int {
 	sort.SliceStable(idx, func(a, b int) bool { return v[idx[a]] > v[idx[b]] })
 	return idx
 }
-
-func parametricNames(def *dnn.NetDef) []string {
-	var out []string
-	for _, l := range def.Nodes {
-		if l.Parametric() {
-			out = append(out, l.Name)
-		}
-	}
-	return out
-}
-
-// ParametricNames lists the parametric layer names of a network definition —
-// the layer set a PrefetchSource should cover.
-func ParametricNames(def *dnn.NetDef) []string { return parametricNames(def) }

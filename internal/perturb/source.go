@@ -2,8 +2,6 @@ package perturb
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"modelhub/internal/floatenc"
 	"modelhub/internal/tensor"
@@ -38,106 +36,4 @@ func (s SegmentedSource) WeightIntervals(layer string, prefix int) (*tensor.Matr
 		return nil, nil, fmt.Errorf("perturb: no segmented weights for layer %q", layer)
 	}
 	return seg.Intervals(prefix)
-}
-
-// PrefetchSource wraps an IntervalSource with concurrent whole-model
-// prefetching: the first request at a prefix fetches every known layer at
-// that prefix over a bounded worker pool and caches the results. The
-// progressive evaluation loop requests each parametric layer at prefix p
-// before escalating to p+1, and repeats that per query — so one prefetch
-// wave serves the whole forward pass, and subsequent queries at the same
-// prefix are pure cache hits.
-type PrefetchSource struct {
-	src     IntervalSource
-	layers  []string
-	workers int
-
-	mu    sync.Mutex
-	cache map[prefetchKey]prefetchEntry
-}
-
-type prefetchKey struct {
-	layer  string
-	prefix int
-}
-
-type prefetchEntry struct {
-	lo, hi *tensor.Matrix
-	err    error
-}
-
-// NewPrefetchSource builds a PrefetchSource over the named layers; workers
-// <= 0 selects GOMAXPROCS.
-func NewPrefetchSource(src IntervalSource, layers []string, workers int) *PrefetchSource {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &PrefetchSource{
-		src:     src,
-		layers:  append([]string(nil), layers...),
-		workers: workers,
-		cache:   map[prefetchKey]prefetchEntry{},
-	}
-}
-
-// WeightIntervals implements IntervalSource. A layer outside the prefetch
-// set falls through to the wrapped source uncached.
-func (p *PrefetchSource) WeightIntervals(layer string, prefix int) (*tensor.Matrix, *tensor.Matrix, error) {
-	p.mu.Lock()
-	if e, ok := p.cache[prefetchKey{layer, prefix}]; ok {
-		p.mu.Unlock()
-		return e.lo, e.hi, e.err
-	}
-	p.mu.Unlock()
-
-	known := false
-	for _, l := range p.layers {
-		if l == layer {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return p.src.WeightIntervals(layer, prefix)
-	}
-
-	p.prefetch(prefix)
-	p.mu.Lock()
-	e := p.cache[prefetchKey{layer, prefix}]
-	p.mu.Unlock()
-	return e.lo, e.hi, e.err
-}
-
-// prefetch fetches every not-yet-cached layer at the prefix concurrently.
-func (p *PrefetchSource) prefetch(prefix int) {
-	p.mu.Lock()
-	var missing []string
-	for _, l := range p.layers {
-		if _, ok := p.cache[prefetchKey{l, prefix}]; !ok {
-			missing = append(missing, l)
-		}
-	}
-	p.mu.Unlock()
-	if len(missing) == 0 {
-		return
-	}
-	sem := make(chan struct{}, p.workers)
-	var wg sync.WaitGroup
-	entries := make([]prefetchEntry, len(missing))
-	for i, l := range missing {
-		wg.Add(1)
-		go func(i int, l string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			lo, hi, err := p.src.WeightIntervals(l, prefix)
-			entries[i] = prefetchEntry{lo: lo, hi: hi, err: err}
-		}(i, l)
-	}
-	wg.Wait()
-	p.mu.Lock()
-	for i, l := range missing {
-		p.cache[prefetchKey{l, prefix}] = entries[i]
-	}
-	p.mu.Unlock()
 }
