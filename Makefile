@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet fmt-check lint lint-baseline test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke bench check help
+.PHONY: build vet fmt-check lint lint-baseline test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke examples bench check help
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ obs-smoke:
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 
+# Run each program under examples/ end to end; any that fails stops the run.
+examples:
+	@for e in examples/*/; do \
+		echo "== $$e =="; \
+		$(GO) run ./$$e || exit 1; \
+	done
+
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
@@ -86,6 +93,7 @@ help:
 	@echo "fuzz-smoke  - short fuzz runs (FUZZTIME=$(FUZZTIME))"
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
+	@echo "examples    - run every examples/* program end to end"
 	@echo "bench       - run all benchmarks once"
 	@echo "test-scaling - tensor/dnn/dql/pas/floatenc suites with -race under GOMAXPROCS 1/2/4"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

@@ -14,7 +14,7 @@
 //	dlv list    [-html FILE]
 //	dlv desc    -v ID [-html FILE]
 //	dlv diff    -a ID -b ID [-html FILE]
-//	dlv archive [-algo pas-mt|pas-pt|mst|spt|last|best] [-alpha F] [-scheme NAME] [-purge]
+//	dlv archive [-algo pas-mt|pas-pt|mst|spt|last|best] [-alpha F] [-scheme NAME] [-checkpoint-scheme NAME]
 //	dlv gc
 //	dlv repack
 //	dlv eval    -v ID [-snap LABEL] [-prefix 1..4] [-progressive [-topk K]]
@@ -27,6 +27,11 @@
 //
 // All commands except init/pull operate on the repository in the current
 // directory (or -repo DIR).
+//
+// A version's learned weights stay raw from commit until the next
+// `dlv archive`, which moves them into the PAS archive and deletes the raw
+// copy. From then on the archive is their only copy; running archive again
+// re-plans it in place, and `dlv gc` reclaims what the old plan stored.
 package main
 
 import (
@@ -384,7 +389,6 @@ func run(ctx context.Context, cmd string, args []string) error {
 		alpha := fs.Float64("alpha", 2.0, "recreation budget scalar (x SPT cost)")
 		schemeName := fs.String("scheme", "independent",
 			"retrieval scheme budgets are evaluated under: independent parallel reusable concurrent")
-		purge := fs.Bool("purge", false, "delete raw weights after archiving")
 		ckptScheme := fs.String("checkpoint-scheme", "",
 			"lossy float scheme for checkpoint (non-latest) snapshots: float16 bfloat16 fixed-N quant-N")
 		explain := fs.Bool("explain", false, "print per-snapshot recreation costs vs budgets")
@@ -401,8 +405,7 @@ func run(ctx context.Context, cmd string, args []string) error {
 			return err
 		}
 		opts := dlv.ArchiveOptions{
-			Algorithm: *algo, Scheme: scheme, Alpha: *alpha, Purge: *purge,
-			PlaneGranularity: *planes,
+			Algorithm: *algo, Scheme: scheme, Alpha: *alpha, PlaneGranularity: *planes,
 		}
 		if *ckptScheme != "" {
 			cs, err := parseFloatScheme(*ckptScheme)

@@ -56,10 +56,10 @@ func TestEndToEndSDWorkload(t *testing.T) {
 		}
 	}
 
-	// Archive with budgets and purge the raw weights: from here on, PAS is
+	// Archive with budgets: the raw weights end here, and from now on PAS is
 	// the only source of truth.
 	store, err := repo.Archive(dlv.ArchiveOptions{
-		Algorithm: "best", Scheme: pas.Independent, Alpha: 2, Purge: true,
+		Algorithm: "best", Scheme: pas.Independent, Alpha: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

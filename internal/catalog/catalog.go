@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 )
@@ -127,7 +128,10 @@ func (db *DB) loadJSON(blob []byte) error {
 	return nil
 }
 
-// Save writes the database to its backing file (no-op for in-memory).
+// Save writes the database to its backing file (no-op for in-memory)
+// durably: a temp file in the same directory, fsync, rename over the file,
+// fsync of the directory. A crash or a failed step leaves the previous file
+// whole; Save returns nil only once the new one would survive power loss.
 func (db *DB) Save() error {
 	if db.path == "" {
 		return nil
@@ -148,11 +152,41 @@ func (db *DB) Save() error {
 	if err != nil {
 		return err
 	}
-	tmp := db.path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	if err := writeFileAtomic(db.path, blob); err != nil {
 		return fmt.Errorf("catalog: save: %w", err)
 	}
-	return os.Rename(tmp, db.path)
+	return nil
+}
+
+// writeFileAtomic replaces path with blob: temp file, write, fsync, rename,
+// fsync of the parent directory.
+func writeFileAtomic(path string, blob []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if _, err := f.Write(blob); err != nil {
+		return errors.Join(err, f.Close(), os.Remove(tmp))
+	}
+	if err := f.Sync(); err != nil {
+		return errors.Join(err, f.Close(), os.Remove(tmp))
+	}
+	if err := f.Close(); err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return errors.Join(err, os.Remove(tmp))
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		return errors.Join(err, d.Close())
+	}
+	return d.Close()
 }
 
 // CreateTable registers a new table.

@@ -252,6 +252,68 @@ func TestPersistence(t *testing.T) {
 	}
 }
 
+// A Save that cannot replace the file — here because its directory is
+// read-only — returns the error and leaves the previous catalog whole,
+// loadable and unchanged, with no temp file beside it.
+func TestSaveFailureKeepsPreviousCatalog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.json")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(modelSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("model_version", sample()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("model_version", sample()[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(dir, 0o555); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chmod(dir, 0o755) })
+	if probe, err := os.CreateTemp(dir, "probe-*"); err == nil {
+		_ = probe.Close()
+		_ = os.Remove(probe.Name())
+		t.Skip("directory permissions are not enforced for this user")
+	}
+
+	if err := db.Save(); err == nil {
+		t.Fatal("Save into a read-only directory succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Fatal("a failed Save changed the catalog file")
+	}
+	reopened, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := reopened.Count("model_version", nil); err != nil || n != 1 {
+		t.Fatalf("reopened catalog holds %d rows (%v), want the 1 saved", n, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed Save, want only the catalog", len(entries))
+	}
+}
+
 func TestPersistenceCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.json")
 	if err := writeFile(path, "{nope"); err != nil {

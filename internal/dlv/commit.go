@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -131,11 +129,10 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 			return 0, err
 		}
 	}
+	var raw []rawSnapshot
 	for _, ck := range in.Checkpoints {
 		label := fmt.Sprintf("ckpt-%06d", ck.Iter)
-		if err := r.writeRawSnapshot(id, label, ck.Weights); err != nil {
-			return 0, err
-		}
+		raw = append(raw, rawSnapshot{label, ck.Weights})
 		if err := r.db.Insert("snapshot", catalog.Row{
 			"version_id": id, "snap": label, "iter": int64(ck.Iter), "latest": false,
 		}); err != nil {
@@ -143,9 +140,7 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 		}
 	}
 	if in.Final != nil {
-		if err := r.writeRawSnapshot(id, LatestSnap, in.Final); err != nil {
-			return 0, err
-		}
+		raw = append(raw, rawSnapshot{LatestSnap, in.Final})
 		maxIter := int64(0)
 		if n := len(in.Checkpoints); n > 0 {
 			maxIter = int64(in.Checkpoints[n-1].Iter)
@@ -153,6 +148,13 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 		if err := r.db.Insert("snapshot", catalog.Row{
 			"version_id": id, "snap": LatestSnap, "iter": maxIter, "latest": true,
 		}); err != nil {
+			return 0, err
+		}
+	}
+	// The weights file is durable before the catalog that lists the
+	// version is saved.
+	if len(raw) > 0 {
+		if err := r.writeRaw(id, raw); err != nil {
 			return 0, err
 		}
 	}
@@ -193,63 +195,6 @@ func (r *Repo) nextVersionID() (int64, error) {
 		return 1, nil
 	}
 	return rows[0]["id"].(int64) + 1, nil
-}
-
-// snapshotDir is where a version's raw (not yet archived) weights live.
-func (r *Repo) snapshotDir(versionID int64, snap string) string {
-	return filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d", versionID), snap)
-}
-
-func (r *Repo) writeRawSnapshot(versionID int64, snap string, weights map[string]*tensor.Matrix) error {
-	dir := r.snapshotDir(versionID, snap)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("%w: %v", ErrRepo, err)
-	}
-	for _, name := range dnn.SortedNames(weights) {
-		f, err := os.Create(filepath.Join(dir, name+".bin"))
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrRepo, err)
-		}
-		if _, err := weights[name].WriteTo(f); err != nil {
-			_ = f.Close() //mhlint:ignore errcheck the write error takes precedence over cleanup
-			return fmt.Errorf("%w: writing %s: %v", ErrRepo, name, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("%w: %v", ErrRepo, err)
-		}
-	}
-	return nil
-}
-
-func (r *Repo) readRawSnapshot(versionID int64, snap string) (map[string]*tensor.Matrix, error) {
-	dir := r.snapshotDir(versionID, snap)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("%w: snapshot v%d/%s: %v", ErrRepo, versionID, snap, err)
-	}
-	out := map[string]*tensor.Matrix{}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".bin" {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRepo, err)
-		}
-		m, err := tensor.ReadMatrix(f)
-		cerr := f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%w: reading %s: %v", ErrRepo, e.Name(), err)
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("%w: closing %s: %v", ErrRepo, e.Name(), cerr)
-		}
-		out[e.Name()[:len(e.Name())-4]] = m
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: snapshot v%d/%s is empty", ErrRepo, versionID, snap)
-	}
-	return out, nil
 }
 
 // Copy scaffolds a new model version from an existing one (dlv copy): same

@@ -1,49 +1,94 @@
 package dlv
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"modelhub/internal/pas"
 )
 
-// rawWeightFiles lists a version's raw snapshot .bin files.
-func rawWeightFiles(t *testing.T, r *Repo, versionID int64, snap string) []string {
-	t.Helper()
-	dir := r.snapshotDir(versionID, snap)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".bin" {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(out) == 0 {
-		t.Fatalf("no raw weight files for v%d/%s", versionID, snap)
-	}
-	return out
-}
-
-// A truncated raw weight file must surface as a typed repository error on
-// checkout — not a panic, and never silently short weights.
+// A damaged raw weights file must surface as a typed repository error on
+// checkout and archive — not a panic, never silently short weights, and
+// never an allocation sized by a length the file does not hold. The file
+// arrives inside pulled repositories.
 func TestWeightsTruncatedRawFile(t *testing.T) {
 	r := initRepo(t)
 	id, _, _ := commitToy(t, r, "toy", 21, 0)
-	files := rawWeightFiles(t, r, id, LatestSnap)
-	info, err := os.Stat(files[0])
+	path := r.rawPath(id)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(files[0], info.Size()/2); err != nil {
+	// The first record's header: snapshot label, layer name, rows, cols.
+	label := binary.LittleEndian.Uint32(good[len(rawMagic):])
+	nameAt := len(rawMagic) + 4 + int(label)
+	shapeAt := nameAt + 4 + int(binary.LittleEndian.Uint32(good[nameAt:]))
+	oversized := bytes.Clone(good)
+	binary.LittleEndian.PutUint32(oversized[shapeAt:], 1<<30)
+	binary.LittleEndian.PutUint32(oversized[shapeAt+4:], 1<<30)
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"truncated mid-body", good[:shapeAt+8+10], "more than"},
+		{"truncated mid-header", good[:shapeAt+2], "truncated record"},
+		{"oversized declared size", oversized, "more than"},
+		{"bad magic", append([]byte("DLVRAW0\n"), good[len(rawMagic):]...), "bad magic"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(path, c.blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var allocs runtime.MemStats
+			runtime.ReadMemStats(&allocs)
+			before := allocs.TotalAlloc
+			_, err := r.Weights(id, LatestSnap, 4)
+			runtime.ReadMemStats(&allocs)
+			if !errors.Is(err, ErrRepo) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Weights = %v, want ErrRepo saying %q", err, c.want)
+			}
+			if grew := allocs.TotalAlloc - before; grew > uint64(len(good))+1<<20 {
+				t.Fatalf("reading a %d-byte file allocated %d bytes", len(c.blob), grew)
+			}
+			if _, err := r.Archive(ArchiveOptions{}); !errors.Is(err, ErrRepo) {
+				t.Fatalf("Archive = %v, want ErrRepo", err)
+			}
+		})
+	}
+}
+
+// A version still stored in the per-layer raw layout is not read: checkout
+// and archive fail with an error that names the layout.
+func TestWeightsRejectsPerLayerRawLayout(t *testing.T) {
+	r := initRepo(t)
+	id, res, _ := commitToy(t, r, "toy", 23, 0)
+	if err := os.Remove(r.rawPath(id)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Weights(id, LatestSnap, 4); !errors.Is(err, ErrRepo) {
-		t.Fatalf("Weights on truncated raw file = %v, want ErrRepo", err)
+	layer := filepath.Join(r.legacyRawDir(id), LatestSnap, "conv1.bin")
+	if err := os.MkdirAll(filepath.Dir(layer), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := res.Final["conv1"].WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(layer, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, werr := r.Weights(id, LatestSnap, 4)
+	_, aerr := r.Archive(ArchiveOptions{})
+	for _, err := range []error{werr, aerr} {
+		if !errors.Is(err, ErrRepo) || !strings.Contains(err.Error(), "per-layer layout") {
+			t.Fatalf("err = %v, want ErrRepo naming the per-layer layout", err)
+		}
 	}
 }
 

@@ -360,18 +360,76 @@ func TestArchiveAndRetrieve(t *testing.T) {
 	}
 }
 
-func TestArchivePurge(t *testing.T) {
-	r := initRepo(t)
-	id, res, _ := commitToy(t, r, "lenet", 15, 0)
-	if _, err := r.Archive(ArchiveOptions{Purge: true}); err != nil {
-		t.Fatal(err)
+// snapshotsOf maps a trained commit's snapshot labels to its weights.
+func snapshotsOf(res *dnn.TrainResult) map[string]map[string]*tensor.Matrix {
+	out := map[string]map[string]*tensor.Matrix{LatestSnap: res.Final}
+	for _, ck := range res.Checkpoints {
+		out[fmt.Sprintf("ckpt-%06d", ck.Iter)] = ck.Weights
 	}
-	w, err := r.Weights(id, LatestSnap, 4)
+	return out
+}
+
+// rawFiles lists what the repository's raw weights directory holds.
+func rawFiles(t *testing.T, r *Repo) []string {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(r.Root(), dlvDir, weightsDir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w["ip2"].Equal(res.Final["ip2"]) {
-		t.Fatal("post-purge weights must come from PAS and be exact")
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// Archive is where raw weights end: archive, commit a child, archive again.
+// The second archive takes the parent from the store and the child from its
+// raw file; every snapshot of both comes back bit-identical, and no archived
+// version keeps a raw file.
+func TestArchivePurge(t *testing.T) {
+	r := initRepo(t)
+	id1, res1, _ := commitToy(t, r, "base", 15, 0)
+	if got := rawFiles(t, r); len(got) != 1 || got[0] != filepath.Base(r.rawPath(id1)) {
+		t.Fatalf("after one commit the raw weights directory holds %v, want one file", got)
+	}
+	if _, err := r.Archive(ArchiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rawFiles(t, r); len(got) != 0 {
+		t.Fatalf("raw files left after archive: %v", got)
+	}
+	id2, res2, _ := commitToy(t, r, "ft", 16, id1)
+	if _, err := r.Archive(ArchiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rawFiles(t, r); len(got) != 0 {
+		t.Fatalf("raw files left after re-archive: %v", got)
+	}
+	reopened, err := Open(r.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, res := range map[int64]*dnn.TrainResult{id1: res1, id2: res2} {
+		v, err := reopened.Version(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := snapshotsOf(res)
+		if !v.Archived || len(v.Snapshots) != len(want) {
+			t.Fatalf("v%d: archived %v, snapshots %v", id, v.Archived, v.Snapshots)
+		}
+		for _, snap := range v.Snapshots {
+			got, err := reopened.Weights(id, snap, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, m := range want[snap] {
+				if !got[name].Equal(m) {
+					t.Fatalf("v%d/%s/%s differs from what was committed", id, snap, name)
+				}
+			}
+		}
 	}
 }
 
@@ -397,6 +455,25 @@ func TestArchiveRejectsLayerMissingFromPreviousSnapshot(t *testing.T) {
 	}
 	if _, err := r.Archive(ArchiveOptions{}); !errors.Is(err, pas.ErrStore) {
 		t.Fatalf("err = %v, want pas.ErrStore", err)
+	}
+	// A rejected archive moves nothing: the version stays raw and readable.
+	reopened, err := Open(r.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := reopened.Version(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Archived {
+		t.Fatal("a rejected archive flagged the version archived")
+	}
+	got, err := reopened.Weights(1, LatestSnap, 4)
+	if err != nil {
+		t.Fatalf("raw weights unreadable after a rejected archive: %v", err)
+	}
+	if !got["head"].Equal(grown["head"]) {
+		t.Fatal("raw weights changed by a rejected archive")
 	}
 }
 
@@ -647,6 +724,48 @@ func TestArchiveCheckpointScheme(t *testing.T) {
 		if !got[name].ApproxEqual(m, m.AbsMax()/64) {
 			t.Fatalf("checkpoint %s drifted beyond the quantization step", name)
 		}
+	}
+}
+
+// A checkpoint is degraded once, as it enters the archive; a re-archive
+// reads it back from the store as it is. So re-archiving an unchanged
+// repository under any -checkpoint-scheme kind writes the same manifest and
+// stores nothing new. Degrading twice would not: quant-N is not idempotent.
+func TestRearchiveDegradesCheckpointsOnce(t *testing.T) {
+	def, res, _ := trainToy(t, 32)
+	for _, scheme := range []floatenc.Scheme{
+		{Kind: floatenc.Float16}, {Kind: floatenc.BFloat16},
+		{Kind: floatenc.Fixed, Bits: 8}, {Kind: floatenc.QuantUniform, Bits: 8},
+	} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			r := initRepo(t)
+			if _, err := r.Commit(CommitInput{Name: "m", NetDef: def,
+				Checkpoints: res.Checkpoints, Final: res.Final}); err != nil {
+				t.Fatal(err)
+			}
+			opts := ArchiveOptions{Algorithm: "pas-mt", Alpha: 2, CheckpointScheme: &scheme}
+			first, err := r.Archive(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifest := filepath.Join(r.pasPath(), "manifest.json")
+			before, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := r.Archive(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, err := os.ReadFile(manifest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) || again.StoredChunks() != first.StoredChunks() {
+				t.Fatalf("re-archive changed the archive: manifest equal %v, stored chunks %d -> %d",
+					bytes.Equal(before, after), first.StoredChunks(), again.StoredChunks())
+			}
+		})
 	}
 }
 

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"modelhub/internal/floatenc"
 )
 
-// Re-archiving with degraded checkpoints displaces the original lossless
-// checkpoint payloads — garbage only GC reclaims. The latest snapshot must
-// stay exact throughout, including for checkouts racing the GC (run under
-// -race in CI).
+// Re-archiving under another plan displaces the payloads the old plan stored
+// (pas-mt's deltas give way to spt's materialized matrices) — garbage only
+// GC reclaims. The latest snapshot must stay exact throughout, including for
+// checkouts racing the GC (run under -race in CI).
 func TestGCReclaimsAfterRearchive(t *testing.T) {
 	r := initRepo(t)
 	id, res, _ := commitToy(t, r, "toy", 51, 0)
@@ -24,8 +22,7 @@ func TestGCReclaimsAfterRearchive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fixed := &floatenc.Scheme{Kind: floatenc.Fixed, Bits: 8}
-	if _, err := r.Archive(ArchiveOptions{Algorithm: "pas-mt", Alpha: 2, CheckpointScheme: fixed}); err != nil {
+	if _, err := r.Archive(ArchiveOptions{Algorithm: "spt"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +61,7 @@ func TestGCReclaimsAfterRearchive(t *testing.T) {
 		}
 	}
 	if stats.DroppedChunks == 0 || stats.ReclaimedBytes <= 0 {
-		t.Fatalf("gc reclaimed nothing after degrading re-archive: %+v", stats)
+		t.Fatalf("gc reclaimed nothing after a re-plan: %+v", stats)
 	}
 
 	// Repack coalesces what several archive passes fragmented.

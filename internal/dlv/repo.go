@@ -1,11 +1,15 @@
 // Package dlv implements the DLV model versioning system (paper Sec. III):
 // a git-like version control system specialized for DNN modeling artifacts.
 // A repository stores, per model version: the network definition N (as
-// node/edge relations), the learned weights W (raw at commit time, migrated
-// into a PAS archive by `dlv archive`), extracted metadata M (hyper-
+// node/edge relations), the learned weights W, extracted metadata M (hyper-
 // parameters, per-iteration training measurements), and associated files F
 // (content-addressed, like git blobs). Lineage between versions lives in
 // the parent relation.
+//
+// A version's weights live in exactly one place: a raw file written at
+// commit until the version's first `dlv archive`, the PAS archive after it.
+// Archive moves them and deletes the raw file once the archive and the
+// catalog's archived flag are durable.
 package dlv
 
 import (

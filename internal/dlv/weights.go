@@ -1,8 +1,13 @@
 package dlv
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -25,23 +30,17 @@ type ArchiveOptions struct {
 	Algorithm string
 	Scheme    pas.Scheme
 	Alpha     float64
-	// LatestBudget and CheckpointBudget set per-snapshot budgets directly
-	// (used when Alpha == 0): latest snapshots are hot (paper Sec. IV-A,
-	// unbalanced access frequencies), checkpoints are cold.
-	LatestBudget     float64
-	CheckpointBudget float64
 	// CheckpointScheme, when non-nil, degrades checkpoint (non-latest)
-	// snapshots through a lossy float representation before archival —
-	// the paper's alternative to deleting snapshots under resource
+	// snapshots through a lossy float representation as they enter the
+	// archive — the paper's alternative to deleting snapshots under resource
 	// pressure (Sec. IV-B: "most useful for snapshots whose weights are
 	// primarily used for fine-tuning or initialization"). Latest snapshots
-	// always stay lossless.
+	// always stay lossless, and a snapshot already in the archive is not
+	// degraded again.
 	CheckpointScheme *floatenc.Scheme
 	// PlaneGranularity lets the plan optimizer choose storage per byte
 	// segment rather than per matrix (pas.Options.PlaneGranularity).
 	PlaneGranularity bool
-	// Purge removes the raw weight files after a successful archive.
-	Purge bool
 }
 
 // Archive consolidates every snapshot of every version into a PAS archive
@@ -49,6 +48,14 @@ type ArchiveOptions struct {
 // candidates; across versions, the parent relation links the parent's
 // latest snapshot to the child's snapshots (the fine-tuning pattern the
 // paper exploits).
+//
+// A version's weights live in one place: its raw file until its first
+// archive, the archive after. Snapshots already archived are read back from
+// the open store (bit-exact at full precision); only versions committed
+// since are read raw. The new archive and then the catalog's archived flags
+// are made durable before any raw file is removed, so a crash leaves either
+// a raw version with its file or an archived version whose leftover file
+// nothing reads and the next archive removes.
 func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 	versions, err := r.List()
 	if err != nil {
@@ -72,20 +79,19 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 	}
 	firstOf := map[int64]pas.SnapshotIn{}
 	latestOf := map[int64]pas.SnapshotIn{}
+	var held []int64 // versions with weights: all of them archived once Create succeeds
 	for _, v := range versions {
+		if len(v.Snapshots) == 0 {
+			continue
+		}
+		held = append(held, v.ID)
+		weights, err := r.archiveInput(v, opts.CheckpointScheme)
+		if err != nil {
+			return nil, err
+		}
 		for i, snap := range v.Snapshots {
-			w, err := r.readRawSnapshot(v.ID, snap)
-			if err != nil {
-				return nil, err
-			}
-			if opts.CheckpointScheme != nil && snap != LatestSnap {
-				if w, err = degradeSnapshot(w, *opts.CheckpointScheme); err != nil {
-					return nil, err
-				}
-			}
-			in := pas.SnapshotIn{ID: pasSnapID(v.ID, snap), Matrices: w, Budget: opts.CheckpointBudget}
+			in := pas.SnapshotIn{ID: pasSnapID(v.ID, snap), Matrices: weights[i]}
 			if snap == LatestSnap {
-				in.Budget = opts.LatestBudget
 				latestOf[v.ID] = in
 			}
 			if i == 0 {
@@ -119,26 +125,60 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, v := range versions {
-		if len(v.Snapshots) == 0 {
-			continue
-		}
+	for _, id := range held {
 		if _, err := r.db.Update("model_version",
-			[]catalog.Cond{{Col: "id", Op: catalog.Eq, Val: v.ID}},
+			[]catalog.Cond{{Col: "id", Op: catalog.Eq, Val: id}},
 			catalog.Row{"archived": true}); err != nil {
 			return nil, err
-		}
-		if opts.Purge {
-			if err := os.RemoveAll(filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d", v.ID))); err != nil {
-				return nil, fmt.Errorf("%w: purging raw weights: %v", ErrRepo, err)
-			}
 		}
 	}
 	if err := r.db.Save(); err != nil {
 		return nil, err
 	}
 	r.setArchive(store)
+	for _, id := range held {
+		if err := r.removeRaw(id); err != nil {
+			return nil, fmt.Errorf("%w: archive committed, but removing the raw weights of version %d failed (the next archive retries): %v",
+				ErrRepo, id, err)
+		}
+	}
 	return store, nil
+}
+
+// archiveInput returns a version's snapshots in v.Snapshots order as they
+// enter the archive: read back from the store when the version is already
+// archived, else read raw, with checkpoints degraded through scheme.
+func (r *Repo) archiveInput(v *Version, scheme *floatenc.Scheme) ([]map[string]*tensor.Matrix, error) {
+	out := make([]map[string]*tensor.Matrix, len(v.Snapshots))
+	if v.Archived {
+		store, err := r.openArchive()
+		if err != nil {
+			return nil, err
+		}
+		for i, snap := range v.Snapshots {
+			if out[i], err = store.GetSnapshot(pasSnapID(v.ID, snap), 4, pas.Concurrent); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	raw, err := r.readRaw(v.ID, "")
+	if err != nil {
+		return nil, err
+	}
+	for i, snap := range v.Snapshots {
+		w, ok := raw[snap]
+		if !ok {
+			return nil, fmt.Errorf("%w: snapshot v%d/%s is missing from its raw weights file", ErrRepo, v.ID, snap)
+		}
+		if scheme != nil && snap != LatestSnap {
+			if w, err = degradeSnapshot(w, *scheme); err != nil {
+				return nil, err
+			}
+		}
+		out[i] = w
+	}
+	return out, nil
 }
 
 // degradeSnapshot round-trips every matrix through a lossy float scheme,
@@ -220,7 +260,15 @@ func (r *Repo) WeightsCtx(ctx context.Context, versionID int64, snap string, pre
 	if prefix != 4 {
 		return nil, fmt.Errorf("%w: version %d is not archived; only full-precision weights available", ErrRepo, versionID)
 	}
-	return r.readRawSnapshot(versionID, snap)
+	raw, err := r.readRaw(versionID, snap)
+	if err != nil {
+		return nil, err
+	}
+	w, ok := raw[snap]
+	if !ok {
+		return nil, fmt.Errorf("%w: version %d has no snapshot %q", ErrRepo, versionID, snap)
+	}
+	return w, nil
 }
 
 // WeightIntervals returns lo/hi bounds of one layer's weights at a given
@@ -234,4 +282,180 @@ func (r *Repo) WeightIntervals(versionID int64, snap, layer string, prefix int) 
 		return nil, nil, err
 	}
 	return store.GetIntervals(pas.MatrixRef{Snapshot: pasSnapID(versionID, snap), Name: layer}, prefix)
+}
+
+// A version's raw weights are one file, .dlv/weights/vNNNNNN.bin, holding
+// every snapshot it committed. Commit writes it once; the version's first
+// Archive moves its snapshots into PAS and unlinks it.
+//
+//	file:   rawMagic | record*
+//	record: snap string | layer string | rows uint32 | cols uint32 | rows·cols float32
+//	string: len uint32 | bytes
+//
+// Integers and float32 bit patterns are little-endian. Records run in
+// commit order: checkpoints by iteration, then latest, layers sorted.
+const rawMagic = "DLVRAW1\n"
+
+// rawSnapshot is one snapshot headed into a raw weights file.
+type rawSnapshot struct {
+	label   string
+	weights map[string]*tensor.Matrix
+}
+
+func (r *Repo) rawPath(versionID int64) string {
+	return filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d.bin", versionID))
+}
+
+// legacyRawDir is where the per-layer layout kept a version's raw weights
+// (one directory per snapshot, one file per layer). Nothing reads it; it is
+// only recognized, to name it in errors and to remove it on archive.
+func (r *Repo) legacyRawDir(versionID int64) string {
+	return filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d", versionID))
+}
+
+// writeRaw writes a version's raw weights file durably: temp file, fsync,
+// rename, fsync of the directory.
+func (r *Repo) writeRaw(versionID int64, snaps []rawSnapshot) error {
+	dir := filepath.Join(r.root, dlvDir, weightsDir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, err)
+	}
+	blob := []byte(rawMagic)
+	appendString := func(s string) {
+		blob = binary.LittleEndian.AppendUint32(blob, uint32(len(s)))
+		blob = append(blob, s...)
+	}
+	for _, s := range snaps {
+		for _, name := range dnn.SortedNames(s.weights) {
+			m := s.weights[name]
+			appendString(s.label)
+			appendString(name)
+			blob = binary.LittleEndian.AppendUint32(blob, uint32(m.Rows()))
+			blob = binary.LittleEndian.AppendUint32(blob, uint32(m.Cols()))
+			for _, x := range m.Data() {
+				blob = binary.LittleEndian.AppendUint32(blob, math.Float32bits(x))
+			}
+		}
+	}
+	f, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, err)
+	}
+	tmp := f.Name()
+	if _, err := f.Write(blob); err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, f.Close(), os.Remove(tmp)))
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, f.Close(), os.Remove(tmp)))
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, os.Remove(tmp)))
+	}
+	if err := os.Rename(tmp, r.rawPath(versionID)); err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, os.Remove(tmp)))
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("%w: %v", ErrRepo, err)
+	}
+	return nil
+}
+
+// readRaw reads a version's raw weights file: every snapshot, or only the
+// one labelled only when it is not empty.
+func (r *Repo) readRaw(versionID int64, only string) (map[string]map[string]*tensor.Matrix, error) {
+	blob, err := os.ReadFile(r.rawPath(versionID))
+	if errors.Is(err, fs.ErrNotExist) {
+		if _, serr := os.Stat(r.legacyRawDir(versionID)); serr == nil {
+			return nil, fmt.Errorf("%w: version %d keeps its raw weights in the per-layer layout (%s/<snapshot>/<layer>.bin), which is no longer read; archive it with the release that wrote it",
+				ErrRepo, versionID, r.legacyRawDir(versionID))
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: raw weights of version %d: %v", ErrRepo, versionID, err)
+	}
+	out, err := parseRaw(blob, only)
+	if err != nil {
+		return nil, fmt.Errorf("%w: raw weights of version %d: %v", ErrRepo, versionID, err)
+	}
+	return out, nil
+}
+
+// parseRaw decodes a raw weights file. The file travels inside pulled
+// repositories, so every length is checked against the bytes that remain
+// before anything is allocated for it.
+func parseRaw(blob []byte, only string) (map[string]map[string]*tensor.Matrix, error) {
+	b, ok := bytes.CutPrefix(blob, []byte(rawMagic))
+	if !ok {
+		return nil, errors.New("bad magic")
+	}
+	// u32 and str consume one field each, reporting false when the bytes left
+	// cannot hold it.
+	u32 := func() (uint32, bool) {
+		if len(b) < 4 {
+			return 0, false
+		}
+		v := binary.LittleEndian.Uint32(b)
+		b = b[4:]
+		return v, true
+	}
+	str := func() (string, bool) {
+		n, ok := u32()
+		if !ok || uint64(n) > uint64(len(b)) {
+			return "", false
+		}
+		s := string(b[:n])
+		b = b[n:]
+		return s, true
+	}
+	out := map[string]map[string]*tensor.Matrix{}
+	for len(b) > 0 {
+		snap, ok1 := str()
+		name, ok2 := str()
+		rows, ok3 := u32()
+		cols, ok4 := u32()
+		if !(ok1 && ok2 && ok3 && ok4) {
+			return nil, errors.New("truncated record")
+		}
+		if uint64(rows)*uint64(cols) > uint64(len(b))/4 {
+			return nil, fmt.Errorf("record %s/%s declares %d x %d float32, more than the %d bytes left", snap, name, rows, cols, len(b))
+		}
+		body := b[:4*int(rows)*int(cols)]
+		b = b[len(body):]
+		if only != "" && snap != only {
+			continue
+		}
+		m, err := tensor.FromBytes(int(rows), int(cols), body)
+		if err != nil {
+			return nil, err
+		}
+		if out[snap] == nil {
+			out[snap] = map[string]*tensor.Matrix{}
+		}
+		if _, dup := out[snap][name]; dup {
+			return nil, fmt.Errorf("layer %s/%s recorded twice", snap, name)
+		}
+		out[snap][name] = m
+	}
+	return out, nil
+}
+
+// removeRaw unlinks an archived version's raw weights, in either layout.
+// Absent files are not an error: they are already gone.
+func (r *Repo) removeRaw(versionID int64) error {
+	if err := os.Remove(r.rawPath(versionID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return os.RemoveAll(r.legacyRawDir(versionID))
+}
+
+// syncDir fsyncs a directory so a just-renamed entry in it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		return errors.Join(err, d.Close())
+	}
+	return d.Close()
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"modelhub/internal/dlv"
@@ -98,13 +97,16 @@ func RunTable5(dir string, cfg Tab5Config) ([]Tab5Row, error) {
 
 	var rows []Tab5Row
 	for _, p := range plans {
-		if err := os.RemoveAll(dir + "/.dlv/pas"); err != nil {
-			return nil, err
-		}
+		// Re-plan in place: from the first archive on, the archive is the
+		// only copy of the weights. GC drops what the previous plan stored
+		// and this one does not reference.
 		store, err := repo.Archive(dlv.ArchiveOptions{
 			Algorithm: p.algo, Scheme: pas.Independent, Alpha: p.alpha,
 		})
 		if err != nil {
+			return nil, err
+		}
+		if _, err := repo.GC(); err != nil {
 			return nil, err
 		}
 		for _, q := range queries {

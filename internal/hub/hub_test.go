@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"io/fs"
 	"math/rand"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"modelhub/internal/dlv"
 	"modelhub/internal/tensor"
@@ -78,6 +82,37 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 func TestPackNonRepo(t *testing.T) {
 	if err := PackRepo(t.TempDir(), &bytes.Buffer{}); !errors.Is(err, ErrHub) {
 		t.Fatal("packing a non-repo must fail")
+	}
+}
+
+// The same repository packs to the same bytes from any copy of it: tar
+// headers carry content only, so two checkouts whose files differ in mtime
+// publish under one digest and newerThan's digest tie-break compares content.
+func TestPackIsContentOnly(t *testing.T) {
+	root := makeRepo(t, "lenet")
+	var first bytes.Buffer
+	if err := PackRepo(root, &first); err != nil {
+		t.Fatal(err)
+	}
+	copyRoot := t.TempDir()
+	if err := UnpackRepo(bytes.NewReader(first.Bytes()), copyRoot); err != nil {
+		t.Fatal(err)
+	}
+	stamp := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	if err := filepath.WalkDir(copyRoot, func(path string, _ fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		return os.Chtimes(path, stamp, stamp)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var second bytes.Buffer
+	if err := PackRepo(copyRoot, &second); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := sha256.Sum256(first.Bytes()), sha256.Sum256(second.Bytes()); a != b {
+		t.Fatalf("one repository packed from two copies: sha256 %x vs %x", a, b)
 	}
 }
 

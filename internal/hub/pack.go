@@ -36,13 +36,18 @@ func PackRepo(root string, w io.Writer) error {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		hdr, err := tar.FileInfoHeader(info, "")
-		if err != nil {
-			return err
-		}
-		hdr.Name = rel
-		if info.IsDir() {
-			hdr.Name += "/"
+		// Headers carry content only — name, type, size — and the modes
+		// UnpackRepo creates anyway, never times or owners: the same
+		// repository packs to the same bytes, and so the same digest, from
+		// any checkout. Walk visits entries in lexical order.
+		var hdr *tar.Header
+		switch {
+		case info.IsDir():
+			hdr = &tar.Header{Name: rel + "/", Typeflag: tar.TypeDir, Mode: 0o755}
+		case info.Mode().IsRegular():
+			hdr = &tar.Header{Name: rel, Typeflag: tar.TypeReg, Mode: 0o644, Size: info.Size()}
+		default:
+			return fmt.Errorf("%s is not a regular file or directory", rel)
 		}
 		if err := tw.WriteHeader(hdr); err != nil {
 			return err
