@@ -63,12 +63,16 @@ examples:
 		$(GO) run ./$$e || exit 1; \
 	done
 
+# The end-to-end benchmark (bench/README.md): every workload of
+# BENCHMARK.json, one plain round each. The root testing.B kernels run with
+# go test -bench=. -benchtime=1x -run='^$$' .
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+	$(GO) run ./bench
 
 # The compute-core suites, the PAS write path (pas.Create prices candidates
-# on a GOMAXPROCS-wide gate) and batched interval evaluation (perturb's
-# GEMMs go parallel), under a GOMAXPROCS matrix with the
+# on a GOMAXPROCS-wide gate, and dlv archive extends the stored plan through
+# the same pricing) and batched interval evaluation (perturb's GEMMs go
+# parallel), under a GOMAXPROCS matrix with the
 # race detector, like the CI compute-scaling job: the determinism contract
 # (bit-identical results and archive bytes at any worker count) must hold at
 # every proc count.
@@ -77,7 +81,7 @@ bench:
 test-scaling:
 	for procs in 1 2 4; do \
 		echo "== GOMAXPROCS=$$procs =="; \
-		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/pas ./internal/floatenc ./internal/perturb || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/pas ./internal/floatenc ./internal/perturb ./internal/dlv || exit 1; \
 	done
 
 check: build vet fmt-check lint test test-race
@@ -94,6 +98,6 @@ help:
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "examples    - run every examples/* program end to end"
-	@echo "bench       - run all benchmarks once"
-	@echo "test-scaling - tensor/dnn/dql/pas/floatenc suites with -race under GOMAXPROCS 1/2/4"
+	@echo "bench       - end-to-end benchmark: go run ./bench over every workload"
+	@echo "test-scaling - tensor/dnn/dql/pas/floatenc/perturb/dlv suites with -race under GOMAXPROCS 1/2/4"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

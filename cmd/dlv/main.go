@@ -16,7 +16,7 @@
 //	dlv diff    -a ID -b ID [-html FILE]
 //	dlv archive [-algo pas-mt|pas-pt|mst|spt|last|best] [-alpha F] [-scheme NAME] [-checkpoint-scheme NAME]
 //	dlv gc
-//	dlv repack
+//	dlv repack  (re-plan every archived version globally, then compact)
 //	dlv eval    -v ID [-snap LABEL] [-prefix 1..4] [-progressive [-topk K]]
 //	dlv plot    -v ID [-layer NAME] [-prefix 1..4] -o weights.html
 //	dlv query   'select m where ...'
@@ -30,8 +30,11 @@
 //
 // A version's learned weights stay raw from commit until the next
 // `dlv archive`, which moves them into the PAS archive and deletes the raw
-// copy. From then on the archive is their only copy; running archive again
-// re-plans it in place, and `dlv gc` reclaims what the old plan stored.
+// copy. From then on the archive is their only copy. Running archive again
+// with the same -algo, -alpha, -scheme and -plane-granularity extends the
+// stored plan with the versions committed since; other settings re-plan
+// every version, as `dlv repack` does with the recorded ones, and `dlv gc`
+// reclaims what an old plan stored.
 package main
 
 import (
@@ -151,7 +154,9 @@ func configureLogging(verbose bool, level string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: dlv [-v] [-log-level LEVEL] [-trace] <command> [flags]
-commands: init add train copy list desc diff archive gc repack eval history plot query publish search pull trace`)
+commands: init add train copy list desc diff archive gc repack eval history plot query publish search pull trace
+  archive  move raw versions into the PAS archive; extends the stored plan when the settings match it
+  repack   re-plan every archived version globally with the recorded settings, then compact`)
 }
 
 func run(ctx context.Context, cmd string, args []string) error {

@@ -13,9 +13,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
+
+	"modelhub/internal/atomicfile"
 )
 
 // ColType enumerates column types.
@@ -152,41 +153,10 @@ func (db *DB) Save() error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(db.path, blob); err != nil {
+	if err := atomicfile.WriteFile(db.path, blob); err != nil {
 		return fmt.Errorf("catalog: save: %w", err)
 	}
 	return nil
-}
-
-// writeFileAtomic replaces path with blob: temp file, write, fsync, rename,
-// fsync of the parent directory.
-func writeFileAtomic(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(blob); err != nil {
-		return errors.Join(err, f.Close(), os.Remove(tmp))
-	}
-	if err := f.Sync(); err != nil {
-		return errors.Join(err, f.Close(), os.Remove(tmp))
-	}
-	if err := f.Close(); err != nil {
-		return errors.Join(err, os.Remove(tmp))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return errors.Join(err, os.Remove(tmp))
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		return errors.Join(err, d.Close())
-	}
-	return d.Close()
 }
 
 // CreateTable registers a new table.

@@ -1,12 +1,13 @@
 package dlv
 
-// Archive maintenance: dlv gc and dlv repack. Re-archiving never overwrites
+// Archive maintenance: dlv gc and dlv repack. Archiving never overwrites
 // segment payloads in place — content-addressed dedup makes displaced
 // payloads garbage instead — so a long-lived repository wants a GC that
-// reclaims them, and a repack that additionally coalesces fragmented
-// segment files. Both are safe under concurrent checkouts of the same
-// in-process store (pas commit order: write new segments → flip index →
-// unlink old).
+// reclaims them, and a repack that re-plans the archive globally and then
+// coalesces fragmented segment files. GC is safe under concurrent checkouts
+// of the same in-process store (pas commit order: write new segments → flip
+// index → unlink old). Repack swaps in a new store first, so a checkout
+// still reading through the old one can fail typed and is retried.
 
 import (
 	"fmt"
@@ -28,14 +29,37 @@ func (r *Repo) GC() (pas.GCStats, error) {
 	return store.GC()
 }
 
-// Repack rewrites every segment file of the repository's PAS archive into
-// freshly packed segments — GC plus defragmentation after many incremental
-// re-archives.
+// Repack re-plans the repository's PAS archive globally and compacts it.
+// Every archived version goes through one plan — the paper's optimizer over
+// the whole lineage, where dlv archive only extends the stored plan — with
+// the algorithm, scheme, α and plane granularity the archive records; then
+// every segment file is rewritten into freshly packed segments, which is GC
+// plus defragmentation. Right after a full archive the plan, and so the
+// manifest, comes out unchanged.
 func (r *Repo) Repack() (pas.GCStats, error) {
 	defer obs.StartRoot("dlv.repack").End()
-	store, err := r.openArchive()
+	cur, err := r.openArchive()
 	if err != nil {
 		return pas.GCStats{}, fmt.Errorf("%w: repack: %v", ErrRepo, err)
 	}
-	return store.Repack()
+	held, err := r.heldVersions()
+	if err != nil {
+		return pas.GCStats{}, err
+	}
+	inStore := archivedIn(cur)
+	var archived []*Version
+	for _, v := range held {
+		if inStore(v) {
+			archived = append(archived, v)
+		}
+	}
+	info := cur.Info()
+	next, err := r.replan(archived, cur, ArchiveOptions{
+		Algorithm: info.Algorithm, Scheme: info.Scheme, Alpha: info.Alpha, PlaneGranularity: info.PlaneGranularity,
+	})
+	if err != nil {
+		return pas.GCStats{}, err
+	}
+	r.setArchive(next)
+	return next.Repack()
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Re-archiving under another plan displaces the payloads the old plan stored
-// (pas-mt's deltas give way to spt's materialized matrices) — garbage only
-// GC reclaims. The latest snapshot must stay exact throughout, including for
+// Re-archiving under another algorithm re-plans and displaces the payloads
+// the old plan stored (pas-mt's deltas give way to spt's materialized
+// matrices) — garbage only GC reclaims. The latest snapshot must stay exact throughout, including for
 // checkouts racing the GC (run under -race in CI).
 func TestGCReclaimsAfterRearchive(t *testing.T) {
 	r := initRepo(t)
@@ -22,8 +22,14 @@ func TestGCReclaimsAfterRearchive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := r.Archive(ArchiveOptions{Algorithm: "spt"}); err != nil {
+	// Other settings than the stored plan's re-plan every version, even with
+	// nothing new to archive.
+	replanned, err := r.Archive(ArchiveOptions{Algorithm: "spt"})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if info := replanned.Info(); info.Algorithm != "spt" || info.Alpha != 0 {
+		t.Fatalf("archive under new settings kept the old plan: %+v", info)
 	}
 
 	start := make(chan struct{})

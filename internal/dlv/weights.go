@@ -10,7 +10,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
+	"modelhub/internal/atomicfile"
 	"modelhub/internal/catalog"
 	"modelhub/internal/dnn"
 	"modelhub/internal/floatenc"
@@ -43,51 +45,191 @@ type ArchiveOptions struct {
 	PlaneGranularity bool
 }
 
-// Archive consolidates every snapshot of every version into a PAS archive
-// (dlv archive). Within a version, consecutive snapshots become delta
-// candidates; across versions, the parent relation links the parent's
-// latest snapshot to the child's snapshots (the fine-tuning pattern the
-// paper exploits).
+// Archive moves every version's snapshots into the PAS archive (dlv
+// archive). Within a version, consecutive snapshots become delta candidates;
+// across versions, the parent relation links the parent's latest snapshot to
+// the child's first (the fine-tuning pattern the paper exploits).
+//
+// When an archive exists and was planned with opts' algorithm, scheme, α and
+// plane granularity, Archive extends it (pas.Store.Extend): only versions it
+// does not hold yet are priced and planned, and an archived parent's latest
+// snapshot enters the plan pinned at the cost its stored chain has. With
+// nothing new it returns the open store and writes nothing. Otherwise — the
+// first archive, or other settings — it plans every version globally,
+// reading archived ones back from the store (bit-exact at full precision);
+// Repack runs that global plan with the recorded settings.
 //
 // A version's weights live in one place: its raw file until its first
-// archive, the archive after. Snapshots already archived are read back from
-// the open store (bit-exact at full precision); only versions committed
-// since are read raw. The new archive and then the catalog's archived flags
-// are made durable before any raw file is removed, so a crash leaves either
-// a raw version with its file or an archived version whose leftover file
-// nothing reads and the next archive removes.
+// archive, the archive after. The new manifest and then the catalog's
+// archived flags are made durable before any raw file is removed, so a crash
+// leaves either a raw version with its file or an archived version whose
+// leftover file nothing reads and the next archive removes.
 func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
+	held, err := r.heldVersions()
+	if err != nil {
+		return nil, err
+	}
+	if len(held) == 0 {
+		return nil, fmt.Errorf("%w: nothing to archive", ErrRepo)
+	}
+	var cur *pas.Store // the archive as it stands, once a version is flagged archived
+	for _, v := range held {
+		if v.Archived {
+			if cur, err = r.openArchive(); err != nil {
+				return nil, err
+			}
+			break
+		}
+	}
+	next := cur
+	if cur != nil && plannedWith(cur.Info(), opts) {
+		inStore := archivedIn(cur)
+		var fresh []*Version
+		for _, v := range held {
+			if !inStore(v) {
+				fresh = append(fresh, v)
+			}
+		}
+		if len(fresh) > 0 {
+			snaps, pairs, err := r.lineage(fresh, cur, opts.CheckpointScheme)
+			if err != nil {
+				return nil, err
+			}
+			if next, err = cur.Extend(snaps, pasOptions(opts, pairs)); err != nil {
+				return nil, err
+			}
+		}
+	} else if next, err = r.replan(held, cur, opts); err != nil {
+		return nil, err
+	}
+	changed := false
+	for _, v := range held {
+		if v.Archived {
+			continue
+		}
+		if _, err := r.db.Update("model_version",
+			[]catalog.Cond{{Col: "id", Op: catalog.Eq, Val: v.ID}},
+			catalog.Row{"archived": true}); err != nil {
+			return nil, err
+		}
+		changed = true
+	}
+	if changed {
+		if err := r.db.Save(); err != nil {
+			return nil, err
+		}
+	}
+	r.setArchive(next)
+	for _, v := range held {
+		if err := r.removeRaw(v.ID); err != nil {
+			return nil, fmt.Errorf("%w: archive committed, but removing the raw weights of version %d failed (the next archive retries): %v",
+				ErrRepo, v.ID, err)
+		}
+	}
+	return next, nil
+}
+
+// heldVersions lists the versions that have weights, in id order.
+func (r *Repo) heldVersions() ([]*Version, error) {
 	versions, err := r.List()
 	if err != nil {
 		return nil, err
 	}
+	var held []*Version
+	for _, v := range versions {
+		if len(v.Snapshots) > 0 {
+			held = append(held, v)
+		}
+	}
+	return held, nil
+}
+
+// archivedIn reports which versions store holds, by their snapshot ids: the
+// manifest is the commit point, so a version whose archived flag a crash
+// kept from the catalog still counts. A nil store holds nothing.
+func archivedIn(store *pas.Store) func(*Version) bool {
+	ids := map[string]bool{}
+	if store != nil {
+		for _, id := range store.Snapshots() {
+			ids[id] = true
+		}
+	}
+	return func(v *Version) bool {
+		for _, snap := range v.Snapshots {
+			if !ids[pasSnapID(v.ID, snap)] {
+				return false
+			}
+		}
+		return len(v.Snapshots) > 0
+	}
+}
+
+// plannedWith reports whether an archive was planned with opts' settings,
+// after pas's defaults. CheckpointScheme only shapes what enters the archive,
+// so it does not decide between extending and re-planning.
+func plannedWith(info pas.PlanInfo, opts ArchiveOptions) bool {
+	algo, alpha := opts.Algorithm, opts.Alpha
+	if algo == "" {
+		algo = "pas-mt"
+	}
+	if !(alpha > 0) {
+		alpha = 0
+	}
+	return info.Algorithm == algo && info.Scheme == opts.Scheme && info.Alpha == alpha &&
+		info.PlaneGranularity == opts.PlaneGranularity
+}
+
+func pasOptions(opts ArchiveOptions, pairs [][2]pas.MatrixRef) pas.Options {
+	return pas.Options{
+		Algorithm:        opts.Algorithm,
+		Scheme:           opts.Scheme,
+		Alpha:            opts.Alpha,
+		ExtraPairs:       pairs,
+		NoDefaultPairs:   true,
+		PlaneGranularity: opts.PlaneGranularity,
+	}
+}
+
+// replan archives vs under one global plan, replacing whatever manifest the
+// archive had; versions cur holds are read back from it.
+func (r *Repo) replan(vs []*Version, cur *pas.Store, opts ArchiveOptions) (*pas.Store, error) {
+	snaps, pairs, err := r.lineage(vs, cur, opts.CheckpointScheme)
+	if err != nil {
+		return nil, err
+	}
+	return pas.Create(r.pasPath(), snaps, pasOptions(opts, pairs))
+}
+
+// lineage returns vs's snapshots as they enter the archive, in order, and
+// their delta candidates: adjacent snapshots within a version, then each
+// parent's latest snapshot against its child's first. A version cur holds is
+// read back from it; the others are read raw, with checkpoints degraded
+// through scheme. A parent outside vs is linked when cur holds its latest
+// snapshot, which Extend then pins.
+func (r *Repo) lineage(vs []*Version, cur *pas.Store, scheme *floatenc.Scheme) ([]pas.SnapshotIn, [][2]pas.MatrixRef, error) {
+	inStore := archivedIn(cur)
 	var snaps []pas.SnapshotIn
-	var extra [][2]pas.MatrixRef
-	// link offers a delta from one snapshot to another for every layer name
-	// of the target (sharedOnly: that the source has too; otherwise a name the
-	// source lacks fails Create), in sorted order: pair order is edge
-	// insertion order, which must not replay map iteration order.
-	link := func(from, to pas.SnapshotIn, sharedOnly bool) {
+	var pairs [][2]pas.MatrixRef
+	// link offers a delta from snapshot from to each layer of to that has
+	// admits, in sorted order: pair order is edge insertion order, which must
+	// not replay map iteration order.
+	link := func(from string, has func(string) bool, to pas.SnapshotIn) {
 		for _, name := range dnn.SortedNames(to.Matrices) {
-			if _, ok := from.Matrices[name]; ok || !sharedOnly {
-				extra = append(extra, [2]pas.MatrixRef{
-					{Snapshot: from.ID, Name: name},
-					{Snapshot: to.ID, Name: name},
-				})
+			if has(name) {
+				pairs = append(pairs, [2]pas.MatrixRef{{Snapshot: from, Name: name}, {Snapshot: to.ID, Name: name}})
 			}
 		}
 	}
 	firstOf := map[int64]pas.SnapshotIn{}
 	latestOf := map[int64]pas.SnapshotIn{}
-	var held []int64 // versions with weights: all of them archived once Create succeeds
-	for _, v := range versions {
-		if len(v.Snapshots) == 0 {
-			continue
+	for _, v := range vs {
+		src := cur
+		if !inStore(v) {
+			src = nil
 		}
-		held = append(held, v.ID)
-		weights, err := r.archiveInput(v, opts.CheckpointScheme)
+		weights, err := r.archiveInput(v, src, scheme)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for i, snap := range v.Snapshots {
 			in := pas.SnapshotIn{ID: pasSnapID(v.ID, snap), Matrices: weights[i]}
@@ -97,65 +239,38 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 			if i == 0 {
 				firstOf[v.ID] = in
 			} else {
-				link(snaps[len(snaps)-1], in, false) // in-version chain: adjacent snapshots share layer names
+				// Adjacent snapshots of a version share layer names: one the
+				// previous snapshot lacks fails the plan.
+				link(snaps[len(snaps)-1].ID, func(string) bool { return true }, in)
 			}
 			snaps = append(snaps, in)
 		}
 	}
-	if len(snaps) == 0 {
-		return nil, fmt.Errorf("%w: nothing to archive", ErrRepo)
-	}
-	// Cross-version candidates along lineage: parent's latest snapshot vs
-	// the child's first snapshot.
-	for _, v := range versions {
-		parentLatest, okP := latestOf[v.ParentID]
-		childFirst, okC := firstOf[v.ID]
-		if v.ParentID != 0 && okP && okC {
-			link(parentLatest, childFirst, true)
+	for _, v := range vs {
+		child, ok := firstOf[v.ID]
+		if v.ParentID == 0 || !ok {
+			continue
+		}
+		if parent, ok := latestOf[v.ParentID]; ok {
+			link(parent.ID, func(name string) bool { _, ok := parent.Matrices[name]; return ok }, child)
+		} else if cur != nil {
+			id := pasSnapID(v.ParentID, LatestSnap)
+			if names, err := cur.MatrixNames(id); err == nil {
+				link(id, func(name string) bool { return slices.Contains(names, name) }, child)
+			}
 		}
 	}
-	store, err := pas.Create(r.pasPath(), snaps, pas.Options{
-		Algorithm:        opts.Algorithm,
-		Scheme:           opts.Scheme,
-		Alpha:            opts.Alpha,
-		ExtraPairs:       extra,
-		NoDefaultPairs:   true,
-		PlaneGranularity: opts.PlaneGranularity,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range held {
-		if _, err := r.db.Update("model_version",
-			[]catalog.Cond{{Col: "id", Op: catalog.Eq, Val: id}},
-			catalog.Row{"archived": true}); err != nil {
-			return nil, err
-		}
-	}
-	if err := r.db.Save(); err != nil {
-		return nil, err
-	}
-	r.setArchive(store)
-	for _, id := range held {
-		if err := r.removeRaw(id); err != nil {
-			return nil, fmt.Errorf("%w: archive committed, but removing the raw weights of version %d failed (the next archive retries): %v",
-				ErrRepo, id, err)
-		}
-	}
-	return store, nil
+	return snaps, pairs, nil
 }
 
 // archiveInput returns a version's snapshots in v.Snapshots order as they
-// enter the archive: read back from the store when the version is already
-// archived, else read raw, with checkpoints degraded through scheme.
-func (r *Repo) archiveInput(v *Version, scheme *floatenc.Scheme) ([]map[string]*tensor.Matrix, error) {
+// enter the archive: read back from store when it is set (the version is
+// archived there), else read raw, with checkpoints degraded through scheme.
+func (r *Repo) archiveInput(v *Version, store *pas.Store, scheme *floatenc.Scheme) ([]map[string]*tensor.Matrix, error) {
 	out := make([]map[string]*tensor.Matrix, len(v.Snapshots))
-	if v.Archived {
-		store, err := r.openArchive()
-		if err != nil {
-			return nil, err
-		}
+	if store != nil {
 		for i, snap := range v.Snapshots {
+			var err error
 			if out[i], err = store.GetSnapshot(pasSnapID(v.ID, snap), 4, pas.Concurrent); err != nil {
 				return nil, err
 			}
@@ -313,8 +428,7 @@ func (r *Repo) legacyRawDir(versionID int64) string {
 	return filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d", versionID))
 }
 
-// writeRaw writes a version's raw weights file durably: temp file, fsync,
-// rename, fsync of the directory.
+// writeRaw writes a version's raw weights file durably (atomicfile).
 func (r *Repo) writeRaw(versionID int64, snaps []rawSnapshot) error {
 	dir := filepath.Join(r.root, dlvDir, weightsDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -337,24 +451,7 @@ func (r *Repo) writeRaw(versionID int64, snaps []rawSnapshot) error {
 			}
 		}
 	}
-	f, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrRepo, err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(blob); err != nil {
-		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, f.Close(), os.Remove(tmp)))
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, f.Close(), os.Remove(tmp)))
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, os.Remove(tmp)))
-	}
-	if err := os.Rename(tmp, r.rawPath(versionID)); err != nil {
-		return fmt.Errorf("%w: %v", ErrRepo, errors.Join(err, os.Remove(tmp)))
-	}
-	if err := syncDir(dir); err != nil {
+	if err := atomicfile.WriteFile(r.rawPath(versionID), blob); err != nil {
 		return fmt.Errorf("%w: %v", ErrRepo, err)
 	}
 	return nil
@@ -446,16 +543,4 @@ func (r *Repo) removeRaw(versionID int64) error {
 		return err
 	}
 	return os.RemoveAll(r.legacyRawDir(versionID))
-}
-
-// syncDir fsyncs a directory so a just-renamed entry in it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		return errors.Join(err, d.Close())
-	}
-	return d.Close()
 }

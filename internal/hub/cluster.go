@@ -158,14 +158,27 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 }
 
 // newerThan reports whether a supersedes b under last-writer-wins:
-// publication time first (RFC3339 strings compare chronologically), digest
-// as the deterministic tie-break so all replicas converge on one record
-// even when two publishes carry the same timestamp.
+// publication instant first, digest as the deterministic tie-break so all
+// replicas converge on one record when two publishes carry the same instant.
+// Stamps are parsed, not compared as strings: RFC 3339 trims trailing zeros
+// off the fraction, so "…:00Z" sorts after "…:00.5Z". Owners stamp in
+// nanoseconds; second-resolution stamps of older index entries parse too,
+// and an unparseable one counts as the oldest.
 func newerThan(a, b RepoInfo) bool {
-	if a.PublishedAt != b.PublishedAt {
-		return a.PublishedAt > b.PublishedAt
+	if ta, tb := publishedInstant(a), publishedInstant(b); !ta.Equal(tb) {
+		return ta.After(tb)
 	}
 	return a.SHA256 > b.SHA256
+}
+
+// publishedInstant parses a record's stamp; an unparseable one is the zero
+// instant.
+func publishedInstant(info RepoInfo) time.Time {
+	t, err := time.Parse(time.RFC3339Nano, info.PublishedAt)
+	if err != nil {
+		return time.Time{}
+	}
+	return t
 }
 
 // acceptReplica is the commit policy for replica receives and repair:

@@ -39,6 +39,8 @@ type testCluster struct {
 	nodes []*testNode
 	urls  []string
 	cfg   ClusterConfig
+	// clock, when set, replaces the clock of nodes (re)started after it is.
+	clock func() time.Time
 }
 
 func newTestCluster(t *testing.T, n, replicas int) *testCluster {
@@ -84,6 +86,9 @@ func (tc *testCluster) startNode(node *testNode, ln net.Listener) {
 	srv, err := NewServer(node.dir)
 	if err != nil {
 		tc.t.Fatal(err)
+	}
+	if tc.clock != nil {
+		srv.now = tc.clock
 	}
 	cfg := tc.cfg
 	cfg.Self = node.url

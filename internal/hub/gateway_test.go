@@ -3,6 +3,7 @@ package hub
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -320,5 +321,84 @@ func TestGatewayReadThroughDuringRebalance(t *testing.T) {
 	}
 	if err := client.Pull(context.Background(), name, t.TempDir()); err != nil {
 		t.Fatalf("pull after convergence: %v", err)
+	}
+}
+
+// Two publishes of one name 1 ms apart, inside one second: the later one wins
+// on every replica and stays the winner through anti-entropy repair. With
+// second-resolution stamps both carried the same time, and the digest
+// tie-break kept whichever blob hashed larger, here the earlier one.
+func TestGatewayLastWriterWinsWithinOneSecond(t *testing.T) {
+	tc := newTestCluster(t, 3, 3)
+	var mu sync.Mutex
+	now := time.Date(2026, 5, 1, 12, 0, 0, 100e6, time.UTC)
+	tc.clock = func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	for _, node := range tc.nodes {
+		node.kill()
+		tc.restart(node)
+	}
+	_, client := gatewayFor(t, tc)
+	// Publish the repository whose blob hashes larger first.
+	repos := []string{makeRepo(t, "first"), makeRepo(t, "second")}
+	digests := make([]string, len(repos))
+	for i, root := range repos {
+		blob, err := io.ReadAll(packedRepo(t, root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests[i] = fmt.Sprintf("%x", sha256.Sum256(blob))
+	}
+	if digests[0] < digests[1] {
+		repos[0], repos[1] = repos[1], repos[0]
+		digests[0], digests[1] = digests[1], digests[0]
+	}
+	const name = "same-second"
+	for i, root := range repos {
+		if i > 0 {
+			mu.Lock()
+			now = now.Add(time.Millisecond)
+			mu.Unlock()
+		}
+		if err := client.Publish(context.Background(), root, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func(when string) {
+		t.Helper()
+		for i, node := range tc.nodes {
+			srv := node.server()
+			srv.mu.RLock()
+			info := srv.index[name]
+			srv.mu.RUnlock()
+			if info.SHA256 != digests[1] || !node.hasBlob(name) {
+				t.Errorf("%s: node %d holds %.12s, want the later publish %.12s", when, i, info.SHA256, digests[1])
+			}
+		}
+	}
+	held("after publishing")
+	for _, node := range tc.nodes {
+		if _, err := node.server().RepairOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held("after repair")
+}
+
+// Instants order records, whatever the stamps' resolution: an index entry
+// stamped to the second is older than a nanosecond stamp later in that
+// second, though the strings sort the other way.
+func TestNewerThanComparesInstants(t *testing.T) {
+	older := RepoInfo{PublishedAt: "2026-01-01T00:00:00Z", SHA256: "ff"}
+	newer := RepoInfo{PublishedAt: "2026-01-01T00:00:00.5Z", SHA256: "00"}
+	if !newerThan(newer, older) || newerThan(older, newer) {
+		t.Fatal("a later instant in the same second does not supersede a second-resolution stamp")
+	}
+	same := RepoInfo{PublishedAt: "2026-01-01T00:00:00.000Z", SHA256: "01"}
+	if !newerThan(older, same) || newerThan(same, older) {
+		t.Fatal("equal instants must fall to the digest tie-break")
 	}
 }

@@ -338,7 +338,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	info := RepoInfo{
 		Name:        name,
 		SizeBytes:   sp.size,
-		PublishedAt: s.now().UTC().Format(time.RFC3339),
+		PublishedAt: s.now().UTC().Format(time.RFC3339Nano),
 		Models:      models,
 		SHA256:      sp.digest,
 	}

@@ -1,6 +1,7 @@
 package pas
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -21,6 +22,7 @@ var hostileManifests = []struct {
 	{"version 3", func(m *manifest) { m.Version = 3 }},
 	{"delta op intsub", func(m *manifest) { m.DeltaOp = uint8(delta.IntSub) }},
 	{"delta op unknown", func(m *manifest) { m.DeltaOp = 200 }},
+	{"negative alpha", func(m *manifest) { m.Alpha = -0.5 }},
 	{"negative plane start", func(m *manifest) { m.Nodes[0].PlaneStart = -1 }},
 	{"plane end past 4", func(m *manifest) { m.Nodes[0].PlaneEnd = 9 }},
 	{"empty plane range", func(m *manifest) { m.Nodes[0].PlaneStart, m.Nodes[0].PlaneEnd = 2, 2 }},
@@ -110,6 +112,12 @@ func FuzzOpenManifest(f *testing.F) {
 	f.Add(mutated(f, man, func(m *manifest) { m.Nodes[0].Rows, m.Nodes[0].Cols = 1, 1 }))
 	f.Add(mutated(f, man, func(m *manifest) { m.Nodes[0].Rows++ }))
 	f.Add(mutated(f, man, func(m *manifest) { m.Version = 1 }))
+	// An α JSON cannot hold as a float64.
+	valid := mutated(f, man, func(*manifest) {})
+	if !bytes.Contains(valid, []byte(`"alpha":0,`)) {
+		f.Fatal("the fixture manifest does not record alpha 0")
+	}
+	f.Add(bytes.Replace(valid, []byte(`"alpha":0,`), []byte(`"alpha":1e999,`), 1))
 	paths, err := filepath.Glob(filepath.Join(base, segmentsDir, "*"))
 	if err != nil {
 		f.Fatal(err)

@@ -16,7 +16,7 @@ package pas
 // without ever touching the manifest.
 //
 // Commit orders (each step durable via temp-file + fsync + rename + parent
-// dir fsync):
+// dir fsync, package atomicfile):
 //
 //	Create:    write segment files → write index → write manifest (the
 //	           commit point)
@@ -42,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"modelhub/internal/atomicfile"
 	"modelhub/internal/obs"
 )
 
@@ -49,7 +50,7 @@ const (
 	segmentsDir  = "segments"
 	segIndexName = "index.json"
 	segMagic     = "PASSEG2\n"
-	segTmpPrefix = ".tmp-"
+	segTmpPrefix = atomicfile.TempPrefix
 	// segRecordOverhead is the per-record header: a 4-byte big-endian
 	// payload length plus the raw 32-byte SHA-256 of the payload.
 	segRecordOverhead = 4 + sha256.Size
@@ -163,44 +164,6 @@ func scanSegmentRecords(data []byte) ([]segRecord, error) {
 	return recs, nil
 }
 
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		return errors.Join(err, d.Close())
-	}
-	return d.Close()
-}
-
-// writeFileAtomic writes blob to path with full durability barriers: a temp
-// file in the target directory, write, fsync, rename over path, fsync the
-// parent directory. A crash at any point leaves either the old file or the
-// complete new one — never a torn or truncated file.
-func writeFileAtomic(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, segTmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(blob); err != nil {
-		return errors.Join(err, f.Close(), os.Remove(tmp))
-	}
-	if err := f.Sync(); err != nil {
-		return errors.Join(err, f.Close(), os.Remove(tmp))
-	}
-	if err := f.Close(); err != nil {
-		return errors.Join(err, os.Remove(tmp))
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return errors.Join(err, os.Remove(tmp))
-	}
-	return syncDir(dir)
-}
-
 // segPayload is one chunk payload headed into a segment file.
 type segPayload struct {
 	sum  string
@@ -285,7 +248,7 @@ func writeSegments(dir string, idx *segIndex, payloads []segPayload) ([]segFileI
 			return nil, nil, err
 		}
 	}
-	if err := syncDir(segDir); err != nil {
+	if err := atomicfile.SyncDir(segDir); err != nil {
 		return nil, nil, err
 	}
 	return infos, locs, nil
@@ -298,7 +261,7 @@ func saveSegIndex(dir string, idx *segIndex) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(segIndexPath(dir), blob); err != nil {
+	if err := atomicfile.WriteFile(segIndexPath(dir), blob); err != nil {
 		return fmt.Errorf("%w: writing segment index: %v", ErrStore, err)
 	}
 	noteSegmentGauges(idx)
@@ -707,11 +670,10 @@ func (s *Store) SegmentStats() []SegmentStat {
 
 // storePayloads appends to dir's segment files every payload its index does
 // not already hold — content-addressed dedup, against the directory and
-// within the batch — and persists the index. It returns the number of
-// segment files written.
-func storePayloads(dir string, payloads []segPayload) (int, error) {
+// within the batch — and persists the index, which it returns.
+func storePayloads(dir string, payloads []segPayload) (*segIndex, error) {
 	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrStore, err)
+		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
 	idx := loadOrInitSegIndex(dir)
 	seen := make(map[string]bool, len(payloads))
@@ -727,7 +689,7 @@ func storePayloads(dir string, payloads []segPayload) (int, error) {
 	}
 	infos, locs, err := writeSegments(dir, idx, fresh)
 	if err != nil {
-		return 0, fmt.Errorf("%w: writing segments: %v", ErrStore, err)
+		return nil, fmt.Errorf("%w: writing segments: %v", ErrStore, err)
 	}
 	base := len(idx.Segments)
 	idx.Segments = append(idx.Segments, infos...)
@@ -736,9 +698,9 @@ func storePayloads(dir string, payloads []segPayload) (int, error) {
 		idx.Chunks[sum] = loc
 	}
 	if err := saveSegIndex(dir, idx); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return len(infos), nil
+	return idx, nil
 }
 
 // reconcileSegmentDir sweeps crash leftovers of an archive: orphaned temp

@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"modelhub/internal/atomicfile"
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
 	"modelhub/internal/tensor"
@@ -106,6 +108,9 @@ func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
 		o.Algorithm = "pas-mt"
 	}
+	if !(o.Alpha > 0) {
+		o.Alpha = 0 // the per-snapshot budgets, as the manifest records it
+	}
 	switch o.ZlibLevel {
 	case 0:
 		o.ZlibLevel = floatenc.DefaultZlibLevel
@@ -127,6 +132,7 @@ type manifest struct {
 	DeltaOp   uint8          `json:"delta_op"`
 	Scheme    int            `json:"scheme"`
 	Algorithm string         `json:"algorithm"`
+	Alpha     float64        `json:"alpha"` // Options.Alpha after defaults
 	Nodes     []manifestNode `json:"nodes"`
 	Snapshots []manifestSnap `json:"snapshots"`
 	// Costs of the chosen plan, for reporting.
@@ -310,11 +316,27 @@ func priceAll(jobs [][2]*tensor.Matrix, level int) ([]*priced, error) {
 }
 
 // candNode is one node of the storage graph: the matrix it belongs to, the
-// byte planes it covers, and the pricing job of its materialization.
+// byte planes it covers and its manifest node id. A new node has the pricing
+// job of its materialization; a pinned node is an archived part node an
+// extension's delta pair starts from, kept with its recreation cost cr under
+// the stored plan.
 type candNode struct {
-	ref  MatrixRef
-	part [2]int
-	job  int
+	ref    MatrixRef
+	part   [2]int
+	id     int
+	job    int
+	pinned bool
+	cr     float64
+}
+
+// planeParts lists the byte-plane ranges every matrix splits into: one node
+// per matrix, or under plane granularity a high-plane and a low-plane node.
+// Parts tile [0, NumPlanes).
+func planeParts(granular bool) [][2]int {
+	if granular {
+		return [][2]int{{0, 2}, {2, floatenc.NumPlanes}}
+	}
+	return [][2]int{{0, floatenc.NumPlanes}}
 }
 
 // candEdge is what Create writes if the plan picks the edge.
@@ -332,22 +354,27 @@ type candidates struct {
 }
 
 // buildCandidates measures every candidate edge of the matrix storage graph
-// for the given snapshots: materialization edges from \u03bd0, same-name deltas
+// for the given snapshots: materialization edges from ν0, same-name deltas
 // between consecutive snapshots (unless disabled), explicit extra pairs, and
 // remote-tier variants. Costs are real compressed byte counts. Each distinct
 // delta body is priced once, in parallel; edges are then added serially in a
 // fixed order, so edge ids — and with them the plan and the archive bytes —
 // are the same at any worker count.
-func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
+//
+// With base set the graph extends that archive: new node ids continue after
+// its largest, its last snapshot precedes snaps[0] in the default pairing,
+// and a pair may take an archived matrix as its base. That matrix is read
+// back bit-exactly and enters as pinned part nodes, whose one in-edge is
+// ν0 → node at storage 0 and the recreation cost the stored plan gives it.
+// No edge points into a pinned node, so the archived plan cannot change.
+func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("%w: no snapshots", ErrStore)
 	}
-
-	// Each matrix becomes one node (full plane range) or, under plane
-	// granularity, one node per plane segment. Parts tile [0, NumPlanes).
-	parts := [][2]int{{0, floatenc.NumPlanes}}
-	if opts.PlaneGranularity {
-		parts = [][2]int{{0, 2}, {2, floatenc.NumPlanes}}
+	parts := planeParts(opts.PlaneGranularity)
+	idBase := 0
+	if base != nil {
+		idBase = base.maxNodeID()
 	}
 
 	// Assign node ids in deterministic order. jobs lists the distinct delta
@@ -365,47 +392,102 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 			matrixOf[ref] = s.Matrices[name]
 			for _, part := range parts {
 				byRef[ref] = append(byRef[ref], len(nodes))
-				nodes = append(nodes, candNode{ref: ref, part: part, job: len(jobs)})
+				nodes = append(nodes, candNode{ref: ref, part: part, id: idBase + len(nodes), job: len(jobs)})
 			}
 			jobs = append(jobs, [2]*tensor.Matrix{nil, s.Matrices[name]})
 		}
 	}
+	newNodes := len(nodes)
 
 	// Default delta candidates: same-name matrices in consecutive snapshots.
-	// Shared names are sorted before pairing: pair order decides delta-edge
+	// Names are sorted before pairing: pair order decides delta-edge
 	// insertion order, which must not replay map iteration order.
 	var pairs [][2]MatrixRef
-	for i := 1; i < len(snaps) && !opts.NoDefaultPairs; i++ {
-		prev, cur := snaps[i-1], snaps[i]
-		for _, name := range sortedKeys(cur.Matrices) {
-			if _, ok := prev.Matrices[name]; ok {
-				pairs = append(pairs, [2]MatrixRef{
-					{Snapshot: prev.ID, Name: name},
-					{Snapshot: cur.ID, Name: name},
-				})
+	if !opts.NoDefaultPairs {
+		var prevID string
+		var prevNames []string
+		if base != nil && len(base.man.Snapshots) > 0 {
+			last := base.man.Snapshots[len(base.man.Snapshots)-1]
+			prevID, prevNames = last.ID, last.Names
+		}
+		for _, s := range snaps {
+			names := sortedKeys(s.Matrices)
+			for _, name := range names {
+				if slices.Contains(prevNames, name) {
+					pairs = append(pairs, [2]MatrixRef{{Snapshot: prevID, Name: name}, {Snapshot: s.ID, Name: name}})
+				}
 			}
+			prevID, prevNames = s.ID, names
 		}
 	}
 	pairs = append(pairs, opts.ExtraPairs...)
-	// pairJobs[i] holds the jobs of pair i's two directions. XOR is
-	// symmetric, so a same-shape pair has one body for both; when the shapes
-	// differ the base is cropped or padded to the target's, the two bodies
-	// really differ, and each direction is priced.
-	pairJobs := make([][2]int, len(pairs))
-	for i, p := range pairs {
-		a, okA := matrixOf[p[0]]
-		b, okB := matrixOf[p[1]]
-		if !okA || !okB {
-			return nil, fmt.Errorf("%w: delta pair references unknown matrix %v / %v", ErrStore, p[0], p[1])
+
+	// matrix resolves a pair's side: one of snaps' matrices, or an archived
+	// one, which is read back at full precision and pinned on first use.
+	matrix := func(ref MatrixRef) (*tensor.Matrix, error) {
+		if m, ok := matrixOf[ref]; ok {
+			return m, nil
 		}
-		pairJobs[i] = [2]int{len(jobs), len(jobs)}
+		if base == nil || base.byRef[ref] == nil {
+			return nil, fmt.Errorf("%w: delta pair references unknown matrix %v", ErrStore, ref)
+		}
+		m, err := base.GetMatrix(ref, floatenc.NumPlanes)
+		if err != nil {
+			return nil, err
+		}
+		for _, part := range parts {
+			n, err := base.partNode(ref, part)
+			if err != nil {
+				return nil, err
+			}
+			cr, err := base.recreationCost(n.ID)
+			if err != nil {
+				return nil, err
+			}
+			byRef[ref] = append(byRef[ref], len(nodes))
+			nodes = append(nodes, candNode{ref: ref, part: part, id: n.ID, pinned: true, cr: cr})
+		}
+		matrixOf[ref] = m
+		return m, nil
+	}
+	pinned := func(ref MatrixRef) bool { return nodes[byRef[ref][0]].pinned }
+
+	// Each pair is a delta from base to target, and the reverse unless the
+	// base is pinned. XOR is symmetric, so a same-shape pair has one body for
+	// both directions; when the shapes differ the base is cropped or padded
+	// to the target's, the two bodies really differ, and each is priced.
+	type pairCand struct {
+		base, target MatrixRef
+		jobs         [2]int
+		oneWay       bool
+	}
+	cps := make([]pairCand, len(pairs))
+	for i, p := range pairs {
+		a, err := matrix(p[0])
+		if err != nil {
+			return nil, err
+		}
+		b, err := matrix(p[1])
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case pinned(p[0]) && pinned(p[1]):
+			return nil, fmt.Errorf("%w: delta pair %v / %v joins two archived matrices", ErrStore, p[0], p[1])
+		case pinned(p[1]):
+			p[0], p[1], a, b = p[1], p[0], b, a
+		}
+		c := pairCand{base: p[0], target: p[1], jobs: [2]int{len(jobs), len(jobs)}, oneWay: pinned(p[0])}
 		jobs = append(jobs, [2]*tensor.Matrix{a, b})
-		if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
-			pairJobs[i][1] = len(jobs)
+		switch {
+		case c.oneWay:
+		case a.Rows() != b.Rows() || a.Cols() != b.Cols():
+			c.jobs[1] = len(jobs)
 			jobs = append(jobs, [2]*tensor.Matrix{b, a})
-		} else {
+		default:
 			mCreatePlanesShared.Add(floatenc.NumPlanes)
 		}
+		cps[i] = c
 	}
 	bodies, err := priceAll(jobs, opts.ZlibLevel)
 	if err != nil {
@@ -430,17 +512,25 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 			cand.edges = append(cand.edges, candEdge{body, tierRemote})
 		}
 	}
-	// Materialization edges \u03bd0 -> m (one per part node).
+	// Materialization edges ν0 -> m (one per part node); a pinned node's
+	// stands for its stored chain.
 	for id := 1; id < len(nodes); id++ {
+		if id >= newNodes {
+			cand.g.AddEdge(Root, NodeID(id), 0, nodes[id].cr)
+			cand.edges = append(cand.edges, candEdge{})
+			continue
+		}
 		addEdge(0, id, bodies[nodes[id].job])
 	}
 	// Deltas connect same-part nodes only (parts are stored and recreated
 	// independently).
-	for i, p := range pairs {
-		aids, bids := byRef[p[0]], byRef[p[1]]
+	for _, c := range cps {
+		aids, bids := byRef[c.base], byRef[c.target]
 		for pi := range aids {
-			addEdge(aids[pi], bids[pi], bodies[pairJobs[i][0]])
-			addEdge(bids[pi], aids[pi], bodies[pairJobs[i][1]])
+			addEdge(aids[pi], bids[pi], bodies[c.jobs[0]])
+			if !c.oneWay {
+				addEdge(bids[pi], aids[pi], bodies[c.jobs[1]])
+			}
 		}
 	}
 	// Snapshot groups: all part nodes of the snapshot's matrices are
@@ -462,18 +552,29 @@ func buildCandidates(snaps []SnapshotIn, opts Options) (*candidates, error) {
 // experiments on real (measured) delta costs.
 func BuildGraph(snaps []SnapshotIn, opts Options) (*Graph, error) {
 	opts = opts.withDefaults()
-	cand, err := buildCandidates(snaps, opts)
+	cand, err := buildCandidates(snaps, opts, nil)
 	if err != nil {
 		return nil, err
 	}
 	return cand.g, nil
 }
 
-// Create archives the snapshots into dir using the configured plan
-// optimizer and returns the opened store.
-func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
-	cand, err := buildCandidates(snaps, opts)
+// planned is a solved storage graph as the archive records it: the manifest
+// entries of its new nodes and snapshots, the chunk payloads they reference,
+// and the plan's costs.
+type planned struct {
+	nodes             []manifestNode
+	snaps             []manifestSnap
+	chunks            []segPayload
+	storage, mst, spt float64
+	feasible          bool
+}
+
+// planArchive builds the candidate graph of snaps (extending base when it is
+// set), sets budgets, runs the configured optimizer and lays out what the
+// chosen plan writes.
+func planArchive(snaps []SnapshotIn, opts Options, base *Store) (*planned, error) {
+	cand, err := buildCandidates(snaps, opts, base)
 	if err != nil {
 		return nil, err
 	}
@@ -483,7 +584,6 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 			return nil, err
 		}
 	}
-
 	plan, feasible, err := solve(g, opts)
 	if err != nil {
 		return nil, err
@@ -498,59 +598,132 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 	}
 
 	// The chosen plan's chunk payloads are the bytes pricing kept.
-	man := manifest{
-		Version:     2,
-		DeltaOp:     uint8(deltaOp),
-		Scheme:      int(opts.Scheme),
-		Algorithm:   opts.Algorithm,
-		StorageCost: plan.StorageCost(),
-		MSTCost:     mst.StorageCost(),
-		SPTCost:     spt.StorageCost(),
-		Feasible:    feasible,
-	}
-	var chunks []segPayload
-	for id := 1; id < len(cand.nodes); id++ {
-		e := cand.edges[plan.ParentEdge[id]]
-		part := cand.nodes[id].part
+	out := &planned{storage: plan.StorageCost(), mst: mst.StorageCost(), spt: spt.StorageCost(), feasible: feasible}
+	for v := 1; v < len(cand.nodes); v++ {
+		cn := cand.nodes[v]
+		if cn.pinned {
+			continue
+		}
+		e := cand.edges[plan.ParentEdge[v]]
 		mn := manifestNode{
-			ID:         id,
-			Ref:        cand.nodes[id].ref,
+			ID:         cn.id,
+			Ref:        cn.ref,
 			Rows:       e.body.rows,
 			Cols:       e.body.cols,
-			Parent:     int(plan.Parent(NodeID(id))),
+			Parent:     cand.nodes[plan.Parent(NodeID(v))].id,
 			Tier:       e.tier,
-			PlaneStart: part[0],
-			PlaneEnd:   part[1],
+			PlaneStart: cn.part[0],
+			PlaneEnd:   cn.part[1],
 		}
-		for p := part[0]; p < part[1]; p++ {
+		for p := cn.part[0]; p < cn.part[1]; p++ {
 			z := e.body.z[p]
 			sum := sha256.Sum256(z)
 			mn.PlaneSum[p] = hex.EncodeToString(sum[:])
 			mn.PlaneBytes[p] = len(z)
-			chunks = append(chunks, segPayload{sum: mn.PlaneSum[p], data: z})
+			out.chunks = append(out.chunks, segPayload{sum: mn.PlaneSum[p], data: z})
 		}
-		man.Nodes = append(man.Nodes, mn)
+		out.nodes = append(out.nodes, mn)
 	}
 	for si, s := range snaps {
-		man.Snapshots = append(man.Snapshots, manifestSnap{
+		out.snaps = append(out.snaps, manifestSnap{
 			ID:         s.ID,
 			Names:      sortedKeys(s.Matrices),
 			Budget:     g.Snapshots[si].Budget,
 			Recreation: plan.SnapshotCost(si, opts.Scheme),
 		})
 	}
+	return out, nil
+}
 
-	// Payloads pack into segment files, deduplicated content-addressed
-	// against anything already stored in the directory: re-archiving appends
-	// only payloads the index has never seen, and the displaced older ones
-	// become garbage for the next GC.
-	if _, err := storePayloads(dir, chunks); err != nil {
+// Create archives the snapshots into dir using the configured plan
+// optimizer and returns the opened store.
+func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
+	opts = opts.withDefaults()
+	p, err := planArchive(snaps, opts, nil)
+	if err != nil {
 		return nil, err
 	}
-	if err := writeManifest(dir, &man); err != nil {
+	return commitArchive(dir, p.chunks, &manifest{
+		Version:     2,
+		DeltaOp:     uint8(deltaOp),
+		Scheme:      int(opts.Scheme),
+		Algorithm:   opts.Algorithm,
+		Alpha:       opts.Alpha,
+		Nodes:       p.nodes,
+		Snapshots:   p.snaps,
+		StorageCost: p.storage,
+		MSTCost:     p.mst,
+		SPTCost:     p.spt,
+		Feasible:    p.feasible,
+	})
+}
+
+// Extend archives snapshots the store does not hold yet, leaving everything
+// it holds as it is, and returns the store of the extended archive. Only the new matrices
+// and opts' pairs are priced and planned: a pair may take an archived matrix
+// as its base, which then enters the plan pinned at the recreation cost its
+// stored chain has (see buildCandidates), and budgets are α·Cr(SPT) on that
+// small graph. The manifest keeps every archived node and snapshot entry and
+// appends the new ones; its costs become old + new and its feasibility old ∧
+// new, and it records opts' algorithm, scheme and α.
+//
+// Extend returns ErrStore and writes nothing when the archive holds
+// remote-tier nodes (their recreation factor is not recorded), when its
+// plane granularity differs from opts', when a snapshot id is already
+// archived or repeated, or when a pair names an unknown matrix or two
+// archived ones.
+func (s *Store) Extend(snaps []SnapshotIn, opts Options) (*Store, error) {
+	opts = opts.withDefaults()
+	parts := planeParts(opts.PlaneGranularity)
+	for i := range s.man.Nodes {
+		n := &s.man.Nodes[i]
+		if n.Tier != tierLocal {
+			return nil, fmt.Errorf("%w: cannot extend an archive with remote-tier node %d", ErrStore, n.ID)
+		}
+		if start, end := nodePlanes(n); !slices.Contains(parts, [2]int{start, end}) {
+			return nil, fmt.Errorf("%w: node %d stores planes [%d, %d), which plane granularity %v does not plan",
+				ErrStore, n.ID, start, end, opts.PlaneGranularity)
+		}
+	}
+	ids := make(map[string]bool, len(s.man.Snapshots)+len(snaps))
+	for _, snap := range s.man.Snapshots {
+		ids[snap.ID] = true
+	}
+	for _, snap := range snaps {
+		if ids[snap.ID] {
+			return nil, fmt.Errorf("%w: snapshot %q is already archived", ErrStore, snap.ID)
+		}
+		ids[snap.ID] = true
+	}
+	p, err := planArchive(snaps, opts, s)
+	if err != nil {
 		return nil, err
 	}
-	return Open(dir)
+	man := s.man
+	man.Scheme, man.Algorithm, man.Alpha = int(opts.Scheme), opts.Algorithm, opts.Alpha
+	man.Nodes = append(slices.Clip(s.man.Nodes), p.nodes...)
+	man.Snapshots = append(slices.Clip(s.man.Snapshots), p.snaps...)
+	man.StorageCost += p.storage
+	man.MSTCost += p.mst
+	man.SPTCost += p.spt
+	man.Feasible = man.Feasible && p.feasible
+	return commitArchive(s.dir, p.chunks, &man)
+}
+
+// commitArchive writes a planned archive in the one commit order: payloads
+// into segment files, deduplicated content-addressed against anything
+// already stored in the directory (displaced older payloads become garbage
+// for the next GC), then the manifest, the commit point. It returns the
+// store the two describe, as Open would read it back.
+func commitArchive(dir string, chunks []segPayload, man *manifest) (*Store, error) {
+	idx, err := storePayloads(dir, chunks)
+	if err != nil {
+		return nil, err
+	}
+	if err := writeManifest(dir, man); err != nil {
+		return nil, err
+	}
+	return newStore(dir, *man, idx), nil
 }
 
 // writeManifest persists the manifest atomically (temp + fsync + rename +
@@ -560,7 +733,7 @@ func writeManifest(dir string, man *manifest) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "manifest.json"), blob); err != nil {
+	if err := atomicfile.WriteFile(filepath.Join(dir, "manifest.json"), blob); err != nil {
 		return fmt.Errorf("%w: writing manifest: %v", ErrStore, err)
 	}
 	return nil
@@ -642,6 +815,12 @@ func Open(dir string) (*Store, error) {
 	if err := checkShapes(&man, idx); err != nil {
 		return nil, err
 	}
+	return newStore(dir, man, idx), nil
+}
+
+// newStore serves a validated manifest out of the segment files idx
+// locates.
+func newStore(dir string, man manifest, idx *segIndex) *Store {
 	s := &Store{dir: dir, man: man,
 		byRef:   make(map[MatrixRef][]int),
 		workers: runtime.GOMAXPROCS(0)}
@@ -653,7 +832,7 @@ func Open(dir string) (*Store, error) {
 		s.byRef[n.Ref] = append(s.byRef[n.Ref], n.ID)
 	}
 	noteSegmentGauges(idx)
-	return s, nil
+	return s
 }
 
 // validateManifest rejects a manifest whose fields would index out of range,
@@ -668,6 +847,9 @@ func validateManifest(man *manifest) error {
 	}
 	if man.DeltaOp != uint8(deltaOp) {
 		return bad("delta op %v is not %v", delta.Op(man.DeltaOp), deltaOp)
+	}
+	if !(man.Alpha >= 0) || math.IsInf(man.Alpha, 1) {
+		return bad("alpha %v is not a finite non-negative number", man.Alpha)
 	}
 	known := make(map[int]bool, len(man.Nodes))
 	for i := range man.Nodes {
@@ -738,24 +920,85 @@ func (s *Store) MatrixNames(snapshot string) ([]string, error) {
 	return nil, fmt.Errorf("%w: unknown snapshot %q", ErrStore, snapshot)
 }
 
-// PlanInfo reports the costs of the plan this store was created with.
+// PlanInfo reports the settings and costs of the plan this store was created
+// with. Algorithm, Scheme, Alpha and PlaneGranularity are the Options fields
+// after defaults.
 type PlanInfo struct {
-	Algorithm   string
-	StorageCost float64
-	MSTCost     float64
-	SPTCost     float64
-	Feasible    bool
+	Algorithm        string
+	Scheme           Scheme
+	Alpha            float64
+	PlaneGranularity bool
+	StorageCost      float64
+	MSTCost          float64
+	SPTCost          float64
+	Feasible         bool
 }
 
 // Info returns the stored plan's summary.
 func (s *Store) Info() PlanInfo {
-	return PlanInfo{
-		Algorithm:   s.man.Algorithm,
-		StorageCost: s.man.StorageCost,
-		MSTCost:     s.man.MSTCost,
-		SPTCost:     s.man.SPTCost,
-		Feasible:    s.man.Feasible,
+	granular := false
+	for i := range s.man.Nodes {
+		if start, end := nodePlanes(&s.man.Nodes[i]); end-start < floatenc.NumPlanes {
+			granular = true
+		}
 	}
+	return PlanInfo{
+		Algorithm:        s.man.Algorithm,
+		Scheme:           Scheme(s.man.Scheme),
+		Alpha:            s.man.Alpha,
+		PlaneGranularity: granular,
+		StorageCost:      s.man.StorageCost,
+		MSTCost:          s.man.MSTCost,
+		SPTCost:          s.man.SPTCost,
+		Feasible:         s.man.Feasible,
+	}
+}
+
+// maxNodeID is the largest node id of the manifest; an extension numbers its
+// nodes after it.
+func (s *Store) maxNodeID() int {
+	top := 0
+	for i := range s.man.Nodes {
+		top = max(top, s.man.Nodes[i].ID)
+	}
+	return top
+}
+
+// partNode returns the node of an archived matrix that stores part's planes.
+func (s *Store) partNode(ref MatrixRef, part [2]int) (*manifestNode, error) {
+	for _, id := range s.byRef[ref] {
+		n, err := s.node(id)
+		if err != nil {
+			return nil, err
+		}
+		if start, end := nodePlanes(n); start == part[0] && end == part[1] {
+			return n, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: archived matrix %v has no node for planes [%d, %d)", ErrStore, ref, part[0], part[1])
+}
+
+// recreationCost is Cr(P, id) under the stored plan: the compressed bytes of
+// the planes each node on id's chain stores, summed from ν0. Remote-tier
+// nodes would need the recreation factor the manifest does not record, so
+// Extend refuses archives that hold them.
+func (s *Store) recreationCost(id int) (float64, error) {
+	chain, err := s.chainOf(id)
+	if err != nil {
+		return 0, err
+	}
+	cost := 0.0
+	for i := len(chain) - 1; i >= 0; i-- {
+		n, err := s.node(chain[i])
+		if err != nil {
+			return 0, err
+		}
+		start, end := nodePlanes(n)
+		for p := start; p < end; p++ {
+			cost += float64(n.PlaneBytes[p])
+		}
+	}
+	return cost, nil
 }
 
 // node returns the manifest node for id.
