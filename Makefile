@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentIndex -fuzztime=$(FUZZTIME) ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirectiveAndBaseline -fuzztime=$(FUZZTIME) ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
 
 # End-to-end observability check: start modelhub-server -metrics, publish +
 # pull a tiny archived repo, scrape /metrics, assert well-formed JSON with
@@ -77,12 +78,16 @@ bench:
 # (bit-identical results and archive bytes at any worker count) must hold at
 # every proc count.
 # -count=1 defeats the test cache: GOMAXPROCS is read by the runtime, not
-# through os.Getenv in test code, so cached results would not re-run.
+# through os.Getenv in test code, so cached results would not re-run. The
+# purego leg builds the pure-Go GEMM kernel instead of the AVX2 one; both
+# must give the same bits (dlv's pipeline digest is pinned for both).
 test-scaling:
 	for procs in 1 2 4; do \
 		echo "== GOMAXPROCS=$$procs =="; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/pas ./internal/floatenc ./internal/perturb ./internal/dlv || exit 1; \
 	done
+	echo "== purego =="
+	$(GO) test -tags purego -count=1 ./internal/tensor/ ./internal/dnn/ ./internal/dql/ ./internal/perturb ./internal/dlv
 
 check: build vet fmt-check lint test test-race
 
@@ -99,5 +104,5 @@ help:
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "examples    - run every examples/* program end to end"
 	@echo "bench       - end-to-end benchmark: go run ./bench over every workload"
-	@echo "test-scaling - tensor/dnn/dql/pas/floatenc/perturb/dlv suites with -race under GOMAXPROCS 1/2/4"
+	@echo "test-scaling - tensor/dnn/dql/pas/floatenc/perturb/dlv suites with -race under GOMAXPROCS 1/2/4, then -tags purego"
 	@echo "check       - build + vet + fmt-check + lint + test + test-race"

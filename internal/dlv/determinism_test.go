@@ -1,0 +1,126 @@
+package dlv
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"testing"
+
+	"modelhub/internal/data"
+	"modelhub/internal/dnn"
+	"modelhub/internal/pas"
+	"modelhub/internal/tensor"
+	"modelhub/internal/zoo"
+)
+
+// pipelineDigest is the SHA-256 of trainEvalArchiveDigest's pipeline. It was
+// produced by the per-example training runtime and pure-Go GEMM kernels that
+// preceded the batched runtime and the AVX2 micro-kernel, so a match proves
+// that both reproduce their results bit for bit, not only that they agree
+// with themselves.
+const pipelineDigest = "ba4617a4b301f36a066eee1054c833aac98c55699b4bf0bffd627c64cabe4e9a"
+
+// trainEvalArchiveDigest trains three zoo models (two chains and a
+// residual DAG) with dnn.Train, measures held-out accuracy with
+// dnn.Evaluate, archives every checkpoint with pas.Create, and hashes the
+// trained weight bits, the losses and accuracies, and every byte of the
+// archive.
+func trainEvalArchiveDigest(t *testing.T) string {
+	t.Helper()
+	examples := data.Digits(rand.New(rand.NewSource(71)), 130, 0.05)
+	train, test := data.Split(examples, 0.7) // 91 training examples: a ragged last batch
+	runs := []struct {
+		def *dnn.NetDef
+		cfg dnn.TrainConfig
+	}{
+		{zoo.LeNet("lenet"), dnn.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.9, WeightDecay: 1e-4, CheckpointEvery: 6, Seed: 72}},
+		{zoo.AlexNetMini("alexnet"), dnn.TrainConfig{Epochs: 2, BatchSize: 16, LR: 0.05, LayerLR: map[string]float64{"conv1": 0, "fc7": 0.02}, CheckpointEvery: 4, Seed: 73}},
+		{zoo.ResNetSkip("resnet-skip"), dnn.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.02, Momentum: 0.9, CheckpointEvery: 6, Seed: 74}},
+	}
+	h := sha256.New()
+	word := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	matrices := func(snap map[string]*tensor.Matrix) {
+		for _, name := range dnn.SortedNames(snap) {
+			h.Write([]byte(name))
+			for _, v := range snap[name].Data() {
+				word(uint64(math.Float32bits(v)))
+			}
+		}
+	}
+	var snaps []pas.SnapshotIn
+	for i, r := range runs {
+		net, err := dnn.Build(r.def, rand.New(rand.NewSource(int64(80+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dnn.Train(net, train, r.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Log {
+			word(uint64(e.Iter))
+			word(math.Float64bits(e.Loss))
+			word(math.Float64bits(e.Accuracy))
+		}
+		matrices(res.Final)
+		word(math.Float64bits(dnn.Evaluate(net, test)))
+		for _, c := range res.Checkpoints {
+			snaps = append(snaps, pas.SnapshotIn{ID: fmt.Sprintf("%s-%03d", r.def.Name, c.Iter), Matrices: c.Weights})
+		}
+	}
+	dir := t.TempDir()
+	if _, err := pas.Create(dir, snaps, pas.Options{Algorithm: "pas-mt", Alpha: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	for _, path := range files {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, _ := filepath.Rel(dir, path)
+		h.Write([]byte(filepath.ToSlash(rel)))
+		word(uint64(len(blob)))
+		h.Write(blob)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// The train → evaluate → archive pipeline is a pure function of its seeds:
+// the same digest at every GOMAXPROCS, with either GEMM kernel (the CI
+// matrix runs this package with and without -tags purego), and the digest
+// the per-example runtime produced.
+func TestPipelineDigestPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains three models per GOMAXPROCS point")
+	}
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := trainEvalArchiveDigest(t); got != pipelineDigest {
+			t.Fatalf("GOMAXPROCS %d: pipeline digest %s, want %s", procs, got, pipelineDigest)
+		}
+	}
+}

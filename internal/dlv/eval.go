@@ -3,7 +3,6 @@ package dlv
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 
 	"modelhub/internal/dnn"
 	"modelhub/internal/perturb"
@@ -33,12 +32,7 @@ func (r *Repo) Eval(versionID int64, snap string, examples []dnn.Example, prefix
 	if err != nil {
 		return nil, err
 	}
-	// Sharded parallel evaluation; matches sequential dnn.Evaluate exactly.
-	acc, err := dnn.EvaluateParallel(net, examples, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return nil, err
-	}
-	return &EvalResult{Accuracy: acc, Prefix: prefix}, nil
+	return &EvalResult{Accuracy: dnn.Evaluate(net, examples), Prefix: prefix}, nil
 }
 
 // ProgressiveEvalResult summarizes a progressive dlv eval over a dataset.

@@ -58,16 +58,16 @@ func TestDAGForwardAddSemantics(t *testing.T) {
 	}
 	in := randVolume(rand.New(rand.NewSource(2)), Shape{C: 1, H: 8, W: 8})
 	// Manually compute: conv1 -> x; branch: relu(conv2(x)); add = x + branch.
-	conv1 := n.layers["conv1"].Forward(in)
-	conv2 := n.layers["conv2"].Forward(conv1)
-	relu := n.layers["relu2"].Forward(conv2)
+	conv1 := forward1(n.layers["conv1"], in)
+	conv2 := forward1(n.layers["conv2"], conv1)
+	relu := forward1(n.layers["relu2"], conv2)
 	want := NewVolume(conv1.Shape)
 	for i := range want.Data {
 		want.Data[i] = conv1.Data[i] + relu.Data[i]
 	}
 	// Clone: layer outputs alias reusable scratch that the full forward pass
 	// below overwrites.
-	ip := n.layers["ip"].Forward(want).Clone()
+	ip := forward1(n.layers["ip"], want).Clone()
 
 	got := n.Forward(in)
 	for i := range ip.Data {
@@ -84,15 +84,15 @@ func TestDAGForwardConcatSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := randVolume(rand.New(rand.NewSource(4)), Shape{C: 1, H: 6, W: 6})
-	stem := n.layers["stem"].Forward(in)
-	a := n.layers["branch_a"].Forward(stem)
-	b := n.layers["branch_b"].Forward(stem)
+	stem := forward1(n.layers["stem"], in)
+	a := forward1(n.layers["branch_a"], stem)
+	b := forward1(n.layers["branch_b"], stem)
 	merged := NewVolume(Shape{C: 5, H: 6, W: 6})
 	copy(merged.Data, a.Data)
 	copy(merged.Data[a.Shape.Size():], b.Data)
 	// Clone: layer outputs alias reusable scratch that the full forward pass
 	// below overwrites.
-	want := n.layers["ip"].Forward(merged).Clone()
+	want := forward1(n.layers["ip"], merged).Clone()
 
 	got := n.Forward(in)
 	for i := range want.Data {

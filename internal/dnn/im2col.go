@@ -2,21 +2,22 @@ package dnn
 
 import "modelhub/internal/tensor"
 
-// im2col unrolls in (C×H×W) into cols (C·k·k × outH·outW): row (ic·k+ky)·k+kx,
-// column oy·outW+ox holds in[ic, oy·stride+ky-pad, ox·stride+kx-pad], or 0
-// where that index falls in the padding. Every cell of cols is written, so a
-// reused buffer needs no prior zeroing. The stride-1 common case copies
-// contiguous input runs per output row.
-func im2col(in *Volume, cols *tensor.Matrix, k, stride, pad, outH, outW int) {
-	h, w := in.Shape.H, in.Shape.W
+// im2col unrolls one example of shape s into its block of columns: channel
+// ic of the example is the H×W plane at in[ic·chStride:], and the unroll
+// (C·k·k × outH·outW) is written at row stride ldc into cols. Row
+// (ic·k+ky)·k+kx, column oy·outW+ox holds in[ic, oy·stride+ky-pad,
+// ox·stride+kx-pad], or 0 where that index falls in the padding. Every cell
+// of the block is written, so a reused buffer needs no prior zeroing. The
+// stride-1 common case copies contiguous input runs per output row.
+func im2col(in []float32, s Shape, chStride int, cols []float32, ldc, k, stride, pad, outH, outW int) {
+	h, w := s.H, s.W
 	n := outH * outW
-	cdata := cols.Data()
 	row := 0
-	for ic := 0; ic < in.Shape.C; ic++ {
-		chOff := ic * h * w
+	for ic := 0; ic < s.C; ic++ {
+		chOff := ic * chStride
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				dst := cdata[row*n : (row+1)*n]
+				dst := cols[row*ldc : row*ldc+n]
 				row++
 				di := 0
 				for oy := 0; oy < outH; oy++ {
@@ -28,7 +29,7 @@ func im2col(in *Volume, cols *tensor.Matrix, k, stride, pad, outH, outW int) {
 						}
 						continue
 					}
-					src := in.Data[chOff+iy*w : chOff+(iy+1)*w]
+					src := in[chOff+iy*w : chOff+(iy+1)*w]
 					if stride == 1 {
 						ix0 := kx - pad // input x for ox = 0
 						left, right := 0, outW
@@ -65,18 +66,18 @@ func im2col(in *Volume, cols *tensor.Matrix, k, stride, pad, outH, outW int) {
 	}
 }
 
-// col2im scatter-adds cols (C·k·k × outH·outW) back into dIn, the adjoint of
-// im2col: overlapping windows accumulate.
-func col2im(cols *tensor.Matrix, dIn *Volume, k, stride, pad, outH, outW int) {
-	h, w := dIn.Shape.H, dIn.Shape.W
+// col2im scatter-adds one example's block of columns back into its input
+// gradient, laid out as im2col reads its input: the adjoint of im2col, so
+// overlapping windows accumulate.
+func col2im(cols []float32, ldc int, dIn []float32, s Shape, chStride, k, stride, pad, outH, outW int) {
+	h, w := s.H, s.W
 	n := outH * outW
-	cdata := cols.Data()
 	row := 0
-	for ic := 0; ic < dIn.Shape.C; ic++ {
-		chOff := ic * h * w
+	for ic := 0; ic < s.C; ic++ {
+		chOff := ic * chStride
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				src := cdata[row*n : (row+1)*n]
+				src := cols[row*ldc : row*ldc+n]
 				row++
 				si := 0
 				for oy := 0; oy < outH; oy++ {
@@ -85,7 +86,7 @@ func col2im(cols *tensor.Matrix, dIn *Volume, k, stride, pad, outH, outW int) {
 						si += outW
 						continue
 					}
-					dst := dIn.Data[chOff+iy*w : chOff+(iy+1)*w]
+					dst := dIn[chOff+iy*w : chOff+(iy+1)*w]
 					if stride == 1 {
 						ix0 := kx - pad
 						left, right := 0, outW

@@ -138,14 +138,14 @@ func TestConvIm2colMatchesNaive(t *testing.T) {
 		fast, naive := newConvPair(t, spec, inShape, rng)
 		in := randVol(rng, inShape)
 
-		outFast := fast.Forward(in)
+		outFast := forward1(fast, in)
 		outNaive := forwardNaive(naive, in)
 		if !equalBits(outFast.Data, outNaive.Data) {
 			t.Fatalf("trial %d (%+v in %v): forward differs", trial, spec, inShape)
 		}
 
 		dOut := randVol(rng, fast.OutShape())
-		dInFast := fast.Backward(dOut)
+		dInFast := backward1(fast, dOut)
 		dInNaive := backwardNaive(naive, in, dOut)
 
 		if !fast.g.Equal(naive.g) {
@@ -174,8 +174,8 @@ func TestConvIm2colStridePadEdges(t *testing.T) {
 		fast, naive := newConvPair(t, c.spec, c.in, rng)
 		in := randVol(rng, c.in)
 		dOut := randVol(rand.New(rand.NewSource(9)), fast.OutShape())
-		outFast := fast.Forward(in)
-		dInFast := fast.Backward(dOut)
+		outFast := forward1(fast, in)
+		dInFast := backward1(fast, dOut)
 		outNaive := forwardNaive(naive, in)
 		dInNaive := backwardNaive(naive, in, dOut)
 		if !equalBits(outFast.Data, outNaive.Data) {
@@ -207,7 +207,7 @@ func BenchmarkConvKernels(b *testing.B) {
 	in := randVol(rng, inShape)
 	b.Run("im2col", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			conv.Forward(in)
+			forward1(conv, in)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
@@ -232,7 +232,7 @@ func TestFullLayerKernelMatchesScalar(t *testing.T) {
 		fl.w.Data()[i] = float32(rng.NormFloat64())
 	}
 	x := randVol(rng, in)
-	out := fl.Forward(x)
+	out := forward1(fl, x)
 	biasCol := fl.w.Cols() - 1
 	for o := 0; o < spec.Out; o++ {
 		row := fl.w.Row(o)

@@ -190,8 +190,8 @@ func TestSoftmaxBackwardMatchesFiniteDiff(t *testing.T) {
 	l := &softmaxLayer{layerBase: base}
 	in := &Volume{Shape: base.in, Data: []float32{0.3, -0.2, 1.0, 0.1}}
 	dOut := &Volume{Shape: base.out, Data: []float32{1, -0.5, 0.25, 0}}
-	l.Forward(in)
-	dIn := l.Backward(dOut)
+	forward1(l, in)
+	dIn := backward1(l, dOut)
 
 	const eps = 1e-3
 	for i := 0; i < 4; i++ {
@@ -293,21 +293,23 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
+// TestEvaluateMatchesPerExamplePredict: batched evaluation on one network
+// counts exactly the examples a per-example Predict gets right, across
+// several chunks and a ragged last one.
+func TestEvaluateMatchesPerExamplePredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	examples := toyExamples(rng, 120)
 	n := toyNet(t, 32)
-	want := Evaluate(n, examples)
-	for _, workers := range []int{1, 3, 8, 200} {
-		got, err := EvaluateParallel(n, examples, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: parallel %v != sequential %v", workers, got, want)
+	correct := 0
+	for _, ex := range examples {
+		if n.Predict(ex.Input) == ex.Label {
+			correct++
 		}
 	}
-	if acc, err := EvaluateParallel(n, nil, 4); err != nil || acc != 0 {
-		t.Fatalf("empty eval = %v, %v", acc, err)
+	if got, want := Evaluate(n, examples), float64(correct)/float64(len(examples)); got != want {
+		t.Fatalf("batched Evaluate %v != per-example %v", got, want)
+	}
+	if acc := Evaluate(n, nil); acc != 0 {
+		t.Fatalf("empty eval = %v", acc)
 	}
 }

@@ -1,10 +1,6 @@
 package dnn
 
-import (
-	"sync"
-
-	"modelhub/internal/tensor"
-)
+import "sync"
 
 // Scratch arena: the training hot path (im2col unrolls, layer activations,
 // gradient volumes) used to allocate fresh buffers every example, and
@@ -78,63 +74,36 @@ func putFloats(s []float32) {
 	scratchClasses[cls].Put(&full)
 }
 
-// scratchVolume returns a shape-s volume for a layer- or network-owned slot.
-// The slot's buffer is reused across calls (re-acquired from the shared pool
-// when the shape changes); zero=true clears it first — required for
-// scatter-add targets, skipped for kernels that write every element.
-func scratchVolume(slot **Volume, s Shape, zero bool) *Volume {
-	v := *slot
-	if v == nil || v.Shape != s {
-		if v != nil {
-			putFloats(v.Data)
-		}
-		v = &Volume{Shape: s, Data: getFloats(s.Size())}
-		*slot = v
-		return v
+// scratchFloats returns a length-n buffer for a layer- or network-owned
+// slot. The slot's arena is reused while it is large enough and re-acquired
+// from the shared pool when it is not; zero=true clears it first — required
+// for scatter-add targets, skipped for kernels that write every element.
+func scratchFloats(slot *[]float32, n int, zero bool) []float32 {
+	s := *slot
+	if cap(s) < n {
+		putFloats(s)
+		*slot = getFloats(n) // zeroed
+		return *slot
 	}
+	s = s[:n]
+	*slot = s
 	if zero {
-		for i := range v.Data {
-			v.Data[i] = 0
-		}
+		clear(s)
 	}
-	return v
+	return s
 }
 
-// scratchMapVolume is scratchVolume for per-node slots keyed by name (merge
+// scratchMapFloats is scratchFloats for per-node slots keyed by name (merge
 // inputs, backward gradient accumulators).
-func scratchMapVolume(slots map[string]*Volume, name string, s Shape, zero bool) *Volume {
-	v := slots[name]
-	out := scratchVolume(&v, s, zero)
+func scratchMapFloats(slots map[string][]float32, name string, n int, zero bool) []float32 {
+	s := slots[name]
+	out := scratchFloats(&s, n, zero)
 	slots[name] = out
 	return out
 }
 
-// scratchMatrix returns a rows×cols matrix for a layer-owned slot, its
-// backing array drawn from — and returned to — the shared pool.
-func scratchMatrix(slot **tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if m := *slot; m != nil && m.Rows() == rows && m.Cols() == cols {
-		return m
-	}
-	if *slot != nil {
-		putFloats((*slot).Data())
-	}
-	*slot = tensor.MustFromSlice(rows, cols, getFloats(rows*cols))
-	return *slot
-}
-
-// releaseVolume returns a slot's buffer to the shared pool and clears it.
-func releaseVolume(slot **Volume) {
-	if *slot != nil {
-		putFloats((*slot).Data)
-		*slot = nil
-	}
-}
-
-// releaseMatrix returns a slot's backing array to the shared pool and clears
-// it.
-func releaseMatrix(slot **tensor.Matrix) {
-	if *slot != nil {
-		putFloats((*slot).Data())
-		*slot = nil
-	}
+// releaseFloats returns a slot's arena to the shared pool and clears it.
+func releaseFloats(slot *[]float32) {
+	putFloats(*slot)
+	*slot = nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
-	"sync"
 	"time"
 
 	"modelhub/internal/obs"
@@ -104,6 +103,8 @@ func Train(n *Network, examples []Example, cfg TrainConfig) (*TrainResult, error
 	for i := range order {
 		order[i] = i
 	}
+	ins := make([]*Volume, 0, cfg.BatchSize)
+	labels := make([]int, 0, cfg.BatchSize)
 	iter := 0
 	var runLoss float64
 	var runCorrect, runSeen int
@@ -138,10 +139,16 @@ epochs:
 			if end > len(order) {
 				end = len(order)
 			}
+			// One batched forward/backward per minibatch.
 			n.ZeroGrads()
+			ins, labels = ins[:0], labels[:0]
 			for _, idx := range order[start:end] {
-				ex := examples[idx]
-				loss, correct := n.LossAndBackward(ex.Input, ex.Label)
+				ins = append(ins, examples[idx].Input)
+				labels = append(labels, examples[idx].Label)
+			}
+			losses, hits := n.lossAndBackward(ins, labels)
+			for e, loss := range losses {
+				correct := hits[e]
 				runLoss += loss
 				runSeen++
 				epochLoss += loss
@@ -201,69 +208,21 @@ func callEpochHook(cfg TrainConfig, span *obs.Span, epoch int, loss float64, cor
 	}
 }
 
-// Evaluate returns the classification accuracy of n over the examples.
+// Evaluate returns the classification accuracy of n over the examples,
+// predicting them in batches of evalChunk on the one network.
 func Evaluate(n *Network, examples []Example) float64 {
 	if len(examples) == 0 {
 		return 0
 	}
+	ins := make([]*Volume, len(examples))
+	for i, ex := range examples {
+		ins[i] = ex.Input
+	}
 	correct := 0
-	for _, ex := range examples {
-		if n.Predict(ex.Input) == ex.Label {
+	for i, label := range n.PredictBatch(ins) {
+		if label == examples[i].Label {
 			correct++
 		}
 	}
 	return float64(correct) / float64(len(examples))
-}
-
-// EvaluateParallel computes classification accuracy using `workers` network
-// clones evaluating disjoint shards concurrently. It matches Evaluate
-// exactly (prediction is deterministic per example).
-func EvaluateParallel(n *Network, examples []Example, workers int) (float64, error) {
-	if len(examples) == 0 {
-		return 0, nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(examples) {
-		workers = len(examples)
-	}
-	correct := make([]int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	per := (len(examples) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		start := w * per
-		end := start + per
-		if end > len(examples) {
-			end = len(examples)
-		}
-		if start >= end {
-			continue
-		}
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			clone, err := n.Clone()
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			defer clone.ReleaseScratch() // hand shard scratch back to the arena
-			for _, ex := range examples[start:end] {
-				if clone.Predict(ex.Input) == ex.Label {
-					correct[w]++
-				}
-			}
-		}(w, start, end)
-	}
-	wg.Wait()
-	total := 0
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return 0, errs[w]
-		}
-		total += correct[w]
-	}
-	return float64(total) / float64(len(examples)), nil
 }

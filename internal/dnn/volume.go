@@ -48,6 +48,21 @@ func FlatVolume(data []float32) *Volume {
 	return &Volume{Shape: Shape{C: len(data), H: 1, W: 1}, Data: data}
 }
 
+// copyExample copies example e of a batch of b laid out [C][b][H·W] (the
+// layout runtime layers work in) into vol, in Volume order — or, with
+// toBatch set, vol into the batch.
+func copyExample(vol, batch []float32, s Shape, b, e int, toBatch bool) {
+	hw := s.H * s.W
+	for c := 0; c < s.C; c++ {
+		v, at := vol[c*hw:(c+1)*hw], batch[(c*b+e)*hw:(c*b+e+1)*hw]
+		if toBatch {
+			copy(at, v)
+		} else {
+			copy(v, at)
+		}
+	}
+}
+
 // outDim computes the spatial output extent of a window op.
 func outDim(in, k, stride, pad int) int {
 	return (in+2*pad-k)/stride + 1

@@ -339,13 +339,8 @@ func (e *Engine) trainCandidate(ctx context.Context, def *dnn.NetDef, cfg EvalCo
 	if n := len(res.Log); n > 0 {
 		loss = res.Log[n-1].Loss
 	}
-	// Held-out accuracy over sharded network clones; EvaluateParallel
-	// matches Evaluate exactly (prediction is deterministic per example).
-	acc, err := dnn.EvaluateParallel(net, test, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return Candidate{}, err
-	}
-	return Candidate{Def: def, Config: cfg, Loss: loss, Acc: acc}, nil
+	// Held-out accuracy, batched on the candidate's own network.
+	return Candidate{Def: def, Config: cfg, Loss: loss, Acc: dnn.Evaluate(net, test)}, nil
 }
 
 // applyKeep sorts candidates by the keep metric and applies the top-k or

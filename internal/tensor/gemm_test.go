@@ -262,6 +262,8 @@ func TestGemmKCForRange(t *testing.T) {
 // flops to split: m = 1 and 2 (never split: bands are two rows high), 3 and 5
 // (more workers than bands, one-row last band) and 191 (odd, short last
 // band). n = 3 takes GemmTNStrided's unpacked path, wider n its packed one.
+// Bands are now four rows high and the floor higher, so only the last three
+// shapes actually fork.
 // All must be bit-equal to MatMulRef.
 func TestGemmWorkerInvarianceLarge(t *testing.T) {
 	restoreProcs(t)
@@ -269,6 +271,9 @@ func TestGemmWorkerInvarianceLarge(t *testing.T) {
 	shapes := [][3]int{ // m, n, k
 		{1, 264, 250}, {2, 264, 250}, {3, 264, 250}, {5, 264, 250}, {191, 96, 90},
 		{1, 3, 22000}, {2, 3, 22000}, {3, 3, 22000}, {5, 3, 22000}, {191, 3, 2900},
+		// Past twice gemmBandFlops: a four-row band plus a one-row band,
+		// the unpacked TN path split in two, and up to eight bands.
+		{5, 264, 5000}, {191, 3, 11000}, {191, 300, 450},
 	}
 	for _, sh := range shapes {
 		m, n, k := sh[0], sh[1], sh[2]
@@ -297,8 +302,10 @@ func TestGemmWorkerInvarianceLarge(t *testing.T) {
 }
 
 // TestGemmDispatchFloor pins the one inline/parallel decision: the largest
-// multiply a zoo model issues (vgg-mini conv1_2, 8x144x72) stays on the
-// caller at any width, and a 192³ product forks once GOMAXPROCS allows.
+// per-example multiply a zoo model issues (vgg-mini conv1_2, 8x144x72) and
+// the batched ones a 16-example minibatch issues (lenet conv2, 16x576x72;
+// vgg-mini conv1_2, 8x2304x72) stay on the caller at any width, and a 192³
+// product forks once GOMAXPROCS allows.
 func TestGemmDispatchFloor(t *testing.T) {
 	restoreProcs(t)
 	if !obs.Enabled() { // counters are no-ops while metrics are disabled
@@ -318,6 +325,11 @@ func TestGemmDispatchFloor(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		if p, i := run(8, 72, 144); p != 0 || i != 1 {
 			t.Fatalf("GOMAXPROCS=%d: 8x144x72 dispatched parallel=%d inline=%d, want inline", procs, p, i)
+		}
+		for _, sh := range [][3]int{{16, 576, 72}, {8, 2304, 72}} { // m, n, k
+			if p, i := run(sh[0], sh[1], sh[2]); p != 0 || i != 1 {
+				t.Fatalf("GOMAXPROCS=%d: batched %dx%dx%d dispatched parallel=%d inline=%d, want inline", procs, sh[0], sh[1], sh[2], p, i)
+			}
 		}
 		wantParallel := int64(0)
 		if procs > 1 {
