@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirectiveAndBaseline -fuzztime=$(FUZZTIME) ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) ./internal/hub
 
 # End-to-end observability check: start modelhub-server -metrics, publish +
 # pull a tiny archived repo, scrape /metrics, assert well-formed JSON with

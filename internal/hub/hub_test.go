@@ -34,9 +34,8 @@ func makeRepo(t *testing.T, name string) string {
 		"conv1": tensor.RandNormal(rng, 8, 10, 0.1),
 		"ip2":   tensor.RandNormal(rng, 10, 65, 0.1),
 	}
-	_ = weights
 	if _, err := repo.Commit(dlv.CommitInput{
-		Name: name, NetDef: zoo.LeNet(name), Accuracy: 0.9,
+		Name: name, NetDef: zoo.LeNet(name), Final: weights, Accuracy: 0.9,
 		Files: map[string][]byte{"notes.md": []byte("hello")},
 	}); err != nil {
 		t.Fatal(err)

@@ -20,14 +20,20 @@ import (
 var ErrHub = errors.New("hub: error")
 
 // PackRepo archives the .dlv directory under root into a tar.gz stream.
+// Level 1 (BestSpeed) emits stored blocks for what deflate cannot shrink, so
+// the PAS segment, already compressed by PAS, is copied through while the
+// catalog and manifest JSON still compress (DESIGN §9, "Codec").
 func PackRepo(root string, w io.Writer) error {
 	meta := filepath.Join(root, ".dlv")
 	if _, err := os.Stat(meta); err != nil {
 		return fmt.Errorf("%w: no repository at %s", ErrHub, root)
 	}
-	gz := gzip.NewWriter(w)
+	gz, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
+	if err != nil {
+		return err
+	}
 	tw := tar.NewWriter(gz)
-	err := filepath.Walk(meta, func(path string, info os.FileInfo, err error) error {
+	err = filepath.Walk(meta, func(path string, info os.FileInfo, err error) error {
 		if err != nil {
 			return err
 		}
@@ -72,12 +78,21 @@ func PackRepo(root string, w io.Writer) error {
 	return gz.Close()
 }
 
+// maxUnpackRatio bounds what UnpackRepo extracts to this multiple of
+// maxPublishBytes, so an upload that inspect unpacks cannot fill the
+// server's disk as a gzip bomb. A JSON-heavy repository packs about 15:1;
+// twice that still passes (DESIGN §9, "Codec").
+const maxUnpackRatio = 32
+
 // UnpackRepo extracts a tar.gz produced by PackRepo into root. Paths are
 // sanitized: entries must stay under ".dlv/" and may not traverse upward.
+// Each entry counts as its size plus one 512-byte header block, and the
+// archive is refused before the total passes maxUnpackRatio×maxPublishBytes.
 // The gzip trailer is verified after the tar end marker, so a truncated or
 // checksum-corrupted archive is always reported even when the tar stream
 // itself looked complete.
 func UnpackRepo(r io.Reader, root string) (err error) {
+	limit, extracted := maxUnpackRatio*maxPublishBytes, int64(0)
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return fmt.Errorf("%w: bad archive: %v", ErrHub, err)
@@ -102,6 +117,10 @@ func UnpackRepo(r io.Reader, root string) (err error) {
 		if err != nil {
 			return fmt.Errorf("%w: reading archive: %v", ErrHub, err)
 		}
+		if hdr.Size > limit-extracted-512 { // extracted <= limit: no overflow
+			return fmt.Errorf("%w: archive expands past %d bytes", ErrHub, limit)
+		}
+		extracted += 512 + hdr.Size
 		clean := filepath.Clean(filepath.FromSlash(hdr.Name))
 		// Only a literal ".." path element traverses upward; a name that
 		// merely starts with two dots (e.g. "..foo") is legitimate.
@@ -125,7 +144,7 @@ func UnpackRepo(r io.Reader, root string) (err error) {
 			if err != nil {
 				return fmt.Errorf("%w: %v", ErrHub, err)
 			}
-			if _, err := io.Copy(f, tr); err != nil { //nolint:gosec // local trusted archives
+			if _, err := io.Copy(f, tr); err != nil { //nolint:gosec // hdr.Size is within the unpack bound
 				_ = f.Close() //mhlint:ignore errcheck the copy error takes precedence over cleanup
 				return fmt.Errorf("%w: %v", ErrHub, err)
 			}

@@ -12,7 +12,7 @@ import (
 )
 
 // tarGz builds a tar.gz archive with the given entries in memory.
-func tarGz(t *testing.T, entries map[string]string) []byte {
+func tarGz(t testing.TB, entries map[string]string) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)

@@ -1,0 +1,359 @@
+package hub
+
+import (
+	"bytes"
+	"compress/gzip"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"io/fs"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"modelhub/internal/dlv"
+	"modelhub/internal/dnn"
+	"modelhub/internal/tensor"
+	"modelhub/internal/zoo"
+)
+
+// snapshots maps "v<id>/<snap>" to a snapshot's weights.
+type snapshots map[string]map[string]*tensor.Matrix
+
+// makeArchivedRepo builds a repository whose weights live in a PAS archive:
+// a base version with three checkpoints, each a small step from the one
+// before, and a fine-tuned child with one. It returns the root and the
+// weights every snapshot was committed with.
+func makeArchivedRepo(tb testing.TB) (string, snapshots) {
+	tb.Helper()
+	root := tb.TempDir()
+	repo, err := dlv.Init(root)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	w := map[string]*tensor.Matrix{
+		"conv1": tensor.RandNormal(rng, 8, 10, 0.1),
+		"conv2": tensor.RandNormal(rng, 16, 73, 0.1),
+		"ip1":   tensor.RandNormal(rng, 48, 145, 0.1),
+		"ip2":   tensor.RandNormal(rng, 10, 49, 0.1),
+	}
+	step := func(from map[string]*tensor.Matrix) map[string]*tensor.Matrix {
+		out := map[string]*tensor.Matrix{}
+		for name, m := range from {
+			out[name] = m.Perturb(rng, 1e-3)
+		}
+		return out
+	}
+	truth := snapshots{}
+	var parent int64
+	for i, ckpts := range []int{3, 1} {
+		var cks []dnn.Checkpoint
+		for c := 1; c <= ckpts; c++ {
+			w = step(w)
+			cks = append(cks, dnn.Checkpoint{Iter: 10 * c, Weights: w})
+		}
+		w = step(w)
+		name := fmt.Sprintf("lenet_v%d", i+1)
+		id, err := repo.Commit(dlv.CommitInput{
+			Name: name, NetDef: zoo.LeNet(name), Checkpoints: cks, Final: w,
+			Accuracy: 0.9, ParentID: parent,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, ck := range cks {
+			truth[fmt.Sprintf("v%d/ckpt-%06d", id, ck.Iter)] = ck.Weights
+		}
+		truth[fmt.Sprintf("v%d/%s", id, dlv.LatestSnap)] = w
+		parent = id
+	}
+	if _, err := repo.Archive(dlv.ArchiveOptions{Algorithm: "pas-mt", Alpha: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	return root, truth
+}
+
+// checkSnapshots fails unless every archived snapshot of the repository at
+// root checks out bit for bit as committed.
+func checkSnapshots(t *testing.T, root string, want snapshots) {
+	t.Helper()
+	repo, err := dlv.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions, err := repo.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, v := range versions {
+		if !v.Archived {
+			t.Fatalf("version %d is not archived", v.ID)
+		}
+		for _, snap := range v.Snapshots {
+			key := fmt.Sprintf("v%d/%s", v.ID, snap)
+			got, err := repo.Weights(v.ID, snap, 4)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			for name, m := range want[key] {
+				g := got[name].Data()
+				for i, x := range m.Data() {
+					if math.Float32bits(g[i]) != math.Float32bits(x) {
+						t.Fatalf("%s %s[%d] = %v, committed %v", key, name, i, g[i], x)
+					}
+				}
+			}
+			seen++
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("checked %d snapshots, committed %d", seen, len(want))
+	}
+}
+
+// An archived repository, PAS segment and all, survives publish → pull with
+// every snapshot bit-identical.
+func TestArchivedRepoRoundTrip(t *testing.T) {
+	_, client := newTestServer(t)
+	root, truth := makeArchivedRepo(t)
+	if err := client.Publish(context.Background(), root, "archived"); err != nil {
+		t.Fatal(err)
+	}
+	dest := t.TempDir()
+	if err := client.Pull(context.Background(), "archived", dest); err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshots(t, dest, truth)
+}
+
+// postPublish sends body as a publish of name and returns the response.
+func postPublish(t *testing.T, client *Client, name string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := client.HTTP.Post(client.Base+"/api/publish?name="+name, "application/gzip", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(msg)
+}
+
+// A well-formed archive of a repository whose PAS segment bytes were flipped
+// is refused by inspect's probe of the first archived snapshot.
+func TestPublishRejectsCorruptSegment(t *testing.T) {
+	_, client := newTestServer(t)
+	root, _ := makeArchivedRepo(t)
+	segs, err := filepath.Glob(filepath.Join(root, ".dlv", "pas", "segments", "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segment file: %v", err)
+	}
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := len("PASSEG2\n"); i < len(b); i++ {
+			b[i] ^= 0xff
+		}
+		if err := os.WriteFile(seg, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status, msg := postPublish(t, client, "corrupt", packBytes(t, root))
+	if status != http.StatusBadRequest || !strings.Contains(msg, "archived weights unreadable") {
+		t.Fatalf("publish of a corrupt segment = %d %q, want 400 from the probe", status, msg)
+	}
+	if res, err := client.Search(context.Background(), "corrupt"); err != nil || len(res) != 0 {
+		t.Fatalf("search after rejected publish = %+v, %v", res, err)
+	}
+}
+
+// A blob packed at gzip's default level, as PackRepo did before it wrote at
+// BestSpeed, still publishes, pulls and checks out: hub nodes hold such
+// blobs, and the format is the same tar.gz.
+func TestDefaultLevelBlobStillPulls(t *testing.T) {
+	_, client := newTestServer(t)
+	root, truth := makeArchivedRepo(t)
+	gz, err := gzip.NewReader(bytes.NewReader(packBytes(t, root)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	w := gzip.NewWriter(&old)
+	if _, err := io.Copy(w, gz); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if status, msg := postPublish(t, client, "level6", old.Bytes()); status != http.StatusOK {
+		t.Fatalf("publish of a default-level blob = %d %q", status, msg)
+	}
+	dest := t.TempDir()
+	if err := client.Pull(context.Background(), "level6", dest); err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshots(t, dest, truth)
+}
+
+// bombs are small archives that expand past the unpack bound at a publish
+// limit of limit bytes: one big file, and many empty ones.
+func bombs(tb testing.TB, limit int64) map[string][]byte {
+	tb.Helper()
+	bound := maxUnpackRatio * limit
+	empties := map[string]string{}
+	for i := int64(0); i <= bound/512; i++ {
+		empties[fmt.Sprintf(".dlv/e%06d", i)] = ""
+	}
+	return map[string][]byte{
+		"big file":    tarGz(tb, map[string]string{".dlv/catalog.json": strings.Repeat("\x00", int(2*bound))}),
+		"empty files": tarGz(tb, empties),
+	}
+}
+
+// A gzip bomb inside the publish limit is refused before it extracts past
+// maxUnpackRatio × maxPublishBytes: UnpackRepo returns ErrHub, and a publish
+// answers 400 and leaves nothing in the data or temp directories.
+func TestUnpackBoundStopsBomb(t *testing.T) {
+	old := maxPublishBytes
+	maxPublishBytes = 16 << 10
+	t.Cleanup(func() { maxPublishBytes = old })
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp) // inspect unpacks under os.TempDir
+	dir := t.TempDir()
+	srv, err := NewServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	client := NewClientWith(ts.URL, Options{})
+	bound := maxUnpackRatio * maxPublishBytes
+	for kind, bomb := range bombs(t, maxPublishBytes) {
+		if int64(len(bomb)) > maxPublishBytes {
+			t.Fatalf("%s bomb is %d bytes, over the %d-byte publish limit", kind, len(bomb), maxPublishBytes)
+		}
+		root := t.TempDir()
+		if err := UnpackRepo(bytes.NewReader(bomb), root); !errors.Is(err, ErrHub) {
+			t.Fatalf("%s bomb unpacked: %v", kind, err)
+		}
+		if n := treeBytes(t, root); n > bound {
+			t.Fatalf("%s bomb extracted %d bytes, bound %d", kind, n, bound)
+		}
+		if status, msg := postPublish(t, client, "bomb", bomb); status != http.StatusBadRequest ||
+			!strings.Contains(msg, "expands past") {
+			t.Fatalf("%s bomb publish = %d %q, want 400", kind, status, msg)
+		}
+	}
+	for _, d := range []string{dir, tmp} {
+		for _, f := range serverFiles(t, d) {
+			t.Errorf("bomb publish left %q in %s", f, d)
+		}
+	}
+	if res := searchBody(t, srv, "bomb"); res != "[]\n" {
+		t.Fatalf("search after bomb = %q", res)
+	}
+}
+
+// treeBytes sums the sizes of the regular files under root.
+func treeBytes(tb testing.TB, root string) int64 {
+	tb.Helper()
+	var n int64
+	err := filepath.WalkDir(root, func(_ string, d fs.DirEntry, err error) error {
+		if err != nil || !d.Type().IsRegular() {
+			return err
+		}
+		info, err := d.Info()
+		n += info.Size()
+		return err
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// FuzzUnpackRepo: whatever the archive, UnpackRepo does not panic, writes
+// nothing outside root, extracts no more than the unpack bound, and reports
+// failures as ErrHub.
+func FuzzUnpackRepo(f *testing.F) {
+	old := maxPublishBytes
+	maxPublishBytes = 16 << 10 // a 512 KiB bound keeps every input small on disk
+	f.Cleanup(func() { maxPublishBytes = old })
+	root, _ := makeArchivedRepo(f)
+	var packed bytes.Buffer
+	if err := PackRepo(root, &packed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(packed.Bytes())
+	for _, name := range []string{"../evil", "..", ".dlv/../../evil", "/abs/evil", "..foo", ".dlv/..cache"} {
+		f.Add(tarGz(f, map[string]string{name: "evil"}))
+	}
+	f.Add(bombs(f, 1<<10)["big file"])
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		dir := t.TempDir()
+		root := filepath.Join(dir, "root")
+		if err := os.Mkdir(root, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := UnpackRepo(bytes.NewReader(blob), root); err != nil && !errors.Is(err, ErrHub) {
+			t.Fatalf("error not wrapped as ErrHub: %v", err)
+		}
+		if got := serverFiles(t, dir); len(got) != 1 || got[0] != "root" {
+			t.Fatalf("wrote outside root: %v", got)
+		}
+		for _, e := range serverFiles(t, root) {
+			if e != ".dlv" {
+				t.Fatalf("wrote %q outside root/.dlv", e)
+			}
+		}
+		if n, bound := treeBytes(t, root), maxUnpackRatio*maxPublishBytes; n > bound {
+			t.Fatalf("extracted %d bytes past the %d-byte bound", n, bound)
+		}
+	})
+}
+
+func BenchmarkPackRepo(b *testing.B) {
+	root, _ := makeArchivedRepo(b)
+	b.SetBytes(treeBytes(b, root))
+	var buf bytes.Buffer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := PackRepo(root, &buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkUnpackRepo(b *testing.B) {
+	root, _ := makeArchivedRepo(b)
+	b.SetBytes(treeBytes(b, root))
+	var buf bytes.Buffer
+	if err := PackRepo(root, &buf); err != nil {
+		b.Fatal(err)
+	}
+	dest := filepath.Join(b.TempDir(), "dest")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := UnpackRepo(bytes.NewReader(buf.Bytes()), dest); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := os.RemoveAll(dest); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

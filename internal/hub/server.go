@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"modelhub/internal/atomicfile"
 	"modelhub/internal/obs"
 )
 
@@ -18,10 +19,11 @@ import (
 // limit-handling tests can lower it without uploading a gigabyte.
 var maxPublishBytes int64 = 1 << 30
 
-// tmpPrefix marks in-flight files in the data directory. validateName
-// rejects leading dots, so no blob can ever collide with the prefix, and
-// startup reconciliation may delete anything carrying it.
-const tmpPrefix = ".tmp-"
+// tmpPrefix marks in-flight files in the data directory, atomicfile's temp
+// files included. validateName rejects leading dots, so no blob can ever
+// collide with the prefix, and startup reconciliation may delete anything
+// carrying it.
+const tmpPrefix = atomicfile.TempPrefix
 
 // RepoInfo is the search-result record for one published repository.
 type RepoInfo struct {
@@ -167,40 +169,16 @@ func (s *Server) reconcile() error {
 	return nil
 }
 
-// saveIndexLocked journals the index: marshal to a temp file, fsync, and
-// atomically rename over index.json, so a reader (or a restarted server)
-// sees either the old or the new index, never a torn one.
+// saveIndexLocked journals the index through atomicfile, so a reader (or a
+// restarted server) sees either the old or the new index, never a torn one.
+// Its directory fsync also makes durable the blob rename commit did just
+// before, in the same directory: an acknowledged publish survives power loss.
 func (s *Server) saveIndexLocked() error {
 	blob, err := json.MarshalIndent(s.index, "", " ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"index-*")
-	if err != nil {
-		return err
-	}
-	if err := writeSyncClose(tmp, blob); err != nil {
-		//mhlint:ignore errcheck the write error takes precedence over cleanup
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), s.indexPath()); err != nil {
-		//mhlint:ignore errcheck the rename error takes precedence over cleanup
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// writeSyncClose writes blob to f, then fsyncs and closes, reporting the
-// first failure.
-func writeSyncClose(f *os.File, blob []byte) error {
-	if _, err := f.Write(blob); err != nil {
-		//mhlint:ignore errcheck the write error takes precedence over cleanup
-		_ = f.Close()
-		return err
-	}
-	return syncClose(f)
+	return atomicfile.WriteFile(s.indexPath(), blob)
 }
 
 // syncClose fsyncs and closes an already-written file, reporting the first
