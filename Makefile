@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet fmt-check lint lint-baseline test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke examples bench check help
+.PHONY: build vet fmt-check lint test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke examples bench check help
 
 build:
 	$(GO) build ./...
@@ -13,16 +13,12 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Run the in-repo analyzer suite (cmd/mhlint) against the committed
-# baseline: only findings NOT in lint.baseline.json fail. Findings are
-# suppressed inline with `//mhlint:ignore <analyzer> <reason>`; run with
-# -suppressed to audit them, -list to see the analyzers. `make lint-baseline`
-# regenerates the baseline after an audited burn-down.
+# Run the in-repo analyzer suite (cmd/mhlint): any unsuppressed finding
+# fails. Findings are suppressed inline with
+# `//mhlint:ignore <analyzer> <reason>`; run with -suppressed to audit them,
+# -list to see the eight analyzers.
 lint:
-	$(GO) run ./cmd/mhlint -baseline lint.baseline.json ./...
-
-lint-baseline:
-	$(GO) run ./cmd/mhlint -write-baseline lint.baseline.json ./...
+	$(GO) run ./cmd/mhlint ./...
 
 test:
 	$(GO) test ./...
@@ -42,7 +38,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeflateInflate -fuzztime=$(FUZZTIME) ./internal/floatenc
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentIndex -fuzztime=$(FUZZTIME) ./internal/pas
 	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) ./internal/pas
-	$(GO) test -run='^$$' -fuzz=FuzzLintDirectiveAndBaseline -fuzztime=$(FUZZTIME) ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) ./internal/hub
 
@@ -96,8 +92,7 @@ help:
 	@echo "build       - compile all packages"
 	@echo "vet         - go vet ./..."
 	@echo "fmt-check   - fail on files needing gofmt"
-	@echo "lint        - run the mhlint analyzer suite against lint.baseline.json"
-	@echo "lint-baseline - regenerate lint.baseline.json from current findings"
+	@echo "lint        - run the mhlint analyzer suite; any unsuppressed finding fails"
 	@echo "test        - go test ./..."
 	@echo "test-race   - go test -race ./..."
 	@echo "fuzz-smoke  - short fuzz runs (FUZZTIME=$(FUZZTIME))"

@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	mhlint [-only a,b] [-suppressed] [-list] [-json FILE] \
-//	       [-baseline FILE] [-write-baseline FILE] [packages...]
+//	mhlint [-only a,b] [-suppressed] [-list] [-json FILE] [packages...]
 //
 // Packages default to ./... (the whole module). Exit codes: 0 clean,
 // 1 unsuppressed findings, 2 usage or load failure. Findings are reported
@@ -14,11 +13,9 @@
 //
 //	//mhlint:ignore <analyzer> <reason>
 //
-// on the offending line or the line directly above it. With -baseline,
-// findings recorded in the committed baseline file are accepted (reported
-// but non-fatal) and only NEW findings fail the run; -write-baseline
-// regenerates that file from the current findings. -json writes the full
-// machine-readable report ("-" for stdout) for CI artifacts.
+// on the offending line or the line directly above it; every unsuppressed
+// finding fails the run. -json writes the full machine-readable report
+// ("-" for stdout) for CI artifacts.
 package main
 
 import (
@@ -34,8 +31,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer subset to run")
 	suppressed := flag.Bool("suppressed", false, "also print suppressed findings with their ignore reasons")
 	jsonOut := flag.String("json", "", "write the machine-readable report to `file` (\"-\" for stdout)")
-	baselinePath := flag.String("baseline", "", "accept findings recorded in baseline `file`; fail only on new ones")
-	writeBaseline := flag.String("write-baseline", "", "write current findings as a new baseline to `file` and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: mhlint [flags] [packages...]\n")
 		flag.PrintDefaults()
@@ -47,10 +42,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *baselinePath != "" && *writeBaseline != "" {
-		fmt.Fprintln(os.Stderr, "mhlint: -baseline and -write-baseline are mutually exclusive")
-		os.Exit(2)
 	}
 
 	analyzers := lint.All()
@@ -67,51 +58,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mhlint:", err)
 		os.Exit(2)
 	}
-	rel := func(p string) string { return p }
-	if len(pkgs) > 0 {
-		rel = lint.ModuleRel(pkgs[0].Root)
-	}
-
 	res := lint.Run(pkgs, analyzers)
-
-	if *writeBaseline != "" {
-		data, err := lint.MakeBaseline(res.Findings, rel).Marshal()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mhlint:", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(*writeBaseline, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "mhlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mhlint: wrote %d finding(s) to %s\n", len(res.Findings), *writeBaseline)
-		return
-	}
-
-	fresh, accepted := res.Findings, []lint.Finding(nil)
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mhlint:", err)
-			os.Exit(2)
-		}
-		base, err := lint.LoadBaseline(data)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mhlint:", err)
-			os.Exit(2)
-		}
-		var unmatched int
-		fresh, accepted, unmatched = base.Split(res.Findings, rel)
-		if unmatched > 0 {
-			fmt.Fprintf(os.Stderr, "mhlint: note: %d baseline entr(ies) matched no finding; regenerate with -write-baseline\n", unmatched)
-		}
-	}
-
-	for _, f := range fresh {
+	for _, f := range res.Findings {
 		fmt.Println(f)
-	}
-	for _, f := range accepted {
-		fmt.Printf("%s (baselined)\n", f)
 	}
 	if *suppressed {
 		for _, f := range res.Suppressed {
@@ -120,11 +69,11 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		module := ""
+		module, rel := "", func(p string) string { return p }
 		if len(pkgs) > 0 {
-			module = pkgs[0].Module
+			module, rel = pkgs[0].Module, lint.ModuleRel(pkgs[0].Root)
 		}
-		data, err := lint.Report(module, len(pkgs), analyzers, fresh, accepted, res.Suppressed, rel).Marshal()
+		data, err := lint.Report(module, len(pkgs), analyzers, res.Findings, res.Suppressed, rel).Marshal()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mhlint:", err)
 			os.Exit(2)
@@ -137,7 +86,7 @@ func main() {
 		}
 	}
 
-	if n := len(fresh); n > 0 {
+	if n := len(res.Findings); n > 0 {
 		fmt.Fprintf(os.Stderr, "mhlint: %d finding(s) in %d package(s)\n", n, len(pkgs))
 		os.Exit(1)
 	}

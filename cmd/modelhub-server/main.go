@@ -81,7 +81,6 @@ func main() {
 		Self:           *selfURL,
 		Peers:          splitPeers(*peersFlag),
 		Replicas:       *replicas,
-		VNodes:         0,
 		RepairInterval: *repairInterval,
 	}
 	var handler http.Handler

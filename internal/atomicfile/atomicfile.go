@@ -1,8 +1,8 @@
 // Package atomicfile replaces whole files durably: a crash or a failed step
 // leaves either the old file or the complete new one, never a torn or
 // truncated file, and a nil error means the new file survives power loss.
-// The PAS manifest and segment index, the DLV catalog and each version's raw
-// weights file are written this way.
+// The PAS manifest and segment index, the DLV catalog, each version's raw
+// weights file and each DLV object are written this way.
 package atomicfile
 
 import (

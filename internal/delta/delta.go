@@ -6,15 +6,20 @@
 //
 // Three operators are provided:
 //
+//   - XOR: bitwise exclusive-or of bit patterns. Exactly invertible, and
+//     the only operator that composes per byte plane, so it is PAS's one
+//     delta operator (partial-precision retrieval and plane-granular plans
+//     rely on it).
 //   - Sub: IEEE float arithmetic subtraction, the paper's "arithmetic
 //     subtraction". Applying it back (base + d) can be off by one ULP for
-//     adversarial operands, so PAS does not use it for lossless archival;
-//     it is kept for the Fig 6(b) comparison.
+//     adversarial operands, so it is unfit for lossless archival.
 //   - IntSub: two's-complement subtraction of the raw float32 bit patterns.
 //     Because nearby floats have nearby bit patterns, deltas of similar
 //     matrices are small integers with long runs of 0x00/0xff high bytes,
-//     which zlib removes. Exactly invertible — PAS's default.
-//   - XOR: bitwise exclusive-or of bit patterns. Exactly invertible.
+//     which zlib removes. Exactly invertible.
+//
+// Sub and IntSub serve only the operator comparisons of Fig 6(b) and
+// Table IV.
 //
 // Matrices with different shapes are handled by first resizing the base to
 // the target shape (crop and/or zero-pad), per the paper's footnote 3.

@@ -231,58 +231,6 @@ func TestMeasureMatrixBytewise(t *testing.T) {
 	}
 }
 
-func TestDeltaMarshalRoundTrip(t *testing.T) {
-	base, target := pair(9, 5, 7, 0.01)
-	d, err := Compute(IntSub, base, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := d.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d2 Delta
-	if err := d2.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d2.Apply(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(target) {
-		t.Fatal("marshalled delta must still invert")
-	}
-}
-
-func TestDeltaUnmarshalCorrupt(t *testing.T) {
-	var d Delta
-	if err := d.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Fatal("want error for short blob")
-	}
-	base, target := pair(10, 2, 2, 0.01)
-	good, err := Compute(XOR, base, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := good.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0x55
-	if err := d.UnmarshalBinary(bad); err == nil {
-		t.Fatal("want error for bad magic")
-	}
-	bad2 := append([]byte(nil), blob...)
-	bad2[4] = 200 // invalid op
-	if err := d.UnmarshalBinary(bad2); !errors.Is(err, ErrOp) {
-		t.Fatalf("want ErrOp, got %v", err)
-	}
-	if err := d.UnmarshalBinary(blob[:len(blob)-4]); err == nil {
-		t.Fatal("want error for truncated body")
-	}
-}
-
 func TestXORWithSelfIsZero(t *testing.T) {
 	_, target := pair(11, 4, 4, 0)
 	d, err := Compute(XOR, target, target)

@@ -2,6 +2,8 @@ package dlv
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -163,6 +165,36 @@ func TestObjectStore(t *testing.T) {
 	}
 	if _, err := r.GetObject(strings.Repeat("0", 64)); !errors.Is(err, ErrRepo) {
 		t.Fatal("missing object must fail")
+	}
+}
+
+// TestTornObjectIsReplaced: a truncated file at a content's SHA path (a
+// crash mid-write) must not dedup a later commit of that content.
+func TestTornObjectIsReplaced(t *testing.T) {
+	r := initRepo(t)
+	content := []byte("lr=0.1\nmomentum=0.9\n")
+	sum := sha256.Sum256(content)
+	sha := hex.EncodeToString(sum[:])
+	if err := os.WriteFile(filepath.Join(r.Root(), dlvDir, objectsDir, sha), content[:5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	id, err := r.Commit(CommitInput{
+		Name: "m", NetDef: zoo.LeNet("m"),
+		Files: map[string][]byte{"solver.cfg": content},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := r.Version(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Files["solver.cfg"] != sha {
+		t.Fatalf("object sha = %s, want %s", v.Files["solver.cfg"], sha)
+	}
+	got, err := r.GetObject(sha)
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("GetObject = %q, %v; want the committed content", got, err)
 	}
 }
 

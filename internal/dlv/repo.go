@@ -13,6 +13,7 @@
 package dlv
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -22,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"modelhub/internal/atomicfile"
 	"modelhub/internal/catalog"
 	"modelhub/internal/pas"
 )
@@ -158,15 +160,18 @@ func createSchema(db *catalog.DB) error {
 }
 
 // putObject stores content in the content-addressed object store and
-// returns its hex SHA-256.
+// returns its hex SHA-256. The object is written durably (atomicfile), and
+// an existing file dedups the write only when it holds exactly this
+// content: a torn object, left by a crash in a non-atomic write, is
+// replaced rather than pointed at.
 func (r *Repo) putObject(content []byte) (string, error) {
 	sum := sha256.Sum256(content)
 	sha := hex.EncodeToString(sum[:])
 	path := filepath.Join(r.root, dlvDir, objectsDir, sha)
-	if _, err := os.Stat(path); err == nil {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, content) {
 		return sha, nil // dedup
 	}
-	if err := os.WriteFile(path, content, 0o644); err != nil {
+	if err := atomicfile.WriteFile(path, content); err != nil {
 		return "", fmt.Errorf("%w: storing object: %v", ErrRepo, err)
 	}
 	return sha, nil

@@ -59,8 +59,6 @@ type ClusterConfig struct {
 	// Replicas is the N-way replication factor. 0 selects 3; values above
 	// the peer count are clamped to it.
 	Replicas int
-	// VNodes is the virtual-node count per peer on the ring (0 selects 64).
-	VNodes int
 	// RepairInterval is the anti-entropy sweep period for
 	// StartAntiEntropy. 0 selects 30s; negative disables the loop.
 	RepairInterval time.Duration
@@ -123,7 +121,7 @@ func newCluster(cfg ClusterConfig, needSelf bool) (*cluster, error) {
 		}
 		peers = append(append([]string{}, peers...), cfg.Self)
 	}
-	ring, err := NewRing(peers, cfg.VNodes)
+	ring, err := NewRing(peers)
 	if err != nil {
 		return nil, err
 	}

@@ -413,7 +413,7 @@ func TestPullDuringRebalanceReadsThrough(t *testing.T) {
 	// Find a name whose 3-node owner is node 2 but whose 2-node owner
 	// (old ring, before node 2 joined) is node 0 or 1 — i.e. a name that
 	// moved when the cluster grew.
-	oldRing, err := NewRing(tc.urls[:2], 0)
+	oldRing, err := NewRing(tc.urls[:2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func (c *killingWriter) Write(p []byte) (int, error) {
 // read through to the node that still holds it.
 func TestGatewayReadThroughDuringRebalance(t *testing.T) {
 	tc := newTestCluster(t, 3, 1)
-	oldRing, err := NewRing(tc.urls[:2], 0)
+	oldRing, err := NewRing(tc.urls[:2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,15 @@ import (
 	"strings"
 )
 
-// defaultVNodes is the number of virtual nodes each peer contributes to the
+// vnodes is the number of virtual nodes each peer contributes to the
 // ring. 64 points per peer keeps the expected load imbalance of a small
 // cluster under a few percent while the ring stays tiny (a 16-node cluster
 // is 1024 points, one binary search per lookup).
-const defaultVNodes = 64
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring mapping string keys (published
 // repository names) to an ordered list of owner peers. Each peer is hashed
-// onto the ring at VNodes points; a key's owners are the first N distinct
+// onto the ring at vnodes points; a key's owners are the first N distinct
 // peers clockwise from the key's own hash. Adding or removing one peer
 // therefore moves only ~K/len(peers) of K keys — the property the cluster's
 // rebalancing story depends on.
@@ -34,13 +34,9 @@ type ringPoint struct {
 	peer string
 }
 
-// NewRing builds a ring over the given peer base URLs with vnodes virtual
-// nodes per peer (<=0 selects defaultVNodes). Peers are normalized (trailing
-// slash trimmed) and deduplicated; at least one peer is required.
-func NewRing(peers []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+// NewRing builds a ring over the given peer base URLs. Peers are normalized
+// (trailing slash trimmed) and deduplicated; at least one peer is required.
+func NewRing(peers []string) (*Ring, error) {
 	seen := map[string]bool{}
 	var normalized []string
 	for _, p := range peers {

@@ -14,12 +14,12 @@ func ringPeers(n int) []string {
 }
 
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
-	a, err := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
+	a, err := NewRing([]string{"http://a", "http://b", "http://c"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same peers in a different order, with duplicates and trailing slashes.
-	b, err := NewRing([]string{"http://c/", "http://a", "http://b", "http://a"}, 0)
+	b, err := NewRing([]string{"http://c/", "http://a", "http://b", "http://a"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,16 +33,16 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 }
 
 func TestRingEmptyPeersRejected(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty peer list must be rejected")
 	}
-	if _, err := NewRing([]string{"  ", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"  ", ""}); err == nil {
 		t.Fatal("blank peer list must be rejected")
 	}
 }
 
 func TestRingOwnersDistinctAndClamped(t *testing.T) {
-	r, err := NewRing(ringPeers(3), 0)
+	r, err := NewRing(ringPeers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestRingOwnersDistinctAndClamped(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	const keys = 3000
-	r, err := NewRing(ringPeers(5), 0)
+	r, err := NewRing(ringPeers(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestRingDistribution(t *testing.T) {
 // nodes never trade keys among themselves.
 func TestRingRebalanceMovesFewKeys(t *testing.T) {
 	const keys = 3000
-	old, err := NewRing(ringPeers(4), 0)
+	old, err := NewRing(ringPeers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := NewRing(ringPeers(5), 0)
+	grown, err := NewRing(ringPeers(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,12 +130,12 @@ func TestRingRebalanceMovesFewKeys(t *testing.T) {
 // only the keys it owned.
 func TestRingRemovalMovesOnlyOrphans(t *testing.T) {
 	const keys = 2000
-	full, err := NewRing(ringPeers(4), 0)
+	full, err := NewRing(ringPeers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	removed := ringPeers(4)[3]
-	shrunk, err := NewRing(ringPeers(3), 0)
+	shrunk, err := NewRing(ringPeers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -315,7 +315,8 @@ func Handle(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 `)
-	wantFindings(t, res, []string{"goroutine launched in request scope with no visible bound"}, 0)
+	// work's empty body also fails the body rule at the same launch.
+	wantFindings(t, res, []string{"bare goroutine launch", "goroutine launched in request scope with no visible bound"}, 0)
 }
 
 func TestGoroleakLoopLaunch(t *testing.T) {
@@ -329,7 +330,7 @@ func Fan(items []int) {
 	}
 }
 `)
-	wantFindings(t, res, []string{"goroutine launched in loop scope with no visible bound"}, 0)
+	wantFindings(t, res, []string{"bare goroutine launch", "goroutine launched in loop scope with no visible bound"}, 0)
 }
 
 func TestGoroleakWaitGroupIsClean(t *testing.T) {
@@ -415,8 +416,8 @@ func NamedPool(tasks chan func()) {
 }
 
 func TestGoroleakSingleLaunchIsClean(t *testing.T) {
-	// A one-off goroutine outside loops and handlers is gohygiene's
-	// business, not goroleak's: cardinality is 1.
+	// A one-off goroutine outside loops and handlers is clean of the
+	// launch-site rule: cardinality is 1. Only the body rule reports it.
 	res := runFixture(t, analyzerGoroleak, "modelhub/internal/fix", `package fix
 
 func work() {}
@@ -425,7 +426,7 @@ func Once() {
 	go work()
 }
 `)
-	wantFindings(t, res, nil, 0)
+	wantFindings(t, res, []string{"bare goroutine launch"}, 0)
 }
 
 func TestGoroleakSuppressed(t *testing.T) {
@@ -440,7 +441,8 @@ func Fan(items []int) {
 	}
 }
 `)
-	wantFindings(t, res, nil, 1)
+	// One directive covers both the body and the launch-site finding.
+	wantFindings(t, res, nil, 2)
 }
 
 func TestAtomicfieldMixedAccessRegression(t *testing.T) {
@@ -501,8 +503,9 @@ func (e *Engine) Load() int64 { return e.workers.Load() }
 	wantFindings(t, res, nil, 0)
 }
 
+// TestAtomicfieldCopies: copies of typed atomics are locksafe's no-copy rule.
 func TestAtomicfieldCopies(t *testing.T) {
-	res := runFixture(t, analyzerAtomicfield, "modelhub/internal/fix", `package fix
+	res := runFixture(t, analyzerLocksafe, "modelhub/internal/fix", `package fix
 
 import "sync/atomic"
 
@@ -872,8 +875,8 @@ func Fan(items []int) {
 }
 `)
 	res := Run([]*Package{pkg}, All())
-	// gohygiene legitimately flags the bare launch too; what must NOT
-	// appear is a stale-directive finding for the used goroleak ignore.
+	// What must NOT appear is a stale-directive finding for the used
+	// goroleak ignore.
 	for _, f := range res.Findings {
 		if f.Analyzer == "mhlint" {
 			t.Fatalf("used directive reported stale:\n%s", formatFindings(res.Findings))
@@ -915,8 +918,9 @@ func Fan(items []int) {
 		for _, f := range res.Suppressed {
 			got = append(got, fmt.Sprintf("%d:%d %s %s", f.Pos.Line, f.Pos.Column, f.Analyzer, f.SuppressedBy))
 		}
-		if len(got) != 2 || !strings.Contains(got[0], "first") || !strings.Contains(got[1], "second") {
-			t.Fatalf("run %d: suppressed output %v, want position-sorted pair", i, got)
+		// Each launch has a body and a launch-site finding.
+		if len(got) != 4 || !strings.Contains(got[1], "first") || !strings.Contains(got[2], "second") {
+			t.Fatalf("run %d: suppressed output %v, want position-sorted pairs", i, got)
 		}
 		if prev != nil && !equalStrings(prev, got) {
 			t.Fatalf("run %d: order changed: %v vs %v", i, prev, got)

@@ -360,17 +360,21 @@ func Drop() {
 	}
 }
 
+// TestGohygiene covers goroutine hygiene in library code: goroleak's body
+// rule and apihygiene's time.Sleep rule.
 func TestGohygiene(t *testing.T) {
 	cases := []struct {
 		name           string
+		analyzer       *Analyzer
 		path           string
 		src            string
 		want           []string
 		wantSuppressed int
 	}{
 		{
-			name: "bare goroutine",
-			path: "modelhub/internal/fix",
+			name:     "bare goroutine",
+			analyzer: analyzerGoroleak,
+			path:     "modelhub/internal/fix",
 			src: `package fix
 
 var x int
@@ -383,8 +387,9 @@ func Fire() {
 			want: []string{"bare goroutine launch"},
 		},
 		{
-			name: "waitgroup goroutine is clean",
-			path: "modelhub/internal/fix",
+			name:     "waitgroup goroutine is clean",
+			analyzer: analyzerGoroleak,
+			path:     "modelhub/internal/fix",
 			src: `package fix
 
 import "sync"
@@ -402,8 +407,9 @@ func Join() {
 			want: nil,
 		},
 		{
-			name: "named closure resolved through assignment",
-			path: "modelhub/internal/fix",
+			name:     "named closure resolved through assignment",
+			analyzer: analyzerGoroleak,
+			path:     "modelhub/internal/fix",
 			src: `package fix
 
 import "sync"
@@ -420,8 +426,9 @@ func Pool() {
 			want: nil,
 		},
 		{
-			name: "same-package function body resolved",
-			path: "modelhub/internal/fix",
+			name:     "same-package function body resolved",
+			analyzer: analyzerGoroleak,
+			path:     "modelhub/internal/fix",
 			src: `package fix
 
 var x int
@@ -436,8 +443,9 @@ func Fire() {
 			want: []string{"bare goroutine launch"},
 		},
 		{
-			name: "sleep synchronization",
-			path: "modelhub/internal/fix",
+			name:     "sleep synchronization",
+			analyzer: analyzerAPIHygiene,
+			path:     "modelhub/internal/fix",
 			src: `package fix
 
 import "time"
@@ -450,28 +458,54 @@ func Settle() {
 			want: []string{"time.Sleep in library code"},
 		},
 		{
-			name: "suppressed sleep",
-			path: "modelhub/internal/fix",
+			name:     "suppressed sleep",
+			analyzer: analyzerAPIHygiene,
+			path:     "modelhub/internal/fix",
 			src: `package fix
 
 import "time"
 
 // Backoff sleeps deliberately between retries.
 func Backoff() {
-	time.Sleep(time.Second) //mhlint:ignore gohygiene fixture retry backoff is a real delay, not synchronization
+	time.Sleep(time.Second) //mhlint:ignore apihygiene fixture retry backoff is a real delay, not synchronization
 }
 `,
 			want:           nil,
 			wantSuppressed: 1,
 		},
+		{
+			name:     "launch in a package-level literal",
+			analyzer: analyzerGoroleak,
+			path:     "modelhub/internal/fix",
+			src: `package fix
+
+var x int
+
+var fire = func() { go func() { x++ }() }
+`,
+			want: []string{"bare goroutine launch"},
+		},
+		{
+			name:     "sleep in a package-level literal",
+			analyzer: analyzerAPIHygiene,
+			path:     "modelhub/internal/fix",
+			src: `package fix
+
+import "time"
+
+var settle = func() { time.Sleep(time.Millisecond) }
+`,
+			want: []string{"time.Sleep in library code"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, analyzerGohygiene, c.path, c.src), c.want, c.wantSuppressed)
+			wantFindings(t, runFixture(t, c.analyzer, c.path, c.src), c.want, c.wantSuppressed)
 		})
 	}
 }
 
+// TestFloatdet covers detpath's float-accumulation rule.
 func TestFloatdet(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -573,7 +607,7 @@ func Sum(m map[string]float64) float64 {
 func Mean(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		sum += v //mhlint:ignore floatdet fixture display-only statistic, never persisted
+		sum += v //mhlint:ignore detpath fixture display-only statistic, never persisted
 	}
 	return sum / float64(len(m))
 }
@@ -581,10 +615,42 @@ func Mean(m map[string]float64) float64 {
 			want:           nil,
 			wantSuppressed: 1,
 		},
+		{
+			name: "closure in the map-range body",
+			path: "modelhub/internal/dnn",
+			src: `package dnn
+
+// Total accumulates through a closure that runs in iteration order.
+func Total(m map[string]float64) float64 {
+	var total float64
+	for _, v := range m {
+		add := func() { total += v }
+		add()
+	}
+	return total
+}
+`,
+			want: []string{"float accumulation into total under map iteration order"},
+		},
+		{
+			name: "package-level literal",
+			path: "modelhub/internal/tensor",
+			src: `package tensor
+
+var sum = func(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		s += v
+	}
+	return s
+}
+`,
+			want: []string{"float accumulation into s under map iteration order"},
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, analyzerFloatdet, c.path, c.src), c.want, c.wantSuppressed)
+			wantFindings(t, runFixture(t, analyzerDetpath, c.path, c.src), c.want, c.wantSuppressed)
 		})
 	}
 }

@@ -9,54 +9,26 @@ import (
 )
 
 // atomicfield guards the memory model around sync/atomic, the exact bug
-// class behind the pre-PR-7 racy `Engine.Workers` public field (read
-// plainly by callers while worker goroutines updated it):
-//
-//   - a variable or struct field accessed through sync/atomic functions
-//     (atomic.AddInt64(&x.f, …), atomic.LoadUint32(&x.f), …) anywhere in
-//     the package must be accessed that way EVERYWHERE — one plain read or
-//     write next to atomic uses is a data race the race detector only
-//     catches when the interleaving happens in a test;
-//   - typed atomics (atomic.Int64, atomic.Bool, atomic.Pointer[T], …) and
-//     values embedding them must never be copied: by-value receivers,
-//     params, results, assignments, call arguments, or range. A copied
-//     atomic is a fresh, unrelated variable — locksafe's rule, extended to
-//     sync/atomic.
+// class behind the once-racy `dql.Engine.Workers` public field (read
+// plainly by callers while worker goroutines updated it): a variable or
+// struct field accessed through sync/atomic functions
+// (atomic.AddInt64(&x.f, …), atomic.LoadUint32(&x.f), …) anywhere in the
+// package must be accessed that way EVERYWHERE — one plain read or write
+// next to atomic uses is a data race the race detector only catches when
+// the interleaving happens in a test. Copies of typed atomics are
+// locksafe's no-copy rule.
 var analyzerAtomicfield = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "mixed atomic/plain access to the same variable, and by-value copies of sync/atomic types",
+	Doc:  "mixed atomic/plain access to the same variable",
 	Run:  runAtomicfield,
 }
 
 // atomicFnPrefixes match the sync/atomic package-level access functions.
 var atomicFnPrefixes = []string{"Add", "Load", "Store", "Swap", "CompareAndSwap", "And", "Or"}
 
-// atomicTypeNames are the sync/atomic typed atomics whose copy is a bug.
-var atomicTypeNames = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-}
-
-// atomicKind returns a description like "atomic.Int64" when a value of
-// type t embeds a typed atomic (directly, via struct fields, or arrays),
-// or "". Pointers stop the search, as in lockKind.
-func atomicKind(t types.Type) string {
-	return namedKind(t, func(pkg, name string) string {
-		if pkg == "sync/atomic" && atomicTypeNames[name] {
-			return "atomic." + name
-		}
-		return ""
-	})
-}
-
-func runAtomicfield(pass *Pass) {
-	checkMixedAccess(pass)
-	checkAtomicCopies(pass)
-}
-
-// checkMixedAccess finds variables touched by sync/atomic calls and reports
+// runAtomicfield finds variables touched by sync/atomic calls and reports
 // every plain access to the same variable elsewhere in the package.
-func checkMixedAccess(pass *Pass) {
+func runAtomicfield(pass *Pass) {
 	// Pass 1: objects accessed atomically, and the ident nodes forming those
 	// atomic access expressions (exempt from the plain-access scan).
 	atomicAt := map[types.Object]token.Position{}
@@ -162,68 +134,4 @@ func shortPath(p string) string {
 		parts = parts[len(parts)-2:]
 	}
 	return strings.Join(parts, "/")
-}
-
-// checkAtomicCopies mirrors locksafe's copy detection for sync/atomic
-// typed values.
-func checkAtomicCopies(pass *Pass) {
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkAtomicSig(pass, n.Recv, n.Type)
-			case *ast.FuncLit:
-				checkAtomicSig(pass, nil, n.Type)
-			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
-					return true
-				}
-				for _, rhs := range n.Rhs {
-					switch ast.Unparen(rhs).(type) {
-					case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					default:
-						continue
-					}
-					if k := atomicKind(pass.Info.TypeOf(rhs)); k != "" {
-						pass.Reportf(rhs.Pos(), "assignment copies atomic value: %s contains %s", types.ExprString(rhs), k)
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					switch ast.Unparen(arg).(type) {
-					case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					default:
-						continue
-					}
-					if k := atomicKind(pass.Info.TypeOf(arg)); k != "" {
-						pass.Reportf(arg.Pos(), "call copies atomic value: argument %s contains %s", types.ExprString(arg), k)
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if k := atomicKind(pass.Info.TypeOf(n.Value)); k != "" {
-						pass.Reportf(n.Value.Pos(), "range copies atomic value: element contains %s", k)
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkAtomicSig flags by-value receivers, params, and results embedding a
-// typed atomic.
-func checkAtomicSig(pass *Pass, recv *ast.FieldList, ftype *ast.FuncType) {
-	lists := []*ast.FieldList{recv, ftype.Params, ftype.Results}
-	what := []string{"receiver", "parameter", "result"}
-	for i, fl := range lists {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			if k := atomicKind(pass.Info.TypeOf(field.Type)); k != "" {
-				pass.Reportf(field.Type.Pos(), "by-value %s contains %s; use a pointer", what[i], k)
-			}
-		}
-	}
 }

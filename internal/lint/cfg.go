@@ -413,16 +413,16 @@ func isPanicCall(call *ast.CallExpr) bool {
 
 // eachFunc visits every function with a body in the package: declarations
 // and all nested function literals, each paired with its enclosing
-// declaration (for diagnostics and scope classification).
+// declaration (for diagnostics and scope classification). Literals in
+// package-level initializers are visited too, with a nil declaration.
 func eachFunc(files []*ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
 	for _, f := range files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			fd, _ := d.(*ast.FuncDecl)
+			if fd != nil && fd.Body != nil {
+				fn(fd, nil, fd.Body)
 			}
-			fn(fd, nil, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
+			ast.Inspect(d, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
 					fn(fd, lit, lit.Body)
 				}

@@ -47,7 +47,7 @@ var ctxObliviousClientMethods = map[string]bool{
 func runCtxflow(pass *Pass) {
 	eachFunc(pass.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
 		carrier := ctxCarrier(pass.Info, decl, lit)
-		if carrier == "" && lit != nil {
+		if carrier == "" && lit != nil && decl != nil {
 			// A literal with no context parameter of its own can still reach
 			// the enclosing declaration's context lexically.
 			carrier = ctxCarrier(pass.Info, decl, nil)
@@ -83,9 +83,11 @@ func runCtxflow(pass *Pass) {
 // of a context.Context parameter, "<req>.Context()" for an *http.Request
 // parameter, or "" when it holds neither.
 func ctxCarrier(info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit) string {
-	ftype := decl.Type
+	var ftype *ast.FuncType
 	if lit != nil {
 		ftype = lit.Type
+	} else {
+		ftype = decl.Type
 	}
 	if ftype.Params == nil {
 		return ""

@@ -4,44 +4,47 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// detpath extends floatdet from a lexical scan to a path-sensitive check
-// over the CFG, for the same packages carrying the bit-identical-results
-// contract (internal/tensor, internal/dnn, internal/pas). floatdet catches
-// float accumulation directly inside a map-range body; detpath catches the
-// two ways nondeterministic map order leaks out of the loop:
+// detpath protects the bit-identical-results contract of the numeric
+// packages (internal/tensor, internal/dnn, internal/pas): the GEMM kernels
+// and parallel enumeration are bit-exact at any worker count precisely
+// because accumulation order is fixed, and Go randomizes map iteration
+// order. It reports the three ways that order leaks out of a
+// map-range body:
 //
+//   - float accumulation: `+=`-style (or x = x + v) updates of a float
+//     declared outside the loop — float addition does not commute in
+//     rounding, so the sum depends on iteration order. Closures inside the
+//     body count, since they run in that order too;
 //   - ordered sinks: writing to an outer strings.Builder / bytes.Buffer /
-//     io.Writer (or fmt.Fprint* to one) inside a map-range body emits in
-//     iteration order — no later fix-up is possible, so it is reported at
-//     the write;
-//   - unsorted key/value collection: appending to an outer slice inside a
-//     map-range body taints the slice with iteration order. The taint is
-//     killed by a sort call (sort.* / slices.Sort*) naming the slice. A
-//     CFG path on which the tainted slice reaches a `return` or is itself
-//     ranged over (the classic collect-keys-then-iterate pattern, minus
-//     the sort) is reported — float accumulation over such a range is
-//     exactly the nondeterminism floatdet exists to prevent.
+//     io.Writer (or fmt.Fprint* to one) emits in iteration order — no
+//     later fix-up is possible, so it is reported at the write;
+//   - unsorted key/value collection: appending to an outer slice taints
+//     the slice with iteration order. The taint is killed by a sort call
+//     (sort.* / slices.Sort*) naming the slice. A CFG path on which the
+//     tainted slice reaches a `return` or is itself ranged over (the
+//     classic collect-keys-then-iterate pattern, minus the sort) is
+//     reported.
+//
+// The fix in every case is to iterate sorted keys.
 var analyzerDetpath = &Analyzer{
 	Name: "detpath",
-	Doc:  "map-iteration order escaping via unsorted collected slices or ordered sinks in the deterministic packages",
+	Doc:  "map-iteration order escaping via float accumulation, unsorted collected slices or ordered sinks in the deterministic packages",
 	Run:  runDetpath,
 }
 
+// detPackages are the package paths (relative to the module) under the
+// determinism contract.
+var detPackages = []string{"/internal/tensor", "/internal/dnn", "/internal/pas"}
+
 func runDetpath(pass *Pass) {
-	covered := false
-	for _, suf := range floatdetSuffixes {
-		if strings.HasSuffix(pass.Path, suf) {
-			covered = true
-			break
-		}
-	}
-	if !covered {
+	if !slices.ContainsFunc(detPackages, func(suf string) bool { return strings.HasSuffix(pass.Path, suf) }) {
 		return
 	}
-	eachFunc(pass.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
+	eachFunc(pass.Files, func(_ *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
 		checkDetpathBody(pass, body)
 	})
 }
@@ -60,6 +63,7 @@ func checkDetpathBody(pass *Pass, body *ast.BlockStmt) {
 		if !ok || !isMapRange(pass.Info, rng) {
 			return
 		}
+		checkFloatAccum(pass, rng)
 		inspectSkippingFuncLits(rng.Body, func(m ast.Node) {
 			switch m := m.(type) {
 			case *ast.AssignStmt:
@@ -220,4 +224,86 @@ func isRangeHead(info *types.Info, id *ast.Ident) bool {
 	}
 	_, ok := t.Underlying().(*types.Slice)
 	return ok
+}
+
+// checkFloatAccum flags float accumulation into loop-external variables
+// inside a map-range body, closures included.
+func checkFloatAccum(pass *Pass, rng *ast.RangeStmt) {
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		switch as.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+			reportIfFloatAccum(pass, rng, as.Lhs[0])
+		case token.ASSIGN:
+			// x = x + v style accumulation.
+			for i, lhs := range as.Lhs {
+				if i >= len(as.Rhs) {
+					break
+				}
+				if bin, ok := ast.Unparen(as.Rhs[i]).(*ast.BinaryExpr); ok && exprMentions(bin, lhs) {
+					reportIfFloatAccum(pass, rng, lhs)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// reportIfFloatAccum reports when lhs is a float lvalue rooted at a
+// variable declared outside the range statement.
+func reportIfFloatAccum(pass *Pass, rng *ast.RangeStmt, lhs ast.Expr) {
+	t := pass.Info.TypeOf(lhs)
+	basic, ok := t.(*types.Basic)
+	if !ok || basic.Info()&types.IsFloat == 0 {
+		return
+	}
+	root := rootIdent(lhs)
+	if root == nil {
+		return
+	}
+	obj := objOf(pass.Info, root)
+	if obj == nil || obj.Pos() >= rng.Pos() && obj.Pos() < rng.End() {
+		return // unresolved, or a loop-local accumulator: reset each iteration, order-free
+	}
+	pass.Reportf(lhs.Pos(), "float accumulation into %s under map iteration order; iterate sorted keys for bit-identical results", types.ExprString(lhs))
+}
+
+// rootIdent returns the base identifier of an lvalue (x, x.f, x[i], *x).
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch v := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return v
+		case *ast.SelectorExpr:
+			e = v.X
+		case *ast.IndexExpr:
+			e = v.X
+		case *ast.StarExpr:
+			e = v.X
+		case *ast.UnaryExpr:
+			e = v.X // &x roots at x
+		default:
+			return nil
+		}
+	}
+}
+
+// exprMentions reports whether the expression tree contains a sub-expression
+// textually identical to target.
+func exprMentions(e ast.Expr, target ast.Expr) bool {
+	want := types.ExprString(target)
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		if sub, ok := n.(ast.Expr); ok && types.ExprString(sub) == want {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

@@ -2,51 +2,63 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
-// goroleak guards goroutine cardinality on the service arc: a goroutine
-// launched per request or per loop iteration multiplies under load, so the
-// launch SCOPE must carry a visible bound or join. gohygiene (gen 1)
-// checks the goroutine's body for a completion mechanism; goroleak checks
-// the launch site with the CFG:
+// goroleak enforces the goroutine discipline of the training and retrieval
+// runtimes and guards goroutine cardinality on the service arc. Every `go` statement is checked twice, on one resolution of
+// the goroutine body (its function literal, or the same-package function
+// or closure variable it calls):
 //
-//	trigger — the `go` statement sits inside a for/range body, or inside a
-//	handler-shaped function (http.ResponseWriter / *http.Request parameter
-//	or a ServeHTTP method), where every request replays the launch;
+//	body — in <module>/internal/, the body must touch a sync.WaitGroup,
+//	operate on a channel, close one, or select; otherwise nothing can join
+//	or bound it. A body that cannot be resolved is reported too;
 //
-//	bound evidence (any one clears the launch):
+//	launch site — a goroutine launched per request or per loop iteration
+//	multiplies under load, so its launch SCOPE must carry a visible bound
+//	or join. The trigger: the `go` statement sits inside a for/range body,
+//	or inside a handler-shaped function (http.ResponseWriter /
+//	*http.Request parameter or a ServeHTTP method), where every request
+//	replays the launch. Bound evidence (any one clears the launch):
 //	  - a sync.WaitGroup Wait (or deferred Wait) CFG-reachable from the
 //	    launch block — the scope joins what it spawned;
 //	  - a channel receive, channel range, or select CFG-reachable from the
 //	    launch block — the scope collects results or completion signals;
 //	  - a channel send reaching the launch (forward dataflow) — the
 //	    acquire-token half of a buffered-channel semaphore caps concurrency;
-//	  - the goroutine body (or the same-package function it calls) ranges
-//	    over a channel or selects — a worker-pool member bounded by channel
-//	    close, not by the launch count.
+//	  - the goroutine body ranges over a channel or selects — a
+//	    worker-pool member bounded by channel close, not by the launch
+//	    count.
 var analyzerGoroleak = &Analyzer{
 	Name: "goroleak",
-	Doc:  "request- or loop-scoped goroutine launches with no reachable join, semaphore, or pool bound",
+	Doc:  "goroutine launches whose body nothing can join, or whose loop/request scope has no reachable join, semaphore, or pool bound",
 	Run:  runGoroleak,
 }
 
 func runGoroleak(pass *Pass) {
 	bodies := funcBodies(pass.Info, pass.Files)
+	library := pass.InLibrary()
 	eachFunc(pass.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-		handler := isHandlerShaped(pass.Info, decl, lit)
 		var goStmts []*ast.GoStmt
 		inLoop := map[*ast.GoStmt]bool{}
 		markLoopGoStmts(body, false, &goStmts, inLoop)
 		if len(goStmts) == 0 {
 			return
 		}
+		handler := isHandlerShaped(pass.Info, decl, lit)
 		var cfg *CFG
 		for _, g := range goStmts {
-			if !inLoop[g] && !handler {
-				continue
+			gbody := goroutineBody(pass.Info, g, bodies)
+			if library {
+				switch {
+				case gbody == nil:
+					pass.Reportf(g.Pos(), "goroutine launch whose body cannot be inspected; tie it to a WaitGroup or bounded pool")
+				case !usesCompletionMechanism(pass.Info, gbody):
+					pass.Reportf(g.Pos(), "bare goroutine launch: body uses no WaitGroup, channel, or select, so nothing can join or bound it")
+				}
 			}
-			if goroutineBodyIsPoolWorker(pass.Info, g, bodies) {
+			if !inLoop[g] && !handler || isPoolWorker(pass.Info, gbody) {
 				continue
 			}
 			if cfg == nil {
@@ -62,6 +74,60 @@ func runGoroleak(pass *Pass) {
 			pass.Reportf(g.Pos(), "goroutine launched in %s scope with no visible bound: no reachable WaitGroup.Wait, channel receive, or semaphore, and the body is not a channel-draining worker", scope)
 		}
 	})
+}
+
+// goroutineBody resolves the body a `go` statement runs: its function
+// literal, or the body of the same-package function or closure variable it
+// calls (`run := func() {...}; go run()`). It returns nil when the callee
+// cannot be resolved.
+func goroutineBody(info *types.Info, g *ast.GoStmt, bodies map[types.Object]*ast.BlockStmt) *ast.BlockStmt {
+	if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+		return lit.Body
+	}
+	if obj := calleeObj(info, g.Call); obj != nil {
+		return bodies[obj]
+	}
+	return nil
+}
+
+// usesCompletionMechanism looks for any WaitGroup method call, channel
+// operation, select, or close() in the body.
+func usesCompletionMechanism(info *types.Info, body ast.Node) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.SendStmt, *ast.SelectStmt:
+			found = true
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				found = true
+			}
+		case *ast.RangeStmt:
+			found = isChanRange(info, n)
+		case *ast.CallExpr:
+			if recvNamed(info, n) == "sync.WaitGroup" {
+				found = true
+			}
+			if b, ok := calleeObj(info, n).(*types.Builtin); ok && b.Name() == "close" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isChanRange reports whether the range statement drains a channel.
+func isChanRange(info *types.Info, rng *ast.RangeStmt) bool {
+	t := info.TypeOf(rng.X)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
 }
 
 // markLoopGoStmts collects the go statements of a body (nested literals
@@ -141,21 +207,10 @@ func isHTTPParam(t types.Type) bool {
 	return obj.Name() == "ResponseWriter" || obj.Name() == "Request"
 }
 
-// goroutineBodyIsPoolWorker reports whether the launched body (resolved
-// through same-package function values for `go run()`) drains a channel —
-// a pool worker bounded by channel close rather than launch count.
-func goroutineBodyIsPoolWorker(info *types.Info, g *ast.GoStmt, bodies map[types.Object]*ast.BlockStmt) bool {
-	var body ast.Node
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.FuncLit:
-		body = fun.Body
-	default:
-		if obj := calleeObj(info, g.Call); obj != nil {
-			if b, ok := bodies[obj]; ok {
-				body = b
-			}
-		}
-	}
+// isPoolWorker reports whether the goroutine body drains a channel or
+// selects — a pool worker bounded by channel close rather than launch
+// count.
+func isPoolWorker(info *types.Info, body *ast.BlockStmt) bool {
 	if body == nil {
 		return false
 	}
@@ -168,11 +223,7 @@ func goroutineBodyIsPoolWorker(info *types.Info, g *ast.GoStmt, bodies map[types
 		case *ast.SelectStmt:
 			found = true
 		case *ast.RangeStmt:
-			if t := info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
+			found = isChanRange(info, n)
 		}
 		return !found
 	})
@@ -222,15 +273,11 @@ func nodeHasJoin(info *types.Info, n ast.Node) bool {
 		case *ast.SelectStmt:
 			found = true
 		case *ast.UnaryExpr:
-			if x.Op.String() == "<-" {
+			if x.Op == token.ARROW {
 				found = true
 			}
 		case *ast.RangeStmt:
-			if t := info.TypeOf(x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
+			found = isChanRange(info, x)
 		case *ast.CallExpr:
 			if recvNamed(info, x) == "sync.WaitGroup" {
 				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {

@@ -78,14 +78,12 @@ func (p *Pass) InLibrary() bool {
 	return strings.HasPrefix(p.Path, p.Module+"/internal/")
 }
 
-// All returns the full analyzer registry in stable order: the five gen-1
+// All returns the full analyzer registry in stable order: the three gen-1
 // syntax-level analyzers, then the five gen-2 CFG/dataflow analyzers.
 func All() []*Analyzer {
 	return []*Analyzer{
 		analyzerLocksafe,
 		analyzerErrcheck,
-		analyzerGohygiene,
-		analyzerFloatdet,
 		analyzerAPIHygiene,
 		analyzerGoroleak,
 		analyzerAtomicfield,
@@ -209,7 +207,10 @@ func sortFindings(fs []Finding) {
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 }
 

@@ -12,8 +12,10 @@ import (
 // and the training runtime:
 //
 //   - sync.Mutex / sync.RWMutex / sync.WaitGroup / sync.Once / sync.Cond
-//     values (or values embedding one) must never be copied — by
-//     assignment, argument passing, by-value receivers/params, or range;
+//     values and sync/atomic typed atomics (atomic.Int64, atomic.Pointer[T],
+//     …), or values embedding one, must never be copied — by assignment,
+//     argument passing, by-value receivers/params/results, or range. A
+//     copied lock or atomic is a fresh, unrelated variable;
 //   - every Lock()/RLock() must have a reachable Unlock()/RUnlock() on the
 //     same lock expression within the same function (no lock handoffs);
 //   - no channel operations, select, WaitGroup.Wait, or time.Sleep while a
@@ -25,7 +27,7 @@ import (
 // high-confidence at the cost of missing some fallthrough paths.
 var analyzerLocksafe = &Analyzer{
 	Name: "locksafe",
-	Doc:  "copied sync primitives, Lock without Unlock, blocking while a lock is held",
+	Doc:  "copied sync primitives and typed atomics, Lock without Unlock, blocking while a lock is held",
 	Run:  runLocksafe,
 }
 
@@ -38,13 +40,24 @@ func runLocksafe(pass *Pass) {
 			case *ast.FuncLit:
 				checkFuncSig(pass, nil, n.Type)
 			case *ast.AssignStmt:
-				checkLockAssign(pass, n)
+				if len(n.Lhs) != len(n.Rhs) {
+					break
+				}
+				for _, rhs := range n.Rhs {
+					if k := copiedKind(pass.Info, rhs); k != "" {
+						pass.Reportf(rhs.Pos(), "assignment copies %s value: %s contains %s", copyNoun(k), types.ExprString(rhs), k)
+					}
+				}
 			case *ast.CallExpr:
-				checkLockArgs(pass, n)
+				for _, arg := range n.Args {
+					if k := copiedKind(pass.Info, arg); k != "" {
+						pass.Reportf(arg.Pos(), "call copies %s value: argument %s contains %s", copyNoun(k), types.ExprString(arg), k)
+					}
+				}
 			case *ast.RangeStmt:
 				if n.Value != nil {
-					if k := lockKind(pass.Info.TypeOf(n.Value)); k != "" {
-						pass.Reportf(n.Value.Pos(), "range copies lock value: element contains %s", k)
+					if k := noCopyKind(pass.Info.TypeOf(n.Value)); k != "" {
+						pass.Reportf(n.Value.Pos(), "range copies %s value: element contains %s", copyNoun(k), k)
 					}
 				}
 			}
@@ -62,7 +75,7 @@ func runLocksafe(pass *Pass) {
 }
 
 // checkFuncSig flags by-value receivers, params, and results whose type
-// embeds a sync primitive.
+// embeds a sync primitive or a typed atomic.
 func checkFuncSig(pass *Pass, recv *ast.FieldList, ftype *ast.FuncType) {
 	lists := []*ast.FieldList{recv, ftype.Params, ftype.Results}
 	what := []string{"receiver", "parameter", "result"}
@@ -71,45 +84,30 @@ func checkFuncSig(pass *Pass, recv *ast.FieldList, ftype *ast.FuncType) {
 			continue
 		}
 		for _, field := range fl.List {
-			if k := lockKind(pass.Info.TypeOf(field.Type)); k != "" {
+			if k := noCopyKind(pass.Info.TypeOf(field.Type)); k != "" {
 				pass.Reportf(field.Type.Pos(), "by-value %s contains %s; use a pointer", what[i], k)
 			}
 		}
 	}
 }
 
-// checkLockAssign flags assignments that copy an existing lock-containing
-// value. Fresh values (composite literals, function calls) initialize
-// rather than copy.
-func checkLockAssign(pass *Pass, as *ast.AssignStmt) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
+// copiedKind returns the no-copy kind of e when e names an existing value,
+// so that using it copies that value. Fresh values (composite literals,
+// function calls) initialize rather than copy, and give "".
+func copiedKind(info *types.Info, e ast.Expr) string {
+	switch ast.Unparen(e).(type) {
+	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+		return noCopyKind(info.TypeOf(e))
 	}
-	for _, rhs := range as.Rhs {
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			continue
-		}
-		if k := lockKind(pass.Info.TypeOf(rhs)); k != "" {
-			pass.Reportf(rhs.Pos(), "assignment copies lock value: %s contains %s", types.ExprString(rhs), k)
-		}
-	}
+	return ""
 }
 
-// checkLockArgs flags call arguments that pass a lock-containing value by
-// value.
-func checkLockArgs(pass *Pass, call *ast.CallExpr) {
-	for _, arg := range call.Args {
-		switch ast.Unparen(arg).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			continue
-		}
-		if k := lockKind(pass.Info.TypeOf(arg)); k != "" {
-			pass.Reportf(arg.Pos(), "call copies lock value: argument %s contains %s", types.ExprString(arg), k)
-		}
+// copyNoun names what a copy of the given no-copy kind duplicates.
+func copyNoun(kind string) string {
+	if strings.HasPrefix(kind, "atomic.") {
+		return "atomic"
 	}
+	return "lock"
 }
 
 // syncMethod resolves a call to a method of a sync lock type, returning the

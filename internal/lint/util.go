@@ -21,49 +21,46 @@ var syncLockNames = map[string]bool{
 	"Mutex": true, "RWMutex": true, "WaitGroup": true, "Once": true, "Cond": true,
 }
 
-// lockKind returns a description like "sync.Mutex" when a value of type t
-// embeds a sync lock (directly, via struct fields, or via arrays), or ""
-// otherwise. Pointers stop the search: copying a pointer to a lock is fine.
-func lockKind(t types.Type) string {
-	return namedKind(t, func(pkg, name string) string {
-		if pkg == "sync" && syncLockNames[name] {
-			return "sync." + name
-		}
-		return ""
-	})
+// atomicTypeNames are the sync/atomic typed atomics whose copy is a bug.
+var atomicTypeNames = map[string]bool{
+	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
+	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
 }
 
-// namedKind walks a type (through named types, struct fields, and arrays —
-// pointers stop the search) and returns the first non-empty result of
-// match applied to a named type's (package path, name).
-func namedKind(t types.Type, match func(pkg, name string) string) string {
-	return namedKindRec(t, match, map[types.Type]bool{})
+// noCopyKind returns a description like "sync.Mutex" or "atomic.Int64"
+// when a value of type t embeds a sync lock or a typed atomic (directly,
+// via struct fields, or via arrays), or "" otherwise. Pointers stop the
+// search: copying a pointer to a lock is fine.
+func noCopyKind(t types.Type) string {
+	return noCopyKindRec(t, map[types.Type]bool{})
 }
 
-func namedKindRec(t types.Type, match func(pkg, name string) string, seen map[types.Type]bool) string {
+func noCopyKindRec(t types.Type, seen map[types.Type]bool) string {
 	if t == nil || seen[t] {
 		return ""
 	}
 	seen[t] = true
 	t = types.Unalias(t)
 	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			if k := match(obj.Pkg().Path(), obj.Name()); k != "" {
-				return k
+		if obj := named.Obj(); obj.Pkg() != nil {
+			switch pkg, name := obj.Pkg().Path(), obj.Name(); {
+			case pkg == "sync" && syncLockNames[name]:
+				return "sync." + name
+			case pkg == "sync/atomic" && atomicTypeNames[name]:
+				return "atomic." + name
 			}
 		}
-		return namedKindRec(named.Underlying(), match, seen)
+		return noCopyKindRec(named.Underlying(), seen)
 	}
 	switch u := t.(type) {
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			if k := namedKindRec(u.Field(i).Type(), match, seen); k != "" {
+			if k := noCopyKindRec(u.Field(i).Type(), seen); k != "" {
 				return k
 			}
 		}
 	case *types.Array:
-		return namedKindRec(u.Elem(), match, seen)
+		return noCopyKindRec(u.Elem(), seen)
 	}
 	return ""
 }

@@ -234,15 +234,6 @@ func TestOptionsExplicitZero(t *testing.T) {
 	if got := (Options{ZlibLevel: ExplicitZero}).withDefaults().ZlibLevel; got != 0 {
 		t.Fatalf("ExplicitZero ZlibLevel: want 0, got %d", got)
 	}
-	if got := (Options{Alpha: 1.5}).withDefaults().LASTAlpha; got != 1.5 {
-		t.Fatalf("unset LASTAlpha: want Alpha fallback 1.5, got %v", got)
-	}
-	if got := (Options{}).withDefaults().LASTAlpha; got != 1 {
-		t.Fatalf("unset LASTAlpha without Alpha: want 1, got %v", got)
-	}
-	if got := (Options{LASTAlpha: ExplicitZero}).withDefaults().LASTAlpha; got != 0 {
-		t.Fatalf("ExplicitZero LASTAlpha: want 0, got %v", got)
-	}
 	// Zlib level 0 (stored, uncompressed) must still round-trip exactly.
 	snaps := makeSnaps(28, 3, 0)
 	st := createStore(t, snaps, Options{ZlibLevel: ExplicitZero})

@@ -56,10 +56,6 @@ type Options struct {
 	// NoDefaultPairs disables the adjacent-snapshot pairing so the caller
 	// (e.g. DLV, which knows version boundaries) controls candidates fully.
 	NoDefaultPairs bool
-	// LASTAlpha is the node-level balance parameter when Algorithm=="last";
-	// 0 means "unset" and defaults to max(Alpha, 1). Pass ExplicitZero (-1)
-	// to request an actual α=0 (which LAST clamps to its minimum of 1).
-	LASTAlpha float64
 	// PlaneGranularity makes storage-plan decisions at the level of byte
 	// segments (paper Sec. IV-C: "PAS is able to make decisions at the
 	// level of byte segments of float matrices, by treating them as
@@ -116,12 +112,6 @@ func (o Options) withDefaults() Options {
 		o.ZlibLevel = floatenc.DefaultZlibLevel
 	case ExplicitZero:
 		o.ZlibLevel = 0
-	}
-	switch o.LASTAlpha {
-	case 0:
-		o.LASTAlpha = math.Max(o.Alpha, 1)
-	case ExplicitZero:
-		o.LASTAlpha = 0
 	}
 	return o
 }
@@ -760,7 +750,7 @@ func solve(g *Graph, opts Options) (*Plan, bool, error) {
 		ok, _ := p.Feasible(opts.Scheme)
 		return p, ok, nil
 	case "last":
-		p, err := LAST(g, opts.LASTAlpha)
+		p, err := LAST(g, max(opts.Alpha, 1)) // LAST's node balance α is at least 1
 		if err != nil {
 			return nil, false, err
 		}
