@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: build vet fmt-check lint test test-race test-scaling fuzz-smoke obs-smoke cluster-smoke examples bench check help
+.PHONY: build vet fmt-check lint test test-race test-scaling fuzz-smoke bench-smoke obs-smoke cluster-smoke examples bench check help
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) ./internal/hub
+
+# Every testing.B benchmark in the module, one iteration each and no tests:
+# benchmarks that never run can rot (stale fixtures, a b.Fatal on a changed
+# API) without failing anything else.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # End-to-end observability check: start modelhub-server -metrics, publish +
 # pull a tiny archived repo, scrape /metrics, assert well-formed JSON with
@@ -96,6 +102,7 @@ help:
 	@echo "test        - go test ./..."
 	@echo "test-race   - go test -race ./..."
 	@echo "fuzz-smoke  - short fuzz runs (FUZZTIME=$(FUZZTIME))"
+	@echo "bench-smoke - every testing.B benchmark once (-benchtime 1x), no tests"
 	@echo "obs-smoke   - live /metrics + pprof scrape against a real server"
 	@echo "cluster-smoke - gateway + 3-replica failure drill with anti-entropy repair"
 	@echo "examples    - run every examples/* program end to end"

@@ -8,12 +8,14 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 
 	"modelhub/internal/atomicfile"
@@ -107,8 +109,12 @@ type persistedTable struct {
 }
 
 func (db *DB) loadJSON(blob []byte) error {
+	// Numbers decode as json.Number, so an Int column gets its exact digits
+	// back instead of a float64 rounded to 53 bits.
 	var p persisted
-	if err := json.Unmarshal(blob, &p); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	if err := dec.Decode(&p); err != nil {
 		return fmt.Errorf("catalog: corrupt database file: %w", err)
 	}
 	for _, pt := range p.Tables {
@@ -116,12 +122,8 @@ func (db *DB) loadJSON(blob []byte) error {
 			return err
 		}
 		for _, row := range pt.Rows {
-			// JSON turns int64 into float64; coerce back per schema.
-			coerced, err := coerceRow(pt.Schema, row)
-			if err != nil {
-				return err
-			}
-			if err := db.Insert(pt.Schema.Name, coerced); err != nil {
+			// Insert coerces each json.Number per schema.
+			if err := db.Insert(pt.Schema.Name, row); err != nil {
 				return err
 			}
 		}
@@ -225,8 +227,12 @@ func coerceRow(s Schema, row Row) (Row, error) {
 				out[c.Name] = x
 			case int:
 				out[c.Name] = int64(x)
-			case float64: // JSON round trip
-				out[c.Name] = int64(x)
+			case json.Number: // a loaded file: exact digits only, in range
+				n, err := strconv.ParseInt(string(x), 10, 64)
+				if err != nil {
+					return nil, fmt.Errorf("%w: column %s wants int, got %s", ErrType, c.Name, x)
+				}
+				out[c.Name] = n
 			default:
 				return nil, fmt.Errorf("%w: column %s wants int, got %T", ErrType, c.Name, v)
 			}
@@ -235,6 +241,11 @@ func coerceRow(s Schema, row Row) (Row, error) {
 			switch x := v.(type) {
 			case float64:
 				f = x
+			case json.Number: // a loaded file
+				var err error
+				if f, err = strconv.ParseFloat(string(x), 64); err != nil {
+					return nil, fmt.Errorf("%w: column %s: float %s out of range", ErrType, c.Name, x)
+				}
 			case int64:
 				f = float64(x)
 			case int:

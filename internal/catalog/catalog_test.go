@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -249,6 +250,63 @@ func TestPersistence(t *testing.T) {
 	// Types must survive the JSON round trip.
 	if _, isInt := row["id"].(int64); !isInt {
 		t.Fatalf("id type = %T", row["id"])
+	}
+}
+
+// Int columns come back from Save → Open with every bit, at the ends of the
+// int64 range and just past float64's 53-bit mantissa.
+func TestPersistenceIntRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "db.json")
+	db, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(modelSchema()); err != nil {
+		t.Fatal(err)
+	}
+	ids := []int64{math.MaxInt64, math.MinInt64, 1<<53 + 1}
+	for _, id := range ids {
+		if err := db.Insert("model_version", Row{"id": id, "name": "m", "accuracy": 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		row, ok, err := db2.Get("model_version", id)
+		if err != nil || !ok || row["id"] != id {
+			t.Fatalf("id %d after reopening: row %v, found %v, err %v", id, row, ok, err)
+		}
+	}
+	if n, err := db2.Count("model_version", nil); err != nil || n != len(ids) {
+		t.Fatalf("reopened catalog holds %d rows (%v), want %d", n, err, len(ids))
+	}
+}
+
+// A catalog file (a pulled one is untrusted) whose Int column holds a
+// fraction or a value past int64, or whose Float column overflows float64,
+// fails Open with ErrType instead of loading a truncated or
+// implementation-defined value.
+func TestPersistenceRejectsInexactNumbers(t *testing.T) {
+	schema := `{"name":"model_version","columns":[{"name":"id","type":0,"primary":true},{"name":"accuracy","type":1}]}`
+	for _, row := range []string{
+		`{"id":1.5,"accuracy":0.5}`,
+		`{"id":1e300,"accuracy":0.5}`,
+		`{"id":9223372036854775808,"accuracy":0.5}`,
+		`{"id":1,"accuracy":1e400}`,
+	} {
+		path := filepath.Join(t.TempDir(), "db.json")
+		if err := writeFile(path, `{"tables":[{"schema":`+schema+`,"rows":[`+row+`]}]}`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); !errors.Is(err, ErrType) {
+			t.Fatalf("row %s: Open err %v, want ErrType", row, err)
+		}
 	}
 }
 

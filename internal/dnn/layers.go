@@ -3,6 +3,7 @@ package dnn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"modelhub/internal/tensor"
 )
@@ -205,57 +206,45 @@ func (l *poolLayer) release() {
 	l.argmax = nil
 }
 
-// windows calls f for every output element in order, with its index and
-// the input span it pools: rows [y0, y1) and columns [x0, x1) of the plane
-// starting at offset plane. Border windows may be smaller than k × k.
-func (l *poolLayer) windows(planes int, f func(oi, plane, y0, y1, x0, x1 int)) {
+// forward pools every window in output order: plane by plane, then rows,
+// then columns. Border windows may be smaller than k × k. MAX keeps the
+// first index holding the window's largest value.
+func (l *poolLayer) forward(in []float32, b int) []float32 {
+	out := l.output(b) // every output element is assigned below
+	isMax := l.spec.Mode == PoolMax
+	if isMax {
+		l.argmax = slices.Grow(l.argmax[:0], len(out))[:len(out)]
+	}
 	k, s, h, w := l.spec.K, l.stride, l.in.H, l.in.W
 	oi := 0
-	for q := 0; q < planes; q++ {
+	for plane := 0; plane < l.in.C*b*h*w; plane += h * w {
 		for oy := 0; oy < l.out.H; oy++ {
-			y0 := oy * s
+			y0, y1 := oy*s, min(oy*s+k, h)
 			for ox := 0; ox < l.out.W; ox++ {
-				x0 := ox * s
-				f(oi, q*h*w, y0, min(y0+k, h), x0, min(x0+k, w))
+				x0, x1 := ox*s, min(ox*s+k, w)
+				if isMax {
+					best, bestIdx := float32(math.Inf(-1)), -1
+					for row := plane + y0*w; row < plane+y1*w; row += w {
+						for ix, v := range in[row+x0 : row+x1] {
+							if v > best {
+								best, bestIdx = v, row+x0+ix
+							}
+						}
+					}
+					out[oi], l.argmax[oi] = best, bestIdx
+				} else {
+					var sum float32
+					for row := plane + y0*w; row < plane+y1*w; row += w {
+						for _, v := range in[row+x0 : row+x1] {
+							sum += v
+						}
+					}
+					out[oi] = sum / float32((y1-y0)*(x1-x0))
+				}
 				oi++
 			}
 		}
 	}
-}
-
-func (l *poolLayer) forward(in []float32, b int) []float32 {
-	out := l.output(b) // every output element is assigned below
-	w := l.in.W
-	if l.spec.Mode != PoolMax {
-		l.windows(l.in.C*b, func(oi, plane, y0, y1, x0, x1 int) {
-			var sum float32
-			for iy := y0; iy < y1; iy++ {
-				for _, v := range in[plane+iy*w+x0 : plane+iy*w+x1] {
-					sum += v
-				}
-			}
-			out[oi] = sum / float32((y1-y0)*(x1-x0))
-		})
-		return out
-	}
-	if cap(l.argmax) >= len(out) {
-		l.argmax = l.argmax[:len(out)]
-	} else {
-		l.argmax = make([]int, len(out))
-	}
-	l.windows(l.in.C*b, func(oi, plane, y0, y1, x0, x1 int) {
-		best, bestIdx := float32(math.Inf(-1)), -1
-		for iy := y0; iy < y1; iy++ {
-			row := plane + iy*w
-			for ix, v := range in[row+x0 : row+x1] {
-				if v > best {
-					best, bestIdx = v, row+x0+ix
-				}
-			}
-		}
-		out[oi] = best
-		l.argmax[oi] = bestIdx
-	})
 	return out
 }
 
@@ -272,15 +261,24 @@ func (l *poolLayer) backward(dOut []float32, needIn bool) []float32 {
 		}
 		return dIn
 	}
-	w := l.in.W
-	l.windows(l.in.C*l.b, func(oi, plane, y0, y1, x0, x1 int) {
-		share := dOut[oi] / float32((y1-y0)*(x1-x0))
-		for iy := y0; iy < y1; iy++ {
-			for ix := x0; ix < x1; ix++ {
-				dIn[plane+iy*w+ix] += share
+	// AVG: each output's gradient spreads evenly over its window.
+	k, s, h, w := l.spec.K, l.stride, l.in.H, l.in.W
+	oi := 0
+	for plane := 0; plane < l.in.C*l.b*h*w; plane += h * w {
+		for oy := 0; oy < l.out.H; oy++ {
+			y0, y1 := oy*s, min(oy*s+k, h)
+			for ox := 0; ox < l.out.W; ox++ {
+				x0, x1 := ox*s, min(ox*s+k, w)
+				share := dOut[oi] / float32((y1-y0)*(x1-x0))
+				for row := plane + y0*w; row < plane+y1*w; row += w {
+					for ix := row + x0; ix < row+x1; ix++ {
+						dIn[ix] += share
+					}
+				}
+				oi++
 			}
 		}
-	})
+	}
 	return dIn
 }
 
@@ -357,18 +355,23 @@ type actLayer struct {
 	layerBase
 }
 
+// positiveMask is all ones when v > 0 and zero for NaN, ±0 and negatives,
+// without the branch that mispredicts on every other ReLU input: v > 0
+// exactly when v's bits less one, unsigned, are below +Inf's, and the sign
+// of that difference in 64 bits is the mask. A masked element is +0, as
+// under the branch. perturb's interval ReLU uses the same rule.
+func positiveMask(v float32) uint32 {
+	return uint32((int64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
+}
+
 func (l *actLayer) forward(in []float32, b int) []float32 {
-	// Each branch assigns every element (ReLU writes explicit zeros), so the
+	// Each case assigns every element (ReLU writes masked zeros), so the
 	// reused buffer needs no clearing.
 	out := l.output(b)
 	switch l.spec.Kind {
 	case KindReLU:
 		for i, v := range in {
-			if v > 0 {
-				out[i] = v
-			} else {
-				out[i] = 0
-			}
+			out[i] = math.Float32frombits(math.Float32bits(v) & positiveMask(v))
 		}
 	case KindSigmoid:
 		for i, v := range in {
@@ -390,11 +393,7 @@ func (l *actLayer) backward(dOut []float32, needIn bool) []float32 {
 	switch l.spec.Kind {
 	case KindReLU:
 		for i, v := range l.outBuf {
-			if v > 0 {
-				dIn[i] = dOut[i]
-			} else {
-				dIn[i] = 0
-			}
+			dIn[i] = math.Float32frombits(math.Float32bits(dOut[i]) & positiveMask(v))
 		}
 	case KindSigmoid:
 		for i, v := range l.outBuf {

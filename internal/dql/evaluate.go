@@ -103,14 +103,10 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 	// (never from scheduling), and results land at their grid index, so the
 	// output is bit-identical to sequential execution — same losses, same
 	// accuracies, same keep-clause survivors — at any worker count.
-	type job struct {
-		def *dnn.NetDef
-		cfg EvalConfig
-	}
-	var jobs []job
+	var jobs []gridJob
 	for _, def := range defs {
 		for _, cfg := range configs {
-			jobs = append(jobs, job{def: def, cfg: cfg})
+			jobs = append(jobs, gridJob{def: def, cfg: cfg})
 		}
 	}
 	results := make([]Candidate, len(jobs))
@@ -134,6 +130,7 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		}
 		return applyKeep(results, s.Keep)
 	}
+	order := dispatchOrder(jobs)
 	var (
 		next      atomic.Int64
 		wg        sync.WaitGroup
@@ -147,10 +144,11 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				n := int(next.Add(1)) - 1
+				if n >= len(jobs) {
 					return
 				}
+				i := order[n]
 				select {
 				case <-canceled: // first error wins; drop remaining work
 					return
@@ -180,6 +178,24 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		return nil, firstErr
 	}
 	return applyKeep(results, s.Keep)
+}
+
+// gridJob is one (model, config) candidate of an evaluate grid.
+type gridJob struct {
+	def *dnn.NetDef
+	cfg EvalConfig
+}
+
+// dispatchOrder is the order workers take grid indices in: longest first,
+// so no worker is left alone on a long candidate at the end. With the
+// iteration budget fixed, batch size sets the length; ties keep grid order.
+func dispatchOrder(jobs []gridJob) []int {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].cfg.Batch > jobs[order[b]].cfg.Batch })
+	return order
 }
 
 func (e *Engine) candidateDefs(s *EvaluateStmt) ([]*dnn.NetDef, error) {

@@ -3,16 +3,27 @@ package dql
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"modelhub/internal/tensor"
 )
 
+// gridQuery varies the batch size too, so the workers take the grid out of
+// its order (dispatchOrder) and the results must still land at their index.
 const gridQuery = `evaluate m
 	from (select m1 where m1.name like "%net%")
-	vary config.base_lr in [0.1, 0.01] and config.momentum in [0, 0.9]
+	vary config.base_lr in [0.1, 0.01] and config.momentum in [0, 0.9] and config.batch in [8, 16]
 	keep top(4, m["loss"], 6)`
+
+// gridByAcc keeps the whole grid ranked by held-out accuracy, which ties
+// often on the small test split. Ties keep grid order, so a candidate stored
+// at the wrong index would reorder the survivors.
+const gridByAcc = `evaluate m
+	from (select m1 where m1.name like "%net%")
+	vary config.base_lr in [0.1, 0.01] and config.momentum in [0, 0.9] and config.batch in [8, 16]
+	keep top(32, m["acc"], 6)`
 
 // TestEvaluateParallelBitIdentical is the determinism contract of parallel
 // model enumeration: at any worker count, evaluate must return candidates
@@ -20,40 +31,62 @@ const gridQuery = `evaluate m
 // the same keep-clause survivors in the same order.
 func TestEvaluateParallelBitIdentical(t *testing.T) {
 	_, eng := populated(t)
-	eng.SetWorkers(1)
-	seq, err := eng.Run(gridQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.Candidates) != 4 {
-		t.Fatalf("sequential candidates = %d", len(seq.Candidates))
-	}
-	for _, workers := range []int{2, 4, 8} {
-		eng.SetWorkers(workers)
-		par, err := eng.Run(gridQuery)
+	for _, q := range []struct {
+		text string
+		kept int
+	}{{gridQuery, 4}, {gridByAcc, 32}} {
+		eng.SetWorkers(1)
+		seq, err := eng.Run(q.text)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if len(par.Candidates) != len(seq.Candidates) {
-			t.Fatalf("workers=%d: %d candidates, sequential had %d",
-				workers, len(par.Candidates), len(seq.Candidates))
+		if len(seq.Candidates) != q.kept {
+			t.Fatalf("sequential candidates = %d, want %d", len(seq.Candidates), q.kept)
 		}
-		for i, c := range par.Candidates {
-			s := seq.Candidates[i]
-			if math.Float64bits(c.Loss) != math.Float64bits(s.Loss) ||
-				math.Float64bits(c.Acc) != math.Float64bits(s.Acc) {
-				t.Fatalf("workers=%d candidate %d: (loss %v, acc %v) != sequential (loss %v, acc %v)",
-					workers, i, c.Loss, c.Acc, s.Loss, s.Acc)
+		for _, workers := range []int{2, 4, 8} {
+			eng.SetWorkers(workers)
+			par, err := eng.Run(q.text)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			if c.Def.Name != s.Def.Name ||
-				c.Config.BaseLR != s.Config.BaseLR ||
-				c.Config.Momentum != s.Config.Momentum ||
-				c.Config.Batch != s.Config.Batch ||
-				c.Config.InputData != s.Config.InputData {
-				t.Fatalf("workers=%d candidate %d: survivor (%s, %+v) != sequential (%s, %+v)",
-					workers, i, c.Def.Name, c.Config, s.Def.Name, s.Config)
+			if len(par.Candidates) != len(seq.Candidates) {
+				t.Fatalf("workers=%d: %d candidates, sequential had %d",
+					workers, len(par.Candidates), len(seq.Candidates))
+			}
+			for i, c := range par.Candidates {
+				s := seq.Candidates[i]
+				if math.Float64bits(c.Loss) != math.Float64bits(s.Loss) ||
+					math.Float64bits(c.Acc) != math.Float64bits(s.Acc) {
+					t.Fatalf("workers=%d candidate %d: (loss %v, acc %v) != sequential (loss %v, acc %v)",
+						workers, i, c.Loss, c.Acc, s.Loss, s.Acc)
+				}
+				if c.Def.Name != s.Def.Name ||
+					c.Config.BaseLR != s.Config.BaseLR ||
+					c.Config.Momentum != s.Config.Momentum ||
+					c.Config.Batch != s.Config.Batch ||
+					c.Config.InputData != s.Config.InputData {
+					t.Fatalf("workers=%d candidate %d: survivor (%s, %+v) != sequential (%s, %+v)",
+						workers, i, c.Def.Name, c.Config, s.Def.Name, s.Config)
+				}
 			}
 		}
+	}
+}
+
+// TestDispatchOrderLongestFirst pins the order workers take grid indices in:
+// descending batch size, grid order among equal batches.
+func TestDispatchOrderLongestFirst(t *testing.T) {
+	batches := []int{8, 16, 8, 32, 16, 8, 32}
+	jobs := make([]gridJob, len(batches))
+	for i, b := range batches {
+		jobs[i].cfg.Batch = b
+	}
+	want := []int{3, 6, 1, 4, 0, 2, 5}
+	if got := dispatchOrder(jobs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+	if got := dispatchOrder(nil); len(got) != 0 {
+		t.Fatalf("empty grid dispatches %v", got)
 	}
 }
 

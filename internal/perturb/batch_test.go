@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"modelhub/internal/data"
 	"modelhub/internal/dnn"
@@ -364,14 +365,12 @@ func (c cachedSource) WeightIntervals(layer string, prefix int) (*tensor.Matrix,
 	return c[prefix].Lo[layer], c[prefix].Hi[layer], nil
 }
 
-// A warm 50-query ProgressiveBatch reuses the previous call's scratch: what
-// it allocates is its results and per-prefix bookkeeping (~75 KB on
-// alexnet-mini), not the unrolls, GEMM operands and activations of its passes
-// (~6 MB a pass when nothing is reused).
+// A warm 50-query ProgressiveBatch reuses the previous call's scratches: what
+// it allocates is its results and per-prefix bookkeeping (78–108 KB on
+// alexnet-mini at GOMAXPROCS 1–8), not the unrolls, GEMM operands and
+// activations of its passes (~6 MB a pass when nothing is reused). The free
+// list is deterministic, so this holds under -race too.
 func TestProgressiveBatchWarmAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	alex := oracleCases(t)[2]
 	ev, err := NewEvaluator(alex.def)
 	if err != nil {
@@ -446,4 +445,80 @@ func TestEvaluatorConcurrentCallers(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// ProgressiveBatch splits a prefix's pending inputs into up to GOMAXPROCS
+// parts. Fewer inputs than procs make one part per input, with every input's
+// bits unchanged; a failing part fails the call with the error a one-part
+// pass gives, and every part's goroutine has exited when the call returns.
+func TestProgressiveBatchSplitEdges(t *testing.T) {
+	restoreProcs(t)
+	c := oracleCases(t)[3] // lenet: a mix of prefixes
+	ev, err := NewEvaluator(c.def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewSegmentedSource(c.net.Snapshot())
+	three := c.ins[:3]
+	runtime.GOMAXPROCS(1)
+	want, err := ProgressiveBatch(ev, src, three, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(8)
+	got, err := ProgressiveBatch(ev, src, three, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range three {
+		if got[i].PrefixUsed != want[i].PrefixUsed || !sameBits(got[i].Lo, want[i].Lo) || !sameBits(got[i].Hi, want[i].Hi) {
+			t.Fatalf("3 inputs at GOMAXPROCS 8: input %d differs from GOMAXPROCS 1", i)
+		}
+	}
+
+	// A wrong-shape input in the last part, and weight bounds of the wrong
+	// shape, which every part meets at its first affine layer.
+	bad := append(append([]*dnn.Volume(nil), c.ins[:7]...), randIn(93, dnn.Shape{C: 2, H: 12, W: 12}))
+	w1, err := fetch(ev.params, src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := cachedSource{1: WeightBounds{Lo: map[string]*tensor.Matrix{}, Hi: map[string]*tensor.Matrix{}}}
+	for name := range w1.Lo {
+		broken[1].Lo[name], broken[1].Hi[name] = w1.Lo[name], w1.Hi[name]
+	}
+	first := ev.params[0]
+	broken[1].Lo[first] = tensor.NewMatrix(1, 1)
+	cases := []struct {
+		name string
+		src  IntervalSource
+		w    WeightBounds // the source's bounds at prefix 1
+		ins  []*dnn.Volume
+	}{
+		{"wrong-shape input", src, w1, bad},
+		{"wrong-shape weights", broken, broken[1], c.ins[:8]},
+	}
+	for _, tc := range cases {
+		runtime.GOMAXPROCS(1)
+		_, _, wantErr := ev.ForwardBatch(tc.ins, tc.w)
+		if wantErr == nil {
+			t.Fatalf("%s: a one-part pass does not fail", tc.name)
+		}
+		for _, procs := range []int{2, 4} {
+			runtime.GOMAXPROCS(procs)
+			before := runtime.NumGoroutine()
+			_, err := ProgressiveBatch(ev, tc.src, tc.ins, 1, 1)
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s at GOMAXPROCS %d: err %v, want %v", tc.name, procs, err, wantErr)
+			}
+			// A part's goroutine may still be unwinding past wg.Done.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Fatalf("%s at GOMAXPROCS %d: %d goroutines after the call, %d before", tc.name, procs, n, before)
+			}
+		}
+	}
 }

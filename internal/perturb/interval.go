@@ -9,6 +9,8 @@ package perturb
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 
 	"modelhub/internal/dnn"
@@ -157,10 +159,8 @@ func (e *Evaluator) ForwardBatch(ins []*dnn.Volume, w WeightBounds) (lo, hi [][]
 
 // forward is ForwardBatch on a caller-held scratch, which it rewinds first.
 func (e *Evaluator) forward(sc *scratch, ins []*dnn.Volume, w WeightBounds) (lo, hi [][]float32, err error) {
-	for i, in := range ins {
-		if in.Shape != e.in {
-			return nil, nil, fmt.Errorf("perturb: input %d shape %v, want %v", i, in.Shape, e.in)
-		}
+	if err := e.checkShapes(ins); err != nil {
+		return nil, nil, err
 	}
 	if len(ins) == 0 {
 		return nil, nil, nil
@@ -191,6 +191,16 @@ func (e *Evaluator) forward(sc *scratch, ins []*dnn.Volume, w WeightBounds) (lo,
 	}
 	n := e.nodes[e.logits].out.Size()
 	return perExample(vals[e.logits].lo, b, n), perExample(vals[e.logits].hi, b, n), nil
+}
+
+// checkShapes reports the first input whose shape is not the network's.
+func (e *Evaluator) checkShapes(ins []*dnn.Volume) error {
+	for i, in := range ins {
+		if in.Shape != e.in {
+			return fmt.Errorf("perturb: input %d shape %v, want %v", i, in.Shape, e.in)
+		}
+	}
+	return nil
 }
 
 // perExample copies a logits batch out of scratch, one slice per input.
@@ -365,15 +375,21 @@ func fill(dst []float32, v float32) {
 	}
 }
 
-// signSplit returns (max(v,0), min(v,0)), with +0 for the zero part.
+// signSplit returns (max(v,0), min(v,0)) with +0 for the zero part, NaN
+// giving (+0, +0). It masks v's bits instead of branching on the sign, which
+// mispredicts about every other element of a post-ReLU unroll; v < 0 is
+// exactly -v > 0.
 func signSplit(v float32) (pos, neg float32) {
-	switch {
-	case v > 0:
-		return v, 0
-	case v < 0:
-		return 0, v
-	}
-	return 0, 0
+	b := math.Float32bits(v)
+	return math.Float32frombits(b & positiveMask(v)), math.Float32frombits(b & positiveMask(-v))
+}
+
+// positiveMask is all ones when v > 0 and zero for NaN, ±0 and negatives,
+// without a branch: v > 0 exactly when v's bits less one, unsigned, are
+// below +Inf's, and the sign of that difference in 64 bits is the mask.
+// dnn's ReLU uses the same rule.
+func positiveMask(v float32) uint32 {
+	return uint32((int64(math.Float32bits(v)-1) - 0x7f800000) >> 63)
 }
 
 // unroll writes the sign-split im2col of a batch into cols: for window
@@ -423,6 +439,8 @@ func unroll(cols []float32, x ivals, in dnn.Shape, b, kh, kw, stride, pad, outH,
 	}
 }
 
+// pool takes each window's max (or mean) of both bounds, windows in output
+// order; border windows may be smaller than k × k.
 func pool(sc *scratch, nd *evalNode, x ivals, b int) ivals {
 	in, out := nd.in, nd.out
 	stride := nd.spec.Stride
@@ -432,93 +450,107 @@ func pool(sc *scratch, nd *evalNode, x ivals, b int) ivals {
 	k, isMax := nd.spec.K, nd.spec.Mode == dnn.PoolMax
 	y := ivals{lo: sc.floats(b * out.Size()), hi: sc.floats(b * out.Size())}
 	oi := 0
-	for e := 0; e < b; e++ {
-		base := e * in.Size()
-		for c := 0; c < out.C; c++ {
-			for oy := 0; oy < out.H; oy++ {
-				for ox := 0; ox < out.W; ox++ {
+	for plane := 0; plane < b*in.Size(); plane += in.H * in.W {
+		for oy := 0; oy < out.H; oy++ {
+			y0, y1 := oy*stride, min(oy*stride+k, in.H)
+			for ox := 0; ox < out.W; ox++ {
+				x0, x1 := ox*stride, min(ox*stride+k, in.W)
+				if isMax {
 					maxLo, maxHi := float32(math.Inf(-1)), float32(math.Inf(-1))
+					for row := plane + y0*in.W; row < plane+y1*in.W; row += in.W {
+						for xi := row + x0; xi < row+x1; xi++ {
+							if x.lo[xi] > maxLo {
+								maxLo = x.lo[xi]
+							}
+							if x.hi[xi] > maxHi {
+								maxHi = x.hi[xi]
+							}
+						}
+					}
+					y.lo[oi], y.hi[oi] = maxLo, maxHi
+				} else {
 					var sumLo, sumHi float64
-					cnt := 0
-					for ky := 0; ky < k; ky++ {
-						iy := oy*stride + ky
-						if iy >= in.H {
-							continue
-						}
-						for kx := 0; kx < k; kx++ {
-							ix := ox*stride + kx
-							if ix >= in.W {
-								continue
-							}
-							xi := base + (c*in.H+iy)*in.W + ix
-							if isMax {
-								if x.lo[xi] > maxLo {
-									maxLo = x.lo[xi]
-								}
-								if x.hi[xi] > maxHi {
-									maxHi = x.hi[xi]
-								}
-							} else {
-								sumLo += float64(x.lo[xi])
-								sumHi += float64(x.hi[xi])
-								cnt++
-							}
+					for row := plane + y0*in.W; row < plane+y1*in.W; row += in.W {
+						for xi := row + x0; xi < row+x1; xi++ {
+							sumLo += float64(x.lo[xi])
+							sumHi += float64(x.hi[xi])
 						}
 					}
-					if isMax {
-						y.lo[oi], y.hi[oi] = maxLo, maxHi
-					} else {
-						y.lo[oi] = float32(sumLo / float64(cnt))
-						y.hi[oi] = float32(sumHi / float64(cnt))
-					}
-					oi++
+					cnt := float64((y1 - y0) * (x1 - x0))
+					y.lo[oi], y.hi[oi] = float32(sumLo/cnt), float32(sumHi/cnt)
 				}
+				oi++
 			}
 		}
 	}
 	return y
 }
 
-// activate applies a monotone activation to both bounds.
+// activate applies a monotone activation to both bounds. ReLU gives +0
+// wherever v > 0 fails, NaN included, as dnn's does.
 func activate(sc *scratch, kind string, x ivals) ivals {
 	y := ivals{lo: sc.floats(len(x.lo)), hi: sc.floats(len(x.hi))}
-	var f func(float32) float32
 	switch kind {
 	case dnn.KindReLU:
-		f = func(v float32) float32 {
-			if v > 0 {
-				return v
-			}
-			return 0
+		for i, v := range x.lo {
+			y.lo[i] = math.Float32frombits(math.Float32bits(v) & positiveMask(v))
+			y.hi[i] = math.Float32frombits(math.Float32bits(x.hi[i]) & positiveMask(x.hi[i]))
 		}
 	case dnn.KindSigmoid:
-		f = func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) }
+		for i := range x.lo {
+			y.lo[i] = float32(1 / (1 + math.Exp(-float64(x.lo[i]))))
+			y.hi[i] = float32(1 / (1 + math.Exp(-float64(x.hi[i]))))
+		}
 	case dnn.KindTanh:
-		f = func(v float32) float32 { return float32(math.Tanh(float64(v))) }
-	}
-	for i := range x.lo {
-		y.lo[i] = f(x.lo[i])
-		y.hi[i] = f(x.hi[i])
+		for i := range x.lo {
+			y.lo[i] = float32(math.Tanh(float64(x.lo[i])))
+			y.hi[i] = float32(math.Tanh(float64(x.hi[i])))
+		}
 	}
 	return y
 }
 
 // scratch is the buffer set of one interval pass. Buffers are handed out in
 // request order and keep their capacity across passes, so the next pass — the
-// next prefix of a ProgressiveBatch call, which holds one scratch throughout,
-// or the next call, which takes it from scratchPool — re-runs the same request
-// sequence without allocating. Every consumer writes each element it hands
-// on, so buffers are not cleared.
+// next prefix of a ProgressiveBatch call, which holds its scratches
+// throughout, or the next call, which takes them from the free list — re-runs
+// the same request sequence without allocating. Every consumer writes each
+// element it hands on, so buffers are not cleared.
 type scratch struct {
 	bufs [][]float32
 	used int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// idleScratch is a last-in-first-out free list of at most GOMAXPROCS
+// scratches. Unlike a sync.Pool's per-P slots, it hands a caller back the
+// scratch it released last even when the caller, having waited for its
+// parts, resumed on another P.
+var idleScratch struct {
+	sync.Mutex
+	free []*scratch
+}
 
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+func getScratch() *scratch {
+	idleScratch.Lock()
+	defer idleScratch.Unlock()
+	n := len(idleScratch.free)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := idleScratch.free[n-1]
+	idleScratch.free = slices.Delete(idleScratch.free, n-1, n)
+	return s
+}
 
-func (s *scratch) release() { scratchPool.Put(s) }
+// release puts s on top of the free list, dropping the oldest past GOMAXPROCS.
+func (s *scratch) release() {
+	idleScratch.Lock()
+	defer idleScratch.Unlock()
+	idleScratch.free = append(idleScratch.free, s)
+	if over := len(idleScratch.free) - runtime.GOMAXPROCS(0); over > 0 {
+		idleScratch.free = slices.Delete(idleScratch.free, 0, over)
+	}
+}
 
 func (s *scratch) floats(n int) []float32 {
 	if s.used == len(s.bufs) {

@@ -70,8 +70,9 @@ func Progressive(ev *Evaluator, src IntervalSource, in *dnn.Volume, k, startPref
 // ProgressiveBatch runs the paper's progressive query for every input:
 // evaluate with startPrefix byte planes; while some input's top-k prediction
 // is not determined, fetch one more plane and re-run those inputs only. Each
-// layer is fetched once per prefix and each prefix is one batched interval
-// pass, so an input's result does not depend on which others share the call.
+// layer is fetched once per prefix, and each prefix's pending inputs run as
+// up to GOMAXPROCS batched interval passes side by side (forwardParts). An
+// input's result does not depend on which others share the call or its part.
 // Prefix 4 yields exact weights, where determination is guaranteed up to exact
 // ties (broken by index order, matching dnn.Network.Predict).
 func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, startPrefix int) ([]*Result, error) {
@@ -81,14 +82,22 @@ func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, s
 	if startPrefix < 1 || startPrefix > floatenc.NumPlanes {
 		return nil, fmt.Errorf("perturb: start prefix %d outside 1..%d", startPrefix, floatenc.NumPlanes)
 	}
+	if err := ev.checkShapes(ins); err != nil {
+		return nil, err
+	}
 	out := make([]*Result, len(ins))
 	pending := make([]int, len(ins))
 	for i := range pending {
 		pending[i] = i
 	}
 	batch := make([]*dnn.Volume, 0, len(ins))
-	sc := getScratch()
-	defer sc.release()
+	// One scratch per part for the whole call; released in reverse, they
+	// come back in the same order next call.
+	scs := make([]*scratch, min(runtime.GOMAXPROCS(0), len(ins)))
+	for p := range scs {
+		scs[p] = getScratch()
+		defer scs[p].release()
+	}
 	for prefix := startPrefix; len(pending) > 0; prefix++ {
 		w, err := fetch(ev.params, src, prefix)
 		if err != nil {
@@ -98,7 +107,7 @@ func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, s
 		for _, i := range pending {
 			batch = append(batch, ins[i])
 		}
-		lo, hi, err := ev.forward(sc, batch, w)
+		lo, hi, err := ev.forwardParts(scs, batch, w)
 		if err != nil {
 			return nil, err
 		}
@@ -117,6 +126,35 @@ func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, s
 		pending = undetermined
 	}
 	return out, nil
+}
+
+// forwardParts runs the interval pass of a batch as up to len(scs)
+// contiguous parts, one goroutine and scratch each, and returns the logit
+// bounds in batch order. The split is exact: forward gives an input the same
+// bits whatever batch it shares. The first failing part's error wins.
+func (e *Evaluator) forwardParts(scs []*scratch, batch []*dnn.Volume, w WeightBounds) (lo, hi [][]float32, err error) {
+	n := min(len(scs), len(batch))
+	lo, hi = make([][]float32, len(batch)), make([][]float32, len(batch))
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for p := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			from, to := p*len(batch)/n, (p+1)*len(batch)/n
+			var l, h [][]float32
+			l, h, errs[p] = e.forward(scs[p], batch[from:to], w)
+			copy(lo[from:to], l)
+			copy(hi[from:to], h)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return lo, hi, nil
 }
 
 // fetch reads every named layer at a prefix, up to GOMAXPROCS layers at a
