@@ -19,9 +19,11 @@ package modelhub
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -647,7 +649,7 @@ func BenchmarkGemm(b *testing.B) {
 }
 
 // BenchmarkEvaluateGrid measures parallel model enumeration (DQL evaluate,
-// Query 4) at 1 worker vs the machine default.
+// Query 4) at GOMAXPROCS 1 (one worker) vs the machine default.
 func BenchmarkEvaluateGrid(b *testing.B) {
 	repo, err := dlv.Init(b.TempDir())
 	if err != nil {
@@ -663,12 +665,14 @@ func BenchmarkEvaluateGrid(b *testing.B) {
 		from (select m1 where m1.name = "lenet")
 		vary config.base_lr in [0.1, 0.01] and config.momentum in [0, 0.9]
 		keep top(4, m["loss"], 4)`
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"seq", 1}, {"par", 0}} {
+		name  string
+		procs int
+	}{{"seq", 1}, {"par", procs}} {
 		b.Run(cfg.name, func(b *testing.B) {
-			eng.SetWorkers(cfg.workers)
+			runtime.GOMAXPROCS(cfg.procs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := eng.Run(query); err != nil {
@@ -704,7 +708,7 @@ func BenchmarkArchiveCreate(b *testing.B) {
 	cur := base
 	for i := 0; i < 4; i++ {
 		snap := pas.SnapshotIn{ID: fmt.Sprintf("s%d", i), Matrices: map[string]*tensor.Matrix{}}
-		for _, name := range dnn.SortedNames(cur) { // map order would reseed the fixture per run
+		for _, name := range slices.Sorted(maps.Keys(cur)) { // map order would reseed the fixture per run
 			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)

@@ -42,10 +42,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
+	"maps"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -59,7 +59,6 @@ import (
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
 	"modelhub/internal/report"
-	"modelhub/internal/tensor"
 )
 
 func main() {
@@ -79,14 +78,13 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err := configureLogging(*verbose, *logLevel); err != nil {
+	if err := obs.ConfigureLogging(*verbose, *logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "dlv:", err)
 		os.Exit(2)
 	}
 	if *traceOn {
 		obs.Enable()
 		obs.EnableTracing()
-		obs.SetTraceSampler(1) // a one-shot CLI run always keeps its trace
 		obs.SetService("dlv")
 	}
 	// Ctrl-C / SIGTERM cancel the command context: hub transfers abort
@@ -133,23 +131,6 @@ func parseCmd(fs *flag.FlagSet, args []string) error {
 
 func misplacedGlobalFlag(cmd, name string) error {
 	return fmt.Errorf("global flag -%s must come before the subcommand: dlv -%s %s ...", name, name, cmd)
-}
-
-// configureLogging installs a stderr slog handler when -v or -log-level is
-// given; otherwise the obs default (silent) stays in place.
-func configureLogging(verbose bool, level string) error {
-	if !verbose && level == "" {
-		return nil
-	}
-	lvl := slog.LevelInfo
-	if level != "" {
-		var err error
-		if lvl, err = obs.ParseLevel(level); err != nil {
-			return err
-		}
-	}
-	obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	return nil
 }
 
 func usage() {
@@ -562,7 +543,7 @@ func run(ctx context.Context, cmd string, args []string) error {
 			return err
 		}
 		var svgs []string
-		for _, name := range sortedNames(weights) {
+		for _, name := range slices.Sorted(maps.Keys(weights)) {
 			if *layer != "" && name != *layer {
 				continue
 			}
@@ -738,14 +719,4 @@ func parseFloatScheme(spec string) (floatenc.Scheme, error) {
 	default:
 		return floatenc.Scheme{}, fmt.Errorf("unknown float scheme %q (float16, bfloat16, fixed-N, quant-N)", spec)
 	}
-}
-
-// sortedNames lists a weight snapshot's layer names deterministically.
-func sortedNames(w map[string]*tensor.Matrix) []string {
-	names := make([]string, 0, len(w))
-	for k := range w {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -44,7 +44,6 @@ import (
 	"errors"
 	"flag"
 	"log"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -74,7 +73,7 @@ func main() {
 	gateway := flag.Bool("gateway", false, "run as a stateless routing gateway over -peers instead of a storage node")
 	flag.Parse()
 
-	if err := configureLogging(*verbose, *logLevel); err != nil {
+	if err := obs.ConfigureLogging(*verbose, *logLevel); err != nil {
 		log.Fatalf("modelhub-server: %v", err)
 	}
 	clusterCfg := hub.ClusterConfig{
@@ -141,23 +140,6 @@ func main() {
 		<-errc
 		log.Printf("modelhub-server: shutdown complete")
 	}
-}
-
-// configureLogging installs a stderr slog handler when -v or -log-level is
-// given; otherwise the obs default (silent) stays in place.
-func configureLogging(verbose bool, level string) error {
-	if !verbose && level == "" {
-		return nil
-	}
-	lvl := slog.LevelInfo
-	if level != "" {
-		var err error
-		if lvl, err = obs.ParseLevel(level); err != nil {
-			return err
-		}
-	}
-	obs.SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	return nil
 }
 
 // splitPeers parses the -peers flag into a list of base URLs, dropping

@@ -78,16 +78,16 @@ func TestServerMuxWithoutMetrics(t *testing.T) {
 
 func TestConfigureLogging(t *testing.T) {
 	defer obs.SetLogger(nil)
-	if err := configureLogging(false, ""); err != nil {
+	if err := obs.ConfigureLogging(false, ""); err != nil {
 		t.Fatalf("default logging: %v", err)
 	}
-	if err := configureLogging(true, ""); err != nil {
+	if err := obs.ConfigureLogging(true, ""); err != nil {
 		t.Fatalf("-v: %v", err)
 	}
-	if err := configureLogging(false, "debug"); err != nil {
+	if err := obs.ConfigureLogging(false, "debug"); err != nil {
 		t.Fatalf("-log-level debug: %v", err)
 	}
-	if err := configureLogging(false, "shout"); err == nil {
+	if err := obs.ConfigureLogging(false, "shout"); err == nil {
 		t.Fatal("bad -log-level accepted")
 	}
 }

@@ -146,7 +146,6 @@ func (m *ModelHub) TrainAndCommit(name string, opts TrainOptions) (id int64, err
 		Momentum:        opts.Momentum,
 		CheckpointEvery: opts.CheckpointEvery,
 		Seed:            opts.Seed + 2,
-		EpochHook:       dnn.ObsEpochHook(),
 	})
 	if err != nil {
 		return 0, err

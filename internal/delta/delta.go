@@ -67,9 +67,6 @@ func (o Op) String() string {
 // ErrOp reports an unknown delta operator.
 var ErrOp = errors.New("delta: unknown operator")
 
-// Exact reports whether applying the operator inverts Compute bit-exactly.
-func (o Op) Exact() bool { return o != Sub }
-
 // Delta is the stored difference that recreates a target matrix from a base
 // matrix. Rows/Cols record the target shape (the base may differ).
 type Delta struct {

@@ -80,12 +80,6 @@ func TestSubApproximatelyInverts(t *testing.T) {
 	}
 }
 
-func TestExactFlag(t *testing.T) {
-	if Sub.Exact() || !IntSub.Exact() || !XOR.Exact() || !None.Exact() {
-		t.Fatal("Exact flags wrong")
-	}
-}
-
 func TestComputeUnknownOp(t *testing.T) {
 	base, target := pair(3, 2, 2, 0.1)
 	if _, err := Compute(Op(77), base, target); !errors.Is(err, ErrOp) {
@@ -197,16 +191,6 @@ func TestDeltaLosesForUnrelatedMatrices(t *testing.T) {
 	if float64(ds.CompressedBytes) < 0.95*float64(mat.CompressedBytes) {
 		t.Fatalf("delta (%d) should not significantly beat materialize (%d) for unrelated matrices",
 			ds.CompressedBytes, mat.CompressedBytes)
-	}
-}
-
-func TestFootprintRatio(t *testing.T) {
-	f := Footprint{RawBytes: 100, CompressedBytes: 25}
-	if f.Ratio() != 0.25 {
-		t.Fatalf("Ratio = %v", f.Ratio())
-	}
-	if (Footprint{}).Ratio() != 0 {
-		t.Fatal("empty ratio should be 0")
 	}
 }
 

@@ -12,14 +12,6 @@ type Footprint struct {
 	CompressedBytes int
 }
 
-// Ratio returns compressed/raw (lower is better), or 0 for empty input.
-func (f Footprint) Ratio() float64 {
-	if f.RawBytes == 0 {
-		return 0
-	}
-	return float64(f.CompressedBytes) / float64(f.RawBytes)
-}
-
 // MeasureMatrix returns the zlib level-6 footprint of the raw float bytes.
 func MeasureMatrix(m *tensor.Matrix) (Footprint, error) {
 	raw := m.Bytes()

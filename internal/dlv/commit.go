@@ -4,8 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"modelhub/internal/catalog"
@@ -112,7 +113,7 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 			return 0, err
 		}
 	}
-	for _, k := range sortedStringKeys(in.Hyper) {
+	for _, k := range slices.Sorted(maps.Keys(in.Hyper)) {
 		if err := r.db.Insert("metadata", catalog.Row{"version_id": id, "mkey": k, "mvalue": in.Hyper[k]}); err != nil {
 			return 0, err
 		}
@@ -171,7 +172,7 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 	for path, content := range in.Files {
 		files[path] = content
 	}
-	for _, path := range sortedByteKeys(files) {
+	for _, path := range slices.Sorted(maps.Keys(files)) {
 		sha, err := r.putObject(files[path])
 		if err != nil {
 			return 0, err
@@ -222,22 +223,4 @@ func finiteOr(v, fallback float64) float64 {
 		return fallback
 	}
 	return v
-}
-
-func sortedStringKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedByteKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -76,11 +76,7 @@ func TestWeightsRejectsPerLayerRawLayout(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(layer), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := res.Final["conv1"].WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(layer, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(layer, res.Final["conv1"].Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, werr := r.Weights(id, LatestSnap, 4)

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -51,7 +53,7 @@ func trainEvalArchiveDigest(t *testing.T) string {
 		h.Write(b[:])
 	}
 	matrices := func(snap map[string]*tensor.Matrix) {
-		for _, name := range dnn.SortedNames(snap) {
+		for _, name := range slices.Sorted(maps.Keys(snap)) {
 			h.Write([]byte(name))
 			for _, v := range snap[name].Data() {
 				word(uint64(math.Float32bits(v)))

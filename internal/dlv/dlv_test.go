@@ -6,9 +6,11 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -210,9 +212,9 @@ func TestLineageAndChildren(t *testing.T) {
 	if len(lineage) != 2 || lineage[0] != id2 || lineage[1] != id1 {
 		t.Fatalf("lineage = %v", lineage)
 	}
-	kids, err := r.Children(id1)
-	if err != nil || len(kids) != 1 || kids[0] != id2 {
-		t.Fatalf("children = %v, %v", kids, err)
+	// id1's one child records it as its parent.
+	if v, err := r.Version(id2); err != nil || v.ParentID != id1 {
+		t.Fatalf("child %d: parent = %v, %v; want %d", id2, v, err, id1)
 	}
 }
 
@@ -646,7 +648,7 @@ func TestArchivePricesRepeatedSnapshotOnce(t *testing.T) {
 	}
 	step := func(w map[string]*tensor.Matrix) map[string]*tensor.Matrix {
 		out := map[string]*tensor.Matrix{}
-		for _, name := range dnn.SortedNames(w) {
+		for _, name := range slices.Sorted(maps.Keys(w)) {
 			out[name] = w[name].Perturb(rng, 1e-3)
 		}
 		return out

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ func synthLineage(seed int64, parents []int64) []CommitInput {
 	}
 	step := func(w map[string]*tensor.Matrix) map[string]*tensor.Matrix {
 		out := map[string]*tensor.Matrix{}
-		for _, name := range dnn.SortedNames(w) {
+		for _, name := range slices.Sorted(maps.Keys(w)) {
 			out[name] = w[name].Perturb(rng, 1e-3)
 		}
 		return out

@@ -2,6 +2,8 @@ package dlv
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -182,22 +184,6 @@ func (r *Repo) Lineage(id int64) ([]int64, error) {
 	}
 }
 
-// Children returns the ids of versions directly derived from id.
-func (r *Repo) Children(id int64) ([]int64, error) {
-	rows, err := r.db.Select("parent", catalog.Query{
-		Where: []catalog.Cond{{Col: "base", Op: catalog.Eq, Val: id}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, row := range rows {
-		out = append(out, row["derived"].(int64))
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
-}
-
 // DiffReport is the structural comparison of two versions (dlv diff).
 type DiffReport struct {
 	A, B          int64
@@ -286,7 +272,7 @@ func (r *Repo) Describe(id int64) (string, error) {
 	}
 	if len(v.Hyper) > 0 {
 		fmt.Fprintf(&b, "  hyperparameters:\n")
-		for _, k := range sortedStringKeys(v.Hyper) {
+		for _, k := range slices.Sorted(maps.Keys(v.Hyper)) {
 			fmt.Fprintf(&b, "    %s = %s\n", k, v.Hyper[k])
 		}
 	}

@@ -97,9 +97,6 @@ func Open(root string) (*Repo, error) {
 // Root returns the repository root directory.
 func (r *Repo) Root() string { return r.root }
 
-// DB exposes the relational catalog (used by DQL).
-func (r *Repo) DB() *catalog.DB { return r.db }
-
 func createSchema(db *catalog.DB) error {
 	schemas := []catalog.Schema{
 		{Name: "model_version", Columns: []catalog.Column{

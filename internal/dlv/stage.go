@@ -47,22 +47,6 @@ func (r *Repo) Add(relPath string) error {
 	return r.writeStage(staged)
 }
 
-// Unstage removes a path from the staging area (no error if absent).
-func (r *Repo) Unstage(relPath string) error {
-	clean := filepath.Clean(relPath)
-	staged, err := r.Staged()
-	if err != nil {
-		return err
-	}
-	out := staged[:0]
-	for _, s := range staged {
-		if s != clean {
-			out = append(out, s)
-		}
-	}
-	return r.writeStage(out)
-}
-
 // Staged lists the currently staged repository-relative paths.
 func (r *Repo) Staged() ([]string, error) {
 	blob, err := os.ReadFile(r.stagePath())

@@ -82,28 +82,6 @@ func TestAddRejections(t *testing.T) {
 	}
 }
 
-func TestUnstage(t *testing.T) {
-	r := initRepo(t)
-	writeRepoFile(t, r, "a.txt", "a")
-	writeRepoFile(t, r, "b.txt", "b")
-	if err := r.Add("a.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Add("b.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Unstage("a.txt"); err != nil {
-		t.Fatal(err)
-	}
-	staged, err := r.Staged()
-	if err != nil || len(staged) != 1 || staged[0] != "b.txt" {
-		t.Fatalf("staged = %v, %v", staged, err)
-	}
-	if err := r.Unstage("ghost"); err != nil {
-		t.Fatal("unstaging an absent path must be a no-op")
-	}
-}
-
 func TestExplicitFilesWinOverStaged(t *testing.T) {
 	r := initRepo(t)
 	writeRepoFile(t, r, "note.md", "staged content")

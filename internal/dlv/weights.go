@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,7 +15,6 @@ import (
 
 	"modelhub/internal/atomicfile"
 	"modelhub/internal/catalog"
-	"modelhub/internal/dnn"
 	"modelhub/internal/floatenc"
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
@@ -214,7 +214,7 @@ func (r *Repo) lineage(vs []*Version, cur *pas.Store, scheme *floatenc.Scheme) (
 	// admits, in sorted order: pair order is edge insertion order, which must
 	// not replay map iteration order.
 	link := func(from string, has func(string) bool, to pas.SnapshotIn) {
-		for _, name := range dnn.SortedNames(to.Matrices) {
+		for _, name := range slices.Sorted(maps.Keys(to.Matrices)) {
 			if has(name) {
 				pairs = append(pairs, [2]pas.MatrixRef{{Snapshot: from, Name: name}, {Snapshot: to.ID, Name: name}})
 			}
@@ -440,7 +440,7 @@ func (r *Repo) writeRaw(versionID int64, snaps []rawSnapshot) error {
 		blob = append(blob, s...)
 	}
 	for _, s := range snaps {
-		for _, name := range dnn.SortedNames(s.weights) {
+		for _, name := range slices.Sorted(maps.Keys(s.weights)) {
 			m := s.weights[name]
 			appendString(s.label)
 			appendString(name)

@@ -2,9 +2,11 @@ package dnn_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"modelhub/internal/data"
@@ -65,7 +67,7 @@ func batchCases() []batchCase {
 
 // sameWeights reports the first weight whose bits differ, or "".
 func sameWeights(a, b map[string]*tensor.Matrix) string {
-	for _, name := range dnn.SortedNames(a) {
+	for _, name := range slices.Sorted(maps.Keys(a)) {
 		x, y := a[name].Data(), b[name].Data()
 		for i := range x {
 			if math.Float32bits(x[i]) != math.Float32bits(y[i]) {

@@ -131,7 +131,7 @@ func TestDAGGradientCheck(t *testing.T) {
 			n.LossAndBackward(in, label)
 			const eps = 1e-3
 			probe := rand.New(rand.NewSource(6))
-			for _, l := range n.Layers() {
+			for _, l := range n.layerList {
 				w, g := l.Weights(), l.Grad()
 				if w == nil {
 					continue

@@ -441,13 +441,6 @@ func softmaxInto(dst, logits []float32) {
 	}
 }
 
-// Softmax computes the softmax of logits into a new slice.
-func Softmax(logits []float32) []float32 {
-	out := make([]float32, len(logits))
-	softmaxInto(out, logits)
-	return out
-}
-
 func (l *softmaxLayer) forward(in []float32, b int) []float32 {
 	out := l.output(b) // every example's elements are assigned
 	ex := scratchFloats(&l.ex, l.in.Size(), false)

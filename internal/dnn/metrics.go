@@ -2,7 +2,9 @@ package dnn
 
 import "modelhub/internal/obs"
 
-// Training metrics published by ObsEpochHook (see DESIGN.md §8).
+// Training metrics Train publishes after every epoch while obs is enabled
+// (see DESIGN.md §8): epoch and example counters, an epoch-duration
+// histogram, and live loss / examples-per-second gauges.
 var (
 	mTrainEpochs       = obs.GetCounter("dnn.train.epochs")
 	mTrainExamples     = obs.GetCounter("dnn.train.examples")
@@ -10,22 +12,3 @@ var (
 	gTrainLoss         = obs.GetFloatGauge("dnn.train.loss")
 	gTrainExamplesPS   = obs.GetFloatGauge("dnn.train.examples_per_sec")
 )
-
-// ObsEpochHook returns a TrainConfig.EpochHook that publishes per-epoch
-// training progress as obs metrics: epoch and example counters, an
-// epoch-duration histogram, and live loss / examples-per-second gauges.
-// The hook is a no-op while obs is disabled.
-func ObsEpochHook() func(EpochStats) {
-	return func(st EpochStats) {
-		if !obs.Enabled() {
-			return
-		}
-		mTrainEpochs.Inc()
-		mTrainExamples.Add(int64(st.Examples))
-		mTrainEpochSeconds.Observe(st.Duration.Seconds())
-		gTrainLoss.Set(st.Loss)
-		if secs := st.Duration.Seconds(); secs > 0 {
-			gTrainExamplesPS.Set(float64(st.Examples) / secs)
-		}
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"modelhub/internal/tensor"
 )
@@ -162,10 +161,6 @@ func (n *Network) mergeInputShape(name string, netIn Shape) (Shape, error) {
 			ErrNetDef, name, spec.Kind, len(preds))
 	}
 }
-
-// Layers returns the runtime layers (merge nodes excluded) in execution
-// order.
-func (n *Network) Layers() []runtimeLayer { return n.layerList }
 
 // nodeInput assembles a node's batch input from the forward cache.
 func (n *Network) nodeInput(name string, in []float32) []float32 {
@@ -471,17 +466,6 @@ func (n *Network) Params() map[string]*tensor.Matrix {
 	return out
 }
 
-// ParamNames returns the parametric layer names in execution order.
-func (n *Network) ParamNames() []string {
-	var out []string
-	for _, l := range n.layerList {
-		if l.Weights() != nil {
-			out = append(out, l.Spec().Name)
-		}
-	}
-	return out
-}
-
 // ParamCount returns the total number of learnable floats (|W| in Table I).
 func (n *Network) ParamCount() int {
 	total := 0
@@ -523,17 +507,6 @@ func (n *Network) Restore(snap map[string]*tensor.Matrix) error {
 		copy(w.Data(), src.Data())
 	}
 	return nil
-}
-
-// SortedNames returns the keys of a snapshot in deterministic order; PAS and
-// DLV iterate snapshots this way so stored artifacts are reproducible.
-func SortedNames(snap map[string]*tensor.Matrix) []string {
-	names := make([]string, 0, len(snap))
-	for k := range snap {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Clone returns an independent copy of the network (same definition and

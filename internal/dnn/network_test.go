@@ -25,7 +25,7 @@ func randVolume(rng *rand.Rand, s Shape) *Volume {
 
 func TestBuildShapes(t *testing.T) {
 	n := buildLenet(t)
-	if got := len(n.Layers()); got != 6 {
+	if got := len(n.layerList); got != 6 {
 		t.Fatalf("layer count = %d", got)
 	}
 	out := n.Forward(randVolume(rand.New(rand.NewSource(2)), Shape{C: 1, H: 12, W: 12}))
@@ -57,9 +57,6 @@ func TestParamCount(t *testing.T) {
 	// conv1: 4 x (1*9+1) = 40; ip1: 16 x (4*6*6+1) = 2320; ip2: 10 x 17 = 170.
 	if got := n.ParamCount(); got != 40+2320+170 {
 		t.Fatalf("ParamCount = %d", got)
-	}
-	if names := n.ParamNames(); len(names) != 3 || names[0] != "conv1" || names[2] != "ip2" {
-		t.Fatalf("ParamNames = %v", names)
 	}
 }
 
@@ -112,14 +109,6 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	n := buildLenet(t)
-	names := SortedNames(n.Snapshot())
-	if len(names) != 3 || names[0] != "conv1" || names[1] != "ip1" || names[2] != "ip2" {
-		t.Fatalf("SortedNames = %v", names)
-	}
-}
-
 // Finite-difference gradient check on a small network covering conv, max
 // pool, full, relu, sigmoid, tanh, and avg pool layers.
 func TestGradientCheck(t *testing.T) {
@@ -153,7 +142,7 @@ func TestGradientCheck(t *testing.T) {
 
 	const eps = 1e-3
 	checked := 0
-	for _, l := range n.Layers() {
+	for _, l := range n.layerList {
 		w, g := l.Weights(), l.Grad()
 		if w == nil {
 			continue

@@ -361,3 +361,22 @@ func forward1(l runtimeLayer, in *Volume) *Volume {
 func backward1(l runtimeLayer, dOut *Volume) *Volume {
 	return &Volume{Shape: l.InShape(), Data: l.backward(dOut.Data, true)}
 }
+
+// Softmax computes the softmax of logits into a new slice.
+func Softmax(logits []float32) []float32 {
+	out := make([]float32, len(logits))
+	softmaxInto(out, logits)
+	return out
+}
+
+// At returns the element at (c, y, x).
+func (v *Volume) At(c, y, x int) float32 {
+	return v.Data[(c*v.Shape.H+y)*v.Shape.W+x]
+}
+
+// Clone deep-copies the volume.
+func (v *Volume) Clone() *Volume {
+	out := NewVolume(v.Shape)
+	copy(out.Data, v.Data)
+	return out
+}

@@ -40,16 +40,6 @@ type TrainResult struct {
 	Final       map[string]*tensor.Matrix
 }
 
-// EpochStats summarizes one completed (possibly MaxIters-truncated) epoch,
-// delivered to TrainConfig.EpochHook.
-type EpochStats struct {
-	Epoch    int           // zero-based epoch index
-	Loss     float64       // mean per-example loss over the epoch
-	Accuracy float64       // training accuracy over the epoch
-	Examples int           // examples consumed this epoch
-	Duration time.Duration // wall time of the epoch
-}
-
 // TrainConfig drives Train. Zero values get sensible defaults.
 type TrainConfig struct {
 	// Ctx, when non-nil, parents the run's "dnn.train" span, so training
@@ -67,10 +57,6 @@ type TrainConfig struct {
 	// LayerLR overrides the learning rate per layer name (see SGD.LayerLR).
 	LayerLR map[string]float64
 	Seed    int64
-	// EpochHook, when non-nil, is called after every epoch (including a
-	// partial epoch cut short by MaxIters) with that epoch's summary. Use
-	// ObsEpochHook to publish the summaries as obs metrics.
-	EpochHook func(EpochStats)
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -130,7 +116,7 @@ epochs:
 		var epochStart time.Time
 		var epochLoss float64
 		var epochCorrect, epochSeen int
-		if cfg.EpochHook != nil || span != nil {
+		if span != nil {
 			epochStart = time.Now()
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -173,38 +159,39 @@ epochs:
 				res.Checkpoints = append(res.Checkpoints, Checkpoint{Iter: iter, Weights: n.Snapshot()})
 			}
 			if cfg.MaxIters > 0 && iter >= cfg.MaxIters {
-				callEpochHook(cfg, span, epoch, epochLoss, epochCorrect, epochSeen, epochStart)
+				endEpoch(span, epoch, epochLoss, epochCorrect, epochSeen, epochStart)
 				break epochs
 			}
 		}
-		callEpochHook(cfg, span, epoch, epochLoss, epochCorrect, epochSeen, epochStart)
+		endEpoch(span, epoch, epochLoss, epochCorrect, epochSeen, epochStart)
 	}
 	span.SetAttrInt("dnn.iters", int64(iter))
 	res.Final = n.Snapshot()
 	return res, nil
 }
 
-// callEpochHook delivers one epoch summary to cfg.EpochHook and, when the
-// run is traced, records the epoch as a span event on the training span.
-func callEpochHook(cfg TrainConfig, span *obs.Span, epoch int, loss float64, correct, seen int, start time.Time) {
-	if seen == 0 {
+// endEpoch publishes one epoch's summary (a partial epoch cut short by
+// MaxIters included): an "epoch" event on the training span and the
+// dnn.train.* metrics. A nil span — obs was off when training began —
+// publishes nothing.
+func endEpoch(span *obs.Span, epoch int, loss float64, correct, seen int, start time.Time) {
+	if span == nil || seen == 0 {
 		return
 	}
-	stats := EpochStats{
-		Epoch:    epoch,
-		Loss:     loss / float64(seen),
-		Accuracy: float64(correct) / float64(seen),
-		Examples: seen,
-		Duration: time.Since(start),
-	}
+	mean := loss / float64(seen)
+	d := time.Since(start)
 	span.Event("epoch",
-		obs.Attr{Key: "epoch", Value: strconv.Itoa(stats.Epoch)},
-		obs.Attr{Key: "loss", Value: strconv.FormatFloat(stats.Loss, 'g', 6, 64)},
-		obs.Attr{Key: "accuracy", Value: strconv.FormatFloat(stats.Accuracy, 'g', 6, 64)},
-		obs.Attr{Key: "examples", Value: strconv.Itoa(stats.Examples)},
-		obs.Attr{Key: "duration_ns", Value: strconv.FormatInt(stats.Duration.Nanoseconds(), 10)})
-	if cfg.EpochHook != nil {
-		cfg.EpochHook(stats)
+		obs.Attr{Key: "epoch", Value: strconv.Itoa(epoch)},
+		obs.Attr{Key: "loss", Value: strconv.FormatFloat(mean, 'g', 6, 64)},
+		obs.Attr{Key: "accuracy", Value: strconv.FormatFloat(float64(correct)/float64(seen), 'g', 6, 64)},
+		obs.Attr{Key: "examples", Value: strconv.Itoa(seen)},
+		obs.Attr{Key: "duration_ns", Value: strconv.FormatInt(d.Nanoseconds(), 10)})
+	mTrainEpochs.Inc()
+	mTrainExamples.Add(int64(seen))
+	mTrainEpochSeconds.Observe(d.Seconds())
+	gTrainLoss.Set(mean)
+	if secs := d.Seconds(); secs > 0 {
+		gTrainExamplesPS.Set(float64(seen) / secs)
 	}
 }
 

@@ -3,6 +3,8 @@ package dnn
 import (
 	"math/rand"
 	"testing"
+
+	"modelhub/internal/obs"
 )
 
 // tiny separable task: 2D points, label = sign quadrant-ish.
@@ -113,5 +115,39 @@ func TestEvaluateEmpty(t *testing.T) {
 	n := toyNet(t, 11)
 	if acc := Evaluate(n, nil); acc != 0 {
 		t.Fatalf("Evaluate(nil) = %v", acc)
+	}
+}
+
+// Train publishes dnn.train.epochs and dnn.train.examples after every epoch
+// while obs is enabled — an epoch cut short by MaxIters counts with the
+// examples it ran — and moves neither counter while obs is off.
+func TestTrainPublishesEpochMetrics(t *testing.T) {
+	epochs, examples := obs.GetCounter("dnn.train.epochs"), obs.GetCounter("dnn.train.examples")
+	train := toyExamples(rand.New(rand.NewSource(4)), 40) // 5 minibatches of 8
+	for _, tc := range []struct {
+		name               string
+		on                 bool
+		cfg                TrainConfig
+		wantEpochs, wantEx int64
+	}{
+		{"whole epochs", true, TrainConfig{Epochs: 3, BatchSize: 8}, 3, 120},
+		{"MaxIters cuts the second epoch", true, TrainConfig{BatchSize: 8, MaxIters: 7}, 2, 56},
+		{"obs off", false, TrainConfig{Epochs: 3, BatchSize: 8}, 0, 0},
+	} {
+		if tc.on {
+			obs.Enable()
+		}
+		e0, x0 := epochs.Value(), examples.Value()
+		_, err := Train(toyNet(t, 5), train, tc.cfg)
+		obs.Disable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := epochs.Value() - e0; got != tc.wantEpochs {
+			t.Errorf("%s: dnn.train.epochs rose by %d, want %d", tc.name, got, tc.wantEpochs)
+		}
+		if got := examples.Value() - x0; got != tc.wantEx {
+			t.Errorf("%s: dnn.train.examples rose by %d, want %d", tc.name, got, tc.wantEx)
+		}
 	}
 }

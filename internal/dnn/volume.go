@@ -26,21 +26,9 @@ func NewVolume(s Shape) *Volume {
 	return &Volume{Shape: s, Data: make([]float32, s.Size())}
 }
 
-// At returns the element at (c, y, x).
-func (v *Volume) At(c, y, x int) float32 {
-	return v.Data[(c*v.Shape.H+y)*v.Shape.W+x]
-}
-
 // Set assigns the element at (c, y, x).
 func (v *Volume) Set(c, y, x int, val float32) {
 	v.Data[(c*v.Shape.H+y)*v.Shape.W+x] = val
-}
-
-// Clone deep-copies the volume.
-func (v *Volume) Clone() *Volume {
-	out := NewVolume(v.Shape)
-	copy(out.Data, v.Data)
-	return out
 }
 
 // FlatVolume wraps a plain vector as a Cx1x1 volume without copying.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"modelhub/internal/dlv"
 	"modelhub/internal/dnn"
@@ -14,10 +13,6 @@ import (
 // ErrQuery reports semantic (non-syntax) query failures.
 var ErrQuery = errors.New("dql: query error")
 
-// maxWorkers is the SetWorkers clamp ceiling: beyond it candidate training
-// is memory-bound, not core-bound, and the goroutine count stops helping.
-const maxWorkers = 1024
-
 // Engine executes DQL statements against a DLV repository (dlv query).
 type Engine struct {
 	repo     *dlv.Repo
@@ -25,30 +20,7 @@ type Engine struct {
 	datasets map[string][]dnn.Example
 	// Seed drives candidate training in evaluate statements.
 	Seed int64
-	// workers bounds evaluate-statement concurrency; read/written only via
-	// Workers/SetWorkers so concurrent sessions can retune it mid-flight.
-	workers atomic.Int32
 }
-
-// SetWorkers bounds how many evaluate-statement candidates train
-// concurrently and returns the previous setting. 0 (and any negative value)
-// means GOMAXPROCS, 1 forces sequential execution, and values above 1024
-// clamp to 1024. Every candidate trains on its own Network clone with
-// seeding independent of scheduling, so results are bit-identical at any
-// worker count; the setter is safe under concurrent callers and running
-// statements (each statement snapshots the value when it starts).
-func (e *Engine) SetWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	if n > maxWorkers {
-		n = maxWorkers
-	}
-	return int(e.workers.Swap(int32(n)))
-}
-
-// Workers reports the current evaluate concurrency bound (0 = GOMAXPROCS).
-func (e *Engine) Workers() int { return int(e.workers.Load()) }
 
 // NewEngine wraps a repository.
 func NewEngine(repo *dlv.Repo) *Engine {

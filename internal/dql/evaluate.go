@@ -98,11 +98,11 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		return nil, err
 	}
 	// Enumerate the full (model, config) grid up front, then train the
-	// candidates on a bounded worker pool. Each candidate builds and trains
-	// its own Network with RNG seeding derived only from the engine seed
-	// (never from scheduling), and results land at their grid index, so the
-	// output is bit-identical to sequential execution — same losses, same
-	// accuracies, same keep-clause survivors — at any worker count.
+	// candidates on one pool of min(GOMAXPROCS, len(jobs)) workers. Each
+	// candidate builds and trains its own Network with RNG seeding derived
+	// only from the engine seed (never from scheduling), and results land at
+	// their grid index, so the output — same losses, same accuracies, same
+	// keep-clause survivors — is bit-identical at any GOMAXPROCS.
 	var jobs []gridJob
 	for _, def := range defs {
 		for _, cfg := range configs {
@@ -110,26 +110,8 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		}
 	}
 	results := make([]Candidate, len(jobs))
-	workers := e.Workers()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	span.SetAttrInt("dql.grid_size", int64(len(jobs)))
-	if workers <= 1 {
-		for i, j := range jobs {
-			jobStart := obsNow()
-			cand, err := e.traceCandidate(ctx, i, j.def, j.cfg, s.Keep.Iters, 0)
-			if err != nil {
-				return nil, err
-			}
-			countCandidate(jobStart)
-			results[i] = cand
-		}
-		return applyKeep(results, s.Keep)
-	}
 	order := dispatchOrder(jobs)
 	var (
 		next      atomic.Int64
@@ -346,7 +328,6 @@ func (e *Engine) trainCandidate(ctx context.Context, def *dnn.NetDef, cfg EvalCo
 		LogEvery:  max(1, iters/4),
 		LayerLR:   layerLR,
 		Seed:      e.Seed + 2,
-		EpochHook: dnn.ObsEpochHook(),
 	})
 	if err != nil {
 		return Candidate{}, err

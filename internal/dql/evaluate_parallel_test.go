@@ -1,9 +1,11 @@
 package dql
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -25,48 +27,81 @@ const gridByAcc = `evaluate m
 	vary config.base_lr in [0.1, 0.01] and config.momentum in [0, 0.9] and config.batch in [8, 16]
 	keep top(32, m["acc"], 6)`
 
+// gridReference trains an evaluate statement's candidates one at a time in
+// grid order, outside the worker pool, and applies its keep clause: what the
+// pool must return at every GOMAXPROCS, bit for bit and index for index.
+func gridReference(t *testing.T, e *Engine, text string) []Candidate {
+	t.Helper()
+	stmt, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stmt.(*EvaluateStmt)
+	defs, err := e.candidateDefs(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs, err := expandGrid(EvalConfig{}.withDefaults(), s.Vary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cands []Candidate
+	for _, def := range defs {
+		for _, cfg := range configs {
+			c, err := e.trainCandidate(context.Background(), def, cfg, s.Keep.Iters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands = append(cands, c)
+		}
+	}
+	kept, err := applyKeep(cands, s.Keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kept
+}
+
 // TestEvaluateParallelBitIdentical is the determinism contract of parallel
-// model enumeration: at any worker count, evaluate must return candidates
-// bit-identical to sequential execution — same losses, same accuracies, and
-// the same keep-clause survivors in the same order.
+// model enumeration: at any GOMAXPROCS, one worker included, evaluate must
+// return candidates bit-identical to training the grid one candidate at a
+// time in grid order — same losses, same accuracies, and the same
+// keep-clause survivors in the same order.
 func TestEvaluateParallelBitIdentical(t *testing.T) {
 	_, eng := populated(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, q := range []struct {
 		text string
 		kept int
 	}{{gridQuery, 4}, {gridByAcc, 32}} {
-		eng.SetWorkers(1)
-		seq, err := eng.Run(q.text)
-		if err != nil {
-			t.Fatal(err)
+		seq := gridReference(t, eng, q.text)
+		if len(seq) != q.kept {
+			t.Fatalf("reference candidates = %d, want %d", len(seq), q.kept)
 		}
-		if len(seq.Candidates) != q.kept {
-			t.Fatalf("sequential candidates = %d, want %d", len(seq.Candidates), q.kept)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			eng.SetWorkers(workers)
+		for _, procs := range []int{1, 2, 4, 8} {
+			runtime.GOMAXPROCS(procs)
 			par, err := eng.Run(q.text)
 			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 			}
-			if len(par.Candidates) != len(seq.Candidates) {
-				t.Fatalf("workers=%d: %d candidates, sequential had %d",
-					workers, len(par.Candidates), len(seq.Candidates))
+			if len(par.Candidates) != len(seq) {
+				t.Fatalf("GOMAXPROCS=%d: %d candidates, reference has %d",
+					procs, len(par.Candidates), len(seq))
 			}
 			for i, c := range par.Candidates {
-				s := seq.Candidates[i]
+				s := seq[i]
 				if math.Float64bits(c.Loss) != math.Float64bits(s.Loss) ||
 					math.Float64bits(c.Acc) != math.Float64bits(s.Acc) {
-					t.Fatalf("workers=%d candidate %d: (loss %v, acc %v) != sequential (loss %v, acc %v)",
-						workers, i, c.Loss, c.Acc, s.Loss, s.Acc)
+					t.Fatalf("GOMAXPROCS=%d candidate %d: (loss %v, acc %v) != reference (loss %v, acc %v)",
+						procs, i, c.Loss, c.Acc, s.Loss, s.Acc)
 				}
 				if c.Def.Name != s.Def.Name ||
 					c.Config.BaseLR != s.Config.BaseLR ||
 					c.Config.Momentum != s.Config.Momentum ||
 					c.Config.Batch != s.Config.Batch ||
 					c.Config.InputData != s.Config.InputData {
-					t.Fatalf("workers=%d candidate %d: survivor (%s, %+v) != sequential (%s, %+v)",
-						workers, i, c.Def.Name, c.Config, s.Def.Name, s.Config)
+					t.Fatalf("GOMAXPROCS=%d candidate %d: survivor (%s, %+v) != reference (%s, %+v)",
+						procs, i, c.Def.Name, c.Config, s.Def.Name, s.Config)
 				}
 			}
 		}
@@ -92,16 +127,19 @@ func TestDispatchOrderLongestFirst(t *testing.T) {
 
 // TestEvaluateParallelFirstErrorWins: a grid whose candidates all fail (the
 // dataset is registered but a config names a missing one) must surface an
-// error, not hang or panic, under parallel execution.
+// error, not hang or panic, with one worker or several.
 func TestEvaluateParallelFirstErrorWins(t *testing.T) {
 	_, eng := populated(t)
-	eng.SetWorkers(4)
-	_, err := eng.Run(`evaluate m
-		from (select m1 where m1.name = "lenet")
-		vary config.base_lr in [0.1, 0.01, 0.001] and config.input_data in ["nope"]
-		keep top(1, m["loss"], 4)`)
-	if err == nil {
-		t.Fatal("want error for unknown dataset")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		_, err := eng.Run(`evaluate m
+			from (select m1 where m1.name = "lenet")
+			vary config.base_lr in [0.1, 0.01, 0.001] and config.input_data in ["nope"]
+			keep top(1, m["loss"], 4)`)
+		if err == nil {
+			t.Fatalf("GOMAXPROCS=%d: want error for unknown dataset", procs)
+		}
 	}
 }
 
@@ -110,7 +148,6 @@ func TestEvaluateParallelFirstErrorWins(t *testing.T) {
 // test (run under -race via make test-race).
 func TestEvaluateParallelWithConcurrentGemm(t *testing.T) {
 	_, eng := populated(t)
-	eng.SetWorkers(4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	rng := rand.New(rand.NewSource(13))
@@ -149,78 +186,5 @@ func TestEvaluateParallelWithConcurrentGemm(t *testing.T) {
 	}
 	if len(res.Candidates) != 2 {
 		t.Fatalf("candidates = %d", len(res.Candidates))
-	}
-}
-
-// TestSetWorkersClamp pins the documented clamp rules: negatives restore the
-// GOMAXPROCS default (stored as 0), values above 1024 clamp to 1024, and the
-// previous setting is returned.
-func TestSetWorkersClamp(t *testing.T) {
-	eng := NewEngine(nil)
-	if got := eng.SetWorkers(-7); got != 0 {
-		t.Fatalf("initial setting = %d, want 0", got)
-	}
-	if got := eng.Workers(); got != 0 {
-		t.Fatalf("negative clamps to %d, want 0 (GOMAXPROCS default)", got)
-	}
-	eng.SetWorkers(1 << 20)
-	if got := eng.Workers(); got != 1024 {
-		t.Fatalf("absurd setting clamps to %d, want 1024", got)
-	}
-	if got := eng.SetWorkers(2); got != 1024 {
-		t.Fatalf("previous setting = %d, want 1024", got)
-	}
-	if got := eng.Workers(); got != 2 {
-		t.Fatalf("Workers = %d, want 2", got)
-	}
-}
-
-// TestSetWorkersConcurrent retunes the worker bound from several goroutines
-// while an evaluate statement runs — under -race this asserts the knob is
-// safe mid-flight, and the grid result must stay bit-identical to the
-// sequential baseline regardless of what the tuners did.
-func TestSetWorkersConcurrent(t *testing.T) {
-	_, eng := populated(t)
-	eng.SetWorkers(1)
-	seq, err := eng.Run(gridQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				eng.SetWorkers((g+i)%6 - 1) // sweeps -1..4 through the clamp
-				if w := eng.Workers(); w < 0 || w > 1024 {
-					t.Errorf("Workers out of range: %d", w)
-					return
-				}
-			}
-		}(g)
-	}
-	eng.SetWorkers(4)
-	par, err := eng.Run(gridQuery)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par.Candidates) != len(seq.Candidates) {
-		t.Fatalf("candidates = %d, want %d", len(par.Candidates), len(seq.Candidates))
-	}
-	for i, c := range par.Candidates {
-		s := seq.Candidates[i]
-		if math.Float64bits(c.Loss) != math.Float64bits(s.Loss) ||
-			math.Float64bits(c.Acc) != math.Float64bits(s.Acc) {
-			t.Fatalf("candidate %d diverged under concurrent retuning", i)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
 	"modelhub/internal/synth"
+	"modelhub/internal/tensor"
 )
 
 // The experiment tests check the *shape* of each result — who wins, what
@@ -134,6 +136,23 @@ func TestFig6bShape(t *testing.T) {
 	if !strings.Contains(buf.String(), "snapshots") {
 		t.Fatal("print output incomplete")
 	}
+}
+
+// RunFig6bSynthetic is a fast Fig 6(b) variant over synthetic weight
+// matrices with a controlled drift level.
+func RunFig6bSynthetic(seed int64, rows, cols int, drift float64) ([]Fig6bRow, error) {
+	rng := rand.New(rand.NewSource(seed))
+	base := tensor.RandNormal(rng, rows, cols, 0.1)
+	target := base.Perturb(rng, drift)
+	var out []Fig6bRow
+	for _, op := range []delta.Op{delta.None, delta.Sub, delta.IntSub, delta.XOR} {
+		fp, err := delta.MeasureDelta(op, base, target, false)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Fig6bRow{Scenario: "synthetic", Op: op, Percent: 100 * float64(fp.CompressedBytes) / float64(fp.RawBytes)})
+	}
+	return out, nil
 }
 
 func TestFig6bSynthetic(t *testing.T) {

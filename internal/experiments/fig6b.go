@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"math/rand"
 
 	"modelhub/internal/delta"
 	"modelhub/internal/tensor"
@@ -71,23 +70,6 @@ func RunFig6b(seed int64) ([]Fig6bRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// RunFig6bSynthetic is a fast variant over synthetic weight matrices with a
-// controlled drift level, used by the benchmarks.
-func RunFig6bSynthetic(seed int64, rows, cols int, drift float64) ([]Fig6bRow, error) {
-	rng := rand.New(rand.NewSource(seed))
-	base := tensor.RandNormal(rng, rows, cols, 0.1)
-	target := base.Perturb(rng, drift)
-	var out []Fig6bRow
-	for _, op := range []delta.Op{delta.None, delta.Sub, delta.IntSub, delta.XOR} {
-		fp, err := delta.MeasureDelta(op, base, target, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig6bRow{Scenario: "synthetic", Op: op, Percent: 100 * fp.Ratio()})
-	}
-	return out, nil
 }
 
 // PrintFig6b renders the grouped bars.

@@ -2,7 +2,6 @@ package floatenc
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -44,35 +43,4 @@ func (e *Encoded) MarshalBinary() ([]byte, error) {
 	out = append(out, plen[:]...)
 	out = append(out, e.Payload...)
 	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (e *Encoded) UnmarshalBinary(data []byte) error {
-	if len(data) < 28 {
-		return fmt.Errorf("floatenc: encoded blob too short (%d bytes)", len(data))
-	}
-	if magic := binary.LittleEndian.Uint32(data[0:]); magic != encodedMagic {
-		return fmt.Errorf("floatenc: bad encoded magic %#x", magic)
-	}
-	e.Scheme = Scheme{Kind: Kind(data[4]), Bits: int(data[5])}
-	e.Rows = int(binary.LittleEndian.Uint32(data[8:]))
-	e.Cols = int(binary.LittleEndian.Uint32(data[12:]))
-	e.Exp = int32(binary.LittleEndian.Uint32(data[16:]))
-	tableN := int(binary.LittleEndian.Uint32(data[20:]))
-	pos := 24
-	if tableN < 0 || tableN > 1<<16 || len(data) < pos+4*tableN+4 {
-		return fmt.Errorf("floatenc: encoded blob truncated in table (n=%d)", tableN)
-	}
-	e.Table = make([]float32, tableN)
-	for i := range e.Table {
-		e.Table[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-	}
-	plen := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if plen < 0 || len(data) != pos+plen {
-		return fmt.Errorf("floatenc: encoded blob payload length %d does not match %d remaining bytes", plen, len(data)-pos)
-	}
-	e.Payload = append([]byte(nil), data[pos:]...)
-	return e.Scheme.Validate()
 }

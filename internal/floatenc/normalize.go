@@ -39,13 +39,3 @@ func Normalize(m *tensor.Matrix) (*tensor.Matrix, float32) {
 	}
 	return out, off
 }
-
-// Denormalize reverses Normalize with the recorded offset.
-func Denormalize(m *tensor.Matrix, off float32) *tensor.Matrix {
-	out := tensor.NewMatrix(m.Rows(), m.Cols())
-	src, dst := m.Data(), out.Data()
-	for i, v := range src {
-		dst[i] = v - off
-	}
-	return out
-}

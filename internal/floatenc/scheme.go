@@ -105,22 +105,6 @@ func (s Scheme) String() string {
 	}
 }
 
-// BitsPerValue returns the uncompressed storage width of one value under
-// this scheme (excluding table overhead).
-func (s Scheme) BitsPerValue() int {
-	switch s.Kind {
-	case Float32:
-		return 32
-	case Float16, BFloat16:
-		return 16
-	default:
-		return s.Bits
-	}
-}
-
-// Lossy reports whether the scheme can lose information.
-func (s Scheme) Lossy() bool { return s.Kind != Float32 }
-
 // Encoded is a matrix encoded under some Scheme. Payload layout depends on
 // the scheme; Table holds the quantization code table, Exp the fixed-point
 // global exponent.
@@ -130,11 +114,6 @@ type Encoded struct {
 	Payload    []byte
 	Table      []float32
 	Exp        int32
-}
-
-// RawBits returns the uncompressed payload size in bits (including table).
-func (e *Encoded) RawBits() int {
-	return 8*len(e.Payload) + 32*len(e.Table)
 }
 
 // Encode encodes m under scheme s.

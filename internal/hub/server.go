@@ -226,13 +226,6 @@ func (s *Server) lockName(name string) func() {
 	}
 }
 
-// nameLockCount reports the live nameLocks entries (tests assert bounds).
-func (s *Server) nameLockCount() int {
-	s.lockMu.Lock()
-	defer s.lockMu.Unlock()
-	return len(s.nameLocks)
-}
-
 func validateName(name string) error {
 	if name == "" || len(name) > 128 {
 		return fmt.Errorf("%w: bad repository name %q", ErrHub, name)

@@ -15,9 +15,7 @@ func tracingTest(t *testing.T) {
 	obs.Enable()
 	obs.EnableTracing()
 	obs.SetTraceBufferSize(32)
-	obs.SetTraceSampler(1)
 	t.Cleanup(func() {
-		obs.SetTraceSampler(1)
 		obs.SetTraceBufferSize(obs.DefaultTraceBufferSize)
 		obs.DisableTracing()
 		obs.Disable()

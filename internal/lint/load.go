@@ -9,9 +9,11 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -259,7 +261,7 @@ func (l *loader) selectPaths(patterns []string) ([]string, error) {
 	var out []string
 	for _, pat := range patterns {
 		matched := false
-		for _, imp := range sortedPathKeys(l.dirs) {
+		for _, imp := range slices.Sorted(maps.Keys(l.dirs)) {
 			if !matchPattern(l.module, pat, imp) {
 				continue
 			}
@@ -292,15 +294,6 @@ func matchPattern(module, pat, imp string) bool {
 		return true
 	}
 	return imp == pat
-}
-
-func sortedPathKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // load parses and type-checks one module package (memoized).

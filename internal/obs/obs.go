@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"os"
 	"strings"
 	"sync/atomic"
 )
@@ -105,6 +106,24 @@ func ParseLevel(s string) (slog.Level, error) {
 	default:
 		return 0, fmt.Errorf("obs: unknown log level %q (debug, info, warn, error)", s)
 	}
+}
+
+// ConfigureLogging applies a binary's -v and -log-level flags: when either
+// is given it installs a stderr text handler at the level (info for a bare
+// -v); otherwise the default (silent) logger stays in place.
+func ConfigureLogging(verbose bool, level string) error {
+	if !verbose && level == "" {
+		return nil
+	}
+	lvl := slog.LevelInfo
+	if level != "" {
+		var err error
+		if lvl, err = ParseLevel(level); err != nil {
+			return err
+		}
+	}
+	SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
+	return nil
 }
 
 // discardHandler is a slog.Handler that drops everything. Its Enabled

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,10 +251,6 @@ func NewRegistry() *Registry {
 // safe: imported packages finish variable initialization first.
 var std = NewRegistry()
 
-// Default returns the process-wide registry backing GetCounter, Snapshot,
-// and Handler.
-func Default() *Registry { return std }
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.RLock()
@@ -360,27 +355,6 @@ func (r *Registry) Snapshot() map[string]any {
 		out[name] = h.Snapshot()
 	}
 	return out
-}
-
-// Names lists the registered metric names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.fgauges)+len(r.histograms))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.fgauges {
-		names = append(names, n)
-	}
-	for n := range r.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot returns the default registry's metrics.

@@ -166,7 +166,7 @@ func TestRegistryRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
 			GetCounter("test.race.shared").Inc()
-			_ = Default().Names()
+			_ = std.Snapshot()
 		}
 	}()
 	wg.Wait()

@@ -2,7 +2,8 @@ package obs
 
 import (
 	"context"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -62,7 +63,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 			s.tr = parent.tr
 			s.parentID = parent.spanID
 		} else {
-			s.tr = &trace{id: newTraceID(), sampled: headSample()}
+			s.tr = &trace{id: newTraceID(), sampled: true}
 			s.tr.root = s
 		}
 		s.spanID = newSpanID()
@@ -129,12 +130,7 @@ func (s *Span) End() time.Duration {
 	s.mu.Unlock()
 	// Deterministic flush order keeps registry lock contention predictable
 	// and tests stable.
-	names := make([]string, 0, len(children))
-	for name := range children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(children)) {
 		GetCounter("span." + s.name + ".child_ns." + name).Add(children[name])
 	}
 	if s.tr != nil {
@@ -225,7 +221,7 @@ func (s *Span) Event(name string, attrs ...Attr) {
 }
 
 // SetError marks the span failed; an errored span forces its whole trace to
-// be kept regardless of the sampling rate. No-op on nil spans or spans
+// be kept even when it arrived unsampled. No-op on nil spans or spans
 // without a trace.
 func (s *Span) SetError() {
 	if s == nil || s.tr == nil {

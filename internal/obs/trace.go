@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/hex"
 	"fmt"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -175,52 +174,11 @@ type SpanRecord struct {
 	Error         bool    `json:"error,omitempty"`
 }
 
-// Sampling policy: samplerBits holds the head-sampling rate as float64 bits
-// (default 1.0). Error and slow traces are always kept regardless of the
-// head decision (tail sampling), so failures stay findable at low rates.
-var samplerBits atomic.Uint64
-
-// slowTraceNS is the "always keep" duration threshold (default 1s).
-var slowTraceNS atomic.Int64
-
-func init() {
-	samplerBits.Store(math.Float64bits(1.0))
-	slowTraceNS.Store(int64(time.Second))
-}
-
-// SetTraceSampler sets the head-sampling rate in [0, 1]: the fraction of
-// new root traces recorded into the collector. Error traces and traces
-// slower than the slow threshold are always kept. Out-of-range values clamp.
-func SetTraceSampler(rate float64) {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	samplerBits.Store(math.Float64bits(rate))
-}
-
-// TraceSampler returns the current head-sampling rate.
-func TraceSampler() float64 { return math.Float64frombits(samplerBits.Load()) }
-
-// SetSlowTraceThreshold sets the duration above which a trace is always
-// kept, regardless of the sampling rate. Non-positive disables the slow
-// keep.
-func SetSlowTraceThreshold(d time.Duration) { slowTraceNS.Store(int64(d)) }
-
-// headSample draws the head-sampling decision for a new root trace.
-func headSample() bool {
-	rate := TraceSampler()
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	// 53 random bits into [0, 1).
-	return float64(rand64()>>11)/(1<<53) < rate
-}
+// Keep policy: a local root is always sampled and a remote root keeps its
+// propagated flag; an unsampled trace is still kept when it errored or its
+// root ran at least slowTrace (tail sampling), so failures stay findable.
+// slowTrace is a variable only so tests can lower it.
+var slowTrace = time.Second
 
 // maxTraceSpans bounds one trace's in-memory record accumulation; spans
 // beyond it are counted, not stored, so a runaway loop cannot OOM the
@@ -229,12 +187,12 @@ const maxTraceSpans = 512
 
 // trace accumulates the span records of one local trace. Every span under
 // one root shares the root's trace; when the root ends, the keep policy
-// (head sample ∨ error ∨ slow) decides whether the records reach the
+// (sampled ∨ errored ∨ slow) decides whether the records reach the
 // collector.
 type trace struct {
 	id      TraceID
 	root    *Span
-	sampled bool // head decision (local draw, or the propagated flag)
+	sampled bool // true for a local root, else the propagated flag
 
 	mu      sync.Mutex
 	records []SpanRecord
@@ -260,12 +218,7 @@ func (tr *trace) add(rec SpanRecord) {
 // kept, publishes the records to the collector.
 func (tr *trace) finish(rootDuration time.Duration) {
 	tr.mu.Lock()
-	keep := tr.sampled || tr.errored
-	if !keep {
-		if slow := slowTraceNS.Load(); slow > 0 && rootDuration.Nanoseconds() >= slow {
-			keep = true
-		}
-	}
+	keep := tr.sampled || tr.errored || rootDuration >= slowTrace
 	records := tr.records
 	dropped := tr.dropped
 	tr.records = nil

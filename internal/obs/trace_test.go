@@ -16,10 +16,8 @@ func tracingTest(t *testing.T) {
 	Enable()
 	EnableTracing()
 	SetTraceBufferSize(16)
-	SetTraceSampler(1)
 	t.Cleanup(func() {
-		SetTraceSampler(1)
-		SetSlowTraceThreshold(time.Second)
+		slowTrace = time.Second
 		SetTraceBufferSize(DefaultTraceBufferSize)
 		DisableTracing()
 		Disable()
@@ -125,21 +123,30 @@ func TestSpanRecordsParentChild(t *testing.T) {
 	}
 }
 
+// A trace its caller did not sample (an unsampled remote root, the only
+// sampling decision left) is kept only by the tail rules: a clean, fast
+// trace is dropped, an errored or slow one is kept.
 func TestSamplerZeroDropsCleanKeepsErrorAndSlow(t *testing.T) {
 	tracingTest(t)
-	SetTraceSampler(0)
+	parent, _ := ParseSpanID("b7ad6b7169203331")
+	unsampled := func(name, tid string) (*Span, TraceID) {
+		id, err := ParseTraceID(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, s := StartRemote(context.Background(), name, id, parent, false)
+		return s, id
+	}
 
 	// A clean, fast trace is dropped.
-	clean := StartRoot("test.trace.clean")
-	cleanID := clean.TraceID()
+	clean, cleanID := unsampled("test.trace.clean", "1bf92f3577b34da6a3ce929d0e0e4736")
 	clean.End()
 	if _, ok := TraceRecords(cleanID); ok {
-		t.Fatal("rate-0 sampler kept a clean trace")
+		t.Fatal("unsampled clean trace was kept")
 	}
 
 	// An errored trace is always kept.
-	failed := StartRoot("test.trace.failed")
-	failedID := failed.TraceID()
+	failed, failedID := unsampled("test.trace.failed", "2bf92f3577b34da6a3ce929d0e0e4736")
 	failed.SetError()
 	failed.End()
 	records, ok := TraceRecords(failedID)
@@ -148,9 +155,8 @@ func TestSamplerZeroDropsCleanKeepsErrorAndSlow(t *testing.T) {
 	}
 
 	// A slow trace is always kept.
-	SetSlowTraceThreshold(time.Nanosecond)
-	slow := StartRoot("test.trace.slow")
-	slowID := slow.TraceID()
+	slowTrace = time.Nanosecond
+	slow, slowID := unsampled("test.trace.slow", "3bf92f3577b34da6a3ce929d0e0e4736")
 	time.Sleep(time.Millisecond)
 	slow.End()
 	if _, ok := TraceRecords(slowID); !ok {
@@ -223,7 +229,6 @@ func TestIngestSpansNoopWhileTracingDisabled(t *testing.T) {
 
 func TestWrapHandlerJoinsRemoteTrace(t *testing.T) {
 	tracingTest(t)
-	SetTraceSampler(0) // only the propagated flag can keep this trace
 	h := WrapHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}), MiddlewareOptions{Prefix: "test.tracejoin"})
@@ -260,14 +265,22 @@ func TestWrapHandlerJoinsRemoteTrace(t *testing.T) {
 
 func TestWrapHandlerPanicEventInTrace(t *testing.T) {
 	tracingTest(t)
-	SetTraceSampler(0) // the panic marks the trace errored, which must keep it
 	h := WrapHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("trace boom")
 	}), MiddlewareOptions{Prefix: "test.tracepanic"})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/kaboom")
+	// The caller did not sample the trace: the panic marks it errored, which
+	// must keep it.
+	tid, _ := ParseTraceID("5bf92f3577b34da6a3ce929d0e0e4736")
+	sid, _ := ParseSpanID("00f067aa0ba902b7")
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/kaboom", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TraceparentHeader, FormatTraceparent(tid, sid, false))
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,10 +44,11 @@ func randomGraph(seed int64, n, groupSize int) *Graph {
 
 func TestLASTBalances(t *testing.T) {
 	g := randomGraph(1, 40, 4)
-	sptDist, err := SPTDistances(g)
+	spt, err := SPT(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sptDist := spt.NodeRecreationCosts()
 	mst, err := MST(g)
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +87,11 @@ func TestLASTLooseAlphaApproachesMST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sptDist, err := SPTDistances(g)
+	spt, err := SPT(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sptDist := spt.NodeRecreationCosts()
 	costs := tight.NodeRecreationCosts()
 	for v := 1; v < g.NumNodes; v++ {
 		if math.Abs(costs[v]-sptDist[v]) > 1e-9 {

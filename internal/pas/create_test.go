@@ -232,8 +232,10 @@ func TestCreatePricingErrorSurfacesOnce(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	before := runtime.NumGoroutine()
+	defer func(level int) { zlibLevel = level }(zlibLevel)
+	zlibLevel = 42
 	dir := t.TempDir()
-	_, err := Create(dir, makeSnaps(64, 6, 0), Options{ZlibLevel: 42})
+	_, err := Create(dir, makeSnaps(64, 6, 0), Options{})
 	if !errors.Is(err, ErrStore) {
 		t.Fatalf("Create with an invalid zlib level = %v, want ErrStore", err)
 	}

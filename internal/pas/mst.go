@@ -112,13 +112,3 @@ func SPT(g *Graph) (*Plan, error) {
 	}
 	return plan, nil
 }
-
-// SPTDistances returns the Dijkstra distances from ν0 over recreation costs
-// (the d_G(v) lower bounds LAST balances against).
-func SPTDistances(g *Graph) ([]float64, error) {
-	plan, err := SPT(g)
-	if err != nil {
-		return nil, err
-	}
-	return plan.NodeRecreationCosts(), nil
-}

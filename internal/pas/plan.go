@@ -249,8 +249,3 @@ func (p *Plan) Subtree(v NodeID) []NodeID {
 	}
 	return out
 }
-
-// Clone deep-copies the plan.
-func (p *Plan) Clone() *Plan {
-	return &Plan{ParentEdge: append([]EdgeID(nil), p.ParentEdge...), graph: p.graph}
-}

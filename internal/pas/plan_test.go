@@ -3,6 +3,7 @@ package pas
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -99,7 +100,7 @@ func TestPlanValidateRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point a node at an edge that does not target it.
-	bad := mst.Clone()
+	bad := &Plan{ParentEdge: slices.Clone(mst.ParentEdge), graph: g}
 	bad.ParentEdge[1] = bad.ParentEdge[2]
 	if err := bad.Validate(); !errors.Is(err, ErrGraph) {
 		t.Fatal("mismatched parent edge must be invalid")

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"modelhub/internal/floatenc"
 	"modelhub/internal/tensor"
 )
 
@@ -221,29 +220,6 @@ func TestStorePlaneCacheBounded(t *testing.T) {
 			if len(st.planes.flights) != 0 {
 				t.Fatalf("%v: %d flights outlived their retrievals", scheme, len(st.planes.flights))
 			}
-		}
-	}
-}
-
-// ExplicitZero lets callers request actual zero for options whose zero value
-// means "use the default".
-func TestOptionsExplicitZero(t *testing.T) {
-	if got := (Options{}).withDefaults().ZlibLevel; got != floatenc.DefaultZlibLevel {
-		t.Fatalf("unset ZlibLevel: want default %d, got %d", floatenc.DefaultZlibLevel, got)
-	}
-	if got := (Options{ZlibLevel: ExplicitZero}).withDefaults().ZlibLevel; got != 0 {
-		t.Fatalf("ExplicitZero ZlibLevel: want 0, got %d", got)
-	}
-	// Zlib level 0 (stored, uncompressed) must still round-trip exactly.
-	snaps := makeSnaps(28, 3, 0)
-	st := createStore(t, snaps, Options{ZlibLevel: ExplicitZero})
-	got, err := st.GetSnapshot("c", 4, Concurrent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range snaps[2].Matrices {
-		if !got[name].Equal(want) {
-			t.Fatalf("uncompressed store: matrix %s mismatch", name)
 		}
 	}
 }

@@ -459,15 +459,6 @@ func (s *Store) StoredChunks() int {
 	return len(s.seg.snapshotIndex().Chunks)
 }
 
-// SegmentDiskBytes sums the on-disk sizes of the archive's segment files.
-func (s *Store) SegmentDiskBytes() int64 {
-	var total int64
-	for _, sf := range s.seg.snapshotIndex().Segments {
-		total += sf.Size
-	}
-	return total
-}
-
 // liveSums collects the payload checksums the manifest references.
 func (s *Store) liveSums() map[string]bool {
 	live := make(map[string]bool)
@@ -637,35 +628,6 @@ func (s *Store) compact(all bool) (GCStats, error) {
 		ReclaimedBytes: reclaimed,
 		LiveBytes:      liveBytes,
 	}, nil
-}
-
-// SegmentStat describes one segment file's occupancy (dlv gc -n style
-// reporting and tests).
-type SegmentStat struct {
-	Name       string
-	Size       int64
-	LiveBytes  int64 // payload bytes the manifest references
-	LiveChunks int
-	DeadChunks int
-}
-
-// SegmentStats reports per-segment occupancy.
-func (s *Store) SegmentStats() []SegmentStat {
-	idx := s.seg.snapshotIndex()
-	live := s.liveSums()
-	out := make([]SegmentStat, len(idx.Segments))
-	for i, sf := range idx.Segments {
-		out[i] = SegmentStat{Name: sf.Name, Size: sf.Size}
-	}
-	for sum, loc := range idx.Chunks {
-		if live[sum] {
-			out[loc.Seg].LiveBytes += loc.Len
-			out[loc.Seg].LiveChunks++
-		} else {
-			out[loc.Seg].DeadChunks++
-		}
-	}
-	return out
 }
 
 // storePayloads appends to dir's segment files every payload its index does

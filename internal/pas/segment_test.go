@@ -468,3 +468,40 @@ func TestGCRefusesCorruptedSegment(t *testing.T) {
 		t.Fatalf("GC over corrupted segment = %v, want ErrStore checksum mismatch", err)
 	}
 }
+
+// SegmentDiskBytes sums the on-disk sizes of the archive's segment files.
+func (s *Store) SegmentDiskBytes() int64 {
+	var total int64
+	for _, sf := range s.seg.snapshotIndex().Segments {
+		total += sf.Size
+	}
+	return total
+}
+
+// SegmentStat describes one segment file's occupancy for the GC tests.
+type SegmentStat struct {
+	Name       string
+	Size       int64
+	LiveBytes  int64 // payload bytes the manifest references
+	LiveChunks int
+	DeadChunks int
+}
+
+// SegmentStats reports per-segment occupancy.
+func (s *Store) SegmentStats() []SegmentStat {
+	idx := s.seg.snapshotIndex()
+	live := s.liveSums()
+	out := make([]SegmentStat, len(idx.Segments))
+	for i, sf := range idx.Segments {
+		out[i] = SegmentStat{Name: sf.Name, Size: sf.Size}
+	}
+	for sum, loc := range idx.Chunks {
+		if live[sum] {
+			out[loc.Seg].LiveBytes += loc.Len
+			out[loc.Seg].LiveChunks++
+		} else {
+			out[loc.Seg].DeadChunks++
+		}
+	}
+	return out
+}

@@ -6,12 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -46,10 +46,6 @@ type Options struct {
 	// Alpha, when > 0, overrides all budgets with α·Cr(SPT, s_i) — the
 	// Fig 6(c) protocol. When 0, the per-snapshot budgets are used as given.
 	Alpha float64
-	// ZlibLevel for chunk compression; 0 means "unset" and defaults to 6
-	// like the paper. Pass ExplicitZero (-1) to request actual zlib level 0
-	// (stored, uncompressed deflate blocks).
-	ZlibLevel int
 	// ExtraPairs adds candidate delta edges beyond the default same-name
 	// adjacent-snapshot pairs (e.g. across fine-tuned model versions).
 	ExtraPairs [][2]MatrixRef
@@ -95,10 +91,9 @@ const (
 // records any other.
 const deltaOp = delta.XOR
 
-// ExplicitZero is the sentinel for Options fields whose zero value means
-// "unset, use the default": pass it to request an actual 0 (e.g.
-// Options.ZlibLevel = ExplicitZero selects zlib level 0, store-only).
-const ExplicitZero = -1
+// zlibLevel compresses every chunk: the paper's level 6. It is a variable
+// only so a test can make pricing fail.
+var zlibLevel = floatenc.DefaultZlibLevel
 
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
@@ -106,12 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if !(o.Alpha > 0) {
 		o.Alpha = 0 // the per-snapshot budgets, as the manifest records it
-	}
-	switch o.ZlibLevel {
-	case 0:
-		o.ZlibLevel = floatenc.DefaultZlibLevel
-	case ExplicitZero:
-		o.ZlibLevel = 0
 	}
 	return o
 }
@@ -201,9 +190,8 @@ type priced struct {
 // meets a plane another is still compressing waits for that result, so the
 // count of compressions is the count of distinct planes at any worker count.
 type planeMemo struct {
-	level int
-	mu    sync.Mutex
-	z     map[[sha256.Size]byte]*memoPlane
+	mu sync.Mutex
+	z  map[[sha256.Size]byte]*memoPlane
 }
 
 // memoPlane is one distinct plane's compressed bytes, valid once done is
@@ -214,7 +202,7 @@ type memoPlane struct {
 	err  error
 }
 
-// deflate returns plane compressed at the memo's level, sharing the bytes
+// deflate returns plane compressed at zlibLevel, sharing the bytes
 // with every equal plane of the run.
 func (m *planeMemo) deflate(plane []byte) ([]byte, error) {
 	key := sha256.Sum256(plane)
@@ -230,7 +218,7 @@ func (m *planeMemo) deflate(plane []byte) ([]byte, error) {
 		mCreatePlanesShared.Inc()
 		return e.z, e.err
 	}
-	e.z, e.err = floatenc.Deflate(plane, m.level)
+	e.z, e.err = floatenc.Deflate(plane, zlibLevel)
 	close(e.done)
 	if e.err != nil {
 		return nil, e.err
@@ -276,8 +264,8 @@ func price(base, target *tensor.Matrix, memo *planeMemo) (*priced, error) {
 // through one planeMemo. Results land by job index, so nothing built from
 // them depends on the worker count or on scheduling. After a failure the
 // workers stop taking jobs and the first error recorded is the one returned.
-func priceAll(jobs [][2]*tensor.Matrix, level int) ([]*priced, error) {
-	memo := &planeMemo{level: level, z: make(map[[sha256.Size]byte]*memoPlane)}
+func priceAll(jobs [][2]*tensor.Matrix) ([]*priced, error) {
+	memo := &planeMemo{z: make(map[[sha256.Size]byte]*memoPlane)}
 	out := make([]*priced, len(jobs))
 	var next atomic.Int64
 	var failed atomic.Pointer[error]
@@ -374,7 +362,7 @@ func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates
 	byRef := make(map[MatrixRef][]int)
 	matrixOf := make(map[MatrixRef]*tensor.Matrix)
 	for _, s := range snaps {
-		for _, name := range sortedKeys(s.Matrices) {
+		for _, name := range slices.Sorted(maps.Keys(s.Matrices)) {
 			ref := MatrixRef{Snapshot: s.ID, Name: name}
 			if _, dup := byRef[ref]; dup {
 				return nil, fmt.Errorf("%w: duplicate matrix %v", ErrStore, ref)
@@ -401,7 +389,7 @@ func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates
 			prevID, prevNames = last.ID, last.Names
 		}
 		for _, s := range snaps {
-			names := sortedKeys(s.Matrices)
+			names := slices.Sorted(maps.Keys(s.Matrices))
 			for _, name := range names {
 				if slices.Contains(prevNames, name) {
 					pairs = append(pairs, [2]MatrixRef{{Snapshot: prevID, Name: name}, {Snapshot: s.ID, Name: name}})
@@ -479,7 +467,7 @@ func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates
 		}
 		cps[i] = c
 	}
-	bodies, err := priceAll(jobs, opts.ZlibLevel)
+	bodies, err := priceAll(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +515,7 @@ func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates
 	// co-retrieved.
 	for _, s := range snaps {
 		var ids []NodeID
-		for _, name := range sortedKeys(s.Matrices) {
+		for _, name := range slices.Sorted(maps.Keys(s.Matrices)) {
 			for _, id := range byRef[MatrixRef{Snapshot: s.ID, Name: name}] {
 				ids = append(ids, NodeID(id))
 			}
@@ -617,7 +605,7 @@ func planArchive(snaps []SnapshotIn, opts Options, base *Store) (*planned, error
 	for si, s := range snaps {
 		out.snaps = append(out.snaps, manifestSnap{
 			ID:         s.ID,
-			Names:      sortedKeys(s.Matrices),
+			Names:      slices.Sorted(maps.Keys(s.Matrices)),
 			Budget:     g.Snapshots[si].Budget,
 			Recreation: plan.SnapshotCost(si, opts.Scheme),
 		})
@@ -1064,13 +1052,4 @@ func (s *Store) TierChunkBytes(tier int) int64 {
 		}
 	}
 	return total
-}
-
-func sortedKeys(m map[string]*tensor.Matrix) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

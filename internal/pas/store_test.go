@@ -2,8 +2,10 @@ package pas
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,7 +29,7 @@ func makeSnaps(seed int64, nSnaps int, budget float64) []SnapshotIn {
 		snap := SnapshotIn{ID: string(rune('a' + i)), Matrices: map[string]*tensor.Matrix{}, Budget: budget}
 		// Sorted names: map order would draw the perturbations, and so build
 		// the fixture and its plan, differently on every run.
-		for _, name := range sortedKeys(cur) {
+		for _, name := range slices.Sorted(maps.Keys(cur)) {
 			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)

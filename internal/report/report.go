@@ -7,7 +7,8 @@ package report
 import (
 	"fmt"
 	"html/template"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"modelhub/internal/dlv"
@@ -100,7 +101,7 @@ func Desc(v *dlv.Version, log []dnn.LogEntry) (string, error) {
 
 	if len(v.Hyper) > 0 {
 		b.WriteString("<h2>training hyperparameters</h2><table><tr><th>key</th><th>value</th></tr>")
-		for _, k := range sortedKeys(v.Hyper) {
+		for _, k := range slices.Sorted(maps.Keys(v.Hyper)) {
 			fmt.Fprintf(&b, "<tr><td>%s</td><td>%s</td></tr>", esc(k), esc(v.Hyper[k]))
 		}
 		b.WriteString("</table>")
@@ -113,7 +114,7 @@ func Desc(v *dlv.Version, log []dnn.LogEntry) (string, error) {
 
 	if len(v.Files) > 0 {
 		b.WriteString("<h2>files</h2><table><tr><th>path</th><th>sha256</th></tr>")
-		for _, path := range sortedKeys(v.Files) {
+		for _, path := range slices.Sorted(maps.Keys(v.Files)) {
 			fmt.Fprintf(&b, `<tr><td class="mono">%s</td><td class="mono">%s</td></tr>`,
 				esc(path), esc(v.Files[path][:12]+"…"))
 		}
@@ -139,7 +140,7 @@ func Diff(a, b *dlv.Version, rep *dlv.DiffReport) (string, error) {
 	sb.WriteString("</table>")
 	if len(rep.HyperChanged) > 0 {
 		sb.WriteString("<h2>hyperparameters</h2><table><tr><th>key</th><th>before</th><th>after</th></tr>")
-		for _, k := range sortedKeys2(rep.HyperChanged) {
+		for _, k := range slices.Sorted(maps.Keys(rep.HyperChanged)) {
 			vals := rep.HyperChanged[k]
 			fmt.Fprintf(&sb, "<tr><td>%s</td><td>%s</td><td>%s</td></tr>", esc(k), esc(vals[0]), esc(vals[1]))
 		}
@@ -147,22 +148,4 @@ func Diff(a, b *dlv.Version, rep *dlv.DiffReport) (string, error) {
 	}
 	fmt.Fprintf(&sb, "<p>accuracy delta: <b>%+.4f</b></p>", rep.AccuracyDelta)
 	return renderPage("dlv diff", sb.String())
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedKeys2(m map[string][2]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

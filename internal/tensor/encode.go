@@ -3,64 +3,8 @@ package tensor
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
-
-// Binary wire format for a Matrix:
-//
-//	magic  uint32  'M','H','T','0'
-//	rows   uint32
-//	cols   uint32
-//	data   rows*cols little-endian float32 bit patterns
-//
-// The format is used by the DLV object store and the PAS chunk store.
-const matrixMagic uint32 = 0x4d485430 // "MHT0"
-
-// WriteTo serializes m in the ModelHub binary matrix format.
-func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], matrixMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.rows))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.cols))
-	n, err := w.Write(hdr)
-	written := int64(n)
-	if err != nil {
-		return written, err
-	}
-	buf := make([]byte, 4*len(m.data))
-	for i, v := range m.data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	n, err = w.Write(buf)
-	return written + int64(n), err
-}
-
-// ReadMatrix deserializes a matrix previously written by WriteTo.
-func ReadMatrix(r io.Reader) (*Matrix, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("tensor: reading matrix header: %w", err)
-	}
-	if magic := binary.LittleEndian.Uint32(hdr[0:]); magic != matrixMagic {
-		return nil, fmt.Errorf("tensor: bad matrix magic %#x", magic)
-	}
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	cols := int(binary.LittleEndian.Uint32(hdr[8:]))
-	const maxElems = 1 << 30
-	if rows < 0 || cols < 0 || rows*cols > maxElems {
-		return nil, fmt.Errorf("tensor: implausible matrix size %dx%d", rows, cols)
-	}
-	m := NewMatrix(rows, cols)
-	buf := make([]byte, 4*len(m.data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("tensor: reading matrix body: %w", err)
-	}
-	for i := range m.data {
-		m.data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return m, nil
-}
 
 // Bytes returns the raw little-endian float32 bytes of m (no header). The
 // byte-segmentation code in floatenc operates on this representation.

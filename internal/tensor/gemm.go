@@ -391,15 +391,3 @@ func Gemm(dst, a, b *Matrix) error {
 	GemmStrided(a.rows, b.cols, a.cols, a.data, a.cols, b.data, b.cols, dst.data, dst.cols, false)
 	return nil
 }
-
-// GemmAcc computes dst += a·b with the same shape rules as Gemm.
-func GemmAcc(dst, a, b *Matrix) error {
-	if a.cols != b.rows {
-		return fmt.Errorf("tensor: gemm %dx%d by %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrShape)
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		return fmt.Errorf("tensor: gemm dst %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.rows, b.cols, ErrShape)
-	}
-	GemmStrided(a.rows, b.cols, a.cols, a.data, a.cols, b.data, b.cols, dst.data, dst.cols, true)
-	return nil
-}

@@ -78,15 +78,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// Reshape returns a new matrix header sharing m's storage with the given
-// dimensions. rows*cols must equal m.Len().
-func (m *Matrix) Reshape(rows, cols int) (*Matrix, error) {
-	if rows*cols != len(m.data) {
-		return nil, fmt.Errorf("tensor: cannot reshape %dx%d to %dx%d: %w", m.rows, m.cols, rows, cols, ErrShape)
-	}
-	return &Matrix{rows: rows, cols: cols, data: m.data}, nil
-}
-
 // SameShape reports whether m and o have identical dimensions.
 func (m *Matrix) SameShape(o *Matrix) bool {
 	return m.rows == o.rows && m.cols == o.cols
@@ -132,65 +123,12 @@ func (m *Matrix) String() string {
 	return fmt.Sprintf("Matrix(%dx%d, %d elems)", m.rows, m.cols, len(m.data))
 }
 
-// Add returns m + o elementwise.
-func (m *Matrix) Add(o *Matrix) (*Matrix, error) {
-	if !m.SameShape(o) {
-		return nil, fmt.Errorf("tensor: add %dx%d to %dx%d: %w", m.rows, m.cols, o.rows, o.cols, ErrShape)
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + o.data[i]
-	}
-	return out, nil
-}
-
-// Sub returns m - o elementwise.
-func (m *Matrix) Sub(o *Matrix) (*Matrix, error) {
-	if !m.SameShape(o) {
-		return nil, fmt.Errorf("tensor: sub %dx%d from %dx%d: %w", o.rows, o.cols, m.rows, m.cols, ErrShape)
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - o.data[i]
-	}
-	return out, nil
-}
-
 // Scale multiplies every element by s in place and returns m.
 func (m *Matrix) Scale(s float32) *Matrix {
 	for i := range m.data {
 		m.data[i] *= s
 	}
 	return m
-}
-
-// MatVec computes m · x for a vector x of length Cols, returning a vector of
-// length Rows.
-func (m *Matrix) MatVec(x []float32) ([]float32, error) {
-	if len(x) != m.cols {
-		return nil, fmt.Errorf("tensor: matvec %dx%d with vec %d: %w", m.rows, m.cols, len(x), ErrShape)
-	}
-	out := make([]float32, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var s float32
-		for j, w := range row {
-			s += w * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// MatMul returns m · o. It delegates to the blocked, parallel Gemm kernel;
-// MatMulRef is the reference implementation both are checked against.
-func (m *Matrix) MatMul(o *Matrix) (*Matrix, error) {
-	if m.cols != o.rows {
-		return nil, fmt.Errorf("tensor: matmul %dx%d by %dx%d: %w", m.rows, m.cols, o.rows, o.cols, ErrShape)
-	}
-	out := NewMatrix(m.rows, o.cols)
-	GemmStrided(m.rows, o.cols, m.cols, m.data, m.cols, o.data, o.cols, out.data, o.cols, true)
-	return out, nil
 }
 
 // MatMulRef is the reference triple-loop product kept for cross-checking the
@@ -242,11 +180,4 @@ func transposeBlocked(rows, cols int, src []float32, lds int, dst []float32, ldd
 			}
 		}
 	}
-}
-
-// Transpose returns mᵀ (cache-blocked tiles).
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	transposeBlocked(m.rows, m.cols, m.data, m.cols, out.data, m.rows)
-	return out
 }

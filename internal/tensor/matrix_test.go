@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -68,20 +67,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	m := MustFromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	r, err := m.Reshape(3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.At(2, 1) != 6 {
-		t.Fatalf("reshaped At(2,1) = %v", r.At(2, 1))
-	}
-	if _, err := m.Reshape(4, 2); !errors.Is(err, ErrShape) {
-		t.Fatalf("want ErrShape, got %v", err)
-	}
-}
-
 func TestEqualBitwise(t *testing.T) {
 	nan := float32(math.NaN())
 	a := MustFromSlice(1, 2, []float32{nan, 1})
@@ -106,43 +91,37 @@ func TestApproxEqual(t *testing.T) {
 	}
 }
 
+// Matrices add and subtract through AddScaled on their data (alpha ±1) and
+// scale in place through Scale.
 func TestAddSubScale(t *testing.T) {
 	a := MustFromSlice(1, 3, []float32{1, 2, 3})
 	b := MustFromSlice(1, 3, []float32{4, 5, 6})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := MustFromSlice(1, 3, []float32{5, 7, 9})
-	if !sum.Equal(want) {
+	sum := b.Clone()
+	AddScaled(sum.Data(), a.Data(), 1)
+	if !sum.Equal(MustFromSlice(1, 3, []float32{5, 7, 9})) {
 		t.Fatalf("sum = %v", sum)
 	}
-	diff, err := b.Sub(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diff := b.Clone()
+	AddScaled(diff.Data(), a.Data(), -1)
 	if !diff.Equal(MustFromSlice(1, 3, []float32{3, 3, 3})) {
 		t.Fatalf("diff = %v", diff)
 	}
-	if _, err := a.Add(NewMatrix(2, 2)); !errors.Is(err, ErrShape) {
-		t.Fatal("want shape error")
-	}
-	a.Scale(2)
-	if !a.Equal(MustFromSlice(1, 3, []float32{2, 4, 6})) {
+	if a.Scale(2) != a || !a.Equal(MustFromSlice(1, 3, []float32{2, 4, 6})) {
 		t.Fatalf("scaled = %v", a)
 	}
 }
 
+// A product with a one-column right operand runs Gemm's n == 1 path.
 func TestMatVec(t *testing.T) {
 	m := MustFromSlice(2, 3, []float32{1, 0, 2, 0, 1, -1})
-	y, err := m.MatVec([]float32{1, 2, 3})
-	if err != nil {
+	y := NewMatrix(2, 1)
+	if err := Gemm(y, m, MustFromSlice(3, 1, []float32{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
-	if y[0] != 7 || y[1] != -1 {
+	if y.At(0, 0) != 7 || y.At(1, 0) != -1 {
 		t.Fatalf("y = %v", y)
 	}
-	if _, err := m.MatVec([]float32{1}); !errors.Is(err, ErrShape) {
+	if err := Gemm(y, m, MustFromSlice(1, 1, []float32{1})); !errors.Is(err, ErrShape) {
 		t.Fatal("want shape error")
 	}
 }
@@ -151,7 +130,7 @@ func TestMatMulAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := RandMatrix(rng, 4, 5, 1)
 	b := RandMatrix(rng, 5, 3, 1)
-	got, err := a.MatMul(b)
+	got, err := a.MatMulRef(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +145,9 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		}
 	}
 	if !got.ApproxEqual(want, 1e-5) {
-		t.Fatal("MatMul disagrees with naive triple loop")
+		t.Fatal("MatMulRef disagrees with naive triple loop")
 	}
-	if _, err := a.MatMul(a); !errors.Is(err, ErrShape) {
+	if _, err := a.MatMulRef(a); !errors.Is(err, ErrShape) {
 		t.Fatal("want shape error for incompatible matmul")
 	}
 }
@@ -262,44 +241,6 @@ func TestPerturbChangesCopyOnly(t *testing.T) {
 	}
 }
 
-func TestMatrixSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	m := RandMatrix(rng, 7, 5, 3)
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) {
-		t.Fatalf("WriteTo reported %d bytes, buffer has %d", n, buf.Len())
-	}
-	got, err := ReadMatrix(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestReadMatrixBadMagic(t *testing.T) {
-	if _, err := ReadMatrix(bytes.NewReader(make([]byte, 12))); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-}
-
-func TestReadMatrixTruncated(t *testing.T) {
-	m := NewMatrix(4, 4)
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadMatrix(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("expected error for truncated body")
-	}
-}
-
 func TestBytesRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -324,4 +265,11 @@ func TestRandMatrixDeterministic(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("same seed must produce identical matrices")
 	}
+}
+
+// Transpose returns mᵀ (cache-blocked tiles), for building references.
+func (m *Matrix) Transpose() *Matrix {
+	out := NewMatrix(m.cols, m.rows)
+	transposeBlocked(m.rows, m.cols, m.data, m.cols, out.data, m.rows)
+	return out
 }
