@@ -4,7 +4,7 @@
 // versioning system, the DQL model exploration/enumeration language, and
 // the PAS read-optimized parameter archival store, together with every
 // substrate they depend on (a pure-Go DNN engine, synthetic datasets, an
-// embedded relational catalog, a hosted sharing service, and the
+// typed metadata catalog, a hosted sharing service, and the
 // storage-plan optimization algorithms).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and

@@ -1,6 +1,6 @@
 // Package core is the ModelHub facade: one documented entry point wiring
-// the DLV version control system, the relational catalog, the DQL engine,
-// the PAS parameter archive, and the hub client together (paper Fig. 3).
+// the DLV version control system and its catalog, the DQL engine, the PAS
+// parameter archive, and the hub client together (paper Fig. 3).
 // The command-line tool and the examples program against this API.
 package core
 

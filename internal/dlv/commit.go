@@ -2,14 +2,11 @@ package dlv
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"time"
 
-	"modelhub/internal/catalog"
 	"modelhub/internal/dnn"
 	"modelhub/internal/obs"
 	"modelhub/internal/tensor"
@@ -29,7 +26,7 @@ type CommitInput struct {
 	NetDef *dnn.NetDef
 	// Hyper holds training hyperparameters recorded as metadata.
 	Hyper map[string]string
-	// Log holds per-iteration training measurements.
+	// Log holds per-iteration training measurements, in iteration order.
 	Log []dnn.LogEntry
 	// Checkpoints are the intermediate weight snapshots, in iteration order.
 	Checkpoints []dnn.Checkpoint
@@ -61,96 +58,42 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 		span.SetAttrInt("dlv.version", id)
 		span.End()
 	}()
-	if in.Name == "" {
-		return 0, fmt.Errorf("%w: commit needs a model name", ErrRepo)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	id = 1
+	if n := len(r.versions); n > 0 {
+		id = r.versions[n-1].ID + 1
 	}
-	if in.NetDef == nil {
-		return 0, fmt.Errorf("%w: commit needs a network definition", ErrRepo)
-	}
-	if err := in.NetDef.Validate(); err != nil {
-		return 0, err
-	}
-	if in.ParentID != 0 {
-		if _, ok, err := r.db.Get("model_version", in.ParentID); err != nil {
-			return 0, err
-		} else if !ok {
-			return 0, fmt.Errorf("%w: parent version %d does not exist", ErrRepo, in.ParentID)
-		}
-	}
-	id, err = r.nextVersionID()
-	if err != nil {
-		return 0, err
-	}
-	ndJSON, err := in.NetDef.ToJSON()
-	if err != nil {
-		return 0, err
-	}
-	if err := r.db.Insert("model_version", catalog.Row{
-		"id": id, "name": in.Name, "netdef": string(ndJSON), "msg": in.Msg,
-		"created": r.now().UTC().Format(time.RFC3339), "accuracy": finiteOr(in.Accuracy, 0),
-		"archived": false,
-	}); err != nil {
-		return 0, err
-	}
-	for _, n := range in.NetDef.Nodes {
-		attrs, err := json.Marshal(n)
-		if err != nil {
-			return 0, err
-		}
-		if err := r.db.Insert("node", catalog.Row{
-			"version_id": id, "name": n.Name, "kind": n.Kind, "attrs": string(attrs),
-		}); err != nil {
-			return 0, err
-		}
-	}
-	for _, e := range in.NetDef.Edges {
-		if err := r.db.Insert("edge", catalog.Row{"version_id": id, "efrom": e.From, "eto": e.To}); err != nil {
-			return 0, err
-		}
-	}
-	if in.ParentID != 0 {
-		if err := r.db.Insert("parent", catalog.Row{"base": in.ParentID, "derived": id, "msg": in.Msg}); err != nil {
-			return 0, err
-		}
-	}
-	for _, k := range slices.Sorted(maps.Keys(in.Hyper)) {
-		if err := r.db.Insert("metadata", catalog.Row{"version_id": id, "mkey": k, "mvalue": in.Hyper[k]}); err != nil {
-			return 0, err
-		}
+	rec := record{Version: Version{
+		ID: id, Name: in.Name, Msg: in.Msg, Created: r.now().UTC().Format(time.RFC3339),
+		Accuracy: finiteOr(in.Accuracy, 0), Hyper: cloneMap(in.Hyper), Files: map[string]string{},
+		ParentID: in.ParentID,
+	}}
+	if in.NetDef != nil {
+		rec.NetDef = in.NetDef.Clone()
 	}
 	for _, le := range in.Log {
-		if err := r.db.Insert("trainlog", catalog.Row{
-			"version_id": id, "iter": int64(le.Iter),
-			// Diverged runs produce NaN/Inf losses; clamp so the catalog
-			// (JSON-backed) can always record the row.
-			"loss": finiteOr(le.Loss, math.MaxFloat64),
-			"acc":  finiteOr(le.Accuracy, 0),
-			"lr":   finiteOr(le.LR, 0),
-		}); err != nil {
-			return 0, err
-		}
+		// Diverged runs produce NaN/Inf losses; clamp so the catalog
+		// (JSON-backed) can always record the entry.
+		rec.Log = append(rec.Log, dnn.LogEntry{
+			Iter:     le.Iter,
+			Loss:     finiteOr(le.Loss, math.MaxFloat64),
+			Accuracy: finiteOr(le.Accuracy, 0),
+			LR:       finiteOr(le.LR, 0),
+		})
 	}
 	var raw []rawSnapshot
 	for _, ck := range in.Checkpoints {
-		label := fmt.Sprintf("ckpt-%06d", ck.Iter)
-		raw = append(raw, rawSnapshot{label, ck.Weights})
-		if err := r.db.Insert("snapshot", catalog.Row{
-			"version_id": id, "snap": label, "iter": int64(ck.Iter), "latest": false,
-		}); err != nil {
-			return 0, err
-		}
+		raw = append(raw, rawSnapshot{fmt.Sprintf("ckpt-%06d", ck.Iter), ck.Weights})
 	}
 	if in.Final != nil {
 		raw = append(raw, rawSnapshot{LatestSnap, in.Final})
-		maxIter := int64(0)
-		if n := len(in.Checkpoints); n > 0 {
-			maxIter = int64(in.Checkpoints[n-1].Iter)
-		}
-		if err := r.db.Insert("snapshot", catalog.Row{
-			"version_id": id, "snap": LatestSnap, "iter": maxIter, "latest": true,
-		}); err != nil {
-			return 0, err
-		}
+	}
+	for _, s := range raw {
+		rec.Snapshots = append(rec.Snapshots, s.label)
+	}
+	if err := checkRecord(r.versions, &rec); err != nil {
+		return 0, fmt.Errorf("%w: commit: %w", ErrRepo, err)
 	}
 	// The weights file is durable before the catalog that lists the
 	// version is saved.
@@ -172,30 +115,15 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 	for path, content := range in.Files {
 		files[path] = content
 	}
-	for _, path := range slices.Sorted(maps.Keys(files)) {
-		sha, err := r.putObject(files[path])
-		if err != nil {
-			return 0, err
-		}
-		if err := r.db.Insert("file", catalog.Row{"version_id": id, "path": path, "sha": sha}); err != nil {
+	for path, content := range files {
+		if rec.Files[path], err = r.putObject(content); err != nil {
 			return 0, err
 		}
 	}
-	if err := r.db.Save(); err != nil {
+	if err := r.saveCatalog(append(slices.Clip(r.versions), rec)); err != nil {
 		return 0, err
 	}
 	return id, nil
-}
-
-func (r *Repo) nextVersionID() (int64, error) {
-	rows, err := r.db.Select("model_version", catalog.Query{OrderBy: "id", Desc: true, Limit: 1})
-	if err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 {
-		return 1, nil
-	}
-	return rows[0]["id"].(int64) + 1, nil
 }
 
 // Copy scaffolds a new model version from an existing one (dlv copy): same

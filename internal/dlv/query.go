@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"modelhub/internal/catalog"
 	"modelhub/internal/dnn"
 )
 
@@ -31,157 +30,60 @@ type Version struct {
 
 // Version loads one model version by id.
 func (r *Repo) Version(id int64) (*Version, error) {
-	row, ok, err := r.db.Get("model_version", id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	rec := r.find(id)
+	if rec == nil {
 		return nil, fmt.Errorf("%w: no version %d", ErrRepo, id)
 	}
-	return r.versionFromRow(row)
+	return rec.version(), nil
 }
 
 // VersionByName returns the newest version with the given name.
 func (r *Repo) VersionByName(name string) (*Version, error) {
-	rows, err := r.db.Select("model_version", catalog.Query{
-		Where:   []catalog.Cond{{Col: "name", Op: catalog.Eq, Val: name}},
-		OrderBy: "id", Desc: true, Limit: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("%w: no version named %q", ErrRepo, name)
-	}
-	return r.versionFromRow(rows[0])
-}
-
-func (r *Repo) versionFromRow(row catalog.Row) (*Version, error) {
-	id := row["id"].(int64)
-	def, err := dnn.NetDefFromJSON([]byte(row["netdef"].(string)))
-	if err != nil {
-		return nil, err
-	}
-	v := &Version{
-		ID:       id,
-		Name:     row["name"].(string),
-		Msg:      stringOr(row["msg"]),
-		Created:  stringOr(row["created"]),
-		Accuracy: floatOr(row["accuracy"]),
-		Archived: boolOr(row["archived"]),
-		NetDef:   def,
-		Hyper:    map[string]string{},
-		Files:    map[string]string{},
-	}
-	metaRows, err := r.db.Select("metadata", catalog.Query{
-		Where: []catalog.Cond{{Col: "version_id", Op: catalog.Eq, Val: id}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range metaRows {
-		v.Hyper[m["mkey"].(string)] = m["mvalue"].(string)
-	}
-	snapRows, err := r.db.Select("snapshot", catalog.Query{
-		Where:   []catalog.Cond{{Col: "version_id", Op: catalog.Eq, Val: id}},
-		OrderBy: "iter",
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.SliceStable(snapRows, func(a, b int) bool {
-		// Same iteration: checkpoints before latest.
-		ia, ib := snapRows[a]["iter"].(int64), snapRows[b]["iter"].(int64)
-		if ia != ib {
-			return ia < ib
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for i := len(r.versions) - 1; i >= 0; i-- {
+		if r.versions[i].Name == name {
+			return r.versions[i].version(), nil
 		}
-		return !boolOr(snapRows[a]["latest"]) && boolOr(snapRows[b]["latest"])
-	})
-	for _, s := range snapRows {
-		v.Snapshots = append(v.Snapshots, s["snap"].(string))
 	}
-	fileRows, err := r.db.Select("file", catalog.Query{
-		Where: []catalog.Cond{{Col: "version_id", Op: catalog.Eq, Val: id}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range fileRows {
-		v.Files[f["path"].(string)] = f["sha"].(string)
-	}
-	parentRows, err := r.db.Select("parent", catalog.Query{
-		Where: []catalog.Cond{{Col: "derived", Op: catalog.Eq, Val: id}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(parentRows) > 0 {
-		v.ParentID = parentRows[0]["base"].(int64)
-	}
-	return v, nil
+	return nil, fmt.Errorf("%w: no version named %q", ErrRepo, name)
 }
 
 // List returns summaries of all versions in id order (dlv list).
 func (r *Repo) List() ([]*Version, error) {
-	rows, err := r.db.Select("model_version", catalog.Query{OrderBy: "id"})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Version, 0, len(rows))
-	for _, row := range rows {
-		v, err := r.versionFromRow(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]*Version, len(r.versions))
+	for i := range r.versions {
+		out[i] = r.versions[i].version()
 	}
 	return out, nil
 }
 
-// TrainLog returns the per-iteration measurements of a version (dlv desc).
+// TrainLog returns the per-iteration measurements of a version (dlv desc);
+// a version without any, or an unknown id, has an empty log.
 func (r *Repo) TrainLog(id int64) ([]dnn.LogEntry, error) {
-	rows, err := r.db.Select("trainlog", catalog.Query{
-		Where:   []catalog.Cond{{Col: "version_id", Op: catalog.Eq, Val: id}},
-		OrderBy: "iter",
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]dnn.LogEntry, 0, len(rows))
-	for _, row := range rows {
-		out = append(out, dnn.LogEntry{
-			Iter:     int(row["iter"].(int64)),
-			Loss:     floatOr(row["loss"]),
-			Accuracy: floatOr(row["acc"]),
-			LR:       floatOr(row["lr"]),
-		})
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := []dnn.LogEntry{}
+	if rec := r.find(id); rec != nil {
+		out = append(out, rec.Log...)
 	}
 	return out, nil
 }
 
-// Lineage returns the chain of ancestor version ids, nearest first.
+// Lineage returns the chain of ancestor version ids, nearest first. It ends
+// because every parent is an earlier version.
 func (r *Repo) Lineage(id int64) ([]int64, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var out []int64
-	seen := map[int64]bool{id: true}
-	cur := id
-	for {
-		rows, err := r.db.Select("parent", catalog.Query{
-			Where: []catalog.Cond{{Col: "derived", Op: catalog.Eq, Val: cur}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(rows) == 0 {
-			return out, nil
-		}
-		base := rows[0]["base"].(int64)
-		if seen[base] {
-			return nil, fmt.Errorf("%w: lineage cycle at version %d", ErrRepo, base)
-		}
-		seen[base] = true
-		out = append(out, base)
-		cur = base
+	for rec := r.find(id); rec != nil && rec.ParentID != 0; rec = r.find(rec.ParentID) {
+		out = append(out, rec.ParentID)
 	}
+	return out, nil
 }
 
 // DiffReport is the structural comparison of two versions (dlv diff).
@@ -278,25 +180,4 @@ func (r *Repo) Describe(id int64) (string, error) {
 	}
 	fmt.Fprintf(&b, "  snapshots: %s\n", strings.Join(v.Snapshots, ", "))
 	return b.String(), nil
-}
-
-func stringOr(v any) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	return ""
-}
-
-func floatOr(v any) float64 {
-	if f, ok := v.(float64); ok {
-		return f
-	}
-	return 0
-}
-
-func boolOr(v any) bool {
-	if b, ok := v.(bool); ok {
-		return b
-	}
-	return false
 }

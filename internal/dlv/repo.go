@@ -1,10 +1,10 @@
 // Package dlv implements the DLV model versioning system (paper Sec. III):
 // a git-like version control system specialized for DNN modeling artifacts.
-// A repository stores, per model version: the network definition N (as
-// node/edge relations), the learned weights W, extracted metadata M (hyper-
-// parameters, per-iteration training measurements), and associated files F
-// (content-addressed, like git blobs). Lineage between versions lives in
-// the parent relation.
+// A repository stores, per model version: the network definition N, the
+// learned weights W, extracted metadata M (hyperparameters, per-iteration
+// training measurements), and associated files F (content-addressed, like
+// git blobs). N, M, the names of F and the parent that records lineage are
+// one catalog record per version (catalog.go).
 //
 // A version's weights live in exactly one place: a raw file written at
 // commit until the version's first `dlv archive`, the PAS archive after it.
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"modelhub/internal/atomicfile"
-	"modelhub/internal/catalog"
 	"modelhub/internal/pas"
 )
 
@@ -43,7 +42,10 @@ var ErrRepo = errors.New("dlv: repository error")
 // Repo is an opened DLV repository.
 type Repo struct {
 	root string
-	db   *catalog.DB
+	// mu guards versions, the catalog in id order. A change saves a new
+	// slice and then swaps it in, so records are never modified in place.
+	mu       sync.RWMutex
+	versions []record
 	// now is the clock, replaceable in tests.
 	now func() time.Time
 
@@ -65,96 +67,29 @@ func Init(root string) (*Repo, error) {
 			return nil, fmt.Errorf("%w: %v", ErrRepo, err)
 		}
 	}
-	db, err := catalog.Open(filepath.Join(meta, catalogFile))
-	if err != nil {
+	r := &Repo{root: root, now: time.Now}
+	if err := r.saveCatalog([]record{}); err != nil {
 		return nil, err
 	}
-	if err := createSchema(db); err != nil {
-		return nil, err
-	}
-	if err := db.Save(); err != nil {
-		return nil, err
-	}
-	return &Repo{root: root, db: db, now: time.Now}, nil
+	return r, nil
 }
 
-// Open loads an existing repository.
+// Open loads an existing repository. The whole catalog is read and checked
+// here, so a malformed or inconsistent one fails Open with ErrRepo.
 func Open(root string) (*Repo, error) {
 	meta := filepath.Join(root, dlvDir)
 	if _, err := os.Stat(meta); err != nil {
 		return nil, fmt.Errorf("%w: no repository at %s", ErrRepo, root)
 	}
-	db, err := catalog.Open(filepath.Join(meta, catalogFile))
+	recs, err := loadCatalog(filepath.Join(meta, catalogFile))
 	if err != nil {
 		return nil, err
 	}
-	if !db.HasTable("model_version") {
-		return nil, fmt.Errorf("%w: catalog missing model_version table", ErrRepo)
-	}
-	return &Repo{root: root, db: db, now: time.Now}, nil
+	return &Repo{root: root, versions: recs, now: time.Now}, nil
 }
 
 // Root returns the repository root directory.
 func (r *Repo) Root() string { return r.root }
-
-func createSchema(db *catalog.DB) error {
-	schemas := []catalog.Schema{
-		{Name: "model_version", Columns: []catalog.Column{
-			{Name: "id", Type: catalog.Int, Primary: true},
-			{Name: "name", Type: catalog.Text, Indexed: true},
-			{Name: "netdef", Type: catalog.Text},
-			{Name: "msg", Type: catalog.Text},
-			{Name: "created", Type: catalog.Text},
-			{Name: "accuracy", Type: catalog.Float},
-			{Name: "archived", Type: catalog.Bool},
-		}},
-		{Name: "node", Columns: []catalog.Column{
-			{Name: "version_id", Type: catalog.Int, Indexed: true},
-			{Name: "name", Type: catalog.Text},
-			{Name: "kind", Type: catalog.Text},
-			{Name: "attrs", Type: catalog.Text},
-		}},
-		{Name: "edge", Columns: []catalog.Column{
-			{Name: "version_id", Type: catalog.Int, Indexed: true},
-			{Name: "efrom", Type: catalog.Text},
-			{Name: "eto", Type: catalog.Text},
-		}},
-		{Name: "parent", Columns: []catalog.Column{
-			{Name: "base", Type: catalog.Int},
-			{Name: "derived", Type: catalog.Int, Indexed: true},
-			{Name: "msg", Type: catalog.Text},
-		}},
-		{Name: "metadata", Columns: []catalog.Column{
-			{Name: "version_id", Type: catalog.Int, Indexed: true},
-			{Name: "mkey", Type: catalog.Text},
-			{Name: "mvalue", Type: catalog.Text},
-		}},
-		{Name: "trainlog", Columns: []catalog.Column{
-			{Name: "version_id", Type: catalog.Int, Indexed: true},
-			{Name: "iter", Type: catalog.Int},
-			{Name: "loss", Type: catalog.Float},
-			{Name: "acc", Type: catalog.Float},
-			{Name: "lr", Type: catalog.Float},
-		}},
-		{Name: "snapshot", Columns: []catalog.Column{
-			{Name: "version_id", Type: catalog.Int, Indexed: true},
-			{Name: "snap", Type: catalog.Text},
-			{Name: "iter", Type: catalog.Int},
-			{Name: "latest", Type: catalog.Bool},
-		}},
-		{Name: "file", Columns: []catalog.Column{
-			{Name: "version_id", Type: catalog.Int, Indexed: true},
-			{Name: "path", Type: catalog.Text},
-			{Name: "sha", Type: catalog.Text},
-		}},
-	}
-	for _, s := range schemas {
-		if err := db.CreateTable(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // putObject stores content in the content-addressed object store and
 // returns its hex SHA-256. The object is written durably (atomicfile), and

@@ -14,7 +14,6 @@ import (
 	"slices"
 
 	"modelhub/internal/atomicfile"
-	"modelhub/internal/catalog"
 	"modelhub/internal/floatenc"
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
@@ -102,22 +101,8 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 	} else if next, err = r.replan(held, cur, opts); err != nil {
 		return nil, err
 	}
-	changed := false
-	for _, v := range held {
-		if v.Archived {
-			continue
-		}
-		if _, err := r.db.Update("model_version",
-			[]catalog.Cond{{Col: "id", Op: catalog.Eq, Val: v.ID}},
-			catalog.Row{"archived": true}); err != nil {
-			return nil, err
-		}
-		changed = true
-	}
-	if changed {
-		if err := r.db.Save(); err != nil {
-			return nil, err
-		}
+	if err := r.setArchived(held); err != nil {
+		return nil, err
 	}
 	r.setArchive(next)
 	for _, v := range held {
@@ -127,6 +112,24 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 		}
 	}
 	return next, nil
+}
+
+// setArchived flags vs archived in the catalog and saves it, unless every
+// one already is.
+func (r *Repo) setArchived(vs []*Version) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := slices.Clone(r.versions)
+	changed := false
+	for _, v := range vs {
+		if i, ok := slices.BinarySearchFunc(next, v.ID, byID); ok && !next[i].Archived {
+			next[i].Archived, changed = true, true
+		}
+	}
+	if !changed {
+		return nil
+	}
+	return r.saveCatalog(next)
 }
 
 // heldVersions lists the versions that have weights, in id order.

@@ -235,7 +235,8 @@ func (n *NetDef) Clone() *NetDef {
 }
 
 // MarshalJSON/Unmarshal round-trips are provided by the struct tags; ToJSON
-// and FromJSON are convenience wrappers used by the catalog and DLV.
+// and NetDefFromJSON are convenience wrappers for text that holds one
+// definition (the dlv CLI's output, DLV's older relational catalog).
 func (n *NetDef) ToJSON() ([]byte, error) { return json.MarshalIndent(n, "", "  ") }
 
 // NetDefFromJSON parses a NetDef and validates it.

@@ -3,6 +3,7 @@ package dql
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"modelhub/internal/data"
@@ -68,6 +69,35 @@ func TestSelectByNameAndAccuracy(t *testing.T) {
 	}
 	if len(res.Versions) != 1 || res.Versions[0].Name != "lenet" {
 		t.Fatalf("conjunction = %v", res.Versions)
+	}
+}
+
+// LIKE selects by name with both wildcards, anchored at both ends, and is
+// refused on a numeric attribute.
+func TestSelectNameLike(t *testing.T) {
+	_, eng := populated(t)
+	for q, want := range map[string][]string{
+		`select m where m.name like "alexnet_%"`: {"alexnet_v1", "alexnet_v2"},
+		`select m where m.name like "%_v1"`:      {"alexnet_v1", "lenet-avgv1"},
+		`select m where m.name like "%-avgv_"`:   {"lenet-avgv1"},
+		`select m where m.name like "lene_"`:     {"lenet"},
+		`select m where m.name like "lenet"`:     {"lenet"},
+		`select m where m.name like "net%"`:      nil,
+	} {
+		res, err := eng.Run(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		var got []string
+		for _, v := range res.Versions {
+			got = append(got, v.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s = %v, want %v", q, got, want)
+		}
+	}
+	if _, err := eng.Run(`select m where m.accuracy like "0.%"`); !errors.Is(err, ErrQuery) {
+		t.Fatalf("LIKE on accuracy = %v, want ErrQuery", err)
 	}
 }
 

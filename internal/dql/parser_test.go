@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestLexBasics(t *testing.T) {
@@ -243,6 +244,70 @@ func TestGlobLike(t *testing.T) {
 	}
 	if !globLike("%", "") || !globLike("a_c", "abc") || globLike("a_c", "ac") {
 		t.Fatal("globLike wildcards wrong")
+	}
+}
+
+func TestGlobLikeProperty(t *testing.T) {
+	// A pattern equal to the string (no wildcards) always matches; adding a
+	// trailing % keeps it matching any extension.
+	f := func(s string, suffix string) bool {
+		if len(s) > 20 || len(suffix) > 20 {
+			return true
+		}
+		clean := stripWildcards(s)
+		ext := stripWildcards(suffix)
+		return globLike(clean, clean) && globLike(clean+"%", clean+ext)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func stripWildcards(s string) string {
+	return strings.NewReplacer("%", "", "_", "").Replace(s)
+}
+
+func TestGlobLikeCases(t *testing.T) {
+	cases := []struct {
+		pat, s string
+		want   bool
+	}{
+		{"%", "", true},
+		{"%%", "anything", true},
+		{"a%b", "ab", true},
+		{"a%b", "axxxb", true},
+		{"a%b", "axxxc", false},
+		{"_", "x", true},
+		{"_", "", false},
+		{"a_c", "abc", true},
+		{"a_c", "ac", false},
+		{"", "", true},
+		{"", "x", false},
+	}
+	for _, c := range cases {
+		if got := globLike(c.pat, c.s); got != c.want {
+			t.Errorf("globLike(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
+		}
+	}
+}
+
+// Adversarial patterns stay fast: the iterative matcher is
+// O(len(p)·len(s)), where a recursive one is exponential here.
+func TestGlobLikeAdversarial(t *testing.T) {
+	s := strings.Repeat("a", 2000) + "b"
+	p := strings.Repeat("%a", 30) + "%c"
+	done := make(chan bool, 1)
+	go func() { done <- globLike(p, s) }()
+	select {
+	case got := <-done:
+		if got {
+			t.Fatal("pattern must not match")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("globLike too slow on adversarial input")
+	}
+	if !globLike(strings.Repeat("%a", 30)+"%b", s) {
+		t.Fatal("matching adversarial pattern must succeed")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 
 	"modelhub/internal/dlv"
 	"modelhub/internal/dnn"
+	"modelhub/internal/obs"
 	"modelhub/internal/tensor"
 	"modelhub/internal/zoo"
 )
@@ -176,6 +177,32 @@ func TestPublishRejectsCorruptSegment(t *testing.T) {
 	}
 	if res, err := client.Search(context.Background(), "corrupt"); err != nil || len(res) != 0 {
 		t.Fatalf("search after rejected publish = %+v, %v", res, err)
+	}
+}
+
+// A published repository whose catalog has a version without its network
+// definition, in either catalog form, is refused with 400 like any other
+// bad archive, and no handler panics on the way.
+func TestPublishRejectsCatalogWithoutNetdef(t *testing.T) {
+	obs.Enable()
+	t.Cleanup(obs.Disable)
+	panics := obs.GetCounter("hub.http.panics")
+	before := panics.Value()
+	_, client := newTestServer(t)
+	for form, catalog := range map[string]string{
+		"tables": `{"tables":[{"schema":{"name":"model_version","columns":[{"name":"id","type":0,"primary":true},` +
+			`{"name":"name","type":2,"indexed":true},{"name":"netdef","type":2},{"name":"msg","type":2},` +
+			`{"name":"created","type":2},{"name":"accuracy","type":1},{"name":"archived","type":3}]},` +
+			`"rows":[{"id":1,"name":"m","archived":false}]}]}`,
+		"versions": `{"versions":[{"ID":1,"Name":"m"}]}`,
+	} {
+		blob := tarGz(t, map[string]string{".dlv/catalog.json": catalog})
+		if status, msg := postPublish(t, client, "no-netdef-"+form, blob); status != http.StatusBadRequest {
+			t.Fatalf("publish of a %s catalog without netdef = %d %q, want 400", form, status, msg)
+		}
+	}
+	if got := panics.Value(); got != before {
+		t.Fatalf("hub.http.panics moved %d -> %d", before, got)
 	}
 }
 

@@ -13,15 +13,12 @@ const (
 	testHelper = "helper that other packages' tests import (a _test.go file cannot export across packages)"
 	neutral    = "spanend names it as a neutral Span method"
 	dispatched = "errors.Is and errors.As call it through an anonymous interface"
-	catalog14c = "ROADMAP 14(c) rewrites catalog persistence; decided there"
 )
 
 // unusedAllowed lists the exported functions and methods in internal/ that
 // no non-test code calls but that stay, each with the reason it stays. Keys
 // are "pkg.Func" or "pkg.Type.Method" with pkg the last import path element.
 var unusedAllowed = map[string]string{
-	"catalog.DB.Count":            catalog14c,
-	"catalog.DB.Delete":           catalog14c,
 	"data.Blobs":                  testHelper,
 	"data.SaveExamples":           testHelper,
 	"delta.Delta.Apply":           oracle,
