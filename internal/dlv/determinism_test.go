@@ -26,8 +26,10 @@ import (
 // produced by the per-example training runtime and pure-Go GEMM kernels that
 // preceded the batched runtime and the AVX2 micro-kernel, so a match proves
 // that both reproduce their results bit for bit, not only that they agree
-// with themselves.
-const pipelineDigest = "ba4617a4b301f36a066eee1054c833aac98c55699b4bf0bffd627c64cabe4e9a"
+// with themselves. It was re-pinned once since, when the archive's segment
+// index folded into its manifest: the weights, losses, accuracies and
+// segment files hashed the same before and after, only the metadata moved.
+const pipelineDigest = "32e0b3e5f813552c340f0842e6f7b610e086fcc4315f86be7ddd1831b8b3acb0"
 
 // trainEvalArchiveDigest trains three zoo models (two chains and a
 // residual DAG) with dnn.Train, measures held-out accuracy with

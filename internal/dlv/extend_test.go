@@ -205,9 +205,9 @@ func TestArchiveExtendsPerCommit(t *testing.T) {
 }
 
 // Repacking a repository archived after every commit yields the archive a
-// single archive of the same commits writes: the same manifest, byte for
-// byte, and the same live payloads, with nothing else stored. Repack right
-// after that single archive changes no manifest byte.
+// single archive of the same commits writes: the same plan, node for node,
+// and the same live payloads, with nothing else stored. Repack right after
+// that single archive changes no manifest byte.
 func TestRepackReplansLikeOneArchive(t *testing.T) {
 	ins := synthLineage(82, []int64{0, 1, 2, 2, 4})
 	opts := ArchiveOptions{Algorithm: "pas-mt", Alpha: 1.6}
@@ -226,48 +226,97 @@ func TestRepackReplansLikeOneArchive(t *testing.T) {
 	if _, err := once.Archive(opts); err != nil {
 		t.Fatal(err)
 	}
-	extended, _, _ := manifestEntries(t, perCommit)
-	want, _, _ := manifestEntries(t, once)
+	extended, want := planOf(t, perCommit), planOf(t, once)
 	if bytes.Equal(extended, want) {
 		t.Fatal("extending per commit planned what one archive plans; the fixture does not tell the two paths apart")
 	}
 	if _, err := perCommit.Repack(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := manifestEntries(t, perCommit); !bytes.Equal(got, want) {
-		t.Fatal("repack did not re-plan to the manifest one archive writes")
+	if got := planOf(t, perCommit); !bytes.Equal(got, want) {
+		t.Fatal("repack did not re-plan to the plan one archive writes")
 	}
 	if a, b := storedSums(t, perCommit), storedSums(t, once); !slices.Equal(a, b) {
 		t.Fatalf("repacked archive stores %d payloads, one archive %d", len(a), len(b))
 	}
+	manifest, _, _ := manifestEntries(t, once)
 	if _, err := once.Repack(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := manifestEntries(t, once); !bytes.Equal(got, want) {
+	if got, _, _ := manifestEntries(t, once); !bytes.Equal(got, manifest) {
 		t.Fatal("repack right after a full archive changed the manifest")
 	}
 	checkArchived(t, perCommit, ins)
 }
 
-// storedSums lists the payload digests the archive's segment index holds.
+// storedSums lists the payload digests the archive's chunk table holds.
 func storedSums(t *testing.T, r *Repo) []string {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(r.pasPath(), "segments", "index.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var idx struct {
-		Chunks map[string]json.RawMessage `json:"chunks"`
-	}
-	if err := json.Unmarshal(blob, &idx); err != nil {
-		t.Fatal(err)
-	}
 	var sums []string
-	for sum := range idx.Chunks {
-		sums = append(sums, sum)
+	for _, c := range storedChunks(t, storedManifest(t, r)) {
+		sums = append(sums, c.Sum)
 	}
 	slices.Sort(sums)
 	return sums
+}
+
+// storedManifest decodes the archive's manifest.json one field deep.
+func storedManifest(t *testing.T, r *Repo) map[string]json.RawMessage {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(r.pasPath(), "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// storedChunks decodes a manifest's chunk table as far as its digests.
+func storedChunks(t *testing.T, man map[string]json.RawMessage) (chunks []struct {
+	Sum string `json:"sha256"`
+}) {
+	t.Helper()
+	if err := json.Unmarshal(man["chunks"], &chunks); err != nil {
+		t.Fatal(err)
+	}
+	return chunks
+}
+
+// planOf is the archive's manifest without where the chunks live — no
+// segment list, next segment number or chunk table, and each node naming its
+// planes' payload digests instead of chunk table positions — so two archives
+// of the same plan agree on it whatever their segment files.
+func planOf(t *testing.T, r *Repo) []byte {
+	t.Helper()
+	man := storedManifest(t, r)
+	chunks := storedChunks(t, man)
+	var nodes []map[string]json.RawMessage
+	if err := json.Unmarshal(man["nodes"], &nodes); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		var at []int
+		if err := json.Unmarshal(n["chunks"], &at); err != nil {
+			t.Fatal(err)
+		}
+		sums := make([]string, len(at))
+		for i, c := range at {
+			sums[i] = chunks[c].Sum
+		}
+		n["chunks"], _ = json.Marshal(sums)
+	}
+	man["nodes"], _ = json.Marshal(nodes)
+	delete(man, "next_seg")
+	delete(man, "segments")
+	delete(man, "chunks")
+	blob, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // An extension the archive rejects moves nothing: the manifest stays byte

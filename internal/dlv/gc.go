@@ -5,8 +5,8 @@ package dlv
 // payloads garbage instead — so a long-lived repository wants a GC that
 // reclaims them, and a repack that re-plans the archive globally and then
 // coalesces fragmented segment files. GC is safe under concurrent checkouts
-// of the same in-process store (pas commit order: write new segments → flip
-// index → unlink old). Repack swaps in a new store first, so a checkout
+// of the same in-process store (pas commit order: write new segments → write
+// the manifest with the new layout → unlink old). Repack swaps in a new store first, so a checkout
 // still reading through the old one can fail typed and is retried.
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -177,6 +178,44 @@ func TestPublishRejectsCorruptSegment(t *testing.T) {
 	}
 	if res, err := client.Search(context.Background(), "corrupt"); err != nil || len(res) != 0 {
 		t.Fatalf("search after rejected publish = %+v, %v", res, err)
+	}
+}
+
+// A PAS manifest that claims chunks far longer than its segment files hold
+// is refused with 400 by the publish probe, which reads the claimed bytes
+// into no buffer on the way.
+func TestPublishRejectsClaimedChunkLength(t *testing.T) {
+	_, client := newTestServer(t)
+	root, _ := makeArchivedRepo(t)
+	path := filepath.Join(root, ".dlv", "pas", "manifest.json")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.UseNumber()
+	if err := dec.Decode(&man); err != nil {
+		t.Fatal(err)
+	}
+	const claim = 64 << 20
+	segs := man["segments"].([]any)
+	for _, c := range man["chunks"].([]any) {
+		chunk := c.(map[string]any)
+		seg, _ := chunk["seg"].(json.Number).Int64()
+		off, _ := chunk["off"].(json.Number).Int64()
+		chunk["len"] = claim
+		segs[seg].(map[string]any)["size"] = off + claim
+	}
+	if blob, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, msg := postPublish(t, client, "claimed", packBytes(t, root))
+	if status != http.StatusBadRequest || !strings.Contains(msg, "archived weights unreadable") {
+		t.Fatalf("publish of a manifest claiming %d-byte chunks = %d %q, want 400 from the probe", claim, status, msg)
 	}
 }
 

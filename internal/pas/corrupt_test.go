@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -132,4 +133,73 @@ func TestBitFlipReportsChecksumMismatch(t *testing.T) {
 	if !sawMismatch {
 		t.Fatal("no retrieval reported the checksum mismatch")
 	}
+}
+
+// claimedArchive archives two snapshots and rewrites the stored manifest
+// through claim.
+func claimedArchive(t *testing.T, claim func(m *manifest)) (string, []SnapshotIn) {
+	t.Helper()
+	snaps := makeSnaps(110, 2, 0)
+	dir := t.TempDir()
+	st, err := Create(dir, snaps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), mutated(t, storedManifest(t, dir), claim), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, snaps
+}
+
+// claimChunk claims length bytes for chunk c and grows its segment's
+// claimed size to hold them.
+func claimChunk(m *manifest, c int, length int64) {
+	m.Chunks[c].Len = length
+	sf := &m.Segments[m.Chunks[c].Seg]
+	sf.Size = max(sf.Size, m.Chunks[c].Off+length)
+}
+
+// retrieveFailsSmall opens dir and retrieves snapshot id, which must fail
+// with ErrStore having allocated under 1 MiB on the way.
+func retrieveFailsSmall(t *testing.T, dir, id string) {
+	t.Helper()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	st, err := Open(dir)
+	if err == nil {
+		defer st.Close()
+		_, err = st.GetSnapshot(id, 4, Independent)
+	}
+	runtime.ReadMemStats(&m1)
+	if !errors.Is(err, ErrStore) {
+		t.Fatalf("retrieval = %v, want ErrStore", err)
+	}
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("failing the retrieval allocated %d bytes", grew)
+	}
+}
+
+// A chunk length the manifest claims sizes no buffer: the claim is
+// consistent with the segment size the manifest also claims, but the file
+// holds a few KB, so the read fails before allocating the 64 MiB.
+func TestClaimedChunkLengthAllocatesNothing(t *testing.T) {
+	dir, snaps := claimedArchive(t, func(m *manifest) { claimChunk(m, m.Nodes[0].Chunks[0], 64<<20) })
+	retrieveFailsSmall(t, dir, snaps[0].ID)
+}
+
+// Nor does a claimed shape: a 64 Mi-element node whose chunks claim 64 KiB
+// each passes Open's inflate bound, and retrieval fails before it sizes a
+// plane, because no chunk of that size is there to vouch for the shape.
+func TestClaimedShapeAllocatesNothing(t *testing.T) {
+	dir, snaps := claimedArchive(t, func(m *manifest) {
+		n := &m.Nodes[0]
+		n.Rows, n.Cols = 8<<10, 8<<10
+		for _, c := range n.Chunks {
+			claimChunk(m, c, 64<<10)
+		}
+	})
+	retrieveFailsSmall(t, dir, snaps[0].ID)
 }

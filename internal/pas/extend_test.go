@@ -91,12 +91,21 @@ func TestExtendKeepsTheStoredPlan(t *testing.T) {
 }
 
 // The bytes Extend writes are a function of its input alone: equal at every
-// worker count, like Create's.
+// worker count, like Create's. The segment files are pinned (segSum,
+// segBytes) as the version-2 writer wrote them; the whole archive is compared
+// with the serial run.
 func TestExtendBytesAreWorkerInvariant(t *testing.T) {
-	for _, opts := range []Options{
-		{Algorithm: "pas-mt", Alpha: 1.6},
-		{Algorithm: "pas-mt", Alpha: 1.6, PlaneGranularity: true},
+	for _, fx := range []struct {
+		opts     Options
+		segSum   string
+		segBytes int
+	}{
+		{Options{Algorithm: "pas-mt", Alpha: 1.6},
+			"e2cf893c11b4312a1f97041d02edd77879753fbcc11bc063609de1d66a7fe0e3", 16910},
+		{Options{Algorithm: "pas-mt", Alpha: 1.6, PlaneGranularity: true},
+			"f25533221fc254b1b77d8d386ddbf1dce0463c61436de57f29d31b1863ff4bbf", 15548},
 	} {
+		opts := fx.opts
 		extOpts := opts
 		extOpts.ExtraPairs = [][2]MatrixRef{{{Snapshot: "b", Name: "conv1"}, {Snapshot: "e", Name: "conv1"}}}
 		var want string
@@ -111,6 +120,10 @@ func TestExtendBytesAreWorkerInvariant(t *testing.T) {
 			checkoutAllExact(t, ext, snaps, Concurrent)
 			if err := ext.Close(); err != nil {
 				t.Fatal(err)
+			}
+			if got, size := segmentDigest(t, dir); got != fx.segSum || size != fx.segBytes {
+				t.Errorf("%+v at GOMAXPROCS=%d: segments digest %s, %d bytes; want %s, %d bytes",
+					opts, procs, got, size, fx.segSum, fx.segBytes)
 			}
 			got, _ := archiveDigest(t, dir)
 			if procs == 1 {

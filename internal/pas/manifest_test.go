@@ -2,10 +2,14 @@ package pas
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"modelhub/internal/delta"
@@ -13,13 +17,15 @@ import (
 
 // hostileManifests are single-field corruptions of a valid manifest, each of
 // which used to reach an index expression, an allocation or a map lookup
-// unchecked. manifest.json arrives inside every pulled repository.
+// unchecked. manifest.json arrives inside every pulled repository. The rows
+// from "segment name" on are the rules the version-2 segment index parser
+// enforced, now the manifest's.
 var hostileManifests = []struct {
 	name   string
 	mutate func(m *manifest)
 }{
 	{"version 0", func(m *manifest) { m.Version = 0 }},
-	{"version 3", func(m *manifest) { m.Version = 3 }},
+	{"version 4", func(m *manifest) { m.Version = 4 }},
 	{"delta op intsub", func(m *manifest) { m.DeltaOp = uint8(delta.IntSub) }},
 	{"delta op unknown", func(m *manifest) { m.DeltaOp = 200 }},
 	{"negative alpha", func(m *manifest) { m.Alpha = -0.5 }},
@@ -37,10 +43,33 @@ var hostileManifests = []struct {
 	{"negative parent", func(m *manifest) { m.Nodes[1].Parent = -2 }},
 	{"duplicate node id", func(m *manifest) { m.Nodes[1].ID = m.Nodes[0].ID }},
 	{"node id 0", func(m *manifest) { m.Nodes[0].ID = 0 }},
+	{"segment name", func(m *manifest) { m.Segments[0].Name = "../seg-000000.seg" }},
+	{"segment smaller than its magic", func(m *manifest) { m.Segments[0].Size = int64(len(segMagic)) - 1 }},
+	{"chunk digest not hex", func(m *manifest) { m.Chunks[0].Sum = strings.Repeat("zz", sha256.Size) }},
+	{"chunk digest short", func(m *manifest) { m.Chunks[0].Sum = m.Chunks[0].Sum[:2*sha256.Size-2] }},
+	{"duplicate chunk digest", func(m *manifest) { m.Chunks[1].Sum = m.Chunks[0].Sum }},
+	{"chunk segment out of range", func(m *manifest) { m.Chunks[0].Seg = len(m.Segments) }},
+	{"negative chunk segment", func(m *manifest) { m.Chunks[0].Seg = -1 }},
+	{"chunk offset before its record header", func(m *manifest) { m.Chunks[0].Off = int64(len(segMagic)) }},
+	{"chunk past its segment", func(m *manifest) { m.Chunks[0].Len = m.Segments[0].Size }},
+	{"chunk length overflows", func(m *manifest) { m.Chunks[0].Len = math.MaxInt64 }},
+	{"node chunk out of range", func(m *manifest) { m.Nodes[0].Chunks[0] = len(m.Chunks) }},
+	{"negative node chunk", func(m *manifest) { m.Nodes[0].Chunks[0] = -1 }},
+	{"node chunk outside its planes", func(m *manifest) { m.Nodes[0].Chunks = append(m.Nodes[0].Chunks, 0) }},
+	{"node plane without a chunk", func(m *manifest) { m.Nodes[0].Chunks = m.Nodes[0].Chunks[1:] }},
+	{"parent stores other planes", func(m *manifest) {
+		for _, n := range m.Nodes {
+			if n.Parent != 0 {
+				p := &m.Nodes[n.Parent-1] // ids are 1, 2, … in order
+				p.PlaneEnd, p.Chunks = 2, p.Chunks[:2]
+				return
+			}
+		}
+	}},
 }
 
 // hostileArchive creates a small valid archive and returns its directory and
-// parsed manifest.
+// manifest as stored.
 func hostileArchive(t testing.TB) (string, manifest) {
 	t.Helper()
 	dir := t.TempDir()
@@ -51,14 +80,34 @@ func hostileArchive(t testing.TB) (string, manifest) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return dir, st.man
+	return dir, storedManifest(t, dir)
 }
 
-// mutated returns the manifest JSON after one corruption; Nodes is copied so
-// rows do not see each other's damage.
+// storedManifest decodes dir's manifest.json as it is stored: nodes name
+// chunk positions, and the layout is filled in.
+func storedManifest(t testing.TB, dir string) manifest {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man manifest
+	if err := json.Unmarshal(blob, &man); err != nil {
+		t.Fatal(err)
+	}
+	return man
+}
+
+// mutated returns the manifest JSON after one corruption; the slices are
+// copied so rows do not see each other's damage.
 func mutated(t testing.TB, man manifest, mutate func(*manifest)) []byte {
 	t.Helper()
 	man.Nodes = append([]manifestNode(nil), man.Nodes...)
+	for i := range man.Nodes {
+		man.Nodes[i].Chunks = slices.Clone(man.Nodes[i].Chunks)
+	}
+	man.Segments = slices.Clone(man.Segments)
+	man.Chunks = slices.Clone(man.Chunks)
 	mutate(&man)
 	blob, err := json.Marshal(&man)
 	if err != nil {

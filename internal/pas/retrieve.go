@@ -160,9 +160,14 @@ func (s *Store) readPlane(n *manifestNode, p int) ([]byte, error) {
 	if hex.EncodeToString(sum[:]) != n.PlaneSum[p] {
 		return nil, fmt.Errorf("%w: chunk checksum mismatch for node %d plane %d", ErrStore, n.ID, p)
 	}
-	// The stored payload is untrusted: it inflates into the declared plane
+	// The stored payload is untrusted: the declared plane size is allocated
+	// only if the payload could inflate to it, and it inflates into that
 	// size and not a byte further.
-	raw, err := floatenc.Inflate(z, n.Rows*n.Cols)
+	size := n.Rows * n.Cols
+	if size/maxInflateRatio > len(z) {
+		return nil, fmt.Errorf("%w: node %d plane %d: %d payload bytes cannot inflate to %d", ErrStore, n.ID, p, len(z), size)
+	}
+	raw, err := floatenc.Inflate(z, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: node %d plane %d: %v", ErrStore, n.ID, p, err)
 	}
@@ -172,45 +177,44 @@ func (s *Store) readPlane(n *manifestNode, p int) ([]byte, error) {
 }
 
 // readPlanes loads and verifies the byte planes of a node's chunk that fall
-// inside both the node's stored range and the first `prefix` planes,
-// zero-filling the rest. With parallel set and more than one plane to read,
-// the zlib chunks inflate concurrently, one goroutine each.
+// inside both the node's stored range and the first `prefix` planes, then
+// zero-fills the rest, sized by a shape a read payload has vouched for. With
+// parallel set and more than one plane to read, the zlib chunks inflate
+// concurrently, one goroutine each.
 func (s *Store) readPlanes(n *manifestNode, prefix int, parallel bool) (*[4][]byte, error) {
-	var planes [4][]byte
-	size := n.Rows * n.Cols
 	start, end := nodePlanes(n)
 	countAvoidedPlanes(n, prefix)
 	var stored []int
-	for p := 0; p < floatenc.NumPlanes; p++ {
-		if p >= prefix || p < start || p >= end {
-			planes[p] = make([]byte, size)
-			continue
-		}
+	for p := start; p < end && p < prefix; p++ {
 		stored = append(stored, p)
 	}
-	if len(stored) <= 1 || !parallel {
-		for _, p := range stored {
-			raw, err := s.readPlane(n, p)
-			if err != nil {
-				return nil, err
-			}
-			planes[p] = raw
-		}
-		return &planes, nil
-	}
-	var wg sync.WaitGroup
+	var planes [4][]byte
 	errs := make([]error, len(stored))
-	for i, p := range stored {
-		wg.Add(1)
-		go func(i, p int) {
-			defer wg.Done()
-			planes[p], errs[i] = s.readPlane(n, p)
-		}(i, p)
+	if len(stored) == 1 || !parallel {
+		for i, p := range stored {
+			if planes[p], errs[i] = s.readPlane(n, p); errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i, p := range stored {
+			wg.Add(1)
+			go func(i, p int) {
+				defer wg.Done()
+				planes[p], errs[i] = s.readPlane(n, p)
+			}(i, p)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
+		}
+	}
+	for p := range planes {
+		if planes[p] == nil {
+			planes[p] = make([]byte, n.Rows*n.Cols)
 		}
 	}
 	return &planes, nil
@@ -337,7 +341,9 @@ func xorResized(dst, parent []byte, r, c, pr, pc int) {
 
 // resolveRef assembles the first `prefix` byte planes of a matrix from all
 // of its part nodes (one full-range node, or high/low segment nodes under
-// plane granularity), each following its own delta chain.
+// plane granularity), each following its own delta chain. The planes no part
+// supplies are zero, allocated only after the part holding plane 0 has been
+// read: the manifest's shape is untrusted until a payload vouches for it.
 func (s *Store) resolveRef(e engine, ref MatrixRef, prefix int) (*floatenc.Segmented, error) {
 	ids, ok := s.byRef[ref]
 	if !ok {
@@ -348,10 +354,6 @@ func (s *Store) resolveRef(e engine, ref MatrixRef, prefix int) (*floatenc.Segme
 		return nil, err
 	}
 	seg := &floatenc.Segmented{Rows: first.Rows, Cols: first.Cols}
-	size := seg.Rows * seg.Cols
-	for p := 0; p < floatenc.NumPlanes; p++ {
-		seg.Planes[p] = make([]byte, size)
-	}
 	for _, id := range ids {
 		n, err := s.node(id)
 		if err != nil {
@@ -370,6 +372,14 @@ func (s *Store) resolveRef(e engine, ref MatrixRef, prefix int) (*floatenc.Segme
 		}
 		for p := start; p < end && p < prefix; p++ {
 			seg.Planes[p] = planes[p]
+		}
+	}
+	if seg.Planes[0] == nil {
+		return nil, fmt.Errorf("%w: no node of %v stores plane 0 below prefix %d", ErrStore, ref, prefix)
+	}
+	for p := range seg.Planes {
+		if seg.Planes[p] == nil {
+			seg.Planes[p] = make([]byte, seg.Rows*seg.Cols)
 		}
 	}
 	return seg, nil

@@ -162,7 +162,7 @@ func TestNoLegacyLayoutWriter(t *testing.T) {
 }
 
 // frozenSnaps builds snapshots where layer "emb" never changes — the
-// frozen-layer pattern whose zero deltas the content-addressed index must
+// frozen-layer pattern whose zero deltas the content-addressed store must
 // deduplicate to a single stored payload.
 func frozenSnaps(seed int64, n int) []SnapshotIn {
 	rng := rand.New(rand.NewSource(seed))
@@ -262,6 +262,8 @@ func TestCreateSegmentKeepsGarbageUntilGC(t *testing.T) {
 	checkoutAllExact(t, st2, snaps[:2], Concurrent)
 }
 
+// Three archives into one directory and a repack leave segments and one
+// manifest behind, nothing else.
 func TestRepackCoalescesSegments(t *testing.T) {
 	snaps := makeSnaps(37, 4, 0)
 	dir := t.TempDir()
@@ -295,10 +297,12 @@ func TestRepackCoalescesSegments(t *testing.T) {
 			t.Fatalf("temp files left behind: %v", stray)
 		}
 	}
+	checkOneMetadataFile(t, dir)
 }
 
-// GC must not disturb concurrent readers of the same store (run under -race): live payloads stay readable through the index
-// flip and victim unlink, via the reader's handle graveyard.
+// GC must not disturb concurrent readers of the same store (run under
+// -race): live payloads stay readable through the layout swap and victim
+// unlink, via the reader's handle graveyard.
 func TestGCConcurrentReaders(t *testing.T) {
 	snaps := makeSnaps(38, 6, 0)
 	dir := t.TempDir()
@@ -360,36 +364,7 @@ func TestGCConcurrentReaders(t *testing.T) {
 	}
 }
 
-// A missing or corrupted segments/index.json rebuilds from the segment
-// record headers on open — retrievals stay bit-exact either way.
-func TestSegmentIndexRebuild(t *testing.T) {
-	snaps := makeSnaps(40, 3, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	idxPath := filepath.Join(dir, segmentsDir, segIndexName)
-	if err := os.Remove(idxPath); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open without index: %v", err)
-	}
-	checkoutAllExact(t, st, snaps, Concurrent)
-
-	if err := os.WriteFile(idxPath, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open with corrupt index: %v", err)
-	}
-	checkoutAllExact(t, st2, snaps, Independent)
-}
-
-// A truncated segment file must surface as typed ErrStore at retrieval and
-// poison the index-rebuild path with a typed error too.
+// A truncated segment file must surface as typed ErrStore at retrieval.
 func TestSegmentTruncationTypedErrors(t *testing.T) {
 	snaps := makeSnaps(41, 3, 0)
 	dir := t.TempDir()
@@ -422,13 +397,6 @@ func TestSegmentTruncationTypedErrors(t *testing.T) {
 	}
 	if !sawError {
 		t.Fatal("no retrieval noticed the truncated segment")
-	}
-	// With the index gone too, the rebuild scan must fail typed, not panic.
-	if err := os.Remove(filepath.Join(dir, segmentsDir, segIndexName)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); !errors.Is(err, ErrStore) {
-		t.Fatalf("rebuild over truncated segment = %v, want ErrStore", err)
 	}
 }
 
@@ -472,7 +440,7 @@ func TestGCRefusesCorruptedSegment(t *testing.T) {
 // SegmentDiskBytes sums the on-disk sizes of the archive's segment files.
 func (s *Store) SegmentDiskBytes() int64 {
 	var total int64
-	for _, sf := range s.seg.snapshotIndex().Segments {
+	for _, sf := range s.seg.current().Segments {
 		total += sf.Size
 	}
 	return total
@@ -489,13 +457,13 @@ type SegmentStat struct {
 
 // SegmentStats reports per-segment occupancy.
 func (s *Store) SegmentStats() []SegmentStat {
-	idx := s.seg.snapshotIndex()
+	lay := s.seg.current()
 	live := s.liveSums()
-	out := make([]SegmentStat, len(idx.Segments))
-	for i, sf := range idx.Segments {
+	out := make([]SegmentStat, len(lay.Segments))
+	for i, sf := range lay.Segments {
 		out[i] = SegmentStat{Name: sf.Name, Size: sf.Size}
 	}
-	for sum, loc := range idx.Chunks {
+	for sum, loc := range lay.Chunks {
 		if live[sum] {
 			out[loc.Seg].LiveBytes += loc.Len
 			out[loc.Seg].LiveChunks++

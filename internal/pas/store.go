@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"math"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"modelhub/internal/atomicfile"
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
+	"modelhub/internal/obs"
 	"modelhub/internal/tensor"
 )
 
@@ -105,7 +107,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// manifest is the JSON description persisted alongside the chunks.
+// manifestName is the archive's one metadata file; manifestVersion is the
+// version every write stores.
+const (
+	manifestName    = "manifest.json"
+	manifestVersion = 3
+)
+
+// manifest is manifest.json: the plan, and where its chunks live.
 type manifest struct {
 	Version   int            `json:"version"`
 	DeltaOp   uint8          `json:"delta_op"`
@@ -119,6 +128,11 @@ type manifest struct {
 	MSTCost     float64 `json:"mst_cost"`
 	SPTCost     float64 `json:"spt_cost"`
 	Feasible    bool    `json:"feasible"`
+	// The layout (see segment.go). In memory it lives in the store's
+	// segment reader, and these stay empty.
+	NextSeg  int           `json:"next_seg"`
+	Segments []segFileInfo `json:"segments"`
+	Chunks   []chunkEntry  `json:"chunks"`
 }
 
 type manifestNode struct {
@@ -130,12 +144,15 @@ type manifestNode struct {
 	Tier   int       `json:"tier,omitempty"` // 0 = local, 1 = remote
 	// PlaneStart/PlaneEnd bound the byte planes this node stores
 	// (PlaneEnd == 0 means the full range [0, 4) for compatibility).
-	PlaneStart int       `json:"plane_start,omitempty"`
-	PlaneEnd   int       `json:"plane_end,omitempty"`
-	PlaneSum   [4]string `json:"plane_sha256"`
-	// PlaneBytes records the compressed size of each plane (reporting and
-	// partial-retrieval cost accounting).
-	PlaneBytes [4]int `json:"plane_bytes"`
+	PlaneStart int `json:"plane_start,omitempty"`
+	PlaneEnd   int `json:"plane_end,omitempty"`
+	// Chunks are positions in the manifest's chunk table, one per stored
+	// plane in plane order. Open resolves them into PlaneSum, each plane's
+	// payload digest, and PlaneBytes, its compressed size (reporting and
+	// partial-retrieval cost accounting), and leaves Chunks empty.
+	Chunks     []int     `json:"chunks"`
+	PlaneSum   [4]string `json:"-"`
+	PlaneBytes [4]int    `json:"-"`
 }
 
 type manifestSnap struct {
@@ -622,7 +639,7 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 		return nil, err
 	}
 	return commitArchive(dir, p.chunks, &manifest{
-		Version:     2,
+		Version:     manifestVersion,
 		DeltaOp:     uint8(deltaOp),
 		Scheme:      int(opts.Scheme),
 		Algorithm:   opts.Algorithm,
@@ -689,31 +706,46 @@ func (s *Store) Extend(snaps []SnapshotIn, opts Options) (*Store, error) {
 }
 
 // commitArchive writes a planned archive in the one commit order: payloads
-// into segment files, deduplicated content-addressed against anything
-// already stored in the directory (displaced older payloads become garbage
-// for the next GC), then the manifest, the commit point. It returns the
-// store the two describe, as Open would read it back.
+// into segment files, deduplicated content-addressed against everything
+// stored in the directory (displaced older payloads become garbage for the
+// next GC), then the manifest, the commit point. It returns the store the
+// two describe, as Open would read it back.
 func commitArchive(dir string, chunks []segPayload, man *manifest) (*Store, error) {
-	idx, err := storePayloads(dir, chunks)
+	_, lay, err := readManifest(dir)
 	if err != nil {
+		lay = &layout{Chunks: make(map[string]segLoc)} // no archive there yet
+	}
+	if err := storePayloads(dir, lay, chunks); err != nil {
 		return nil, err
 	}
-	if err := writeManifest(dir, man); err != nil {
+	if err := writeManifest(dir, man, lay); err != nil {
 		return nil, err
 	}
-	return newStore(dir, *man, idx), nil
+	return newStore(dir, *man, lay), nil
 }
 
-// writeManifest persists the manifest atomically (temp + fsync + rename +
-// parent dir fsync) — the commit point of Create.
-func writeManifest(dir string, man *manifest) error {
-	blob, err := json.MarshalIndent(man, "", " ")
+// writeManifest persists the plan and its layout as one compact JSON file,
+// atomically (temp + fsync + rename + parent dir fsync): the commit point of
+// every write. Each node's planes become positions in the chunk table. A
+// version-2 archive's index is dead once this manifest is durable.
+func writeManifest(dir string, man *manifest, lay *layout) error {
+	disk := *man
+	disk.NextSeg, disk.Segments, disk.Chunks = lay.NextSeg, lay.Segments, lay.table()
+	disk.Nodes = slices.Clone(man.Nodes)
+	if !nameChunks(disk.Nodes, disk.Chunks) {
+		return fmt.Errorf("%w: a node's plane has no stored chunk", ErrStore)
+	}
+	blob, err := json.Marshal(&disk)
 	if err != nil {
 		return err
 	}
-	if err := atomicfile.WriteFile(filepath.Join(dir, "manifest.json"), blob); err != nil {
+	if err := atomicfile.WriteFile(filepath.Join(dir, manifestName), blob); err != nil {
 		return fmt.Errorf("%w: writing manifest: %v", ErrStore, err)
 	}
+	if err := os.Remove(filepath.Join(dir, segmentsDir, v2IndexName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		obs.Logger().Warn("pas: could not remove the version-2 segment index", "dir", dir, "err", err)
+	}
+	noteSegmentGauges(lay)
 	return nil
 }
 
@@ -774,53 +806,64 @@ func solve(g *Graph, opts Options) (*Plan, bool, error) {
 // Open loads an existing archive. The manifest arrives inside every pulled
 // repository, so it is validated before anything indexes by its fields.
 func Open(dir string) (*Store, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
+	man, lay, err := readManifest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStore, err)
-	}
-	var man manifest
-	if err := json.Unmarshal(blob, &man); err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
-	}
-	if err := validateManifest(&man); err != nil {
 		return nil, err
 	}
 	reconcileSegmentDir(dir)
-	idx, err := loadSegIndex(dir)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkShapes(&man, idx); err != nil {
-		return nil, err
-	}
-	return newStore(dir, man, idx), nil
+	return newStore(dir, *man, lay), nil
 }
 
-// newStore serves a validated manifest out of the segment files idx
+// readManifest reads and validates dir's manifest, converting a version-2
+// archive first, and parts it into the plan and the layout.
+func readManifest(dir string) (*manifest, *layout, error) {
+	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	man := &manifest{}
+	if err := json.Unmarshal(blob, man); err != nil {
+		return nil, nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
+	}
+	if man.Version == 2 {
+		if err := convertV2(dir, blob, man); err != nil {
+			return nil, nil, err
+		}
+	}
+	lay, err := validateManifest(man)
+	if err != nil {
+		return nil, nil, err
+	}
+	return man, lay, nil
+}
+
+// newStore serves a validated manifest out of the segment files lay
 // locates.
-func newStore(dir string, man manifest, idx *segIndex) *Store {
+func newStore(dir string, man manifest, lay *layout) *Store {
 	s := &Store{dir: dir, man: man,
 		byRef:   make(map[MatrixRef][]int),
 		workers: runtime.GOMAXPROCS(0)}
 	s.planes.lru.limit = DefaultPlaneCacheBytes
 	s.seg.dir = dir
-	s.seg.idx = idx
-	s.seg.files = make(map[string]*os.File)
+	s.seg.lay = lay
+	s.seg.files = make(map[string]segHandle)
 	for _, n := range man.Nodes {
 		s.byRef[n.Ref] = append(s.byRef[n.Ref], n.ID)
 	}
-	noteSegmentGauges(idx)
+	noteSegmentGauges(lay)
 	return s
 }
 
 // validateManifest rejects a manifest whose fields would index out of range,
-// overflow an allocation or name a node that does not exist — every check a
-// retrieval or GC otherwise takes on trust.
-func validateManifest(man *manifest) error {
-	bad := func(format string, args ...any) error {
-		return fmt.Errorf("%w: manifest: %s", ErrStore, fmt.Sprintf(format, args...))
+// overflow an allocation or name a node, segment or chunk that does not
+// exist — every check a retrieval or GC otherwise takes on trust. It parts a
+// valid one: each node's chunk positions become its plane digests and
+// lengths, and the layout moves into the returned one.
+func validateManifest(man *manifest) (*layout, error) {
+	bad := func(format string, args ...any) (*layout, error) {
+		return nil, fmt.Errorf("%w: manifest: %s", ErrStore, fmt.Sprintf(format, args...))
 	}
-	if man.Version != 2 {
+	if man.Version != manifestVersion {
 		return bad("unsupported version %d", man.Version)
 	}
 	if man.DeltaOp != uint8(deltaOp) {
@@ -829,13 +872,36 @@ func validateManifest(man *manifest) error {
 	if !(man.Alpha >= 0) || math.IsInf(man.Alpha, 1) {
 		return bad("alpha %v is not a finite non-negative number", man.Alpha)
 	}
-	known := make(map[int]bool, len(man.Nodes))
+	for _, sf := range man.Segments {
+		if n, ok := segNumber(sf.Name); !ok || n >= man.NextSeg {
+			return bad("segment name %q with next_seg %d", sf.Name, man.NextSeg)
+		}
+		if sf.Size < int64(len(segMagic)) {
+			return bad("segment %s is smaller than its magic", sf.Name)
+		}
+	}
+	lay := &layout{NextSeg: man.NextSeg, Segments: man.Segments, Chunks: make(map[string]segLoc, len(man.Chunks))}
+	for i, c := range man.Chunks {
+		if _, err := hex.DecodeString(c.Sum); err != nil || len(c.Sum) != 2*sha256.Size {
+			return bad("chunk %d has digest %q", i, c.Sum)
+		}
+		if _, dup := lay.Chunks[c.Sum]; dup {
+			return bad("chunk %d repeats digest %.12s…", i, c.Sum)
+		}
+		lay.Chunks[c.Sum] = c.segLoc
+		if c.Seg < 0 || c.Seg >= len(man.Segments) {
+			return bad("chunk %d is in segment %d of %d", i, c.Seg, len(man.Segments))
+		}
+		if c.Len <= 0 || c.Off < int64(len(segMagic))+segRecordOverhead || c.Len > man.Segments[c.Seg].Size-c.Off {
+			return bad("chunk %d at [%d, +%d) lies outside segment %s", i, c.Off, c.Len, man.Segments[c.Seg].Name)
+		}
+	}
+	ranges := make(map[int][2]int, len(man.Nodes)) // node id → planes stored
 	for i := range man.Nodes {
 		n := &man.Nodes[i]
-		if n.ID < 1 || known[n.ID] {
+		if _, dup := ranges[n.ID]; n.ID < 1 || dup {
 			return bad("node id %d is not positive and unique", n.ID)
 		}
-		known[n.ID] = true
 		fullRange := n.PlaneStart == 0 && n.PlaneEnd == 0
 		if !fullRange && !(0 <= n.PlaneStart && n.PlaneStart < n.PlaneEnd && n.PlaneEnd <= floatenc.NumPlanes) {
 			return bad("node %d stores planes [%d, %d)", n.ID, n.PlaneStart, n.PlaneEnd)
@@ -846,38 +912,41 @@ func validateManifest(man *manifest) error {
 		if n.Tier != tierLocal && n.Tier != tierRemote {
 			return bad("node %d is on unknown tier %d", n.ID, n.Tier)
 		}
+		start, end := nodePlanes(n)
+		ranges[n.ID] = [2]int{start, end}
+		if len(n.Chunks) != end-start {
+			return bad("node %d names %d chunks for planes [%d, %d)", n.ID, len(n.Chunks), start, end)
+		}
+		for j, c := range n.Chunks {
+			if c < 0 || c >= len(man.Chunks) {
+				return bad("node %d names chunk %d of %d", n.ID, c, len(man.Chunks))
+			}
+			// Retrieval sizes the node's planes from its shape: no larger
+			// than its payloads could inflate to.
+			if int64(n.Rows*n.Cols)/maxInflateRatio > man.Chunks[c].Len {
+				return bad("node %d has shape %d x %d, larger than its chunk %d inflates to", n.ID, n.Rows, n.Cols, c)
+			}
+			n.PlaneSum[start+j], n.PlaneBytes[start+j] = man.Chunks[c].Sum, int(man.Chunks[c].Len)
+		}
+		n.Chunks = nil
 	}
+	// A delta composes only over the planes both ends store.
 	for i := range man.Nodes {
-		if n := &man.Nodes[i]; n.Parent != 0 && !known[n.Parent] {
-			return bad("node %d has unknown parent %d", n.ID, n.Parent)
+		n := &man.Nodes[i]
+		if pr, ok := ranges[n.Parent]; n.Parent != 0 && pr != ranges[n.ID] {
+			if !ok {
+				return bad("node %d has unknown parent %d", n.ID, n.Parent)
+			}
+			return bad("node %d stores planes %v, its parent %d planes %v", n.ID, ranges[n.ID], n.Parent, pr)
 		}
 	}
-	return nil
+	man.NextSeg, man.Segments, man.Chunks = 0, nil, nil
+	return lay, nil
 }
 
 // maxInflateRatio is deflate's maximum expansion: no payload of n bytes
 // inflates to more than 1032·n.
 const maxInflateRatio = 1032
-
-// checkShapes rejects a node whose claimed plane size no stored payload
-// could inflate to. Retrieval allocates rows × cols bytes per plane before
-// it reads anything, so a hostile shape must not get that far.
-func checkShapes(man *manifest, idx *segIndex) error {
-	var maxPayload int64
-	for _, loc := range idx.Chunks {
-		if loc.Len > maxPayload {
-			maxPayload = loc.Len
-		}
-	}
-	for i := range man.Nodes {
-		n := &man.Nodes[i]
-		if int64(n.Rows*n.Cols)/maxInflateRatio > maxPayload {
-			return fmt.Errorf("%w: manifest: node %d has shape %d x %d, larger than any stored payload inflates to",
-				ErrStore, n.ID, n.Rows, n.Cols)
-		}
-	}
-	return nil
-}
 
 // Snapshots lists the archived snapshot ids in archive order.
 func (s *Store) Snapshots() []string {
