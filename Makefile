@@ -16,7 +16,7 @@ fmt-check:
 # Run the in-repo analyzer suite (cmd/mhlint): any unsuppressed finding
 # fails. Findings are suppressed inline with
 # `//mhlint:ignore <analyzer> <reason>`; run with -suppressed to audit them,
-# -list to see the eight analyzers.
+# -list to see the two analyzers (errcheck, detpath).
 lint:
 	$(GO) run ./cmd/mhlint ./...
 

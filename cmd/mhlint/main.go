@@ -1,11 +1,11 @@
-// Command mhlint runs ModelHub's custom static-analysis suite: a registry
-// of analyzers enforcing the concurrency, error-hygiene, and
-// numeric-determinism invariants of this codebase (see DESIGN.md, "The
-// mhlint analyzer suite").
+// Command mhlint runs ModelHub's custom static-analysis suite: errcheck
+// (error propagation in internal/) and detpath (map-iteration order kept
+// out of the bit-identical numeric packages). See DESIGN.md,
+// "Static analysis".
 //
 // Usage:
 //
-//	mhlint [-only a,b] [-suppressed] [-list] [-json FILE] [packages...]
+//	mhlint [-suppressed] [-list] [-json FILE] [packages...]
 //
 // Packages default to ./... (the whole module). Exit codes: 0 clean,
 // 1 unsuppressed findings, 2 usage or load failure. Findings are reported
@@ -28,7 +28,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list registered analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzer subset to run")
 	suppressed := flag.Bool("suppressed", false, "also print suppressed findings with their ignore reasons")
 	jsonOut := flag.String("json", "", "write the machine-readable report to `file` (\"-\" for stdout)")
 	flag.Usage = func() {
@@ -44,21 +43,12 @@ func main() {
 		return
 	}
 
-	analyzers := lint.All()
-	if *only != "" {
-		var err error
-		if analyzers, err = lint.ByName(*only); err != nil {
-			fmt.Fprintln(os.Stderr, "mhlint:", err)
-			os.Exit(2)
-		}
-	}
-
 	pkgs, err := lint.Load(".", flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mhlint:", err)
 		os.Exit(2)
 	}
-	res := lint.Run(pkgs, analyzers)
+	res := lint.Run(pkgs)
 	for _, f := range res.Findings {
 		fmt.Println(f)
 	}
@@ -73,7 +63,7 @@ func main() {
 		if len(pkgs) > 0 {
 			module, rel = pkgs[0].Module, lint.ModuleRel(pkgs[0].Root)
 		}
-		data, err := lint.Report(module, len(pkgs), analyzers, res.Findings, res.Suppressed, rel).Marshal()
+		data, err := lint.Report(module, len(pkgs), res.Findings, res.Suppressed, rel).Marshal()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mhlint:", err)
 			os.Exit(2)

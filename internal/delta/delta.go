@@ -157,10 +157,3 @@ func ResizeTo(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

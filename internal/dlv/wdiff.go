@@ -123,10 +123,3 @@ func FormatWeightDiffs(diffs []WeightDiff) string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -400,10 +400,3 @@ func resolveNetLR(def *dnn.NetDef, netLR map[string]float64) (map[string]float64
 	}
 	return out, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

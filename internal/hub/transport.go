@@ -203,7 +203,7 @@ func backoffDelay(attempt int, o Options) time.Duration {
 
 // sleepCtx waits for d or until ctx is done, whichever comes first. It is
 // the retry loop's backoff primitive: timer + select, so a cancelled context
-// aborts the wait immediately (and apihygiene's no-time.Sleep rule holds).
+// aborts the wait immediately, which a time.Sleep would not.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil

@@ -3,195 +3,9 @@ package lint
 import "testing"
 
 // Each analyzer is exercised on embedded fixture sources with at least one
-// true positive, one suppressed case, and one clean case. Fixtures under
-// modelhub/internal/... are subject to the library-package rules; the
-// deliberately seeded violations (copied mutex, dropped error, map-order
-// float sum, bare goroutine, stdout write) must all be detected.
-
-func TestLocksafe(t *testing.T) {
-	cases := []struct {
-		name           string
-		path           string
-		src            string
-		want           []string
-		wantSuppressed int
-	}{
-		{
-			name: "copied mutex value",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var mu sync.Mutex
-
-// Grab takes a copy of the global lock — a seeded violation.
-func Grab() {
-	mu2 := mu
-	mu2.Lock()
-	mu2.Unlock()
-}
-`,
-			want: []string{"assignment copies lock value"},
-		},
-		{
-			name: "copied struct embedding waitgroup",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-type pool struct {
-	wg sync.WaitGroup
-}
-
-// Use passes the pool by value.
-func Use(p pool) {}
-`,
-			want: []string{"by-value parameter contains sync.WaitGroup"},
-		},
-		{
-			name: "lock without unlock",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var mu sync.Mutex
-
-// Leak locks and never unlocks.
-func Leak() {
-	mu.Lock()
-}
-`,
-			want: []string{"never Unlocked"},
-		},
-		{
-			name: "rlock needs runlock",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var mu sync.RWMutex
-
-// Leak read-locks and write-unlocks: the read lock leaks.
-func Leak() {
-	mu.RLock()
-	mu.Unlock()
-}
-`,
-			want: []string{"never RUnlocked"},
-		},
-		{
-			name: "channel send while holding lock",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var (
-	mu sync.Mutex
-	ch = make(chan int, 1)
-)
-
-// Send blocks on a channel while holding mu.
-func Send() {
-	mu.Lock()
-	ch <- 1
-	mu.Unlock()
-}
-`,
-			want: []string{"channel send while holding mu"},
-		},
-		{
-			name: "wait while holding lock",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var mu sync.Mutex
-
-// Wait waits on a WaitGroup under mu.
-func Wait(wg *sync.WaitGroup) {
-	mu.Lock()
-	wg.Wait()
-	mu.Unlock()
-}
-`,
-			want: []string{"sync wait on wg while holding mu"},
-		},
-		{
-			name: "branch unlock before receive is clean",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var (
-	mu   sync.Mutex
-	done = make(chan struct{})
-)
-
-// Flight mirrors the single-flight pattern: unlock, then block.
-func Flight(waiting bool) {
-	mu.Lock()
-	if waiting {
-		mu.Unlock()
-		<-done
-		return
-	}
-	mu.Unlock()
-}
-`,
-			want: nil,
-		},
-		{
-			name: "suppressed copy",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var mu sync.Mutex
-
-// Snapshot deliberately copies a never-used lock.
-func Snapshot() {
-	//mhlint:ignore locksafe fixture demonstrating a justified ignore
-	mu2 := mu
-	mu2.Lock()
-	mu2.Unlock()
-}
-`,
-			want:           nil,
-			wantSuppressed: 1,
-		},
-		{
-			name: "clean locking",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-var mu sync.Mutex
-
-// Good locks with a deferred unlock and passes locks by pointer.
-func Good(other *sync.Mutex) {
-	mu.Lock()
-	defer mu.Unlock()
-	_ = other
-}
-`,
-			want: nil,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, analyzerLocksafe, c.path, c.src), c.want, c.wantSuppressed)
-		})
-	}
-}
+// true positive, one suppressed case, and one clean case, plus the shape of
+// the bug it caught in the project's history. Fixtures under
+// modelhub/internal/... are subject to the library-package rules.
 
 func TestErrcheck(t *testing.T) {
 	cases := []struct {
@@ -339,6 +153,53 @@ func Cleanup() {
 			wantSuppressed: 1,
 		},
 		{
+			name: "discarded sort comparator error",
+			path: "modelhub/internal/catalog",
+			src: `package catalog
+
+import "sort"
+
+func lessValue(a, b any) (bool, error) { return false, nil }
+
+// Sort orders rows by one column, dropping the comparison error: the
+// catalog/query.go shape errcheck caught at the seed.
+func Sort(out []map[string]any, col string) {
+	sort.SliceStable(out, func(a, b int) bool {
+		less, _ := lessValue(out[a][col], out[b][col])
+		return less
+	})
+}
+`,
+			want: []string{"error result of modelhub/internal/catalog.lessValue discarded with _"},
+		},
+		{
+			name: "unchecked close on a written file",
+			path: "modelhub/internal/dlv",
+			src: `package dlv
+
+import (
+	"fmt"
+	"io"
+	"os"
+)
+
+// writeRaw writes one weight file and drops Close's error on the write
+// failure path: the dlv/commit.go shape errcheck caught at the seed.
+func writeRaw(path string, w io.WriterTo) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if _, err := w.WriteTo(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
+}
+`,
+			want: []string{"unchecked error return from (os.File).Close"},
+		},
+		{
 			name: "non-library packages are out of scope",
 			path: "modelhub/cmd/fix",
 			src: `package fix
@@ -355,152 +216,7 @@ func Drop() {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, analyzerErrcheck, c.path, c.src), c.want, c.wantSuppressed)
-		})
-	}
-}
-
-// TestGohygiene covers goroutine hygiene in library code: goroleak's body
-// rule and apihygiene's time.Sleep rule.
-func TestGohygiene(t *testing.T) {
-	cases := []struct {
-		name           string
-		analyzer       *Analyzer
-		path           string
-		src            string
-		want           []string
-		wantSuppressed int
-	}{
-		{
-			name:     "bare goroutine",
-			analyzer: analyzerGoroleak,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-var x int
-
-// Fire leaks an unjoinable goroutine.
-func Fire() {
-	go func() { x++ }()
-}
-`,
-			want: []string{"bare goroutine launch"},
-		},
-		{
-			name:     "waitgroup goroutine is clean",
-			analyzer: analyzerGoroleak,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-// Join runs one joined worker.
-func Join() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-	}()
-	wg.Wait()
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "named closure resolved through assignment",
-			analyzer: analyzerGoroleak,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-import "sync"
-
-// Pool launches a named closure that joins via the WaitGroup.
-func Pool() {
-	var wg sync.WaitGroup
-	run := func() { defer wg.Done() }
-	wg.Add(1)
-	go run()
-	wg.Wait()
-}
-`,
-			want: nil,
-		},
-		{
-			name:     "same-package function body resolved",
-			analyzer: analyzerGoroleak,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-var x int
-
-func work() { x++ }
-
-// Fire launches a function whose body has no completion mechanism.
-func Fire() {
-	go work()
-}
-`,
-			want: []string{"bare goroutine launch"},
-		},
-		{
-			name:     "sleep synchronization",
-			analyzer: analyzerAPIHygiene,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-import "time"
-
-// Settle sleeps instead of synchronizing.
-func Settle() {
-	time.Sleep(10 * time.Millisecond)
-}
-`,
-			want: []string{"time.Sleep in library code"},
-		},
-		{
-			name:     "suppressed sleep",
-			analyzer: analyzerAPIHygiene,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-import "time"
-
-// Backoff sleeps deliberately between retries.
-func Backoff() {
-	time.Sleep(time.Second) //mhlint:ignore apihygiene fixture retry backoff is a real delay, not synchronization
-}
-`,
-			want:           nil,
-			wantSuppressed: 1,
-		},
-		{
-			name:     "launch in a package-level literal",
-			analyzer: analyzerGoroleak,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-var x int
-
-var fire = func() { go func() { x++ }() }
-`,
-			want: []string{"bare goroutine launch"},
-		},
-		{
-			name:     "sleep in a package-level literal",
-			analyzer: analyzerAPIHygiene,
-			path:     "modelhub/internal/fix",
-			src: `package fix
-
-import "time"
-
-var settle = func() { time.Sleep(time.Millisecond) }
-`,
-			want: []string{"time.Sleep in library code"},
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, c.analyzer, c.path, c.src), c.want, c.wantSuppressed)
+			wantFindings(t, runFixture(t, c.path, c.src), c.want, c.wantSuppressed)
 		})
 	}
 }
@@ -650,113 +366,181 @@ var sum = func(m map[string]float64) float64 {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, analyzerDetpath, c.path, c.src), c.want, c.wantSuppressed)
+			wantFindings(t, runFixture(t, c.path, c.src), c.want, c.wantSuppressed)
 		})
 	}
 }
 
-func TestAPIHygiene(t *testing.T) {
-	cases := []struct {
-		name           string
-		path           string
-		src            string
-		want           []string
-		wantSuppressed int
-	}{
-		{
-			name: "stdout write",
-			path: "modelhub/internal/fix",
-			src: `package fix
+func TestDetpathUnsortedReturn(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/tensor", `package tensor
 
-import "fmt"
-
-// Shout writes to stdout from a library.
-func Shout() {
-	fmt.Println("hi")
+func Keys(m map[string]float64) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	return ks
 }
-`,
-			want: []string{"fmt.Println writes to stdout"},
-		},
-		{
-			name: "fatal and exit",
-			path: "modelhub/internal/fix",
-			src: `package fix
+`)
+	wantFindings(t, res, []string{"ks collects map keys/values in iteration order"}, 0)
+}
+
+func TestDetpathUnsortedRangeReplay(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/dnn", `package dnn
+
+func Sum(m map[string]float64) float64 {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	var s float64
+	for _, k := range ks {
+		s += m[k]
+	}
+	return s
+}
+`)
+	wantFindings(t, res, []string{"range over ks replays map iteration order"}, 0)
+}
+
+func TestDetpathSortedIsClean(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/tensor", `package tensor
+
+import "sort"
+
+func Keys(m map[string]float64) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
+}
+
+func Sum(m map[string]float64) float64 {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	var s float64
+	for _, k := range ks {
+		s += m[k]
+	}
+	return s
+}
+`)
+	wantFindings(t, res, nil, 0)
+}
+
+func TestDetpathOrderedSink(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/pas", `package pas
 
 import (
-	"log"
-	"os"
+	"fmt"
+	"strings"
 )
 
-// Die kills the whole process.
-func Die() {
-	log.Fatalf("no")
-	os.Exit(1)
-}
-`,
-			want: []string{"log.Fatalf exits the process", "os.Exit exits the process"},
-		},
-		{
-			name: "undocumented panic",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-// Bad checks the sign without telling anyone what happens.
-func Bad(n int) {
-	if n < 0 {
-		panic("negative")
+func Dump(m map[string]int) string {
+	var b strings.Builder
+	for k, v := range m {
+		fmt.Fprintf(&b, "%s=%d\n", k, v)
 	}
+	return b.String()
 }
-`,
-			want: []string{"panic outside a documented invariant check"},
-		},
-		{
-			name: "documented panic is clean",
-			path: "modelhub/internal/fix",
-			src: `package fix
 
-// Must panics if n is negative — a documented invariant check.
-func Must(n int) int {
-	if n < 0 {
-		panic("negative")
+func Concat(m map[string]int) string {
+	var b strings.Builder
+	for k := range m {
+		b.WriteString(k)
+	}
+	return b.String()
+}
+`)
+	wantFindings(t, res, []string{
+		"fmt.Fprintf to &b inside a map range emits in iteration order",
+		"write to b inside a map range emits in iteration order",
+	}, 0)
+}
+
+func TestDetpathLoopLocalIsClean(t *testing.T) {
+	// A slice declared inside the range body is rebuilt every iteration
+	// and cannot carry iteration order across the loop.
+	res := runFixture(t, "modelhub/internal/tensor", `package tensor
+
+func Local(m map[string][]float64) int {
+	n := 0
+	for _, vs := range m {
+		var sq []float64
+		for _, v := range vs {
+			sq = append(sq, v*v)
+		}
+		n += len(sq)
 	}
 	return n
 }
-`,
-			want: nil,
-		},
-		{
-			name: "suppressed exit",
-			path: "modelhub/internal/fix",
-			src: `package fix
-
-import "os"
-
-// Abort exits.
-func Abort() {
-	os.Exit(3) //mhlint:ignore apihygiene fixture demonstrating a justified exit
+`)
+	wantFindings(t, res, nil, 0)
 }
-`,
-			want:           nil,
-			wantSuppressed: 1,
-		},
-		{
-			name: "cmd packages are out of scope",
-			path: "modelhub/cmd/fix",
-			src: `package fix
 
-import "fmt"
+func TestDetpathScopedToDeterministicPackages(t *testing.T) {
+	// The same collect-without-sort shape outside tensor/dnn/pas is fine:
+	// only those packages carry the bit-identical contract.
+	res := runFixture(t, "modelhub/internal/hub", `package hub
 
-// Shout is fine in a binary.
-func Shout() {
-	fmt.Println("hi")
+func Keys(m map[string]float64) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
+	}
+	return ks
 }
-`,
-			want: nil,
-		},
+`)
+	wantFindings(t, res, nil, 0)
+}
+
+func TestDetpathSuppressed(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/tensor", `package tensor
+
+func Keys(m map[string]float64) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			wantFindings(t, runFixture(t, analyzerAPIHygiene, c.path, c.src), c.want, c.wantSuppressed)
-		})
+	//mhlint:ignore detpath caller sorts; order is documented as unspecified
+	return ks
+}
+`)
+	wantFindings(t, res, nil, 1)
+}
+
+// TestDetpathDeltaPairsRegression is the pas/store.go delta-pair bug
+// detpath caught at the seed: pairs collected from a map range inside an
+// outer loop, extended after it, then ranged over to build delta edges
+// whose order reached the archive bytes.
+func TestDetpathDeltaPairsRegression(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/pas", `package pas
+
+type ref struct {
+	snap int
+	name string
+}
+
+func Pairs(snaps []map[string]int, extra [][2]ref, edge func(a, b ref)) {
+	var pairs [][2]ref
+	for i := 1; i < len(snaps); i++ {
+		prev, cur := snaps[i-1], snaps[i]
+		for name := range cur {
+			if _, ok := prev[name]; ok {
+				pairs = append(pairs, [2]ref{{i - 1, name}, {i, name}})
+			}
+		}
 	}
+	pairs = append(pairs, extra...)
+	for _, p := range pairs {
+		edge(p[0], p[1])
+	}
+}
+`)
+	wantFindings(t, res, []string{"range over pairs replays map iteration order"}, 0)
 }

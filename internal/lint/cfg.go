@@ -5,11 +5,11 @@ import (
 	"go/token"
 )
 
-// This file is the gen-2 framework's control-flow layer: a per-function CFG
-// built directly from the AST, statement-granular, with no x/tools
-// dependency. Analyzers that reason about paths (spanend, detpath) or
-// reachability (goroleak) build one CFG per function and run the forward
-// dataflow engine in dataflow.go over it.
+// This file is the framework's control-flow layer: a per-function CFG built
+// directly from the AST, statement-granular, with no x/tools dependency.
+// detpath builds one CFG per function that collects map keys and runs the
+// forward dataflow engine in dataflow.go over it, so a collected slice is
+// only reported on a path that reaches a return or a range unsorted.
 //
 // The graph is deliberately simple:
 //
@@ -18,10 +18,8 @@ import (
 //     as expression nodes so transfer functions see their evaluation);
 //   - Blocks[0] is the entry; Exit is one synthetic, empty exit block that
 //     every return, panic, and fall-off-the-end edge targets;
-//   - `defer` statements are recorded in Defers (in registration order) as
-//     well as appearing in their block, because deferred calls execute at
-//     every later exit — path analyses treat a deferred call as covering
-//     all returns downstream of its registration;
+//   - `defer` statements appear in their block at the point of
+//     registration, like any other statement;
 //   - nested function literals are NOT flowed into: their bodies run at
 //     some other time. Analyzers build separate CFGs for literals they care
 //     about.
@@ -42,49 +40,12 @@ type Block struct {
 type CFG struct {
 	Blocks []*Block // Blocks[0] is the entry
 	Exit   *Block   // synthetic exit; empty Nodes
-	// Defers lists every defer statement in the body (outside nested
-	// function literals), in registration order.
-	Defers []*ast.DeferStmt
-	// blockOf maps each recorded node to its containing block.
-	blockOf map[ast.Node]*Block
-}
-
-// BlockOf returns the block holding a node recorded in the CFG, or nil.
-func (c *CFG) BlockOf(n ast.Node) *Block { return c.blockOf[n] }
-
-// ReachableFrom returns the set of blocks reachable from b, including b
-// itself.
-func (c *CFG) ReachableFrom(b *Block) map[*Block]bool {
-	seen := map[*Block]bool{}
-	var walk func(*Block)
-	walk = func(x *Block) {
-		if x == nil || seen[x] {
-			return
-		}
-		seen[x] = true
-		for _, s := range x.Succs {
-			walk(s)
-		}
-	}
-	walk(b)
-	return seen
-}
-
-// preds computes the predecessor lists of every block.
-func (c *CFG) preds() map[*Block][]*Block {
-	p := map[*Block][]*Block{}
-	for _, b := range c.Blocks {
-		for _, s := range b.Succs {
-			p[s] = append(p[s], b)
-		}
-	}
-	return p
 }
 
 // buildCFG constructs the CFG of one function body.
 func buildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
-		cfg: &CFG{blockOf: map[ast.Node]*Block{}},
+		cfg: &CFG{},
 	}
 	b.cfg.Exit = &Block{Index: -1}
 	b.cur = b.newBlock()
@@ -144,7 +105,6 @@ func (b *cfgBuilder) add(n ast.Node) {
 		return
 	}
 	b.cur.Nodes = append(b.cur.Nodes, n)
-	b.cfg.blockOf[n] = b.cur
 }
 
 // terminate ends the current block with an edge to `to` (nil for none) and
@@ -336,17 +296,14 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.ReturnStmt:
 		b.add(s)
 		b.terminate(b.cfg.Exit)
-	case *ast.DeferStmt:
-		b.add(s)
-		b.cfg.Defers = append(b.cfg.Defers, s)
 	case *ast.ExprStmt:
 		b.add(s)
 		if call, ok := s.X.(*ast.CallExpr); ok && isPanicCall(call) {
 			b.terminate(b.cfg.Exit)
 		}
 	default:
-		// Assignments, declarations, go statements, sends, inc/dec, empty
-		// statements: straight-line.
+		// Assignments, declarations, defer and go statements, sends,
+		// inc/dec, empty statements: straight-line.
 		b.add(s)
 	}
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,9 +14,9 @@ import (
 func cfgOf(t *testing.T, pkg *Package, name string) *CFG {
 	t.Helper()
 	var body *ast.BlockStmt
-	eachFuncDecl(pkg.Files, func(fd *ast.FuncDecl) {
-		if fd.Name.Name == name && fd.Body != nil {
-			body = fd.Body
+	eachFunc(pkg.Files, func(fd *ast.FuncDecl, lit *ast.FuncLit, b *ast.BlockStmt) {
+		if lit == nil && fd.Name.Name == name {
+			body = b
 		}
 	})
 	if body == nil {
@@ -24,9 +25,49 @@ func cfgOf(t *testing.T, pkg *Package, name string) *CFG {
 	return buildCFG(body)
 }
 
+// reachableFrom returns the set of blocks reachable from b, including b
+// itself.
+func reachableFrom(b *Block) map[*Block]bool {
+	seen := map[*Block]bool{}
+	var walk func(*Block)
+	walk = func(x *Block) {
+		if seen[x] {
+			return
+		}
+		seen[x] = true
+		for _, s := range x.Succs {
+			walk(s)
+		}
+	}
+	walk(b)
+	return seen
+}
+
 // entryReaches returns the blocks reachable from the entry.
 func entryReaches(c *CFG) map[*Block]bool {
-	return c.ReachableFrom(c.Blocks[0])
+	return reachableFrom(c.Blocks[0])
+}
+
+// factReaches runs forwardFlow with one fact, genned where gen holds and
+// killed where kill holds, and reports whether it is live before target.
+func factReaches(c *CFG, target ast.Node, gen, kill func(ast.Node) bool) bool {
+	fact := types.NewLabel(0, nil, "fact")
+	found := false
+	forwardFlow(c,
+		func(n ast.Node, facts objSet) {
+			if kill(n) {
+				delete(facts, fact)
+			}
+			if gen(n) {
+				facts[fact] = true
+			}
+		},
+		func(n ast.Node, facts objSet) {
+			if n == target && facts[fact] {
+				found = true
+			}
+		})
+	return found
 }
 
 // findNode returns the first recorded node satisfying pred and its block.
@@ -145,7 +186,7 @@ func TestCFGShapes(t *testing.T) {
 			t.Fatal("loop body statement not recorded")
 		}
 		// The body must be able to reach itself again (head -> body cycle).
-		if !c.ReachableFrom(body)[body] || len(c.ReachableFrom(body)) < 2 {
+		if !reachableFrom(body)[body] || len(reachableFrom(body)) < 2 {
 			t.Fatal("no back edge: loop body cannot re-reach itself")
 		}
 	})
@@ -173,7 +214,7 @@ func TestCFGShapes(t *testing.T) {
 		if inc == nil {
 			t.Fatal("i++ not recorded")
 		}
-		if !c.ReachableFrom(inc)[inc] {
+		if !reachableFrom(inc)[inc] {
 			t.Fatal("goto again does not loop back")
 		}
 		if !entryReaches(c)[c.Exit] {
@@ -194,15 +235,26 @@ func TestCFGShapes(t *testing.T) {
 		if lit0 == nil || ret == nil {
 			t.Fatal("case label or return not recorded")
 		}
-		if !c.ReachableFrom(b0)[ret] {
+		if !reachableFrom(b0)[ret] {
 			t.Fatal("fallthrough edge missing: case 0 cannot reach case 1 body")
 		}
 	})
 
 	t.Run("defer in loop recorded", func(t *testing.T) {
 		c := cfgOf(t, pkg, "deferInLoop")
-		if len(c.Defers) != 2 {
-			t.Fatalf("recorded %d defers, want 2 (loop + outer)", len(c.Defers))
+		var blocks []*Block
+		for _, b := range c.Blocks {
+			for _, n := range b.Nodes {
+				if _, ok := n.(*ast.DeferStmt); ok {
+					blocks = append(blocks, b)
+				}
+			}
+		}
+		if len(blocks) != 2 {
+			t.Fatalf("recorded %d defers, want 2 (loop + outer)", len(blocks))
+		}
+		if !reachableFrom(blocks[0])[blocks[1]] {
+			t.Fatal("outer defer unreachable from the loop's defer")
 		}
 	})
 
@@ -237,7 +289,7 @@ func TestCFGShapes(t *testing.T) {
 		if node == nil {
 			t.Fatal("panic not recorded")
 		}
-		reach := c.ReachableFrom(blk)
+		reach := reachableFrom(blk)
 		for b := range reach {
 			for _, n := range b.Nodes {
 				if r, ok := n.(*ast.ReturnStmt); ok {
@@ -361,9 +413,7 @@ func f(v bool) {
 	_ = x
 }
 `)
-	var body *ast.BlockStmt
-	eachFuncDecl(pkg.Files, func(fd *ast.FuncDecl) { body = fd.Body })
-	c := buildCFG(body)
+	c := cfgOf(t, pkg, "f")
 	isDefine := func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		return ok && as.Tok.String() == ":="
@@ -379,7 +429,7 @@ func f(v bool) {
 	if use == nil {
 		t.Fatal("use site not recorded")
 	}
-	if !reachingBefore(c, use, isDefine, isKill) {
+	if !factReaches(c, use, isDefine, isKill) {
 		t.Fatal("fact should survive the unkilled else-arm to the use")
 	}
 	// And a kill on the only path does stop it.
@@ -391,9 +441,7 @@ func f() {
 	_ = x
 }
 `)
-	var body2 *ast.BlockStmt
-	eachFuncDecl(pkg2.Files, func(fd *ast.FuncDecl) { body2 = fd.Body })
-	c2 := buildCFG(body2)
+	c2 := cfgOf(t, pkg2, "f")
 	var target ast.Node
 	for _, b := range c2.Blocks {
 		for _, n := range b.Nodes {
@@ -402,7 +450,7 @@ func f() {
 			}
 		}
 	}
-	if reachingBefore(c2, target, isDefine, isKill) {
+	if factReaches(c2, target, isDefine, isKill) {
 		t.Fatal("fact killed on the only path should not reach the use")
 	}
 }

@@ -5,12 +5,11 @@ import (
 	"go/types"
 )
 
-// This file is the gen-2 framework's dataflow layer: a small forward
+// This file is the framework's dataflow layer: a small forward
 // may-analysis engine over the CFG in cfg.go. Facts are sets of
-// types.Object (the variables an analyzer tracks — unended spans, tainted
-// slices, armed semaphores); the join is set union, so a fact holds at a
+// types.Object (the variables an analyzer tracks — detpath's slices tainted
+// with map-iteration order); the join is set union, so a fact holds at a
 // point if it holds on ANY path reaching it. That is the right polarity for
-// the shipped analyzers: "some path reaches return with the span unended",
 // "some path uses the slice before sorting it".
 //
 // Transfer functions work at node granularity: the engine feeds every node
@@ -81,30 +80,6 @@ func forwardFlow(c *CFG, apply func(n ast.Node, facts objSet), visit func(n ast.
 		}
 	}
 	return in
-}
-
-// reachingBefore reports whether any node for which `gen` holds can reach
-// `target` (facts generated by gen survive until killed by `kill`; nil kill
-// means nothing kills). It is the engine's reaching-definitions shape,
-// specialized to a single boolean fact keyed by a sentinel object.
-func reachingBefore(c *CFG, target ast.Node, gen func(ast.Node) bool, kill func(ast.Node) bool) bool {
-	found := false
-	sentinel := types.NewLabel(0, nil, "reach")
-	forwardFlow(c,
-		func(n ast.Node, facts objSet) {
-			if kill != nil && kill(n) {
-				delete(facts, sentinel)
-			}
-			if gen(n) {
-				facts[sentinel] = true
-			}
-		},
-		func(n ast.Node, facts objSet) {
-			if n == target && facts[sentinel] {
-				found = true
-			}
-		})
-	return found
 }
 
 // objOf resolves an identifier to its object, through either a use or a

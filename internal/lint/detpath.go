@@ -307,3 +307,17 @@ func exprMentions(e ast.Expr, target ast.Expr) bool {
 	})
 	return found
 }
+
+// inspectSkippingFuncLits visits every node of the body except subtrees of
+// nested function literals.
+func inspectSkippingFuncLits(body ast.Node, fn func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
+		if n != nil {
+			fn(n)
+		}
+		return true
+	})
+}

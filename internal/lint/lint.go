@@ -78,43 +78,9 @@ func (p *Pass) InLibrary() bool {
 	return strings.HasPrefix(p.Path, p.Module+"/internal/")
 }
 
-// All returns the full analyzer registry in stable order: the three gen-1
-// syntax-level analyzers, then the five gen-2 CFG/dataflow analyzers.
+// All returns the analyzer registry in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		analyzerLocksafe,
-		analyzerErrcheck,
-		analyzerAPIHygiene,
-		analyzerGoroleak,
-		analyzerAtomicfield,
-		analyzerCtxflow,
-		analyzerSpanend,
-		analyzerDetpath,
-	}
-}
-
-// ByName resolves a comma-separated analyzer subset against the registry.
-func ByName(names string) ([]*Analyzer, error) {
-	reg := map[string]*Analyzer{}
-	for _, a := range All() {
-		reg[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		a, ok := reg[n]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", n)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: empty analyzer selection %q", names)
-	}
-	return out, nil
+	return []*Analyzer{analyzerErrcheck, analyzerDetpath}
 }
 
 // Result is the outcome of running analyzers over packages.
@@ -125,24 +91,17 @@ type Result struct {
 	Suppressed []Finding
 }
 
-// Run executes the analyzers over each package, applies suppression
+// Run executes every analyzer over each package, applies suppression
 // directives, and reports directive hygiene: a directive naming an unknown
 // analyzer is a finding, and a directive that suppresses nothing (stale —
 // the code it excused was fixed or moved) is a finding too, so the
-// suppression count is an enforced budget rather than a ratchet. Staleness
-// is only decidable for directives whose analyzer actually ran: partial
-// `-only` runs skip the check for unselected analyzers, and wildcard
-// directives are only checked when the full registry runs.
-func Run(pkgs []*Package, analyzers []*Analyzer) Result {
+// suppression count is an enforced budget rather than a ratchet.
+func Run(pkgs []*Package) Result {
+	analyzers := All()
 	registry := map[string]bool{}
-	for _, a := range All() {
+	for _, a := range analyzers {
 		registry[a.Name] = true
 	}
-	selected := map[string]bool{}
-	for _, a := range analyzers {
-		selected[a.Name] = true
-	}
-	fullRun := len(selected) == len(registry)
 
 	var res Result
 	for _, pkg := range pkgs {
@@ -178,10 +137,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) Result {
 					Analyzer: "mhlint",
 					Message:  fmt.Sprintf("ignore directive names unknown analyzer %q", d.analyzer),
 				})
-			case d.used:
-			case d.analyzer == "*" && !fullRun:
-				// A wildcard's staleness is undecidable on a partial run.
-			case d.analyzer == "*" || selected[d.analyzer]:
+			case !d.used:
 				res.Findings = append(res.Findings, Finding{
 					Pos:      d.pos,
 					Analyzer: "mhlint",

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -8,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,10 +58,10 @@ func loadFixture(t *testing.T, path, src string) *Package {
 	}
 }
 
-// runFixture runs one analyzer over one fixture.
-func runFixture(t *testing.T, a *Analyzer, path, src string) Result {
+// runFixture runs the analyzers over one fixture.
+func runFixture(t *testing.T, path, src string) Result {
 	t.Helper()
-	return Run([]*Package{loadFixture(t, path, src)}, []*Analyzer{a})
+	return Run([]*Package{loadFixture(t, path, src)})
 }
 
 // wantFindings asserts the active findings contain each wanted substring,
@@ -88,15 +90,15 @@ func formatFindings(fs []Finding) string {
 }
 
 func TestIgnoreDirectiveMalformed(t *testing.T) {
-	res := runFixture(t, analyzerAPIHygiene, "modelhub/internal/fix", `package fix
+	res := runFixture(t, "modelhub/internal/fix", `package fix
 
-import "fmt"
+import "os"
 
-//mhlint:ignore apihygiene
-func F() { fmt.Println("x") }
+//mhlint:ignore errcheck
+func F() { os.Remove("x") }
 `)
 	// The malformed directive (no reason) is itself a finding, and it does
-	// not suppress the fmt.Println finding.
+	// not suppress the os.Remove finding.
 	if len(res.Findings) != 2 {
 		t.Fatalf("got %d findings, want 2 (malformed directive + unsuppressed):\n%s", len(res.Findings), formatFindings(res.Findings))
 	}
@@ -106,27 +108,96 @@ func F() { fmt.Println("x") }
 }
 
 func TestIgnoreWildcard(t *testing.T) {
-	res := runFixture(t, analyzerAPIHygiene, "modelhub/internal/fix", `package fix
+	res := runFixture(t, "modelhub/internal/fix", `package fix
 
-import "fmt"
+import "os"
 
 func F() {
-	fmt.Println("x") //mhlint:ignore * demo of the wildcard form
+	os.Remove("x") //mhlint:ignore * demo of the wildcard form
 }
 `)
 	wantFindings(t, res, nil, 1)
 }
 
-func TestByName(t *testing.T) {
-	as, err := ByName("locksafe, errcheck")
-	if err != nil || len(as) != 2 {
-		t.Fatalf("ByName = %v, %v", as, err)
+func TestStaleDirectiveOnFullRun(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/fix", `package fix
+
+//mhlint:ignore errcheck historical justification that no longer applies
+var V = 1
+`)
+	wantFindings(t, res, []string{"stale ignore directive: no errcheck finding"}, 0)
+}
+
+func TestStaleWildcardDirective(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/fix", `package fix
+
+//mhlint:ignore * blanket excuse covering nothing
+var V = 1
+`)
+	wantFindings(t, res, []string{"stale ignore directive: no * finding"}, 0)
+}
+
+func TestUnknownAnalyzerDirective(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/fix", `package fix
+
+//mhlint:ignore errchek typo for errcheck
+var V = 1
+`)
+	wantFindings(t, res, []string{`ignore directive names unknown analyzer "errchek"`}, 0)
+}
+
+func TestUsedDirectiveIsNotStale(t *testing.T) {
+	res := runFixture(t, "modelhub/internal/fix", `package fix
+
+import "os"
+
+func Cleanup() {
+	//mhlint:ignore errcheck best-effort temp cleanup
+	os.Remove("x")
+}
+`)
+	// What must NOT appear is a stale-directive finding for the used
+	// errcheck ignore.
+	wantFindings(t, res, nil, 1)
+	if res.Suppressed[0].Analyzer != "errcheck" {
+		t.Fatalf("suppressed %v, want the errcheck finding", res.Suppressed[0])
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("ByName(nope) should fail")
+}
+
+// TestSuppressedOutputDeterministic locks the ordering contract for
+// -suppressed output: position-sorted across analyzers, stable across runs.
+// errcheck runs first, so its finding (later in the file) is reported
+// before detpath's and only the sort puts them in file order.
+func TestSuppressedOutputDeterministic(t *testing.T) {
+	src := `package tensor
+
+import "os"
+
+func Sum(m map[string]float64) float64 {
+	var s float64
+	for _, v := range m {
+		//mhlint:ignore detpath first
+		s += v
 	}
-	if _, err := ByName(""); err == nil {
-		t.Fatal("ByName(empty) should fail")
+	//mhlint:ignore errcheck second
+	os.Remove("x")
+	return s
+}
+`
+	var prev []string
+	for i := 0; i < 3; i++ {
+		res := runFixture(t, "modelhub/internal/tensor", src)
+		var got []string
+		for _, f := range res.Suppressed {
+			got = append(got, fmt.Sprintf("%d:%d %s %s", f.Pos.Line, f.Pos.Column, f.Analyzer, f.SuppressedBy))
+		}
+		if len(got) != 2 || !strings.Contains(got[0], "detpath first") || !strings.Contains(got[1], "errcheck second") {
+			t.Fatalf("run %d: suppressed output %v, want position-sorted detpath then errcheck", i, got)
+		}
+		if prev != nil && !slices.Equal(prev, got) {
+			t.Fatalf("run %d: order changed: %v vs %v", i, prev, got)
+		}
+		prev = got
 	}
 }
 
@@ -194,13 +265,11 @@ func F() { fmt.Println(a.V) }
 	if len(pkgs) != 2 {
 		t.Fatalf("loaded %d packages, want 2", len(pkgs))
 	}
-	// fmt.Println in a library package trips both apihygiene (stdout) and
-	// errcheck (dropped (n, err)).
-	res := Run(pkgs, All())
-	if len(res.Findings) != 2 ||
-		res.Findings[0].Analyzer != "apihygiene" || res.Findings[1].Analyzer != "errcheck" ||
+	// fmt.Println in a library package drops its (n, err) result.
+	res := Run(pkgs)
+	if len(res.Findings) != 1 || res.Findings[0].Analyzer != "errcheck" ||
 		!strings.Contains(res.Findings[0].Message, "fmt.Println") {
-		t.Fatalf("mini-module findings = %s, want the fmt.Println apihygiene + errcheck pair", formatFindings(res.Findings))
+		t.Fatalf("mini-module findings = %s, want the fmt.Println errcheck finding", formatFindings(res.Findings))
 	}
 
 	if _, err := Load(dir, []string{"./nope/..."}); err == nil {

@@ -49,7 +49,7 @@ type JSONReport struct {
 
 // Report assembles the JSON form of a run, with file paths rewritten by rel
 // (nil for identity).
-func Report(module string, packages int, analyzers []*Analyzer, findings, suppressed []Finding, rel func(string) string) *JSONReport {
+func Report(module string, packages int, findings, suppressed []Finding, rel func(string) string) *JSONReport {
 	if rel == nil {
 		rel = func(p string) string { return p }
 	}
@@ -67,8 +67,8 @@ func Report(module string, packages int, analyzers []*Analyzer, findings, suppre
 		}
 		return out
 	}
-	names := make([]string, 0, len(analyzers))
-	for _, a := range analyzers {
+	var names []string
+	for _, a := range All() {
 		names = append(names, a.Name)
 	}
 	return &JSONReport{

@@ -30,14 +30,14 @@ func TestModuleRel(t *testing.T) {
 }
 
 func TestJSONReportShape(t *testing.T) {
-	fresh := []Finding{mkFinding("a.go", 1, "goroleak", "leak")}
+	fresh := []Finding{mkFinding("a.go", 1, "detpath", "map order")}
 	sup := []Finding{{
 		Pos:          token.Position{Filename: "b.go", Line: 2, Column: 3},
 		Analyzer:     "errcheck",
 		Message:      "dropped",
 		SuppressedBy: "audited",
 	}}
-	r := Report("modelhub", 3, All(), fresh, sup, nil)
+	r := Report("modelhub", 3, fresh, sup, nil)
 	data, err := r.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestJSONReportShape(t *testing.T) {
 	for _, want := range []string{
 		`"module": "modelhub"`,
 		`"packages": 3`,
-		`"goroleak"`,
+		`"detpath"`,
 		`"suppressed_by": "audited"`,
 	} {
 		if !strings.Contains(s, want) {

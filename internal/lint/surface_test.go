@@ -11,7 +11,6 @@ import (
 const (
 	oracle     = "test oracle: the reference other code is checked against"
 	testHelper = "helper that other packages' tests import (a _test.go file cannot export across packages)"
-	neutral    = "spanend names it as a neutral Span method"
 	dispatched = "errors.Is and errors.As call it through an anonymous interface"
 )
 
@@ -28,8 +27,6 @@ var unusedAllowed = map[string]string{
 	"dnn.Network.LossAndBackward": oracle,
 	"hub.transientError.Unwrap":   dispatched,
 	"obs.DisableTracing":          testHelper,
-	"obs.Span.Name":               neutral,
-	"obs.Span.SpanID":             neutral,
 	"tensor.Matrix.ApproxEqual":   testHelper,
 	"tensor.Matrix.MatMulRef":     oracle,
 	"tensor.Matrix.MeanAbsDiff":   testHelper,

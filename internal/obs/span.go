@@ -167,14 +167,6 @@ func (s *Span) addChild(name string, d time.Duration) {
 	s.childNS[name] += d.Nanoseconds()
 }
 
-// Name returns the span's name ("" for the nil no-op span).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // TraceID returns the span's trace ID (zero when the span is nil or has no
 // trace).
 func (s *Span) TraceID() TraceID {
@@ -182,14 +174,6 @@ func (s *Span) TraceID() TraceID {
 		return TraceID{}
 	}
 	return s.tr.id
-}
-
-// SpanID returns the span's ID (zero when the span is nil or has no trace).
-func (s *Span) SpanID() SpanID {
-	if s == nil {
-		return SpanID{}
-	}
-	return s.spanID
 }
 
 // SetAttr attaches a string attribute to the span's trace record. No-op on

@@ -6,6 +6,22 @@ import (
 	"time"
 )
 
+// Name returns the span's name ("" for the nil no-op span).
+func (s *Span) Name() string {
+	if s == nil {
+		return ""
+	}
+	return s.name
+}
+
+// SpanID returns the span's ID (zero when the span is nil or has no trace).
+func (s *Span) SpanID() SpanID {
+	if s == nil {
+		return SpanID{}
+	}
+	return s.spanID
+}
+
 func TestSpanDisabledIsNil(t *testing.T) {
 	Disable()
 	ctx, s := Start(context.Background(), "test.span.off")

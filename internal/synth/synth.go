@@ -245,10 +245,3 @@ func GenerateRD(cfg RDConfig) *pas.Graph {
 	}
 	return g
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
