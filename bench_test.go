@@ -13,7 +13,7 @@ package modelhub
 //	Fig 6(d)  -> BenchmarkFig6dProgressive, BenchmarkFig6dIntervalForward
 //	Table IV  -> BenchmarkTable4Cell/<config>
 //	Table V   -> BenchmarkTable5Retrieval/<plan>/<query>/<scheme>
-//	Ablations -> BenchmarkAblationZlibLevel/<level>, BenchmarkAblationBudgetSplit
+//	Ablations -> BenchmarkAblationZlibLevel/<body>/<plane>/<level>, BenchmarkAblationBudgetSplit
 //	End2End   -> BenchmarkLifecycleCommit, BenchmarkDQLSelect
 
 import (
@@ -481,20 +481,94 @@ func BenchmarkObsOverhead(b *testing.B) {
 
 // ---- Ablations ----
 
-func BenchmarkAblationZlibLevel(b *testing.B) {
-	base, _ := driftedPair(b)
-	seg := floatenc.Segment(base)
-	for _, level := range []int{1, 6, 9} {
-		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
-			b.SetBytes(int64(len(seg.Planes[0]) * floatenc.NumPlanes))
-			for i := 0; i < b.N; i++ {
-				for p := 0; p < floatenc.NumPlanes; p++ {
-					if _, err := floatenc.Deflate(seg.Planes[p], level); err != nil {
-						b.Fatal(err)
-					}
-				}
+var (
+	onceBodies  sync.Once
+	benchBodies [2][]*floatenc.Segmented // materialized, delta
+	bodiesErr   error
+)
+
+// checkpointBodies returns the bodies archiving prices, split by kind, on an
+// 8-version lenet lineage trained like the benchmark's archive-checkout
+// fixture at seed 7: a base (2 epochs at LR 0.1) and a chain of 7 fine-tunes
+// (1 epoch at LR 0.02 each, on fresh data), checkpointed every 10
+// iterations. The materialized bodies are every checkpoint's matrices, the
+// delta bodies the XOR between each matrix and the same layer one checkpoint
+// earlier, each cut into its byte planes.
+func checkpointBodies(b *testing.B) [2][]*floatenc.Segmented {
+	b.Helper()
+	onceBodies.Do(func() {
+		const seed = 20170419
+		net, err := dnn.Build(zoo.LeNet("lenet"), rand.New(rand.NewSource(seed+1)))
+		if err != nil {
+			bodiesErr = err
+			return
+		}
+		var ckpts []dnn.Checkpoint
+		for v := int64(1); v <= 8; v++ {
+			vseed, epochs, lr := 7000+v, 1, 0.02
+			if v == 1 {
+				vseed, epochs, lr = seed, 2, 0.1
 			}
-		})
+			train, _ := data.Split(data.Digits(rand.New(rand.NewSource(vseed)), 400, 0.05), 0.8)
+			res, err := dnn.Train(net, train, dnn.TrainConfig{Epochs: epochs, BatchSize: 16, LR: lr, CheckpointEvery: 10, Seed: vseed + 2})
+			if err != nil {
+				bodiesErr = err
+				return
+			}
+			ckpts = append(ckpts, res.Checkpoints...)
+		}
+		for i, c := range ckpts {
+			for _, name := range slices.Sorted(maps.Keys(c.Weights)) {
+				benchBodies[0] = append(benchBodies[0], floatenc.Segment(c.Weights[name]))
+				if i == 0 {
+					continue
+				}
+				d, err := delta.Compute(delta.XOR, ckpts[i-1].Weights[name], c.Weights[name])
+				if err != nil {
+					bodiesErr = err
+					return
+				}
+				benchBodies[1] = append(benchBodies[1], floatenc.Segment(d.Body))
+			}
+		}
+	})
+	if bodiesErr != nil {
+		b.Fatal(bodiesErr)
+	}
+	return benchBodies
+}
+
+// BenchmarkAblationZlibLevel codes each plane class of the archived bodies
+// at Huffman-only (-2) and levels 1, 6 and 9, one body's plane at a time as
+// pricing does. MB/s is the coder's speed on the class and z/raw its
+// compressed size over the raw size: the table per plane class behind pas's
+// coder choice (EXPERIMENTS.md, zlib coder per byte-plane class).
+func BenchmarkAblationZlibLevel(b *testing.B) {
+	bodies := checkpointBodies(b)
+	for kind, kindName := range []string{"materialized", "delta"} {
+		for p := range floatenc.NumPlanes {
+			raw := 0
+			for _, seg := range bodies[kind] {
+				raw += len(seg.Planes[p])
+			}
+			for _, level := range []int{-2, 1, 6, 9} {
+				b.Run(fmt.Sprintf("%s/plane%d/level%d", kindName, p, level), func(b *testing.B) {
+					b.SetBytes(int64(raw))
+					z := 0
+					for i := 0; i < b.N; i++ {
+						z = 0
+						for _, seg := range bodies[kind] {
+							out, err := floatenc.Deflate(seg.Planes[p], level)
+							if err != nil {
+								b.Fatal(err)
+							}
+							z += len(out)
+						}
+					}
+					b.ReportMetric(float64(z)/float64(raw), "z/raw")
+				})
+			}
+		}
 	}
 }
 

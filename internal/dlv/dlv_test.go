@@ -2,6 +2,7 @@ package dlv
 
 import (
 	"bytes"
+	"compress/zlib"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -636,9 +637,10 @@ func TestArchiveUsesCrossVersionDeltas(t *testing.T) {
 // A fine-tune that records its parent's latest weights as its first
 // snapshot repeats them; Archive compresses their planes once, with the
 // parent's. On a three-version lineage of 6 distinct weight sets and 5 deltas
-// between them, the two repeated snapshots and their zero deltas against the
-// parents' latest add at most one plane per matrix — all-zero — to the
-// planes compressed.
+// between them, the two repeated snapshots add nothing to the planes
+// compressed, and their zero deltas against the parents' latest add one
+// all-zero plane per matrix and coder: each distinct (coder, plane) pair is
+// compressed once.
 func TestArchivePricesRepeatedSnapshotOnce(t *testing.T) {
 	r := initRepo(t)
 	rng := rand.New(rand.NewSource(24))
@@ -653,11 +655,16 @@ func TestArchivePricesRepeatedSnapshotOnce(t *testing.T) {
 		}
 		return out
 	}
+	// The snapshots Archive prices and its delta pairs: adjacent snapshots of
+	// a version, and a parent's latest against its child's first.
+	var snapW []map[string]*tensor.Matrix
+	var pairW [][2]map[string]*tensor.Matrix
 	var parent int64
 	for v := 1; v <= 3; v++ {
 		var ckpts []dnn.Checkpoint
 		if parent != 0 {
 			ckpts = append(ckpts, dnn.Checkpoint{Iter: 0, Weights: latest})
+			pairW = append(pairW, [2]map[string]*tensor.Matrix{latest, latest})
 		}
 		mid := step(latest)
 		ckpts = append(ckpts, dnn.Checkpoint{Iter: 10, Weights: mid})
@@ -667,10 +674,64 @@ func TestArchivePricesRepeatedSnapshotOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		versionSnaps := []map[string]*tensor.Matrix{}
+		for _, c := range ckpts {
+			versionSnaps = append(versionSnaps, c.Weights)
+		}
+		versionSnaps = append(versionSnaps, latest)
+		for i := 1; i < len(versionSnaps); i++ {
+			pairW = append(pairW, [2]map[string]*tensor.Matrix{versionSnaps[i-1], versionSnaps[i]})
+		}
+		snapW = append(snapW, versionSnaps...)
 		parent = id
 	}
 	const matrices, snaps, pairs = 2, 8, 7 // pairs: 5 within versions, 2 parent latest -> child first
-	const distinctSnaps, distinctDeltas = 6, 5
+	const repeatedSnaps = 2
+	if len(snapW) != snaps || len(pairW) != pairs {
+		t.Fatalf("fixture has %d snapshots and %d pairs, want %d and %d", len(snapW), len(pairW), snaps, pairs)
+	}
+	// The distinct (coder, plane) pairs of every priced body, under price's
+	// class rule: a matrix's planes are Huffman-only coded, a delta's plane 0
+	// at level 6 and its planes 1-3 at level 1.
+	coder := func(materialized bool, p int) int {
+		switch {
+		case materialized:
+			return zlib.HuffmanOnly
+		case p == 0:
+			return floatenc.DefaultZlibLevel
+		}
+		return zlib.BestSpeed
+	}
+	type coderPlane struct {
+		coder int
+		plane string
+	}
+	distinct := map[coderPlane]bool{}
+	addBody := func(m *tensor.Matrix, materialized bool) {
+		for p, plane := range floatenc.Segment(m).Planes {
+			distinct[coderPlane{coder(materialized, p), string(plane)}] = true
+		}
+	}
+	for _, w := range snapW {
+		for _, m := range w {
+			addBody(m, true)
+		}
+	}
+	for _, pw := range pairW {
+		for name, m := range pw[1] {
+			d, err := delta.Compute(delta.XOR, pw[0][name], m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addBody(d.Body, false)
+		}
+	}
+	priced := int64((snaps + 2*pairs) * matrices * floatenc.NumPlanes)
+	want := int64(len(distinct))
+	if priced-want < repeatedSnaps*matrices*floatenc.NumPlanes {
+		t.Fatalf("fixture has %d distinct (coder, plane) pairs of %d planes; it no longer repeats a snapshot", want, priced)
+	}
+
 	obs.Enable() // counters are no-ops while metrics are disabled
 	counters := []*obs.Counter{
 		obs.GetCounter("pas.create.planes_deflated"),
@@ -689,11 +750,14 @@ func TestArchivePricesRepeatedSnapshotOnce(t *testing.T) {
 		n[i] = c.Value() - before[i]
 	}
 	compressed := n[0] + n[1]
-	if total, want := compressed+n[2], int64((snaps+2*pairs)*matrices*floatenc.NumPlanes); total != want {
-		t.Fatalf("%d planes deflated, %d stored, %d shared: %d priced, want %d", n[0], n[1], n[2], total, want)
+	if total := compressed + n[2]; total != priced {
+		t.Fatalf("%d planes deflated, %d stored, %d shared: %d priced, want %d", n[0], n[1], n[2], total, priced)
 	}
-	if limit := int64((distinctSnaps+distinctDeltas)*matrices*floatenc.NumPlanes + matrices); compressed > limit {
-		t.Fatalf("%d planes compressed, want at most %d: a repeated snapshot was priced again", compressed, limit)
+	if compressed > want {
+		t.Fatalf("%d planes compressed, want %d distinct (coder, plane) pairs: a repeated snapshot was priced again", compressed, want)
+	}
+	if compressed < want {
+		t.Fatalf("%d planes compressed, want %d distinct (coder, plane) pairs: a plane was shared across coders", compressed, want)
 	}
 }
 

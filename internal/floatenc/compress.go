@@ -12,9 +12,12 @@ import (
 )
 
 // zlib helpers. The paper compresses matrices, deltas and byte planes with
-// zlib level 6; these wrappers keep that policy in one place.
+// zlib level 6; these wrappers take any level, and every stream they write
+// is one Inflate reads.
 
-// DefaultZlibLevel mirrors the paper's experimental setting.
+// DefaultZlibLevel mirrors the paper's experimental setting. The experiments
+// keep it as their size metric (CompressedSize); PAS archive chunks are coded
+// at a level chosen per plane class instead (pas.planeLevel).
 const DefaultZlibLevel = 6
 
 // A flate compressor carries ~790 KB of state that NewWriterLevel allocates
@@ -171,7 +174,9 @@ func Inflate(data []byte, size int) ([]byte, error) {
 }
 
 // CompressedSize returns the zlib level-6 size of data, the metric every
-// storage experiment reports.
+// storage experiment reports: the paper's setting, kept so the experiments
+// stay comparable with it. PAS prices and stores archive chunks with the
+// coder of each plane's class, not with this.
 func CompressedSize(data []byte) (int, error) {
 	out, err := Deflate(data, DefaultZlibLevel)
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 
 // Block is one straight-line run of nodes with its control-flow successors.
 type Block struct {
-	Index int
 	Nodes []ast.Node
 	Succs []*Block
 }
@@ -47,13 +46,12 @@ func buildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
 		cfg: &CFG{},
 	}
-	b.cfg.Exit = &Block{Index: -1}
+	b.cfg.Exit = &Block{}
 	b.cur = b.newBlock()
 	b.labels = map[string]*Block{}
 	b.stmt(body)
 	// Falling off the end of the body reaches the exit.
 	b.edge(b.cur, b.cfg.Exit)
-	b.cfg.Exit.Index = len(b.cfg.Blocks)
 	b.cfg.Blocks = append(b.cfg.Blocks, b.cfg.Exit)
 	b.patchGotos()
 	return b.cfg
@@ -82,7 +80,7 @@ type cfgBuilder struct {
 }
 
 func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.cfg.Blocks)}
+	blk := &Block{}
 	b.cfg.Blocks = append(b.cfg.Blocks, blk)
 	return blk
 }

@@ -55,7 +55,6 @@ type Pass struct {
 	// Path is the package import path.
 	Path  string
 	Files []*ast.File
-	Pkg   *types.Package
 	Info  *types.Info
 
 	analyzer string
@@ -114,7 +113,6 @@ func Run(pkgs []*Package) Result {
 				Module:   pkg.Module,
 				Path:     pkg.Path,
 				Files:    pkg.Files,
-				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				analyzer: a.Name,
 				report:   func(f Finding) { raw = append(raw, f) },

@@ -76,13 +76,15 @@ func reshapedSnaps(seed int64, nSnaps int) []SnapshotIn {
 
 // The bytes Create writes are a function of its input alone: equal at every
 // worker count. The segment files — every chunk payload, in write order —
-// are still what the serial implementation of e3e714e wrote, before
-// candidate pricing was pooled, shared between twin and equal planes, run on
-// a worker gate and allowed to skip zlib's compressor on incompressible
-// planes: their digest and size (segSum, segBytes) were measured on the
-// version-2 writer, whose whole-archive digest was pinned to that
-// implementation's. The whole archive (want, wantBytes) is pinned as
-// version 3 writes it: one manifest beside the same segments.
+// were what the serial implementation of e3e714e wrote, through candidate
+// pricing being pooled, shared between twin and equal planes, run on a
+// worker gate and allowed to skip zlib's compressor on incompressible
+// planes, and through the version-3 manifest. They moved once, when pricing
+// began to pick the zlib coder per plane class (planeLevel): the matrix
+// fixture's segments went 14,673 → 14,478 B and its archive 23,284 →
+// 23,078 B; the plane-granular one's segments 11,354 → 11,280 B and its
+// archive 21,327 → 21,251 B. The whole archive (want, wantBytes) is pinned
+// as version 3 writes it: one manifest beside the segments.
 func TestCreateBytesAreWorkerInvariant(t *testing.T) {
 	for _, fx := range []struct {
 		name      string
@@ -94,13 +96,13 @@ func TestCreateBytesAreWorkerInvariant(t *testing.T) {
 		wantBytes int
 	}{
 		{"matrix", makeSnaps(60, 5, 0), Options{Algorithm: "pas-mt", Alpha: 1.6},
-			"b88c9aa09ec41f4c2a3c5fb731cca6fc583ab0b90af486817bb32804b514e611", 14673,
-			"248a1459be25d12604bc0d4844a310de14296507bd3481daad796d830e48b8f3", 23284},
+			"91f5be051c0ae3c15d253b7052e04a3ca5512e6c6e3357eb35390f0133479967", 14478,
+			"de61a8ce7787b1cd56f8bc46fdaeb7a1e79094a3184612a16758b635c6312b4d", 23078},
 		{"plane+remote+reshaped", reshapedSnaps(61, 4),
 			Options{Algorithm: "pas-mt", Alpha: 1.6, PlaneGranularity: true,
 				Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
-			"e914e5b0dd310ead893d651042a219011998cce45e91507c12208f16e3fc2a11", 11354,
-			"e6ae7e8de587b402f8cc56a0221b1a91b84b32fbf251b2c7a1e0e794f607c172", 21327},
+			"97020014e4e8933fad2740cd3d261b017ac8d1c27486edb5657116f4ce67f099", 11280,
+			"9f8022df393c3408823dd6440c3617296cf5442290e28fb009818302829e3cc5", 21251},
 	} {
 		for _, procs := range []int{1, 2, 4, 8} {
 			prev := runtime.GOMAXPROCS(procs)
@@ -126,27 +128,31 @@ func TestCreateBytesAreWorkerInvariant(t *testing.T) {
 	}
 }
 
-// Pricing compresses each distinct plane of the candidate delta bodies exactly
-// once — the bodies are one per matrix, one per same-shape pair and two per
-// differing-shape pair, and a plane equal to one already met, such as a
-// matrix a later snapshot repeats, is shared instead — and the write loop
-// compresses nothing, whatever the node granularity, tier options or worker
-// count.
+// Pricing compresses each distinct (level, plane) pair of the candidate delta
+// bodies exactly once — the bodies are one per matrix, one per same-shape pair
+// and two per differing-shape pair, each plane's level is its class's, and a
+// plane equal to one already met at the same level, such as a matrix a later
+// snapshot repeats, is shared instead — and the write loop compresses
+// nothing, whatever the node granularity, tier options or worker count.
 func TestCreateDeflatesEachPlaneOnce(t *testing.T) {
 	snaps := reshapedSnaps(62, 3) // 4 snapshots x 3 matrices; 9 default pairs, 1 of them reshaped
 	const matrices, pairs, sameShape = 12, 9, 8
 	priced := (matrices + 2*pairs) * floatenc.NumPlanes
-	// The distinct planes of every body a candidate edge stores, found
-	// without the pricing code.
-	distinct := map[string]bool{}
-	addBody := func(m *tensor.Matrix) {
-		for _, p := range floatenc.Segment(m).Planes {
-			distinct[string(p)] = true
+	// The distinct (level, plane) pairs of every body a candidate edge
+	// stores, found without the pricing code.
+	type levelPlane struct {
+		level int
+		plane string
+	}
+	distinct := map[levelPlane]bool{}
+	addBody := func(m *tensor.Matrix, materialized bool) {
+		for p, plane := range floatenc.Segment(m).Planes {
+			distinct[levelPlane{planeLevel(materialized, p), string(plane)}] = true
 		}
 	}
 	for i, s := range snaps {
 		for name, m := range s.Matrices {
-			addBody(m)
+			addBody(m, true)
 			if i == 0 {
 				continue
 			}
@@ -156,7 +162,7 @@ func TestCreateDeflatesEachPlaneOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				addBody(body.Body)
+				addBody(body.Body, false)
 			}
 		}
 	}
@@ -164,7 +170,7 @@ func TestCreateDeflatesEachPlaneOnce(t *testing.T) {
 	// The reshaped snapshot repeats conv1 and ip1 of the one before it: their
 	// eight planes are shared on top of the same-shape twins.
 	if priced-compressed < (sameShape+2)*floatenc.NumPlanes {
-		t.Fatalf("fixture has %d distinct planes of %d; it no longer repeats a matrix", compressed, priced)
+		t.Fatalf("fixture has %d distinct (level, plane) pairs of %d planes; it no longer repeats a matrix", compressed, priced)
 	}
 	obs.Enable() // counters are no-ops while metrics are disabled
 	for _, opts := range []Options{
@@ -191,6 +197,59 @@ func TestCreateDeflatesEachPlaneOnce(t *testing.T) {
 				serial = [2]int64{deflated, stored}
 			} else if serial != [2]int64{deflated, stored} {
 				t.Errorf("%+v at GOMAXPROCS=%d: %d deflated, %d stored; serially %d, %d", opts, procs, deflated, stored, serial[0], serial[1])
+			}
+		}
+	}
+}
+
+// An all-zero plane belongs to several classes at once: every plane of a
+// zero matrix and of the XOR body between two equal matrices is one. Each
+// chunk still holds its plane coded at its own class's level, and the
+// archive is the same bytes at every worker count, whichever class a worker
+// happens to price the plane in first.
+func TestCreateCodesEachPlaneByItsClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	w := tensor.RandNormal(rng, 8, 10, 0.1)
+	snaps := []SnapshotIn{
+		{ID: "a", Matrices: map[string]*tensor.Matrix{"bias": tensor.NewMatrix(8, 10), "w": w}},
+		{ID: "b", Matrices: map[string]*tensor.Matrix{"bias": tensor.NewMatrix(8, 10), "w": w.Clone()}},
+		{ID: "c", Matrices: map[string]*tensor.Matrix{"bias": tensor.NewMatrix(8, 10), "w": w.Perturb(rng, 1e-3)}},
+	}
+	var want string
+	for _, procs := range []int{1, 2, 4, 8} {
+		for range 3 {
+			prev := runtime.GOMAXPROCS(procs)
+			dir := t.TempDir()
+			st, err := Create(dir, snaps, Options{})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkoutAllExact(t, st, snaps, Concurrent)
+			for _, n := range st.man.Nodes {
+				for p := range floatenc.NumPlanes {
+					z, err := st.seg.read(n.PlaneSum[p])
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw, err := floatenc.Inflate(z, n.Rows*n.Cols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					level := planeLevel(n.Parent == 0, p)
+					if coded, err := floatenc.Deflate(raw, level); err != nil || string(coded) != string(z) {
+						t.Errorf("GOMAXPROCS=%d: %v plane %d (parent %d) is not coded at level %d", procs, n.Ref, p, n.Parent, level)
+					}
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, _ := archiveDigest(t, dir)
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("GOMAXPROCS=%d: archive digest %s, serially %s", procs, got, want)
 			}
 		}
 	}
@@ -233,8 +292,8 @@ func TestCreatePricingErrorSurfacesOnce(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	before := runtime.NumGoroutine()
-	defer func(level int) { zlibLevel = level }(zlibLevel)
-	zlibLevel = 42
+	defer func(level func(bool, int) int) { planeLevel = level }(planeLevel)
+	planeLevel = func(bool, int) int { return 42 }
 	dir := t.TempDir()
 	_, err := Create(dir, makeSnaps(64, 6, 0), Options{})
 	if !errors.Is(err, ErrStore) {

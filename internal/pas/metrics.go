@@ -37,8 +37,9 @@ var (
 	// Create's pricing step, one count per plane of each candidate delta
 	// body: compressed to Huffman-coded blocks, kept as stored blocks (what
 	// floatenc.Deflate writes for incompressible input without running the
-	// compressor), or shared with an equal plane or a same-shape pair's twin.
-	// Each distinct plane is compressed once; the write loop adds none.
+	// compressor), or shared with an equal plane at the same coder or a
+	// same-shape pair's twin. Each distinct (coder, plane) pair is compressed
+	// once; the write loop adds none.
 	mCreatePlanesDeflated = obs.GetCounter("pas.create.planes_deflated")
 	mCreatePlanesStored   = obs.GetCounter("pas.create.planes_stored")
 	mCreatePlanesShared   = obs.GetCounter("pas.create.planes_shared")

@@ -1,6 +1,7 @@
 package pas
 
 import (
+	"compress/zlib"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -93,9 +94,34 @@ const (
 // records any other.
 const deltaOp = delta.XOR
 
-// zlibLevel compresses every chunk: the paper's level 6. It is a variable
-// only so a test can make pricing fail.
-var zlibLevel = floatenc.DefaultZlibLevel
+// planeLevel is the zlib level of plane p of a body that materializes its
+// matrix (the delta from ν0) or is a delta between two matrices. Byte planes
+// are not text, and each class gets the coder that measured best for it:
+//   - a matrix's planes are Huffman-only coded. Plane 0 holds the sign and
+//     the high exponent bits, a few byte values in no repeating order, where
+//     match search costs bytes as well as time (0.34 of raw against 0.41 at
+//     level 6). Planes 1-3 are near-random: floatenc.Deflate stores most of
+//     them without running a coder at any level, and on the rest level 6
+//     saves well under 1 % at twice the time;
+//   - plane 0 of a delta is mostly zero runs, which level 6 codes to about
+//     0.045 of raw against 0.053 at level 1. The planner leans on that
+//     margin: a small matrix's delta may save only ~12 % over materializing
+//     it, and at level 1 it no longer does (DESIGN.md §10);
+//   - planes 1-3 of a delta are near-random with a little structure, which
+//     level 1 finds at 1.5-2x level 6's speed for under 2 % more bytes.
+//
+// Every choice is a zlib stream that floatenc.Inflate reads. planeLevel is a
+// variable only so a test can make pricing fail.
+var planeLevel = func(materialized bool, p int) int {
+	switch {
+	case materialized:
+		return zlib.HuffmanOnly
+	case p == 0:
+		return floatenc.DefaultZlibLevel
+	default:
+		return zlib.BestSpeed
+	}
+}
 
 func (o Options) withDefaults() Options {
 	if o.Algorithm == "" {
@@ -200,29 +226,39 @@ type priced struct {
 	z          [floatenc.NumPlanes][]byte
 }
 
-// planeMemo compresses each distinct plane of one pricing run once. Planes
-// are keyed by the SHA-256 of their raw bytes: a fine-tune's snapshots repeat
-// whole matrices (a version's last checkpoint is its latest), and the XOR
-// body between two such copies is four equal zero planes. A worker that
-// meets a plane another is still compressing waits for that result, so the
-// count of compressions is the count of distinct planes at any worker count.
+// planeMemo compresses each distinct (level, plane) pair of one pricing run
+// once. Planes are keyed by their zlib level and the SHA-256 of their raw
+// bytes: a fine-tune's snapshots repeat whole matrices (a version's last
+// checkpoint is its latest), and the XOR body between two such copies is
+// four equal zero planes. The level is part of the key because one plane can
+// fall in two classes — an all-zero plane is a plane of a zero matrix and of
+// the delta between equal ones — and its bytes must not depend on which
+// class a worker met it in first. A worker that meets a pair another is
+// still compressing waits for that result, so the count of compressions is
+// the count of distinct pairs at any worker count.
 type planeMemo struct {
 	mu sync.Mutex
-	z  map[[sha256.Size]byte]*memoPlane
+	z  map[memoKey]*memoPlane
 }
 
-// memoPlane is one distinct plane's compressed bytes, valid once done is
-// closed.
+// memoKey is a plane's zlib level and the SHA-256 of its raw bytes.
+type memoKey struct {
+	level int
+	sum   [sha256.Size]byte
+}
+
+// memoPlane is one distinct (level, plane) pair's compressed bytes, valid
+// once done is closed.
 type memoPlane struct {
 	done chan struct{}
 	z    []byte
 	err  error
 }
 
-// deflate returns plane compressed at zlibLevel, sharing the bytes
-// with every equal plane of the run.
-func (m *planeMemo) deflate(plane []byte) ([]byte, error) {
-	key := sha256.Sum256(plane)
+// deflate returns plane compressed at level, sharing the bytes with every
+// equal plane of the run compressed at the same level.
+func (m *planeMemo) deflate(plane []byte, level int) ([]byte, error) {
+	key := memoKey{level, sha256.Sum256(plane)}
 	m.mu.Lock()
 	e, seen := m.z[key]
 	if !seen {
@@ -235,7 +271,7 @@ func (m *planeMemo) deflate(plane []byte) ([]byte, error) {
 		mCreatePlanesShared.Inc()
 		return e.z, e.err
 	}
-	e.z, e.err = floatenc.Deflate(plane, zlibLevel)
+	e.z, e.err = floatenc.Deflate(plane, level)
 	close(e.done)
 	if e.err != nil {
 		return nil, e.err
@@ -255,7 +291,8 @@ func (m *planeMemo) deflate(plane []byte) ([]byte, error) {
 func storedStream(z []byte) bool { return len(z) > 2 && z[2]&0b110 == 0 }
 
 // price computes, segments and compresses the delta body that recreates
-// target from base (nil: ν0, whose delta body is target itself).
+// target from base (nil: ν0, whose delta body is target itself), each plane
+// at the level planeLevel gives its class.
 func price(base, target *tensor.Matrix, memo *planeMemo) (*priced, error) {
 	body := target
 	if base != nil {
@@ -268,7 +305,7 @@ func price(base, target *tensor.Matrix, memo *planeMemo) (*priced, error) {
 	seg := floatenc.Segment(body)
 	b := &priced{rows: seg.Rows, cols: seg.Cols}
 	for p, plane := range seg.Planes {
-		z, err := memo.deflate(plane)
+		z, err := memo.deflate(plane, planeLevel(base == nil, p))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrStore, err)
 		}
@@ -282,7 +319,7 @@ func price(base, target *tensor.Matrix, memo *planeMemo) (*priced, error) {
 // them depends on the worker count or on scheduling. After a failure the
 // workers stop taking jobs and the first error recorded is the one returned.
 func priceAll(jobs [][2]*tensor.Matrix) ([]*priced, error) {
-	memo := &planeMemo{z: make(map[[sha256.Size]byte]*memoPlane)}
+	memo := &planeMemo{z: make(map[memoKey]*memoPlane)}
 	out := make([]*priced, len(jobs))
 	var next atomic.Int64
 	var failed atomic.Pointer[error]
