@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"modelhub/internal/data"
 	"modelhub/internal/dlv"
@@ -44,12 +45,18 @@ func Open(dir string) (*ModelHub, error) {
 	return wrap(repo), nil
 }
 
+// digits is the default evaluation dataset, the synthetic digit task, built
+// once per process and registered on every handle. Handles share it
+// read-only: training shuffles an index order and data.Split re-slices, so
+// nothing writes an example.
+var digits = sync.OnceValue(func() []dnn.Example {
+	return data.Digits(rand.New(rand.NewSource(12345)), 400, 0.05)
+})
+
 func wrap(repo *dlv.Repo) *ModelHub {
 	mh := &ModelHub{Repo: repo, Engine: dql.NewEngine(repo)}
-	// The synthetic digit task is the default evaluation dataset; callers
-	// can register more via mh.Engine.RegisterDataset.
-	rng := rand.New(rand.NewSource(12345))
-	mh.Engine.RegisterDataset("digits", data.Digits(rng, 400, 0.05))
+	// Callers can register more datasets via mh.Engine.RegisterDataset.
+	mh.Engine.RegisterDataset("digits", digits())
 	return mh
 }
 

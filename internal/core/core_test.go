@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"modelhub/internal/dlv"
+	"modelhub/internal/dql"
 	"modelhub/internal/hub"
 )
 
@@ -163,5 +164,65 @@ func TestHubOperationsLeaveNoOpenConnections(t *testing.T) {
 func TestOpenNonRepo(t *testing.T) {
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Fatal("open of non-repo must fail")
+	}
+}
+
+// TestHandlesShareDigitsConcurrently runs one evaluate grid on two handles
+// of one repository at once: they share the process's digits dataset, and
+// each must get what a handle alone gets. Under -race it also checks that
+// sharing the examples is read-only.
+func TestHandlesShareDigitsConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	mh, err := Init(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mh.TrainAndCommit("lenet_v1", TrainOptions{Epochs: 1, Examples: 64, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const grid = `evaluate m from (select m1 where m1.name = "lenet_v1")
+		vary config.base_lr in [0.1, 0.01]
+		keep top(2, m["loss"], 4)`
+	want, err := mh.Query(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Candidates) != 2 {
+		t.Fatalf("alone: %d candidates, want 2", len(want.Candidates))
+	}
+	var got [2][]dql.Candidate
+	errs := make(chan error, len(got))
+	for i := range got {
+		h, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			res, err := h.Query(grid)
+			if err == nil {
+				got[i] = res.Candidates
+			}
+			errs <- err
+		}()
+	}
+	for range got {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cands := range got {
+		if len(cands) != len(want.Candidates) {
+			t.Fatalf("handle %d: %d candidates, alone %d", i, len(cands), len(want.Candidates))
+		}
+		for j, c := range cands {
+			w := want.Candidates[j]
+			if c.Loss != w.Loss || c.Acc != w.Acc || c.Config.BaseLR != w.Config.BaseLR {
+				t.Fatalf("handle %d candidate %d: loss %v acc %v lr %v, alone loss %v acc %v lr %v",
+					i, j, c.Loss, c.Acc, c.Config.BaseLR, w.Loss, w.Acc, w.Config.BaseLR)
+			}
+		}
+	}
+	if &digits()[0] != &digits()[0] {
+		t.Fatal("digits is rebuilt on each call")
 	}
 }

@@ -190,8 +190,63 @@ func TestConvIm2colStridePadEdges(t *testing.T) {
 	}
 }
 
+// specialFloats fills v with normal values salted with −0, NaN and ±Inf.
+func specialFloats(rng *rand.Rand, v []float32) {
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0}
+	for i := range v {
+		if rng.Intn(4) == 0 {
+			v[i] = specials[rng.Intn(len(specials))]
+		} else {
+			v[i] = float32(rng.NormFloat64())
+		}
+	}
+}
+
+// TestSameSizeUnrollMatchesPerExample checks the batch-wide unroll of a
+// same-size convolution against the per-example im2col and col2im looped
+// over the batch, bit for bit, on every cell of cols and dIn: planes down
+// to 1×1 (narrower than a 5×5 kernel's pad), and inputs and gradients
+// salted with −0, NaN and ±Inf. Both cols buffers start as garbage, so a
+// cell either path fails to write shows.
+func TestSameSizeUnrollMatchesPerExample(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 400; trial++ {
+		b, k := 1+rng.Intn(5), 1+2*rng.Intn(3)
+		s := Shape{C: 1 + rng.Intn(3), H: 1 + rng.Intn(9), W: 1 + rng.Intn(9)}
+		pad, hw := (k-1)/2, s.H*s.W
+		n, kk := b*hw, s.C*k*k
+		in := make([]float32, s.C*n)
+		specialFloats(rng, in)
+
+		want, got := make([]float32, kk*n), make([]float32, kk*n)
+		specialFloats(rng, want)
+		copy(got, want)
+		for e := 0; e < b; e++ {
+			im2col(in[e*hw:], s, n, want[e*hw:], n, k, 1, pad, s.H, s.W)
+		}
+		im2colSame(in, s, b, got, k)
+		if !equalBits(got, want) {
+			t.Fatalf("trial %d (b=%d %v k=%d): cols differ", trial, b, s, k)
+		}
+
+		dcols := make([]float32, kk*n)
+		specialFloats(rng, dcols)
+		dWant, dGot := make([]float32, s.C*n), make([]float32, s.C*n)
+		for e := 0; e < b; e++ {
+			col2im(dcols[e*hw:], n, dWant[e*hw:], s, n, k, 1, pad, s.H, s.W)
+		}
+		col2imSame(dcols, dGot, s, b, k)
+		if !equalBits(dGot, dWant) {
+			t.Fatalf("trial %d (b=%d %v k=%d): dIn differs", trial, b, s, k)
+		}
+	}
+}
+
 // BenchmarkConvKernels times one 8→12-channel 3×3 convolution over a 24×24
-// input on the product kernel and on the six-loop reference.
+// input on the product kernel and on the six-loop reference, then a
+// batch-16 forward + backward of alexnet-mini's conv1 (1→8 at 12×12) and
+// conv3 (16→24 at 3×3), the shapes the evaluate grid trains.
 func BenchmarkConvKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	inShape := Shape{C: 8, H: 24, W: 24}
@@ -215,6 +270,33 @@ func BenchmarkConvKernels(b *testing.B) {
 			forwardNaive(conv, in)
 		}
 	})
+	const batch = 16
+	for _, c := range []struct {
+		name string
+		in   Shape
+		out  int
+	}{
+		{"alexnet-conv1-b16", Shape{C: 1, H: 12, W: 12}, 8},
+		{"alexnet-conv3-b16", Shape{C: 16, H: 3, W: 3}, 24},
+	} {
+		spec := LayerSpec{Name: "conv", Kind: KindConv, Out: c.out, K: 3, Stride: 1, Pad: 1}
+		l, err := buildLayer(spec, c.in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		conv := l.(*convLayer)
+		for i := range conv.w.Data() {
+			conv.w.Data()[i] = float32(rng.NormFloat64())
+		}
+		x := randVol(rng, Shape{C: c.in.C * batch, H: c.in.H, W: c.in.W}).Data
+		dOut := randVol(rng, Shape{C: c.out * batch, H: c.in.H, W: c.in.W}).Data
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				conv.forward(x, batch)
+				conv.backward(dOut, true)
+			}
+		})
+	}
 }
 
 // TestFullLayerKernelMatchesScalar guards the fullLayer GEMM/axpy routing

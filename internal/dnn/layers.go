@@ -126,7 +126,8 @@ type convLayer struct {
 	w, g   *tensor.Matrix
 	// cols holds the im2col unroll of the last batch (C·k·k × b·outH·outW,
 	// each example's pixels a block of columns); dcols the matching
-	// gradient. Backward reuses the forward unroll as the dW operand.
+	// gradient, which the dX step consumes. Backward reuses the forward
+	// unroll as the dW operand.
 	cols, dcols []float32
 }
 
@@ -146,8 +147,12 @@ func (l *convLayer) forward(in []float32, b int) []float32 {
 	hw := l.in.H * l.in.W    // input pixels per example
 	n := b * pix             // GEMM width: the whole batch
 	cols := scratchFloats(&l.cols, kk*n, false)
-	for e := 0; e < b; e++ {
-		im2col(in[e*hw:], l.in, b*hw, cols[e*pix:], n, k, l.stride, pad, l.out.H, l.out.W)
+	if sameSize(k, l.stride, pad) {
+		im2colSame(in, l.in, b, cols, k)
+	} else {
+		for e := 0; e < b; e++ {
+			im2col(in[e*hw:], l.in, b*hw, cols[e*pix:], n, k, l.stride, pad, l.out.H, l.out.W)
+		}
 	}
 	// Seed each output row with its bias, then accumulate W·cols on top:
 	// per element, bias first and then k ascending, the six-loop
@@ -185,6 +190,10 @@ func (l *convLayer) backward(dOut []float32, needIn bool) []float32 {
 	dcols := scratchFloats(&l.dcols, kk*n, false)
 	tensor.GemmTNStrided(kk, n, l.out.C, l.w.Data(), l.w.Cols(), dOut, n, dcols, n, false)
 	dIn := l.inGrad(true) // col2im scatter-adds
+	if sameSize(k, l.stride, pad) {
+		col2imSame(dcols, dIn, l.in, l.b, k)
+		return dIn
+	}
 	for e := 0; e < l.b; e++ {
 		col2im(dcols[e*pix:], n, dIn[e*hw:], l.in, l.b*hw, k, l.stride, pad, l.out.H, l.out.W)
 	}

@@ -335,12 +335,15 @@ func affine(sc *scratch, nd *evalNode, x ivals, b int, w WeightBounds) (ivals, e
 		}
 	}
 
-	cols := sc.floats(depth * n)
-	unroll(cols, x, in, b, kh, kw, stride, pad, out.H, out.W, neg)
+	// Until the GEMM writes it, c holds unroll's sign-split planes: one
+	// input channel's, 2 or 4 parts of b planes each.
+	split := depth / kk * b * in.H * in.W
+	cols, c := sc.floats(depth*n), sc.floats(max(2*cout*n, split))
+	unroll(cols, c[:split], x, in, b, kh, kw, stride, pad, out.H, out.W, neg)
 
 	// Seed each row with its bias, then accumulate: bias first, then k
 	// ascending, the order the dnn layers use.
-	c := sc.floats(2 * cout * n)
+	c = c[:2*cout*n]
 	for oc := 0; oc < cout; oc++ {
 		fill(c[oc*n:(oc+1)*n], wl.At(oc, kk))
 		fill(c[(cout+oc)*n:(cout+oc+1)*n], wh.At(oc, kk))
@@ -395,45 +398,90 @@ func positiveMask(v float32) uint32 {
 // unroll writes the sign-split im2col of a batch into cols: for window
 // offset t = (ic·kh+ky)·kw+kx, rows 2t and 2t+1 hold xl⁺ and xh⁺ and, when
 // neg, rows 2K+2t and 2K+2t+1 hold xl⁻ and xh⁻; column e·outH·outW + oy·outW
-// + ox reads example e at (ic, oy·stride+ky-pad, ox·stride+kx-pad), or 0 in
+// + ox reads example e at (ic, oy·stride+ky-pad, ox·stride+kx-pad), or +0 in
 // the padding. Every cell is written.
-func unroll(cols []float32, x ivals, in dnn.Shape, b, kh, kw, stride, pad, outH, outW int, neg bool) {
+//
+// One channel at a time, each input element is sign-split once into 2 or 4
+// parts in buf (scratch of 2 or 4 · b·H·W floats), each holding the
+// channel's b planes back to back as dnn lays out a batch. A row of a
+// same-size convolution (stride 1, pad (k−1)/2) is then one part shifted by
+// (ky−pad, kx−pad): one dnn.ShiftPlanes call. signSplit(0) is (+0, +0), so
+// the padding it clears holds what a split of the zero padding would.
+func unroll(cols, buf []float32, x ivals, in dnn.Shape, b, kh, kw, stride, pad, outH, outW int, neg bool) {
 	kk := in.C * kh * kw
 	n := b * outH * outW
-	size, plane := in.Size(), in.H*in.W
+	nParts := 2
+	if neg {
+		nParts = 4
+	}
+	cb := b * in.H * in.W // one channel's planes
+	// Part q holds xl⁺, xh⁺, xl⁻, xh⁻ in turn; part q of offset t goes to
+	// row rowOf[q] + 2t.
+	rowOf := [4]int{0, 1, 2 * kk, 2*kk + 1}
+	same := kh == kw && stride == 1 && 2*pad == kh-1
 	t := 0
 	for ic := 0; ic < in.C; ic++ {
+		splitChannel(buf, x, in, b, ic, neg)
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
-				lp := cols[2*t*n : (2*t+1)*n]
-				hp := cols[(2*t+1)*n : (2*t+2)*n]
-				var ln, hn []float32
-				if neg {
-					ln = cols[(2*kk+2*t)*n : (2*kk+2*t+1)*n]
-					hn = cols[(2*kk+2*t+1)*n : (2*kk+2*t+2)*n]
-				}
-				t++
-				j := 0
-				for e := 0; e < b; e++ {
-					base := e*size + ic*plane
-					for oy := 0; oy < outH; oy++ {
-						iy := oy*stride + ky - pad
-						for ox := 0; ox < outW; ox++ {
-							ix := ox*stride + kx - pad
-							var vl, vh float32
-							if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
-								vl, vh = x.lo[base+iy*in.W+ix], x.hi[base+iy*in.W+ix]
-							}
-							pl, nl := signSplit(vl)
-							ph, nh := signSplit(vh)
-							lp[j], hp[j] = pl, ph
-							if neg {
-								ln[j], hn[j] = nl, nh
-							}
-							j++
-						}
+				for q := range nParts {
+					r := rowOf[q] + 2*t
+					dst, src := cols[r*n:(r+1)*n], buf[q*cb:(q+1)*cb]
+					if same {
+						dnn.ShiftPlanes(dst, src, in.H, in.W, ky-pad, kx-pad)
+					} else {
+						gather(dst, src, in, b, ky, kx, stride, pad, outH, outW)
 					}
 				}
+				t++
+			}
+		}
+	}
+}
+
+// splitChannel sign-splits channel ic of the example-major batch x into
+// the consecutive parts of buf, each b planes long: xl⁺, xh⁺ and, when neg,
+// xl⁻ and xh⁻. Example e's plane is at e·H·W within each part.
+func splitChannel(buf []float32, x ivals, in dnn.Shape, b, ic int, neg bool) {
+	size, plane := in.Size(), in.H*in.W
+	cb := b * plane
+	for e := 0; e < b; e++ {
+		src, dst := e*size+ic*plane, e*plane
+		lo, hi := x.lo[src:src+plane], x.hi[src:src+plane]
+		lp, hp := buf[dst:dst+plane], buf[cb+dst:cb+dst+plane]
+		if !neg {
+			for i := range lo {
+				lp[i], _ = signSplit(lo[i])
+				hp[i], _ = signSplit(hi[i])
+			}
+			continue
+		}
+		ln, hn := buf[2*cb+dst:2*cb+dst+plane], buf[3*cb+dst:3*cb+dst+plane]
+		for i := range lo {
+			lp[i], ln[i] = signSplit(lo[i])
+			hp[i], hn[i] = signSplit(hi[i])
+		}
+	}
+}
+
+// gather writes one unroll row for window offset (ky, kx) from a channel's
+// b planes, at any stride and pad: column e·outH·outW + oy·outW + ox reads
+// plane e at (oy·stride+ky-pad, ox·stride+kx-pad), or +0 in the padding.
+func gather(dst, src []float32, in dnn.Shape, b, ky, kx, stride, pad, outH, outW int) {
+	plane := in.H * in.W
+	j := 0
+	for e := 0; e < b; e++ {
+		p := src[e*plane : (e+1)*plane]
+		for oy := 0; oy < outH; oy++ {
+			iy := oy*stride + ky - pad
+			for ox := 0; ox < outW; ox++ {
+				ix := ox*stride + kx - pad
+				var v float32
+				if iy >= 0 && iy < in.H && ix >= 0 && ix < in.W {
+					v = p[iy*in.W+ix]
+				}
+				dst[j] = v
+				j++
 			}
 		}
 	}
