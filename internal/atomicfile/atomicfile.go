@@ -1,7 +1,7 @@
 // Package atomicfile replaces whole files durably: a crash or a failed step
 // leaves either the old file or the complete new one, never a torn or
 // truncated file, and a nil error means the new file survives power loss.
-// The PAS manifest, the DLV catalog, each version's raw
+// The PAS manifest, the DLV catalog and stage file, each version's raw
 // weights file and each DLV object are written this way.
 package atomicfile
 
@@ -13,7 +13,8 @@ import (
 
 // TempPrefix starts the name of the temp file WriteFile writes beside its
 // target. A crash between create and rename leaves one behind; a directory's
-// owner may sweep them on open.
+// owner may sweep them before its next write, never on a read, since a
+// write in flight in another process owns one too.
 const TempPrefix = ".tmp-"
 
 // WriteFile replaces path with blob: a temp file in path's directory, write,

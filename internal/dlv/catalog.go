@@ -28,48 +28,9 @@ type record struct {
 	Log []dnn.LogEntry
 }
 
-// catalogDoc is the catalog file. Versions is the form this package writes.
-// Tables is the relational form that repositories and hub blobs written
-// before it hold; Open reads it through fromTables, and the next save
-// replaces it.
+// catalogDoc is the catalog file.
 type catalogDoc struct {
-	Versions []record      `json:"versions"`
-	Tables   []legacyTable `json:"tables,omitempty"`
-}
-
-// legacyTable is one table of the relational form. Columns is not used;
-// it is declared so that the strict decoder accepts it.
-type legacyTable struct {
-	Schema struct {
-		Name    string          `json:"name"`
-		Columns json.RawMessage `json:"columns"`
-	} `json:"schema"`
-	Rows []json.RawMessage `json:"rows"`
-}
-
-// legacyRow holds a row of any relational table fromTables reads; each
-// table fills the columns it has.
-type legacyRow struct {
-	ID        int64   `json:"id"`
-	Name      string  `json:"name"`
-	NetDef    string  `json:"netdef"`
-	Msg       string  `json:"msg"`
-	Created   string  `json:"created"`
-	Accuracy  float64 `json:"accuracy"`
-	Archived  bool    `json:"archived"`
-	VersionID int64   `json:"version_id"`
-	Base      int64   `json:"base"`
-	Derived   int64   `json:"derived"`
-	MKey      string  `json:"mkey"`
-	MValue    string  `json:"mvalue"`
-	Iter      int     `json:"iter"`
-	Loss      float64 `json:"loss"`
-	Acc       float64 `json:"acc"`
-	LR        float64 `json:"lr"`
-	Snap      string  `json:"snap"`
-	Latest    bool    `json:"latest"`
-	Path      string  `json:"path"`
-	SHA       string  `json:"sha"`
+	Versions []record `json:"versions"`
 }
 
 func byID(rec record, id int64) int { return cmp.Compare(rec.ID, id) }
@@ -131,7 +92,7 @@ func loadCatalog(path string) ([]record, error) {
 	return recs, nil
 }
 
-// parseCatalog decodes a catalog in either form and checks every record.
+// parseCatalog decodes a catalog and checks every record.
 // The file travels inside pulled repositories, so nothing in it is trusted:
 // a record the rest of the package could not use fails here, not later.
 func parseCatalog(blob []byte) ([]record, error) {
@@ -145,14 +106,8 @@ func parseCatalog(blob []byte) ([]record, error) {
 		return nil, errors.New("data after the document")
 	}
 	recs := doc.Versions
-	switch {
-	case recs == nil && doc.Tables != nil:
-		var err error
-		if recs, err = fromTables(doc.Tables); err != nil {
-			return nil, err
-		}
-	case recs == nil || doc.Tables != nil:
-		return nil, errors.New("the document holds neither versions nor tables alone")
+	if recs == nil {
+		return nil, errors.New("the document holds no versions")
 	}
 	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(a.ID, b.ID) })
 	for i := range recs {
@@ -201,83 +156,4 @@ func checkRecord(prev []record, rec *record) error {
 func isSHA256Hex(s string) bool {
 	sum, err := hex.DecodeString(s)
 	return err == nil && len(sum) == sha256.Size && hex.EncodeToString(sum) == s
-}
-
-// fromTables turns the relational form into records. It reads the
-// model_version, parent, metadata, trainlog, snapshot and file tables and
-// skips node and edge, which repeat what netdef holds. Snapshots come out
-// by iteration, checkpoints before latest at the same one, and the training
-// log by iteration, as the relational queries ordered them.
-func fromTables(tables []legacyTable) ([]record, error) {
-	rows := map[string][]legacyRow{}
-	for _, t := range tables {
-		name := t.Schema.Name
-		if name == "node" || name == "edge" {
-			continue
-		}
-		for _, raw := range t.Rows {
-			var row legacyRow
-			if err := json.Unmarshal(raw, &row); err != nil {
-				return nil, fmt.Errorf("table %s: %w", name, err)
-			}
-			rows[name] = append(rows[name], row)
-		}
-	}
-	recs := make([]record, 0, len(rows["model_version"]))
-	for _, row := range rows["model_version"] {
-		def, err := dnn.NetDefFromJSON([]byte(row.NetDef))
-		if err != nil {
-			return nil, fmt.Errorf("version %d: %w", row.ID, err)
-		}
-		recs = append(recs, record{Version: Version{
-			ID: row.ID, Name: row.Name, Msg: row.Msg, Created: row.Created,
-			Accuracy: row.Accuracy, Archived: row.Archived, NetDef: def,
-			Hyper: map[string]string{}, Files: map[string]string{},
-		}})
-	}
-	byVersion := make(map[int64]*record, len(recs))
-	for i := range recs {
-		byVersion[recs[i].ID] = &recs[i]
-	}
-	for _, row := range rows["parent"] {
-		if rec := byVersion[row.Derived]; rec != nil && rec.ParentID == 0 {
-			rec.ParentID = row.Base
-		}
-	}
-	for _, row := range rows["metadata"] {
-		if rec := byVersion[row.VersionID]; rec != nil {
-			rec.Hyper[row.MKey] = row.MValue
-		}
-	}
-	for _, row := range rows["file"] {
-		if rec := byVersion[row.VersionID]; rec != nil {
-			rec.Files[row.Path] = row.SHA
-		}
-	}
-	log := rows["trainlog"]
-	slices.SortStableFunc(log, func(a, b legacyRow) int { return cmp.Compare(a.Iter, b.Iter) })
-	for _, row := range log {
-		if rec := byVersion[row.VersionID]; rec != nil {
-			rec.Log = append(rec.Log, dnn.LogEntry{Iter: row.Iter, Loss: row.Loss, Accuracy: row.Acc, LR: row.LR})
-		}
-	}
-	snaps := rows["snapshot"]
-	slices.SortStableFunc(snaps, func(a, b legacyRow) int {
-		if c := cmp.Compare(a.Iter, b.Iter); c != 0 {
-			return c
-		}
-		switch {
-		case !a.Latest && b.Latest:
-			return -1
-		case a.Latest && !b.Latest:
-			return 1
-		}
-		return 0
-	})
-	for _, row := range snaps {
-		if rec := byVersion[row.VersionID]; rec != nil {
-			rec.Snapshots = append(rec.Snapshots, row.Snap)
-		}
-	}
-	return recs, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -64,15 +65,16 @@ func TestWeightsTruncatedRawFile(t *testing.T) {
 	}
 }
 
-// A version still stored in the per-layer raw layout is not read: checkout
-// and archive fail with an error that names the layout.
+// A version whose raw weights are still in the per-layer layout (one
+// directory per snapshot, one file per layer) has no vNNNNNN.bin: checkout
+// and archive fail with ErrRepo, and the directory stays as it was.
 func TestWeightsRejectsPerLayerRawLayout(t *testing.T) {
 	r := initRepo(t)
 	id, res, _ := commitToy(t, r, "toy", 23, 0)
 	if err := os.Remove(r.rawPath(id)); err != nil {
 		t.Fatal(err)
 	}
-	layer := filepath.Join(r.legacyRawDir(id), LatestSnap, "conv1.bin")
+	layer := filepath.Join(r.Root(), dlvDir, weightsDir, fmt.Sprintf("v%06d", id), LatestSnap, "conv1.bin")
 	if err := os.MkdirAll(filepath.Dir(layer), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +84,12 @@ func TestWeightsRejectsPerLayerRawLayout(t *testing.T) {
 	_, werr := r.Weights(id, LatestSnap, 4)
 	_, aerr := r.Archive(ArchiveOptions{})
 	for _, err := range []error{werr, aerr} {
-		if !errors.Is(err, ErrRepo) || !strings.Contains(err.Error(), "per-layer layout") {
-			t.Fatalf("err = %v, want ErrRepo naming the per-layer layout", err)
+		if !errors.Is(err, ErrRepo) {
+			t.Fatalf("err = %v, want ErrRepo", err)
 		}
+	}
+	if blob, err := os.ReadFile(layer); err != nil || !bytes.Equal(blob, res.Final["conv1"].Bytes()) {
+		t.Fatalf("the per-layer file changed after a refused archive (%v)", err)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"modelhub/internal/atomicfile"
 )
 
 // Staging area (dlv add, paper Table II): paths registered with Add are
@@ -19,10 +21,10 @@ func (r *Repo) stagePath() string { return filepath.Join(r.root, dlvDir, "stage.
 // file must exist under the repository root.
 func (r *Repo) Add(relPath string) error {
 	clean := filepath.Clean(relPath)
-	if filepath.IsAbs(clean) || strings.HasPrefix(clean, "..") {
+	if filepath.IsAbs(clean) || within(clean, "..") {
 		return fmt.Errorf("%w: path %q must be repository-relative", ErrRepo, relPath)
 	}
-	if strings.HasPrefix(clean, dlvDir) {
+	if within(clean, dlvDir) {
 		return fmt.Errorf("%w: cannot stage repository metadata %q", ErrRepo, relPath)
 	}
 	abs := filepath.Join(r.root, clean)
@@ -45,6 +47,12 @@ func (r *Repo) Add(relPath string) error {
 	staged = append(staged, clean)
 	sort.Strings(staged)
 	return r.writeStage(staged)
+}
+
+// within reports whether the clean relative path is dir or lies under it,
+// comparing whole path components: "..data.csv" is not within "..".
+func within(clean, dir string) bool {
+	return clean == dir || strings.HasPrefix(clean, dir+string(filepath.Separator))
 }
 
 // Staged lists the currently staged repository-relative paths.
@@ -75,7 +83,7 @@ func (r *Repo) writeStage(staged []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(r.stagePath(), blob, 0o644); err != nil {
+	if err := atomicfile.WriteFile(r.stagePath(), blob); err != nil {
 		return fmt.Errorf("%w: %v", ErrRepo, err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"modelhub/internal/zoo"
@@ -79,6 +80,38 @@ func TestAddRejections(t *testing.T) {
 	}
 	if err := r.Add("dir"); !errors.Is(err, ErrRepo) {
 		t.Fatal("directory must be rejected")
+	}
+}
+
+// Add compares whole path components: a name that only starts with ".." or
+// ".dlv" is an ordinary file, while the parent directory, a path through it,
+// the metadata directory and a file in it are refused.
+func TestAddChecksPathComponents(t *testing.T) {
+	r := initRepo(t)
+	for _, name := range []string{"..data.csv", ".dlvrc"} {
+		writeRepoFile(t, r, name, "x")
+	}
+	for _, c := range []struct {
+		path   string
+		staged bool
+	}{
+		{"..data.csv", true},
+		{".dlvrc", true},
+		{"..", false},
+		{"../x", false},
+		{".dlv", false},
+		{".dlv/catalog.json", false},
+	} {
+		err := r.Add(c.path)
+		if c.staged && err != nil {
+			t.Errorf("Add(%q) = %v, want it staged", c.path, err)
+		}
+		if !c.staged && !errors.Is(err, ErrRepo) {
+			t.Errorf("Add(%q) = %v, want ErrRepo", c.path, err)
+		}
+	}
+	if staged, err := r.Staged(); err != nil || !slices.Equal(staged, []string{"..data.csv", ".dlvrc"}) {
+		t.Fatalf("Staged = %v, %v; want [..data.csv .dlvrc]", staged, err)
 	}
 }
 

@@ -424,13 +424,6 @@ func (r *Repo) rawPath(versionID int64) string {
 	return filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d.bin", versionID))
 }
 
-// legacyRawDir is where the per-layer layout kept a version's raw weights
-// (one directory per snapshot, one file per layer). Nothing reads it; it is
-// only recognized, to name it in errors and to remove it on archive.
-func (r *Repo) legacyRawDir(versionID int64) string {
-	return filepath.Join(r.root, dlvDir, weightsDir, fmt.Sprintf("v%06d", versionID))
-}
-
 // writeRaw writes a version's raw weights file durably (atomicfile).
 func (r *Repo) writeRaw(versionID int64, snaps []rawSnapshot) error {
 	dir := filepath.Join(r.root, dlvDir, weightsDir)
@@ -464,12 +457,6 @@ func (r *Repo) writeRaw(versionID int64, snaps []rawSnapshot) error {
 // one labelled only when it is not empty.
 func (r *Repo) readRaw(versionID int64, only string) (map[string]map[string]*tensor.Matrix, error) {
 	blob, err := os.ReadFile(r.rawPath(versionID))
-	if errors.Is(err, fs.ErrNotExist) {
-		if _, serr := os.Stat(r.legacyRawDir(versionID)); serr == nil {
-			return nil, fmt.Errorf("%w: version %d keeps its raw weights in the per-layer layout (%s/<snapshot>/<layer>.bin), which is no longer read; archive it with the release that wrote it",
-				ErrRepo, versionID, r.legacyRawDir(versionID))
-		}
-	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: raw weights of version %d: %v", ErrRepo, versionID, err)
 	}
@@ -539,11 +526,11 @@ func parseRaw(blob []byte, only string) (map[string]map[string]*tensor.Matrix, e
 	return out, nil
 }
 
-// removeRaw unlinks an archived version's raw weights, in either layout.
-// Absent files are not an error: they are already gone.
+// removeRaw unlinks an archived version's raw weights file. An absent file
+// is not an error: it is already gone.
 func (r *Repo) removeRaw(versionID int64) error {
 	if err := os.Remove(r.rawPath(versionID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
-	return os.RemoveAll(r.legacyRawDir(versionID))
+	return nil
 }

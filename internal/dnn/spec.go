@@ -234,22 +234,9 @@ func (n *NetDef) Clone() *NetDef {
 	return &c
 }
 
-// MarshalJSON/Unmarshal round-trips are provided by the struct tags; ToJSON
-// and NetDefFromJSON are convenience wrappers for text that holds one
-// definition (the dlv CLI's output, DLV's older relational catalog).
+// ToJSON renders the definition as indented JSON, as the dlv CLI prints it;
+// the struct tags give the round trip.
 func (n *NetDef) ToJSON() ([]byte, error) { return json.MarshalIndent(n, "", "  ") }
-
-// NetDefFromJSON parses a NetDef and validates it.
-func NetDefFromJSON(data []byte) (*NetDef, error) {
-	var n NetDef
-	if err := json.Unmarshal(data, &n); err != nil {
-		return nil, fmt.Errorf("dnn: parsing NetDef: %w", err)
-	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	return &n, nil
-}
 
 // ChainDef builds a NetDef whose edges connect the given nodes in order; a
 // convenience constructor used by the zoo and tests.

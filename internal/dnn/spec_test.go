@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -96,21 +97,15 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NetDefFromJSON(blob)
-	if err != nil {
+	var got NetDef
+	if err := json.Unmarshal(blob, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != def.Name || len(got.Nodes) != len(def.Nodes) || len(got.Edges) != len(def.Edges) {
 		t.Fatal("JSON round trip lost structure")
-	}
-}
-
-func TestNetDefFromJSONInvalid(t *testing.T) {
-	if _, err := NetDefFromJSON([]byte("{")); err == nil {
-		t.Fatal("want parse error")
-	}
-	if _, err := NetDefFromJSON([]byte(`{"name":"x"}`)); !errors.Is(err, ErrNetDef) {
-		t.Fatalf("want ErrNetDef, got %v", err)
 	}
 }
 

@@ -160,7 +160,7 @@ func (n *testNode) hasBlob(name string) bool {
 	if !ok {
 		return false
 	}
-	got, _, err := fileDigest(srv.blobPath(name, info.SHA256))
+	got, err := fileDigest(srv.blobPath(name, info.SHA256))
 	return err == nil && strings.EqualFold(got, info.SHA256)
 }
 

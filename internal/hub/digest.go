@@ -18,21 +18,19 @@ const DigestHeader = "X-Content-SHA256"
 // in DigestHeader, ETags, and blob file names.
 func digestString(sum []byte) string { return hex.EncodeToString(sum) }
 
-// fileDigest hashes a file on disk, returning its hex SHA-256 and size. Used
-// when reconciling a server data directory whose index lost (or predates)
-// the digest of a blob.
-func fileDigest(path string) (string, int64, error) {
+// fileDigest returns the hex SHA-256 of a file on disk: anti-entropy repair
+// checks a stored blob against its digest with it.
+func fileDigest(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, err
+		return "", err
 	}
 	defer f.Close()
 	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
-		return "", 0, fmt.Errorf("%w: hashing %s: %v", ErrHub, path, err)
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("%w: hashing %s: %v", ErrHub, path, err)
 	}
-	return digestString(h.Sum(nil)), n, nil
+	return digestString(h.Sum(nil)), nil
 }
 
 // etagFor wraps a digest in the strong-ETag quoting http.ServeContent and

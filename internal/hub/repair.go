@@ -149,7 +149,7 @@ func (s *Server) replicaDefect(name string, want RepoInfo) string {
 	if have.SHA256 != want.SHA256 && newerThan(want, have) {
 		return "stale"
 	}
-	got, _, err := fileDigest(s.blobPath(name, have.SHA256))
+	got, err := fileDigest(s.blobPath(name, have.SHA256))
 	if err != nil || !strings.EqualFold(got, have.SHA256) {
 		return "corrupt"
 	}

@@ -77,8 +77,9 @@ type nameLock struct {
 
 // NewServer stores published repositories under dir. Leftover state from a
 // crashed predecessor (temp files, promoted-but-unindexed blobs,
-// indexed-but-missing entries, pre-digest blob layouts) is reconciled so
-// the loaded index and the directory always agree.
+// indexed-but-missing entries) is reconciled so the loaded index and the
+// directory always agree. A directory in the pre-digest layout is refused
+// with ErrHub and left as it is.
 func NewServer(dir string) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHub, err)
@@ -109,38 +110,27 @@ func (s *Server) loadIndex() error {
 	return nil
 }
 
-// reconcile repairs the data directory after a crash or an upgrade:
+// reconcile repairs the data directory after a crash:
 //
+//   - an index entry without a digest comes from the pre-digest layout
+//     (<name>.tar.gz), which is not read: NewServer fails with ErrHub before
+//     anything is deleted;
 //   - index entries whose blob is missing are dropped (a crash before the
-//     blob rename, or manual deletion) unless a legacy <name>.tar.gz blob
-//     exists, which is hashed and migrated to the content-addressed layout;
+//     blob rename, or manual deletion);
 //   - temp files and blobs no index entry references (a crash between blob
 //     promotion and index save) are deleted — that publish never became
 //     visible, and after reconciliation it is unobservable.
 func (s *Server) reconcile() error {
+	for name, info := range s.index {
+		if info.SHA256 == "" {
+			return fmt.Errorf("%w: index entry %q has no sha256: a pre-digest data directory, which is not read", ErrHub, name)
+		}
+	}
 	dirty := false
 	referenced := map[string]bool{"index.json": true}
 	for name, info := range s.index {
-		if info.SHA256 != "" {
-			if _, err := os.Stat(s.blobPath(name, info.SHA256)); err == nil {
-				referenced[blobFileName(name, info.SHA256)] = true
-				continue
-			}
-		}
-		legacy := filepath.Join(s.dir, name+".tar.gz")
-		if _, err := os.Stat(legacy); err == nil {
-			digest, size, err := fileDigest(legacy)
-			if err != nil {
-				return fmt.Errorf("%w: migrating %s: %v", ErrHub, name, err)
-			}
-			if err := os.Rename(legacy, s.blobPath(name, digest)); err != nil {
-				return fmt.Errorf("%w: migrating %s: %v", ErrHub, name, err)
-			}
-			info.SHA256 = digest
-			info.SizeBytes = size
-			s.index[name] = info
-			referenced[blobFileName(name, digest)] = true
-			dirty = true
+		if _, err := os.Stat(s.blobPath(name, info.SHA256)); err == nil {
+			referenced[blobFileName(name, info.SHA256)] = true
 			continue
 		}
 		delete(s.index, name)

@@ -372,46 +372,41 @@ func TestReconcileDropsIndexedButMissing(t *testing.T) {
 	}
 }
 
-// Pre-digest data directories (legacy <name>.tar.gz layout, no sha256 in
-// the index) are migrated in place on load.
-func TestReconcileMigratesLegacyLayout(t *testing.T) {
+// A pre-digest data directory (<name>.tar.gz blobs, no sha256 in the index)
+// is not read: NewServer fails with ErrHub, and the blob, the index and
+// even a stray temp file are left byte for byte.
+func TestNewServerRefusesPreDigestLayout(t *testing.T) {
 	dir := t.TempDir()
-	blob := packBytes(t, makeRepo(t, "old-model"))
-	if err := os.WriteFile(filepath.Join(dir, "legacy.tar.gz"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	idx := map[string]RepoInfo{"legacy": {
-		Name: "legacy", SizeBytes: int64(len(blob)), PublishedAt: "2026-01-01T00:00:00Z",
-		Models: []string{"old-model"},
-	}}
-	idxBlob, err := json.Marshal(idx)
+	idxBlob, err := json.Marshal(map[string]RepoInfo{"legacy": {
+		Name: "legacy", SizeBytes: 3, PublishedAt: "2026-01-01T00:00:00Z", Models: []string{"old-model"},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), idxBlob, 0o644); err != nil {
-		t.Fatal(err)
+	files := map[string][]byte{
+		"legacy.tar.gz":         packBytes(t, makeRepo(t, "old-model")),
+		"index.json":            idxBlob,
+		tmpPrefix + "publish-1": []byte("partial upload"),
 	}
-
-	srv, err := NewServer(dir)
+	for name, blob := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewServer(dir); !errors.Is(err, ErrHub) {
+		t.Fatalf("NewServer on a pre-digest directory = %v, want ErrHub", err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := NewClientWith(ts.URL, Options{})
-	infos, err := client.Search(context.Background(), "legacy")
-	if err != nil || len(infos) != 1 {
-		t.Fatalf("search = %v, %v", infos, err)
+	if len(entries) != len(files) {
+		t.Fatalf("the directory holds %d entries after the refusal, want %d", len(entries), len(files))
 	}
-	sum := sha256.Sum256(blob)
-	if infos[0].SHA256 != digestString(sum[:]) {
-		t.Fatalf("migrated digest = %q, want %q", infos[0].SHA256, digestString(sum[:]))
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy.tar.gz")); !os.IsNotExist(err) {
-		t.Fatal("legacy blob not renamed")
-	}
-	if err := client.Pull(context.Background(), "legacy", t.TempDir()); err != nil {
-		t.Fatalf("pull of migrated repo: %v", err)
+	for name, want := range files {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed after the refusal (%v)", name, err)
+		}
 	}
 }
 

@@ -18,8 +18,7 @@ import (
 // hostileManifests are single-field corruptions of a valid manifest, each of
 // which used to reach an index expression, an allocation or a map lookup
 // unchecked. manifest.json arrives inside every pulled repository. The rows
-// from "segment name" on are the rules the version-2 segment index parser
-// enforced, now the manifest's.
+// from "segment name" on check its layout: segments and the chunk table.
 var hostileManifests = []struct {
 	name   string
 	mutate func(m *manifest)

@@ -29,16 +29,15 @@ package pas
 // graveyard until Close — an in-flight ReadAt on an unlinked segment still
 // returns the bytes its layout snapshot promised.
 //
-// Version-2 archives kept the layout in a second file, segments/index.json.
-// Open still reads them (convertV2); the next write stores version 3 and
-// removes the index once the new manifest is durable.
+// Open only reads. Each write path (Create, Extend, GC, Repack) first sweeps
+// the temp files a crashed write left in the archive and in segments/, so a
+// reader never deletes the temp file of a write in flight beside it.
 
 import (
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -52,10 +51,8 @@ import (
 )
 
 const (
-	segmentsDir = "segments"
-	segMagic    = "PASSEG2\n"
-	// v2IndexName is the version-2 layout file under segments/.
-	v2IndexName  = "index.json"
+	segmentsDir  = "segments"
+	segMagic     = "PASSEG2\n"
 	segTmpPrefix = atomicfile.TempPrefix
 	// segRecordOverhead is the per-record header: a 4-byte big-endian
 	// payload length plus the raw 32-byte SHA-256 of the payload.
@@ -65,8 +62,7 @@ const (
 	segTargetBytes = 256 << 20
 )
 
-// layout is where every stored chunk payload lives, garbage included — what
-// a version-2 segments/index.json stored, field for field.
+// layout is where every stored chunk payload lives, garbage included.
 type layout struct {
 	// NextSeg numbers the next segment file, monotonically — names are
 	// never reused, so a stale reader can never open a recycled name.
@@ -122,40 +118,6 @@ func segNumber(name string) (int, bool) {
 
 func segPath(dir, name string) string {
 	return filepath.Join(dir, segmentsDir, name)
-}
-
-// convertV2 turns a version-2 archive into the version-3 form in memory: the
-// manifest's nodes carried their plane digests, and segments/index.json
-// mapped each digest to its location. There is no version-2 writer.
-func convertV2(dir string, blob []byte, man *manifest) error {
-	var planes struct {
-		Nodes []struct {
-			PlaneSum [4]string `json:"plane_sha256"`
-		} `json:"nodes"`
-	}
-	if err := json.Unmarshal(blob, &planes); err != nil {
-		return fmt.Errorf("%w: manifest: %v", ErrStore, err)
-	}
-	var idx struct {
-		Version int `json:"version"`
-		layout
-	}
-	idxBlob, err := os.ReadFile(filepath.Join(dir, segmentsDir, v2IndexName))
-	if err == nil {
-		err = json.Unmarshal(idxBlob, &idx)
-	}
-	if err == nil && idx.Version != 1 {
-		err = fmt.Errorf("version %d", idx.Version)
-	}
-	if err != nil {
-		return fmt.Errorf("%w: version-2 segment index: %v", ErrStore, err)
-	}
-	man.Version, man.NextSeg, man.Segments, man.Chunks = manifestVersion, idx.NextSeg, idx.Segments, idx.table()
-	for i := range man.Nodes {
-		man.Nodes[i].PlaneSum = planes.Nodes[i].PlaneSum
-	}
-	nameChunks(man.Nodes, man.Chunks) // the validator rejects what the index does not locate
-	return nil
 }
 
 // nameChunks sets each node's Chunks to the table positions of the digests
@@ -458,6 +420,7 @@ func (s *Store) Repack() (GCStats, error) {
 func (s *Store) compact(all bool) (GCStats, error) {
 	s.seg.cmu.Lock()
 	defer s.seg.cmu.Unlock()
+	sweepTempFiles(s.dir)
 	lay := s.seg.current()
 	live := s.liveSums()
 
@@ -484,9 +447,7 @@ func (s *Store) compact(all bool) (GCStats, error) {
 	if all && dropped == 0 && len(lay.Segments) <= 1 {
 		victims = nil
 	}
-	// A version-2 index goes on the first pass, even one that moves nothing.
-	_, indexErr := os.Stat(filepath.Join(s.dir, segmentsDir, v2IndexName))
-	if len(victims) == 0 && indexErr != nil {
+	if len(victims) == 0 {
 		return GCStats{Segments: len(lay.Segments), LiveBytes: liveBytes}, nil
 	}
 
@@ -585,10 +546,10 @@ func storePayloads(dir string, lay *layout, payloads []segPayload) error {
 	return nil
 }
 
-// reconcileSegmentDir sweeps crash leftovers of an archive: orphaned temp
-// files from interrupted segment or manifest writes. Best-effort; failures are
-// logged.
-func reconcileSegmentDir(dir string) {
+// sweepTempFiles removes crash leftovers of an archive: orphaned temp files
+// from interrupted segment or manifest writes. Write paths only (see the top
+// of this file). Best-effort; failures are logged.
+func sweepTempFiles(dir string) {
 	for _, pat := range []string{
 		filepath.Join(dir, segTmpPrefix+"*"),
 		segPath(dir, segTmpPrefix+"*"),

@@ -68,6 +68,21 @@ func dirState(t *testing.T, dir string) map[string]string {
 	return state
 }
 
+// checkOneMetadataFile asserts dir holds the manifest and segment files,
+// nothing else.
+func checkOneMetadataFile(t *testing.T, dir string) {
+	t.Helper()
+	for path := range dirState(t, dir) {
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg, _ := filepath.Match(filepath.Join(segmentsDir, "seg-*.seg"), rel); rel != manifestName && !seg {
+			t.Errorf("archive holds %s besides its manifest and segments", rel)
+		}
+	}
+}
+
 // Opening an archive is a read: a second Open of a matrix-granular,
 // plane-granular or remote-tier archive writes nothing to its directory, and
 // every retrieval still matches the source.
@@ -98,18 +113,107 @@ func TestOpenWritesNothing(t *testing.T) {
 	}
 }
 
-// The one-file-per-chunk layout ("version": 1) has had no writer since
-// segments became the only layout Create produces; Open refuses it with a
-// typed error that names the version.
+// Version 1 (one file per chunk) and version 2 (the layout in a second
+// file, segments/index.json) have no writer; Open refuses both with a typed
+// error that names the version, and deletes nothing.
 func TestOpenRejectsVersion1(t *testing.T) {
-	dir, man := hostileArchive(t)
-	blob := mutated(t, man, func(m *manifest) { m.Version = 1 })
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
+	for _, v := range []int{1, 2} {
+		dir, man := hostileArchive(t)
+		blob := mutated(t, man, func(m *manifest) { m.Version = v })
+		if err := os.WriteFile(filepath.Join(dir, manifestName), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirState(t, dir)
+		_, err := Open(dir)
+		if want := fmt.Sprintf("unsupported version %d", v); !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open on a version-%d manifest = %v, want ErrStore saying %q", v, err, want)
+		}
+		if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refusing version %d changed the archive:\nbefore %v\nafter  %v", v, before, after)
+		}
+	}
+}
+
+// testdata/v2 is a version-2 archive as Create wrote it before the layout
+// moved into the manifest: makeSnaps(100, 3, 0) under pas-mt, alpha 1.6,
+// plane granularity. Open refuses it with ErrStore and leaves every file,
+// segments/index.json included, byte for byte as it was.
+func TestOpenParentArchive(t *testing.T) {
+	src, dir := filepath.Join("testdata", "v2"), t.TempDir()
+	want := map[string][]byte{}
+	for _, rel := range []string{manifestName, filepath.Join(segmentsDir, "index.json"), filepath.Join(segmentsDir, "seg-000000.seg")} {
+		blob, err := os.ReadFile(filepath.Join(src, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, rel)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, rel), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want[rel] = blob
 	}
 	_, err := Open(dir)
-	if !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("Open on a version-1 manifest = %v, want ErrStore naming the version", err)
+	if !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("Open on the version-2 archive = %v, want ErrStore saying \"unsupported version 2\"", err)
+	}
+	if got := len(dirState(t, dir)); got != len(want) {
+		t.Fatalf("the refused archive holds %d files, want %d", got, len(want))
+	}
+	for rel, blob := range want {
+		if got, err := os.ReadFile(filepath.Join(dir, rel)); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("%s changed after a refused Open (%v)", rel, err)
+		}
+	}
+}
+
+// Open and a checkout leave temp files alone: one may belong to a write in
+// flight in another process. The next write in the directory, an Extend or
+// a GC, sweeps them from the archive and from segments/.
+func TestTempFilesOutliveOpenUntilNextWrite(t *testing.T) {
+	snaps := makeSnaps(41, 3, 0)
+	for _, write := range []string{"extend", "gc"} {
+		dir := t.TempDir()
+		if _, err := Create(dir, snaps[:2], Options{}); err != nil {
+			t.Fatal(err)
+		}
+		temps := []string{filepath.Join(dir, segTmpPrefix+"x"), filepath.Join(dir, segmentsDir, segTmpPrefix+"x")}
+		for _, path := range temps {
+			if err := os.WriteFile(path, []byte("in flight"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkoutAllExact(t, st, snaps[:2], Concurrent)
+		for _, path := range temps {
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("%s: a temp file did not survive Open and a checkout: %v", write, err)
+			}
+		}
+		if write == "extend" {
+			var ext *Store
+			if ext, err = st.Extend(snaps[2:], Options{}); err == nil {
+				err = ext.Close()
+			}
+		} else {
+			_, err = st.GC()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range temps {
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s left %s behind (%v)", write, path, err)
+			}
+		}
+		checkOneMetadataFile(t, dir)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"maps"
 	"math"
 	"os"
@@ -20,7 +19,6 @@ import (
 	"modelhub/internal/atomicfile"
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
-	"modelhub/internal/obs"
 	"modelhub/internal/tensor"
 )
 
@@ -748,6 +746,7 @@ func (s *Store) Extend(snaps []SnapshotIn, opts Options) (*Store, error) {
 // next GC), then the manifest, the commit point. It returns the store the
 // two describe, as Open would read it back.
 func commitArchive(dir string, chunks []segPayload, man *manifest) (*Store, error) {
+	sweepTempFiles(dir)
 	_, lay, err := readManifest(dir)
 	if err != nil {
 		lay = &layout{Chunks: make(map[string]segLoc)} // no archive there yet
@@ -763,8 +762,7 @@ func commitArchive(dir string, chunks []segPayload, man *manifest) (*Store, erro
 
 // writeManifest persists the plan and its layout as one compact JSON file,
 // atomically (temp + fsync + rename + parent dir fsync): the commit point of
-// every write. Each node's planes become positions in the chunk table. A
-// version-2 archive's index is dead once this manifest is durable.
+// every write. Each node's planes become positions in the chunk table.
 func writeManifest(dir string, man *manifest, lay *layout) error {
 	disk := *man
 	disk.NextSeg, disk.Segments, disk.Chunks = lay.NextSeg, lay.Segments, lay.table()
@@ -778,9 +776,6 @@ func writeManifest(dir string, man *manifest, lay *layout) error {
 	}
 	if err := atomicfile.WriteFile(filepath.Join(dir, manifestName), blob); err != nil {
 		return fmt.Errorf("%w: writing manifest: %v", ErrStore, err)
-	}
-	if err := os.Remove(filepath.Join(dir, segmentsDir, v2IndexName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		obs.Logger().Warn("pas: could not remove the version-2 segment index", "dir", dir, "err", err)
 	}
 	noteSegmentGauges(lay)
 	return nil
@@ -840,19 +835,19 @@ func solve(g *Graph, opts Options) (*Plan, bool, error) {
 	}
 }
 
-// Open loads an existing archive. The manifest arrives inside every pulled
-// repository, so it is validated before anything indexes by its fields.
+// Open loads an existing archive and writes nothing. The manifest arrives
+// inside every pulled repository, so it is validated before anything
+// indexes by its fields.
 func Open(dir string) (*Store, error) {
 	man, lay, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	reconcileSegmentDir(dir)
 	return newStore(dir, *man, lay), nil
 }
 
-// readManifest reads and validates dir's manifest, converting a version-2
-// archive first, and parts it into the plan and the layout.
+// readManifest reads and validates dir's manifest and parts it into the plan
+// and the layout.
 func readManifest(dir string) (*manifest, *layout, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -861,11 +856,6 @@ func readManifest(dir string) (*manifest, *layout, error) {
 	man := &manifest{}
 	if err := json.Unmarshal(blob, man); err != nil {
 		return nil, nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
-	}
-	if man.Version == 2 {
-		if err := convertV2(dir, blob, man); err != nil {
-			return nil, nil, err
-		}
 	}
 	lay, err := validateManifest(man)
 	if err != nil {
