@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) ./internal/hub
 	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) ./internal/dlv
+	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 
 # Every testing.B benchmark in the module, one iteration each and no tests:
 # benchmarks that never run can rot (stale fixtures, a b.Fatal on a changed

@@ -14,7 +14,7 @@
 //	dlv list    [-html FILE]
 //	dlv desc    -v ID [-html FILE]
 //	dlv diff    -a ID -b ID [-html FILE]
-//	dlv archive [-algo pas-mt|pas-pt|mst|spt|last|best] [-alpha F] [-scheme NAME] [-checkpoint-scheme NAME]
+//	dlv archive [-algo pas-mt|pas-pt|mst|spt|last|best] [-alpha F] [-scheme NAME] [-plane-granularity] [-explain]
 //	dlv gc
 //	dlv repack  (re-plan every archived version globally, then compact)
 //	dlv eval    -v ID [-snap LABEL] [-prefix 1..4] [-progressive [-topk K]]
@@ -46,7 +46,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"strconv"
 	"strings"
 	"syscall"
 
@@ -54,7 +53,6 @@ import (
 	"modelhub/internal/data"
 	"modelhub/internal/dlv"
 	"modelhub/internal/dnn"
-	"modelhub/internal/floatenc"
 	"modelhub/internal/hub"
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
@@ -371,12 +369,10 @@ func run(ctx context.Context, cmd string, args []string) error {
 	case "archive":
 		fs := flag.NewFlagSet("archive", flag.ContinueOnError)
 		repoDir := fs.String("repo", ".", "repository directory")
-		algo := fs.String("algo", "pas-mt", "plan algorithm: pas-mt pas-pt mst spt last best")
+		algo := fs.String("algo", "pas-mt", "plan algorithm: pas-mt pas-pt mst spt last, or best (the cheaper feasible plan of pas-mt and pas-pt)")
 		alpha := fs.Float64("alpha", 2.0, "recreation budget scalar (x SPT cost)")
 		schemeName := fs.String("scheme", "independent",
 			"retrieval scheme budgets are evaluated under: independent parallel reusable concurrent")
-		ckptScheme := fs.String("checkpoint-scheme", "",
-			"lossy float scheme for checkpoint (non-latest) snapshots: float16 bfloat16 fixed-N quant-N")
 		explain := fs.Bool("explain", false, "print per-snapshot recreation costs vs budgets")
 		planes := fs.Bool("plane-granularity", false, "optimize storage per byte segment instead of per matrix")
 		if err := parseCmd(fs, args); err != nil {
@@ -390,17 +386,9 @@ func run(ctx context.Context, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		opts := dlv.ArchiveOptions{
+		store, err := mh.Repo.Archive(dlv.ArchiveOptions{
 			Algorithm: *algo, Scheme: scheme, Alpha: *alpha, PlaneGranularity: *planes,
-		}
-		if *ckptScheme != "" {
-			cs, err := parseFloatScheme(*ckptScheme)
-			if err != nil {
-				return err
-			}
-			opts.CheckpointScheme = &cs
-		}
-		store, err := mh.Repo.Archive(opts)
+		})
 		if err != nil {
 			return err
 		}
@@ -693,30 +681,5 @@ func hubFlags(fs *flag.FlagSet) func() hub.Options {
 	retries := fs.Int("retries", 0, "retry attempts for idempotent requests; pulls resume via Range (0 = default, negative = none)")
 	return func() hub.Options {
 		return hub.Options{Timeout: *timeout, StallTimeout: *stall, Retries: *retries}
-	}
-}
-
-// parseFloatScheme resolves a CLI scheme spelling like "fixed-8" or
-// "quant-4" into a floatenc.Scheme.
-func parseFloatScheme(spec string) (floatenc.Scheme, error) {
-	switch {
-	case spec == "float16":
-		return floatenc.Scheme{Kind: floatenc.Float16}, nil
-	case spec == "bfloat16":
-		return floatenc.Scheme{Kind: floatenc.BFloat16}, nil
-	case strings.HasPrefix(spec, "fixed-"):
-		bits, err := strconv.Atoi(spec[len("fixed-"):])
-		if err != nil {
-			return floatenc.Scheme{}, fmt.Errorf("bad scheme %q", spec)
-		}
-		return floatenc.Scheme{Kind: floatenc.Fixed, Bits: bits}, nil
-	case strings.HasPrefix(spec, "quant-"):
-		bits, err := strconv.Atoi(spec[len("quant-"):])
-		if err != nil {
-			return floatenc.Scheme{}, fmt.Errorf("bad scheme %q", spec)
-		}
-		return floatenc.Scheme{Kind: floatenc.QuantUniform, Bits: bits}, nil
-	default:
-		return floatenc.Scheme{}, fmt.Errorf("unknown float scheme %q (float16, bfloat16, fixed-N, quant-N)", spec)
 	}
 }

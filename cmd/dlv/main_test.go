@@ -210,25 +210,6 @@ func TestCLIPlot(t *testing.T) {
 	}
 }
 
-func TestCLIArchiveCheckpointScheme(t *testing.T) {
-	dir := t.TempDir()
-	if err := run(context.Background(), "init", []string{"-repo", dir}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), "train", repoArgs(dir, "-name", "m", "-epochs", "1", "-checkpoint-every", "8", "-seed", "7")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), "archive", repoArgs(dir, "-algo", "mst", "-checkpoint-scheme", "fixed-8")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), "archive", repoArgs(dir, "-checkpoint-scheme", "wat")); err == nil {
-		t.Fatal("bad scheme must fail")
-	}
-	if err := run(context.Background(), "eval", repoArgs(dir, "-v", "1", "-n", "10")); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCLIEvalWithDataFile(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(context.Background(), "init", []string{"-repo", dir}); err != nil {

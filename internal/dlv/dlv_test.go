@@ -767,106 +767,6 @@ func trainFinal(t *testing.T, seed int64) map[string]*tensor.Matrix {
 	return res.Final
 }
 
-func TestArchiveCheckpointScheme(t *testing.T) {
-	// Lossy checkpoint archival: checkpoints shrink, latest stays exact.
-	buildRepo := func(scheme *floatenc.Scheme) (*Repo, *dnn.TrainResult, int64) {
-		r := initRepo(t)
-		id, res, _ := commitToy(t, r, "m", 30, 0)
-		if _, err := r.Archive(ArchiveOptions{Algorithm: "mst", CheckpointScheme: scheme}); err != nil {
-			t.Fatal(err)
-		}
-		return r, res, id
-	}
-	lossless, _, _ := buildRepo(nil)
-	fixed := &floatenc.Scheme{Kind: floatenc.Fixed, Bits: 8}
-	lossy, res, id := buildRepo(fixed)
-
-	losslessStore, err := lossless.openArchive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lossyStore, err := lossy.openArchive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lossyStore.TotalChunkBytes(4) >= losslessStore.TotalChunkBytes(4) {
-		t.Fatalf("fixed-8 checkpoints (%d) should archive smaller than lossless (%d)",
-			lossyStore.TotalChunkBytes(4), losslessStore.TotalChunkBytes(4))
-	}
-	// Latest snapshot is untouched.
-	w, err := lossy.Weights(id, LatestSnap, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, m := range res.Final {
-		if !w[name].Equal(m) {
-			t.Fatalf("latest weights %s must stay lossless", name)
-		}
-	}
-	// Checkpoints are degraded but close (within the fixed-8 step).
-	v, err := lossy.Version(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptLabel := v.Snapshots[0]
-	got, err := lossy.Weights(id, ckptLabel, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := res.Checkpoints[0].Weights
-	for name, m := range orig {
-		if got[name].Equal(m) {
-			// At least some matrices must differ (they were quantized)...
-			continue
-		}
-		if !got[name].ApproxEqual(m, m.AbsMax()/64) {
-			t.Fatalf("checkpoint %s drifted beyond the quantization step", name)
-		}
-	}
-}
-
-// A checkpoint is degraded once, as it enters the archive; a re-archive
-// reads it back from the store as it is. So re-archiving an unchanged
-// repository under any -checkpoint-scheme kind writes the same manifest and
-// stores nothing new. Degrading twice would not: quant-N is not idempotent.
-func TestRearchiveDegradesCheckpointsOnce(t *testing.T) {
-	def, res, _ := trainToy(t, 32)
-	for _, scheme := range []floatenc.Scheme{
-		{Kind: floatenc.Float16}, {Kind: floatenc.BFloat16},
-		{Kind: floatenc.Fixed, Bits: 8}, {Kind: floatenc.QuantUniform, Bits: 8},
-	} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			r := initRepo(t)
-			if _, err := r.Commit(CommitInput{Name: "m", NetDef: def,
-				Checkpoints: res.Checkpoints, Final: res.Final}); err != nil {
-				t.Fatal(err)
-			}
-			opts := ArchiveOptions{Algorithm: "pas-mt", Alpha: 2, CheckpointScheme: &scheme}
-			first, err := r.Archive(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			manifest := filepath.Join(r.pasPath(), "manifest.json")
-			before, err := os.ReadFile(manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := r.Archive(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			after, err := os.ReadFile(manifest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) || again.StoredChunks() != first.StoredChunks() {
-				t.Fatalf("re-archive changed the archive: manifest equal %v, stored chunks %d -> %d",
-					bytes.Equal(before, after), first.StoredChunks(), again.StoredChunks())
-			}
-		})
-	}
-}
-
 func TestEvalProgressiveTopK(t *testing.T) {
 	r := initRepo(t)
 	def, res, examples := trainToy(t, 31)

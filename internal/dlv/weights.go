@@ -14,7 +14,6 @@ import (
 	"slices"
 
 	"modelhub/internal/atomicfile"
-	"modelhub/internal/floatenc"
 	"modelhub/internal/obs"
 	"modelhub/internal/pas"
 	"modelhub/internal/tensor"
@@ -31,14 +30,6 @@ type ArchiveOptions struct {
 	Algorithm string
 	Scheme    pas.Scheme
 	Alpha     float64
-	// CheckpointScheme, when non-nil, degrades checkpoint (non-latest)
-	// snapshots through a lossy float representation as they enter the
-	// archive — the paper's alternative to deleting snapshots under resource
-	// pressure (Sec. IV-B: "most useful for snapshots whose weights are
-	// primarily used for fine-tuning or initialization"). Latest snapshots
-	// always stay lossless, and a snapshot already in the archive is not
-	// degraded again.
-	CheckpointScheme *floatenc.Scheme
 	// PlaneGranularity lets the plan optimizer choose storage per byte
 	// segment rather than per matrix (pas.Options.PlaneGranularity).
 	PlaneGranularity bool
@@ -90,7 +81,7 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 			}
 		}
 		if len(fresh) > 0 {
-			snaps, pairs, err := r.lineage(fresh, cur, opts.CheckpointScheme)
+			snaps, pairs, err := r.lineage(fresh, cur)
 			if err != nil {
 				return nil, err
 			}
@@ -168,8 +159,7 @@ func archivedIn(store *pas.Store) func(*Version) bool {
 }
 
 // plannedWith reports whether an archive was planned with opts' settings,
-// after pas's defaults. CheckpointScheme only shapes what enters the archive,
-// so it does not decide between extending and re-planning.
+// after pas's defaults.
 func plannedWith(info pas.PlanInfo, opts ArchiveOptions) bool {
 	algo, alpha := opts.Algorithm, opts.Alpha
 	if algo == "" {
@@ -196,7 +186,7 @@ func pasOptions(opts ArchiveOptions, pairs [][2]pas.MatrixRef) pas.Options {
 // replan archives vs under one global plan, replacing whatever manifest the
 // archive had; versions cur holds are read back from it.
 func (r *Repo) replan(vs []*Version, cur *pas.Store, opts ArchiveOptions) (*pas.Store, error) {
-	snaps, pairs, err := r.lineage(vs, cur, opts.CheckpointScheme)
+	snaps, pairs, err := r.lineage(vs, cur)
 	if err != nil {
 		return nil, err
 	}
@@ -206,10 +196,9 @@ func (r *Repo) replan(vs []*Version, cur *pas.Store, opts ArchiveOptions) (*pas.
 // lineage returns vs's snapshots as they enter the archive, in order, and
 // their delta candidates: adjacent snapshots within a version, then each
 // parent's latest snapshot against its child's first. A version cur holds is
-// read back from it; the others are read raw, with checkpoints degraded
-// through scheme. A parent outside vs is linked when cur holds its latest
+// read back from it; the others are read raw. A parent outside vs is linked when cur holds its latest
 // snapshot, which Extend then pins.
-func (r *Repo) lineage(vs []*Version, cur *pas.Store, scheme *floatenc.Scheme) ([]pas.SnapshotIn, [][2]pas.MatrixRef, error) {
+func (r *Repo) lineage(vs []*Version, cur *pas.Store) ([]pas.SnapshotIn, [][2]pas.MatrixRef, error) {
 	inStore := archivedIn(cur)
 	var snaps []pas.SnapshotIn
 	var pairs [][2]pas.MatrixRef
@@ -230,7 +219,7 @@ func (r *Repo) lineage(vs []*Version, cur *pas.Store, scheme *floatenc.Scheme) (
 		if !inStore(v) {
 			src = nil
 		}
-		weights, err := r.archiveInput(v, src, scheme)
+		weights, err := r.archiveInput(v, src)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -268,8 +257,8 @@ func (r *Repo) lineage(vs []*Version, cur *pas.Store, scheme *floatenc.Scheme) (
 
 // archiveInput returns a version's snapshots in v.Snapshots order as they
 // enter the archive: read back from store when it is set (the version is
-// archived there), else read raw, with checkpoints degraded through scheme.
-func (r *Repo) archiveInput(v *Version, store *pas.Store, scheme *floatenc.Scheme) ([]map[string]*tensor.Matrix, error) {
+// archived there), else read raw.
+func (r *Repo) archiveInput(v *Version, store *pas.Store) ([]map[string]*tensor.Matrix, error) {
 	out := make([]map[string]*tensor.Matrix, len(v.Snapshots))
 	if store != nil {
 		for i, snap := range v.Snapshots {
@@ -289,30 +278,7 @@ func (r *Repo) archiveInput(v *Version, store *pas.Store, scheme *floatenc.Schem
 		if !ok {
 			return nil, fmt.Errorf("%w: snapshot v%d/%s is missing from its raw weights file", ErrRepo, v.ID, snap)
 		}
-		if scheme != nil && snap != LatestSnap {
-			if w, err = degradeSnapshot(w, *scheme); err != nil {
-				return nil, err
-			}
-		}
 		out[i] = w
-	}
-	return out, nil
-}
-
-// degradeSnapshot round-trips every matrix through a lossy float scheme,
-// collapsing low-order entropy so the archived chunks compress much better.
-func degradeSnapshot(w map[string]*tensor.Matrix, scheme floatenc.Scheme) (map[string]*tensor.Matrix, error) {
-	out := make(map[string]*tensor.Matrix, len(w))
-	for name, m := range w {
-		enc, err := floatenc.Encode(scheme, m)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := floatenc.Decode(enc)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = dec
 	}
 	return out, nil
 }

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"modelhub/internal/floatenc"
@@ -154,8 +156,10 @@ func RunAblationGranularity(dir string, seed int64, alphas []float64) ([]Ablatio
 	cur := base
 	for i := 0; i < 6; i++ {
 		snap := pas.SnapshotIn{ID: string(rune('a' + i)), Matrices: map[string]*tensor.Matrix{}}
-		for name, m := range cur {
-			snap.Matrices[name] = m.Perturb(rng, 1e-3)
+		// Sorted names: map order would draw the perturbations, and so build
+		// the snapshots and every plan, differently on every run.
+		for _, name := range slices.Sorted(maps.Keys(cur)) {
+			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)
 		cur = snap.Matrices

@@ -55,23 +55,28 @@ func (c Fig6cConfig) withDefaults() Fig6cConfig {
 // RunFig6c sweeps α over the RD storage graph for LAST, PAS-MT and PAS-PT.
 func RunFig6c(cfg Fig6cConfig) ([]Fig6cRow, Fig6cBounds, error) {
 	cfg = cfg.withDefaults()
-	var rows []Fig6cRow
-	var bounds Fig6cBounds
+	return sweepAlphas(synth.GenerateRD(synth.RDConfig{
+		Snapshots:           cfg.Snapshots,
+		MatricesPerSnapshot: cfg.MatricesPerSnapshot,
+		DeltaRatio:          cfg.DeltaRatio,
+		Seed:                cfg.Seed,
+	}), cfg.Alphas)
+}
 
-	freshGraph := func() *pas.Graph {
-		return synth.GenerateRD(synth.RDConfig{
-			Snapshots:           cfg.Snapshots,
-			MatricesPerSnapshot: cfg.MatricesPerSnapshot,
-			DeltaRatio:          cfg.DeltaRatio,
-			Seed:                cfg.Seed,
-		})
-	}
-	g0 := freshGraph()
-	mst, err := pas.MST(g0)
+// sweepAlgorithms are the optimizers Fig 6(c) and the scale sweep compare.
+var sweepAlgorithms = []string{"last", "pas-mt", "pas-pt"}
+
+// sweepAlphas reports g's MST and SPT bounds, then solves g with each of
+// sweepAlgorithms at every α, under budgets α·Cr(SPT, s_i) and the
+// independent scheme. Setting budgets is the only change a solve sees, so
+// one graph serves every point.
+func sweepAlphas(g *pas.Graph, alphas []float64) ([]Fig6cRow, Fig6cBounds, error) {
+	var bounds Fig6cBounds
+	mst, err := pas.MST(g)
 	if err != nil {
 		return nil, bounds, err
 	}
-	spt, err := pas.SPT(g0)
+	spt, err := pas.SPT(g)
 	if err != nil {
 		return nil, bounds, err
 	}
@@ -79,25 +84,13 @@ func RunFig6c(cfg Fig6cConfig) ([]Fig6cRow, Fig6cBounds, error) {
 	bounds.SPTStorage = spt.StorageCost()
 	bounds.SPTRecreation = avgSnapshotCost(spt)
 
-	for _, alpha := range cfg.Alphas {
-		for _, algo := range []string{"last", "pas-mt", "pas-pt"} {
-			g := freshGraph()
-			if _, err := pas.SetBudgetsAlphaSPT(g, pas.Independent, alpha); err != nil {
-				return nil, bounds, err
-			}
-			var plan *pas.Plan
-			var feasible bool
-			switch algo {
-			case "last":
-				plan, err = pas.LAST(g, alpha)
-				if err == nil {
-					feasible, _ = plan.Feasible(pas.Independent)
-				}
-			case "pas-mt":
-				plan, feasible, err = pas.PASMT(g, pas.Independent)
-			case "pas-pt":
-				plan, feasible, err = pas.PASPT(g, pas.Independent)
-			}
+	var rows []Fig6cRow
+	for _, alpha := range alphas {
+		if _, err := pas.SetBudgetsAlphaSPT(g, pas.Independent, alpha); err != nil {
+			return nil, bounds, err
+		}
+		for _, algo := range sweepAlgorithms {
+			plan, feasible, err := pas.Solve(g, algo, pas.Independent, alpha)
 			if err != nil {
 				return nil, bounds, err
 			}

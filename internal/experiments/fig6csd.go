@@ -79,61 +79,11 @@ func RunFig6cSD(dir string, cfg synth.SDConfig, alphas []float64) ([]Fig6cRow, F
 		}
 	}
 
-	buildGraph := func() (*pas.Graph, error) {
-		return pas.BuildGraph(snaps, pas.Options{ExtraPairs: extra, NoDefaultPairs: true})
-	}
-	g0, err := buildGraph()
+	g, err := pas.BuildGraph(snaps, pas.Options{ExtraPairs: extra, NoDefaultPairs: true})
 	if err != nil {
 		return nil, bounds, err
 	}
-	mst, err := pas.MST(g0)
-	if err != nil {
-		return nil, bounds, err
-	}
-	spt, err := pas.SPT(g0)
-	if err != nil {
-		return nil, bounds, err
-	}
-	bounds.MSTStorage = mst.StorageCost()
-	bounds.SPTStorage = spt.StorageCost()
-	bounds.SPTRecreation = avgSnapshotCost(spt)
-
-	var rows []Fig6cRow
-	for _, alpha := range alphas {
-		for _, algo := range []string{"last", "pas-mt", "pas-pt"} {
-			g, err := buildGraph()
-			if err != nil {
-				return nil, bounds, err
-			}
-			if _, err := pas.SetBudgetsAlphaSPT(g, pas.Independent, alpha); err != nil {
-				return nil, bounds, err
-			}
-			var plan *pas.Plan
-			var feasible bool
-			switch algo {
-			case "last":
-				plan, err = pas.LAST(g, alpha)
-				if err == nil {
-					feasible, _ = plan.Feasible(pas.Independent)
-				}
-			case "pas-mt":
-				plan, feasible, err = pas.PASMT(g, pas.Independent)
-			case "pas-pt":
-				plan, feasible, err = pas.PASPT(g, pas.Independent)
-			}
-			if err != nil {
-				return nil, bounds, err
-			}
-			rows = append(rows, Fig6cRow{
-				Algorithm:  algo,
-				Alpha:      alpha,
-				Storage:    plan.StorageCost(),
-				Recreation: avgSnapshotCost(plan),
-				Feasible:   feasible,
-			})
-		}
-	}
-	return rows, bounds, nil
+	return sweepAlphas(g, alphas)
 }
 
 // PrintFig6cSD renders the SD variant.

@@ -3,8 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"time"
 
 	"modelhub/internal/pas"
@@ -67,8 +69,8 @@ func RunRetrieval(cfg RetrievalConfig) ([]RetrievalRow, error) {
 	cur := base
 	for i := 0; i < cfg.Snapshots; i++ {
 		snap := pas.SnapshotIn{ID: fmt.Sprintf("s%02d", i), Matrices: map[string]*tensor.Matrix{}}
-		for name, m := range cur {
-			snap.Matrices[name] = m.Perturb(rng, 1e-3)
+		for _, name := range slices.Sorted(maps.Keys(cur)) { // map order would vary the draws
+			snap.Matrices[name] = cur[name].Perturb(rng, 1e-3)
 		}
 		snaps = append(snaps, snap)
 		cur = snap.Matrices

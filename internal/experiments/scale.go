@@ -32,35 +32,17 @@ func RunScale(seed int64, sizes []int, alpha float64) ([]ScaleRow, error) {
 	}
 	var rows []ScaleRow
 	for _, size := range sizes {
-		mstCost := 0.0
-		{
-			g := synth.GenerateRD(synth.RDConfig{Snapshots: size, MatricesPerSnapshot: 4, Seed: seed})
-			mst, err := pas.MST(g)
-			if err != nil {
-				return nil, err
-			}
-			mstCost = mst.StorageCost()
+		g := synth.GenerateRD(synth.RDConfig{Snapshots: size, MatricesPerSnapshot: 4, Seed: seed})
+		mst, err := pas.MST(g)
+		if err != nil {
+			return nil, err
 		}
-		for _, algo := range []string{"last", "pas-mt", "pas-pt"} {
-			g := synth.GenerateRD(synth.RDConfig{Snapshots: size, MatricesPerSnapshot: 4, Seed: seed})
-			if _, err := pas.SetBudgetsAlphaSPT(g, pas.Independent, alpha); err != nil {
-				return nil, err
-			}
+		if _, err := pas.SetBudgetsAlphaSPT(g, pas.Independent, alpha); err != nil {
+			return nil, err
+		}
+		for _, algo := range sweepAlgorithms {
 			start := time.Now()
-			var plan *pas.Plan
-			var feasible bool
-			var err error
-			switch algo {
-			case "last":
-				plan, err = pas.LAST(g, alpha)
-				if err == nil {
-					feasible, _ = plan.Feasible(pas.Independent)
-				}
-			case "pas-mt":
-				plan, feasible, err = pas.PASMT(g, pas.Independent)
-			case "pas-pt":
-				plan, feasible, err = pas.PASPT(g, pas.Independent)
-			}
+			plan, feasible, err := pas.Solve(g, algo, pas.Independent, alpha)
 			if err != nil {
 				return nil, err
 			}
@@ -70,7 +52,7 @@ func RunScale(seed int64, sizes []int, alpha float64) ([]ScaleRow, error) {
 				Edges:          len(g.Edges),
 				Algorithm:      algo,
 				Wall:           time.Since(start),
-				StorageOverMST: plan.StorageCost() / mstCost,
+				StorageOverMST: plan.StorageCost() / mst.StorageCost(),
 				Feasible:       feasible,
 			})
 		}

@@ -59,12 +59,8 @@ func (c *Client) Publish(ctx context.Context, root, name string) (err error) {
 	if err != nil {
 		return fmt.Errorf("%w: publish: %v", ErrHub, err)
 	}
-	defer func() {
-		//mhlint:ignore errcheck best-effort temp cleanup after the upload outcome is decided
-		_ = tmp.Close()
-		//mhlint:ignore errcheck best-effort temp cleanup after the upload outcome is decided
-		_ = os.Remove(tmp.Name())
-	}()
+	defer os.Remove(tmp.Name())
+	defer tmp.Close()
 	h := sha256.New()
 	if err := PackRepo(root, io.MultiWriter(tmp, h)); err != nil {
 		return err
@@ -185,12 +181,8 @@ func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 	if err != nil {
 		return fmt.Errorf("%w: pull: %v", ErrHub, err)
 	}
-	defer func() {
-		//mhlint:ignore errcheck best-effort temp cleanup after the pull outcome is decided
-		_ = arch.Close()
-		//mhlint:ignore errcheck best-effort temp cleanup after the pull outcome is decided
-		_ = os.Remove(arch.Name())
-	}()
+	defer os.Remove(arch.Name())
+	defer arch.Close()
 	if err := c.download(rctx, name, arch); err != nil {
 		return err
 	}
@@ -205,10 +197,7 @@ func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 	if err != nil {
 		return fmt.Errorf("%w: pull: %v", ErrHub, err)
 	}
-	defer func() {
-		//mhlint:ignore errcheck best-effort cleanup; promotion already moved the repo out
-		_ = os.RemoveAll(stage)
-	}()
+	defer os.RemoveAll(stage) // promotion has moved the repo out by then
 	if err := UnpackRepo(arch, stage); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -30,15 +31,16 @@ func FormatTraceparent(tid TraceID, sid SpanID, sampled bool) string {
 	return "00-" + tid.String() + "-" + sid.String() + "-" + flags
 }
 
-// ParseTraceparent parses a traceparent header value. Unknown versions are
-// accepted if the 00-shaped prefix fields parse (per the W3C forward-compat
-// rule); malformed values return an error and the caller starts a new trace.
+// ParseTraceparent parses a traceparent header value. Version 00 has
+// exactly four fields; a later version is accepted if its 00-shaped prefix
+// fields parse, whatever follows them (the W3C forward-compat rule).
+// Malformed values return an error and the caller starts a new trace.
 func ParseTraceparent(v string) (tid TraceID, sid SpanID, sampled bool, err error) {
 	parts := strings.Split(strings.TrimSpace(v), "-")
-	if len(parts) < 4 {
+	if len(parts) < 4 || (parts[0] == "00" && len(parts) != 4) {
 		return tid, sid, false, fmt.Errorf("obs: traceparent needs 4 fields, got %q", v)
 	}
-	if len(parts[0]) != 2 || parts[0] == "ff" {
+	if !isHexByte(parts[0]) || parts[0] == "ff" {
 		return tid, sid, false, fmt.Errorf("obs: bad traceparent version %q", parts[0])
 	}
 	if tid, err = ParseTraceID(parts[1]); err != nil {
@@ -47,14 +49,17 @@ func ParseTraceparent(v string) (tid TraceID, sid SpanID, sampled bool, err erro
 	if sid, err = ParseSpanID(parts[2]); err != nil {
 		return TraceID{}, SpanID{}, false, err
 	}
-	if len(parts[3]) != 2 {
-		return TraceID{}, SpanID{}, false, fmt.Errorf("obs: bad traceparent flags %q", parts[3])
-	}
-	var flags byte
-	if _, err := fmt.Sscanf(parts[3], "%02x", &flags); err != nil {
+	flags, err := strconv.ParseUint(parts[3], 16, 8)
+	if err != nil || !isHexByte(parts[3]) {
 		return TraceID{}, SpanID{}, false, fmt.Errorf("obs: bad traceparent flags %q", parts[3])
 	}
 	return tid, sid, flags&traceFlagSampled != 0, nil
+}
+
+// isHexByte reports whether s is two lowercase hex digits, the form of the
+// version and flags fields.
+func isHexByte(s string) bool {
+	return len(s) == 2 && strings.Trim(s, "0123456789abcdef") == ""
 }
 
 // Inject stamps the span's trace context into outgoing request headers.

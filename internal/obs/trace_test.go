@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -66,14 +67,17 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"00-0af7651916cd43dd8448eb211c80319-b7ad6b7169203331-01",    // short trace id
 		"00-zzf7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",   // non-hex trace id
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0101", // long flags
+		"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",   // non-hex version
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0g",   // non-hex flags
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-x", // fifth field at version 00
 	}
 	for _, v := range bad {
 		if _, _, _, err := ParseTraceparent(v); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted, want error", v)
 		}
 	}
-	// Unknown (but well-formed) versions and extra fields are accepted per
-	// the W3C forward-compatibility rule.
+	// Unknown (but well-formed) versions and their extra fields are
+	// accepted per the W3C forward-compatibility rule.
 	ok := "cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-futurefield"
 	if _, _, sampled, err := ParseTraceparent(ok); err != nil || !sampled {
 		t.Fatalf("forward-compat value rejected: %v (sampled=%v)", err, sampled)
@@ -405,4 +409,39 @@ func TestTraceMethodsNoopWithoutTracing(t *testing.T) {
 	s.Event("e")
 	s.SetError()
 	s.End()
+}
+
+// ParseTraceparent never panics, and a version-00 value it accepts carries
+// exactly what FormatTraceparent writes back: the same trace and span ids
+// and the same sampled bit.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0g",
+		"cc-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-futurefield",
+		"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-x",
+		" 00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-03 ",
+		"", "-", "00---",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, sid, sampled, err := ParseTraceparent(v)
+		if err != nil || !strings.HasPrefix(strings.TrimSpace(v), "00-") {
+			return
+		}
+		out := FormatTraceparent(tid, sid, sampled)
+		gtid, gsid, gsampled, err := ParseTraceparent(out)
+		if err != nil || gtid != tid || gsid != sid || gsampled != sampled {
+			t.Fatalf("%q parsed as %v %v %v; its re-format %q parses as %v %v %v (%v)",
+				v, tid, sid, sampled, out, gtid, gsid, gsampled, err)
+		}
+		in, re := strings.Split(strings.TrimSpace(v), "-"), strings.Split(out, "-")
+		flags, err := strconv.ParseUint(in[3], 16, 8)
+		if err != nil || !strings.EqualFold(in[1], re[1]) || !strings.EqualFold(in[2], re[2]) || sampled != (flags&1 == 1) {
+			t.Fatalf("%q re-formats as %q: ids or sampled bit changed (%v)", v, out, err)
+		}
+	})
 }

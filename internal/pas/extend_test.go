@@ -1,8 +1,11 @@
 package pas
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -136,6 +139,43 @@ func TestExtendBytesAreWorkerInvariant(t *testing.T) {
 	}
 }
 
+// A build that priced a remote tier recorded "tier":1 on each node it placed
+// there, yet wrote that node's chunks into the local segments like any other.
+// Such a manifest still opens: every snapshot reads back bit-identical, and
+// Extend extends it.
+func TestOpenManifestWithTier(t *testing.T) {
+	opts := Options{Algorithm: "pas-mt", Alpha: 1.6}
+	dir, st, snaps := extendFixture(t, 74, 6, 3, opts)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := []byte(`{"id":2,`)
+	if n := bytes.Count(blob, node); n != 1 {
+		t.Fatalf("manifest holds %d nodes with id 2, want 1", n)
+	}
+	if err := os.WriteFile(path, bytes.Replace(blob, node, []byte(`{"id":2,"tier":1,`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkoutAllExact(t, old, snaps[:3], Concurrent)
+	ext, err := old.Extend(snaps[3:], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkoutAllExact(t, ext, snaps, Concurrent)
+	if err := ext.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Extend refuses, with ErrStore and without writing anything, what it cannot
 // extend without re-planning the archive or losing track of a matrix.
 func TestExtendRejects(t *testing.T) {
@@ -145,8 +185,6 @@ func TestExtendRejects(t *testing.T) {
 		extend     Options
 		extendSnap func(snaps []SnapshotIn) []SnapshotIn
 	}{
-		{name: "remote-tier archive",
-			create: Options{Algorithm: "mst", Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}}},
 		{name: "plane-granular archive, matrix extension",
 			create: Options{PlaneGranularity: true}},
 		{name: "matrix archive, plane-granular extension",
@@ -161,9 +199,6 @@ func TestExtendRejects(t *testing.T) {
 			extend: Options{ExtraPairs: [][2]MatrixRef{{{Snapshot: "a", Name: "ip1"}, {Snapshot: "b", Name: "ip1"}}}}},
 	} {
 		dir, st, snaps := extendFixture(t, 72, 6, 3, tc.create)
-		if tc.create.Remote != nil && st.TierChunkBytes(tierRemote) == 0 {
-			t.Fatalf("%s: the fixture stores nothing remote", tc.name)
-		}
 		add := snaps[3:]
 		if tc.extendSnap != nil {
 			add = tc.extendSnap(snaps)

@@ -36,8 +36,6 @@ var hostileManifests = []struct {
 	{"negative cols", func(m *manifest) { m.Nodes[0].Cols = -1 }},
 	{"shape overflows", func(m *manifest) { m.Nodes[0].Rows, m.Nodes[0].Cols = 1<<40, 1<<40 }},
 	{"shape beyond any payload", func(m *manifest) { m.Nodes[0].Rows, m.Nodes[0].Cols = 1<<20, 1<<20 }},
-	{"unknown tier", func(m *manifest) { m.Nodes[0].Tier = 7 }},
-	{"negative tier", func(m *manifest) { m.Nodes[0].Tier = -1 }},
 	{"unknown parent", func(m *manifest) { m.Nodes[1].Parent = 9999 }},
 	{"negative parent", func(m *manifest) { m.Nodes[1].Parent = -2 }},
 	{"duplicate node id", func(m *manifest) { m.Nodes[1].ID = m.Nodes[0].ID }},
@@ -166,6 +164,11 @@ func FuzzOpenManifest(f *testing.F) {
 		f.Fatal("the fixture manifest does not record alpha 0")
 	}
 	f.Add(bytes.Replace(valid, []byte(`"alpha":0,`), []byte(`"alpha":1e999,`), 1))
+	// The node "tier" an earlier build wrote (1: priced remote, its chunks
+	// local like any other's) is ignored, whatever its value.
+	for _, tier := range []string{`"tier":1,`, `"tier":7,`} {
+		f.Add(bytes.Replace(valid, []byte(`{"id":2,`), []byte(`{"id":2,`+tier), 1))
+	}
 	paths, err := filepath.Glob(filepath.Join(base, segmentsDir, "*"))
 	if err != nil {
 		f.Fatal(err)

@@ -14,13 +14,12 @@ import (
 // prefix-2 retrieval have zero-filled low planes, and keying the cache by
 // node id alone let them satisfy later full-precision lookups. Alternating
 // prefixes on one store must keep matching the source under every scheme —
-// on matrix-granular, plane-granular and remote-tier archives.
+// on matrix-granular and plane-granular archives.
 func TestSchemesMatchSourceAlternatingPrefixes(t *testing.T) {
 	snaps := makeSnaps(22, 4, 0)
 	stores := map[string]*Store{
 		"matrix": createStore(t, snaps, Options{}),
 		"plane":  createStore(t, snaps, Options{Algorithm: "pas-mt", Alpha: 1.6, PlaneGranularity: true}),
-		"remote": createStore(t, snaps, Options{Algorithm: "pas-mt", Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}}),
 	}
 	for label, st := range stores {
 		t.Run(label, func(t *testing.T) {

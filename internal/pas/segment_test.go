@@ -83,15 +83,14 @@ func checkOneMetadataFile(t *testing.T, dir string) {
 	}
 }
 
-// Opening an archive is a read: a second Open of a matrix-granular,
-// plane-granular or remote-tier archive writes nothing to its directory, and
-// every retrieval still matches the source.
+// Opening an archive is a read: a second Open of a matrix-granular or
+// plane-granular archive writes nothing to its directory, and every
+// retrieval still matches the source.
 func TestOpenWritesNothing(t *testing.T) {
 	snaps := makeSnaps(32, 3, 0)
 	for label, opts := range map[string]Options{
 		"matrix": {},
 		"plane":  {PlaneGranularity: true},
-		"remote": {Remote: &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}},
 	} {
 		dir := t.TempDir()
 		st, err := Create(dir, snaps, opts)

@@ -39,8 +39,8 @@ type SnapshotIn struct {
 
 // Options configure Create.
 type Options struct {
-	// Algorithm selects the plan optimizer: "pas-mt" (default), "pas-pt",
-	// "mst", "spt", or "last".
+	// Algorithm selects the plan optimizer Solve runs: "pas-mt" (default),
+	// "pas-pt", "mst", "spt", "last" or "best".
 	Algorithm string
 	// Scheme is the retrieval scheme the budgets are evaluated under.
 	Scheme Scheme
@@ -62,29 +62,7 @@ type Options struct {
 	// compressible high planes ride delta chains while near-random low
 	// planes can materialize for cheap recreation.
 	PlaneGranularity bool
-	// Remote, when non-nil, adds a second storage option per candidate edge
-	// modelling a remote/cold tier: cheaper to keep, slower to read (paper
-	// Sec. IV-C: "one edge corresponding to a remote storage option, where
-	// the storage cost is lower and the recreation cost is higher"). The
-	// optimizer picks the tier per delta and the manifest records it.
-	Remote *RemoteTier
 }
-
-// RemoteTier prices the remote storage option relative to local chunks.
-type RemoteTier struct {
-	// StorageFactor scales storage cost (< 1: remote bytes are cheaper,
-	// e.g. 0.3 for cold object storage priced below local SSD).
-	StorageFactor float64
-	// RecreationFactor scales recreation cost (> 1: remote reads are
-	// slower).
-	RecreationFactor float64
-}
-
-// Storage tiers.
-const (
-	tierLocal  = 0
-	tierRemote = 1
-)
 
 // deltaOp is the delta operator of every chunk chain. XOR is the only
 // operator that composes exactly per byte plane, which partial (prefix < 4)
@@ -164,8 +142,7 @@ type manifestNode struct {
 	Ref    MatrixRef `json:"ref"`
 	Rows   int       `json:"rows"`
 	Cols   int       `json:"cols"`
-	Parent int       `json:"parent"`         // NodeID; 0 = materialized from ν0
-	Tier   int       `json:"tier,omitempty"` // 0 = local, 1 = remote
+	Parent int       `json:"parent"` // NodeID; 0 = materialized from ν0
 	// PlaneStart/PlaneEnd bound the byte planes this node stores
 	// (PlaneEnd == 0 means the full range [0, 4) for compatibility).
 	PlaneStart int `json:"plane_start,omitempty"`
@@ -218,7 +195,7 @@ var ErrCycle = fmt.Errorf("%w: parent cycle", ErrStore)
 // priced is one candidate delta body after the only Segment it gets: its
 // shape and its four compressed planes. Every edge that would store the same
 // body — the part nodes of one matrix, the two directions of a same-shape
-// pair, the remote-tier twins — shares one.
+// pair — shares one.
 type priced struct {
 	rows, cols int
 	z          [floatenc.NumPlanes][]byte
@@ -369,27 +346,22 @@ func planeParts(granular bool) [][2]int {
 	return [][2]int{{0, floatenc.NumPlanes}}
 }
 
-// candEdge is what Create writes if the plan picks the edge.
-type candEdge struct {
-	body *priced
-	tier int
-}
-
 // candidates is the output of graph construction: the storage graph, its
-// nodes (index 0, ν0, unused) and every candidate edge by EdgeID.
+// nodes (index 0, ν0, unused) and, by EdgeID, the priced body each candidate
+// edge writes if the plan picks it (nil for a pinned node's in-edge).
 type candidates struct {
 	g     *Graph
 	nodes []candNode
-	edges []candEdge
+	edges []*priced
 }
 
 // buildCandidates measures every candidate edge of the matrix storage graph
 // for the given snapshots: materialization edges from ν0, same-name deltas
-// between consecutive snapshots (unless disabled), explicit extra pairs, and
-// remote-tier variants. Costs are real compressed byte counts. Each distinct
-// delta body is priced once, in parallel; edges are then added serially in a
-// fixed order, so edge ids — and with them the plan and the archive bytes —
-// are the same at any worker count.
+// between consecutive snapshots (unless disabled) and explicit extra pairs.
+// Costs are real compressed byte counts. Each distinct delta body is priced
+// once, in parallel; edges are then added serially in a fixed order, so edge
+// ids — and with them the plan and the archive bytes — are the same at any
+// worker count.
 //
 // With base set the graph extends that archive: new node ids continue after
 // its largest, its last snapshot precedes snaps[0] in the default pairing,
@@ -525,9 +497,8 @@ func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates
 	}
 
 	// An edge keeps its priced body, so the chosen plan writes chunks
-	// without recomputing or recompressing a delta, and the storage option
-	// (local or remote) it models. Its cost counts only the planes the
-	// target node covers.
+	// without recomputing or recompressing a delta. Its cost counts only the
+	// planes the target node covers.
 	cand := &candidates{g: NewGraph(len(nodes) - 1), nodes: nodes}
 	addEdge := func(from, to int, body *priced) {
 		cost := 0.0
@@ -535,19 +506,14 @@ func buildCandidates(snaps []SnapshotIn, opts Options, base *Store) (*candidates
 			cost += float64(len(body.z[p]))
 		}
 		cand.g.AddEdge(NodeID(from), NodeID(to), cost, cost)
-		cand.edges = append(cand.edges, candEdge{body, tierLocal})
-		if opts.Remote != nil {
-			cand.g.AddEdge(NodeID(from), NodeID(to),
-				cost*opts.Remote.StorageFactor, cost*opts.Remote.RecreationFactor)
-			cand.edges = append(cand.edges, candEdge{body, tierRemote})
-		}
+		cand.edges = append(cand.edges, body)
 	}
 	// Materialization edges ν0 -> m (one per part node); a pinned node's
 	// stands for its stored chain.
 	for id := 1; id < len(nodes); id++ {
 		if id >= newNodes {
 			cand.g.AddEdge(Root, NodeID(id), 0, nodes[id].cr)
-			cand.edges = append(cand.edges, candEdge{})
+			cand.edges = append(cand.edges, nil)
 			continue
 		}
 		addEdge(0, id, bodies[nodes[id].job])
@@ -614,7 +580,7 @@ func planArchive(snaps []SnapshotIn, opts Options, base *Store) (*planned, error
 			return nil, err
 		}
 	}
-	plan, feasible, err := solve(g, opts)
+	plan, feasible, err := Solve(g, opts.Algorithm, opts.Scheme, opts.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -634,19 +600,18 @@ func planArchive(snaps []SnapshotIn, opts Options, base *Store) (*planned, error
 		if cn.pinned {
 			continue
 		}
-		e := cand.edges[plan.ParentEdge[v]]
+		body := cand.edges[plan.ParentEdge[v]]
 		mn := manifestNode{
 			ID:         cn.id,
 			Ref:        cn.ref,
-			Rows:       e.body.rows,
-			Cols:       e.body.cols,
+			Rows:       body.rows,
+			Cols:       body.cols,
 			Parent:     cand.nodes[plan.Parent(NodeID(v))].id,
-			Tier:       e.tier,
 			PlaneStart: cn.part[0],
 			PlaneEnd:   cn.part[1],
 		}
 		for p := cn.part[0]; p < cn.part[1]; p++ {
-			z := e.body.z[p]
+			z := body.z[p]
 			sum := sha256.Sum256(z)
 			mn.PlaneSum[p] = hex.EncodeToString(sum[:])
 			mn.PlaneBytes[p] = len(z)
@@ -697,19 +662,14 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 // appends the new ones; its costs become old + new and its feasibility old ∧
 // new, and it records opts' algorithm, scheme and α.
 //
-// Extend returns ErrStore and writes nothing when the archive holds
-// remote-tier nodes (their recreation factor is not recorded), when its
-// plane granularity differs from opts', when a snapshot id is already
-// archived or repeated, or when a pair names an unknown matrix or two
-// archived ones.
+// Extend returns ErrStore and writes nothing when the archive's plane
+// granularity differs from opts', when a snapshot id is already archived or
+// repeated, or when a pair names an unknown matrix or two archived ones.
 func (s *Store) Extend(snaps []SnapshotIn, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	parts := planeParts(opts.PlaneGranularity)
 	for i := range s.man.Nodes {
 		n := &s.man.Nodes[i]
-		if n.Tier != tierLocal {
-			return nil, fmt.Errorf("%w: cannot extend an archive with remote-tier node %d", ErrStore, n.ID)
-		}
 		if start, end := nodePlanes(n); !slices.Contains(parts, [2]int{start, end}) {
 			return nil, fmt.Errorf("%w: node %d stores planes [%d, %d), which plane granularity %v does not plan",
 				ErrStore, n.ID, start, end, opts.PlaneGranularity)
@@ -781,58 +741,47 @@ func writeManifest(dir string, man *manifest, lay *layout) error {
 	return nil
 }
 
-func solve(g *Graph, opts Options) (*Plan, bool, error) {
-	switch opts.Algorithm {
+// Solve runs the plan optimizer named algorithm on g, whose budgets the
+// caller has set, and reports whether the plan meets them under scheme:
+// "pas-mt" and "pas-pt" (paper Sec. IV-C), the baselines "mst", "spt" and
+// "last" (LAST with node balance max(alpha, 1)), or "best", the cheaper
+// feasible plan of pas-mt and pas-pt — the paper's closing recommendation
+// for Fig 6(c). An unknown name is ErrStore.
+func Solve(g *Graph, algorithm string, scheme Scheme, alpha float64) (*Plan, bool, error) {
+	var plan *Plan
+	var err error
+	switch algorithm {
 	case "pas-mt":
-		return PASMT(g, opts.Scheme)
+		return PASMT(g, scheme)
 	case "pas-pt":
-		return PASPT(g, opts.Scheme)
-	case "mst":
-		p, err := MST(g)
-		if err != nil {
-			return nil, false, err
-		}
-		ok, _ := p.Feasible(opts.Scheme)
-		return p, ok, nil
-	case "spt":
-		p, err := SPT(g)
-		if err != nil {
-			return nil, false, err
-		}
-		ok, _ := p.Feasible(opts.Scheme)
-		return p, ok, nil
-	case "last":
-		p, err := LAST(g, max(opts.Alpha, 1)) // LAST's node balance α is at least 1
-		if err != nil {
-			return nil, false, err
-		}
-		ok, _ := p.Feasible(opts.Scheme)
-		return p, ok, nil
+		return PASPT(g, scheme)
 	case "best":
-		// Run both PAS algorithms and keep the cheaper feasible plan — the
-		// paper's closing recommendation for Fig 6(c).
-		mt, okMT, err := PASMT(g, opts.Scheme)
+		mt, okMT, err := PASMT(g, scheme)
 		if err != nil {
 			return nil, false, err
 		}
-		pt, okPT, err := PASPT(g, opts.Scheme)
+		pt, okPT, err := PASPT(g, scheme)
 		if err != nil {
 			return nil, false, err
 		}
-		switch {
-		case okMT && okPT:
-			if pt.StorageCost() < mt.StorageCost() {
-				return pt, true, nil
-			}
-			return mt, true, nil
-		case okPT:
+		if okPT && (!okMT || pt.StorageCost() < mt.StorageCost()) {
 			return pt, true, nil
-		default:
-			return mt, okMT, nil
 		}
+		return mt, okMT, nil
+	case "mst":
+		plan, err = MST(g)
+	case "spt":
+		plan, err = SPT(g)
+	case "last":
+		plan, err = LAST(g, alpha)
 	default:
-		return nil, false, fmt.Errorf("%w: unknown algorithm %q", ErrStore, opts.Algorithm)
+		return nil, false, fmt.Errorf("%w: unknown algorithm %q", ErrStore, algorithm)
 	}
+	if err != nil {
+		return nil, false, err
+	}
+	ok, _ := plan.Feasible(scheme)
+	return plan, ok, nil
 }
 
 // Open loads an existing archive and writes nothing. The manifest arrives
@@ -935,9 +884,6 @@ func validateManifest(man *manifest) (*layout, error) {
 		}
 		if n.Rows < 0 || n.Cols < 0 || (n.Cols > 0 && n.Rows > math.MaxInt/n.Cols) {
 			return bad("node %d has shape %d x %d", n.ID, n.Rows, n.Cols)
-		}
-		if n.Tier != tierLocal && n.Tier != tierRemote {
-			return bad("node %d is on unknown tier %d", n.ID, n.Tier)
 		}
 		start, end := nodePlanes(n)
 		ranges[n.ID] = [2]int{start, end}
@@ -1053,9 +999,7 @@ func (s *Store) partNode(ref MatrixRef, part [2]int) (*manifestNode, error) {
 }
 
 // recreationCost is Cr(P, id) under the stored plan: the compressed bytes of
-// the planes each node on id's chain stores, summed from ν0. Remote-tier
-// nodes would need the recreation factor the manifest does not record, so
-// Extend refuses archives that hold them.
+// the planes each node on id's chain stores, summed from ν0.
 func (s *Store) recreationCost(id int) (float64, error) {
 	chain, err := s.chainOf(id)
 	if err != nil {
@@ -1129,21 +1073,6 @@ func (s *Store) TotalChunkBytes(prefix int) int64 {
 	var total int64
 	for _, n := range s.man.Nodes {
 		for p := 0; p < prefix && p < floatenc.NumPlanes; p++ {
-			total += int64(n.PlaneBytes[p])
-		}
-	}
-	return total
-}
-
-// TierChunkBytes sums the compressed chunk sizes of one storage tier
-// (tier 0 = local, 1 = remote), across all planes.
-func (s *Store) TierChunkBytes(tier int) int64 {
-	var total int64
-	for _, n := range s.man.Nodes {
-		if n.Tier != tier {
-			continue
-		}
-		for p := 0; p < floatenc.NumPlanes; p++ {
 			total += int64(n.PlaneBytes[p])
 		}
 	}

@@ -320,75 +320,6 @@ func TestCreateUnknownAlgorithm(t *testing.T) {
 	}
 }
 
-func TestCreateBestAlgorithm(t *testing.T) {
-	st := createStore(t, makeSnaps(17, 4, 0), Options{Algorithm: "best", Alpha: 1.6})
-	if !st.Info().Feasible {
-		t.Fatal("best should find a feasible plan at α=1.6")
-	}
-}
-
-func TestStoreRemoteTier(t *testing.T) {
-	snaps := makeSnaps(40, 5, 0)
-	// A very cheap remote tier with slow reads: with loose budgets the
-	// optimizer should move most deltas remote; with tight budgets it must
-	// keep enough local to satisfy recreation.
-	remote := &RemoteTier{StorageFactor: 0.3, RecreationFactor: 8}
-	loose := createStore(t, snaps, Options{Algorithm: "pas-mt", Remote: remote})
-	if loose.TierChunkBytes(1) == 0 {
-		t.Fatal("unconstrained plan should place chunks on the cheap remote tier")
-	}
-	// Retrieval still works across tiers, bit-exactly.
-	got, err := loose.GetSnapshot("e", 4, Independent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range snaps[4].Matrices {
-		if !got[name].Equal(want) {
-			t.Fatalf("tiered retrieval mismatch for %s", name)
-		}
-	}
-	// Partial retrieval also works across tiers.
-	got2, err := loose.GetMatrix(MatrixRef{Snapshot: "e", Name: "ip1"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := segTrunc(snaps[4].Matrices["ip1"], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got2.Equal(want2) {
-		t.Fatal("partial tiered retrieval mismatch")
-	}
-
-	tight := createStore(t, snaps, Options{Algorithm: "pas-mt", Alpha: 1.05, Remote: remote})
-	if !tight.Info().Feasible {
-		t.Fatal("tight plan should still be feasible (local tier available)")
-	}
-	if tight.TierChunkBytes(1) >= loose.TierChunkBytes(1) {
-		t.Fatalf("tight budgets should use less remote storage: %d vs %d",
-			tight.TierChunkBytes(1), loose.TierChunkBytes(1))
-	}
-}
-
-func TestStoreRemoteTierPersistence(t *testing.T) {
-	snaps := makeSnaps(41, 3, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{Remote: &RemoteTier{StorageFactor: 0.2, RecreationFactor: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.GetSnapshot("c", 4, Reusable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got["conv1"].Equal(snaps[2].Matrices["conv1"]) {
-		t.Fatal("reopened tiered store must serve exact matrices")
-	}
-}
-
 // Concurrent retrieval must be safe (run with -race) and consistent across
 // schemes and goroutines.
 func TestStoreConcurrentRetrieval(t *testing.T) {
