@@ -17,9 +17,10 @@ import (
 )
 
 // The catalog is .dlv/catalog.json: one record per model version, in id
-// order, written as one compact JSON document. Every Commit and Archive
-// rewrites it through atomicfile, so a crash leaves the previous catalog or
-// the new one, never a torn file.
+// order, written as one compact JSON document under a generation that each
+// save increments (lock.go). Every Commit, Archive, GC and Repack rewrites
+// it through atomicfile, so a crash leaves the previous catalog or the new
+// one, never a torn file.
 
 // record is one model version as the catalog stores it: the Version view
 // plus its training log.
@@ -28,9 +29,11 @@ type record struct {
 	Log []dnn.LogEntry
 }
 
-// catalogDoc is the catalog file.
+// catalogDoc is the catalog file. Generation leads the document, so a
+// writer checks it without decoding the versions.
 type catalogDoc struct {
-	Versions []record `json:"versions"`
+	Generation int64    `json:"generation"`
+	Versions   []record `json:"versions"`
 }
 
 func byID(rec record, id int64) int { return cmp.Compare(rec.ID, id) }
@@ -64,32 +67,42 @@ func cloneMap(m map[string]string) map[string]string {
 	return out
 }
 
-// saveCatalog makes recs durable as the catalog and then the repository's
-// view of it. The caller holds r.mu for writing and does not change recs
-// afterwards.
+// saveCatalog makes recs durable as the catalog, one generation on, and
+// then the repository's view of it. The caller holds the writer lock and
+// r.mu for writing, and does not change recs afterwards.
 func (r *Repo) saveCatalog(recs []record) error {
-	blob, err := json.Marshal(catalogDoc{Versions: recs})
+	gen := r.gen + 1
+	blob, err := json.Marshal(catalogDoc{Generation: gen, Versions: recs})
 	if err != nil {
 		return fmt.Errorf("%w: encoding the catalog: %v", ErrRepo, err)
 	}
 	if err := atomicfile.WriteFile(filepath.Join(r.root, dlvDir, catalogFile), blob); err != nil {
 		return fmt.Errorf("%w: saving the catalog: %v", ErrRepo, err)
 	}
-	r.versions = recs
+	r.versions, r.gen = recs, gen
 	return nil
 }
 
-// loadCatalog reads and checks a catalog file.
-func loadCatalog(path string) ([]record, error) {
+// touchCatalog saves the catalog unchanged, one generation on, after a
+// change to the archive alone: other handles then drop theirs.
+func (r *Repo) touchCatalog() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.saveCatalog(r.versions)
+}
+
+// loadCatalog reads and checks a catalog file and returns its records and
+// generation.
+func loadCatalog(path string) ([]record, int64, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRepo, err)
+		return nil, 0, fmt.Errorf("%w: %v", ErrRepo, err)
 	}
 	recs, err := parseCatalog(blob)
 	if err != nil {
-		return nil, fmt.Errorf("%w: catalog %s: %v", ErrRepo, path, err)
+		return nil, 0, fmt.Errorf("%w: catalog %s: %v", ErrRepo, path, err)
 	}
-	return recs, nil
+	return recs, catalogGeneration(bytes.NewReader(blob)), nil
 }
 
 // parseCatalog decodes a catalog and checks every record.

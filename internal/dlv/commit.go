@@ -58,6 +58,11 @@ func (r *Repo) CommitCtx(ctx context.Context, in CommitInput) (id int64, err err
 		span.SetAttrInt("dlv.version", id)
 		span.End()
 	}()
+	unlock, err := r.lockWriter()
+	if err != nil {
+		return 0, err
+	}
+	defer unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id = 1

@@ -22,11 +22,20 @@ import (
 // (dlv archive).
 func (r *Repo) GC() (pas.GCStats, error) {
 	defer obs.StartRoot("dlv.gc").End()
+	unlock, err := r.lockWriter()
+	if err != nil {
+		return pas.GCStats{}, err
+	}
+	defer unlock()
 	store, err := r.openArchive()
 	if err != nil {
 		return pas.GCStats{}, fmt.Errorf("%w: gc: %v", ErrRepo, err)
 	}
-	return store.GC()
+	stats, err := store.GC()
+	if err != nil {
+		return stats, err
+	}
+	return stats, r.touchCatalog()
 }
 
 // Repack re-plans the repository's PAS archive globally and compacts it.
@@ -38,6 +47,11 @@ func (r *Repo) GC() (pas.GCStats, error) {
 // manifest, comes out unchanged.
 func (r *Repo) Repack() (pas.GCStats, error) {
 	defer obs.StartRoot("dlv.repack").End()
+	unlock, err := r.lockWriter()
+	if err != nil {
+		return pas.GCStats{}, err
+	}
+	defer unlock()
 	cur, err := r.openArchive()
 	if err != nil {
 		return pas.GCStats{}, fmt.Errorf("%w: repack: %v", ErrRepo, err)
@@ -61,5 +75,9 @@ func (r *Repo) Repack() (pas.GCStats, error) {
 		return pas.GCStats{}, err
 	}
 	r.setArchive(next)
-	return next.Repack()
+	stats, err := next.Repack()
+	if err != nil {
+		return stats, err
+	}
+	return stats, r.touchCatalog()
 }

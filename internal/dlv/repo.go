@@ -42,10 +42,12 @@ var ErrRepo = errors.New("dlv: repository error")
 // Repo is an opened DLV repository.
 type Repo struct {
 	root string
-	// mu guards versions, the catalog in id order. A change saves a new
-	// slice and then swaps it in, so records are never modified in place.
+	// mu guards versions, the catalog in id order, and gen, its generation
+	// (lock.go). A change saves a new slice and then swaps it in, so records
+	// are never modified in place.
 	mu       sync.RWMutex
 	versions []record
+	gen      int64
 	// now is the clock, replaceable in tests.
 	now func() time.Time
 
@@ -81,11 +83,11 @@ func Open(root string) (*Repo, error) {
 	if _, err := os.Stat(meta); err != nil {
 		return nil, fmt.Errorf("%w: no repository at %s", ErrRepo, root)
 	}
-	recs, err := loadCatalog(filepath.Join(meta, catalogFile))
+	recs, gen, err := loadCatalog(filepath.Join(meta, catalogFile))
 	if err != nil {
 		return nil, err
 	}
-	return &Repo{root: root, versions: recs, now: time.Now}, nil
+	return &Repo{root: root, versions: recs, gen: gen, now: time.Now}, nil
 }
 
 // Root returns the repository root directory.

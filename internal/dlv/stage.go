@@ -35,6 +35,11 @@ func (r *Repo) Add(relPath string) error {
 	if info.IsDir() {
 		return fmt.Errorf("%w: %q is a directory; stage files individually", ErrRepo, relPath)
 	}
+	unlock, err := r.lockWriter()
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	staged, err := r.Staged()
 	if err != nil {
 		return err

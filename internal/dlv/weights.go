@@ -55,6 +55,11 @@ type ArchiveOptions struct {
 // leaves either a raw version with its file or an archived version whose
 // leftover file nothing reads and the next archive removes.
 func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
+	unlock, err := r.lockWriter()
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
 	held, err := r.heldVersions()
 	if err != nil {
 		return nil, err
@@ -92,7 +97,7 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 	} else if next, err = r.replan(held, cur, opts); err != nil {
 		return nil, err
 	}
-	if err := r.setArchived(held); err != nil {
+	if err := r.setArchived(held, next != cur); err != nil {
 		return nil, err
 	}
 	r.setArchive(next)
@@ -106,12 +111,12 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 }
 
 // setArchived flags vs archived in the catalog and saves it, unless every
-// one already is.
-func (r *Repo) setArchived(vs []*Version) error {
+// one already is and the archive was not rewritten.
+func (r *Repo) setArchived(vs []*Version, rewritten bool) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	next := slices.Clone(r.versions)
-	changed := false
+	changed := rewritten
 	for _, v := range vs {
 		if i, ok := slices.BinarySearchFunc(next, v.ID, byID); ok && !next[i].Archived {
 			next[i].Archived, changed = true, true

@@ -246,7 +246,8 @@ func TestSameSizeUnrollMatchesPerExample(t *testing.T) {
 // BenchmarkConvKernels times one 8→12-channel 3×3 convolution over a 24×24
 // input on the product kernel and on the six-loop reference, then a
 // batch-16 forward + backward of alexnet-mini's conv1 (1→8 at 12×12) and
-// conv3 (16→24 at 3×3), the shapes the evaluate grid trains.
+// conv3 (16→24 at 3×3), the shapes the evaluate grid trains, and of its
+// pool1 and pool2.
 func BenchmarkConvKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	inShape := Shape{C: 8, H: 24, W: 24}
@@ -294,6 +295,43 @@ func BenchmarkConvKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				conv.forward(x, batch)
 				conv.backward(dOut, true)
+			}
+		})
+	}
+	// alexnet-mini's 2×2 max pools at batch 16, on ReLU outputs as there:
+	// about half of each window is +0. The forward cycles through 32 inputs,
+	// as training sees new activations every step: on one input repeated,
+	// the branch predictor learns the windows and a mispredicting select
+	// looks fast.
+	for _, c := range []struct {
+		name string
+		in   Shape
+	}{
+		{"alexnet-pool1-b16", Shape{C: 8, H: 12, W: 12}},
+		{"alexnet-pool2-b16", Shape{C: 16, H: 6, W: 6}},
+	} {
+		l, err := buildLayer(LayerSpec{Name: "pool", Kind: KindPool, K: 2, Mode: PoolMax}, c.in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		xs := make([][]float32, 32)
+		for i := range xs {
+			xs[i] = randVol(rng, Shape{C: c.in.C * batch, H: c.in.H, W: c.in.W}).Data
+			for j, v := range xs[i] {
+				xs[i][j] = max(v, 0)
+			}
+		}
+		out := l.OutShape()
+		dOut := randVol(rng, Shape{C: out.C * batch, H: out.H, W: out.W}).Data
+		b.Run(c.name+"-forward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l.forward(xs[i%len(xs)], batch)
+			}
+		})
+		b.Run(c.name+"-backward", func(b *testing.B) {
+			l.forward(xs[0], batch)
+			for i := 0; i < b.N; i++ {
+				l.backward(dOut, true)
 			}
 		})
 	}

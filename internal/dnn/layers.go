@@ -173,16 +173,8 @@ func (l *convLayer) backward(dOut []float32, needIn bool) []float32 {
 	// in example order: each example's Cout × kk block is summed over its
 	// own pixels from zero, then added once. Folding the batch into the
 	// GEMM's depth would re-associate those sums.
-	for e := 0; e < l.b; e++ {
-		tensor.GemmNTStrided(l.out.C, kk, pix, dOut[e*pix:], n, l.cols[e*pix:], n, l.g.Data(), l.g.Cols(), true)
-		for oc := 0; oc < l.out.C; oc++ {
-			var s float32
-			for _, d := range dOut[oc*n+e*pix : oc*n+(e+1)*pix] {
-				s += d
-			}
-			l.g.Data()[(oc+1)*l.g.Cols()-1] += s // the bias column
-		}
-	}
+	tensor.GemmNTStrided(l.b, l.out.C, kk, pix, dOut, n, l.cols, n, l.g.Data(), l.g.Cols(), true)
+	biasGrad(l.g, dOut, l.b, pix)
 	if !needIn {
 		return nil
 	}
@@ -200,6 +192,41 @@ func (l *convLayer) backward(dOut []float32, needIn bool) []float32 {
 	return dIn
 }
 
+// biasGrad adds each example's bias gradient into g's last column, in
+// example order: per output channel, the sum from zero of the example's
+// pix-wide block of its dOut row. Four channels are summed side by side, so
+// four dependency chains run at once; no single sum is reordered.
+func biasGrad(g *tensor.Matrix, dOut []float32, b, pix int) {
+	gd, gc, n := g.Data(), g.Cols(), b*pix
+	for e := 0; e < b; e++ {
+		oc := 0
+		for ; oc+4 <= g.Rows(); oc += 4 {
+			r0 := dOut[oc*n+e*pix : oc*n+(e+1)*pix]
+			r1 := dOut[(oc+1)*n+e*pix : (oc+1)*n+(e+1)*pix][:len(r0)]
+			r2 := dOut[(oc+2)*n+e*pix : (oc+2)*n+(e+1)*pix][:len(r0)]
+			r3 := dOut[(oc+3)*n+e*pix : (oc+3)*n+(e+1)*pix][:len(r0)]
+			var s0, s1, s2, s3 float32
+			for p, d := range r0 {
+				s0 += d
+				s1 += r1[p]
+				s2 += r2[p]
+				s3 += r3[p]
+			}
+			gd[(oc+1)*gc-1] += s0
+			gd[(oc+2)*gc-1] += s1
+			gd[(oc+3)*gc-1] += s2
+			gd[(oc+4)*gc-1] += s3
+		}
+		for ; oc < g.Rows(); oc++ {
+			var s float32
+			for _, d := range dOut[oc*n+e*pix : oc*n+(e+1)*pix] {
+				s += d
+			}
+			gd[(oc+1)*gc-1] += s
+		}
+	}
+}
+
 // ---------- pooling ----------
 
 // poolLayer pools each (channel, example) plane independently, so a batch
@@ -207,7 +234,7 @@ func (l *convLayer) backward(dOut []float32, needIn bool) []float32 {
 type poolLayer struct {
 	layerBase
 	stride int
-	argmax []int // for MAX: input index chosen per output element
+	argmax []int32 // for MAX: input index chosen per output element, or −1
 }
 
 func (l *poolLayer) release() {
@@ -217,30 +244,35 @@ func (l *poolLayer) release() {
 
 // forward pools every window in output order: plane by plane, then rows,
 // then columns. Border windows may be smaller than k × k. MAX keeps the
-// first index holding the window's largest value.
+// first index holding the window's largest value: a strict > from −Inf, so
+// of equal values (±0 included) the first wins, NaN never does, and a window
+// of only NaN and −Inf records −1 and outputs −Inf.
 func (l *poolLayer) forward(in []float32, b int) []float32 {
 	out := l.output(b) // every output element is assigned below
+	k, s, h, w := l.spec.K, l.stride, l.in.H, l.in.W
+	in = in[:l.in.C*b*h*w]
 	isMax := l.spec.Mode == PoolMax
 	if isMax {
 		l.argmax = slices.Grow(l.argmax[:0], len(out))[:len(out)]
+		if k == 2 && s == 2 && h%2 == 0 && w%2 == 0 {
+			maxPool2x2(in, out, l.argmax, w)
+			return out
+		}
 	}
-	k, s, h, w := l.spec.K, l.stride, l.in.H, l.in.W
 	oi := 0
-	for plane := 0; plane < l.in.C*b*h*w; plane += h * w {
+	for plane := 0; plane < len(in); plane += h * w {
 		for oy := 0; oy < l.out.H; oy++ {
 			y0, y1 := oy*s, min(oy*s+k, h)
 			for ox := 0; ox < l.out.W; ox++ {
 				x0, x1 := ox*s, min(ox*s+k, w)
 				if isMax {
-					best, bestIdx := float32(math.Inf(-1)), -1
+					best, idx := uint32(negInfBits), int32(-1)
 					for row := plane + y0*w; row < plane+y1*w; row += w {
 						for ix, v := range in[row+x0 : row+x1] {
-							if v > best {
-								best, bestIdx = v, row+x0+ix
-							}
+							best, idx = maxCell(best, idx, v, row+x0+ix)
 						}
 					}
-					out[oi], l.argmax[oi] = best, bestIdx
+					out[oi], l.argmax[oi] = math.Float32frombits(best), idx
 				} else {
 					var sum float32
 					for row := plane + y0*w; row < plane+y1*w; row += w {
@@ -255,6 +287,41 @@ func (l *poolLayer) forward(in []float32, b int) []float32 {
 		}
 	}
 	return out
+}
+
+// negInfBits is −Inf's bit pattern, where every max scan starts.
+const negInfBits = 0xff800000
+
+// maxPool2x2 is forward's MAX over 2×2 windows at stride 2, in being whole
+// pairs of w-wide rows: the pools of every zoo net. It is the generic loop
+// unrolled over one window's four cells, with no loop left inside a window.
+func maxPool2x2(in, out []float32, argmax []int32, w int) {
+	oi := 0
+	for r := 0; r < len(in); r += 2 * w {
+		row0, row1 := in[r:r+w], in[r+w:r+2*w]
+		for x := 0; x+1 < len(row0); x += 2 {
+			best, idx := uint32(negInfBits), int32(-1)
+			best, idx = maxCell(best, idx, row0[x], r+x)
+			best, idx = maxCell(best, idx, row0[x+1], r+x+1)
+			best, idx = maxCell(best, idx, row1[x], r+w+x)
+			best, idx = maxCell(best, idx, row1[x+1], r+w+x+1)
+			out[oi], argmax[oi] = math.Float32frombits(best), idx
+			oi++
+		}
+	}
+}
+
+// maxCell is one step of the max scan: input i, holding v, replaces the best
+// so far only when v > best. The data-dependent branch this would be
+// mispredicts on about every other cell of ReLU outputs, so the best is
+// kept as bits and v's bits are taken before the compare: both assignments
+// then compile to conditional moves (with a float32 best, Go branches).
+func maxCell(best uint32, idx int32, v float32, i int) (uint32, int32) {
+	bits := math.Float32bits(v)
+	if v > math.Float32frombits(best) {
+		best, idx = bits, int32(i)
+	}
+	return best, idx
 }
 
 func (l *poolLayer) backward(dOut []float32, needIn bool) []float32 {

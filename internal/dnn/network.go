@@ -323,7 +323,9 @@ func (n *Network) lossAndBackward(ins []*Volume, labels []int) (losses []float64
 		copyExample(probs, grad, s, b, e, true)
 	}
 
-	// Reverse-topological gradient routing. dOut accumulates per node.
+	// Reverse-topological gradient routing. dOut accumulates per node; a
+	// node's entry may be another node's input-gradient buffer, which its
+	// owner does not touch again until the next pass.
 	dOut := map[string][]float32{logitsNode: grad}
 	started := false
 	for i := len(n.order) - 1; i >= 0; i-- {
@@ -347,6 +349,13 @@ func (n *Network) lossAndBackward(ins []*Volume, labels []int) (losses []float64
 		switch {
 		case len(preds) == 0:
 		case len(preds) == 1:
+			if _, ok := dOut[preds[0]]; !ok {
+				// First gradient into a chain node: route the buffer itself
+				// instead of adding it to zeros. Only a −0 differs from
+				// +0 + −0, and every consumer sums from +0 (DESIGN §3c).
+				dOut[preds[0]] = dIn
+				break
+			}
 			n.accumulate(dOut, preds[0], dIn)
 		case n.specs[name].Kind == KindAdd:
 			for _, p := range preds {

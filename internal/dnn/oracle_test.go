@@ -127,7 +127,7 @@ func (o *oracle) layerBackward(l runtimeLayer, dOut *Volume) *Volume {
 		k, pad := l.spec.K, l.spec.Pad
 		kk, n := inS.C*k*k, outS.H*outS.W
 		biasCol := l.w.Cols() - 1
-		tensor.GemmNTStrided(outS.C, kk, n, dOut.Data, n, c.cols.Data(), n, l.g.Data(), l.g.Cols(), true)
+		tensor.GemmNTStrided(1, outS.C, kk, n, dOut.Data, n, c.cols.Data(), n, l.g.Data(), l.g.Cols(), true)
 		for oc := 0; oc < outS.C; oc++ {
 			var s float32
 			for _, d := range dOut.Data[oc*n : (oc+1)*n] {

@@ -59,7 +59,13 @@ func ParseTraceparent(v string) (tid TraceID, sid SpanID, sampled bool, err erro
 // isHexByte reports whether s is two lowercase hex digits, the form of the
 // version and flags fields.
 func isHexByte(s string) bool {
-	return len(s) == 2 && strings.Trim(s, "0123456789abcdef") == ""
+	return len(s) == 2 && isLowerHex(s)
+}
+
+// isLowerHex reports whether s is only lowercase hex digits, the one form
+// W3C Trace Context allows in every field.
+func isLowerHex(s string) bool {
+	return strings.Trim(s, "0123456789abcdef") == ""
 }
 
 // Inject stamps the span's trace context into outgoing request headers.

@@ -67,12 +67,12 @@ func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 // String renders the span ID as 16 lowercase hex digits.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
-// ParseTraceID parses 32 hex digits into a TraceID. The all-zero ID is
-// rejected (it is the W3C invalid value).
+// ParseTraceID parses 32 lowercase hex digits into a TraceID. Upper-case
+// digits and the all-zero ID are rejected, as W3C Trace Context requires.
 func ParseTraceID(s string) (TraceID, error) {
 	var t TraceID
-	if len(s) != 32 {
-		return t, fmt.Errorf("obs: trace id must be 32 hex digits, got %q", s)
+	if len(s) != 32 || !isLowerHex(s) {
+		return t, fmt.Errorf("obs: trace id must be 32 lowercase hex digits, got %q", s)
 	}
 	if _, err := hex.Decode(t[:], []byte(s)); err != nil {
 		return TraceID{}, fmt.Errorf("obs: bad trace id %q: %w", s, err)
@@ -83,12 +83,12 @@ func ParseTraceID(s string) (TraceID, error) {
 	return t, nil
 }
 
-// ParseSpanID parses 16 hex digits into a SpanID. The all-zero ID is
-// rejected.
+// ParseSpanID parses 16 lowercase hex digits into a SpanID. Upper-case
+// digits and the all-zero ID are rejected.
 func ParseSpanID(s string) (SpanID, error) {
 	var id SpanID
-	if len(s) != 16 {
-		return id, fmt.Errorf("obs: span id must be 16 hex digits, got %q", s)
+	if len(s) != 16 || !isLowerHex(s) {
+		return id, fmt.Errorf("obs: span id must be 16 lowercase hex digits, got %q", s)
 	}
 	if _, err := hex.Decode(id[:], []byte(s)); err != nil {
 		return SpanID{}, fmt.Errorf("obs: bad span id %q: %w", s, err)

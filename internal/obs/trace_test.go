@@ -70,6 +70,8 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 		"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",   // non-hex version
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0g",   // non-hex flags
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-x", // fifth field at version 00
+		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",   // upper-case trace id
+		"00-0af7651916cd43dd8448eb211c80319c-B7AD6B7169203331-01",   // upper-case span id
 	}
 	for _, v := range bad {
 		if _, _, _, err := ParseTraceparent(v); err == nil {

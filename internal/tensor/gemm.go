@@ -69,12 +69,11 @@ type gemmOp uint8
 const (
 	opN  gemmOp = iota // C += A·B
 	opTN               // C += Aᵀ·B, A read in place (no packing)
-	opNT               // tile = A·B from zero, then Cᵀ += tile
+	opNT               // C += A·B, each element's product summed from zero
 )
 
 // gemmJob is one strided multiply. It travels by value, so a call that
-// stays on the caller allocates nothing. For opNT, b is a packed k×n panel,
-// tile a scratch panel of n-wide rows, and c the transpose of the result.
+// stays on the caller allocates nothing. For opNT, b is a packed k×n panel.
 type gemmJob struct {
 	op   gemmOp
 	n, k int
@@ -84,7 +83,6 @@ type gemmJob struct {
 	ldb  int
 	c    []float32
 	ldc  int
-	tile []float32
 	kc   int
 }
 
@@ -92,17 +90,11 @@ type gemmJob struct {
 func (j gemmJob) band(i0, i1 int) {
 	switch j.op {
 	case opN:
-		gemmBandN(i0, i1, j.n, j.k, j.kc, j.a, j.lda, j.b, j.ldb, j.c, j.ldc)
+		gemmBandN(i0, i1, j.n, j.k, j.kc, j.a, j.lda, j.b, j.ldb, j.c, j.ldc, false)
 	case opTN:
 		gemmBandTN(i0, i1, j.n, j.k, j.kc, j.a, j.lda, j.b, j.ldb, j.c, j.ldc)
 	case opNT:
-		clear(j.tile[i0*j.n : i1*j.n])
-		gemmBandN(i0, i1, j.n, j.k, j.kc, j.a, j.lda, j.b, j.n, j.tile, j.n)
-		for i := i0; i < i1; i++ {
-			for x, v := range j.tile[i*j.n : (i+1)*j.n] {
-				j.c[x*j.ldc+i] += v
-			}
-		}
+		gemmBandN(i0, i1, j.n, j.k, j.kc, j.a, j.lda, j.b, j.n, j.c, j.ldc, true)
 	}
 }
 
@@ -184,7 +176,7 @@ func GemmStrided(m, n, k int, a []float32, lda int, b []float32, ldb int, c []fl
 }
 
 // packPool recycles the scratch panels the TN and NT forms pack a
-// transposed operand (and the NT form its tile) into, so a warm call
+// transposed operand (and the NT form its running sum) into, so a warm call
 // allocates nothing.
 var packPool = sync.Pool{New: func() any { return new([]float32) }}
 
@@ -226,43 +218,57 @@ func GemmTNStrided(m, n, k int, a []float32, lda int, b []float32, ldb int, c []
 	packPool.Put(buf)
 }
 
-// GemmNTStrided computes C += A·Bᵀ (acc=true) or C = A·Bᵀ: A is m×k with
-// stride lda, B is n×k with stride ldb (so Bᵀ is k×n), C is m×n. Each
-// output element is a dot product summed from zero in ascending k and then
-// added to C once. It runs as Cᵀ = B·Aᵀ on the GemmStrided kernel: Aᵀ is
-// packed into a pooled k×m panel, the dot products accumulate in a zeroed
-// pooled n×m tile, and the tile is added into C transposed. Convolution's
-// weight gradient, where A is the m = Cout row output gradient and B the
-// n = C·k·k row unroll, packs the smaller operand this way.
-func GemmNTStrided(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, acc bool) {
+// GemmNTStrided computes C += Σₑ Aₑ·Bₑᵀ (acc=true) or C = Σₑ Aₑ·Bₑᵀ over
+// a batch of products: Aₑ is the m×k block of A at column e·k (A is
+// m × batch·k, stride lda) and Bₑ the n×k block of B at column e·k (B is
+// n × batch·k, stride ldb), so Bₑᵀ is k×n and C is m×n. Each example's
+// element is a dot product summed from zero in ascending k, and the batch's
+// dots are added to C one at a time in example order. It runs as
+// Cᵀ += Bₑ·Aₑᵀ on the GemmStrided kernel: Aᵀ is packed once into a pooled
+// batch·k × m panel whose k-row blocks are the Aₑᵀ, C is transposed once
+// into a pooled n×m sum, the kernel sums each product from zero and adds it
+// into the sum on store, and the sum is transposed back into C once.
+// Convolution's weight gradient, where A is the m = Cout row output
+// gradient, B the n = C·k·k row unroll and an example's pixels one block,
+// packs the smaller operand this way.
+func GemmNTStrided(batch, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, acc bool) {
 	if m <= 0 || n <= 0 {
 		return
 	}
 	if !acc {
 		zeroRows(m, n, c, ldc)
 	}
-	if k <= 0 {
+	if k <= 0 || batch <= 0 {
 		return
 	}
-	panel, tile := getPack(k*m), getPack(n*m)
-	transposeBlocked(m, k, a, lda, *panel, m)
-	dispatchRows(n, gemmJob{op: opNT, n: m, k: k, kc: gemmKCFor(m), a: b, lda: ldb, b: *panel, c: c, ldc: ldc, tile: *tile})
+	panel, sum := getPack(batch*k*m), getPack(n*m)
+	transposeBlocked(m, batch*k, a, lda, *panel, m)
+	transposeBlocked(m, n, c, ldc, *sum, m)
+	for e := 0; e < batch; e++ {
+		dispatchRows(n, gemmJob{op: opNT, n: m, k: k, kc: k, a: b[e*k:], lda: ldb, b: (*panel)[e*k*m:], c: *sum, ldc: m})
+	}
+	transposeBlocked(n, m, *sum, m, c, ldc)
 	packPool.Put(panel)
-	packPool.Put(tile)
+	packPool.Put(sum)
 }
 
 // gemmBandN is the serial N/N kernel over C rows [i0, i1), k-blocked into
 // kc-deep panels. Within a panel, groups of four rows run on the assembly
 // micro-kernel over the widest multiple of 8 columns when useAVX2 is set;
 // the rest runs gemmGo. Both add each element's terms one at a time in
-// ascending k, so every split gives the same bits.
-func gemmBandN(i0, i1, n, k, kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+// ascending k, so every split gives the same bits. With fresh set, each
+// element's terms are summed from zero and the sum added to C once, so kc
+// must be k: one panel.
+func gemmBandN(i0, i1, n, k, kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, fresh bool) {
 	if n == 1 {
 		// Matrix-vector: each output element is one running dot, accumulated
 		// in a register in the same order as the general path.
 		for i := i0; i < i1; i++ {
 			arow := a[i*lda : i*lda+k]
-			s := c[i*ldc]
+			var s float32
+			if !fresh {
+				s = c[i*ldc]
+			}
 			if ldb == 1 {
 				x := b[:k]
 				for t, av := range arow {
@@ -272,6 +278,9 @@ func gemmBandN(i0, i1, n, k, kc int, a []float32, lda int, b []float32, ldb int,
 				for t, av := range arow {
 					s += av * b[t*ldb]
 				}
+			}
+			if fresh {
+				s = c[i*ldc] + s
 			}
 			c[i*ldc] = s
 		}
@@ -289,13 +298,13 @@ func gemmBandN(i0, i1, n, k, kc int, a []float32, lda int, b []float32, ldb int,
 		i := i0
 		if nv > 0 {
 			for ; i+4 <= i1; i += 4 {
-				gemmTile4(kEnd-kb, nv, a[i*lda+kb:], lda, b[kb*ldb:], ldb, c[i*ldc:], ldc)
+				gemmTile4(kEnd-kb, nv, a[i*lda+kb:], lda, b[kb*ldb:], ldb, c[i*ldc:], ldc, fresh)
 			}
 			if nv < n {
-				gemmGo(i0, i, nv, n, kb, kEnd, a, lda, b, ldb, c, ldc)
+				gemmGo(i0, i, nv, n, kb, kEnd, a, lda, b, ldb, c, ldc, fresh)
 			}
 		}
-		gemmGo(i, i1, 0, n, kb, kEnd, a, lda, b, ldb, c, ldc)
+		gemmGo(i, i1, 0, n, kb, kEnd, a, lda, b, ldb, c, ldc, fresh)
 	}
 }
 
@@ -303,17 +312,31 @@ func gemmBandN(i0, i1, n, k, kc int, a []float32, lda int, b []float32, ldb int,
 // first n columns of B, after checking in Go that every element it will
 // touch is inside a, b and c: a bad stride panics here instead of reading
 // past a slice.
-func gemmTile4(k, n int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+func gemmTile4(k, n int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, fresh bool) {
 	_, _ = a[k-1], a[3*lda+k-1]
 	_, _ = b[n-1], b[(k-1)*ldb+n-1]
 	_, _ = c[n-1], c[3*ldc+n-1]
-	gemmKernel4(k, n, &a[0], lda, &b[0], ldb, &c[0], ldc)
+	gemmKernel4(k, n, &a[0], lda, &b[0], ldb, &c[0], ldc, fresh)
 }
 
 // gemmGo is the pure-Go kernel over C rows [i0, i1) and columns [j0, j1)
 // for the k panel [kb, kEnd), with two-row register tiling so each B row is
-// streamed once per pair.
-func gemmGo(i0, i1, j0, j1, kb, kEnd int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+// streamed once per pair. With fresh set it is the micro-kernel's twin:
+// each element's dot is summed from zero in a register, then added to C.
+func gemmGo(i0, i1, j0, j1, kb, kEnd int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, fresh bool) {
+	if fresh {
+		for i := i0; i < i1; i++ {
+			arow := a[i*lda+kb : i*lda+kEnd]
+			for j := j0; j < j1; j++ {
+				var s float32
+				for t, av := range arow {
+					s += av * b[(kb+t)*ldb+j]
+				}
+				c[i*ldc+j] += s
+			}
+		}
+		return
+	}
 	i := i0
 	for ; i+1 < i1; i += 2 {
 		arow0 := a[i*lda : i*lda+kEnd]

@@ -27,11 +27,12 @@ func hasAVX2() bool {
 }
 
 // gemmKernel4 computes C[0:4][0:n] += A[0:4][0:k]·B[0:k][0:n] for n a
-// positive multiple of 8 and k >= 1 (see gemm_amd64.s). It does no bounds
-// checking; gemmTile4 does it in Go first.
+// positive multiple of 8 and k >= 1 (see gemm_amd64.s), with fresh summing
+// each product from zero before adding it to C. It does no bounds checking;
+// gemmTile4 does it in Go first.
 //
 //go:noescape
-func gemmKernel4(k, n int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int)
+func gemmKernel4(k, n int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, fresh bool)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func gemmKernel4(k, n int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int)
+// func gemmKernel4(k, n int, a *float32, lda int, b *float32, ldb int, c *float32, ldc int, fresh bool)
 //
 // C[0:4][0:n] += A[0:4][0:k] · B[0:k][0:n] for n a positive multiple of 8
 // and k >= 1; strides are in elements. The tile is 4 rows × 16 columns in
@@ -12,14 +12,19 @@
 // and one VADDPS, and the tile is stored once: per output element the k
 // terms are added one at a time in ascending order, with one rounding per
 // multiply and one per add — the roundings of the scalar loop
-// c += a*b. There is deliberately no FMA.
-TEXT ·gemmKernel4(SB), NOSPLIT, $0-64
+// c += a*b. There is deliberately no FMA. With fresh set, the accumulators
+// start at +0 instead of C and C is added in on store: each element becomes
+// (0 + a·b + …) + c, a product summed from zero and then added once. The
+// sum is the first source, so of two NaNs its payload survives, as in the
+// Go twin's c += s.
+TEXT ·gemmKernel4(SB), NOSPLIT, $0-65
 	MOVQ n+8(FP), BX
 	MOVQ lda+24(FP), R8
 	MOVQ b+32(FP), R12
 	MOVQ ldb+40(FP), AX
 	MOVQ c+48(FP), DX
 	MOVQ ldc+56(FP), R10
+	MOVBQZX fresh+64(FP), R13
 	SHLQ $2, R8            // lda, ldb, ldc in bytes
 	SHLQ $2, AX
 	SHLQ $2, R10
@@ -27,8 +32,10 @@ TEXT ·gemmKernel4(SB), NOSPLIT, $0-64
 	LEAQ (R10)(R10*2), R11 // 3·ldc
 
 tile16:
-	CMPQ BX, $16
-	JLT  tile8
+	CMPQ    BX, $16
+	JLT     tile8
+	TESTQ   R13, R13
+	JNZ     zero16
 	VMOVUPS (DX), Y0
 	VMOVUPS 32(DX), Y1
 	VMOVUPS (DX)(R10*1), Y2
@@ -37,6 +44,19 @@ tile16:
 	VMOVUPS 32(DX)(R10*2), Y5
 	VMOVUPS (DX)(R11*1), Y6
 	VMOVUPS 32(DX)(R11*1), Y7
+	JMP     body16
+
+zero16:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+body16:
 	MOVQ    a+16(FP), SI
 	MOVQ    R12, DI
 	MOVQ    k+0(FP), CX
@@ -71,6 +91,26 @@ loop16:
 	DECQ         CX
 	JNZ          loop16
 
+	TESTQ   R13, R13
+	JZ      store16
+	VMOVUPS (DX), Y8
+	VADDPS  Y8, Y0, Y0
+	VMOVUPS 32(DX), Y9
+	VADDPS  Y9, Y1, Y1
+	VMOVUPS (DX)(R10*1), Y8
+	VADDPS  Y8, Y2, Y2
+	VMOVUPS 32(DX)(R10*1), Y9
+	VADDPS  Y9, Y3, Y3
+	VMOVUPS (DX)(R10*2), Y8
+	VADDPS  Y8, Y4, Y4
+	VMOVUPS 32(DX)(R10*2), Y9
+	VADDPS  Y9, Y5, Y5
+	VMOVUPS (DX)(R11*1), Y8
+	VADDPS  Y8, Y6, Y6
+	VMOVUPS 32(DX)(R11*1), Y9
+	VADDPS  Y9, Y7, Y7
+
+store16:
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
 	VMOVUPS Y2, (DX)(R10*1)
@@ -87,10 +127,21 @@ loop16:
 tile8:
 	CMPQ    BX, $8
 	JLT     done
+	TESTQ   R13, R13
+	JNZ     zero8
 	VMOVUPS (DX), Y0
 	VMOVUPS (DX)(R10*1), Y1
 	VMOVUPS (DX)(R10*2), Y2
 	VMOVUPS (DX)(R11*1), Y3
+	JMP     body8
+
+zero8:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+body8:
 	MOVQ    a+16(FP), SI
 	MOVQ    R12, DI
 	MOVQ    k+0(FP), CX
@@ -116,6 +167,18 @@ loop8:
 	DECQ         CX
 	JNZ          loop8
 
+	TESTQ   R13, R13
+	JZ      store8
+	VMOVUPS (DX), Y8
+	VADDPS  Y8, Y0, Y0
+	VMOVUPS (DX)(R10*1), Y9
+	VADDPS  Y9, Y1, Y1
+	VMOVUPS (DX)(R10*2), Y8
+	VADDPS  Y8, Y2, Y2
+	VMOVUPS (DX)(R11*1), Y9
+	VADDPS  Y9, Y3, Y3
+
+store8:
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, (DX)(R10*1)
 	VMOVUPS Y2, (DX)(R10*2)

@@ -20,9 +20,11 @@ func withKernel(t testing.TB, avx bool, f func()) {
 }
 
 // kernelCase is one strided multiply: C (m×n) += A (m×k) · B (k×n). Each
-// operand's row stride is its row length plus its pad.
+// operand's row stride is its row length plus its pad. The NT form runs it
+// as a batch of batch such products, each k deep, side by side in A and Bᵀ.
 type kernelCase struct {
 	m, n, k          int
+	batch            int
 	padA, padB, padC int
 	acc              bool
 }
@@ -50,14 +52,17 @@ func strided(rows, cols, pad int, f func(i, j int) float32) ([]float32, int) {
 
 // runEntryPoints runs one case through all three entry points and returns
 // their C buffers. The TN form reads A through its transpose and the NT form
-// reads B through its transpose, so all three compute the same product.
+// reads B through its transpose; with a batch of one all three compute the
+// same product, and with more the NT form sums the batch's products.
 func runEntryPoints(c kernelCase, seed int64) [3][]float32 {
 	rng := rand.New(rand.NewSource(seed))
-	av, bv := randFloats(rng, c.m*c.k), randFloats(rng, c.k*c.n)
-	a, lda := strided(c.m, c.k, c.padA, func(i, t int) float32 { return av[i*c.k+t] })
-	at, ldat := strided(c.k, c.m, c.padA, func(t, i int) float32 { return av[i*c.k+t] })
+	bk := max(c.batch, 1) * c.k // the NT form's depth, all examples
+	av, bv := randFloats(rng, c.m*bk), randFloats(rng, bk*c.n)
+	a, lda := strided(c.m, c.k, c.padA, func(i, t int) float32 { return av[i*bk+t] })
+	at, ldat := strided(c.k, c.m, c.padA, func(t, i int) float32 { return av[i*bk+t] })
 	b, ldb := strided(c.k, c.n, c.padB, func(t, j int) float32 { return bv[t*c.n+j] })
-	bt, ldbt := strided(c.n, c.k, c.padB, func(j, t int) float32 { return bv[t*c.n+j] })
+	ab, ldab := strided(c.m, bk, c.padA, func(i, t int) float32 { return av[i*bk+t] })
+	bt, ldbt := strided(c.n, bk, c.padB, func(j, t int) float32 { return bv[t*c.n+j] })
 	c0, ldc := strided(c.m, c.n, c.padC, func(int, int) float32 { return float32(rng.NormFloat64()) })
 	var out [3][]float32
 	for e := range out {
@@ -65,7 +70,7 @@ func runEntryPoints(c kernelCase, seed int64) [3][]float32 {
 	}
 	GemmStrided(c.m, c.n, c.k, a, lda, b, ldb, out[0], ldc, c.acc)
 	GemmTNStrided(c.m, c.n, c.k, at, ldat, b, ldb, out[1], ldc, c.acc)
-	GemmNTStrided(c.m, c.n, c.k, a, lda, bt, ldbt, out[2], ldc, c.acc)
+	GemmNTStrided(c.batch, c.m, c.n, c.k, ab, ldab, bt, ldbt, out[2], ldc, c.acc)
 	return out
 }
 
@@ -89,28 +94,63 @@ func checkKernels(t testing.TB, c kernelCase, seed int64) {
 // TestGemmKernelsBitIdentical: the assembly micro-kernel and the pure-Go
 // kernel give the same bits on every entry point, over sizes that hit every
 // edge of the 4×16 tile (0, 1, odd, and a large multiple), row strides
-// wider than the rows, and both accumulate modes.
+// wider than the rows, both accumulate modes, and NT batches (whose
+// products the kernel sums from zero and adds on store).
 func TestGemmKernelsBitIdentical(t *testing.T) {
 	sizes := []int{0, 1, 3, 4, 7, 8, 15, 16, 17, 33, 131}
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 300; trial++ {
 		m, n, k := sizes[rng.Intn(len(sizes))], sizes[rng.Intn(len(sizes))], sizes[rng.Intn(len(sizes))]
-		c := kernelCase{m: m, n: n, k: k, padA: rng.Intn(3), padB: rng.Intn(3), padC: rng.Intn(3), acc: rng.Intn(2) == 0}
+		c := kernelCase{m: m, n: n, k: k, batch: 1 + rng.Intn(3),
+			padA: rng.Intn(3), padB: rng.Intn(3), padC: rng.Intn(3), acc: rng.Intn(2) == 0}
 		checkKernels(t, c, int64(trial))
 	}
 	// Deep enough to cross k panels, wide enough to fork bands.
-	checkKernels(t, kernelCase{m: 70, n: 600, k: 300, padA: 1, padC: 3, acc: true}, 1)
-	checkKernels(t, kernelCase{m: 9, n: 40, k: 1100, padB: 1}, 2)
+	checkKernels(t, kernelCase{m: 70, n: 600, k: 300, batch: 2, padA: 1, padC: 3, acc: true}, 1)
+	checkKernels(t, kernelCase{m: 9, n: 40, k: 1100, batch: 1, padB: 1}, 2)
 }
 
 // FuzzGemmKernels extends TestGemmKernelsBitIdentical to fuzzed shapes.
 func FuzzGemmKernels(f *testing.F) {
-	f.Add(uint8(4), uint8(16), uint8(9), uint8(0), uint8(0), uint8(0), true, int64(1))
-	f.Add(uint8(13), uint8(37), uint8(1), uint8(2), uint8(1), uint8(3), false, int64(2))
-	f.Fuzz(func(t *testing.T, m, n, k, padA, padB, padC uint8, acc bool, seed int64) {
-		checkKernels(t, kernelCase{m: int(m % 40), n: int(n % 80), k: int(k % 70),
+	f.Add(uint8(4), uint8(16), uint8(9), uint8(1), uint8(0), uint8(0), uint8(0), true, int64(1))
+	f.Add(uint8(13), uint8(37), uint8(1), uint8(2), uint8(2), uint8(1), uint8(3), false, int64(2))
+	f.Add(uint8(24), uint8(144), uint8(9), uint8(16), uint8(0), uint8(0), uint8(1), true, int64(3))
+	f.Fuzz(func(t *testing.T, m, n, k, batch, padA, padB, padC uint8, acc bool, seed int64) {
+		checkKernels(t, kernelCase{m: int(m % 40), n: int(n % 160), k: int(k % 70), batch: int(batch % 17),
 			padA: int(padA % 4), padB: int(padB % 4), padC: int(padC % 4), acc: acc}, seed)
 	})
+}
+
+// TestGemmNTNaNPayloadsAgree: when C and an example's product are both NaN,
+// with different payloads, the two kernels keep the same one on NT's
+// add-on-store. Random normals never reach this case.
+func TestGemmNTNaNPayloadsAgree(t *testing.T) {
+	const m, n, k = 8, 16, 3
+	run := func(avx bool) (c []float32) {
+		withKernel(t, avx, func() {
+			a, b := make([]float32, m*k), make([]float32, n*k)
+			for i := range a {
+				a[i] = 1
+			}
+			for i := range b {
+				b[i] = 1
+			}
+			a[0] = math.Float32frombits(0x7fc00002)
+			c = make([]float32, m*n)
+			for i := range c {
+				c[i] = math.Float32frombits(0x7fc00001)
+			}
+			GemmNTStrided(1, m, n, k, a, k, b, k, c, n, true)
+		})
+		return c
+	}
+	goOut, asmOut := run(false), run(true)
+	for i := range goOut {
+		if math.Float32bits(goOut[i]) != math.Float32bits(asmOut[i]) {
+			t.Fatalf("element %d is %08x on the assembly kernel, %08x on the Go kernel",
+				i, math.Float32bits(asmOut[i]), math.Float32bits(goOut[i]))
+		}
+	}
 }
 
 // TestGemmShortSlicePanicsInGo: an operand one element too short for its
@@ -144,15 +184,15 @@ func TestGemmShortSlicePanicsInGo(t *testing.T) {
 }
 
 // TestGemmNTWarmAllocs: a warm GemmNTStrided takes its packed Aᵀ and its
-// tile from the pool and allocates nothing.
+// running sum from the pool and allocates nothing.
 func TestGemmNTWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	rng := rand.New(rand.NewSource(6))
-	const m, n, k = 16, 72, 36
-	a, b, c := randFloats(rng, m*k), randFloats(rng, n*k), make([]float32, m*n)
-	call := func() { GemmNTStrided(m, n, k, a, k, b, k, c, n, true) }
+	const batch, m, n, k = 4, 16, 72, 36
+	a, b, c := randFloats(rng, m*batch*k), randFloats(rng, n*batch*k), make([]float32, m*n)
+	call := func() { GemmNTStrided(batch, m, n, k, a, batch*k, b, batch*k, c, n, true) }
 	call()
 	if allocs := testing.AllocsPerRun(50, call); allocs != 0 {
 		t.Fatalf("warm GemmNTStrided allocates %.1f objects per call, want 0", allocs)

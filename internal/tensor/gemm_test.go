@@ -151,17 +151,34 @@ func TestGemmNTStrided(t *testing.T) {
 	a := randMat(rng, m, k)
 	b := randMat(rng, n, k)
 	got := NewMatrix(m, n)
-	GemmNTStrided(m, n, k, a.data, k, b.data, k, got.data, n, false)
+	GemmNTStrided(1, m, n, k, a.data, k, b.data, k, got.data, n, false)
 	want, _ := a.MatMulRef(b.Transpose())
 	if !got.Equal(want) {
 		t.Fatal("NT kernel differs from transpose+reference")
 	}
 	// Accumulate form.
 	acc := got.Clone()
-	GemmNTStrided(m, n, k, a.data, k, b.data, k, acc.data, n, true)
+	GemmNTStrided(1, m, n, k, a.data, k, b.data, k, acc.data, n, true)
 	for i := range acc.data {
 		if acc.data[i] != got.data[i]+want.data[i] {
 			t.Fatal("NT accumulate differs")
+		}
+	}
+	// A batch is its examples' products, each summed from zero, added into
+	// C one after another: the same bits as one call per example.
+	const batch = 5
+	ab, bb := randMat(rng, m, batch*k), randMat(rng, n, batch*k)
+	for _, accumulate := range []bool{false, true} {
+		got, want := acc.Clone(), acc.Clone()
+		GemmNTStrided(batch, m, n, k, ab.data, batch*k, bb.data, batch*k, got.data, n, accumulate)
+		if !accumulate {
+			clear(want.data)
+		}
+		for e := 0; e < batch; e++ {
+			GemmNTStrided(1, m, n, k, ab.data[e*k:], batch*k, bb.data[e*k:], batch*k, want.data, n, true)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("acc=%v: a batch of %d differs from one call per example", accumulate, batch)
 		}
 	}
 }
@@ -278,7 +295,7 @@ func TestGemmWorkerInvarianceLarge(t *testing.T) {
 		kernels := map[string]func(c []float32){
 			"GemmStrided":   func(c []float32) { GemmStrided(m, n, k, a.data, k, b.data, n, c, n, false) },
 			"GemmTNStrided": func(c []float32) { GemmTNStrided(m, n, k, at.data, m, b.data, n, c, n, false) },
-			"GemmNTStrided": func(c []float32) { GemmNTStrided(m, n, k, a.data, k, bt.data, k, c, n, false) },
+			"GemmNTStrided": func(c []float32) { GemmNTStrided(1, m, n, k, a.data, k, bt.data, k, c, n, false) },
 		}
 		for _, procs := range gemmProcs {
 			runtime.GOMAXPROCS(procs)
