@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dlv [-v] [-log-level debug|info|warn|error] [-trace] <command> [flags]
+//	dlv [-log-level debug|info|warn|error] [-trace] <command> [flags]
 //
 //	dlv init
 //	dlv add     FILE...
@@ -61,9 +61,8 @@ import (
 
 func main() {
 	// Global flags come before the subcommand (flag parsing stops at the
-	// first non-flag argument): dlv [-v] [-log-level LEVEL] <command> ...
+	// first non-flag argument): dlv [-log-level LEVEL] [-trace] <command> ...
 	global := flag.NewFlagSet("dlv", flag.ExitOnError)
-	verbose := global.Bool("v", false, "log to stderr at info level")
 	logLevel := global.String("log-level", "", "log to stderr at this level (debug, info, warn, error)")
 	traceOn := global.Bool("trace", false,
 		"trace this invocation: record spans locally and export hub-command traces to the server's /debug/traces")
@@ -76,7 +75,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err := obs.ConfigureLogging(*verbose, *logLevel); err != nil {
+	if err := obs.ConfigureLogging(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "dlv:", err)
 		os.Exit(2)
 	}
@@ -101,7 +100,7 @@ func main() {
 }
 
 // globalFlagNames are the dlv-level flags that must precede the subcommand.
-var globalFlagNames = map[string]bool{"v": true, "log-level": true, "trace": true}
+var globalFlagNames = map[string]bool{"log-level": true, "trace": true}
 
 // parseCmd parses a subcommand's flags and, instead of silently dropping
 // them (flag parsing stops at the first positional) or reporting a bare
@@ -120,7 +119,7 @@ func parseCmd(fs *flag.FlagSet, args []string) error {
 	for _, a := range fs.Args() {
 		name := strings.TrimLeft(a, "-")
 		name, _, _ = strings.Cut(name, "=")
-		if len(name) < len(a) && globalFlagNames[name] && fs.Lookup(name) == nil {
+		if len(name) < len(a) && globalFlagNames[name] {
 			return misplacedGlobalFlag(fs.Name(), name)
 		}
 	}
@@ -132,7 +131,7 @@ func misplacedGlobalFlag(cmd, name string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dlv [-v] [-log-level LEVEL] [-trace] <command> [flags]
+	fmt.Fprintln(os.Stderr, `usage: dlv [-log-level LEVEL] [-trace] <command> [flags]
 commands: init add train copy list desc diff archive gc repack eval history plot query publish search pull trace
   archive  move raw versions into the PAS archive; extends the stored plan when the settings match it
   repack   re-plan every archived version globally with the recorded settings, then compact`)

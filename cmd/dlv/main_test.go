@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +16,32 @@ import (
 )
 
 // The CLI is exercised through run() directly; stdout noise is fine under
-// `go test` and the assertions are on state, not output text.
+// `go test` and the assertions are on state, not output text. Global flags,
+// which main parses, go through runMain.
+
+// TestMain runs main itself in place of the tests when runMain starts the
+// test binary as a child with DLV_TEST_MAIN set.
+func TestMain(m *testing.M) {
+	if os.Getenv("DLV_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs `dlv args...` in a child process and returns its combined
+// output and exit code.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DLV_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("dlv %v: %v", args, err)
+	}
+	return string(out), cmd.ProcessState.ExitCode()
+}
 
 func repoArgs(dir string, args ...string) []string {
 	return append([]string{"-repo", dir}, args...)
@@ -291,15 +318,16 @@ func TestCLIGCRepack(t *testing.T) {
 
 // Global flags placed after the subcommand must fail loudly, naming the
 // misplaced flag — previously they were silently swallowed as positional
-// arguments.
+// arguments. -v is no global flag: only the subcommands that take a version
+// id define it.
 func TestCLIMisplacedGlobalFlags(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(context.Background(), "init", []string{"-repo", dir}); err != nil {
 		t.Fatal(err)
 	}
 	err := run(context.Background(), "list", repoArgs(dir, "-v"))
-	if err == nil || !strings.Contains(err.Error(), "before the subcommand") || !strings.Contains(err.Error(), "-v") {
-		t.Fatalf("list -v: got %v, want misplaced-global-flag error naming -v", err)
+	if err == nil || strings.Contains(err.Error(), "before the subcommand") || !strings.Contains(err.Error(), "not defined: -v") {
+		t.Fatalf("list -v: got %v, want list's unknown-flag error naming -v", err)
 	}
 	err = run(context.Background(), "list", repoArgs(dir, "-log-level=debug"))
 	if err == nil || !strings.Contains(err.Error(), "before the subcommand") || !strings.Contains(err.Error(), "-log-level") {
@@ -311,11 +339,21 @@ func TestCLIMisplacedGlobalFlags(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "before the subcommand") {
 		t.Fatalf("gc -log-level: got %v, want misplaced-global-flag error", err)
 	}
-	// eval defines its own -v (version id); it must keep working.
+	// eval and desc define their own -v (version id); it must keep working.
 	if err := run(context.Background(), "train", repoArgs(dir, "-name", "m", "-epochs", "1", "-seed", "22")); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), "eval", repoArgs(dir, "-v", "1", "-n", "10")); err != nil {
 		t.Fatal(err)
+	}
+	if err := run(context.Background(), "desc", repoArgs(dir, "-v", "1")); err != nil {
+		t.Fatalf("desc -v 1: %v", err)
+	}
+	// Before the subcommand, -log-level is accepted and -v is refused.
+	if out, code := runMain(t, "-log-level", "info", "list", "-repo", dir); code != 0 {
+		t.Fatalf("dlv -log-level info list: exit %d\n%s", code, out)
+	}
+	if out, code := runMain(t, "-v", "list", "-repo", dir); code != 2 || !strings.Contains(out, "flag provided but not defined: -v") {
+		t.Fatalf("dlv -v list: exit %d\n%s\nwant exit 2 naming the undefined flag", code, out)
 	}
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	modelhub-server [-addr :8080] [-data DIR] [-metrics] [-trace-buffer N]
-//	                [-v] [-log-level LEVEL] [-drain-timeout D] [-flaky-pull-cut N]
+//	                [-log-level LEVEL] [-drain-timeout D] [-flaky-pull-cut N]
 //	                [-peers URL,URL,...] [-self URL] [-replicas N]
 //	                [-repair-interval D] [-gateway]
 //
@@ -25,9 +25,9 @@
 // are mounted under /debug/pprof/, and distributed tracing is on: the
 // newest -trace-buffer traces (default 256; 0 disables tracing) are held in
 // the in-process flight recorder at /debug/traces, which also accepts
-// client-side trace exports on POST. With -v (or -log-level), hub request
-// logs go to stderr via log/slog, stamped with trace_id/span_id when made
-// under a traced request.
+// client-side trace exports on POST. With -log-level (info for request
+// lines), hub request logs go to stderr via log/slog, stamped with
+// trace_id/span_id when made under a traced request.
 //
 // On SIGTERM or SIGINT the server shuts down gracefully: the listener
 // closes immediately and in-flight requests get up to -drain-timeout to
@@ -62,7 +62,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "enable the metrics registry; serve /metrics and /debug/pprof/")
 	traceBuffer := flag.Int("trace-buffer", obs.DefaultTraceBufferSize,
 		"with -metrics: keep the newest N traces in the /debug/traces flight recorder (0 disables tracing)")
-	verbose := flag.Bool("v", false, "log requests to stderr at info level")
 	logLevel := flag.String("log-level", "", "log to stderr at this level (debug, info, warn, error)")
 	drain := flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
 	flakyCut := flag.Int64("flaky-pull-cut", 0, "fault injection: sever full-archive pull responses after N bytes (testing only)")
@@ -73,7 +72,7 @@ func main() {
 	gateway := flag.Bool("gateway", false, "run as a stateless routing gateway over -peers instead of a storage node")
 	flag.Parse()
 
-	if err := obs.ConfigureLogging(*verbose, *logLevel); err != nil {
+	if err := obs.ConfigureLogging(*logLevel); err != nil {
 		log.Fatalf("modelhub-server: %v", err)
 	}
 	clusterCfg := hub.ClusterConfig{

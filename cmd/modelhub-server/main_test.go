@@ -3,9 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,17 +82,43 @@ func TestServerMuxWithoutMetrics(t *testing.T) {
 
 func TestConfigureLogging(t *testing.T) {
 	defer obs.SetLogger(nil)
-	if err := obs.ConfigureLogging(false, ""); err != nil {
+	if err := obs.ConfigureLogging(""); err != nil {
 		t.Fatalf("default logging: %v", err)
 	}
-	if err := obs.ConfigureLogging(true, ""); err != nil {
-		t.Fatalf("-v: %v", err)
+	if err := obs.ConfigureLogging("info"); err != nil {
+		t.Fatalf("-log-level info: %v", err)
 	}
-	if err := obs.ConfigureLogging(false, "debug"); err != nil {
+	if err := obs.ConfigureLogging("debug"); err != nil {
 		t.Fatalf("-log-level debug: %v", err)
 	}
-	if err := obs.ConfigureLogging(false, "shout"); err == nil {
+	if err := obs.ConfigureLogging("shout"); err == nil {
 		t.Fatal("bad -log-level accepted")
+	}
+}
+
+// TestMain runs main itself in place of the tests when a test starts the
+// test binary as a child with MODELHUB_SERVER_TEST_MAIN set.
+func TestMain(m *testing.M) {
+	if os.Getenv("MODELHUB_SERVER_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestVerboseFlagRefused: -v, which -log-level info replaced, is refused
+// with a usage error (exit 2) before the server starts. Were it accepted,
+// the child would serve on a loopback port until the context kills it.
+func TestVerboseFlagRefused(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-v", "-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), "MODELHUB_SERVER_TEST_MAIN=1")
+	cmd.Dir = t.TempDir() // where an accepted -v would put the data directory
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined: -v") {
+		t.Fatalf("modelhub-server -v: %v\n%s\nwant exit 2 naming the undefined flag", err, out)
 	}
 }
 
@@ -132,9 +162,7 @@ func TestFlakyPullCutClientResumes(t *testing.T) {
 	ts := httptest.NewServer(flakyPullCut(srv.Handler(), 64))
 	defer ts.Close()
 
-	client := hub.NewClientWith(ts.URL, hub.Options{
-		BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond,
-	})
+	client := hub.NewClientWith(ts.URL, hub.Options{})
 	src := t.TempDir()
 	mh, err := core.Init(src)
 	if err != nil {

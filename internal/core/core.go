@@ -78,11 +78,14 @@ func Arch(name string) (*dnn.NetDef, error) {
 	}
 }
 
+// trainBatch is TrainAndCommit's minibatch size, recorded as the version's
+// "batch" hyperparameter.
+const trainBatch = 16
+
 // TrainOptions configure TrainAndCommit.
 type TrainOptions struct {
 	Arch            string // zoo architecture name
 	Epochs          int
-	BatchSize       int
 	LR              float64
 	Momentum        float64
 	CheckpointEvery int
@@ -111,9 +114,6 @@ func (m *ModelHub) TrainAndCommit(name string, opts TrainOptions) (id int64, err
 	}
 	if opts.Epochs == 0 {
 		opts.Epochs = 2
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = 16
 	}
 	if opts.LR == 0 {
 		opts.LR = 0.1
@@ -148,7 +148,7 @@ func (m *ModelHub) TrainAndCommit(name string, opts TrainOptions) (id int64, err
 	res, err := dnn.Train(net, train, dnn.TrainConfig{
 		Ctx:             ctx,
 		Epochs:          opts.Epochs,
-		BatchSize:       opts.BatchSize,
+		BatchSize:       trainBatch,
 		LR:              opts.LR,
 		Momentum:        opts.Momentum,
 		CheckpointEvery: opts.CheckpointEvery,
@@ -164,7 +164,7 @@ func (m *ModelHub) TrainAndCommit(name string, opts TrainOptions) (id int64, err
 		Hyper: map[string]string{
 			"base_lr":  fmt.Sprintf("%g", opts.LR),
 			"momentum": fmt.Sprintf("%g", opts.Momentum),
-			"batch":    fmt.Sprintf("%d", opts.BatchSize),
+			"batch":    fmt.Sprintf("%d", trainBatch),
 			"arch":     opts.Arch,
 		},
 		Log:         res.Log,

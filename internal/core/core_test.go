@@ -42,6 +42,14 @@ func TestEndToEndLifecycle(t *testing.T) {
 	if len(res.Versions) != 2 {
 		t.Fatalf("query found %d versions", len(res.Versions))
 	}
+	// The minibatch size is fixed and recorded with the version.
+	v1, err := mh.Repo.Version(id1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v1.Hyper["batch"]; got != "16" {
+		t.Fatalf("batch hyperparameter = %q, want 16", got)
+	}
 	// Lineage is recorded.
 	lineage, err := mh.Repo.Lineage(id2)
 	if err != nil || len(lineage) != 1 || lineage[0] != id1 {

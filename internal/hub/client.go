@@ -27,7 +27,7 @@ import (
 type Client struct {
 	// Base is the server URL, e.g. "http://localhost:8080".
 	Base string
-	// HTTP is the transport; NewClientWith sets DefaultHTTPClient (sane dial
+	// HTTP is the transport; NewClientWith sets defaultHTTPClient (sane dial
 	// and response-header timeouts, no whole-request ceiling).
 	HTTP *http.Client
 	// Opts tunes timeouts, the stall watchdog, and the retry policy.
@@ -41,7 +41,7 @@ type Client struct {
 // operation returns (c.HTTP.CloseIdleConnections), or each one strands a
 // socket until the transport's idle timeout.
 func NewClientWith(base string, o Options) *Client {
-	return &Client{Base: strings.TrimRight(base, "/"), HTTP: DefaultHTTPClient(), Opts: o}
+	return &Client{Base: strings.TrimRight(base, "/"), HTTP: defaultHTTPClient(), Opts: o}
 }
 
 // Publish packs the repository at root and uploads it under the given name

@@ -33,7 +33,7 @@ func hangingServer(t *testing.T) *httptest.Server {
 // watchdog as an accidental rescuer.
 func cancelOpts() Options {
 	return Options{Timeout: 30 * time.Second, StallTimeout: 30 * time.Second,
-		Retries: 2, BaseBackoff: 50 * time.Millisecond}
+		Retries: 2, backoff: 50 * time.Millisecond}
 }
 
 // assertCancels runs op with a context cancelled after 100ms and asserts it
@@ -75,14 +75,14 @@ func TestPullCancelAbortsDownload(t *testing.T) {
 
 func TestSearchCancelCutsBackoff(t *testing.T) {
 	// Every attempt fails transiently (503), so the client sits in its
-	// retry backoff — made enormous here so only cancellation can end the
-	// call quickly.
+	// retry backoff — at its 5s cap from the first retry, so only
+	// cancellation can end the call quickly.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(ts.Close)
 	client := NewClientWith(ts.URL, Options{
-		Timeout: 5 * time.Second, Retries: 3, BaseBackoff: time.Hour, MaxBackoff: time.Hour,
+		Timeout: 5 * time.Second, Retries: 3, backoff: maxBackoff,
 	})
 	assertCancels(t, "Search", func(ctx context.Context) error {
 		_, err := client.Search(ctx, "q")
@@ -90,12 +90,12 @@ func TestSearchCancelCutsBackoff(t *testing.T) {
 	})
 }
 
-// TestBackoffJitterSeedDeterminism pins JitterSeed and asserts the delay
+// TestBackoffJitterSeedDeterminism pins the jitter seed and asserts the delay
 // sequence is reproducible — and that an unpinned seed gives each operation
 // its own source rather than the old process-global one.
 func TestBackoffJitterSeedDeterminism(t *testing.T) {
 	seq := func(seed int64) []time.Duration {
-		o := Options{JitterSeed: seed, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 5 * time.Second}.withDefaults()
+		o := Options{seed: seed}.withDefaults()
 		var out []time.Duration
 		for attempt := 1; attempt <= 5; attempt++ {
 			out = append(out, backoffDelay(attempt, o))
@@ -114,15 +114,15 @@ func TestBackoffJitterSeedDeterminism(t *testing.T) {
 }
 
 func TestBackoffDelayStaysJitteredInRange(t *testing.T) {
-	o := Options{JitterSeed: 7, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second}.withDefaults()
+	o := Options{seed: 7}.withDefaults()
 	for attempt := 1; attempt <= 8; attempt++ {
 		// The deterministic (unjittered) exponential ceiling.
-		d := o.BaseBackoff
-		for i := 1; i < attempt && d < o.MaxBackoff; i++ {
+		d := baseBackoff
+		for i := 1; i < attempt && d < maxBackoff; i++ {
 			d *= 2
 		}
-		if d > o.MaxBackoff {
-			d = o.MaxBackoff
+		if d > maxBackoff {
+			d = maxBackoff
 		}
 		got := backoffDelay(attempt, o)
 		if got < d/2 || got > d {

@@ -62,14 +62,16 @@ type ClusterConfig struct {
 	// RepairInterval is the anti-entropy sweep period for
 	// StartAntiEntropy. 0 selects 30s; negative disables the loop.
 	RepairInterval time.Duration
-	// PeerTimeout bounds one control request to a peer (inventory fetch,
-	// replicate/forward/repair transfers get 10x this for streaming).
-	// 0 selects 10s.
-	PeerTimeout time.Duration
-	// Client is the HTTP client used for peer traffic; nil selects
-	// DefaultHTTPClient.
-	Client *http.Client
+
+	// peerTimeout replaces defaultPeerTimeout when set; only tests set it,
+	// to shorten their hung-peer waits.
+	peerTimeout time.Duration
 }
+
+// defaultPeerTimeout bounds one control request to a peer (inventory
+// fetch, search fan-out); replicate/forward/repair transfers get 10x this
+// for streaming.
+const defaultPeerTimeout = 10 * time.Second
 
 // withDefaults normalizes the config: peers deduped via the ring, Self
 // appended to Peers when missing, zero fields resolved.
@@ -81,11 +83,8 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.RepairInterval == 0 {
 		c.RepairInterval = 30 * time.Second
 	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = 10 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = DefaultHTTPClient()
+	if c.peerTimeout <= 0 {
+		c.peerTimeout = defaultPeerTimeout
 	}
 	return c
 }
@@ -135,8 +134,8 @@ func newCluster(cfg ClusterConfig, needSelf bool) (*cluster, error) {
 		peers:          ring.Peers(),
 		replicas:       replicas,
 		repairInterval: cfg.RepairInterval,
-		peerTimeout:    cfg.PeerTimeout,
-		hc:             cfg.Client,
+		peerTimeout:    cfg.peerTimeout,
+		hc:             defaultHTTPClient(),
 	}, nil
 }
 
@@ -354,7 +353,7 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 }
 
 // fetchRepos GETs one peer's []RepoInfo answer for path (/api/inventory or
-// /api/search?q=) under PeerTimeout, so one hung peer costs a sweep or a
+// /api/search?q=) under the peer timeout, so one hung peer costs a sweep or a
 // fan-out that long and no longer.
 func (cl *cluster) fetchRepos(ctx context.Context, peer, path string) ([]RepoInfo, error) {
 	ctx, cancel := context.WithTimeout(ctx, cl.peerTimeout)

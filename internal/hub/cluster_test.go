@@ -59,7 +59,7 @@ func newTestCluster(t *testing.T, n, replicas int) *testCluster {
 		Peers:          tc.urls,
 		Replicas:       replicas,
 		RepairInterval: -1, // sweeps run on demand in tests
-		PeerTimeout:    2 * time.Second,
+		peerTimeout:    2 * time.Second,
 	}
 	for i := 0; i < n; i++ {
 		node := &testNode{
@@ -165,7 +165,7 @@ func (n *testNode) hasBlob(name string) bool {
 }
 
 func (tc *testCluster) client(i int) *Client {
-	return NewClientWith(tc.urls[i], Options{Timeout: 5 * time.Second, Retries: 1, BaseBackoff: 10 * time.Millisecond})
+	return NewClientWith(tc.urls[i], Options{Timeout: 5 * time.Second, Retries: 1, backoff: 10 * time.Millisecond})
 }
 
 // replicaCount counts live, digest-valid copies of name across the cluster.

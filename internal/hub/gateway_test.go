@@ -31,14 +31,14 @@ func gatewayFor(t *testing.T, tc *testCluster) (*Gateway, *Client) {
 	gw, err := NewGateway(ClusterConfig{
 		Peers:       tc.urls,
 		Replicas:    tc.cfg.Replicas,
-		PeerTimeout: 2 * time.Second,
+		peerTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
-	return gw, NewClientWith(ts.URL, Options{Timeout: 5 * time.Second, Retries: 2, BaseBackoff: 10 * time.Millisecond})
+	return gw, NewClientWith(ts.URL, Options{Timeout: 5 * time.Second, Retries: 2, backoff: 10 * time.Millisecond})
 }
 
 func TestGatewayRoutesPublishAndPull(t *testing.T) {
@@ -165,7 +165,7 @@ func TestGatewaySearchAllPeersDown(t *testing.T) {
 }
 
 // A peer that accepts the request and never answers costs a search fan-out
-// PeerTimeout, not the caller's patience: the live peers' merged answer comes
+// one peer timeout, not the caller's patience: the live peers' merged answer comes
 // back on time.
 func TestGatewaySearchBoundsHungPeer(t *testing.T) {
 	tc := newTestCluster(t, 2, 2)
@@ -179,7 +179,7 @@ func TestGatewaySearchBoundsHungPeer(t *testing.T) {
 	gw, err := NewGateway(ClusterConfig{
 		Peers:       append([]string{hung.URL}, tc.urls...),
 		Replicas:    2,
-		PeerTimeout: 200 * time.Millisecond,
+		peerTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestGatewaySearchBoundsHungPeer(t *testing.T) {
 		t.Fatalf("search with a hung peer = %v, %v; want the live peers' one record", infos, err)
 	}
 	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("search with a hung peer took %v at PeerTimeout 200ms", took)
+		t.Fatalf("search with a hung peer took %v at a 200ms peer timeout", took)
 	}
 }
 

@@ -43,20 +43,25 @@ type Options struct {
 	// idempotent requests. Pull retries resume from the verified byte
 	// offset via a Range request. Default 2.
 	Retries int
-	// BaseBackoff and MaxBackoff shape the exponential backoff between
-	// retries; each delay is jittered into [d/2, d]. Defaults 100ms / 5s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterSeed seeds the backoff jitter source. Zero selects a
-	// process-unique seed; tests pin it to make delay sequences
-	// reproducible.
-	JitterSeed int64
+
+	// backoff is the first retry's delay before jitter and seed pins the
+	// jitter source; zero selects baseBackoff and a per-operation seed.
+	// Only tests set them, to keep retries fast and delays reproducible.
+	backoff time.Duration
+	seed    int64
 
 	// rng is the per-operation jitter source, attached by withDefaults.
 	// Each operation (one publish, one search, one pull) owns its source,
 	// so concurrent clients never serialize on the global math/rand lock.
 	rng *rand.Rand
 }
+
+// baseBackoff is the first retry's delay before jitter; each later retry
+// doubles it, up to maxBackoff (see backoffDelay).
+const (
+	baseBackoff = 100 * time.Millisecond
+	maxBackoff  = 5 * time.Second
+)
 
 // withDefaults resolves zero fields to defaults and negative fields to off.
 func (o Options) withDefaults() Options {
@@ -71,15 +76,14 @@ func (o Options) withDefaults() Options {
 	}
 	o.Timeout = pick(o.Timeout, 30*time.Second)
 	o.StallTimeout = pick(o.StallTimeout, 30*time.Second)
-	o.BaseBackoff = pick(o.BaseBackoff, 100*time.Millisecond)
-	o.MaxBackoff = pick(o.MaxBackoff, 5*time.Second)
+	o.backoff = pick(o.backoff, baseBackoff)
 	switch {
 	case o.Retries < 0:
 		o.Retries = 0
 	case o.Retries == 0:
 		o.Retries = 2
 	}
-	seed := o.JitterSeed
+	seed := o.seed
 	if seed == 0 {
 		// Uncorrelated across concurrent operations: a fixed process base
 		// mixed with a monotonic counter, no clock reads per operation.
@@ -90,17 +94,17 @@ func (o Options) withDefaults() Options {
 }
 
 // jitterSeedBase and jitterSeedSeq derive per-operation jitter seeds when
-// Options.JitterSeed is zero.
+// no seed is pinned.
 var (
 	jitterSeedBase = time.Now().UnixNano()
 	jitterSeedSeq  atomic.Int64
 )
 
-// DefaultHTTPClient builds the client that NewClientWith and a ClusterConfig
-// without one use: dial and response-header timeouts so a hung or unreachable
+// defaultHTTPClient builds the client that NewClientWith and the cluster's
+// peer traffic use: dial and response-header timeouts so a hung or unreachable
 // server fails fast, but no whole-request ceiling — streaming transfers are
 // guarded by the per-attempt stall watchdog instead.
-func DefaultHTTPClient() *http.Client {
+func defaultHTTPClient() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
 			Proxy: http.ProxyFromEnvironment,
@@ -179,26 +183,16 @@ func runAttempt(ctx context.Context, timeout time.Duration, op func(context.Cont
 }
 
 // backoffDelay is the jittered exponential delay before retry `attempt`
-// (1-based): base·2^(attempt-1) capped at max, then jittered into [d/2, d].
-// Jitter draws from the operation's own seeded source (withDefaults), never
-// the globally locked math/rand state.
+// (1-based): o.backoff·2^(attempt-1) capped at maxBackoff, then jittered
+// into [d/2, d]. Jitter draws from the operation's own seeded source
+// (withDefaults), never the globally locked math/rand state.
 func backoffDelay(attempt int, o Options) time.Duration {
-	d := o.BaseBackoff
-	for i := 1; i < attempt && d < o.MaxBackoff; i++ {
+	d := o.backoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if o.MaxBackoff > 0 && d > o.MaxBackoff {
-		d = o.MaxBackoff
-	}
-	if d <= 0 {
-		return 0
-	}
-	rng := o.rng
-	if rng == nil {
-		// Options that skipped withDefaults (hand-built in tests).
-		rng = rand.New(rand.NewSource(jitterSeedBase ^ jitterSeedSeq.Add(1)))
-	}
-	return d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
+	d = min(d, maxBackoff)
+	return d/2 + time.Duration(o.rng.Int63n(int64(d/2)+1))
 }
 
 // sleepCtx waits for d or until ctx is done, whichever comes first. It is

@@ -23,7 +23,7 @@ import (
 
 // fastOpts keeps retry tests quick: real retries, millisecond backoff.
 func fastOpts(retries int) Options {
-	return Options{Retries: retries, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
+	return Options{Retries: retries, backoff: time.Millisecond}
 }
 
 // cutBody cuts a response body after `remaining` bytes with a transport
@@ -328,12 +328,12 @@ func TestPullStallWatchdogAborts(t *testing.T) {
 }
 
 func TestBackoffDelayBounds(t *testing.T) {
-	o := Options{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second}.withDefaults()
+	o := Options{}.withDefaults()
 	for attempt := 1; attempt <= 10; attempt++ {
 		for i := 0; i < 20; i++ {
 			d := backoffDelay(attempt, o)
-			if d < o.BaseBackoff/2 || d > o.MaxBackoff {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, o.BaseBackoff/2, o.MaxBackoff)
+			if d < baseBackoff/2 || d > maxBackoff {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, baseBackoff/2, maxBackoff)
 			}
 		}
 	}
@@ -352,7 +352,7 @@ func TestParseContentRangeStart(t *testing.T) {
 
 func TestOptionsDefaultsAndDisable(t *testing.T) {
 	d := Options{}.withDefaults()
-	if d.Timeout <= 0 || d.StallTimeout <= 0 || d.Retries != 2 || d.BaseBackoff <= 0 || d.MaxBackoff < d.BaseBackoff {
+	if d.Timeout <= 0 || d.StallTimeout <= 0 || d.Retries != 2 || d.backoff != baseBackoff {
 		t.Fatalf("defaults = %+v", d)
 	}
 	off := Options{Timeout: -1, StallTimeout: -1, Retries: -1}.withDefaults()

@@ -108,19 +108,15 @@ func ParseLevel(s string) (slog.Level, error) {
 	}
 }
 
-// ConfigureLogging applies a binary's -v and -log-level flags: when either
-// is given it installs a stderr text handler at the level (info for a bare
-// -v); otherwise the default (silent) logger stays in place.
-func ConfigureLogging(verbose bool, level string) error {
-	if !verbose && level == "" {
+// ConfigureLogging applies a binary's -log-level flag: a level installs a
+// stderr text handler at that level; "" keeps the default (silent) logger.
+func ConfigureLogging(level string) error {
+	if level == "" {
 		return nil
 	}
-	lvl := slog.LevelInfo
-	if level != "" {
-		var err error
-		if lvl, err = ParseLevel(level); err != nil {
-			return err
-		}
+	lvl, err := ParseLevel(level)
+	if err != nil {
+		return err
 	}
 	SetLogger(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
 	return nil

@@ -14,9 +14,14 @@
 // multiply and one per add — the roundings of the scalar loop
 // c += a*b. There is deliberately no FMA. With fresh set, the accumulators
 // start at +0 instead of C and C is added in on store: each element becomes
-// (0 + a·b + …) + c, a product summed from zero and then added once. The
-// sum is the first source, so of two NaNs its payload survives, as in the
-// Go twin's c += s.
+// (0 + a·b + …) + c, a product summed from zero and then added once.
+//
+// Of two NaNs an add keeps its first source's payload, so each mode has its
+// own loop with its adds' sources in the Go twin's compiled order: the
+// plain loop puts the product first (gemmGo's c += a*b adds C from memory
+// into the product), the fresh loop and its store put the sum first (s +=
+// a*b and c += s add into the register holding s; a race build, which keeps
+// s on the stack, compiles s += a*b the other way round).
 TEXT ·gemmKernel4(SB), NOSPLIT, $0-65
 	MOVQ n+8(FP), BX
 	MOVQ lda+24(FP), R8
@@ -34,8 +39,11 @@ TEXT ·gemmKernel4(SB), NOSPLIT, $0-65
 tile16:
 	CMPQ    BX, $16
 	JLT     tile8
+	MOVQ    a+16(FP), SI
+	MOVQ    R12, DI
+	MOVQ    k+0(FP), CX
 	TESTQ   R13, R13
-	JNZ     zero16
+	JNZ     fresh16
 	VMOVUPS (DX), Y0
 	VMOVUPS 32(DX), Y1
 	VMOVUPS (DX)(R10*1), Y2
@@ -44,9 +52,39 @@ tile16:
 	VMOVUPS 32(DX)(R10*2), Y5
 	VMOVUPS (DX)(R11*1), Y6
 	VMOVUPS 32(DX)(R11*1), Y7
-	JMP     body16
 
-zero16:
+	PCALIGN $64
+
+loop16:
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
+	VBROADCASTSS (SI), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y0, Y11, Y0
+	VADDPS       Y1, Y12, Y1
+	VBROADCASTSS (SI)(R8*1), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y2, Y11, Y2
+	VADDPS       Y3, Y12, Y3
+	VBROADCASTSS (SI)(R8*2), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y4, Y11, Y4
+	VADDPS       Y5, Y12, Y5
+	VBROADCASTSS (SI)(R9*1), Y10
+	VMULPS       Y8, Y10, Y11
+	VMULPS       Y9, Y10, Y12
+	VADDPS       Y6, Y11, Y6
+	VADDPS       Y7, Y12, Y7
+	ADDQ         $4, SI
+	ADDQ         AX, DI
+	DECQ         CX
+	JNZ          loop16
+	JMP          store16
+
+fresh16:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -56,14 +94,9 @@ zero16:
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
 
-body16:
-	MOVQ    a+16(FP), SI
-	MOVQ    R12, DI
-	MOVQ    k+0(FP), CX
-
 	PCALIGN $64
 
-loop16:
+floop16:
 	VMOVUPS      (DI), Y8
 	VMOVUPS      32(DI), Y9
 	VBROADCASTSS (SI), Y10
@@ -89,10 +122,8 @@ loop16:
 	ADDQ         $4, SI
 	ADDQ         AX, DI
 	DECQ         CX
-	JNZ          loop16
+	JNZ          floop16
 
-	TESTQ   R13, R13
-	JZ      store16
 	VMOVUPS (DX), Y8
 	VADDPS  Y8, Y0, Y0
 	VMOVUPS 32(DX), Y9
@@ -127,28 +158,47 @@ store16:
 tile8:
 	CMPQ    BX, $8
 	JLT     done
+	MOVQ    a+16(FP), SI
+	MOVQ    R12, DI
+	MOVQ    k+0(FP), CX
 	TESTQ   R13, R13
-	JNZ     zero8
+	JNZ     fresh8
 	VMOVUPS (DX), Y0
 	VMOVUPS (DX)(R10*1), Y1
 	VMOVUPS (DX)(R10*2), Y2
 	VMOVUPS (DX)(R11*1), Y3
-	JMP     body8
 
-zero8:
+	PCALIGN $64
+
+loop8:
+	VMOVUPS      (DI), Y8
+	VBROADCASTSS (SI), Y10
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y0, Y11, Y0
+	VBROADCASTSS (SI)(R8*1), Y10
+	VMULPS       Y8, Y10, Y12
+	VADDPS       Y1, Y12, Y1
+	VBROADCASTSS (SI)(R8*2), Y10
+	VMULPS       Y8, Y10, Y11
+	VADDPS       Y2, Y11, Y2
+	VBROADCASTSS (SI)(R9*1), Y10
+	VMULPS       Y8, Y10, Y12
+	VADDPS       Y3, Y12, Y3
+	ADDQ         $4, SI
+	ADDQ         AX, DI
+	DECQ         CX
+	JNZ          loop8
+	JMP          store8
+
+fresh8:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 
-body8:
-	MOVQ    a+16(FP), SI
-	MOVQ    R12, DI
-	MOVQ    k+0(FP), CX
-
 	PCALIGN $64
 
-loop8:
+floop8:
 	VMOVUPS      (DI), Y8
 	VBROADCASTSS (SI), Y10
 	VMULPS       Y8, Y10, Y11
@@ -165,10 +215,8 @@ loop8:
 	ADDQ         $4, SI
 	ADDQ         AX, DI
 	DECQ         CX
-	JNZ          loop8
+	JNZ          floop8
 
-	TESTQ   R13, R13
-	JZ      store8
 	VMOVUPS (DX), Y8
 	VADDPS  Y8, Y0, Y0
 	VMOVUPS (DX)(R10*1), Y9

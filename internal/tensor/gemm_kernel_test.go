@@ -121,35 +121,67 @@ func FuzzGemmKernels(f *testing.F) {
 	})
 }
 
-// TestGemmNTNaNPayloadsAgree: when C and an example's product are both NaN,
-// with different payloads, the two kernels keep the same one on NT's
-// add-on-store. Random normals never reach this case.
+// TestGemmNTNaNPayloadsAgree: when two NaNs with different payloads meet
+// in one add, the two kernels keep the same payload. Three adds can meet
+// two NaNs: a plain multiply's per-k add of a NaN product into a NaN C, a
+// fresh sum's per-k add of a NaN product into a sum already NaN, and NT's
+// add of a NaN sum into a NaN C on store. Random normals never reach these
+// cases.
 func TestGemmNTNaNPayloadsAgree(t *testing.T) {
-	const m, n, k = 8, 16, 3
-	run := func(avx bool) (c []float32) {
-		withKernel(t, avx, func() {
-			a, b := make([]float32, m*k), make([]float32, n*k)
-			for i := range a {
-				a[i] = 1
-			}
-			for i := range b {
-				b[i] = 1
-			}
-			a[0] = math.Float32frombits(0x7fc00002)
-			c = make([]float32, m*n)
-			for i := range c {
-				c[i] = math.Float32frombits(0x7fc00001)
-			}
-			GemmNTStrided(1, m, n, k, a, k, b, k, c, n, true)
-		})
-		return c
+	const m, n, k = 24, 24, 3 // a 16-wide and an 8-wide tile in each mode
+	nan := func(payload uint32) float32 { return math.Float32frombits(0x7fc00000 | payload) }
+	cases := []struct {
+		name string
+		nt   bool      // GemmNTStrided (fresh sums added on store) or GemmStrided (plain)
+		c    float32   // every element of C
+		nans []float32 // A[i][0], A[i][1], ... of every row, before the ones
+		// regS: the Go twin's order for this add holds only while s lives in
+		// a register. The race build spills s to the stack and compiles
+		// s += a*b with the product as the first source.
+		regS bool
+	}{
+		{"plain NaN product into NaN C", false, nan(1), []float32{nan(2)}, false},
+		{"plain two NaN products", false, 0, []float32{nan(2), nan(3)}, false},
+		{"fresh two NaN products in one sum", true, 0, []float32{nan(2), nan(3)}, true},
+		{"NT store NaN sum into NaN C", true, nan(1), []float32{nan(2)}, false},
 	}
-	goOut, asmOut := run(false), run(true)
-	for i := range goOut {
-		if math.Float32bits(goOut[i]) != math.Float32bits(asmOut[i]) {
-			t.Fatalf("element %d is %08x on the assembly kernel, %08x on the Go kernel",
-				i, math.Float32bits(asmOut[i]), math.Float32bits(goOut[i]))
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.regS && raceEnabled {
+				t.Skip("the race build's Go twin keeps s on the stack and adds the other way round")
+			}
+			run := func(avx bool) (c []float32) {
+				withKernel(t, avx, func() {
+					a, b := make([]float32, m*k), make([]float32, n*k)
+					for i := range a {
+						a[i] = 1
+					}
+					for i := range b {
+						b[i] = 1
+					}
+					for i := 0; i < m; i++ {
+						copy(a[i*k:], tc.nans)
+					}
+					c = make([]float32, m*n)
+					for i := range c {
+						c[i] = tc.c
+					}
+					if tc.nt {
+						GemmNTStrided(1, m, n, k, a, k, b, k, c, n, true)
+					} else {
+						GemmStrided(m, n, k, a, k, b, n, c, n, true)
+					}
+				})
+				return c
+			}
+			goOut, asmOut := run(false), run(true)
+			for i := range goOut {
+				if math.Float32bits(goOut[i]) != math.Float32bits(asmOut[i]) {
+					t.Fatalf("element %d is %08x on the assembly kernel, %08x on the Go kernel",
+						i, math.Float32bits(asmOut[i]), math.Float32bits(goOut[i]))
+				}
+			}
+		})
 	}
 }
 

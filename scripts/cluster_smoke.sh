@@ -47,7 +47,7 @@ start_node() { # index addr
   local i="$1" addr="$2"
   # Background repair is disabled; the drill triggers sweeps explicitly so
   # convergence is asserted, not raced.
-  "$TMP/modelhub-server" -addr "$addr" -data "$TMP/node$i" -metrics -v \
+  "$TMP/modelhub-server" -addr "$addr" -data "$TMP/node$i" -metrics -log-level info \
     -peers "$PEERS" -self "http://$addr" -repair-interval=-1s \
     2>>"$TMP/node$i.log" &
   PIDS[i]=$!
@@ -56,7 +56,7 @@ start_node() { # index addr
 start_node 1 "$P1"
 start_node 2 "$P2"
 start_node 3 "$P3"
-"$TMP/modelhub-server" -addr "$GW" -gateway -metrics -v -peers "$PEERS" \
+"$TMP/modelhub-server" -addr "$GW" -gateway -metrics -log-level info -peers "$PEERS" \
   2>"$TMP/gateway.log" &
 PIDS[4]=$!
 wait_ready "$P1" "$TMP/node1.log"

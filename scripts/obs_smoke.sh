@@ -33,7 +33,7 @@ mkdir -p "$REPO"
 "$TMP/dlv" archive -repo "$REPO" >/dev/null
 
 ADDR="127.0.0.1:${OBS_SMOKE_PORT:-18477}"
-"$TMP/modelhub-server" -addr "$ADDR" -data "$TMP/hub-data" -metrics -v 2>"$TMP/server.log" &
+"$TMP/modelhub-server" -addr "$ADDR" -data "$TMP/hub-data" -metrics -log-level info 2>"$TMP/server.log" &
 SRV_PID=$!
 
 ready=0
@@ -129,7 +129,7 @@ grep -q "shutdown complete" "$TMP/server.log" || {
 # Kill-mid-pull resume: restart on the same data dir with fault injection
 # that severs every full-archive pull after 512 bytes. The client must
 # resume via Range and still land a repository that lists its model.
-"$TMP/modelhub-server" -addr "$ADDR" -data "$TMP/hub-data" -metrics -v \
+"$TMP/modelhub-server" -addr "$ADDR" -data "$TMP/hub-data" -metrics -log-level info \
   -flaky-pull-cut 512 2>"$TMP/server2.log" &
 SRV_PID=$!
 ready=0
