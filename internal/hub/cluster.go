@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"modelhub/internal/obs"
@@ -189,11 +190,12 @@ func acceptReplica(info RepoInfo) func(prev RepoInfo, exists bool) bool {
 }
 
 // replicateOut pushes a freshly stored record to the other owners of its
-// name, sequentially, each push a child span of the publish request trace:
-// the blob goes to the peer's /api/replicate with its digest in DigestHeader
-// and the metadata record in RepoInfoHeader. Failures are counted and
-// logged, never fatal: the publish already committed locally, and
-// anti-entropy re-converges the missing replicas.
+// name, all at once, and returns when every push has answered or failed.
+// Each push is a child span of the publish request trace: the blob goes to
+// the peer's /api/replicate with its digest in DigestHeader and the metadata
+// record in RepoInfoHeader. Failures are counted and logged, never fatal:
+// the publish already committed locally, and anti-entropy re-converges the
+// missing replicas.
 func (cl *cluster) replicateOut(ctx context.Context, s *Server, info RepoInfo) {
 	meta, err := json.Marshal(info)
 	if err != nil {
@@ -201,27 +203,38 @@ func (cl *cluster) replicateOut(ctx context.Context, s *Server, info RepoInfo) {
 		return
 	}
 	hdr := map[string]string{RepoInfoHeader: string(meta), ReplicaHeader: cl.self}
+	var wg sync.WaitGroup
 	for _, peer := range cl.ring.Owners(info.Name, cl.replicas) {
 		if peer == cl.self {
 			continue
 		}
-		rctx, span := obs.Start(ctx, "hub.cluster.replicate")
-		span.SetAttr("hub.peer", peer)
-		span.SetAttr("hub.name", info.Name)
-		status, _, err := cl.postBlob(rctx, peer+"/api/replicate?name="+url.QueryEscape(info.Name),
-			s.blobPath(info.Name, info.SHA256), info.SHA256, hdr)
-		if err == nil && status != http.StatusOK {
-			err = fmt.Errorf("%s answered %d", peer, status)
-		}
-		if err != nil {
-			span.SetError()
-			mReplicateFail.Inc()
-			obs.Logger().Warn("replica push failed", "name", info.Name, "peer", peer, "err", err)
-		} else {
-			mReplicateOK.Inc()
-		}
-		span.End()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl.pushReplica(ctx, s, info, peer, hdr)
+		}()
 	}
+	wg.Wait()
+}
+
+// pushReplica is one replicateOut push, under its own span.
+func (cl *cluster) pushReplica(ctx context.Context, s *Server, info RepoInfo, peer string, hdr map[string]string) {
+	ctx, span := obs.Start(ctx, "hub.cluster.replicate")
+	defer span.End()
+	span.SetAttr("hub.peer", peer)
+	span.SetAttr("hub.name", info.Name)
+	status, _, err := cl.postBlob(ctx, peer+"/api/replicate?name="+url.QueryEscape(info.Name),
+		s.blobPath(info.Name, info.SHA256), info.SHA256, hdr)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("%s answered %d", peer, status)
+	}
+	if err != nil {
+		span.SetError()
+		mReplicateFail.Inc()
+		obs.Logger().Warn("replica push failed", "name", info.Name, "peer", peer, "err", err)
+		return
+	}
+	mReplicateOK.Inc()
 }
 
 // postBlob POSTs the blob file at path to a peer endpoint u — Content-Length,

@@ -467,3 +467,48 @@ func (s *Server) nameLockCount() int {
 	defer s.lockMu.Unlock()
 	return len(s.nameLocks)
 }
+
+// An owner pushes to its replicas at once: both peers' /api/replicate
+// handlers wait on one barrier before they read the push, so the publish
+// gets its three replicas only if the two pushes overlap. One at a time,
+// the first push would time out at the barrier and answer 503.
+func TestReplicaPushesOverlap(t *testing.T) {
+	tc := newTestCluster(t, 3, 3)
+	var mu sync.Mutex
+	arrived := 0
+	release := make(chan struct{})
+	barrier := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/api/replicate" {
+				mu.Lock()
+				if arrived++; arrived == 2 {
+					close(release)
+				}
+				mu.Unlock()
+				select {
+				case <-release:
+				case <-time.After(3 * time.Second):
+					http.Error(w, "the other replica push never arrived", http.StatusServiceUnavailable)
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	for _, node := range tc.nodes[1:] {
+		node.kill()
+		node.wrap = barrier
+		tc.restart(node)
+	}
+	if err := tc.client(0).Publish(context.Background(), makeRepo(t, "m"), "fanned-out"); err != nil {
+		t.Fatal(err)
+	}
+	if got := tc.replicaCount("fanned-out"); got != 3 {
+		t.Fatalf("replicas after publish: %d, want 3", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if arrived != 2 {
+		t.Fatalf("%d replica pushes reached the barrier, want 2", arrived)
+	}
+}

@@ -43,16 +43,22 @@ type RepoInfo struct {
 // Storage is crash- and race-safe: publishes stream to a temp file, are
 // hashed while streaming, and are promoted with one atomic rename to a
 // content-addressed blob (<name>.<sha256>.tar.gz) under a per-name lock;
-// the index is journaled the same way (temp + rename). The commit order is
-// blob first, index second, and old blobs are unlinked only after the index
-// points away from them — so a concurrent pull never sees a torn archive
-// and a crash at any point is reconciled away at the next startup.
+// the index records it with one fsynced line appended to index.log
+// (index.go). The commit order is blob first, index record second, and old
+// blobs are unlinked only after the index points away from them — so a
+// concurrent pull never sees a torn archive and a crash at any point is
+// reconciled away at the next startup.
 type Server struct {
 	dir string
 	mu  sync.RWMutex
 	// index holds metadata per published name.
 	index map[string]RepoInfo
 	now   func() time.Time
+
+	// logMu serializes appends to the index log and its folds (index.go);
+	// it is taken before mu, never under it.
+	logMu sync.Mutex
+	log   indexLog
 
 	// lockMu guards nameLocks; each per-name mutex serializes the
 	// promote + index-update critical section of concurrent publishes.
@@ -75,11 +81,13 @@ type nameLock struct {
 	refs int
 }
 
-// NewServer stores published repositories under dir. Leftover state from a
-// crashed predecessor (temp files, promoted-but-unindexed blobs,
-// indexed-but-missing entries) is reconciled so the loaded index and the
-// directory always agree. A directory in the pre-digest layout is refused
-// with ErrHub and left as it is.
+// NewServer stores published repositories under dir. It replays the index
+// (index.json, then index.log) and reconciles leftover state from a crashed
+// predecessor (temp files, promoted-but-unrecorded blobs, indexed-but-missing
+// entries) so the loaded index and the directory always agree, then folds
+// the log into index.json. A directory in the pre-digest layout, or an index
+// that is corrupt before its last line, is refused with ErrHub and left as
+// it is.
 func NewServer(dir string) (*Server, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHub, err)
@@ -88,57 +96,42 @@ func NewServer(dir string) (*Server, error) {
 	if err := s.loadIndex(); err != nil {
 		return nil, err
 	}
-	if err := s.reconcile(); err != nil {
+	dropped, err := s.reconcile()
+	if err != nil {
 		return nil, err
+	}
+	if dropped || s.log.size > 0 {
+		s.logMu.Lock()
+		defer s.logMu.Unlock()
+		if err := s.foldLocked(); err != nil {
+			return nil, fmt.Errorf("%w: folding the index: %v", ErrHub, err)
+		}
 	}
 	return s, nil
 }
 
-func (s *Server) indexPath() string { return filepath.Join(s.dir, "index.json") }
-
-func (s *Server) loadIndex() error {
-	blob, err := os.ReadFile(s.indexPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrHub, err)
-	}
-	if err := json.Unmarshal(blob, &s.index); err != nil {
-		return fmt.Errorf("%w: corrupt index: %v", ErrHub, err)
-	}
-	return nil
-}
-
 // reconcile repairs the data directory after a crash:
 //
-//   - an index entry without a digest comes from the pre-digest layout
-//     (<name>.tar.gz), which is not read: NewServer fails with ErrHub before
-//     anything is deleted;
 //   - index entries whose blob is missing are dropped (a crash before the
 //     blob rename, or manual deletion);
 //   - temp files and blobs no index entry references (a crash between blob
-//     promotion and index save) are deleted — that publish never became
-//     visible, and after reconciliation it is unobservable.
-func (s *Server) reconcile() error {
-	for name, info := range s.index {
-		if info.SHA256 == "" {
-			return fmt.Errorf("%w: index entry %q has no sha256: a pre-digest data directory, which is not read", ErrHub, name)
-		}
-	}
-	dirty := false
-	referenced := map[string]bool{"index.json": true}
+//     promotion and the index record) are deleted — that publish never
+//     became visible, and after reconciliation it is unobservable.
+//
+// It reports whether it dropped an entry, which the index must then forget.
+func (s *Server) reconcile() (dropped bool, err error) {
+	referenced := map[string]bool{}
 	for name, info := range s.index {
 		if _, err := os.Stat(s.blobPath(name, info.SHA256)); err == nil {
 			referenced[blobFileName(name, info.SHA256)] = true
 			continue
 		}
 		delete(s.index, name)
-		dirty = true
+		dropped = true
 	}
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrHub, err)
+		return false, fmt.Errorf("%w: %v", ErrHub, err)
 	}
 	for _, e := range entries {
 		base := e.Name()
@@ -147,28 +140,11 @@ func (s *Server) reconcile() error {
 		}
 		if strings.HasPrefix(base, tmpPrefix) || strings.HasSuffix(base, ".tar.gz") {
 			if err := os.Remove(filepath.Join(s.dir, base)); err != nil {
-				return fmt.Errorf("%w: removing stray %s: %v", ErrHub, base, err)
+				return false, fmt.Errorf("%w: removing stray %s: %v", ErrHub, base, err)
 			}
 		}
 	}
-	if dirty {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.saveIndexLocked()
-	}
-	return nil
-}
-
-// saveIndexLocked journals the index through atomicfile, so a reader (or a
-// restarted server) sees either the old or the new index, never a torn one.
-// Its directory fsync also makes durable the blob rename commit did just
-// before, in the same directory: an acknowledged publish survives power loss.
-func (s *Server) saveIndexLocked() error {
-	blob, err := json.MarshalIndent(s.index, "", " ")
-	if err != nil {
-		return err
-	}
-	return atomicfile.WriteFile(s.indexPath(), blob)
+	return dropped, nil
 }
 
 // syncClose fsyncs and closes an already-written file, reporting the first

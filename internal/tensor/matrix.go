@@ -160,22 +160,33 @@ const transposeTile = 32
 
 // transposeBlocked writes the transpose of the rows×cols matrix src (row
 // stride lds) into dst (row stride ldd, shape cols×rows), walking square
-// tiles so both sides stay cache-friendly.
+// tiles so both sides stay cache-friendly. Within a tile it moves four
+// source rows at a time: each destination row takes a four-wide slice, so
+// the inner loop has one bounds check per four stores and none per load
+// (the four source rows are sliced to one length up front).
 func transposeBlocked(rows, cols int, src []float32, lds int, dst []float32, ldd int) {
 	for ib := 0; ib < rows; ib += transposeTile {
-		iEnd := ib + transposeTile
-		if iEnd > rows {
-			iEnd = rows
-		}
+		iEnd := min(ib+transposeTile, rows)
 		for jb := 0; jb < cols; jb += transposeTile {
-			jEnd := jb + transposeTile
-			if jEnd > cols {
-				jEnd = cols
+			jEnd := min(jb+transposeTile, cols)
+			i := ib
+			for ; i+4 <= iEnd; i += 4 {
+				r0 := src[i*lds+jb : i*lds+jEnd]
+				r1 := src[(i+1)*lds+jb:][:len(r0)]
+				r2 := src[(i+2)*lds+jb:][:len(r0)]
+				r3 := src[(i+3)*lds+jb:][:len(r0)]
+				o := jb*ldd + i
+				for j, v := range r0 {
+					d := dst[o : o+4 : o+4]
+					d[0], d[1], d[2], d[3] = v, r1[j], r2[j], r3[j]
+					o += ldd
+				}
 			}
-			for i := ib; i < iEnd; i++ {
-				row := src[i*lds : i*lds+cols]
-				for j := jb; j < jEnd; j++ {
-					dst[j*ldd+i] = row[j]
+			for ; i < iEnd; i++ {
+				o := jb*ldd + i
+				for _, v := range src[i*lds+jb : i*lds+jEnd] {
+					dst[o] = v
+					o += ldd
 				}
 			}
 		}

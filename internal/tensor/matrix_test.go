@@ -273,3 +273,35 @@ func (m *Matrix) Transpose() *Matrix {
 	transposeBlocked(m.rows, m.cols, m.data, m.cols, out.data, m.rows)
 	return out
 }
+
+// transposeBlocked agrees with an element-by-element transpose on shapes
+// that fill whole tiles and four-row groups, and on shapes that leave every
+// kind of remainder, with strides wider than the data; it writes nothing
+// outside the destination's cols×rows window.
+func TestTransposeBlockedMatchesNaive(t *testing.T) {
+	for _, sh := range [][2]int{{1, 1}, {3, 5}, {4, 4}, {8, 9}, {12, 72}, {72, 12}, {33, 65}, {64, 32}, {37, 3}} {
+		rows, cols := sh[0], sh[1]
+		lds, ldd := cols+3, rows+2
+		src := make([]float32, rows*lds)
+		for i := range src {
+			src[i] = float32(i)
+		}
+		const pad = -1
+		dst := make([]float32, cols*ldd)
+		for i := range dst {
+			dst[i] = pad
+		}
+		transposeBlocked(rows, cols, src, lds, dst, ldd)
+		for j := 0; j < cols; j++ {
+			for i := 0; i < ldd; i++ {
+				want := float32(pad)
+				if i < rows {
+					want = src[i*lds+j]
+				}
+				if got := dst[j*ldd+i]; got != want {
+					t.Fatalf("%dx%d: dst[%d][%d] = %v, want %v", rows, cols, j, i, got, want)
+				}
+			}
+		}
+	}
+}
