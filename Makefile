@@ -40,7 +40,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) ./internal/hub
-	$(GO) test -run='^$$' -fuzz=FuzzLoadIndex -fuzztime=$(FUZZTIME) ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/hub
 	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) ./internal/dlv
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
 

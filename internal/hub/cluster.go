@@ -179,16 +179,6 @@ func publishedInstant(info RepoInfo) time.Time {
 	return t
 }
 
-// acceptReplica is the commit policy for replica receives and repair:
-// take the record unless the local one is strictly newer. Equal records are
-// re-accepted on purpose — that is how repair overwrites a corrupt blob
-// whose index entry still looks right.
-func acceptReplica(info RepoInfo) func(prev RepoInfo, exists bool) bool {
-	return func(prev RepoInfo, exists bool) bool {
-		return !exists || !newerThan(prev, info)
-	}
-}
-
 // replicateOut pushes a freshly stored record to the other owners of its
 // name, all at once, and returns when every push has answered or failed.
 // Each push is a child span of the publish request trace: the blob goes to
@@ -289,7 +279,9 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, ErrHub.Error()+": bad "+RepoInfoHeader+": "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if info.Name != name || info.SHA256 == "" {
+	if info.Name != name || checkRecord(info) != nil || info.PublishedAt == "" {
+		// A replica carries its owner's stamp, and a digest in the form its
+		// record file needs; only a client publish is stamped on arrival.
 		http.Error(w, ErrHub.Error()+": metadata does not match the request", http.StatusBadRequest)
 		return
 	}
@@ -298,7 +290,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		ingestFailed(w, err)
 		return
 	}
-	stored, err := s.commit(sp, info, acceptReplica(info))
+	_, stored, err := s.commit(sp, info)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

@@ -3,11 +3,13 @@ package hub
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +31,8 @@ type testNode struct {
 	wg  sync.WaitGroup
 	// wrap optionally decorates the handler on (re)start — fault injection.
 	wrap func(http.Handler) http.Handler
+	// clock, when set, replaces the server's clock on (re)start.
+	clock func() time.Time
 }
 
 // testCluster boots n storage nodes with the given replication factor. The
@@ -39,8 +43,6 @@ type testCluster struct {
 	nodes []*testNode
 	urls  []string
 	cfg   ClusterConfig
-	// clock, when set, replaces the clock of nodes (re)started after it is.
-	clock func() time.Time
 }
 
 func newTestCluster(t *testing.T, n, replicas int) *testCluster {
@@ -87,8 +89,8 @@ func (tc *testCluster) startNode(node *testNode, ln net.Listener) {
 	if err != nil {
 		tc.t.Fatal(err)
 	}
-	if tc.clock != nil {
-		srv.now = tc.clock
+	if node.clock != nil {
+		srv.now = node.clock
 	}
 	cfg := tc.cfg
 	cfg.Self = node.url
@@ -321,33 +323,113 @@ func TestClusterRepairSurvivesDeadSource(t *testing.T) {
 	}
 }
 
+// /api/replicate refuses a push whose body does not match its record's
+// digest, a record without a stamp (only a client publish is stamped on
+// arrival), and an upper-case digest, whose record file a restart would
+// refuse as corrupt.
 func TestReplicateRejectsDigestMismatch(t *testing.T) {
 	tc := newTestCluster(t, 2, 2)
-	info := RepoInfo{
-		Name: "spoofed", SizeBytes: 4, PublishedAt: "2026-01-01T00:00:00Z",
-		SHA256: strings.Repeat("ab", 32),
+	sum := sha256.Sum256([]byte("junk"))
+	for _, info := range []RepoInfo{
+		{Name: "spoofed", SizeBytes: 4, PublishedAt: "2026-01-01T00:00:00Z", SHA256: strings.Repeat("ab", 32)},
+		{Name: "spoofed", SizeBytes: 4, SHA256: digestString(sum[:])},
+		{Name: "spoofed", SizeBytes: 4, PublishedAt: "2026-01-01T00:00:00Z", SHA256: strings.ToUpper(digestString(sum[:]))},
+	} {
+		meta, err := json.Marshal(info)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, tc.urls[0]+"/api/replicate?name=spoofed",
+			bytes.NewReader([]byte("junk")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(RepoInfoHeader, string(meta))
+		req.Header.Set(ReplicaHeader, tc.urls[1])
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("replicate %+v: status %d, want 400", info, resp.StatusCode)
+		}
+		if tc.nodes[0].hasBlob("spoofed") {
+			t.Fatal("mismatched replica must not be stored")
+		}
 	}
-	meta, err := json.Marshal(info)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// A client republish through an owner whose clock runs 2 s behind the
+// others wins on every owner: commit stamps a client record after the one
+// it replaces, so the other owners take the push and repair keeps it.
+// Stamped by that owner's clock alone, the others declined v2 as stale and
+// the owner's next sweep pulled v1 back over it.
+func TestLaggingOwnerRepublishSurvivesRepair(t *testing.T) {
+	tc := newTestCluster(t, 3, 3)
+	lagging := tc.nodes[1]
+	lagging.kill()
+	lagging.clock = func() time.Time { return time.Now().Add(-2 * time.Second) }
+	tc.restart(lagging)
+	const name = "lagged"
+	v1, v2 := makeRepo(t, "v1"), makeRepo(t, "v2")
+	publishTo(t, tc.client(0), v1, name)
+	publishTo(t, tc.client(1), v2, name)
+	for _, node := range tc.nodes {
+		if _, err := node.server().RepairOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	req, err := http.NewRequest(http.MethodPost, tc.urls[0]+"/api/replicate?name=spoofed",
-		bytes.NewReader([]byte("junk")))
-	if err != nil {
-		t.Fatal(err)
+	want := packedDigest(t, v2)
+	for i, node := range tc.nodes {
+		srv := node.server()
+		srv.mu.RLock()
+		got := srv.index[name].SHA256
+		srv.mu.RUnlock()
+		if got != want || !node.hasBlob(name) {
+			t.Errorf("node %d serves %.12s, want v2 %.12s", i, got, want)
+		}
 	}
-	req.Header.Set(RepoInfoHeader, string(meta))
-	req.Header.Set(ReplicaHeader, tc.urls[1])
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// A node killed with no shutdown step and restarted on its own directory
+// serves every acknowledged name with its acknowledged digest before any
+// repair sweep, and its store lost no file. The top level of every data
+// directory holds only the store: a build from before it, which reconciles
+// top-level files only, finds nothing there to delete.
+func TestKilledNodeRestartsWithEveryAcknowledgedName(t *testing.T) {
+	tc := newTestCluster(t, 3, 3)
+	_, client := gatewayFor(t, tc)
+	roots := []string{makeRepo(t, "a"), makeRepo(t, "b")}
+	acked := map[string]string{}
+	for i := 0; i < 6; i++ { // names 0 and 1 are republished
+		name := fmt.Sprintf("acked-%d", i%4)
+		publishTo(t, client, roots[i%2], name)
+		acked[name] = packedDigest(t, roots[i%2])
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("replicate with a lying digest: status %d, want 400", resp.StatusCode)
+	node := tc.nodes[1]
+	held := serverFiles(t, node.server().dir)
+	node.kill()
+	tc.restart(node)
+	srv := node.server()
+	for name, digest := range acked {
+		srv.mu.RLock()
+		got := srv.index[name].SHA256
+		srv.mu.RUnlock()
+		if got != digest {
+			t.Errorf("%s: the restarted node serves %.12s, want %.12s", name, got, digest)
+		}
+		if err := tc.client(1).Pull(context.Background(), name, t.TempDir()); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
-	if tc.nodes[0].hasBlob("spoofed") {
-		t.Fatal("mismatched replica must not be stored")
+	if got := serverFiles(t, srv.dir); !slices.Equal(got, held) {
+		t.Errorf("the store held %q before the kill and %q after the restart", held, got)
+	}
+	for i, n := range tc.nodes {
+		if got := serverFiles(t, n.dir); !slices.Equal(got, []string{storeDir}) {
+			t.Errorf("node %d: the data directory holds %q, want only %s", i, got, storeDir)
+		}
 	}
 }
 
@@ -398,8 +480,8 @@ func plantBlob(t *testing.T, srv *Server, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := RepoInfo{Name: name, SizeBytes: sp.size, PublishedAt: "2026-01-01T00:00:00Z", Models: []string{"m"}, SHA256: sp.digest}
-	if _, err := srv.commit(sp, info, acceptAlways); err != nil {
+	info := RepoInfo{Name: name, SizeBytes: sp.size, Models: []string{"m"}, SHA256: sp.digest}
+	if _, _, err := srv.commit(sp, info); err != nil {
 		t.Fatal(err)
 	}
 }

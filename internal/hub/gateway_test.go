@@ -24,6 +24,17 @@ func packedRepo(t *testing.T, root string) io.Reader {
 	return &buf
 }
 
+// packedDigest is the digest a publish of the repository at root is stored
+// under: PackRepo's bytes depend on the content alone.
+func packedDigest(t *testing.T, root string) string {
+	t.Helper()
+	blob, err := io.ReadAll(packedRepo(t, root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(blob))
+}
+
 // gatewayFor boots a stateless gateway over the cluster's peers and returns
 // a client pointed at it.
 func gatewayFor(t *testing.T, tc *testCluster) (*Gateway, *Client) {
@@ -332,13 +343,13 @@ func TestGatewayLastWriterWinsWithinOneSecond(t *testing.T) {
 	tc := newTestCluster(t, 3, 3)
 	var mu sync.Mutex
 	now := time.Date(2026, 5, 1, 12, 0, 0, 100e6, time.UTC)
-	tc.clock = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
 	for _, node := range tc.nodes {
 		node.kill()
+		node.clock = func() time.Time {
+			mu.Lock()
+			defer mu.Unlock()
+			return now
+		}
 		tc.restart(node)
 	}
 	_, client := gatewayFor(t, tc)
@@ -346,11 +357,7 @@ func TestGatewayLastWriterWinsWithinOneSecond(t *testing.T) {
 	repos := []string{makeRepo(t, "first"), makeRepo(t, "second")}
 	digests := make([]string, len(repos))
 	for i, root := range repos {
-		blob, err := io.ReadAll(packedRepo(t, root))
-		if err != nil {
-			t.Fatal(err)
-		}
-		digests[i] = fmt.Sprintf("%x", sha256.Sum256(blob))
+		digests[i] = packedDigest(t, root)
 	}
 	if digests[0] < digests[1] {
 		repos[0], repos[1] = repos[1], repos[0]

@@ -45,10 +45,7 @@ func makeRepo(t *testing.T, name string) string {
 
 func newTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, t.TempDir())
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, NewClientWith(ts.URL, Options{})
@@ -217,10 +214,7 @@ func TestPullIntoExistingRepo(t *testing.T) {
 
 func TestServerIndexPersistence(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	ts := httptest.NewServer(srv.Handler())
 	client := NewClientWith(ts.URL, Options{})
 	if err := client.Publish(context.Background(), makeRepo(t, "m"), "persisted"); err != nil {
@@ -228,10 +222,7 @@ func TestServerIndexPersistence(t *testing.T) {
 	}
 	ts.Close()
 	// Reload the server from the same directory.
-	srv2, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newStore(t, dir)
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	res, err := NewClientWith(ts2.URL, Options{}).Search(context.Background(), "persisted")
@@ -300,7 +291,8 @@ func TestServerMethodNotAllowed(t *testing.T) {
 
 func TestServerCorruptIndex(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(dir+"/index.json", []byte("{nope"), 0o644); err != nil {
+	srv := newStore(t, dir)
+	if err := os.WriteFile(srv.recordPath("r", strings.Repeat("0", 64)), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewServer(dir); !errors.Is(err, ErrHub) {

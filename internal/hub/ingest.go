@@ -3,6 +3,7 @@ package hub
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +11,9 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
+	"modelhub/internal/atomicfile"
 	"modelhub/internal/dlv"
 )
 
@@ -89,54 +92,83 @@ func (sp *spooled) discard() {
 	}
 	//mhlint:ignore errcheck best-effort cleanup; the holder's outcome is already decided
 	_ = sp.f.Close()
-	//mhlint:ignore errcheck best-effort cleanup; reconcile sweeps tmpPrefix strays at next startup
+	//mhlint:ignore errcheck best-effort cleanup; load sweeps tmpPrefix strays at next startup
 	_ = os.Remove(sp.f.Name())
 	sp.f = nil
 }
 
-// acceptAlways is the commit policy of a client publish: it replaces
-// whatever record the name has.
-func acceptAlways(RepoInfo, bool) bool { return true }
-
 // commit promotes a spooled, digest-verified upload and its record into the
-// store: fsync, then under the per-name lock blob rename, directory fsync,
-// index record (appended and fsynced, index.go), superseded-blob unlink last
-// — so concurrent publishes of one name serialize, a concurrent pull never
-// sees a torn archive, an acknowledged commit survives power loss, and a
-// crash at any point is reconciled away at the next startup. accept decides,
-// given the current entry, whether the incoming record replaces it; when it
-// declines stored is false. Either way commit consumes sp: nothing is left
-// to discard.
-func (s *Server) commit(sp *spooled, info RepoInfo, accept func(prev RepoInfo, exists bool) bool) (stored bool, err error) {
+// store under the per-name lock and one last-writer-wins rule. A record
+// without a stamp is a client publish: commit stamps it max(now, previous
+// stamp + 1 ns), so it always replaces the current entry. A stamped record
+// (a replica push or a repair pull) replaces the entry unless the entry is
+// newerThan it; equal records are re-taken on purpose, which is how repair
+// overwrites a corrupt blob. When it declines, stored is false.
+//
+// The order: fsync the spool file; rename it to the blob; write the record
+// through atomicfile, whose directory fsync makes the blob's rename durable
+// too; update the in-memory index; unlink the superseded record, then its
+// blob. A concurrent pull never sees a torn archive, an acknowledged commit
+// survives power loss, and a crash at any point leaves files load removes.
+// commit consumes sp and returns the record as stored.
+func (s *Server) commit(sp *spooled, info RepoInfo) (_ RepoInfo, stored bool, _ error) {
 	defer sp.discard()
 	if err := syncClose(sp.f); err != nil {
-		return false, err
+		return info, false, err
 	}
 	unlock := s.lockName(info.Name)
 	defer unlock()
 	s.mu.RLock()
 	prev, exists := s.index[info.Name]
 	s.mu.RUnlock()
-	if !accept(prev, exists) {
-		return false, nil
+	if info.PublishedAt == "" {
+		stamp := s.now().UTC()
+		if floor := publishedInstant(prev).Add(time.Nanosecond); exists && stamp.Before(floor) {
+			stamp = floor
+		}
+		info.PublishedAt = stamp.Format(time.RFC3339Nano)
+	} else if exists && newerThan(prev, info) {
+		return info, false, nil
 	}
-	if err := os.Rename(sp.f.Name(), s.blobPath(info.Name, info.SHA256)); err != nil {
-		return false, err
+	blob := s.blobPath(info.Name, info.SHA256)
+	if err := os.Rename(sp.f.Name(), blob); err != nil {
+		return info, false, err
 	}
 	sp.f = nil
-	// record fsyncs the directory, and so the rename, before it appends. A
-	// blob the index never records is swept by reconcile at the next
-	// startup, so a failure from here on leaves nothing visible behind.
-	if err := s.record(info); err != nil {
-		return false, err
+	replaced := exists && prev.SHA256 != info.SHA256
+	if err := s.writeRecord(info); err != nil {
+		if !exists || replaced {
+			// Both files are this commit's own; load removes what stays.
+			//mhlint:ignore errcheck best-effort cleanup of an unacknowledged commit
+			_ = os.Remove(s.recordPath(info.Name, info.SHA256))
+			//mhlint:ignore errcheck best-effort cleanup of an unacknowledged commit
+			_ = os.Remove(blob)
+		}
+		return info, false, err
 	}
-	if exists && prev.SHA256 != info.SHA256 {
-		// Unlink the superseded blob. In-flight pulls keep their open file
-		// handle; new pulls already resolve the new digest.
-		//mhlint:ignore errcheck best-effort removal; reconcile sweeps strays at next startup
+	s.mu.Lock()
+	s.index[info.Name] = info
+	s.mu.Unlock()
+	if replaced {
+		// In-flight pulls keep their open handle on the old blob; new pulls
+		// already resolve the new digest. A pair left behind here is the
+		// older one, and load removes it.
+		//mhlint:ignore errcheck best-effort removal; load sweeps what stays
+		_ = os.Remove(s.recordPath(info.Name, prev.SHA256))
+		//mhlint:ignore errcheck best-effort removal; load sweeps what stays
 		_ = os.Remove(s.blobPath(info.Name, prev.SHA256))
 	}
-	return true, nil
+	return info, true, nil
+}
+
+// writeRecord writes info as its blob's record: temp file, fsync, rename,
+// directory fsync.
+func (s *Server) writeRecord(info RepoInfo) error {
+	meta, err := json.Marshal(info)
+	if err != nil {
+		return err
+	}
+	return atomicfile.WriteFile(s.recordPath(info.Name, info.SHA256), meta)
 }
 
 // inspectArchive unpacks a spooled archive into a temp dir and lists its

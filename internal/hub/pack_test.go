@@ -432,10 +432,7 @@ func TestUnpackBoundStopsBomb(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp) // inspect unpacks under os.TempDir
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClientWith(ts.URL, Options{})
@@ -456,7 +453,7 @@ func TestUnpackBoundStopsBomb(t *testing.T) {
 			t.Fatalf("%s bomb publish = %d %q, want 400", kind, status, msg)
 		}
 	}
-	for _, d := range []string{dir, tmp} {
+	for _, d := range []string{srv.dir, tmp} {
 		for _, f := range serverFiles(t, d) {
 			t.Errorf("bomb publish left %q in %s", f, d)
 		}

@@ -189,6 +189,9 @@ func (s *Server) repairName(ctx context.Context, want RepoInfo, sources []string
 // fetchReplica pulls want's archive from one peer, spools it against
 // want.SHA256, and commits it under last-writer-wins.
 func (s *Server) fetchReplica(ctx context.Context, peer string, want RepoInfo) error {
+	if err := checkRecord(want); err != nil {
+		return fmt.Errorf("%w: repair: %s advertises %v", ErrHub, peer, err)
+	}
 	cl := s.cluster
 	actx, cancel := context.WithTimeout(ctx, 10*cl.peerTimeout)
 	defer cancel()
@@ -210,7 +213,7 @@ func (s *Server) fetchReplica(ctx context.Context, peer string, want RepoInfo) e
 	if err != nil {
 		return fmt.Errorf("%w: repair pull from %s: %v", ErrHub, peer, err)
 	}
-	_, err = s.commit(sp, want, acceptReplica(want))
+	_, _, err = s.commit(sp, want)
 	return err
 }
 

@@ -21,7 +21,7 @@ var maxPublishBytes int64 = 1 << 30
 
 // tmpPrefix marks in-flight files in the data directory, atomicfile's temp
 // files included. validateName rejects leading dots, so no blob can ever
-// collide with the prefix, and startup reconciliation may delete anything
+// collide with the prefix, and the startup scan (load) may delete anything
 // carrying it.
 const tmpPrefix = atomicfile.TempPrefix
 
@@ -40,25 +40,20 @@ type RepoInfo struct {
 // and answers search/pull requests. Create one with NewServer and mount its
 // Handler on an http.Server (or httptest).
 //
-// Storage is crash- and race-safe: publishes stream to a temp file, are
-// hashed while streaming, and are promoted with one atomic rename to a
-// content-addressed blob (<name>.<sha256>.tar.gz) under a per-name lock;
-// the index records it with one fsynced line appended to index.log
-// (index.go). The commit order is blob first, index record second, and old
-// blobs are unlinked only after the index points away from them — so a
-// concurrent pull never sees a torn archive and a crash at any point is
-// reconciled away at the next startup.
+// The data directory is the index. Each stored repository is two files in
+// its repos/ subdirectory: the content-addressed blob
+// <name>.<sha256>.tar.gz and its RepoInfo record <name>.<sha256>.json,
+// written whole through atomicfile. Publishes stream to a temp file, are
+// hashed while streaming, and commit under a per-name lock: blob rename,
+// record write, in-memory index update, and only then the unlink of the
+// superseded record and blob — so a concurrent pull never sees a torn
+// archive and a crash at any point leaves only files the next startup removes.
 type Server struct {
-	dir string
+	dir string // the repos/ subdirectory of the data directory
 	mu  sync.RWMutex
 	// index holds metadata per published name.
 	index map[string]RepoInfo
 	now   func() time.Time
-
-	// logMu serializes appends to the index log and its folds (index.go);
-	// it is taken before mu, never under it.
-	logMu sync.Mutex
-	log   indexLog
 
 	// lockMu guards nameLocks; each per-name mutex serializes the
 	// promote + index-update critical section of concurrent publishes.
@@ -81,70 +76,139 @@ type nameLock struct {
 	refs int
 }
 
-// NewServer stores published repositories under dir. It replays the index
-// (index.json, then index.log) and reconciles leftover state from a crashed
-// predecessor (temp files, promoted-but-unrecorded blobs, indexed-but-missing
-// entries) so the loaded index and the directory always agree, then folds
-// the log into index.json. A directory in the pre-digest layout, or an index
-// that is corrupt before its last line, is refused with ErrHub and left as
-// it is.
+const (
+	// storeDir holds a node's files inside its data directory. A build
+	// from before it skips directories when it reconciles, so started on a
+	// directory this build wrote it finds nothing to delete.
+	storeDir  = "repos"
+	blobExt   = ".tar.gz"
+	recordExt = ".json"
+)
+
+// NewServer stores published repositories under dir/repos. It builds the
+// index from one scan of that directory (load). A data directory whose top
+// level holds index.json, index.log or a *.tar.gz is a retired layout, and
+// a corrupt record makes the whole directory suspect: both are refused with
+// ErrHub and left as they are.
 func NewServer(dir string) (*Server, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := refuseRetired(dir); err != nil {
+		return nil, err
+	}
+	s := &Server{dir: filepath.Join(dir, storeDir), index: map[string]RepoInfo{}, now: time.Now, nameLocks: map[string]*nameLock{}}
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHub, err)
 	}
-	s := &Server{dir: dir, index: map[string]RepoInfo{}, now: time.Now, nameLocks: map[string]*nameLock{}}
-	if err := s.loadIndex(); err != nil {
+	if err := s.load(); err != nil {
 		return nil, err
-	}
-	dropped, err := s.reconcile()
-	if err != nil {
-		return nil, err
-	}
-	if dropped || s.log.size > 0 {
-		s.logMu.Lock()
-		defer s.logMu.Unlock()
-		if err := s.foldLocked(); err != nil {
-			return nil, fmt.Errorf("%w: folding the index: %v", ErrHub, err)
-		}
 	}
 	return s, nil
 }
 
-// reconcile repairs the data directory after a crash:
-//
-//   - index entries whose blob is missing are dropped (a crash before the
-//     blob rename, or manual deletion);
-//   - temp files and blobs no index entry references (a crash between blob
-//     promotion and the index record) are deleted — that publish never
-//     became visible, and after reconciliation it is unobservable.
-//
-// It reports whether it dropped an entry, which the index must then forget.
-func (s *Server) reconcile() (dropped bool, err error) {
-	referenced := map[string]bool{}
-	for name, info := range s.index {
-		if _, err := os.Stat(s.blobPath(name, info.SHA256)); err == nil {
-			referenced[blobFileName(name, info.SHA256)] = true
-			continue
-		}
-		delete(s.index, name)
-		dropped = true
-	}
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrHub, err)
+// refuseRetired fails on a data directory in a layout this build does not
+// read: the pre-digest <name>.tar.gz blobs, or the index.json + index.log
+// index beside <name>.<sha256>.tar.gz blobs. It reads, never writes.
+func refuseRetired(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("%w: %v", ErrHub, err)
 	}
 	for _, e := range entries {
 		base := e.Name()
-		if e.IsDir() || referenced[base] {
-			continue
-		}
-		if strings.HasPrefix(base, tmpPrefix) || strings.HasSuffix(base, ".tar.gz") {
-			if err := os.Remove(filepath.Join(s.dir, base)); err != nil {
-				return false, fmt.Errorf("%w: removing stray %s: %v", ErrHub, base, err)
-			}
+		if base == "index.json" || base == "index.log" || !e.IsDir() && strings.HasSuffix(base, blobExt) {
+			return fmt.Errorf("%w: %s holds %s: a retired data-directory layout, which is not read", ErrHub, dir, base)
 		}
 	}
-	return dropped, nil
+	return nil
+}
+
+// load builds the index from the store directory. A record whose blob
+// exists is an entry; when a crash left two complete pairs for one name,
+// newerThan picks the entry. The rest is removed: a record without its blob
+// or a blob without its record (a commit never acknowledged), the other
+// pair (a superseded commit whose unlink a crash cut short), and temp
+// files. A corrupt record is refused before anything is removed.
+func (s *Server) load() error {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrHub, err)
+	}
+	blobs := map[string]bool{}
+	var records []RepoInfo
+	for _, e := range entries {
+		base := e.Name()
+		switch {
+		case e.IsDir() || strings.HasPrefix(base, tmpPrefix):
+			// Directories stay; temp files are removed below.
+		case strings.HasSuffix(base, blobExt):
+			blobs[base] = true
+		case strings.HasSuffix(base, recordExt):
+			blob, err := os.ReadFile(filepath.Join(s.dir, base))
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrHub, err)
+			}
+			info, err := decodeRecord(base, blob)
+			if err != nil {
+				return err
+			}
+			records = append(records, info)
+		}
+	}
+	for _, info := range records {
+		cur, ok := s.index[info.Name]
+		if blobs[blobFileName(info.Name, info.SHA256)] && (!ok || newerThan(info, cur)) {
+			s.index[info.Name] = info
+		}
+	}
+	keep := map[string]bool{}
+	for name, info := range s.index {
+		keep[blobFileName(name, info.SHA256)] = true
+		keep[recordFileName(name, info.SHA256)] = true
+	}
+	for _, e := range entries {
+		base := e.Name()
+		stray := strings.HasPrefix(base, tmpPrefix) || strings.HasSuffix(base, blobExt) || strings.HasSuffix(base, recordExt)
+		if e.IsDir() || keep[base] || !stray {
+			continue
+		}
+		if err := os.Remove(filepath.Join(s.dir, base)); err != nil {
+			return fmt.Errorf("%w: removing stray %s: %v", ErrHub, base, err)
+		}
+	}
+	return nil
+}
+
+// decodeRecord parses the record file base holding blob. It accepts only a
+// record whose name and digest are valid and name the file it was read
+// from; anything else is corruption (ErrHub).
+func decodeRecord(base string, blob []byte) (RepoInfo, error) {
+	var info RepoInfo
+	if err := json.Unmarshal(blob, &info); err != nil {
+		return RepoInfo{}, fmt.Errorf("%w: corrupt record %s: %v", ErrHub, base, err)
+	}
+	if err := checkRecord(info); err != nil {
+		return RepoInfo{}, fmt.Errorf("%w: corrupt record %s: %v", ErrHub, base, err)
+	}
+	if recordFileName(info.Name, info.SHA256) != base {
+		return RepoInfo{}, fmt.Errorf("%w: record %s holds %s@%s", ErrHub, base, info.Name, info.SHA256)
+	}
+	return info, nil
+}
+
+// checkRecord accepts a record only with a name a publish could have
+// carried and a digest in digestString's form.
+func checkRecord(info RepoInfo) error {
+	if err := validateName(info.Name); err != nil {
+		return err
+	}
+	if len(info.SHA256) != 64 {
+		return fmt.Errorf("%w: bad digest %q", ErrHub, info.SHA256)
+	}
+	for _, c := range info.SHA256 {
+		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+			return fmt.Errorf("%w: bad digest %q", ErrHub, info.SHA256)
+		}
+	}
+	return nil
 }
 
 // syncClose fsyncs and closes an already-written file, reporting the first
@@ -158,13 +222,18 @@ func syncClose(f *os.File) error {
 	return f.Close()
 }
 
-// blobFileName is the content-addressed base name of a stored archive.
-func blobFileName(name, digest string) string { return name + "." + digest + ".tar.gz" }
+// blobFileName and recordFileName are the content-addressed base names of a
+// stored archive and of its record. Names are restricted to a safe charset
+// by validateName; digests are lowercase hex.
+func blobFileName(name, digest string) string   { return name + "." + digest + blobExt }
+func recordFileName(name, digest string) string { return name + "." + digest + recordExt }
 
 func (s *Server) blobPath(name, digest string) string {
-	// Names are restricted to a safe charset by validateName; digests are
-	// lowercase hex.
 	return filepath.Join(s.dir, blobFileName(name, digest))
+}
+
+func (s *Server) recordPath(name, digest string) string {
+	return filepath.Join(s.dir, recordFileName(name, digest))
 }
 
 // lockName serializes publishes of one name; the returned func releases.
@@ -273,13 +342,14 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info := RepoInfo{
-		Name:        name,
-		SizeBytes:   sp.size,
-		PublishedAt: s.now().UTC().Format(time.RFC3339Nano),
-		Models:      models,
-		SHA256:      sp.digest,
+		Name:      name,
+		SizeBytes: sp.size,
+		Models:    models,
+		SHA256:    sp.digest,
 	}
-	if _, err := s.commit(sp, info, acceptAlways); err != nil {
+	// commit stamps the record: a client publish carries none.
+	info, _, err = s.commit(sp, info)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

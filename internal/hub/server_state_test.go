@@ -56,10 +56,7 @@ func serverFiles(t *testing.T, dir string) []string {
 // entry, no blob, no temp file.
 func TestPublishCutUploadLeavesNoState(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	blob := packBytes(t, makeRepo(t, "m"))
 	for _, cutAt := range []int{1, len(blob) / 2, len(blob) - 1} {
 		req := httptest.NewRequest(http.MethodPost, "/api/publish?name=r",
@@ -73,7 +70,7 @@ func TestPublishCutUploadLeavesNoState(t *testing.T) {
 			t.Fatalf("cut at %d: body = %q", cutAt, rec.Body.String())
 		}
 	}
-	for _, f := range serverFiles(t, dir) {
+	for _, f := range serverFiles(t, srv.dir) {
 		t.Errorf("failed publish left %q in the data dir", f)
 	}
 	if res := searchBody(t, srv, "r"); res != "[]\n" {
@@ -144,7 +141,7 @@ func TestPublishStatusDistinguishesLimitFromDisconnect(t *testing.T) {
 			if got := mDigestMismatch.Value() - before; got != f.mismatches {
 				t.Errorf("%s, %s: hub.transfer.digest_mismatch moved by %d, want %d", e.name, f.name, got, f.mismatches)
 			}
-			for _, dir := range []string{tc.nodes[0].dir, tc.nodes[1].dir, spoolDir} {
+			for _, dir := range []string{tc.nodes[0].server().dir, tc.nodes[1].server().dir, spoolDir} {
 				for _, left := range serverFiles(t, dir) {
 					t.Errorf("%s, %s: left %q in %s", e.name, f.name, left, dir)
 				}
@@ -157,10 +154,7 @@ func TestPublishStatusDistinguishesLimitFromDisconnect(t *testing.T) {
 // before anything is promoted.
 func TestPublishDigestHeaderMismatch(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	req := httptest.NewRequest(http.MethodPost, "/api/publish?name=r",
 		bytes.NewReader(packBytes(t, makeRepo(t, "m"))))
 	req.Header.Set(DigestHeader, strings.Repeat("f", 64))
@@ -169,7 +163,7 @@ func TestPublishDigestHeaderMismatch(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "digest mismatch") {
 		t.Fatalf("publish = %d %q", rec.Code, rec.Body.String())
 	}
-	for _, f := range serverFiles(t, dir) {
+	for _, f := range serverFiles(t, srv.dir) {
 		t.Errorf("rejected publish left %q", f)
 	}
 }
@@ -187,10 +181,7 @@ func searchBody(t *testing.T, srv *Server, q string) string {
 
 // An empty result set must encode as the JSON array literal [], not null.
 func TestSearchEmptyEncodesAsArray(t *testing.T) {
-	srv, err := NewServer(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, t.TempDir())
 	if body := searchBody(t, srv, "nothing-matches"); body != "[]\n" {
 		t.Fatalf("empty search body = %q, want \"[]\\n\"", body)
 	}
@@ -260,14 +251,11 @@ func TestPullHeadersAndRange(t *testing.T) {
 	}
 }
 
-// A crash between blob promotion and index save (fresh name) must be
+// A crash between blob promotion and its record write (fresh name) must be
 // unobservable after restart: the orphan blob is swept, search stays empty.
 func TestReconcileSweepsOrphanBlob(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	ts := httptest.NewServer(srv.Handler())
 	client := NewClientWith(ts.URL, Options{})
 	publishTo(t, client, makeRepo(t, "m"), "kept")
@@ -276,14 +264,11 @@ func TestReconcileSweepsOrphanBlob(t *testing.T) {
 	// Simulate the crash: a promoted blob for a name the index never saw.
 	blob := packBytes(t, makeRepo(t, "ghost-model"))
 	sum := sha256.Sum256(blob)
-	orphan := filepath.Join(dir, blobFileName("ghost", digestString(sum[:])))
+	orphan := srv.blobPath("ghost", digestString(sum[:]))
 	if err := os.WriteFile(orphan, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newStore(t, dir)
 	if body := searchBody(t, srv2, "ghost"); body != "[]\n" {
 		t.Fatalf("orphan blob became visible: %q", body)
 	}
@@ -295,14 +280,11 @@ func TestReconcileSweepsOrphanBlob(t *testing.T) {
 	}
 }
 
-// A crash during a REpublish (new blob promoted, index not yet saved) must
+// A crash during a REpublish (new blob promoted, record not yet written) must
 // leave the previous version fully intact after restart.
 func TestReconcileRepublishCrashKeepsOldVersion(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	ts := httptest.NewServer(srv.Handler())
 	client := NewClientWith(ts.URL, Options{})
 	publishTo(t, client, makeRepo(t, "v1-model"), "r")
@@ -313,18 +295,15 @@ func TestReconcileRepublishCrashKeepsOldVersion(t *testing.T) {
 	oldDigest := infos[0].SHA256
 	ts.Close()
 
-	// The crashed republish: its blob landed, the index save never did.
+	// The crashed republish: its blob landed, its record never did.
 	newBlob := packBytes(t, makeRepo(t, "v2-model"))
 	sum := sha256.Sum256(newBlob)
-	stranded := filepath.Join(dir, blobFileName("r", digestString(sum[:])))
+	stranded := srv.blobPath("r", digestString(sum[:]))
 	if err := os.WriteFile(stranded, newBlob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	srv2, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newStore(t, dir)
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	client2 := NewClientWith(ts2.URL, Options{})
@@ -348,10 +327,7 @@ func TestReconcileRepublishCrashKeepsOldVersion(t *testing.T) {
 // An index entry whose blob is gone must be dropped at load, not serve 500s.
 func TestReconcileDropsIndexedButMissing(t *testing.T) {
 	dir := t.TempDir()
-	srv, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newStore(t, dir)
 	ts := httptest.NewServer(srv.Handler())
 	client := NewClientWith(ts.URL, Options{})
 	publishTo(t, client, makeRepo(t, "m"), "gone")
@@ -360,13 +336,10 @@ func TestReconcileDropsIndexedButMissing(t *testing.T) {
 		t.Fatalf("search = %v, %v", infos, err)
 	}
 	ts.Close()
-	if err := os.Remove(filepath.Join(dir, blobFileName("gone", infos[0].SHA256))); err != nil {
+	if err := os.Remove(srv.blobPath("gone", infos[0].SHA256)); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewServer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newStore(t, dir)
 	if body := searchBody(t, srv2, "gone"); body != "[]\n" {
 		t.Fatalf("missing-blob entry still visible: %q", body)
 	}
@@ -413,7 +386,8 @@ func TestNewServerRefusesPreDigestLayout(t *testing.T) {
 // Stray temp files from in-flight publishes are removed at startup.
 func TestReconcileRemovesTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	stray := filepath.Join(dir, tmpPrefix+"publish-12345")
+	srv := newStore(t, dir)
+	stray := filepath.Join(srv.dir, tmpPrefix+"publish-12345")
 	if err := os.WriteFile(stray, []byte("partial upload"), 0o644); err != nil {
 		t.Fatal(err)
 	}
