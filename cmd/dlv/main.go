@@ -15,8 +15,7 @@
 //	dlv desc    -v ID [-html FILE]
 //	dlv diff    -a ID -b ID [-html FILE]
 //	dlv archive [-algo pas-mt|pas-pt|mst|spt|last|best] [-alpha F] [-scheme NAME] [-plane-granularity] [-explain]
-//	dlv gc
-//	dlv repack  (re-plan every archived version globally, then compact)
+//	dlv repack  (re-plan every archived version globally)
 //	dlv eval    -v ID [-snap LABEL] [-prefix 1..4] [-progressive [-topk K]]
 //	dlv plot    -v ID [-layer NAME] [-prefix 1..4] -o weights.html
 //	dlv query   'select m where ...'
@@ -33,8 +32,9 @@
 // copy. From then on the archive is their only copy. Running archive again
 // with the same -algo, -alpha, -scheme and -plane-granularity extends the
 // stored plan with the versions committed since; other settings re-plan
-// every version, as `dlv repack` does with the recorded ones, and `dlv gc`
-// reclaims what an old plan stored.
+// every version, as `dlv repack` does with the recorded ones. A re-plan
+// writes fresh segment files and unlinks the old plan's, so the archive
+// holds only what its manifest names.
 package main
 
 import (
@@ -132,9 +132,9 @@ func misplacedGlobalFlag(cmd, name string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: dlv [-log-level LEVEL] [-trace] <command> [flags]
-commands: init add train copy list desc diff archive gc repack eval history plot query publish search pull trace
+commands: init add train copy list desc diff archive repack eval history plot query publish search pull trace
   archive  move raw versions into the PAS archive; extends the stored plan when the settings match it
-  repack   re-plan every archived version globally with the recorded settings, then compact`)
+  repack   re-plan every archived version globally with the recorded settings`)
 }
 
 func run(ctx context.Context, cmd string, args []string) error {
@@ -408,8 +408,8 @@ func run(ctx context.Context, cmd string, args []string) error {
 		}
 		return nil
 
-	case "gc", "repack":
-		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	case "repack":
+		fs := flag.NewFlagSet("repack", flag.ContinueOnError)
 		repoDir := fs.String("repo", ".", "repository directory")
 		if err := parseCmd(fs, args); err != nil {
 			return err
@@ -418,17 +418,13 @@ func run(ctx context.Context, cmd string, args []string) error {
 		if err != nil {
 			return err
 		}
-		var stats pas.GCStats
-		if cmd == "gc" {
-			stats, err = mh.GC()
-		} else {
-			stats, err = mh.Repack()
-		}
+		store, err := mh.Repack()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s: %d segment(s), rewrote %d, dropped %d unreferenced chunk(s), reclaimed %d bytes (live payload bytes: %d)\n",
-			cmd, stats.Segments, stats.Rewritten, stats.DroppedChunks, stats.ReclaimedBytes, stats.LiveBytes)
+		info := store.Info()
+		fmt.Printf("repacked with %s: storage %.0f, %d stored chunk(s), on-disk chunk bytes %d\n",
+			info.Algorithm, info.StorageCost, store.StoredChunks(), store.TotalChunkBytes(4))
 		return nil
 
 	case "eval":

@@ -289,7 +289,7 @@ func TestCLIHistory(t *testing.T) {
 	}
 }
 
-func TestCLIGCRepack(t *testing.T) {
+func TestCLIRepack(t *testing.T) {
 	dir := t.TempDir()
 	if err := run(context.Background(), "init", []string{"-repo", dir}); err != nil {
 		t.Fatal(err)
@@ -297,20 +297,17 @@ func TestCLIGCRepack(t *testing.T) {
 	if err := run(context.Background(), "train", repoArgs(dir, "-name", "m", "-epochs", "1", "-checkpoint-every", "8", "-seed", "21")); err != nil {
 		t.Fatal(err)
 	}
-	// Before any archive exists, maintenance must fail with an error, not panic.
-	if err := run(context.Background(), "gc", repoArgs(dir)); err == nil {
-		t.Fatal("gc before archive must fail")
+	// Before any archive exists, repack must fail with an error, not panic.
+	if err := run(context.Background(), "repack", repoArgs(dir)); err == nil {
+		t.Fatal("repack before archive must fail")
 	}
 	if err := run(context.Background(), "archive", repoArgs(dir, "-algo", "pas-mt", "-alpha", "2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), "gc", repoArgs(dir)); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(context.Background(), "repack", repoArgs(dir)); err != nil {
 		t.Fatal(err)
 	}
-	// The archive still checks out after compaction.
+	// The archive still checks out after the re-plan.
 	if err := run(context.Background(), "eval", repoArgs(dir, "-v", "1", "-n", "10")); err != nil {
 		t.Fatal(err)
 	}
@@ -335,9 +332,9 @@ func TestCLIMisplacedGlobalFlags(t *testing.T) {
 	}
 	// Same when the flag parser itself rejects the token (flag position
 	// rather than trailing argument).
-	err = run(context.Background(), "gc", append([]string{"-log-level", "debug"}, repoArgs(dir)...))
+	err = run(context.Background(), "repack", append([]string{"-log-level", "debug"}, repoArgs(dir)...))
 	if err == nil || !strings.Contains(err.Error(), "before the subcommand") {
-		t.Fatalf("gc -log-level: got %v, want misplaced-global-flag error", err)
+		t.Fatalf("repack -log-level: got %v, want misplaced-global-flag error", err)
 	}
 	// eval and desc define their own -v (version id); it must keep working.
 	if err := run(context.Background(), "train", repoArgs(dir, "-name", "m", "-epochs", "1", "-seed", "22")); err != nil {

@@ -15,6 +15,11 @@ var (
 	docTestName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
 	declTest    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	makeFuzz    = regexp.MustCompile(`-fuzz=(\w+)`)
+	// docVerb matches a dlv verb named in prose, as `dlv X` or ./dlv X;
+	// verbCase matches the case labels of cmd/dlv's command switch.
+	docVerb  = regexp.MustCompile("(?:`|\\./)dlv ([a-z][a-z-]*)")
+	verbCase = regexp.MustCompile(`(?m)^\tcase (.+):$`)
+	quoted   = regexp.MustCompile(`"(\w+)"`)
 )
 
 // declaredTests collects the Test*, Benchmark* and Fuzz* functions every
@@ -85,6 +90,36 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 	for _, m := range makeFuzz.FindAllStringSubmatch(string(mk), -1) {
 		if !strings.HasPrefix(m[1], "Fuzz") || !declared[m[1]] {
 			t.Errorf("Makefile fuzzes %s, which no _test.go declares", m[1])
+		}
+	}
+}
+
+// Every dlv verb that DESIGN.md or README.md names, as `dlv X` or ./dlv X,
+// is a command cmd/dlv defines: a deleted or renamed verb fails here until
+// the prose follows.
+func TestDocsNameDefinedVerbs(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("cmd", "dlv", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verbs := map[string]bool{}
+	for _, c := range verbCase.FindAllStringSubmatch(string(src), -1) {
+		for _, q := range quoted.FindAllStringSubmatch(c[1], -1) {
+			verbs[q[1]] = true
+		}
+	}
+	if !verbs["archive"] || !verbs["repack"] {
+		t.Fatalf("read verbs %v from cmd/dlv/main.go: wrong file or switch?", verbs)
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docVerb.FindAllStringSubmatch(string(text), -1) {
+			if !verbs[m[1]] {
+				t.Errorf("%s names dlv %s, which cmd/dlv does not define", doc, m[1])
+			}
 		}
 	}
 }

@@ -186,15 +186,9 @@ func (m *ModelHub) Archive(opts dlv.ArchiveOptions) error {
 	return err
 }
 
-// GC reclaims unreferenced bytes from the PAS archive's segment files
-// (dlv gc).
-func (m *ModelHub) GC() (pas.GCStats, error) {
-	return m.Repo.GC()
-}
-
-// Repack rewrites the PAS archive into freshly packed segment files
-// (dlv repack).
-func (m *ModelHub) Repack() (pas.GCStats, error) {
+// Repack re-plans every archived version globally with the archive's
+// recorded settings (dlv repack).
+func (m *ModelHub) Repack() (*pas.Store, error) {
 	return m.Repo.Repack()
 }
 

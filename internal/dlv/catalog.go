@@ -18,7 +18,7 @@ import (
 
 // The catalog is .dlv/catalog.json: one record per model version, in id
 // order, written as one compact JSON document under a generation that each
-// save increments (lock.go). Every Commit, Archive, GC and Repack rewrites
+// save increments (lock.go). Every Commit, Archive and Repack rewrites
 // it through atomicfile, so a crash leaves the previous catalog or the new
 // one, never a torn file.
 

@@ -10,7 +10,7 @@ import (
 )
 
 // One writer at a time, across processes. Every verb that changes the
-// repository — Commit (and Copy), Archive, GC, Repack and Add — runs under
+// repository — Commit (and Copy), Archive, Repack and Add — runs under
 // an exclusive flock on the .dlv directory (lock_flock.go), which the kernel
 // drops when the holder's descriptor closes, however its process ends: a
 // kill -9 leaves no lock behind. Readers take no lock; they see the catalog and manifest that

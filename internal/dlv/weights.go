@@ -46,8 +46,9 @@ type ArchiveOptions struct {
 // snapshot enters the plan pinned at the cost its stored chain has. With
 // nothing new it returns the open store and writes nothing. Otherwise — the
 // first archive, or other settings — it plans every version globally,
-// reading archived ones back from the store (bit-exact at full precision);
-// Repack runs that global plan with the recorded settings.
+// reading archived ones back from the store (bit-exact at full precision),
+// and pas.Create writes that plan into fresh segments and unlinks the old
+// plan's. Repack runs the global plan with the recorded settings.
 //
 // A version's weights live in one place: its raw file until its first
 // archive, the archive after. The new manifest and then the catalog's
@@ -108,6 +109,46 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 		}
 	}
 	return next, nil
+}
+
+// Repack re-plans the repository's PAS archive globally (dlv repack): every
+// archived version goes through one plan — the paper's optimizer over the
+// whole lineage, where dlv archive only extends the stored plan — with the
+// algorithm, scheme, α and plane granularity the archive records, and is
+// written into fresh, packed segments. Right after a full archive the plan
+// comes out unchanged, and so does every file of the archive. A checkout
+// still reading through the store Repack replaced can fail typed.
+func (r *Repo) Repack() (*pas.Store, error) {
+	defer obs.StartRoot("dlv.repack").End()
+	unlock, err := r.lockWriter()
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
+	cur, err := r.openArchive()
+	if err != nil {
+		return nil, fmt.Errorf("%w: repack: %v", ErrRepo, err)
+	}
+	held, err := r.heldVersions()
+	if err != nil {
+		return nil, err
+	}
+	inStore := archivedIn(cur)
+	var archived []*Version
+	for _, v := range held {
+		if inStore(v) {
+			archived = append(archived, v)
+		}
+	}
+	info := cur.Info()
+	next, err := r.replan(archived, cur, ArchiveOptions{
+		Algorithm: info.Algorithm, Scheme: info.Scheme, Alpha: info.Alpha, PlaneGranularity: info.PlaneGranularity,
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.setArchive(next)
+	return next, r.touchCatalog()
 }
 
 // setArchived flags vs archived in the catalog and saves it, unless every

@@ -98,15 +98,11 @@ func RunTable5(dir string, cfg Tab5Config) ([]Tab5Row, error) {
 	var rows []Tab5Row
 	for _, p := range plans {
 		// Re-plan in place: from the first archive on, the archive is the
-		// only copy of the weights. GC drops what the previous plan stored
-		// and this one does not reference.
+		// only copy of the weights, and it holds only this plan's chunks.
 		store, err := repo.Archive(dlv.ArchiveOptions{
 			Algorithm: p.algo, Scheme: pas.Independent, Alpha: p.alpha,
 		})
 		if err != nil {
-			return nil, err
-		}
-		if _, err := repo.GC(); err != nil {
 			return nil, err
 		}
 		for _, q := range queries {

@@ -20,10 +20,10 @@ import (
 // DigestHeader verify), so these headers only carry routing intent and
 // metadata — integrity is always the digest.
 const (
-	// ReplicaHeader marks a replication push from an owner peer; its value
-	// is the sender's advertised base URL. A node receiving one stores the
-	// blob locally and does not replicate further (the pushing owner is
-	// already fanning out), which breaks replication loops.
+	// ReplicaHeader marks a replication push from an owner peer to
+	// /api/replicate, which stores the blob and does not replicate further;
+	// its value is the sender's advertised base URL. /api/publish ignores
+	// it: there it could only come from outside.
 	ReplicaHeader = "X-Hub-Replica-From"
 	// ForwardedHeader marks a publish forwarded by a non-owner node or the
 	// gateway. The receiving node stores it even if its own ring view says

@@ -194,6 +194,29 @@ func TestClusterReplicatesToAllOwners(t *testing.T) {
 	if got := tc.replicaCount("replicated"); got != 3 {
 		t.Fatalf("replicas after publish: %d, want 3", got)
 	}
+	// Owners send ReplicaHeader to /api/replicate only. On /api/publish it
+	// comes from outside, and switches nothing off: the 200 still means
+	// every owner holds the blob.
+	var tarball bytes.Buffer
+	if err := PackRepo(makeRepo(t, "m2"), &tarball); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, tc.urls[0]+"/api/publish?name=header-forged", &tarball)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(ReplicaHeader, tc.urls[1])
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish carrying %s: status %d", ReplicaHeader, resp.StatusCode)
+	}
+	if got := tc.replicaCount("header-forged"); got != 3 {
+		t.Fatalf("replicas after a publish carrying %s: %d, want 3", ReplicaHeader, got)
+	}
 }
 
 func TestClusterForwardsPublishToOwner(t *testing.T) {

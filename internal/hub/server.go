@@ -353,7 +353,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	if cl != nil && r.Header.Get(ReplicaHeader) == "" {
+	if cl != nil {
 		// Push the fresh record to the other owners while the publisher
 		// waits: a 200 means every reachable replica holds the blob.
 		// Unreachable peers are converged by the anti-entropy loop.

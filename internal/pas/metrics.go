@@ -26,13 +26,11 @@ var (
 	mLowOrderBytesAvoided = obs.GetCounter("pas.progressive.low_order_bytes_avoided")
 
 	// Segment storage engine (DESIGN.md §10).
-	mSegmentOpens       = obs.GetCounter("pas.segment.opens")
-	mSegmentDedupHits   = obs.GetCounter("pas.segment.dedup_hits")
-	mSegmentDedupBytes  = obs.GetCounter("pas.segment.dedup_bytes_saved")
-	mSegmentGCRuns      = obs.GetCounter("pas.segment.gc_runs")
-	mSegmentGCReclaimed = obs.GetCounter("pas.segment.gc_reclaimed_bytes")
-	gSegmentCount       = obs.GetGauge("pas.segment.count")
-	gSegmentDiskBytes   = obs.GetGauge("pas.segment.disk_bytes")
+	mSegmentOpens      = obs.GetCounter("pas.segment.opens")
+	mSegmentDedupHits  = obs.GetCounter("pas.segment.dedup_hits")
+	mSegmentDedupBytes = obs.GetCounter("pas.segment.dedup_bytes_saved")
+	gSegmentCount      = obs.GetGauge("pas.segment.count")
+	gSegmentDiskBytes  = obs.GetGauge("pas.segment.disk_bytes")
 
 	// Create's pricing step, one count per plane of each candidate delta
 	// body: compressed to Huffman-coded blocks, kept as stored blocks (what

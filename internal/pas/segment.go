@@ -3,35 +3,34 @@ package pas
 // The archive layout (manifest version 3). Compressed chunk payloads are
 // packed into a small number of append-only segment files under
 // <dir>/segments/, content-addressed by their SHA-256: identical payloads —
-// frozen layers, repeated deltas, re-archived snapshots — are stored once. A
-// segment file is immutable once written:
+// frozen layers, repeated deltas — are stored once. A segment file is
+// immutable once written:
 //
 //	segments/seg-000000.seg:  "PASSEG2\n" | record | record | ...
 //	record:                   len uint32be | sha256 [32]byte | payload
 //
 // manifest.json is the archive's one metadata file. Beside the plan it holds
 // the layout: the segment files, the next segment number, and a chunk table
-// of every stored payload, live or garbage, as (sha256, segment, offset,
-// length); a node names its planes by their positions in that table. Open
-// resolves those into plane digests and lengths, and the table into the
-// segment reader's digest → location map, which GC swaps without touching
-// the nodes readers hold.
+// of every stored payload as (sha256, segment, offset, length); a node names
+// its planes by their positions in that table. Open resolves those into
+// plane digests and lengths, and the table into the segment reader's
+// digest → location map, fixed for the store's lifetime.
 //
-// Commit orders (each step durable via temp-file + fsync + rename + parent
-// dir fsync, package atomicfile):
+// Every write (Create, Extend) commits in one order, each step durable via
+// temp-file + fsync + rename + parent dir fsync (package atomicfile):
 //
-//	Create/Extend: segment files → manifest (the commit point)
-//	GC/repack:     replacement segments → manifest (the commit point) → unlink victims
+//	new segment files → manifest (the commit point) → unlink every segment
+//	and temp file the manifest does not name
 //
-// A crash at any step leaves a readable archive: the manifest on disk names
-// only segments that are on disk. Concurrent readers inside one process
-// survive GC because the reader keeps displaced file handles open in a
-// graveyard until Close — an in-flight ReadAt on an unlinked segment still
-// returns the bytes its layout snapshot promised.
+// so after a write segments/ holds exactly the files its manifest names. A
+// crash at any step leaves a readable archive: the manifest on disk names
+// only segments that are on disk, and whatever a crash left unnamed goes at
+// the next write. Segment names are never reused, so a store opened before a
+// re-plan unlinked its segments reads the bytes it was promised through the
+// handles it holds, or fails typed on a segment it had not opened yet.
 //
-// Open only reads. Each write path (Create, Extend, GC, Repack) first sweeps
-// the temp files a crashed write left in the archive and in segments/, so a
-// reader never deletes the temp file of a write in flight beside it.
+// Open only reads: it never deletes a temp file, which may belong to a
+// write in flight beside it.
 
 import (
 	"cmp"
@@ -58,11 +57,11 @@ const (
 	// payload length plus the raw 32-byte SHA-256 of the payload.
 	segRecordOverhead = 4 + sha256.Size
 	// segTargetBytes caps one segment file; larger archives roll over into
-	// additional segments so GC can rewrite them piecemeal.
+	// additional segments.
 	segTargetBytes = 256 << 20
 )
 
-// layout is where every stored chunk payload lives, garbage included.
+// layout is where every stored chunk payload lives.
 type layout struct {
 	// NextSeg numbers the next segment file, monotonically — names are
 	// never reused, so a stale reader can never open a recycled name.
@@ -101,6 +100,18 @@ func (l *layout) table() []chunkEntry {
 		return cmp.Or(cmp.Compare(a.Seg, b.Seg), cmp.Compare(a.Off, b.Off), strings.Compare(a.Sum, b.Sum))
 	})
 	return t
+}
+
+// holdsExactly reports whether l stores exactly the payloads chunks names.
+func (l *layout) holdsExactly(chunks []segPayload) bool {
+	sums := make(map[string]bool, len(chunks))
+	for _, c := range chunks {
+		if _, ok := l.Chunks[c.sum]; !ok {
+			return false
+		}
+		sums[c.sum] = true
+	}
+	return len(sums) == len(l.Chunks)
 }
 
 func segName(n int) string {
@@ -252,21 +263,15 @@ func noteSegmentGauges(lay *layout) {
 	gSegmentDiskBytes.Set(bytes)
 }
 
-// segReader serves chunk payloads out of segment files: an in-memory layout
-// plus lazily opened, long-lived file handles. GC swaps in a rewritten
-// layout under the mutex and retires the handles of unlinked segments to a
-// graveyard that stays open until Close, so a concurrent reader's in-flight
-// ReadAt still sees the bytes its layout snapshot named.
+// segReader serves chunk payloads out of segment files: the store's layout,
+// which never changes once the store is open, plus lazily opened,
+// long-lived file handles.
 type segReader struct {
 	dir string
+	lay *layout
 
 	mu    sync.Mutex
-	lay   *layout
 	files map[string]segHandle
-	grave []*os.File
-
-	// cmu serializes GC/repack passes against each other.
-	cmu sync.Mutex
 }
 
 // segHandle is an open segment file and its size when it was opened: the
@@ -280,13 +285,12 @@ type segHandle struct {
 // against the digest the node names. The layout came with the archive, so a
 // claimed length sizes no buffer before the file is known to hold it.
 func (r *segReader) read(sum string) ([]byte, error) {
-	r.mu.Lock()
 	loc, ok := r.lay.Chunks[sum]
 	if !ok {
-		r.mu.Unlock()
 		return nil, fmt.Errorf("chunk %.12s… is not stored", sum)
 	}
 	sf := r.lay.Segments[loc.Seg]
+	r.mu.Lock()
 	h, ok := r.files[sf.Name]
 	if !ok {
 		f, err := os.Open(segPath(r.dir, sf.Name))
@@ -316,32 +320,6 @@ func (r *segReader) read(sum string) ([]byte, error) {
 	return buf, nil
 }
 
-// current returns the current layout under the lock.
-func (r *segReader) current() *layout {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lay
-}
-
-// swap installs a rewritten layout. Handles of segments the new layout no
-// longer names move to the graveyard (kept open for in-flight reads) instead
-// of being closed.
-func (r *segReader) swap(lay *layout) {
-	keep := make(map[string]bool, len(lay.Segments))
-	for _, sf := range lay.Segments {
-		keep[sf.Name] = true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, h := range r.files {
-		if !keep[name] {
-			r.grave = append(r.grave, h.f)
-			delete(r.files, name)
-		}
-	}
-	r.lay = lay
-}
-
 func (r *segReader) close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -350,16 +328,11 @@ func (r *segReader) close() error {
 		err = errors.Join(err, h.f.Close())
 		delete(r.files, name)
 	}
-	for _, f := range r.grave {
-		err = errors.Join(err, f.Close())
-	}
-	r.grave = nil
 	return err
 }
 
-// Close releases the store's open segment file handles, including handles
-// GC retired while readers were in flight. The store must not be used after
-// Close.
+// Close releases the store's open segment file handles. The store must not
+// be used after Close.
 func (s *Store) Close() error {
 	return s.seg.close()
 }
@@ -367,164 +340,12 @@ func (s *Store) Close() error {
 // StoredChunks counts physically stored chunk payloads: the chunk table's
 // rows, after dedup.
 func (s *Store) StoredChunks() int {
-	return len(s.seg.current().Chunks)
-}
-
-// liveSums collects the payload checksums the manifest references.
-func (s *Store) liveSums() map[string]bool {
-	live := make(map[string]bool)
-	for i := range s.man.Nodes {
-		n := &s.man.Nodes[i]
-		start, end := nodePlanes(n)
-		for p := start; p < end; p++ {
-			live[n.PlaneSum[p]] = true
-		}
-	}
-	return live
-}
-
-// GCStats reports what a GC or repack pass did.
-type GCStats struct {
-	// Segments is the number of segment files after the pass.
-	Segments int
-	// Rewritten counts victim segments that were compacted and unlinked.
-	Rewritten int
-	// DroppedChunks counts stored payloads no longer referenced by the
-	// manifest that the pass discarded.
-	DroppedChunks int
-	// ReclaimedBytes is the net disk space freed (victim bytes minus
-	// replacement bytes).
-	ReclaimedBytes int64
-	// LiveBytes is the payload byte total the manifest references.
-	LiveBytes int64
-}
-
-// GC compacts segment files that hold unreferenced payloads — garbage left
-// by re-archiving (dedup makes older payloads unreferenced rather than
-// overwritten) — and reclaims their disk space. Safe under concurrent
-// readers of the same Store: live payloads are rewritten into new segments,
-// the manifest with the new layout is written atomically (the commit point),
-// and only then are victim files unlinked; displaced open handles survive in
-// the reader's graveyard.
-func (s *Store) GC() (GCStats, error) {
-	return s.compact(false)
-}
-
-// Repack rewrites every segment file into freshly packed segments —
-// GC plus defragmentation, coalescing small segments left by repeated
-// archive appends. Uses the same commit order as GC.
-func (s *Store) Repack() (GCStats, error) {
-	return s.compact(true)
-}
-
-func (s *Store) compact(all bool) (GCStats, error) {
-	s.seg.cmu.Lock()
-	defer s.seg.cmu.Unlock()
-	sweepTempFiles(s.dir)
-	lay := s.seg.current()
-	live := s.liveSums()
-
-	liveBySeg := make([]int64, len(lay.Segments)) // live record bytes incl. headers
-	deadBySeg := make([]int, len(lay.Segments))
-	var liveBytes int64
-	dropped := 0
-	for sum, loc := range lay.Chunks {
-		if live[sum] {
-			liveBySeg[loc.Seg] += segRecordOverhead + loc.Len
-			liveBytes += loc.Len
-		} else {
-			deadBySeg[loc.Seg]++
-			dropped++
-		}
-	}
-	victims := make(map[int]bool)
-	for i, sf := range lay.Segments {
-		if all || deadBySeg[i] > 0 || sf.Size != int64(len(segMagic))+liveBySeg[i] {
-			victims[i] = true
-		}
-	}
-	// A clean single segment has nothing to gain from repacking.
-	if all && dropped == 0 && len(lay.Segments) <= 1 {
-		victims = nil
-	}
-	if len(victims) == 0 {
-		return GCStats{Segments: len(lay.Segments), LiveBytes: liveBytes}, nil
-	}
-
-	// Gather the live payloads of victim segments in (segment, offset)
-	// order — one sequential sweep per victim file.
-	var payloads []segPayload
-	for _, c := range lay.table() {
-		if !live[c.Sum] || !victims[c.Seg] {
-			continue
-		}
-		data, err := s.seg.read(c.Sum)
-		if err != nil {
-			return GCStats{}, fmt.Errorf("%w: gc reading chunk %.12s…: %v", ErrStore, c.Sum, err)
-		}
-		got := sha256.Sum256(data)
-		if hex.EncodeToString(got[:]) != c.Sum {
-			return GCStats{}, fmt.Errorf("%w: gc: chunk checksum mismatch for %.12s… — refusing to compact a corrupted segment", ErrStore, c.Sum)
-		}
-		payloads = append(payloads, segPayload{sum: c.Sum, data: data})
-	}
-
-	// Build the replacement layout: survivors keep their files (positions
-	// remapped), compacted payloads land in fresh segments.
-	next := &layout{NextSeg: lay.NextSeg, Chunks: make(map[string]segLoc, len(lay.Chunks)-dropped)}
-	remap := make(map[int]int)
-	for i, sf := range lay.Segments {
-		if !victims[i] {
-			remap[i] = len(next.Segments)
-			next.Segments = append(next.Segments, sf)
-		}
-	}
-	for sum, loc := range lay.Chunks {
-		if live[sum] && !victims[loc.Seg] {
-			loc.Seg = remap[loc.Seg]
-			next.Chunks[sum] = loc
-		}
-	}
-	base := len(next.Segments)
-	if err := writeSegments(s.dir, next, payloads); err != nil {
-		return GCStats{}, fmt.Errorf("%w: gc writing segments: %v", ErrStore, err)
-	}
-	if err := writeManifest(s.dir, &s.man, next); err != nil {
-		return GCStats{}, err
-	}
-	s.seg.swap(next) // commit for in-process readers
-
-	var reclaimed int64
-	for i, sf := range lay.Segments {
-		if !victims[i] {
-			continue
-		}
-		reclaimed += sf.Size
-		if err := os.Remove(segPath(s.dir, sf.Name)); err != nil {
-			// The manifest no longer names this file; a leftover only
-			// wastes space until the next pass.
-			obs.Logger().Warn("pas: gc could not unlink victim segment", "segment", sf.Name, "err", err)
-		}
-	}
-	for _, sf := range next.Segments[base:] {
-		reclaimed -= sf.Size
-	}
-	mSegmentGCRuns.Inc()
-	if reclaimed > 0 {
-		mSegmentGCReclaimed.Add(reclaimed)
-	}
-	return GCStats{
-		Segments:       len(next.Segments),
-		Rewritten:      len(victims),
-		DroppedChunks:  dropped,
-		ReclaimedBytes: reclaimed,
-		LiveBytes:      liveBytes,
-	}, nil
+	return len(s.seg.lay.Chunks)
 }
 
 // storePayloads appends to dir's segment files every payload lay does not
-// already hold — content-addressed dedup, against everything stored there,
-// garbage included, and within the batch — and records them in lay.
+// already hold — content-addressed dedup, against lay and within the batch —
+// and records them in lay.
 func storePayloads(dir string, lay *layout, payloads []segPayload) error {
 	if err := os.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
 		return fmt.Errorf("%w: %v", ErrStore, err)
@@ -546,21 +367,32 @@ func storePayloads(dir string, lay *layout, payloads []segPayload) error {
 	return nil
 }
 
-// sweepTempFiles removes crash leftovers of an archive: orphaned temp files
-// from interrupted segment or manifest writes. Write paths only (see the top
-// of this file). Best-effort; failures are logged.
-func sweepTempFiles(dir string) {
-	for _, pat := range []string{
-		filepath.Join(dir, segTmpPrefix+"*"),
-		segPath(dir, segTmpPrefix+"*"),
-	} {
-		names, err := filepath.Glob(pat)
+// sweep unlinks what a write leaves dir holding beyond its committed
+// layout: the segment files lay does not name — the old plan's after a
+// re-plan, or ones a write that crashed before its manifest sealed — and
+// temp files, in the archive and in segments/. It runs after the manifest
+// commit, under the single writer. Best effort: a file it cannot unlink is
+// logged, and the next write retries.
+func sweep(dir string, lay *layout) {
+	named := make(map[string]bool, len(lay.Segments))
+	for _, sf := range lay.Segments {
+		named[sf.Name] = true
+	}
+	for _, d := range []string{dir, filepath.Join(dir, segmentsDir)} {
+		entries, err := os.ReadDir(d)
 		if err != nil {
+			obs.Logger().Warn("pas: could not list the archive", "dir", d, "err", err)
 			continue
 		}
-		for _, path := range names {
+		for _, e := range entries {
+			name := e.Name()
+			_, seg := segNumber(name)
+			if !strings.HasPrefix(name, segTmpPrefix) && (!seg || d == dir || named[name]) {
+				continue
+			}
+			path := filepath.Join(d, name)
 			if err := os.Remove(path); err != nil {
-				obs.Logger().Warn("pas: could not remove stale temp file", "path", path, "err", err)
+				obs.Logger().Warn("pas: could not remove a file the manifest does not name", "path", path, "err", err)
 			}
 		}
 	}

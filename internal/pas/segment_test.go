@@ -8,8 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"modelhub/internal/floatenc"
@@ -169,10 +169,10 @@ func TestOpenParentArchive(t *testing.T) {
 
 // Open and a checkout leave temp files alone: one may belong to a write in
 // flight in another process. The next write in the directory, an Extend or
-// a GC, sweeps them from the archive and from segments/.
+// a Create, sweeps them from the archive and from segments/.
 func TestTempFilesOutliveOpenUntilNextWrite(t *testing.T) {
 	snaps := makeSnaps(41, 3, 0)
-	for _, write := range []string{"extend", "gc"} {
+	for _, write := range []string{"extend", "create"} {
 		dir := t.TempDir()
 		if _, err := Create(dir, snaps[:2], Options{}); err != nil {
 			t.Fatal(err)
@@ -199,7 +199,10 @@ func TestTempFilesOutliveOpenUntilNextWrite(t *testing.T) {
 				err = ext.Close()
 			}
 		} else {
-			_, err = st.GC()
+			var re *Store
+			if re, err = Create(dir, snaps, Options{}); err == nil {
+				err = re.Close()
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -212,6 +215,154 @@ func TestTempFilesOutliveOpenUntilNextWrite(t *testing.T) {
 		checkOneMetadataFile(t, dir)
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// segmentNames lists the segment files in dir's segments/, in name order.
+func segmentNames(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(segPath(dir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range paths {
+		paths[i] = filepath.Base(path)
+	}
+	return paths
+}
+
+// checkHoldsOnlyNamed asserts that segments/ holds exactly the segment files
+// the manifest on disk names, and the archive nothing else.
+func checkHoldsOnlyNamed(t *testing.T, dir string) {
+	t.Helper()
+	var named []string
+	for _, sf := range storedManifest(t, dir).Segments {
+		named = append(named, sf.Name)
+	}
+	slices.Sort(named)
+	if got := segmentNames(t, dir); !slices.Equal(got, named) {
+		t.Fatalf("segments/ holds %v, the manifest names %v", got, named)
+	}
+	checkOneMetadataFile(t, dir)
+}
+
+// A crash leaves a readable archive, and the next write removes what it
+// left. The rows are a write that crashed before its manifest, leaving a
+// sealed segment and temp files, and a re-plan that crashed after its
+// manifest but before it unlinked the old plan's segments. Open reads every
+// snapshot bit-identically and writes nothing; after the next Create or
+// Extend, segments/ holds exactly the files the manifest names, and every
+// new segment is numbered past each name that was on disk.
+func TestWriteAfterCrashLeavesOnlyNamedSegments(t *testing.T) {
+	snaps := makeSnaps(43, 5, 0)
+	crashes := []struct {
+		name  string
+		crash func(t *testing.T, dir string)
+	}{
+		{"before the manifest", func(t *testing.T, dir string) {
+			for path, blob := range map[string][]byte{
+				segPath(dir, "seg-000099.seg"):              append([]byte(segMagic), make([]byte, segRecordOverhead+16)...),
+				segPath(dir, segTmpPrefix+"seg"):            []byte("half a segment"),
+				filepath.Join(dir, segTmpPrefix+"manifest"): []byte("half a manifest"),
+			} {
+				if err := os.WriteFile(path, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"after the manifest", func(t *testing.T, dir string) {
+			old := map[string][]byte{}
+			for _, name := range segmentNames(t, dir) {
+				blob, err := os.ReadFile(segPath(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				old[name] = blob
+			}
+			st, err := Create(dir, snaps[:3], Options{Algorithm: "spt"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for name, blob := range old {
+				if _, err := os.Stat(segPath(dir, name)); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("the re-plan kept the old plan's %s (%v)", name, err)
+				}
+				if err := os.WriteFile(segPath(dir, name), blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	writes := []struct {
+		name  string
+		write func(dir string, st *Store) (*Store, error)
+	}{
+		{"create", func(dir string, _ *Store) (*Store, error) { return Create(dir, snaps, Options{Algorithm: "mst"}) }},
+		{"extend", func(_ string, st *Store) (*Store, error) { return st.Extend(snaps[3:], Options{}) }},
+	}
+	for _, c := range crashes {
+		for _, w := range writes {
+			dir := t.TempDir()
+			base, err := Create(dir, snaps[:3], Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := base.Close(); err != nil {
+				t.Fatal(err)
+			}
+			c.crash(t, dir)
+			before := dirState(t, dir)
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatalf("crash %s: %v", c.name, err)
+			}
+			checkoutAllExact(t, st, snaps[:3], Concurrent)
+			if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("crash %s: reading the archive wrote to it:\nbefore %v\nafter  %v", c.name, before, after)
+			}
+			onDisk := segmentNames(t, dir)
+			last, _ := segNumber(onDisk[len(onDisk)-1])
+			next, err := w.write(dir, st)
+			if err != nil {
+				t.Fatalf("crash %s, then %s: %v", c.name, w.name, err)
+			}
+			checkoutAllExact(t, next, snaps, Concurrent)
+			checkHoldsOnlyNamed(t, dir)
+			for _, sf := range storedManifest(t, dir).Segments {
+				if n, _ := segNumber(sf.Name); n <= last && !slices.Contains(onDisk, sf.Name) {
+					t.Fatalf("crash %s, then %s: new segment %s reuses a number up to %d", c.name, w.name, sf.Name, last)
+				}
+			}
+			if err := errors.Join(st.Close(), next.Close()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// Create over a directory whose manifest fails validation is ErrStore and
+// changes nothing there: not the manifest, not a segment, not a leftover
+// the write would otherwise have swept.
+func TestCreateOverInvalidManifestUnlinksNothing(t *testing.T) {
+	snaps := makeSnaps(44, 3, 0)
+	dir, man := hostileArchive(t)
+	if err := os.WriteFile(segPath(dir, "seg-000099.seg"), []byte(segMagic), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range hostileManifests {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), mutated(t, man, row.mutate), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirState(t, dir)
+		if _, err := Create(dir, snaps, Options{}); !errors.Is(err, ErrStore) {
+			t.Fatalf("%s: Create = %v, want ErrStore", row.name, err)
+		}
+		if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: a refused Create changed the archive:\nbefore %v\nafter  %v", row.name, before, after)
 		}
 	}
 }
@@ -313,158 +464,32 @@ func TestSegmentDedupFrozenLayers(t *testing.T) {
 	checkoutAllExact(t, st2, snaps, Concurrent)
 }
 
-// Re-archiving a subset leaves the displaced payloads as garbage; GC must
-// reclaim them without disturbing live retrievals, and a second pass must be
-// a no-op.
-func TestCreateSegmentKeepsGarbageUntilGC(t *testing.T) {
-	snaps := makeSnaps(36, 5, 0)
+// Three archives into one directory and a repack — a re-plan of every
+// snapshot, which is a Create over the archive — leave one manifest and one
+// freshly packed segment behind, nothing else.
+func TestRepackCoalescesSegments(t *testing.T) {
+	snaps := makeSnaps(37, 4, 0)
 	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{}); err != nil {
-		t.Fatal(err)
-	}
 	st, err := Create(dir, snaps[:2], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := st.SegmentStats()
-	dead := 0
-	for _, s := range stats {
-		dead += s.DeadChunks
-	}
-	if dead == 0 {
-		t.Fatal("re-archive left no garbage to collect")
-	}
-	before := st.SegmentDiskBytes()
-
-	got, err := st.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DroppedChunks == 0 || got.ReclaimedBytes <= 0 {
-		t.Fatalf("GC reclaimed nothing: %+v", got)
-	}
-	if after := st.SegmentDiskBytes(); after >= before {
-		t.Fatalf("GC did not shrink segments: %d -> %d", before, after)
-	}
-	checkoutAllExact(t, st, snaps[:2], Independent)
-	checkoutAllExact(t, st, snaps[:2], Concurrent)
-
-	again, err := st.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Rewritten != 0 || again.ReclaimedBytes != 0 {
-		t.Fatalf("second GC was not a no-op: %+v", again)
-	}
-
-	// A fresh open of the post-GC archive must agree.
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkoutAllExact(t, st2, snaps[:2], Concurrent)
-}
-
-// Three archives into one directory and a repack leave segments and one
-// manifest behind, nothing else.
-func TestRepackCoalescesSegments(t *testing.T) {
-	snaps := makeSnaps(37, 4, 0)
-	dir := t.TempDir()
-	// Three appends → up to three segment files plus garbage.
-	for _, end := range []int{2, 3, 4} {
-		if _, err := Create(dir, snaps[:end], Options{}); err != nil {
+	for _, end := range []int{3, 4} {
+		if st, err = st.Extend(snaps[end-1:end], Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(st.SegmentStats()); n < 2 {
+	if n := len(segmentNames(t, dir)); n < 2 {
 		t.Fatalf("expected multiple segments before repack, got %d", n)
 	}
-	stats, err := st.Repack()
-	if err != nil {
+	if st, err = Create(dir, snaps, Options{Algorithm: "mst"}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Segments != 1 {
-		t.Fatalf("repack left %d segments, want 1", stats.Segments)
+	if n := len(segmentNames(t, dir)); n != 1 {
+		t.Fatalf("repack left %d segments, want 1", n)
 	}
 	checkoutAllExact(t, st, snaps, Concurrent)
-	// No stray temp files from any of the passes.
-	for _, pat := range []string{
-		filepath.Join(dir, segTmpPrefix+"*"),
-		filepath.Join(dir, segmentsDir, segTmpPrefix+"*"),
-	} {
-		if stray, _ := filepath.Glob(pat); len(stray) != 0 {
-			t.Fatalf("temp files left behind: %v", stray)
-		}
-	}
-	checkOneMetadataFile(t, dir)
-}
-
-// GC must not disturb concurrent readers of the same store (run under
-// -race): live payloads stay readable through the layout swap and victim
-// unlink, via the reader's handle graveyard.
-func TestGCConcurrentReaders(t *testing.T) {
-	snaps := makeSnaps(38, 6, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Create(dir, snaps[:3], Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := st.Close(); err != nil {
-			t.Errorf("close: %v", err)
-		}
-	}()
-	// Force disk reads on every retrieval so readers race the GC's file
-	// swap rather than hitting the plane LRU.
-	st.planes.lru.limit = 0
-
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for w := 0; w < len(errs); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < 20; i++ {
-				snap := snaps[i%3]
-				got, err := st.GetSnapshot(snap.ID, 4, Concurrent)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				for name, want := range snap.Matrices {
-					if !got[name].Equal(want) {
-						errs[w] = errors.New("mismatched matrix " + name + " in snapshot " + snap.ID)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	close(start)
-	if _, err := st.GC(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Repack(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkHoldsOnlyNamed(t, dir)
 }
 
 // A truncated segment file must surface as typed ErrStore at retrieval.
@@ -503,76 +528,11 @@ func TestSegmentTruncationTypedErrors(t *testing.T) {
 	}
 }
 
-// The GC gather pass verifies payloads before rewriting them: compacting a
-// corrupted segment must fail typed instead of laundering bad bytes into a
-// fresh segment.
-func TestGCRefusesCorruptedSegment(t *testing.T) {
-	snaps := makeSnaps(42, 4, 0)
-	dir := t.TempDir()
-	if _, err := Create(dir, snaps, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Create(dir, snaps[:2], Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, segmentsDir, "seg-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no segments: %v", err)
-	}
-	// Corrupt every byte so whichever live payloads the gather pass reads,
-	// it meets damaged data (a single flipped byte could land in a garbage
-	// record GC never reads).
-	for _, path := range segs {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range blob {
-			blob[i] ^= 0x01
-		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := st.GC(); !errors.Is(err, ErrStore) || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("GC over corrupted segment = %v, want ErrStore checksum mismatch", err)
-	}
-}
-
 // SegmentDiskBytes sums the on-disk sizes of the archive's segment files.
 func (s *Store) SegmentDiskBytes() int64 {
 	var total int64
-	for _, sf := range s.seg.current().Segments {
+	for _, sf := range s.seg.lay.Segments {
 		total += sf.Size
 	}
 	return total
-}
-
-// SegmentStat describes one segment file's occupancy for the GC tests.
-type SegmentStat struct {
-	Name       string
-	Size       int64
-	LiveBytes  int64 // payload bytes the manifest references
-	LiveChunks int
-	DeadChunks int
-}
-
-// SegmentStats reports per-segment occupancy.
-func (s *Store) SegmentStats() []SegmentStat {
-	lay := s.seg.current()
-	live := s.liveSums()
-	out := make([]SegmentStat, len(lay.Segments))
-	for i, sf := range lay.Segments {
-		out[i] = SegmentStat{Name: sf.Name, Size: sf.Size}
-	}
-	for sum, loc := range lay.Chunks {
-		if live[sum] {
-			out[loc.Seg].LiveBytes += loc.Len
-			out[loc.Seg].LiveChunks++
-		} else {
-			out[loc.Seg].DeadChunks++
-		}
-	}
-	return out
 }

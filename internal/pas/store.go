@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"math"
 	"os"
@@ -631,14 +632,32 @@ func planArchive(snaps []SnapshotIn, opts Options, base *Store) (*planned, error
 }
 
 // Create archives the snapshots into dir using the configured plan
-// optimizer and returns the opened store.
+// optimizer and returns the opened store. Over an existing archive it is a
+// re-plan: the plan's chunks go into fresh segments, numbered past every
+// segment name the old archive used, and once the new manifest is committed
+// the old plan's segments are unlinked. When the archive already holds
+// exactly the plan's chunks, as after a re-plan that comes out as the stored
+// plan, they stay where they are. A manifest that fails validation is
+// ErrStore, and Create then writes and unlinks nothing.
 func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
+	_, old, err := readManifest(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
 	p, err := planArchive(snaps, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	return commitArchive(dir, p.chunks, &manifest{
+	lay := &layout{Chunks: make(map[string]segLoc)}
+	if old != nil {
+		if old.holdsExactly(p.chunks) {
+			lay = old
+		} else {
+			lay.NextSeg = old.NextSeg
+		}
+	}
+	return commitArchive(dir, lay, p.chunks, &manifest{
 		Version:     manifestVersion,
 		DeltaOp:     uint8(deltaOp),
 		Scheme:      int(opts.Scheme),
@@ -654,7 +673,8 @@ func Create(dir string, snaps []SnapshotIn, opts Options) (*Store, error) {
 }
 
 // Extend archives snapshots the store does not hold yet, leaving everything
-// it holds as it is, and returns the store of the extended archive. Only the new matrices
+// it holds as it is, and returns the store of the extended archive. It
+// appends to the layout the store was opened with. Only the new matrices
 // and opts' pairs are priced and planned: a pair may take an archived matrix
 // as its base, which then enters the plan pinned at the recreation cost its
 // stored chain has (see buildCandidates), and budgets are α·Cr(SPT) on that
@@ -697,26 +717,23 @@ func (s *Store) Extend(snaps []SnapshotIn, opts Options) (*Store, error) {
 	man.MSTCost += p.mst
 	man.SPTCost += p.spt
 	man.Feasible = man.Feasible && p.feasible
-	return commitArchive(s.dir, p.chunks, &man)
+	lay := &layout{NextSeg: s.seg.lay.NextSeg, Segments: slices.Clone(s.seg.lay.Segments), Chunks: maps.Clone(s.seg.lay.Chunks)}
+	return commitArchive(s.dir, lay, p.chunks, &man)
 }
 
-// commitArchive writes a planned archive in the one commit order: payloads
-// into segment files, deduplicated content-addressed against everything
-// stored in the directory (displaced older payloads become garbage for the
-// next GC), then the manifest, the commit point. It returns the store the
-// two describe, as Open would read it back.
-func commitArchive(dir string, chunks []segPayload, man *manifest) (*Store, error) {
-	sweepTempFiles(dir)
-	_, lay, err := readManifest(dir)
-	if err != nil {
-		lay = &layout{Chunks: make(map[string]segLoc)} // no archive there yet
-	}
+// commitArchive writes a planned archive in the one commit order: the
+// payloads lay does not hold yet into segment files (content-addressed
+// dedup), then the manifest, the commit point, then the sweep of every file
+// the manifest does not name. It returns the store the manifest describes,
+// as Open would read it back.
+func commitArchive(dir string, lay *layout, chunks []segPayload, man *manifest) (*Store, error) {
 	if err := storePayloads(dir, lay, chunks); err != nil {
 		return nil, err
 	}
 	if err := writeManifest(dir, man, lay); err != nil {
 		return nil, err
 	}
+	sweep(dir, lay)
 	return newStore(dir, *man, lay), nil
 }
 
@@ -800,7 +817,7 @@ func Open(dir string) (*Store, error) {
 func readManifest(dir string) (*manifest, *layout, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrStore, err)
+		return nil, nil, fmt.Errorf("%w: %w", ErrStore, err)
 	}
 	man := &manifest{}
 	if err := json.Unmarshal(blob, man); err != nil {
@@ -832,7 +849,7 @@ func newStore(dir string, man manifest, lay *layout) *Store {
 
 // validateManifest rejects a manifest whose fields would index out of range,
 // overflow an allocation or name a node, segment or chunk that does not
-// exist — every check a retrieval or GC otherwise takes on trust. It parts a
+// exist — every check a retrieval otherwise takes on trust. It parts a
 // valid one: each node's chunk positions become its plane digests and
 // lengths, and the layout moves into the returned one.
 func validateManifest(man *manifest) (*layout, error) {
