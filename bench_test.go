@@ -15,6 +15,7 @@ package modelhub
 //	Table V   -> BenchmarkTable5Retrieval/<plan>/<query>/<scheme>
 //	Ablations -> BenchmarkAblationZlibLevel/<body>/<plane>/<level>, BenchmarkAblationBudgetSplit
 //	End2End   -> BenchmarkLifecycleCommit, BenchmarkDQLSelect
+//	Pull      -> BenchmarkPASOpen
 
 import (
 	"context"
@@ -22,11 +23,13 @@ import (
 	"maps"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"modelhub/internal/core"
 	"modelhub/internal/data"
 	"modelhub/internal/delta"
 	"modelhub/internal/dlv"
@@ -807,5 +810,50 @@ func BenchmarkArchiveCreate(b *testing.B) {
 				os.RemoveAll(dir)
 			}
 		})
+	}
+}
+
+// sharedLineageArchive trains and archives, under dir, the repository the
+// hub-share workload publishes: 4 alexnet-mini versions (a base and three
+// fine-tunes, checkpoints every 10 steps) under pas-mt at α 1.6, about 98
+// nodes and 294 stored chunks. It returns the archive directory.
+func sharedLineageArchive(b *testing.B, dir string) string {
+	b.Helper()
+	mh, err := core.Init(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var parent int64
+	for i := 1; i <= 4; i++ {
+		opts := core.TrainOptions{Arch: "alexnet-mini", Epochs: 1, LR: 0.02, CheckpointEvery: 10,
+			Seed: 7*1000 + int64(i), ParentID: parent}
+		if i == 1 {
+			opts.Epochs, opts.LR, opts.Seed = 2, 0.1, 20170419
+		}
+		if parent, err = mh.TrainAndCommit(fmt.Sprintf("alexnet_v%d", i), opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := mh.Archive(dlv.ArchiveOptions{Algorithm: "pas-mt", Alpha: 1.6}); err != nil {
+		b.Fatal(err)
+	}
+	return filepath.Join(dir, ".dlv", "pas")
+}
+
+// Opening a pulled archive: read the manifest, decode and validate it, and
+// index its nodes — what every pull and every publish probe pays before the
+// first chunk is read.
+func BenchmarkPASOpen(b *testing.B) {
+	dir := sharedLineageArchive(b, b.TempDir())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := pas.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -121,5 +122,94 @@ func TestDocsNameDefinedVerbs(t *testing.T) {
 				t.Errorf("%s names dlv %s, which cmd/dlv does not define", doc, m[1])
 			}
 		}
+	}
+}
+
+var (
+	// metricGet matches a metric registered under a literal name, inside
+	// package obs or through it.
+	metricGet = regexp.MustCompile(`\bGet(?:Counter|Gauge|FloatGauge|Histogram)\("([^"]+)"\)`)
+	// backticked matches a name in a table cell; braces one {a,b} in it.
+	backticked = regexp.MustCompile("`([^`]+)`")
+	braces     = regexp.MustCompile(`\{([^{}]*)\}`)
+)
+
+// metricPrefixes are the families whose names are built at run time: the
+// request metrics obs.WrapHandler registers under "hub.http", and the span
+// layer's timings and child rollups.
+var metricPrefixes = []string{"hub.http.", "span."}
+
+// expandBraces expands every {a,b} of name into one name per alternative.
+func expandBraces(name string) []string {
+	loc := braces.FindStringSubmatchIndex(name)
+	if loc == nil {
+		return []string{name}
+	}
+	var out []string
+	for _, alt := range strings.Split(name[loc[2]:loc[3]], ",") {
+		out = append(out, expandBraces(name[:loc[0]]+alt+name[loc[1]:])...)
+	}
+	return out
+}
+
+// registeredMetrics collects the literal names non-test Go registers.
+func registeredMetrics(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range metricGet.FindAllSubmatch(src, -1) {
+			names[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// Every metric DESIGN.md §8's catalog names, each {a,b} expanded, is
+// registered under that literal name by non-test Go, or belongs to a family
+// built from a documented prefix: a renamed or deleted metric fails here
+// until the catalog follows.
+func TestMetricCatalogNamesRegisteredMetrics(t *testing.T) {
+	registered := registeredMetrics(t)
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, _ := strings.Cut(string(text), "### Metric name catalog\n")
+	catalog, _, _ = strings.Cut(catalog, "\n## ")
+	rows := 0
+	for _, line := range strings.Split(catalog, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		rows++
+		for _, m := range backticked.FindAllStringSubmatch(cells[1], -1) {
+			for _, name := range expandBraces(m[1]) {
+				built := slices.ContainsFunc(metricPrefixes, func(p string) bool { return strings.HasPrefix(name, p) })
+				if !registered[name] && !built {
+					t.Errorf("DESIGN.md's metric catalog names %s, which no non-test Go registers", name)
+				}
+			}
+		}
+	}
+	if rows < 20 {
+		t.Fatalf("read %d rows of DESIGN.md's metric catalog: wrong section?", rows)
 	}
 }

@@ -26,12 +26,13 @@ import (
 // produced by the per-example training runtime and pure-Go GEMM kernels that
 // preceded the batched runtime and the AVX2 micro-kernel, so a match proves
 // that both reproduce their results bit for bit, not only that they agree
-// with themselves. It was re-pinned twice since, with the weights, losses and
-// accuracies hashing the same each time: when the archive's segment index
-// folded into its manifest (only the metadata moved), and when pricing began
-// to pick the zlib coder per plane class (segment 303,282 → 302,152 B,
-// manifest 35,130 → 35,236 B).
-const pipelineDigest = "969a7e25d9689fff420212c282ee09458f9d07b2a103cb9a89d5688d1595e006"
+// with themselves. It was re-pinned three times since, with the weights,
+// losses and accuracies hashing the same each time: when the archive's
+// segment index folded into its manifest (only the metadata moved), when
+// pricing began to pick the zlib coder per plane class (segment 303,282 →
+// 302,152 B, manifest 35,130 → 35,236 B), and when the manifest became a
+// version-4 binary record (segment unchanged, manifest 35,236 → 14,813 B).
+const pipelineDigest = "48014b5d2fcb323bfeb3f3d502d2af571e9e9692b73bd2db8434e00ad6e9d60c"
 
 // trainEvalArchiveDigest trains three zoo models (two chains and a
 // residual DAG) with dnn.Train, measures held-out accuracy with

@@ -66,11 +66,15 @@ func snapshotsOfInput(in CommitInput) map[string]map[string]*tensor.Matrix {
 	return out
 }
 
-// manifestEntries reads the archive's manifest and returns its raw node and
-// snapshot entries.
+// manifestEntries reads the archive's manifest file and returns its bytes
+// and its node and snapshot entries, rendered as JSON.
 func manifestEntries(t *testing.T, r *Repo) (blob []byte, nodes, snaps []json.RawMessage) {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join(r.pasPath(), "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered, err := pas.ManifestJSON(r.pasPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func manifestEntries(t *testing.T, r *Repo) (blob []byte, nodes, snaps []json.Ra
 		Nodes     []json.RawMessage `json:"nodes"`
 		Snapshots []json.RawMessage `json:"snapshots"`
 	}
-	if err := json.Unmarshal(blob, &man); err != nil {
+	if err := json.Unmarshal(rendered, &man); err != nil {
 		t.Fatal(err)
 	}
 	return blob, man.Nodes, man.Snapshots
@@ -260,10 +264,11 @@ func storedSums(t *testing.T, r *Repo) []string {
 	return sums
 }
 
-// storedManifest decodes the archive's manifest.json one field deep.
+// storedManifest decodes the archive's manifest, rendered as JSON, one
+// field deep.
 func storedManifest(t *testing.T, r *Repo) map[string]json.RawMessage {
 	t.Helper()
-	blob, err := os.ReadFile(filepath.Join(r.pasPath(), "manifest.json"))
+	blob, err := pas.ManifestJSON(r.pasPath())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,8 +67,7 @@ func (r *Repo) refresh() error {
 	r.mu.Lock()
 	r.versions, r.gen = recs, gen
 	r.mu.Unlock()
-	r.setArchive(nil)
-	return nil
+	return r.setArchive(nil)
 }
 
 // catalogGeneration reads the generation that leads a catalog document,

@@ -7,7 +7,9 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -218,4 +220,63 @@ func TestRepackRefusesCorruptedSegment(t *testing.T) {
 			t.Fatalf("the refused repack changed %s", rel)
 		}
 	}
+}
+
+// archiveHandles counts this process's open descriptors on files under the
+// repository's archive, and how many of those files are unlinked, read from
+// /proc/self/fd; it skips the test where there is none.
+func archiveHandles(t *testing.T, r *Repo) (open, unlinked int) {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to read: %v", err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err != nil || !strings.HasPrefix(target, r.pasPath()+string(filepath.Separator)) {
+			continue
+		}
+		open++
+		if strings.HasSuffix(target, " (deleted)") {
+			unlinked++
+		}
+	}
+	return open, unlinked
+}
+
+// A re-plan closes the store it replaces, so no descriptor stays on a
+// segment file the re-plan unlinked, and Close releases the store the
+// repository holds. The collector is off: a finalizer would otherwise close
+// a leaked handle at its own pace and hide the leak.
+func TestReplanClosesTheReplacedStore(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ins := synthLineage(87, []int64{0, 1})
+	r := initRepo(t)
+	for _, in := range ins {
+		if _, err := r.Commit(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := r.Archive(ArchiveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []string{"spt", "mst"} {
+		if _, err := r.Weights(2, LatestSnap, 4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Archive(ArchiveOptions{Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+		if _, unlinked := archiveHandles(t, r); unlinked != 0 {
+			t.Fatalf("after re-planning under %s, %d descriptors stay on unlinked segment files", algo, unlinked)
+		}
+	}
+	checkArchived(t, r, ins)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if open, _ := archiveHandles(t, r); open != 0 {
+		t.Fatalf("Close left %d descriptors on the archive", open)
+	}
+	checkArchived(t, r, ins) // a read after Close opens the archive again
 }

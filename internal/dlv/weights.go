@@ -99,9 +99,14 @@ func (r *Repo) Archive(opts ArchiveOptions) (*pas.Store, error) {
 		return nil, err
 	}
 	if err := r.setArchived(held, next != cur); err != nil {
+		if next != cur {
+			err = errors.Join(err, next.Close())
+		}
 		return nil, err
 	}
-	r.setArchive(next)
+	if err := r.setArchive(next); err != nil {
+		return nil, fmt.Errorf("%w: archive committed, but closing the store it replaced failed: %v", ErrRepo, err)
+	}
 	for _, v := range held {
 		if err := r.removeRaw(v.ID); err != nil {
 			return nil, fmt.Errorf("%w: archive committed, but removing the raw weights of version %d failed (the next archive retries): %v",
@@ -147,7 +152,9 @@ func (r *Repo) Repack() (*pas.Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.setArchive(next)
+	if err := r.setArchive(next); err != nil {
+		return nil, fmt.Errorf("%w: repack committed, but closing the store it replaced failed: %v", ErrRepo, err)
+	}
 	return next, r.touchCatalog()
 }
 
@@ -349,11 +356,24 @@ func (r *Repo) openArchive() (*pas.Store, error) {
 }
 
 // setArchive replaces the memoized store after a re-archive, dropping any
-// caches keyed against the old plan.
-func (r *Repo) setArchive(store *pas.Store) {
+// caches keyed against the old plan, and closes the store it replaces. A
+// checkout still reading through that store gets the bytes it already
+// holds, or fails typed.
+func (r *Repo) setArchive(store *pas.Store) error {
 	r.pasMu.Lock()
+	old := r.pasStore
 	r.pasStore = store
 	r.pasMu.Unlock()
+	if old == nil || old == store {
+		return nil
+	}
+	return old.Close()
+}
+
+// Close releases the archive the repository holds open, the segment files
+// of its memoized store. A later read opens the archive again.
+func (r *Repo) Close() error {
+	return r.setArchive(nil)
 }
 
 // Weights loads a snapshot's weight matrices via the concurrent retrieval

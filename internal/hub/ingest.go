@@ -196,6 +196,7 @@ func inspectArchive(ctx context.Context, path string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer repo.Close() // before RemoveAll, so no handle outlives its unlinked file
 	versions, err := repo.List()
 	if err != nil {
 		return nil, err

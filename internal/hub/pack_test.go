@@ -16,12 +16,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"modelhub/internal/dlv"
 	"modelhub/internal/dnn"
 	"modelhub/internal/obs"
+	"modelhub/internal/pas"
 	"modelhub/internal/tensor"
 	"modelhub/internal/zoo"
 )
@@ -189,7 +191,7 @@ func TestPublishRejectsClaimedChunkLength(t *testing.T) {
 	_, client := newTestServer(t)
 	root, _ := makeArchivedRepo(t)
 	path := filepath.Join(root, ".dlv", "pas", "manifest.json")
-	blob, err := os.ReadFile(path)
+	blob, err := pas.ManifestJSON(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,5 +554,124 @@ func BenchmarkUnpackRepo(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
+	}
+}
+
+// v3Repository assembles, in a temp dir, a repository whose archive an
+// earlier build wrote with a version-3 (JSON) manifest: the PAS archive
+// internal/pas/testdata/v3 and the catalog that build wrote beside it. It
+// returns the root and the archive's manifest bytes.
+func v3Repository(t *testing.T) (string, []byte) {
+	t.Helper()
+	root := t.TempDir()
+	meta := filepath.Join(root, ".dlv")
+	archive := filepath.Join("..", "pas", "testdata", "v3")
+	if err := os.CopyFS(filepath.Join(meta, "pas"), os.DirFS(archive)); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []string{"objects", "weights"} {
+		if err := os.MkdirAll(filepath.Join(meta, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	catalog, err := os.ReadFile(filepath.Join("testdata", "v3-catalog.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(meta, "catalog.json"), catalog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(archive, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root, manifest
+}
+
+// A repository archived with a version-3 manifest publishes, pulls and
+// checks out bit-identically, and arrives with its manifest bytes as they
+// were: hub nodes hold such blobs under their digests.
+func TestPublishVersion3Archive(t *testing.T) {
+	_, client := newTestServer(t)
+	root, manifest := v3Repository(t)
+	if !bytes.HasPrefix(manifest, []byte(`{"version":3,`)) {
+		t.Fatalf("the fixture manifest opens %.20q, not a version-3 JSON object", manifest)
+	}
+	src, err := dlv.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	versions, err := src.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := snapshots{}
+	for _, v := range versions {
+		for _, snap := range v.Snapshots {
+			if truth[fmt.Sprintf("v%d/%s", v.ID, snap)], err = src.Weights(v.ID, snap, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(truth) != 5 {
+		t.Fatalf("the fixture holds %d snapshots, want 5", len(truth))
+	}
+	if err := client.Publish(context.Background(), root, "v3"); err != nil {
+		t.Fatal(err)
+	}
+	dest := t.TempDir()
+	if err := client.Pull(context.Background(), "v3", dest); err != nil {
+		t.Fatal(err)
+	}
+	pulled, err := os.ReadFile(filepath.Join(dest, ".dlv", "pas", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pulled, manifest) {
+		t.Fatal("the pulled manifest is not the published version-3 manifest")
+	}
+	checkSnapshots(t, dest, truth)
+}
+
+// deletedHandles counts this process's open descriptors on unlinked files
+// whose path contains part, read from /proc/self/fd; it skips the test where
+// there is none.
+func deletedHandles(t *testing.T, part string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to read: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.Contains(target, part) && strings.HasSuffix(target, " (deleted)") {
+			n++
+		}
+	}
+	return n
+}
+
+// The publish probe closes the archive it read before it removes the
+// unpacked copy, so no inspect leaves a descriptor on an unlinked segment
+// file. The collector is off: a finalizer would otherwise close a leaked
+// handle at its own pace and hide the leak.
+func TestInspectClosesTheArchive(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	root, _ := makeArchivedRepo(t)
+	spool := filepath.Join(t.TempDir(), "repo.tar.gz")
+	if err := os.WriteFile(spool, packBytes(t, root), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const inspects = 5
+	before := deletedHandles(t, "hub-inspect-")
+	for range inspects {
+		if _, err := inspectArchive(context.Background(), spool); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := deletedHandles(t, "hub-inspect-") - before; n != 0 {
+		t.Fatalf("%d inspects left %d descriptors on unlinked files", inspects, n)
 	}
 }

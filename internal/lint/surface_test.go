@@ -27,6 +27,7 @@ var unusedAllowed = map[string]string{
 	"dnn.Network.LossAndBackward": oracle,
 	"hub.transientError.Unwrap":   dispatched,
 	"obs.DisableTracing":          testHelper,
+	"pas.ManifestJSON":            testHelper,
 	"tensor.Matrix.ApproxEqual":   testHelper,
 	"tensor.Matrix.MatMulRef":     oracle,
 	"tensor.Matrix.MeanAbsDiff":   testHelper,

@@ -140,9 +140,9 @@ func TestExtendBytesAreWorkerInvariant(t *testing.T) {
 }
 
 // A build that priced a remote tier recorded "tier":1 on each node it placed
-// there, yet wrote that node's chunks into the local segments like any other.
-// Such a manifest still opens: every snapshot reads back bit-identical, and
-// Extend extends it.
+// there, in a version-3 manifest, yet wrote that node's chunks into the local
+// segments like any other. Such a manifest still opens: every snapshot reads
+// back bit-identical, and Extend extends it.
 func TestOpenManifestWithTier(t *testing.T) {
 	opts := Options{Algorithm: "pas-mt", Alpha: 1.6}
 	dir, st, snaps := extendFixture(t, 74, 6, 3, opts)
@@ -150,10 +150,7 @@ func TestOpenManifestWithTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, manifestName)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := mutatedAs(t, 0, storedManifest(t, dir), func(*manifest) {})
 	node := []byte(`{"id":2,`)
 	if n := bytes.Count(blob, node); n != 1 {
 		t.Fatalf("manifest holds %d nodes with id 2, want 1", n)

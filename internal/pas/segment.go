@@ -1,6 +1,6 @@
 package pas
 
-// The archive layout (manifest version 3). Compressed chunk payloads are
+// The archive layout (manifest version 4). Compressed chunk payloads are
 // packed into a small number of append-only segment files under
 // <dir>/segments/, content-addressed by their SHA-256: identical payloads —
 // frozen layers, repeated deltas — are stored once. A segment file is
@@ -9,12 +9,13 @@ package pas
 //	segments/seg-000000.seg:  "PASSEG2\n" | record | record | ...
 //	record:                   len uint32be | sha256 [32]byte | payload
 //
-// manifest.json is the archive's one metadata file. Beside the plan it holds
-// the layout: the segment files, the next segment number, and a chunk table
-// of every stored payload as (sha256, segment, offset, length); a node names
-// its planes by their positions in that table. Open resolves those into
-// plane digests and lengths, and the table into the segment reader's
-// digest → location map, fixed for the store's lifetime.
+// manifest.json is the archive's one metadata file, a binary record (see
+// manifest.go; Open also reads the JSON of version 3). Beside the plan it
+// holds the layout: the segment files, the next segment number, and a chunk
+// table of every stored payload as (sha256, segment, offset, length); a
+// node names its planes by their positions in that table. Open resolves
+// those into plane digests and lengths, and the table into the segment
+// reader's digest → location map, fixed for the store's lifetime.
 //
 // Every write (Create, Extend) commits in one order, each step durable via
 // temp-file + fsync + rename + parent dir fsync (package atomicfile):
@@ -27,7 +28,8 @@ package pas
 // only segments that are on disk, and whatever a crash left unnamed goes at
 // the next write. Segment names are never reused, so a store opened before a
 // re-plan unlinked its segments reads the bytes it was promised through the
-// handles it holds, or fails typed on a segment it had not opened yet.
+// handles it holds, or fails typed on a segment it had not opened yet, or
+// once it is closed.
 //
 // Open only reads: it never deletes a temp file, which may belong to a
 // write in flight beside it.
@@ -265,13 +267,14 @@ func noteSegmentGauges(lay *layout) {
 
 // segReader serves chunk payloads out of segment files: the store's layout,
 // which never changes once the store is open, plus lazily opened,
-// long-lived file handles.
+// long-lived file handles. Once closed it opens no file again.
 type segReader struct {
 	dir string
 	lay *layout
 
-	mu    sync.Mutex
-	files map[string]segHandle
+	mu     sync.Mutex
+	files  map[string]segHandle
+	closed bool
 }
 
 // segHandle is an open segment file and its size when it was opened: the
@@ -291,6 +294,10 @@ func (r *segReader) read(sum string) ([]byte, error) {
 	}
 	sf := r.lay.Segments[loc.Seg]
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return nil, errors.New("the store is closed")
+	}
 	h, ok := r.files[sf.Name]
 	if !ok {
 		f, err := os.Open(segPath(r.dir, sf.Name))
@@ -323,6 +330,7 @@ func (r *segReader) read(sum string) ([]byte, error) {
 func (r *segReader) close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.closed = true
 	var err error
 	for name, h := range r.files {
 		err = errors.Join(err, h.f.Close())
@@ -331,8 +339,8 @@ func (r *segReader) close() error {
 	return err
 }
 
-// Close releases the store's open segment file handles. The store must not
-// be used after Close.
+// Close releases the store's open segment file handles. A read through the
+// store after Close returns what its plane cache holds, or fails typed.
 func (s *Store) Close() error {
 	return s.seg.close()
 }

@@ -118,7 +118,7 @@ func TestOpenWritesNothing(t *testing.T) {
 func TestOpenRejectsVersion1(t *testing.T) {
 	for _, v := range []int{1, 2} {
 		dir, man := hostileArchive(t)
-		blob := mutated(t, man, func(m *manifest) { m.Version = v })
+		blob := mutatedAs(t, 0, man, func(m *manifest) { m.Version = v })
 		if err := os.WriteFile(filepath.Join(dir, manifestName), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -344,25 +344,26 @@ func TestWriteAfterCrashLeavesOnlyNamedSegments(t *testing.T) {
 	}
 }
 
-// Create over a directory whose manifest fails validation is ErrStore and
-// changes nothing there: not the manifest, not a segment, not a leftover
-// the write would otherwise have swept.
+// Create over a directory whose manifest fails validation, in either
+// encoding, is ErrStore and changes nothing there: not the manifest, not a
+// segment, not a leftover the write would otherwise have swept.
 func TestCreateOverInvalidManifestUnlinksNothing(t *testing.T) {
 	snaps := makeSnaps(44, 3, 0)
 	dir, man := hostileArchive(t)
 	if err := os.WriteFile(segPath(dir, "seg-000099.seg"), []byte(segMagic), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range hostileManifests {
-		if err := os.WriteFile(filepath.Join(dir, manifestName), mutated(t, man, row.mutate), 0o644); err != nil {
+	names, blobs := hostileBlobs(t, man)
+	for i, blob := range blobs {
+		if err := os.WriteFile(filepath.Join(dir, manifestName), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		before := dirState(t, dir)
 		if _, err := Create(dir, snaps, Options{}); !errors.Is(err, ErrStore) {
-			t.Fatalf("%s: Create = %v, want ErrStore", row.name, err)
+			t.Fatalf("%s: Create = %v, want ErrStore", names[i], err)
 		}
 		if after := dirState(t, dir); !reflect.DeepEqual(before, after) {
-			t.Fatalf("%s: a refused Create changed the archive:\nbefore %v\nafter  %v", row.name, before, after)
+			t.Fatalf("%s: a refused Create changed the archive:\nbefore %v\nafter  %v", names[i], before, after)
 		}
 	}
 }

@@ -4,20 +4,15 @@ import (
 	"compress/zlib"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"maps"
-	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"modelhub/internal/atomicfile"
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
 	"modelhub/internal/tensor"
@@ -108,62 +103,6 @@ func (o Options) withDefaults() Options {
 		o.Alpha = 0 // the per-snapshot budgets, as the manifest records it
 	}
 	return o
-}
-
-// manifestName is the archive's one metadata file; manifestVersion is the
-// version every write stores.
-const (
-	manifestName    = "manifest.json"
-	manifestVersion = 3
-)
-
-// manifest is manifest.json: the plan, and where its chunks live.
-type manifest struct {
-	Version   int            `json:"version"`
-	DeltaOp   uint8          `json:"delta_op"`
-	Scheme    int            `json:"scheme"`
-	Algorithm string         `json:"algorithm"`
-	Alpha     float64        `json:"alpha"` // Options.Alpha after defaults
-	Nodes     []manifestNode `json:"nodes"`
-	Snapshots []manifestSnap `json:"snapshots"`
-	// Costs of the chosen plan, for reporting.
-	StorageCost float64 `json:"storage_cost"`
-	MSTCost     float64 `json:"mst_cost"`
-	SPTCost     float64 `json:"spt_cost"`
-	Feasible    bool    `json:"feasible"`
-	// The layout (see segment.go). In memory it lives in the store's
-	// segment reader, and these stay empty.
-	NextSeg  int           `json:"next_seg"`
-	Segments []segFileInfo `json:"segments"`
-	Chunks   []chunkEntry  `json:"chunks"`
-}
-
-type manifestNode struct {
-	ID     int       `json:"id"` // NodeID (>= 1)
-	Ref    MatrixRef `json:"ref"`
-	Rows   int       `json:"rows"`
-	Cols   int       `json:"cols"`
-	Parent int       `json:"parent"` // NodeID; 0 = materialized from ν0
-	// PlaneStart/PlaneEnd bound the byte planes this node stores
-	// (PlaneEnd == 0 means the full range [0, 4) for compatibility).
-	PlaneStart int `json:"plane_start,omitempty"`
-	PlaneEnd   int `json:"plane_end,omitempty"`
-	// Chunks are positions in the manifest's chunk table, one per stored
-	// plane in plane order. Open resolves them into PlaneSum, each plane's
-	// payload digest, and PlaneBytes, its compressed size (reporting and
-	// partial-retrieval cost accounting), and leaves Chunks empty.
-	Chunks     []int     `json:"chunks"`
-	PlaneSum   [4]string `json:"-"`
-	PlaneBytes [4]int    `json:"-"`
-}
-
-type manifestSnap struct {
-	ID     string   `json:"id"`
-	Names  []string `json:"names"`
-	Budget float64  `json:"budget"`
-	// Recreation is the plan's achieved group recreation cost under the
-	// archive's retrieval scheme (0 budget = unconstrained).
-	Recreation float64 `json:"recreation"`
 }
 
 // Store is an opened parameter archive.
@@ -710,6 +649,7 @@ func (s *Store) Extend(snaps []SnapshotIn, opts Options) (*Store, error) {
 		return nil, err
 	}
 	man := s.man
+	man.Version = manifestVersion // an extended version-3 archive is rewritten as version 4
 	man.Scheme, man.Algorithm, man.Alpha = int(opts.Scheme), opts.Algorithm, opts.Alpha
 	man.Nodes = append(slices.Clip(s.man.Nodes), p.nodes...)
 	man.Snapshots = append(slices.Clip(s.man.Snapshots), p.snaps...)
@@ -735,27 +675,6 @@ func commitArchive(dir string, lay *layout, chunks []segPayload, man *manifest) 
 	}
 	sweep(dir, lay)
 	return newStore(dir, *man, lay), nil
-}
-
-// writeManifest persists the plan and its layout as one compact JSON file,
-// atomically (temp + fsync + rename + parent dir fsync): the commit point of
-// every write. Each node's planes become positions in the chunk table.
-func writeManifest(dir string, man *manifest, lay *layout) error {
-	disk := *man
-	disk.NextSeg, disk.Segments, disk.Chunks = lay.NextSeg, lay.Segments, lay.table()
-	disk.Nodes = slices.Clone(man.Nodes)
-	if !nameChunks(disk.Nodes, disk.Chunks) {
-		return fmt.Errorf("%w: a node's plane has no stored chunk", ErrStore)
-	}
-	blob, err := json.Marshal(&disk)
-	if err != nil {
-		return err
-	}
-	if err := atomicfile.WriteFile(filepath.Join(dir, manifestName), blob); err != nil {
-		return fmt.Errorf("%w: writing manifest: %v", ErrStore, err)
-	}
-	noteSegmentGauges(lay)
-	return nil
 }
 
 // Solve runs the plan optimizer named algorithm on g, whose budgets the
@@ -812,24 +731,6 @@ func Open(dir string) (*Store, error) {
 	return newStore(dir, *man, lay), nil
 }
 
-// readManifest reads and validates dir's manifest and parts it into the plan
-// and the layout.
-func readManifest(dir string) (*manifest, *layout, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrStore, err)
-	}
-	man := &manifest{}
-	if err := json.Unmarshal(blob, man); err != nil {
-		return nil, nil, fmt.Errorf("%w: manifest: %v", ErrStore, err)
-	}
-	lay, err := validateManifest(man)
-	if err != nil {
-		return nil, nil, err
-	}
-	return man, lay, nil
-}
-
 // newStore serves a validated manifest out of the segment files lay
 // locates.
 func newStore(dir string, man manifest, lay *layout) *Store {
@@ -846,97 +747,6 @@ func newStore(dir string, man manifest, lay *layout) *Store {
 	noteSegmentGauges(lay)
 	return s
 }
-
-// validateManifest rejects a manifest whose fields would index out of range,
-// overflow an allocation or name a node, segment or chunk that does not
-// exist — every check a retrieval otherwise takes on trust. It parts a
-// valid one: each node's chunk positions become its plane digests and
-// lengths, and the layout moves into the returned one.
-func validateManifest(man *manifest) (*layout, error) {
-	bad := func(format string, args ...any) (*layout, error) {
-		return nil, fmt.Errorf("%w: manifest: %s", ErrStore, fmt.Sprintf(format, args...))
-	}
-	if man.Version != manifestVersion {
-		return bad("unsupported version %d", man.Version)
-	}
-	if man.DeltaOp != uint8(deltaOp) {
-		return bad("delta op %v is not %v", delta.Op(man.DeltaOp), deltaOp)
-	}
-	if !(man.Alpha >= 0) || math.IsInf(man.Alpha, 1) {
-		return bad("alpha %v is not a finite non-negative number", man.Alpha)
-	}
-	for _, sf := range man.Segments {
-		if n, ok := segNumber(sf.Name); !ok || n >= man.NextSeg {
-			return bad("segment name %q with next_seg %d", sf.Name, man.NextSeg)
-		}
-		if sf.Size < int64(len(segMagic)) {
-			return bad("segment %s is smaller than its magic", sf.Name)
-		}
-	}
-	lay := &layout{NextSeg: man.NextSeg, Segments: man.Segments, Chunks: make(map[string]segLoc, len(man.Chunks))}
-	for i, c := range man.Chunks {
-		if _, err := hex.DecodeString(c.Sum); err != nil || len(c.Sum) != 2*sha256.Size {
-			return bad("chunk %d has digest %q", i, c.Sum)
-		}
-		if _, dup := lay.Chunks[c.Sum]; dup {
-			return bad("chunk %d repeats digest %.12s…", i, c.Sum)
-		}
-		lay.Chunks[c.Sum] = c.segLoc
-		if c.Seg < 0 || c.Seg >= len(man.Segments) {
-			return bad("chunk %d is in segment %d of %d", i, c.Seg, len(man.Segments))
-		}
-		if c.Len <= 0 || c.Off < int64(len(segMagic))+segRecordOverhead || c.Len > man.Segments[c.Seg].Size-c.Off {
-			return bad("chunk %d at [%d, +%d) lies outside segment %s", i, c.Off, c.Len, man.Segments[c.Seg].Name)
-		}
-	}
-	ranges := make(map[int][2]int, len(man.Nodes)) // node id → planes stored
-	for i := range man.Nodes {
-		n := &man.Nodes[i]
-		if _, dup := ranges[n.ID]; n.ID < 1 || dup {
-			return bad("node id %d is not positive and unique", n.ID)
-		}
-		fullRange := n.PlaneStart == 0 && n.PlaneEnd == 0
-		if !fullRange && !(0 <= n.PlaneStart && n.PlaneStart < n.PlaneEnd && n.PlaneEnd <= floatenc.NumPlanes) {
-			return bad("node %d stores planes [%d, %d)", n.ID, n.PlaneStart, n.PlaneEnd)
-		}
-		if n.Rows < 0 || n.Cols < 0 || (n.Cols > 0 && n.Rows > math.MaxInt/n.Cols) {
-			return bad("node %d has shape %d x %d", n.ID, n.Rows, n.Cols)
-		}
-		start, end := nodePlanes(n)
-		ranges[n.ID] = [2]int{start, end}
-		if len(n.Chunks) != end-start {
-			return bad("node %d names %d chunks for planes [%d, %d)", n.ID, len(n.Chunks), start, end)
-		}
-		for j, c := range n.Chunks {
-			if c < 0 || c >= len(man.Chunks) {
-				return bad("node %d names chunk %d of %d", n.ID, c, len(man.Chunks))
-			}
-			// Retrieval sizes the node's planes from its shape: no larger
-			// than its payloads could inflate to.
-			if int64(n.Rows*n.Cols)/maxInflateRatio > man.Chunks[c].Len {
-				return bad("node %d has shape %d x %d, larger than its chunk %d inflates to", n.ID, n.Rows, n.Cols, c)
-			}
-			n.PlaneSum[start+j], n.PlaneBytes[start+j] = man.Chunks[c].Sum, int(man.Chunks[c].Len)
-		}
-		n.Chunks = nil
-	}
-	// A delta composes only over the planes both ends store.
-	for i := range man.Nodes {
-		n := &man.Nodes[i]
-		if pr, ok := ranges[n.Parent]; n.Parent != 0 && pr != ranges[n.ID] {
-			if !ok {
-				return bad("node %d has unknown parent %d", n.ID, n.Parent)
-			}
-			return bad("node %d stores planes %v, its parent %d planes %v", n.ID, ranges[n.ID], n.Parent, pr)
-		}
-	}
-	man.NextSeg, man.Segments, man.Chunks = 0, nil, nil
-	return lay, nil
-}
-
-// maxInflateRatio is deflate's maximum expansion: no payload of n bytes
-// inflates to more than 1032·n.
-const maxInflateRatio = 1032
 
 // Snapshots lists the archived snapshot ids in archive order.
 func (s *Store) Snapshots() []string {
