@@ -303,6 +303,38 @@ func TestDescribe(t *testing.T) {
 	}
 }
 
+// A DAG model's layers are listed in topological order, whatever order its
+// definition declares them in.
+func TestDescribeListsDAGLayersInTopoOrder(t *testing.T) {
+	r := initRepo(t)
+	def := zoo.ResNetSkip("resnet-skip")
+	slices.Reverse(def.Nodes)
+	id, err := r.Commit(CommitInput{Name: "resnet-skip", NetDef: def})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := r.Describe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, layers, _ := strings.Cut(desc, "layers):\n")
+	layers, _, _ = strings.Cut(layers, "  snapshots:")
+	pos := map[string]int{}
+	for _, line := range strings.Split(layers, "\n") {
+		if f := strings.Fields(line); len(f) == 2 { // name, kind
+			pos[f[0]] = len(pos)
+		}
+	}
+	if len(pos) != len(def.Nodes) {
+		t.Fatalf("describe lists %d of %d layers:\n%s", len(pos), len(def.Nodes), desc)
+	}
+	for _, e := range def.Edges {
+		if pos[e.From] >= pos[e.To] {
+			t.Fatalf("describe lists %s after %s:\n%s", e.From, e.To, desc)
+		}
+	}
+}
+
 func TestTrainLog(t *testing.T) {
 	r := initRepo(t)
 	id, res, _ := commitToy(t, r, "lenet", 12, 0)

@@ -166,11 +166,12 @@ func (r *Repo) Describe(id int64) (string, error) {
 		fmt.Fprintf(&b, "  parent:   %d\n", v.ParentID)
 	}
 	fmt.Fprintf(&b, "  network (%d layers):\n", len(v.NetDef.Nodes))
-	chain, err := v.NetDef.Chain()
-	if err == nil {
-		for _, l := range chain {
-			fmt.Fprintf(&b, "    %-10s %s\n", l.Name, l.Kind)
-		}
+	order, err := v.NetDef.TopoOrder()
+	if err != nil {
+		return "", err
+	}
+	for _, name := range order {
+		fmt.Fprintf(&b, "    %-10s %s\n", name, v.NetDef.Node(name).Kind)
 	}
 	if len(v.Hyper) > 0 {
 		fmt.Fprintf(&b, "  hyperparameters:\n")

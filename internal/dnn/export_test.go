@@ -10,7 +10,7 @@ func OracleTrain(n *Network, examples []Example, cfg TrainConfig) *TrainResult {
 
 // OracleLogits is Logits on the per-example runtime.
 func OracleLogits(n *Network, in *Volume) *Volume {
-	return newOracle(n).forwardUpTo(in, n.logitsNode()).Clone()
+	return newOracle(n).forwardUpTo(in, n.g.Logits).Clone()
 }
 
 // LossAndBackwardBatch is the batched forward/backward pass of one Train

@@ -93,15 +93,6 @@ func scratchFloats(slot *[]float32, n int, zero bool) []float32 {
 	return s
 }
 
-// scratchMapFloats is scratchFloats for per-node slots keyed by name (merge
-// inputs, backward gradient accumulators).
-func scratchMapFloats(slots map[string][]float32, name string, n int, zero bool) []float32 {
-	s := slots[name]
-	out := scratchFloats(&s, n, zero)
-	slots[name] = out
-	return out
-}
-
 // releaseFloats returns a slot's arena to the shared pool and clears it.
 func releaseFloats(slot *[]float32) {
 	putFloats(*slot)

@@ -194,7 +194,9 @@ func TestReleaseScratchReturnsEveryBuffer(t *testing.T) {
 	for _, l := range n.layerList {
 		check(l.Spec().Name, reflect.ValueOf(l).Elem())
 	}
-	if len(n.mergeBuf)+len(n.bwdBuf) > 0 {
-		t.Errorf("merge or accumulator buffers kept after ReleaseScratch")
+	for i := range n.mergeBuf {
+		if n.mergeBuf[i] != nil || n.bwdBuf[i] != nil {
+			t.Errorf("merge or accumulator buffers kept after ReleaseScratch")
+		}
 	}
 }

@@ -62,9 +62,7 @@ type Edge struct {
 }
 
 // NetDef is a DNN architecture: an input shape plus a DAG of layer specs.
-// The runtime engine additionally requires the DAG to be a simple chain
-// (every node has at most one predecessor and successor), which covers the
-// architectures in the paper's Table I.
+// Validate checks its structure; Graph works out what running it needs.
 type NetDef struct {
 	Name   string      `json:"name"`
 	InC    int         `json:"in_c"`
@@ -175,33 +173,120 @@ func (n *NetDef) TopoOrder() ([]string, error) {
 	return order, nil
 }
 
-// Chain returns the layer specs in execution order, verifying that the DAG
-// is a simple chain. Chain-shaped models cover the paper's Table I; general
-// DAGs (with add/concat merge nodes) are executed by the DAG path in Build.
-func (n *NetDef) Chain() ([]LayerSpec, error) {
+// Graph is a NetDef's DAG worked out once: the nodes in topological order,
+// each with its predecessors and static activation shapes. Build, the
+// interval evaluator and DQL's slice all run on it, so the rules it enforces
+// exist only here.
+type Graph struct {
+	// Nodes is in topological order: Nodes[Source] is the one node that takes
+	// the network input and Nodes[Sink] the one node with no successor.
+	Nodes        []GraphNode
+	Source, Sink int
+	// Logits is the position of the node whose output is the raw scores: the
+	// sink, or its predecessor when the sink is a softmax.
+	Logits int
+}
+
+// GraphNode is one node of a Graph.
+type GraphNode struct {
+	Spec LayerSpec
+	// Preds are the predecessors' positions in Graph.Nodes, in edge
+	// declaration order (which fixes the channel order of concat merges).
+	Preds []int
+	// In is the node's input shape: the network input for the source, else
+	// its predecessors' outputs merged. Out is its output shape.
+	In, Out Shape
+}
+
+// Graph validates the definition and works out its DAG. A runnable network
+// has exactly one source and one sink; a node with several inputs must be
+// an add (all inputs one shape) or a concat (one spatial extent; channels
+// add up).
+func (n *NetDef) Graph() (*Graph, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
-	}
-	out := make(map[string]int)
-	in := make(map[string]int)
-	for _, e := range n.Edges {
-		out[e.From]++
-		in[e.To]++
-	}
-	for _, l := range n.Nodes {
-		if out[l.Name] > 1 || in[l.Name] > 1 {
-			return nil, fmt.Errorf("%w: node %q is a branch point; use the DAG executor", ErrNetDef, l.Name)
-		}
 	}
 	order, err := n.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]LayerSpec, 0, len(order))
-	for _, name := range order {
-		specs = append(specs, *n.Node(name))
+	pos := make(map[string]int, len(order))
+	g := &Graph{Nodes: make([]GraphNode, len(order))}
+	for i, name := range order {
+		pos[name] = i
+		g.Nodes[i].Spec = *n.Node(name)
 	}
-	return specs, nil
+	hasNext := make([]bool, len(order))
+	for _, e := range n.Edges {
+		to := &g.Nodes[pos[e.To]]
+		to.Preds = append(to.Preds, pos[e.From])
+		hasNext[pos[e.From]] = true
+	}
+	sources, sinks := 0, 0
+	for i := range g.Nodes {
+		if len(g.Nodes[i].Preds) == 0 {
+			g.Source = i
+			sources++
+		}
+		if !hasNext[i] {
+			g.Sink = i
+			sinks++
+		}
+	}
+	if sources != 1 || sinks != 1 {
+		return nil, fmt.Errorf("%w: a network needs exactly one source and one sink, got %d/%d",
+			ErrNetDef, sources, sinks)
+	}
+	netIn := Shape{C: n.InC, H: n.InH, W: n.InW}
+	for i := range g.Nodes {
+		nd := &g.Nodes[i]
+		if nd.In, err = g.inputShape(nd, netIn); err != nil {
+			return nil, err
+		}
+		if nd.Out, err = nd.Spec.OutShape(nd.In); err != nil {
+			return nil, err
+		}
+	}
+	g.Logits = g.Sink
+	if sink := &g.Nodes[g.Sink]; sink.Spec.Kind == KindSoftmax && len(sink.Preds) == 1 {
+		g.Logits = sink.Preds[0]
+	}
+	return g, nil
+}
+
+// inputShape resolves a node's input shape from its predecessors'
+// output shapes (or the network input for the source).
+func (g *Graph) inputShape(nd *GraphNode, netIn Shape) (Shape, error) {
+	switch {
+	case len(nd.Preds) == 0:
+		return netIn, nil
+	case len(nd.Preds) == 1:
+		return g.Nodes[nd.Preds[0]].Out, nil
+	case nd.Spec.Kind == KindAdd:
+		first := g.Nodes[nd.Preds[0]].Out
+		for _, p := range nd.Preds[1:] {
+			if s := g.Nodes[p].Out; s != first {
+				return Shape{}, fmt.Errorf("%w: add node %q inputs %v and %v differ",
+					ErrNetDef, nd.Spec.Name, first, s)
+			}
+		}
+		return first, nil
+	case nd.Spec.Kind == KindConcat:
+		first := g.Nodes[nd.Preds[0]].Out
+		total := 0
+		for _, p := range nd.Preds {
+			s := g.Nodes[p].Out
+			if s.H != first.H || s.W != first.W {
+				return Shape{}, fmt.Errorf("%w: concat node %q spatial extents %v and %v differ",
+					ErrNetDef, nd.Spec.Name, first, s)
+			}
+			total += s.C
+		}
+		return Shape{C: total, H: first.H, W: first.W}, nil
+	default:
+		return Shape{}, fmt.Errorf("%w: node %q (%s) has %d inputs; only add/concat merge",
+			ErrNetDef, nd.Spec.Name, nd.Spec.Kind, len(nd.Preds))
+	}
 }
 
 // Next returns the names of the direct successors of node name.

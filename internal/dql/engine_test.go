@@ -209,6 +209,61 @@ func TestSliceErrors(t *testing.T) {
 	}
 }
 
+// Query 2 on a DAG model: a slice whose boundary lies inside or beyond a
+// skip block builds, and its input shape is the start node's input shape in
+// the model's graph.
+func TestSliceOnDAG(t *testing.T) {
+	check := func(sliced *dnn.NetDef, start string, want dnn.Shape) {
+		t.Helper()
+		if _, err := dnn.Build(sliced, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatalf("slice %s from %s must build: %v", sliced.Name, start, err)
+		}
+		if got := (dnn.Shape{C: sliced.InC, H: sliced.InH, W: sliced.InW}); got != want {
+			t.Fatalf("slice %s from %s takes %v, want %v", sliced.Name, start, got, want)
+		}
+	}
+	repo, err := dlv.Init(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skip := zoo.ResNetSkip("resnet-skip")
+	if _, err := repo.Commit(dlv.CommitInput{Name: "resnet-skip", NetDef: skip}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := skip.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inShape := map[string]dnn.Shape{}
+	for _, nd := range g.Nodes {
+		inShape[nd.Spec.Name] = nd.In
+	}
+	eng := NewEngine(repo)
+	for _, c := range []struct{ start, end string }{{"pool", "fc"}, {"b1_conv1", "b1_add"}} {
+		res, err := eng.Run(`slice s from m where m.name = "resnet-skip" mutate s.input = m["` +
+			c.start + `"] and s.output = m["` + c.end + `"]`)
+		if err != nil {
+			t.Fatalf("%s..%s: %v", c.start, c.end, err)
+		}
+		check(res.Defs[0], c.start, inShape[c.start])
+	}
+	// Property: every node of every zoo model starts a slice to its sink.
+	for _, def := range []*dnn.NetDef{zoo.LeNet("lenet"), zoo.AlexNetMini("alex"), zoo.VGGMini("vgg"),
+		zoo.ResNetMini("resnet"), zoo.ResNetSkip("skip"), zoo.MLP("mlp", 10, 32, 4)} {
+		g, err := def.Graph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nd := range g.Nodes {
+			sliced, err := sliceDef(def, nd.Spec.Name, g.Nodes[g.Sink].Spec.Name, def.Name+"-s")
+			if err != nil {
+				t.Fatalf("%s from %s: %v", def.Name, nd.Spec.Name, err)
+			}
+			check(sliced, nd.Spec.Name, nd.In)
+		}
+	}
+}
+
 // Query-3 analog: insert a ReLU after every conv followed by an AVG pool.
 func TestConstructInsert(t *testing.T) {
 	_, eng := populated(t)

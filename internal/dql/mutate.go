@@ -9,8 +9,8 @@ import (
 // execSlice implements Query 2: cut the sub-network between the input and
 // output boundary nodes out of every matching model. In a DAG the slice is
 // every node on a path from the input node to the output node; the new
-// definition's input shape is the input node's activation input shape,
-// computed by shape propagation over the source chain.
+// definition's input shape is the input node's input shape in the model's
+// graph.
 func (e *Engine) execSlice(s *SliceStmt) ([]*dnn.NetDef, error) {
 	vs, err := e.execSelect(s.Where)
 	if err != nil {
@@ -51,9 +51,15 @@ func sliceDef(def *dnn.NetDef, startSel, endSel, newName string) (*dnn.NetDef, e
 	if !keep[start] || !keep[end] {
 		return nil, fmt.Errorf("no path from %q to %q", start, end)
 	}
-	inShape, err := inputShapeOf(def, start)
+	g, err := def.Graph()
 	if err != nil {
 		return nil, err
+	}
+	var inShape dnn.Shape
+	for _, nd := range g.Nodes {
+		if nd.Spec.Name == start {
+			inShape = nd.In
+		}
 	}
 	sliced := &dnn.NetDef{
 		Name: newName,
@@ -120,26 +126,6 @@ func reach(def *dnn.NetDef, start string, reverse bool) map[string]bool {
 		}
 	}
 	return out
-}
-
-// inputShapeOf computes the activation shape entering the named node by
-// propagating shapes along the chain.
-func inputShapeOf(def *dnn.NetDef, name string) (dnn.Shape, error) {
-	chain, err := def.Chain()
-	if err != nil {
-		return dnn.Shape{}, err
-	}
-	shape := dnn.Shape{C: def.InC, H: def.InH, W: def.InW}
-	for _, l := range chain {
-		if l.Name == name {
-			return shape, nil
-		}
-		shape, err = l.OutShape(shape)
-		if err != nil {
-			return dnn.Shape{}, err
-		}
-	}
-	return dnn.Shape{}, fmt.Errorf("node %q not in chain", name)
 }
 
 // execConstruct implements Query 3: derive new models from matching ones by

@@ -28,109 +28,29 @@ func ExactWeights(w map[string]*tensor.Matrix) WeightBounds {
 }
 
 // Evaluator runs interval forward passes of a network definition under
-// uncertain weights (paper Problem 2). It mirrors the dnn DAG executor:
-// chains are the common case; add/concat merge nodes propagate intervals by
-// interval addition and concatenation. An Evaluator is read-only after
-// construction, so concurrent passes may share one.
+// uncertain weights (paper Problem 2). It runs the same graph as the dnn DAG
+// executor: chains are the common case; add/concat merge nodes propagate
+// intervals by interval addition and concatenation. An Evaluator is
+// read-only after construction, so concurrent passes may share one.
 type Evaluator struct {
-	nodes []evalNode // topological order
-	in    dnn.Shape
-	// logits is the position in nodes of the node whose output is returned:
-	// the sink, or its predecessor when the sink is a softmax.
-	logits int
+	g *dnn.Graph
 	// params lists the parametric layers in definition order.
 	params []string
 }
 
-// evalNode is one DAG node with its static activation shapes.
-type evalNode struct {
-	spec    dnn.LayerSpec
-	in, out dnn.Shape
-	preds   []int // positions in Evaluator.nodes
-}
-
-// NewEvaluator validates the definition and precomputes the DAG shapes.
+// NewEvaluator works out the definition's graph.
 func NewEvaluator(def *dnn.NetDef) (*Evaluator, error) {
-	if err := def.Validate(); err != nil {
-		return nil, err
-	}
-	order, err := def.TopoOrder()
+	g, err := def.Graph()
 	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{in: dnn.Shape{C: def.InC, H: def.InH, W: def.InW}}
-	specs := map[string]dnn.LayerSpec{}
-	sinks := 0
+	e := &Evaluator{g: g}
 	for _, l := range def.Nodes {
-		specs[l.Name] = l
 		if l.Parametric() {
 			e.params = append(e.params, l.Name)
 		}
-		if len(def.Next(l.Name)) == 0 {
-			sinks++
-		}
-	}
-	if sinks != 1 {
-		return nil, fmt.Errorf("perturb: network needs exactly one sink, got %d", sinks)
-	}
-	pos := make(map[string]int, len(order))
-	for i, name := range order {
-		pos[name] = i
-	}
-	e.nodes = make([]evalNode, len(order))
-	for i, name := range order {
-		nd := &e.nodes[i]
-		nd.spec = specs[name]
-		for _, p := range def.Prev(name) {
-			nd.preds = append(nd.preds, pos[p])
-		}
-		if nd.in, err = e.mergeInputShape(nd); err != nil {
-			return nil, err
-		}
-		if nd.spec.Kind == dnn.KindAdd || nd.spec.Kind == dnn.KindConcat {
-			nd.out = nd.in
-		} else if nd.out, err = nd.spec.OutShape(nd.in); err != nil {
-			return nil, err
-		}
-		if len(def.Next(name)) == 0 {
-			e.logits = i
-			if nd.spec.Kind == dnn.KindSoftmax && len(nd.preds) == 1 {
-				e.logits = nd.preds[0]
-			}
-		}
 	}
 	return e, nil
-}
-
-func (e *Evaluator) mergeInputShape(nd *evalNode) (dnn.Shape, error) {
-	switch {
-	case len(nd.preds) == 0:
-		return e.in, nil
-	case len(nd.preds) == 1:
-		return e.nodes[nd.preds[0]].out, nil
-	case nd.spec.Kind == dnn.KindAdd:
-		first := e.nodes[nd.preds[0]].out
-		for _, p := range nd.preds[1:] {
-			if e.nodes[p].out != first {
-				return dnn.Shape{}, fmt.Errorf("perturb: add node %q input shapes differ", nd.spec.Name)
-			}
-		}
-		return first, nil
-	case nd.spec.Kind == dnn.KindConcat:
-		first := e.nodes[nd.preds[0]].out
-		total := 0
-		for _, p := range nd.preds {
-			s := e.nodes[p].out
-			if s.H != first.H || s.W != first.W {
-				return dnn.Shape{}, fmt.Errorf("perturb: concat node %q spatial extents differ", nd.spec.Name)
-			}
-			total += s.C
-		}
-		return dnn.Shape{C: total, H: first.H, W: first.W}, nil
-	default:
-		return dnn.Shape{}, fmt.Errorf("perturb: node %q (%s) has %d inputs; only add/concat merge",
-			nd.spec.Name, nd.spec.Kind, len(nd.preds))
-	}
 }
 
 // Forward is ForwardBatch for one input.
@@ -167,37 +87,38 @@ func (e *Evaluator) forward(sc *scratch, ins []*dnn.Volume, w WeightBounds) (lo,
 	}
 	sc.used = 0
 	b := len(ins)
-	vals := make([]ivals, e.logits+1)
+	vals := make([]ivals, e.g.Logits+1)
 	for i := range vals {
-		nd := &e.nodes[i]
+		nd := &e.g.Nodes[i]
 		x := e.nodeInput(sc, nd, ins, vals)
-		switch nd.spec.Kind {
+		switch nd.Spec.Kind {
 		case dnn.KindConv, dnn.KindFull:
 			vals[i], err = affine(sc, nd, x, b, w)
 		case dnn.KindPool:
 			vals[i] = pool(sc, nd, x, b)
 		case dnn.KindReLU, dnn.KindSigmoid, dnn.KindTanh:
-			vals[i] = activate(sc, nd.spec.Kind, x)
+			vals[i] = activate(sc, nd.Spec.Kind, x)
 		case dnn.KindAdd, dnn.KindConcat, dnn.KindSoftmax:
 			// nodeInput already merged the predecessors; a softmax before the
 			// logits node preserves ordering, as above.
 			vals[i] = x
 		default:
-			err = fmt.Errorf("perturb: unsupported layer kind %q", nd.spec.Kind)
+			err = fmt.Errorf("perturb: unsupported layer kind %q", nd.Spec.Kind)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	n := e.nodes[e.logits].out.Size()
-	return perExample(vals[e.logits].lo, b, n), perExample(vals[e.logits].hi, b, n), nil
+	n := e.g.Nodes[e.g.Logits].Out.Size()
+	return perExample(vals[e.g.Logits].lo, b, n), perExample(vals[e.g.Logits].hi, b, n), nil
 }
 
 // checkShapes reports the first input whose shape is not the network's.
 func (e *Evaluator) checkShapes(ins []*dnn.Volume) error {
+	want := e.g.Nodes[e.g.Source].In
 	for i, in := range ins {
-		if in.Shape != e.in {
-			return fmt.Errorf("perturb: input %d shape %v, want %v", i, in.Shape, e.in)
+		if in.Shape != want {
+			return fmt.Errorf("perturb: input %d shape %v, want %v", i, in.Shape, want)
 		}
 	}
 	return nil
@@ -220,23 +141,23 @@ type ivals struct{ lo, hi []float32 }
 
 // nodeInput assembles a node's interval input from its predecessors,
 // merging for add (interval sums) and concat (per-example concatenation).
-func (e *Evaluator) nodeInput(sc *scratch, nd *evalNode, ins []*dnn.Volume, vals []ivals) ivals {
+func (e *Evaluator) nodeInput(sc *scratch, nd *dnn.GraphNode, ins []*dnn.Volume, vals []ivals) ivals {
 	switch {
-	case len(nd.preds) == 0:
-		size := e.in.Size()
+	case len(nd.Preds) == 0:
+		size := nd.In.Size()
 		x := sc.floats(len(ins) * size)
 		for i, in := range ins {
 			copy(x[i*size:], in.Data)
 		}
 		return ivals{lo: x, hi: x}
-	case len(nd.preds) == 1:
-		return vals[nd.preds[0]]
-	case nd.spec.Kind == dnn.KindAdd:
-		first := vals[nd.preds[0]]
+	case len(nd.Preds) == 1:
+		return vals[nd.Preds[0]]
+	case nd.Spec.Kind == dnn.KindAdd:
+		first := vals[nd.Preds[0]]
 		y := ivals{lo: sc.floats(len(first.lo)), hi: sc.floats(len(first.hi))}
 		copy(y.lo, first.lo)
 		copy(y.hi, first.hi)
-		for _, p := range nd.preds[1:] {
+		for _, p := range nd.Preds[1:] {
 			pv := vals[p]
 			for i := range y.lo {
 				y.lo[i] += pv.lo[i]
@@ -245,11 +166,11 @@ func (e *Evaluator) nodeInput(sc *scratch, nd *evalNode, ins []*dnn.Volume, vals
 		}
 		return y
 	default: // concat
-		size := nd.in.Size()
+		size := nd.In.Size()
 		y := ivals{lo: sc.floats(len(ins) * size), hi: sc.floats(len(ins) * size)}
 		off := 0
-		for _, p := range nd.preds {
-			pv, psize := vals[p], e.nodes[p].out.Size()
+		for _, p := range nd.Preds {
+			pv, psize := vals[p], e.g.Nodes[p].Out.Size()
 			for i := range ins {
 				copy(y.lo[i*size+off:], pv.lo[i*psize:(i+1)*psize])
 				copy(y.hi[i*size+off:], pv.hi[i*psize:(i+1)*psize])
@@ -295,17 +216,17 @@ func weightRows(spec dnn.LayerSpec, in dnn.Shape, w WeightBounds) (lo, hi *tenso
 // leaves every example's bits alone: an example with no negative input adds
 // only ±0 there, to a sum that already holds a W⁺·x⁺ term, which is +0 or
 // positive, so the sum is not −0 and adding zeros leaves it unchanged.
-func affine(sc *scratch, nd *evalNode, x ivals, b int, w WeightBounds) (ivals, error) {
-	wl, wh, err := weightRows(nd.spec, nd.in, w)
+func affine(sc *scratch, nd *dnn.GraphNode, x ivals, b int, w WeightBounds) (ivals, error) {
+	wl, wh, err := weightRows(nd.Spec, nd.In, w)
 	if err != nil {
 		return ivals{}, err
 	}
-	in, out := nd.in, nd.out
+	in, out := nd.In, nd.Out
 	kh, kw, stride, pad := in.H, in.W, 1, 0 // full: one window over the input
-	if nd.spec.Kind == dnn.KindConv {
-		kh, kw, pad = nd.spec.K, nd.spec.K, nd.spec.Pad
-		if nd.spec.Stride > 0 {
-			stride = nd.spec.Stride
+	if nd.Spec.Kind == dnn.KindConv {
+		kh, kw, pad = nd.Spec.K, nd.Spec.K, nd.Spec.Pad
+		if nd.Spec.Stride > 0 {
+			stride = nd.Spec.Stride
 		}
 	}
 	kk := wl.Cols() - 1 // in.C·kh·kw; the last column is the bias
@@ -489,13 +410,13 @@ func gather(dst, src []float32, in dnn.Shape, b, ky, kx, stride, pad, outH, outW
 
 // pool takes each window's max (or mean) of both bounds, windows in output
 // order; border windows may be smaller than k × k.
-func pool(sc *scratch, nd *evalNode, x ivals, b int) ivals {
-	in, out := nd.in, nd.out
-	stride := nd.spec.Stride
+func pool(sc *scratch, nd *dnn.GraphNode, x ivals, b int) ivals {
+	in, out := nd.In, nd.Out
+	stride := nd.Spec.Stride
 	if stride == 0 {
-		stride = nd.spec.K
+		stride = nd.Spec.K
 	}
-	k, isMax := nd.spec.K, nd.spec.Mode == dnn.PoolMax
+	k, isMax := nd.Spec.K, nd.Spec.Mode == dnn.PoolMax
 	y := ivals{lo: sc.floats(b * out.Size()), hi: sc.floats(b * out.Size())}
 	oi := 0
 	for plane := 0; plane < b*in.Size(); plane += in.H * in.W {

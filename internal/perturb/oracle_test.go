@@ -32,12 +32,12 @@ func mulInterval(al, ah, bl, bh float32) (float32, float32) {
 
 // oracleForward is the scalar counterpart of Evaluator.Forward.
 func oracleForward(e *Evaluator, in *dnn.Volume, w WeightBounds) (lo, hi []float32, err error) {
-	outputs := make([]*ivolume, len(e.nodes))
-	for i := 0; i <= e.logits; i++ {
-		nd := &e.nodes[i]
+	outputs := make([]*ivolume, len(e.g.Nodes))
+	for i := 0; i <= e.g.Logits; i++ {
+		nd := &e.g.Nodes[i]
 		x := oracleInput(e, nd, in, outputs)
 		var y *ivolume
-		switch nd.spec.Kind {
+		switch nd.Spec.Kind {
 		case dnn.KindConv:
 			y, err = oracleConv(nd, x, w)
 		case dnn.KindFull:
@@ -54,22 +54,22 @@ func oracleForward(e *Evaluator, in *dnn.Volume, w WeightBounds) (lo, hi []float
 		}
 		outputs[i] = y
 	}
-	out := outputs[e.logits]
+	out := outputs[e.g.Logits]
 	return out.lo, out.hi, nil
 }
 
-func oracleInput(e *Evaluator, nd *evalNode, in *dnn.Volume, outputs []*ivolume) *ivolume {
+func oracleInput(e *Evaluator, nd *dnn.GraphNode, in *dnn.Volume, outputs []*ivolume) *ivolume {
 	switch {
-	case len(nd.preds) == 0:
+	case len(nd.Preds) == 0:
 		x := newIVolume(in.Shape)
 		copy(x.lo, in.Data)
 		copy(x.hi, in.Data)
 		return x
-	case len(nd.preds) == 1:
-		return outputs[nd.preds[0]]
-	case nd.spec.Kind == dnn.KindAdd:
-		out := newIVolume(nd.in)
-		for _, p := range nd.preds {
+	case len(nd.Preds) == 1:
+		return outputs[nd.Preds[0]]
+	case nd.Spec.Kind == dnn.KindAdd:
+		out := newIVolume(nd.In)
+		for _, p := range nd.Preds {
 			for i := range out.lo {
 				out.lo[i] += outputs[p].lo[i]
 				out.hi[i] += outputs[p].hi[i]
@@ -77,9 +77,9 @@ func oracleInput(e *Evaluator, nd *evalNode, in *dnn.Volume, outputs []*ivolume)
 		}
 		return out
 	default: // concat
-		out := newIVolume(nd.in)
+		out := newIVolume(nd.In)
 		off := 0
-		for _, p := range nd.preds {
+		for _, p := range nd.Preds {
 			copy(out.lo[off:], outputs[p].lo)
 			copy(out.hi[off:], outputs[p].hi)
 			off += len(outputs[p].lo)
@@ -88,17 +88,17 @@ func oracleInput(e *Evaluator, nd *evalNode, in *dnn.Volume, outputs []*ivolume)
 	}
 }
 
-func oracleConv(nd *evalNode, x *ivolume, w WeightBounds) (*ivolume, error) {
-	wl, wh, err := weightRows(nd.spec, nd.in, w)
+func oracleConv(nd *dnn.GraphNode, x *ivolume, w WeightBounds) (*ivolume, error) {
+	wl, wh, err := weightRows(nd.Spec, nd.In, w)
 	if err != nil {
 		return nil, err
 	}
-	in, out := nd.in, nd.out
-	stride := nd.spec.Stride
+	in, out := nd.In, nd.Out
+	stride := nd.Spec.Stride
 	if stride == 0 {
 		stride = 1
 	}
-	k, pad := nd.spec.K, nd.spec.Pad
+	k, pad := nd.Spec.K, nd.Spec.Pad
 	biasCol := wl.Cols() - 1
 	y := newIVolume(out)
 	oi := 0
@@ -136,14 +136,14 @@ func oracleConv(nd *evalNode, x *ivolume, w WeightBounds) (*ivolume, error) {
 	return y, nil
 }
 
-func oracleFull(nd *evalNode, x *ivolume, w WeightBounds) (*ivolume, error) {
-	wl, wh, err := weightRows(nd.spec, nd.in, w)
+func oracleFull(nd *dnn.GraphNode, x *ivolume, w WeightBounds) (*ivolume, error) {
+	wl, wh, err := weightRows(nd.Spec, nd.In, w)
 	if err != nil {
 		return nil, err
 	}
 	biasCol := wl.Cols() - 1
-	y := newIVolume(nd.out)
-	for o := 0; o < nd.out.C; o++ {
+	y := newIVolume(nd.Out)
+	for o := 0; o < nd.Out.C; o++ {
 		rl, rh := wl.Row(o), wh.Row(o)
 		sumLo := float64(rl[biasCol])
 		sumHi := float64(rh[biasCol])
@@ -161,14 +161,14 @@ func oracleFull(nd *evalNode, x *ivolume, w WeightBounds) (*ivolume, error) {
 // oraclePool and oracleActivate run the batched kernels on a batch of one:
 // neither has a GEMM form, so the oracle has nothing independent to say
 // about them.
-func oraclePool(nd *evalNode, x *ivolume) *ivolume {
+func oraclePool(nd *dnn.GraphNode, x *ivolume) *ivolume {
 	sc := new(scratch)
 	y := pool(sc, nd, ivals{lo: x.lo, hi: x.hi}, 1)
 	return &ivolume{lo: y.lo, hi: y.hi}
 }
 
-func oracleActivate(nd *evalNode, x *ivolume) *ivolume {
+func oracleActivate(nd *dnn.GraphNode, x *ivolume) *ivolume {
 	sc := new(scratch)
-	y := activate(sc, nd.spec.Kind, ivals{lo: x.lo, hi: x.hi})
+	y := activate(sc, nd.Spec.Kind, ivals{lo: x.lo, hi: x.hi})
 	return &ivolume{lo: y.lo, hi: y.hi}
 }

@@ -76,7 +76,7 @@ func Progressive(ev *Evaluator, src IntervalSource, in *dnn.Volume, k, startPref
 // Prefix 4 yields exact weights, where determination is guaranteed up to exact
 // ties (broken by index order, matching dnn.Network.Predict).
 func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, startPrefix int) ([]*Result, error) {
-	if n := ev.nodes[ev.logits].out.Size(); k < 1 || k > n {
+	if n := ev.g.Nodes[ev.g.Logits].Out.Size(); k < 1 || k > n {
 		return nil, fmt.Errorf("perturb: top-k needs 1 <= k <= %d logits, got %d", n, k)
 	}
 	if startPrefix < 1 || startPrefix > floatenc.NumPlanes {

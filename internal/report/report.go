@@ -73,11 +73,12 @@ func Desc(v *dlv.Version, log []dnn.LogEntry) (string, error) {
 	b.WriteString("</table>")
 
 	b.WriteString("<h2>network</h2><table><tr><th>layer</th><th>kind</th><th>hyperparameters</th></tr>")
-	chain, err := v.NetDef.Chain()
+	order, err := v.NetDef.TopoOrder()
 	if err != nil {
-		chain = v.NetDef.Nodes // render unordered if not a chain
+		return "", err
 	}
-	for _, l := range chain {
+	for _, name := range order {
+		l := v.NetDef.Node(name)
 		var hyper []string
 		if l.Out > 0 {
 			hyper = append(hyper, fmt.Sprintf("out=%d", l.Out))

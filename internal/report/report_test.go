@@ -1,6 +1,8 @@
 package report
 
 import (
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,6 +61,30 @@ func TestDescHTML(t *testing.T) {
 	} {
 		if !strings.Contains(html, want) {
 			t.Fatalf("desc html missing %q", want)
+		}
+	}
+}
+
+// A DAG model's layer table is in topological order, whatever order its
+// definition declares the layers in.
+func TestDescHTMLListsDAGLayersInTopoOrder(t *testing.T) {
+	v := sampleVersion()
+	v.NetDef = zoo.ResNetSkip("resnet-skip")
+	slices.Reverse(v.NetDef.Nodes)
+	html, err := Desc(v, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := map[string]int{}
+	for i, m := range regexp.MustCompile(`<td class="mono">([^<]+)</td><td class="kind">`).FindAllStringSubmatch(html, -1) {
+		pos[m[1]] = i
+	}
+	if len(pos) != len(v.NetDef.Nodes) {
+		t.Fatalf("desc lists %d of %d layers", len(pos), len(v.NetDef.Nodes))
+	}
+	for _, e := range v.NetDef.Edges {
+		if pos[e.From] >= pos[e.To] {
+			t.Fatalf("desc lists %s after %s", e.From, e.To)
 		}
 	}
 }

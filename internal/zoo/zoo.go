@@ -174,17 +174,17 @@ func TableI() []TableIEntry {
 	}
 }
 
-// ArchRegex renders a NetDef's layer chain in the paper's regular-expression
-// style, e.g. "(LconvLpool){2}Lip{2}". Activation and softmax layers are
-// omitted, as in the paper.
+// ArchRegex renders a NetDef's layers in topological order in the paper's
+// regular-expression style, e.g. "(LconvLpool){2}Lip{2}". Activation, merge
+// and softmax layers are omitted, as in the paper.
 func ArchRegex(def *dnn.NetDef) (string, error) {
-	chain, err := def.Chain()
+	order, err := def.TopoOrder()
 	if err != nil {
 		return "", err
 	}
 	var toks []string
-	for _, l := range chain {
-		switch l.Kind {
+	for _, name := range order {
+		switch def.Node(name).Kind {
 		case dnn.KindConv:
 			toks = append(toks, "Lconv")
 		case dnn.KindPool:

@@ -2,6 +2,7 @@ package zoo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"modelhub/internal/data"
@@ -91,9 +92,13 @@ func TestResNetSkipBuildsAndRuns(t *testing.T) {
 	if err := def.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Skip connections make it a real DAG: Chain must refuse it.
-	if _, err := def.Chain(); err == nil {
-		t.Fatal("skip network must not be a chain")
+	// Skip connections make it a real DAG: some node merges two inputs.
+	g, err := def.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(g.Nodes, func(nd dnn.GraphNode) bool { return len(nd.Preds) > 1 }) {
+		t.Fatal("skip network has no merge node")
 	}
 	n, err := dnn.Build(def, rand.New(rand.NewSource(9)))
 	if err != nil {
