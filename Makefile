@@ -33,16 +33,16 @@ test-race:
 # Short native-fuzzing smoke runs (one target per invocation; go test only
 # accepts -fuzz for a single package).
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDQLParse -fuzztime=$(FUZZTIME) ./internal/dql
-	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=$(FUZZTIME) ./internal/floatenc
-	$(GO) test -run='^$$' -fuzz=FuzzDeflateInflate -fuzztime=$(FUZZTIME) ./internal/floatenc
-	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) ./internal/pas
-	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) ./internal/tensor
-	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) ./internal/hub
-	$(GO) test -run='^$$' -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) ./internal/hub
-	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) ./internal/dlv
-	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzDQLParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/dql
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/floatenc
+	$(GO) test -run='^$$' -fuzz=FuzzDeflateInflate -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/floatenc
+	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/pas
+	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/dlv
+	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/obs
 
 # Every testing.B benchmark in the module, one iteration each and no tests:
 # benchmarks that never run can rot (stale fixtures, a b.Fatal on a changed
