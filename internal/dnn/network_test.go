@@ -226,19 +226,6 @@ func TestSGDMomentumMovesWeights(t *testing.T) {
 	}
 }
 
-func TestWeightDecayShrinksWeights(t *testing.T) {
-	n := buildLenet(t)
-	w := n.Params()["ip1"]
-	normBefore := w.ComputeStats().L2
-	opt := &SGD{LR: 0.5, WeightDecay: 0.1}
-	n.ZeroGrads() // zero gradients: only decay acts
-	opt.Step(n, 1)
-	normAfter := w.ComputeStats().L2
-	if normAfter >= normBefore {
-		t.Fatalf("weight decay should shrink norm: %v -> %v", normBefore, normAfter)
-	}
-}
-
 func TestSGDLayerLROverride(t *testing.T) {
 	n := buildLenet(t)
 	rng := rand.New(rand.NewSource(20))

@@ -50,7 +50,6 @@ type TrainConfig struct {
 	BatchSize       int
 	LR              float64
 	Momentum        float64
-	WeightDecay     float64
 	CheckpointEvery int // iterations between checkpoints; 0 disables
 	LogEvery        int // iterations between log entries; 0 = every 10
 	MaxIters        int // stop after this many minibatch steps; 0 = no cap
@@ -83,7 +82,7 @@ func Train(n *Network, examples []Example, cfg TrainConfig) (*TrainResult, error
 		return nil, fmt.Errorf("dnn: no training examples")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, WeightDecay: cfg.WeightDecay, LayerLR: cfg.LayerLR}
+	opt := &SGD{LR: cfg.LR, Momentum: cfg.Momentum, LayerLR: cfg.LayerLR}
 	res := &TrainResult{}
 	order := make([]int, len(examples))
 	for i := range order {
