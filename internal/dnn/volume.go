@@ -87,8 +87,8 @@ func (l LayerSpec) OutShape(in Shape) (Shape, error) {
 	case KindReLU, KindSigmoid, KindTanh, KindSoftmax:
 		return in, nil
 	case KindAdd, KindConcat:
-		// Single-input view; the DAG executor computes multi-input merge
-		// shapes (concat sums predecessor channels).
+		// in is the merged input, which NetDef.Graph works out (concat sums
+		// predecessor channels).
 		return in, nil
 	default:
 		return Shape{}, fmt.Errorf("%w: unknown kind %q", ErrNetDef, l.Kind)
