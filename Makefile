@@ -1,5 +1,9 @@
 GO ?= go
 FUZZTIME ?= 5s
+# fuzz-smoke does not minimize a new interesting input: minimizing costs a
+# run most of its executions, and a crasher is still reported and saved to
+# testdata/fuzz, only not shrunk.
+FUZZMINIMIZETIME ?= 0x
 
 .PHONY: build vet fmt-check lint test test-race test-scaling fuzz-smoke bench-smoke obs-smoke cluster-smoke examples bench check help
 
@@ -33,16 +37,17 @@ test-race:
 # Short native-fuzzing smoke runs (one target per invocation; go test only
 # accepts -fuzz for a single package).
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDQLParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/dql
-	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/floatenc
-	$(GO) test -run='^$$' -fuzz=FuzzDeflateInflate -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/floatenc
-	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/pas
-	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/tensor
-	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hub
-	$(GO) test -run='^$$' -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/hub
-	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/dlv
-	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzDQLParse -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/dql
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/floatenc
+	$(GO) test -run='^$$' -fuzz=FuzzDeflateInflate -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/floatenc
+	$(GO) test -run='^$$' -fuzz=FuzzOpenManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/pas
+	$(GO) test -run='^$$' -fuzz=FuzzLintDirective -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/dlv
+	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzIngestSpans -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/obs
 
 # Every testing.B benchmark in the module, one iteration each and no tests:
 # benchmarks that never run can rot (stale fixtures, a b.Fatal on a changed

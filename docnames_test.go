@@ -21,6 +21,10 @@ var (
 	docVerb  = regexp.MustCompile("(?:`|\\./)dlv ([a-z][a-z-]*)")
 	verbCase = regexp.MustCompile(`(?m)^\tcase (.+):$`)
 	quoted   = regexp.MustCompile(`"(\w+)"`)
+	// flagDef matches a flag a flag set defines; codeSpan a Markdown code
+	// span.
+	flagDef  = regexp.MustCompile(`\.(?:Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)\("([^"]+)"`)
+	codeSpan = regexp.MustCompile("`([^`\n]+)`")
 )
 
 // declaredTests collects the Test*, Benchmark* and Fuzz* functions every
@@ -95,34 +99,142 @@ func TestDocsNameDeclaredTests(t *testing.T) {
 	}
 }
 
-// Every dlv verb that DESIGN.md or README.md names, as `dlv X` or ./dlv X,
-// is a command cmd/dlv defines: a deleted or renamed verb fails here until
-// the prose follows.
-func TestDocsNameDefinedVerbs(t *testing.T) {
+// flagsIn collects the names of the flags src defines.
+func flagsIn(src string) map[string]bool {
+	names := map[string]bool{}
+	for _, m := range flagDef.FindAllStringSubmatch(src, -1) {
+		names[m[1]] = true
+	}
+	return names
+}
+
+// dlvFlags reads cmd/dlv/main.go: the global flags, defined before the
+// command switch, and each verb's flags, defined in its case of the switch.
+func dlvFlags(t *testing.T) (global map[string]bool, verbs map[string]map[string]bool) {
+	t.Helper()
 	src, err := os.ReadFile(filepath.Join("cmd", "dlv", "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	verbs := map[string]bool{}
-	for _, c := range verbCase.FindAllStringSubmatch(string(src), -1) {
-		for _, q := range quoted.FindAllStringSubmatch(c[1], -1) {
-			verbs[q[1]] = true
+	cases := verbCase.FindAllStringSubmatchIndex(string(src), -1)
+	if len(cases) == 0 {
+		t.Fatal("no command switch in cmd/dlv/main.go")
+	}
+	global = flagsIn(string(src[:cases[0][0]]))
+	verbs = map[string]map[string]bool{}
+	for i, c := range cases {
+		end := len(src)
+		if i+1 < len(cases) {
+			end = cases[i+1][0]
+		}
+		flags := flagsIn(string(src[c[1]:end]))
+		for _, q := range quoted.FindAllStringSubmatch(string(src[c[2]:c[3]]), -1) {
+			verbs[q[1]] = flags
 		}
 	}
-	if !verbs["archive"] || !verbs["repack"] {
-		t.Fatalf("read verbs %v from cmd/dlv/main.go: wrong file or switch?", verbs)
+	if verbs["archive"] == nil || verbs["repack"] == nil || !global["trace"] || !verbs["archive"]["algo"] {
+		t.Fatalf("read global flags %v and verbs %v from cmd/dlv/main.go: wrong file or switch?", global, verbs)
 	}
+	return global, verbs
+}
+
+// Every dlv verb that DESIGN.md or README.md names, as `dlv X` or ./dlv X,
+// is a command cmd/dlv defines: a deleted or renamed verb fails here until
+// the prose follows.
+func TestDocsNameDefinedVerbs(t *testing.T) {
+	_, verbs := dlvFlags(t)
 	for _, doc := range []string{"DESIGN.md", "README.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range docVerb.FindAllStringSubmatch(string(text), -1) {
-			if !verbs[m[1]] {
+			if verbs[m[1]] == nil {
 				t.Errorf("%s names dlv %s, which cmd/dlv does not define", doc, m[1])
 			}
 		}
 	}
+}
+
+// Every -flag in a DESIGN.md or README.md code span that starts with dlv,
+// modelhub-server or mhbench is one that command defines. dlv's flags before
+// the verb are global flags, and after it that verb's own; after `dlv a|b`
+// or `dlv a/b` a flag must be defined by each verb named. A removed or
+// renamed flag fails here until the prose follows.
+func TestDocsNameDefinedFlags(t *testing.T) {
+	global, verbs := dlvFlags(t)
+	commands := map[string]map[string]bool{"dlv": global}
+	for _, cmd := range []string{"modelhub-server", "mhbench"} {
+		src, err := os.ReadFile(filepath.Join("cmd", cmd, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if commands[cmd] = flagsIn(string(src)); len(commands[cmd]) == 0 {
+			t.Fatalf("read no flags from cmd/%s/main.go", cmd)
+		}
+	}
+	checked := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(string(text), -1) {
+			words := strings.Fields(m[1])
+			if len(words) == 0 {
+				continue
+			}
+			cmd := strings.TrimPrefix(words[0], "./")
+			flags, ok := commands[cmd]
+			if !ok {
+				continue
+			}
+			// sets holds the flag sets a -flag here must be in, by the
+			// command line they belong to.
+			sets := map[string]map[string]bool{cmd: flags}
+			for _, w := range words[1:] {
+				name, isFlag := strings.CutPrefix(w, "-")
+				if !isFlag {
+					if cmd == "dlv" && sets["dlv"] != nil {
+						if named := namedVerbs(w, verbs); named != nil {
+							sets = named
+						}
+					}
+					continue
+				}
+				name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+				if name == "" || name[0] < 'a' || name[0] > 'z' {
+					continue
+				}
+				checked++
+				for line, set := range sets {
+					if !set[name] {
+						t.Errorf("%s: `%s` names -%s, which %s does not define", doc, m[1], name, line)
+					}
+				}
+			}
+		}
+	}
+	if checked < 5 {
+		t.Fatalf("checked %d flags in the docs' code spans: wrong files?", checked)
+	}
+}
+
+// namedVerbs returns the flag sets of the dlv verbs a word names, one verb
+// or several joined by | or /, keyed "dlv <verb>"; nil if some part of the
+// word is not a verb.
+func namedVerbs(word string, verbs map[string]map[string]bool) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	for _, v := range strings.FieldsFunc(word, func(r rune) bool { return r == '|' || r == '/' }) {
+		if verbs[v] == nil {
+			return nil
+		}
+		out["dlv "+v] = verbs[v]
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 var (

@@ -9,13 +9,12 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"modelhub/internal/data"
 	"modelhub/internal/dnn"
 	"modelhub/internal/obs"
+	"modelhub/internal/par"
 )
 
 // EvalConfig is the tuning config template of an evaluate statement (`with
@@ -98,11 +97,12 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		return nil, err
 	}
 	// Enumerate the full (model, config) grid up front, then train the
-	// candidates on one pool of min(GOMAXPROCS, len(jobs)) workers. Each
+	// candidates GOMAXPROCS at a time (par.For over dispatch positions). Each
 	// candidate builds and trains its own Network with RNG seeding derived
 	// only from the engine seed (never from scheduling), and results land at
 	// their grid index, so the output — same losses, same accuracies, same
-	// keep-clause survivors — is bit-identical at any GOMAXPROCS.
+	// keep-clause survivors, or the error of the first failing position in
+	// dispatch order — is the same at any GOMAXPROCS.
 	var jobs []gridJob
 	for _, def := range defs {
 		for _, cfg := range configs {
@@ -110,54 +110,27 @@ func (e *Engine) execEvaluate(s *EvaluateStmt) (kept []Candidate, err error) {
 		}
 	}
 	results := make([]Candidate, len(jobs))
-	workers := min(runtime.GOMAXPROCS(0), len(jobs))
 	span.SetAttrInt("dql.grid_size", int64(len(jobs)))
 	order := dispatchOrder(jobs)
-	var (
-		next      atomic.Int64
-		wg        sync.WaitGroup
-		errOnce   sync.Once
-		firstErr  error
-		canceled  = make(chan struct{})
-		poolStart = obsNow()
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				n := int(next.Add(1)) - 1
-				if n >= len(jobs) {
-					return
-				}
-				i := order[n]
-				select {
-				case <-canceled: // first error wins; drop remaining work
-					return
-				default:
-				}
-				observeQueueWait(poolStart)
-				var queueWait time.Duration
-				if !poolStart.IsZero() {
-					queueWait = time.Since(poolStart)
-				}
-				jobStart := obsNow()
-				cand, err := e.traceCandidate(ctx, i, jobs[i].def, jobs[i].cfg, s.Keep.Iters, queueWait)
-				if err != nil {
-					errOnce.Do(func() {
-						firstErr = err
-						close(canceled)
-					})
-					return
-				}
-				countCandidate(jobStart)
-				results[i] = cand
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	poolStart := obsNow()
+	err = par.For(len(jobs), runtime.GOMAXPROCS(0), func(n int) error {
+		i := order[n]
+		observeQueueWait(poolStart)
+		var queueWait time.Duration
+		if !poolStart.IsZero() {
+			queueWait = time.Since(poolStart)
+		}
+		jobStart := obsNow()
+		cand, err := e.traceCandidate(ctx, i, jobs[i].def, jobs[i].cfg, s.Keep.Iters, queueWait)
+		if err != nil {
+			return err
+		}
+		countCandidate(jobStart)
+		results[i] = cand
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return applyKeep(results, s.Keep)
 }

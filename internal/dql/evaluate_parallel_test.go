@@ -143,6 +143,29 @@ func TestEvaluateParallelFirstErrorWins(t *testing.T) {
 	}
 }
 
+// TestEvaluateErrorIsFirstInDispatchOrder: when several candidates fail,
+// evaluate returns the error of the first failing position in dispatch
+// order, whichever failed first in time, at any GOMAXPROCS. All four
+// candidates have batch 8, so dispatch order is grid order and position 0
+// names "nope"; at GOMAXPROCS 4 a "nada" candidate can fail first.
+func TestEvaluateErrorIsFirstInDispatchOrder(t *testing.T) {
+	_, eng := populated(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const want = `dql: query error: unknown dataset "nope" (register it on the engine)`
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 20; run++ {
+			_, err := eng.Run(`evaluate m
+				from (select m1 where m1.name = "lenet")
+				vary config.input_data in ["nope", "nada"] and config.base_lr in [0.1, 0.01]
+				keep top(1, m["loss"], 4)`)
+			if err == nil || err.Error() != want {
+				t.Fatalf("GOMAXPROCS=%d run %d: error %v, want %s", procs, run, err, want)
+			}
+		}
+	}
+}
+
 // TestEvaluateParallelWithConcurrentGemm runs parallel enumeration while
 // other goroutines hammer the shared GEMM pool — the cross-subsystem race
 // test (run under -race via make test-race).

@@ -219,41 +219,40 @@ func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 // final file is verified against the server-advertised digest.
 func (c *Client) download(ctx context.Context, name string, f *os.File) error {
 	opts := c.Opts.withDefaults()
+	// A pull attempt streams for as long as it makes progress: the stall
+	// watchdog bounds it, not the control-request Timeout.
+	opts.Timeout = 0
 	h := sha256.New()
 	var written int64
 	var expected string // digest pinned from the first response
 	attempt := 0
-	for {
+	err := retry(ctx, opts, func(ctx context.Context) error {
+		attempt++
 		actx, aspan := obs.Start(ctx, "hub.client.pull.attempt")
-		aspan.SetAttrInt("hub.attempt", int64(attempt+1))
+		defer aspan.End()
+		aspan.SetAttrInt("hub.attempt", int64(attempt))
 		aspan.SetAttrInt("hub.resume_offset", written)
 		err := c.pullAttempt(actx, opts, name, f, h, &written, &expected)
 		aspan.SetAttrInt("hub.bytes_written", written)
+		if err == nil && expected != "" {
+			if got := digestString(h.Sum(nil)); got != expected {
+				mDigestMismatch.Inc()
+				err = transientf("pull digest mismatch: got %s, want %s", got, expected)
+				if rerr := resetDownload(f, h, &written); rerr != nil {
+					err = rerr
+				}
+			}
+		}
 		if err != nil {
 			aspan.SetError()
 		}
-		aspan.End()
-		if err == nil {
-			got := digestString(h.Sum(nil))
-			if expected == "" || got == expected {
-				mPullBytes.Observe(float64(written))
-				return nil
-			}
-			mDigestMismatch.Inc()
-			err = transientf("pull digest mismatch: got %s, want %s", got, expected)
-			if rerr := resetDownload(f, h, &written); rerr != nil {
-				return rerr
-			}
-		}
-		if !isTransient(err) || attempt >= opts.Retries {
-			return ctxAbort(ctx, err)
-		}
-		attempt++
-		mRetries.Inc()
-		if serr := sleepCtx(ctx, backoffDelay(attempt, opts)); serr != nil {
-			return ctxAbort(ctx, err)
-		}
+		return err
+	})
+	if err != nil {
+		return err
 	}
+	mPullBytes.Observe(float64(written))
+	return nil
 }
 
 // pullAttempt performs one GET, resuming with a Range request when earlier

@@ -9,10 +9,10 @@ import (
 	"net/url"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"modelhub/internal/obs"
+	"modelhub/internal/par"
 )
 
 // Cluster request headers. Replication and forwarding both ride the
@@ -193,18 +193,17 @@ func (cl *cluster) replicateOut(ctx context.Context, s *Server, info RepoInfo) {
 		return
 	}
 	hdr := map[string]string{RepoInfoHeader: string(meta), ReplicaHeader: cl.self}
-	var wg sync.WaitGroup
+	var peers []string
 	for _, peer := range cl.ring.Owners(info.Name, cl.replicas) {
-		if peer == cl.self {
-			continue
+		if peer != cl.self {
+			peers = append(peers, peer)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl.pushReplica(ctx, s, info, peer, hdr)
-		}()
 	}
-	wg.Wait()
+	//mhlint:ignore errcheck every push returns nil; pushReplica records its own outcome
+	_ = par.For(len(peers), len(peers), func(i int) error {
+		cl.pushReplica(ctx, s, info, peers[i], hdr)
+		return nil
+	})
 }
 
 // pushReplica is one replicateOut push, under its own span.

@@ -6,9 +6,9 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 
 	"modelhub/internal/obs"
+	"modelhub/internal/par"
 )
 
 // Gateway metrics (DESIGN.md §8).
@@ -211,15 +211,11 @@ func (g *Gateway) fanout(w http.ResponseWriter, r *http.Request, spanName, path 
 	mGwSearchFanout.Inc()
 	results := make([][]RepoInfo, len(g.peers))
 	errs := make([]error, len(g.peers))
-	var wg sync.WaitGroup
-	for i, peer := range g.peers {
-		wg.Add(1)
-		go func(i int, peer string) {
-			defer wg.Done()
-			results[i], errs[i] = g.fetchRepos(ctx, peer, path)
-		}(i, peer)
-	}
-	wg.Wait()
+	//mhlint:ignore errcheck every fetch returns nil; its error is kept in errs
+	_ = par.For(len(g.peers), len(g.peers), func(i int) error {
+		results[i], errs[i] = g.fetchRepos(ctx, g.peers[i], path)
+		return nil
+	})
 	merged := map[string]RepoInfo{}
 	answered := 0
 	for i := range results {

@@ -141,8 +141,8 @@ func isTransient(err error) bool {
 
 // retry runs op, retrying transient failures up to o.Retries times with
 // jittered exponential backoff. Each attempt gets its own timeout context
-// when o.Timeout is set. Intended for idempotent control requests; pull
-// carries cross-attempt resume state and drives backoffLoop directly.
+// when o.Timeout is set. Search and pull run through it; pull's closure
+// carries the resume state from one attempt to the next.
 func retry(ctx context.Context, o Options, op func(context.Context) error) error {
 	attempt := 0
 	for {

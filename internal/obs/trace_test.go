@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -444,6 +448,87 @@ func FuzzParseTraceparent(f *testing.F) {
 		flags, err := strconv.ParseUint(in[3], 16, 8)
 		if err != nil || !strings.EqualFold(in[1], re[1]) || !strings.EqualFold(in[2], re[2]) || sampled != (flags&1 == 1) {
 			t.Fatalf("%q re-formats as %q: ids or sampled bit changed (%v)", v, out, err)
+		}
+	})
+}
+
+// tracesGet serves one GET of the collector and checks it answers valid
+// JSON with the given status.
+func tracesGet(t *testing.T, h http.Handler, target string, want int) []byte {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	if rec.Code != want || !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("GET %s: status %d, body %q", target, rec.Code, rec.Body.Bytes())
+	}
+	return rec.Body.Bytes()
+}
+
+// A trace-export POST answers 204 or 400 and never panics, whatever its
+// body. After it, the list and the detail of every listed trace are valid
+// JSON, and the collector holds at most DefaultTraceBufferSize traces of at
+// most maxCollectedSpans spans each. Each input starts from an empty
+// collector, so a crasher reproduces alone.
+func FuzzIngestSpans(f *testing.F) {
+	var many, long strings.Builder
+	many.WriteString("[")
+	long.WriteString("[")
+	for i := range DefaultTraceBufferSize + 44 {
+		if i > 0 {
+			many.WriteString(",")
+		}
+		fmt.Fprintf(&many, `{"trace_id":"t%d","span_id":"s","start_unix_nano":%d}`, i, i)
+	}
+	for i := range maxCollectedSpans + 52 {
+		if i > 0 {
+			long.WriteString(",")
+		}
+		fmt.Fprintf(&long, `{"trace_id":"t","span_id":"s%d","parent_id":"s%d"}`, i, i/2)
+	}
+	for _, seed := range []string{
+		`[{"trace_id":"2af7651916cd43dd8448eb211c80319c","span_id":"d7ad6b7169203331","name":"posted.op"}]`,
+		`[{"trace_id":"t","span_id":"a","parent_id":"a","name":"x","service":"dlv","start_unix_nano":9223372036854775807,` +
+			`"duration_ns":9223372036854775807,"error":true,"attrs":[{"key":"k","value":"\ud800"}],"events":[{"name":"e"}]},` +
+			`{"trace_id":"t","span_id":"b","start_unix_nano":-9223372036854775808,"duration_ns":-1}]`,
+		`[{"trace_id":"t","span_id":""},{"trace_id":"","span_id":"s"}]`,
+		`[{"trace_id":"a&id=b","span_id":"s"},{"trace_id":"t","span_id":"s"},{"trace_id":"t","span_id":"s"}]`,
+		many.String(), long.String(),
+		`[]`, `null`, `{}`, `[null]`, `[1]`, `not json`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	Enable()
+	EnableTracing()
+	f.Cleanup(func() {
+		SetTraceBufferSize(DefaultTraceBufferSize)
+		DisableTracing()
+		Disable()
+	})
+	h := TracesHandler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		SetTraceBufferSize(DefaultTraceBufferSize)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/debug/traces", bytes.NewReader(body)))
+		if rec.Code != http.StatusNoContent && rec.Code != http.StatusBadRequest {
+			t.Fatalf("POST answered %d: %q", rec.Code, rec.Body.Bytes())
+		}
+		var list struct {
+			Traces []TraceSummary `json:"traces"`
+		}
+		if err := json.Unmarshal(tracesGet(t, h, "/debug/traces", http.StatusOK), &list); err != nil {
+			t.Fatal(err)
+		}
+		if len(list.Traces) > DefaultTraceBufferSize {
+			t.Fatalf("collector lists %d traces, more than its %d", len(list.Traces), DefaultTraceBufferSize)
+		}
+		for _, tr := range list.Traces {
+			var det TraceDetail
+			if err := json.Unmarshal(tracesGet(t, h, "/debug/traces?id="+url.QueryEscape(tr.ID), http.StatusOK), &det); err != nil {
+				t.Fatal(err)
+			}
+			if tr.Spans > maxCollectedSpans || len(det.SpansDetail) != tr.Spans {
+				t.Fatalf("trace %q lists %d spans and details %d, cap %d", tr.ID, tr.Spans, len(det.SpansDetail), maxCollectedSpans)
+			}
 		}
 	})
 }

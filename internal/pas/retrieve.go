@@ -8,17 +8,19 @@ import (
 	"sync"
 
 	"modelhub/internal/floatenc"
+	"modelhub/internal/par"
 	"modelhub/internal/tensor"
 )
 
 // Retrieval engine. A snapshot's delta chains form a DAG of node-resolution
 // tasks — each node depends only on its parent — and every retrieval, at any
-// scheme, runs through the same three steps: one task per matrix behind a
-// worker gate, an iterative root-ward chain walk per part node, and a
-// read + verify + inflate + XOR per chain step. Two parameters vary:
+// scheme, runs through the same three steps: one task per matrix on a
+// par.For of the engine's width, an iterative root-ward chain walk per part
+// node, and a read + verify + inflate + XOR per chain step. Two parameters
+// vary:
 //
-//   - workers: the width of the gate, and whether the up-to-four zlib planes
-//     of one chunk inflate concurrently;
+//   - workers: the width of that par.For, and whether the up-to-four zlib
+//     planes of one chunk inflate concurrently;
 //   - the plane cache a chain step consults: none, one that lives for a
 //     single call, or the store's. A cache is a byte-bounded LRU of resolved
 //     planes keyed by (node, prefix) plus single-flight deduplication — the
@@ -32,9 +34,14 @@ import (
 // GetIntervals calls, so checkout and progressive-evaluation workloads that
 // revisit nearby snapshots skip whole chain prefixes.
 //
-// Waiters always block on strict ancestors in the plan tree (chains are
-// cycle-checked by chainOf), and leaders never need a gate slot beyond their
-// own, so the engine cannot deadlock.
+// The engine cannot deadlock. Each worker pulls a matrix index and resolves
+// it to the end before it pulls another, walking a chain root first, so at
+// any moment it either leads one flight or waits on one, never both: a
+// goroutine that waits leads no flight. A leader never waits: it decodes
+// from parent planes it already holds, and its inflates need no worker
+// slot of the retrieval's pool. So every flight waited on is being decoded
+// by a goroutine that will close it; and waiters block only on strict
+// ancestors in the plan tree (chains are cycle-checked by chainOf).
 
 // DefaultPlaneCacheBytes bounds the decoded-plane LRU of a freshly opened
 // store. Each entry holds up to prefix × rows × cols bytes.
@@ -179,8 +186,8 @@ func (s *Store) readPlane(n *manifestNode, p int) ([]byte, error) {
 // readPlanes loads and verifies the byte planes of a node's chunk that fall
 // inside both the node's stored range and the first `prefix` planes, then
 // zero-fills the rest, sized by a shape a read payload has vouched for. With
-// parallel set and more than one plane to read, the zlib chunks inflate
-// concurrently, one goroutine each.
+// parallel set, the zlib chunks inflate side by side, one par.For index
+// each.
 func (s *Store) readPlanes(n *manifestNode, prefix int, parallel bool) (*[4][]byte, error) {
 	start, end := nodePlanes(n)
 	countAvoidedPlanes(n, prefix)
@@ -188,29 +195,17 @@ func (s *Store) readPlanes(n *manifestNode, prefix int, parallel bool) (*[4][]by
 	for p := start; p < end && p < prefix; p++ {
 		stored = append(stored, p)
 	}
-	var planes [4][]byte
-	errs := make([]error, len(stored))
-	if len(stored) == 1 || !parallel {
-		for i, p := range stored {
-			if planes[p], errs[i] = s.readPlane(n, p); errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, p := range stored {
-			wg.Add(1)
-			go func(i, p int) {
-				defer wg.Done()
-				planes[p], errs[i] = s.readPlane(n, p)
-			}(i, p)
-		}
-		wg.Wait()
+	width := 1
+	if parallel {
+		width = len(stored)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	var planes [4][]byte
+	err := par.For(len(stored), width, func(i int) (err error) {
+		planes[stored[i]], err = s.readPlane(n, stored[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	for p := range planes {
 		if planes[p] == nil {
@@ -418,7 +413,7 @@ func (s *Store) GetIntervals(ref MatrixRef, prefix int) (lo, hi *tensor.Matrix, 
 }
 
 // GetSnapshot retrieves all matrices of a snapshot, one resolution task per
-// matrix behind the worker gate, under the engine parameters of the given
+// matrix on the engine's par.For, under the engine parameters of the given
 // retrieval scheme (paper Table III; see engineFor).
 func (s *Store) GetSnapshot(snapshot string, prefix int, scheme Scheme) (map[string]*tensor.Matrix, error) {
 	countRetrieval(scheme)
@@ -428,26 +423,17 @@ func (s *Store) GetSnapshot(snapshot string, prefix int, scheme Scheme) (map[str
 		return nil, err
 	}
 	e := s.engineFor(scheme)
-	sem := make(chan struct{}, e.workers)
-	var wg sync.WaitGroup
 	mats := make([]*tensor.Matrix, len(names))
-	errs := make([]error, len(names))
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mats[i], errs[i] = s.getMatrix(e, MatrixRef{Snapshot: snapshot, Name: name}, prefix)
-		}(i, name)
+	err = par.For(len(names), e.workers, func(i int) (err error) {
+		mats[i], err = s.getMatrix(e, MatrixRef{Snapshot: snapshot, Name: names[i]}, prefix)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	out := make(map[string]*tensor.Matrix, len(names))
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		out[names[i]] = mats[i]
+	for i, name := range names {
+		out[name] = mats[i]
 	}
 	return out, nil
 }

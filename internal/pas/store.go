@@ -11,10 +11,10 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"modelhub/internal/delta"
 	"modelhub/internal/floatenc"
+	"modelhub/internal/par"
 	"modelhub/internal/tensor"
 )
 
@@ -117,8 +117,8 @@ type Store struct {
 	// node per plane segment, tiling [0, 4).
 	byRef map[MatrixRef][]int
 
-	// workers is the width of the retrieval engine's worker gate
-	// (GOMAXPROCS at Open); planes is the store-wide plane cache the
+	// workers is the width of the retrieval engine's par.For (GOMAXPROCS
+	// at Open); planes is the store-wide plane cache the
 	// Concurrent scheme and the single-matrix entry points share.
 	workers int
 	planes  planeCache
@@ -229,35 +229,18 @@ func price(base, target *tensor.Matrix, memo *planeMemo) (*priced, error) {
 	return b, nil
 }
 
-// priceAll prices {base, target} jobs behind a GOMAXPROCS-wide worker gate,
+// priceAll prices {base, target} jobs GOMAXPROCS at a time (par.For),
 // through one planeMemo. Results land by job index, so nothing built from
-// them depends on the worker count or on scheduling. After a failure the
-// workers stop taking jobs and the first error recorded is the one returned.
+// them, the error included, depends on the worker count or on scheduling.
 func priceAll(jobs [][2]*tensor.Matrix) ([]*priced, error) {
 	memo := &planeMemo{z: make(map[memoKey]*memoPlane)}
 	out := make([]*priced, len(jobs))
-	var next atomic.Int64
-	var failed atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0) && w < len(jobs); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for failed.Load() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				var err error
-				if out[i], err = price(jobs[i][0], jobs[i][1], memo); err != nil {
-					failed.CompareAndSwap(nil, &err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := failed.Load(); err != nil {
-		return nil, *err
+	err := par.For(len(jobs), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		out[i], err = price(jobs[i][0], jobs[i][1], memo)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"modelhub/internal/dnn"
 	"modelhub/internal/floatenc"
+	"modelhub/internal/par"
 	"modelhub/internal/tensor"
 )
 
@@ -129,57 +129,38 @@ func ProgressiveBatch(ev *Evaluator, src IntervalSource, ins []*dnn.Volume, k, s
 }
 
 // forwardParts runs the interval pass of a batch as up to len(scs)
-// contiguous parts, one goroutine and scratch each, and returns the logit
-// bounds in batch order. The split is exact: forward gives an input the same
-// bits whatever batch it shares. The first failing part's error wins.
+// contiguous parts side by side (par.For), one scratch each, and returns the
+// logit bounds in batch order. The split is exact: forward gives an input
+// the same bits whatever batch it shares.
 func (e *Evaluator) forwardParts(scs []*scratch, batch []*dnn.Volume, w WeightBounds) (lo, hi [][]float32, err error) {
 	n := min(len(scs), len(batch))
 	lo, hi = make([][]float32, len(batch)), make([][]float32, len(batch))
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := range n {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			from, to := p*len(batch)/n, (p+1)*len(batch)/n
-			var l, h [][]float32
-			l, h, errs[p] = e.forward(scs[p], batch[from:to], w)
-			copy(lo[from:to], l)
-			copy(hi[from:to], h)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	err = par.For(n, n, func(p int) error {
+		from, to := p*len(batch)/n, (p+1)*len(batch)/n
+		l, h, err := e.forward(scs[p], batch[from:to], w)
+		copy(lo[from:to], l)
+		copy(hi[from:to], h)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return lo, hi, nil
 }
 
-// fetch reads every named layer at a prefix, up to GOMAXPROCS layers at a
-// time: a store-backed source decodes planes on each call. When several
-// layers fail, the first in the list is the error returned.
+// fetch reads every named layer at a prefix, GOMAXPROCS layers at a time
+// (par.For): a store-backed source decodes planes on each call.
 func fetch(layers []string, src IntervalSource, prefix int) (WeightBounds, error) {
 	lo, hi := make([]*tensor.Matrix, len(layers)), make([]*tensor.Matrix, len(layers))
-	errs := make([]error, len(layers))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, name := range layers {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, name string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			lo[i], hi[i], errs[i] = src.WeightIntervals(name, prefix)
-		}(i, name)
+	err := par.For(len(layers), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		lo[i], hi[i], err = src.WeightIntervals(layers[i], prefix)
+		return err
+	})
+	if err != nil {
+		return WeightBounds{}, err
 	}
-	wg.Wait()
 	w := WeightBounds{Lo: make(map[string]*tensor.Matrix, len(layers)), Hi: make(map[string]*tensor.Matrix, len(layers))}
 	for i, name := range layers {
-		if errs[i] != nil {
-			return WeightBounds{}, errs[i]
-		}
 		w.Lo[name], w.Hi[name] = lo[i], hi[i]
 	}
 	return w, nil
