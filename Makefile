@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGemmKernels -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzUnpackRepo -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/hub
 	$(GO) test -run='^$$' -fuzz=FuzzReadRecord -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/hub
+	$(GO) test -run='^$$' -fuzz=FuzzParseContentRange -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/hub
 	$(GO) test -run='^$$' -fuzz=FuzzOpenCatalog -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/dlv
 	$(GO) test -run='^$$' -fuzz=FuzzParseTraceparent -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzIngestSpans -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZETIME) ./internal/obs

@@ -113,7 +113,7 @@ func main() {
 		log.Printf("modelhub-server: FAULT INJECTION: cutting full pull responses after %d bytes", *flakyCut)
 		handler = flakyPullCut(handler, *flakyCut)
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := newHTTPServer(*addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -139,6 +139,22 @@ func main() {
 		<-errc
 		log.Printf("modelhub-server: shutdown complete")
 	}
+}
+
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, and idleTimeout how long a keep-alive connection may
+// wait for its next request, so a peer that goes quiet cannot hold a
+// connection and its goroutine forever. idleTimeout is longer than the hub
+// client's 90 s IdleConnTimeout: the client always drops an idle
+// connection first, so no publish is sent on one the server is closing.
+// Neither is a flag; readHeaderTimeout is a var only so a test can lower it.
+var readHeaderTimeout = 10 * time.Second
+
+const idleTimeout = 2 * time.Minute
+
+// newHTTPServer serves handler on addr under the transport bounds above.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // splitPeers parses the -peers flag into a list of base URLs, dropping

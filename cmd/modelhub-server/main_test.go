@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -181,5 +182,43 @@ func TestFlakyPullCutClientResumes(t *testing.T) {
 	}
 	if _, err := core.Open(dest); err != nil {
 		t.Fatalf("pulled repository does not open: %v", err)
+	}
+}
+
+// A connection that sends half a request header is closed within twice
+// the header bound.
+func TestServerClosesHalfSentHeader(t *testing.T) {
+	old := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = old })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer("", http.NotFoundHandler())
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	defer func() {
+		if err := hs.Close(); err != nil {
+			t.Error(err)
+		}
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /api/search?q= HTTP/1.1\r\nHost: hub\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(2 * readHeaderTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open %s after a half-sent header (bound %s): %v",
+			time.Since(start).Round(time.Millisecond), readHeaderTimeout, err)
 	}
 }

@@ -2,6 +2,7 @@ package modelhub
 
 import (
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -156,11 +157,11 @@ func TestDocsNameDefinedVerbs(t *testing.T) {
 	}
 }
 
-// Every -flag in a DESIGN.md or README.md code span that starts with dlv,
-// modelhub-server or mhbench is one that command defines. dlv's flags before
-// the verb are global flags, and after it that verb's own; after `dlv a|b`
-// or `dlv a/b` a flag must be defined by each verb named. A removed or
-// renamed flag fails here until the prose follows.
+// Every -flag in a DESIGN.md or README.md code span or fenced command line
+// that starts with dlv, modelhub-server or mhbench is one that command
+// defines. dlv's flags before the verb are global flags, and after it that
+// verb's own; after `dlv a|b` or `dlv a/b` a flag must be defined by each
+// verb named. A removed or renamed flag fails here until the prose follows.
 func TestDocsNameDefinedFlags(t *testing.T) {
 	global, verbs := dlvFlags(t)
 	commands := map[string]map[string]bool{"dlv": global}
@@ -179,8 +180,13 @@ func TestDocsNameDefinedFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var lines []string
 		for _, m := range codeSpan.FindAllStringSubmatch(string(text), -1) {
-			words := strings.Fields(m[1])
+			lines = append(lines, m[1])
+		}
+		lines = append(lines, fencedCommands(string(text))...)
+		for _, line := range lines {
+			words := strings.Fields(line)
 			if len(words) == 0 {
 				continue
 			}
@@ -207,9 +213,9 @@ func TestDocsNameDefinedFlags(t *testing.T) {
 					continue
 				}
 				checked++
-				for line, set := range sets {
+				for cmdLine, set := range sets {
 					if !set[name] {
-						t.Errorf("%s: `%s` names -%s, which %s does not define", doc, m[1], name, line)
+						t.Errorf("%s: `%s` names -%s, which %s does not define", doc, line, name, cmdLine)
 					}
 				}
 			}
@@ -218,6 +224,32 @@ func TestDocsNameDefinedFlags(t *testing.T) {
 	if checked < 5 {
 		t.Fatalf("checked %d flags in the docs' code spans: wrong files?", checked)
 	}
+}
+
+// fencedCommands returns the command lines of text's fenced code blocks,
+// each with its \ continuation lines joined and any # comment dropped, and
+// with a leading "go run ./cmd/" cut so that the command is the first word.
+func fencedCommands(text string) []string {
+	var out []string
+	fenced, cur := false, ""
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced, cur = !fenced, ""
+			continue
+		}
+		if !fenced {
+			continue
+		}
+		line, _, _ = strings.Cut(line, "#")
+		line = strings.TrimSpace(line)
+		if more, ok := strings.CutSuffix(line, "\\"); ok {
+			cur += more
+			continue
+		}
+		out = append(out, strings.TrimPrefix(cur+line, "go run ./cmd/"))
+		cur = ""
+	}
+	return out
 }
 
 // namedVerbs returns the flag sets of the dlv verbs a word names, one verb
@@ -295,8 +327,9 @@ func registeredMetrics(t *testing.T) map[string]bool {
 
 // Every metric DESIGN.md §8's catalog names, each {a,b} expanded, is
 // registered under that literal name by non-test Go, or belongs to a family
-// built from a documented prefix: a renamed or deleted metric fails here
-// until the catalog follows.
+// built from a documented prefix; and every literal name non-test Go
+// registers has a row. A renamed, deleted or added metric fails here until
+// the catalog follows.
 func TestMetricCatalogNamesRegisteredMetrics(t *testing.T) {
 	registered := registeredMetrics(t)
 	text, err := os.ReadFile("DESIGN.md")
@@ -305,7 +338,7 @@ func TestMetricCatalogNamesRegisteredMetrics(t *testing.T) {
 	}
 	_, catalog, _ := strings.Cut(string(text), "### Metric name catalog\n")
 	catalog, _, _ = strings.Cut(catalog, "\n## ")
-	rows := 0
+	rows, documented := 0, map[string]bool{}
 	for _, line := range strings.Split(catalog, "\n") {
 		cells := strings.Split(line, "|")
 		if len(cells) < 3 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
@@ -314,6 +347,7 @@ func TestMetricCatalogNamesRegisteredMetrics(t *testing.T) {
 		rows++
 		for _, m := range backticked.FindAllStringSubmatch(cells[1], -1) {
 			for _, name := range expandBraces(m[1]) {
+				documented[name] = true
 				built := slices.ContainsFunc(metricPrefixes, func(p string) bool { return strings.HasPrefix(name, p) })
 				if !registered[name] && !built {
 					t.Errorf("DESIGN.md's metric catalog names %s, which no non-test Go registers", name)
@@ -323,5 +357,10 @@ func TestMetricCatalogNamesRegisteredMetrics(t *testing.T) {
 	}
 	if rows < 20 {
 		t.Fatalf("read %d rows of DESIGN.md's metric catalog: wrong section?", rows)
+	}
+	for _, name := range slices.Sorted(maps.Keys(registered)) {
+		if !documented[name] {
+			t.Errorf("non-test Go registers %s, which DESIGN.md's metric catalog does not name", name)
+		}
 	}
 }

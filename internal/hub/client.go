@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -21,9 +22,9 @@ import (
 
 // Client talks to a ModelHub server. Transfers are crash- and
 // disconnect-safe: publishes stream from a packed temp file with an
-// end-to-end SHA-256, pulls download to a temp file (resuming cut streams
-// via Range requests from the verified byte offset), digest-verify the
-// archive, and only then extract + atomically promote into the destination.
+// end-to-end SHA-256; pulls unpack into a hidden stage as the bytes arrive
+// (resuming cut streams via Range requests), and promote the stage into
+// the destination only after the whole archive matched its digest.
 type Client struct {
 	// Base is the server URL, e.g. "http://localhost:8080".
 	Base string
@@ -112,33 +113,41 @@ func (c *Client) Search(ctx context.Context, q string) (out []RepoInfo, err erro
 	rctx, span := obs.Start(ctx, "hub.client.search")
 	span.SetAttr("hub.query", q)
 	defer func() { c.endAndExport(span, err) }()
-	opts := c.Opts.withDefaults()
+	tries := budget{o: c.Opts.withDefaults()}
 	u := fmt.Sprintf("%s/api/search?q=%s", c.Base, url.QueryEscape(q))
-	attempt := 0
-	err = retry(rctx, opts, func(ctx context.Context) error {
-		attempt++
-		ctx, aspan := obs.Start(ctx, "hub.client.search.attempt")
-		aspan.SetAttrInt("hub.attempt", int64(attempt))
-		aerr := c.searchAttempt(ctx, u, &out)
-		if aerr != nil {
-			aspan.SetError()
+	for {
+		err = c.searchAttempt(rctx, u, tries.used+1, tries.o.Timeout, &out)
+		if !tries.again(rctx, err) {
+			break
 		}
-		aspan.End()
-		return aerr
-	})
+	}
 	if err != nil {
-		return nil, err
+		return nil, ctxAbort(rctx, err)
 	}
 	return out, nil
 }
 
-// searchAttempt performs one search GET, decoding into *out.
-func (c *Client) searchAttempt(ctx context.Context, u string, out *[]RepoInfo) error {
+// searchAttempt performs one search GET under the per-attempt timeout,
+// decoding into *out.
+func (c *Client) searchAttempt(ctx context.Context, u string, attempt int, timeout time.Duration, out *[]RepoInfo) (err error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	ctx, span := obs.Start(ctx, "hub.client.search.attempt")
+	span.SetAttrInt("hub.attempt", int64(attempt))
+	defer func() {
+		if err != nil {
+			span.SetError()
+		}
+		span.End()
+	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return fmt.Errorf("%w: search: %v", ErrHub, err)
 	}
-	obs.FromContext(ctx).Inject(req.Header)
+	span.Inject(req.Header)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return transientf("search: %v", err)
@@ -157,15 +166,13 @@ func (c *Client) searchAttempt(ctx context.Context, u string, out *[]RepoInfo) e
 	return nil
 }
 
-// Pull downloads a published repository into destRoot (dlv pull). destRoot
-// must not already contain a repository. The archive lands in a temp file
-// first (cut streams resume via Range from the verified offset), is
-// digest-verified against the server's DigestHeader, extracted into a
-// staging directory, and promoted into destRoot with one atomic rename —
-// a failed or interrupted pull leaves destRoot untouched, so a retry
-// always starts clean. A cancelled ctx aborts the in-flight download (and
-// any retry backoff) within one backoff interval instead of streaming on
-// until the stall watchdog fires.
+// Pull downloads a published repository into destRoot (dlv pull), which
+// must not already contain one. The archive unpacks into a hidden
+// .dlv-stage-* directory in destRoot as it arrives, a cut stream resuming
+// via Range, and the stage's .dlv is promoted with one rename only once the
+// whole archive matched the server's DigestHeader; until then UnpackRepo's
+// maxUnpackRatio bound caps what the unverified bytes can write. A failed
+// pull leaves destRoot as it found it. Cancelling ctx aborts it at once.
 func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 	rctx, span := obs.Start(ctx, "hub.client.pull")
 	span.SetAttr("hub.name", name)
@@ -177,29 +184,40 @@ func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 	if err := os.MkdirAll(destRoot, 0o755); err != nil {
 		return fmt.Errorf("%w: pull: %v", ErrHub, err)
 	}
-	arch, err := os.CreateTemp("", "dlv-pull-*.tar.gz")
-	if err != nil {
-		return fmt.Errorf("%w: pull: %v", ErrHub, err)
+	st := newPullStream(rctx, c.HTTP, c.Base, name, "", c.Opts.withDefaults())
+	for {
+		err = pullStage(st, destRoot, dest)
+		// A digest mismatch or a republish mid-stream restarts from byte 0
+		// into a fresh stage, on what is left of the retry budget.
+		if !st.tries.again(rctx, err) {
+			break
+		}
+		st.h.Reset()
+		st.n, st.digest, st.err = 0, "", nil
 	}
-	defer os.Remove(arch.Name())
-	defer arch.Close()
-	if err := c.download(rctx, name, arch); err != nil {
-		return err
+	if err == nil {
+		mPullBytes.Observe(float64(st.n))
 	}
-	if _, err := arch.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: pull: %v", ErrHub, err)
-	}
+	return ctxAbort(rctx, err)
+}
 
-	// Extract into a staging dir inside destRoot (same filesystem), then
-	// promote the .dlv tree with one rename. A crash or unpack failure
-	// strands at most a hidden staging dir, never a half-extracted .dlv.
+// pullStage unpacks st into a fresh stage in destRoot and promotes its .dlv
+// to dest once every byte of st is in and matched the digest.
+func pullStage(st *pullStream, destRoot, dest string) error {
 	stage, err := os.MkdirTemp(destRoot, ".dlv-stage-*")
 	if err != nil {
 		return fmt.Errorf("%w: pull: %v", ErrHub, err)
 	}
 	defer os.RemoveAll(stage) // promotion has moved the repo out by then
-	if err := UnpackRepo(arch, stage); err != nil {
+	uerr := UnpackRepo(st, stage)
+	// The stream's verdict comes first: a decode error over bytes that
+	// missed the digest is the wire's and worth a restart; one over
+	// verified bytes is the archive's and permanent.
+	if _, err := io.Copy(io.Discard, st); err != nil {
 		return err
+	}
+	if uerr != nil {
+		return uerr
 	}
 	staged := filepath.Join(stage, ".dlv")
 	if _, err := os.Stat(staged); err != nil {
@@ -214,133 +232,135 @@ func (c *Client) Pull(ctx context.Context, name, destRoot string) (err error) {
 	return nil
 }
 
-// download fetches the named archive into f, retrying transient failures
-// and resuming from the number of bytes already written and hashed. The
-// final file is verified against the server-advertised digest.
-func (c *Client) download(ctx context.Context, name string, f *os.File) error {
-	opts := c.Opts.withDefaults()
-	// A pull attempt streams for as long as it makes progress: the stall
-	// watchdog bounds it, not the control-request Timeout.
-	opts.Timeout = 0
-	h := sha256.New()
-	var written int64
-	var expected string // digest pinned from the first response
-	attempt := 0
-	err := retry(ctx, opts, func(ctx context.Context) error {
-		attempt++
-		actx, aspan := obs.Start(ctx, "hub.client.pull.attempt")
-		defer aspan.End()
-		aspan.SetAttrInt("hub.attempt", int64(attempt))
-		aspan.SetAttrInt("hub.resume_offset", written)
-		err := c.pullAttempt(actx, opts, name, f, h, &written, &expected)
-		aspan.SetAttrInt("hub.bytes_written", written)
-		if err == nil && expected != "" {
-			if got := digestString(h.Sum(nil)); got != expected {
-				mDigestMismatch.Inc()
-				err = transientf("pull digest mismatch: got %s, want %s", got, expected)
-				if rerr := resetDownload(f, h, &written); rerr != nil {
-					err = rerr
-				}
-			}
-		}
-		if err != nil {
-			aspan.SetError()
-		}
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	mPullBytes.Observe(float64(written))
-	return nil
+// pullStream reads a name's archive from GET /api/pull as one stream across
+// transient cuts: it resumes at the bytes it has returned with Range under
+// If-Range on the pinned digest, so a republish in the gap answers 200
+// instead of splicing two archives. At EOF it returns an error, not io.EOF,
+// unless those bytes hash to the pinned digest. Each request is one
+// hub.client.pull.attempt span under a stall watchdog, on one retry budget.
+type pullStream struct {
+	ctx    context.Context
+	hc     *http.Client
+	url    string
+	tries  budget
+	digest string // pinned: the caller's, else the first response's
+	h      hash.Hash
+	n      int64             // bytes returned, all of them hashed
+	err    error             // sticky: the EOF verdict, or an error the budget cannot retry
+	body   io.Reader         // the open request's body; nil between requests
+	end    func(failed bool) // closes the open request and ends its span; a no-op between requests
 }
 
-// pullAttempt performs one GET, resuming with a Range request when earlier
-// attempts already banked verified bytes. If-Range pins the pinned digest's
-// ETag so a republish between attempts yields a clean full restart (200)
-// instead of a mixed-content archive.
-func (c *Client) pullAttempt(ctx context.Context, opts Options, name string, f *os.File,
-	h hash.Hash, written *int64, expected *string) error {
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	u := fmt.Sprintf("%s/api/pull?name=%s", c.Base, url.QueryEscape(name))
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, u, nil)
+// errChanged is a response that cannot continue the bytes returned so far
+// (another digest, or a whole archive for a resume); only the caller can.
+var errChanged = transientError{fmt.Errorf("%w: pull content changed mid-download", ErrHub)}
+
+// newPullStream reads name from base; an empty digest pins the first served.
+func newPullStream(ctx context.Context, hc *http.Client, base, name, digest string, o Options) *pullStream {
+	u := fmt.Sprintf("%s/api/pull?name=%s", base, url.QueryEscape(name))
+	return &pullStream{ctx: ctx, hc: hc, url: u, tries: budget{o: o}, digest: digest, h: sha256.New(), end: func(bool) {}}
+}
+
+func (s *pullStream) Read(p []byte) (int, error) {
+	for s.err == nil {
+		if s.body == nil {
+			if err := s.open(); err != nil {
+				s.fail(err)
+				continue
+			}
+		}
+		n, err := s.body.Read(p)
+		s.h.Write(p[:n])
+		s.n += int64(n)
+		if err == io.EOF {
+			s.err = io.EOF
+			if got := digestString(s.h.Sum(nil)); s.digest != "" && got != s.digest {
+				mDigestMismatch.Inc()
+				s.err = transientf("pull digest mismatch: got %s, want %s", got, s.digest)
+			}
+			s.release(s.err != io.EOF)
+		} else if err != nil {
+			s.fail(transientf("pull stream: %v", err))
+		}
+		if n > 0 || err == nil {
+			return n, nil
+		}
+	}
+	return 0, s.err
+}
+
+// open sends the next request: for the whole archive, or from byte s.n on.
+func (s *pullStream) open() error {
+	ctx, cancel := context.WithCancel(s.ctx)
+	ctx, span := obs.Start(ctx, "hub.client.pull.attempt")
+	span.SetAttrInt("hub.attempt", int64(s.tries.used+1))
+	span.SetAttrInt("hub.resume_offset", s.n)
+	// Armed from the request on: a peer that never answers is cut too.
+	stall := newStallReader(nil, cancel, s.tries.o.StallTimeout)
+	var resp *http.Response
+	s.end = func(failed bool) {
+		stall.stop()
+		// A body that does not close cleanly marks its attempt failed.
+		if resp != nil && resp.Body.Close() != nil {
+			failed = true
+		}
+		cancel()
+		span.SetAttrInt("hub.bytes_written", s.n)
+		if failed {
+			span.SetError()
+		}
+		span.End()
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.url, nil)
 	if err != nil {
 		return fmt.Errorf("%w: pull: %v", ErrHub, err)
 	}
-	obs.FromContext(actx).Inject(req.Header)
-	resuming := *written > 0
-	if resuming {
-		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", *written))
-		if *expected != "" {
-			req.Header.Set("If-Range", etagFor(*expected))
+	span.Inject(req.Header)
+	if s.n > 0 {
+		req.Header.Set("Range", fmt.Sprintf("bytes=%d-", s.n))
+		if s.digest != "" {
+			req.Header.Set("If-Range", etagFor(s.digest))
 		}
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
+	if resp, err = s.hc.Do(req); err != nil {
 		return transientf("pull: %v", err)
 	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		// Full body: either a fresh download, a server without Range
-		// support, or content that changed since the partial download.
-		if resuming {
-			if err := resetDownload(f, h, written); err != nil {
-				return err
-			}
-		}
-	case http.StatusPartialContent:
-		start, err := parseContentRangeStart(resp.Header.Get("Content-Range"))
-		if err != nil || start != *written {
-			if rerr := resetDownload(f, h, written); rerr != nil {
-				return rerr
-			}
-			return transientf("pull resume at wrong offset (%q)", resp.Header.Get("Content-Range"))
+	switch code := resp.StatusCode; {
+	case code == http.StatusOK && s.n > 0:
+		return errChanged
+	case code == http.StatusPartialContent:
+		cr := resp.Header.Get("Content-Range")
+		if start, err := parseContentRangeStart(cr); err != nil || start != s.n {
+			return transientf("pull resume at wrong offset (%q)", cr)
 		}
 		mResumes.Inc()
-	default:
-		if resp.StatusCode >= 500 {
-			return transientf("pull failed (%d)", resp.StatusCode)
-		}
-		return fmt.Errorf("%w: pull failed (%d)", ErrHub, resp.StatusCode)
+	case code >= 500:
+		return transientf("pull failed (%d)", code)
+	case code != http.StatusOK:
+		return fmt.Errorf("%w: pull failed (%d)", ErrHub, code)
 	}
-	if d := resp.Header.Get(DigestHeader); d != "" {
-		if *expected == "" {
-			*expected = d
-		} else if d != *expected {
-			// The name was republished. Pin the new digest and start over.
-			*expected = d
-			if err := resetDownload(f, h, written); err != nil {
-				return err
-			}
-			if resp.StatusCode == http.StatusPartialContent {
-				return transientf("pull content changed mid-download")
-			}
-		}
+	if d := resp.Header.Get(DigestHeader); s.digest == "" {
+		s.digest = d
+	} else if d != s.digest {
+		return errChanged
 	}
-	body := newStallReader(resp.Body, cancel, opts.StallTimeout)
-	defer body.stop()
-	n, err := io.Copy(io.MultiWriter(f, h), body)
-	*written += n
-	if err != nil {
-		return transientf("pull stream: %v", err)
-	}
+	stall.r = resp.Body
+	s.body = stall
 	return nil
 }
 
-// resetDownload discards banked partial-download state: the file is
-// truncated and the hash restarted so the next attempt begins from byte 0.
-func resetDownload(f *os.File, h hash.Hash, written *int64) error {
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("%w: pull: %v", ErrHub, err)
+// fail ends the open request, then spends a retry on err or makes it sticky.
+func (s *pullStream) fail(err error) {
+	s.release(true)
+	if err == errChanged || !s.tries.again(s.ctx, err) {
+		s.err = ctxAbort(s.ctx, err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("%w: pull: %v", ErrHub, err)
-	}
-	h.Reset()
-	*written = 0
-	return nil
+}
+
+// release ends the open request, if there is one.
+func (s *pullStream) release(failed bool) {
+	s.end(failed)
+	s.body, s.end = nil, func(bool) {}
 }
 
 // endAndExport finishes a client operation's root span, marking it failed
@@ -391,20 +411,20 @@ func (c *Client) exportTrace(tid obs.TraceID) {
 	_, _ = io.Copy(io.Discard, resp.Body)
 }
 
-// parseContentRangeStart extracts the first byte offset of a
-// "bytes START-END/TOTAL" Content-Range header.
+// contentRange is a byte Content-Range (RFC 9110 §14.4): first-pos,
+// last-pos and complete-length or "*", each ASCII digits only.
+var contentRange = regexp.MustCompile(`^bytes ([0-9]+)-([0-9]+)/([0-9]+|\*)$`)
+
+// parseContentRangeStart returns first-pos of a 206 response's
+// Content-Range, which must hold first-pos <= last-pos < complete-length.
 func parseContentRangeStart(v string) (int64, error) {
-	v, ok := strings.CutPrefix(v, "bytes ")
-	if !ok {
-		return 0, fmt.Errorf("%w: bad Content-Range", ErrHub)
+	if m := contentRange.FindStringSubmatch(v); m != nil {
+		start, err1 := strconv.ParseInt(m[1], 10, 64)
+		end, err2 := strconv.ParseInt(m[2], 10, 64)
+		size, err3 := strconv.ParseInt(m[3], 10, 64)
+		if err1 == nil && err2 == nil && start <= end && (m[3] == "*" || err3 == nil && end < size) {
+			return start, nil
+		}
 	}
-	dash := strings.IndexByte(v, '-')
-	if dash < 0 {
-		return 0, fmt.Errorf("%w: bad Content-Range", ErrHub)
-	}
-	start, err := strconv.ParseInt(v[:dash], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad Content-Range: %v", ErrHub, err)
-	}
-	return start, nil
+	return 0, fmt.Errorf("%w: bad Content-Range %q", ErrHub, v)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -343,6 +344,78 @@ func TestClusterRepairSurvivesDeadSource(t *testing.T) {
 	}
 	if !tc.nodes[1].hasBlob("resilient") {
 		t.Fatal("repair did not converge with one source dead")
+	}
+}
+
+// A repair source that sends its response headers and then no byte is cut
+// within twice the stall bound (the peer timeout) at every request, and
+// the sweep repairs the name from the next source.
+func TestRepairCutsStalledSource(t *testing.T) {
+	tc := newTestCluster(t, 3, 3)
+	publishTo(t, tc.client(0), makeRepo(t, "m"), "stalled")
+	const bound = 300 * time.Millisecond
+	tc.cfg.peerTimeout = bound
+	victim := tc.nodes[1]
+	victim.kill()
+	tc.restart(victim) // under the lowered peer timeout
+	srv := victim.server()
+	srv.mu.RLock()
+	info := srv.index["stalled"]
+	srv.mu.RUnlock()
+	// Sources are tried in ring order: stall the first one.
+	var stalled *testNode
+	for _, peer := range srv.cluster.peers {
+		for _, node := range tc.nodes {
+			if stalled == nil && node != victim && node.url == peer {
+				stalled = node
+			}
+		}
+	}
+	var mu sync.Mutex
+	var held []time.Duration
+	stalled.kill()
+	stalled.wrap = func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/api/pull" {
+				next.ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set(DigestHeader, info.SHA256)
+			w.Header().Set("Content-Length", strconv.FormatInt(info.SizeBytes, 10))
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			start := time.Now()
+			<-r.Context().Done()
+			mu.Lock()
+			held = append(held, time.Since(start))
+			mu.Unlock()
+		})
+	}
+	tc.restart(stalled)
+
+	if err := os.Remove(srv.blobPath("stalled", info.SHA256)); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	delete(srv.index, "stalled")
+	srv.mu.Unlock()
+	stats, err := srv.RepairOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Repaired != 1 || stats.Failed != 0 || !victim.hasBlob("stalled") {
+		t.Fatalf("repair stats: %+v", stats)
+	}
+	stalled.kill() // joins the stalled handlers
+	mu.Lock()
+	defer mu.Unlock()
+	if len(held) == 0 {
+		t.Fatal("repair never asked the stalled source")
+	}
+	for _, d := range held {
+		if d > 2*bound {
+			t.Errorf("stalled source held a repair request for %s, bound %s", d, bound)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"net/http"
-	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -186,30 +185,20 @@ func (s *Server) repairName(ctx context.Context, want RepoInfo, sources []string
 	return lastErr
 }
 
-// fetchReplica pulls want's archive from one peer, spools it against
-// want.SHA256, and commits it under last-writer-wins.
+// fetchReplica pulls want's archive from one peer through a pullStream
+// pinned to want.SHA256, spools it, and commits it under last-writer-wins.
+// The stream resumes a cut and cuts a peer silent for peerTimeout, within
+// the streaming ceiling of 10x peerTimeout.
 func (s *Server) fetchReplica(ctx context.Context, peer string, want RepoInfo) error {
 	if err := checkRecord(want); err != nil {
 		return fmt.Errorf("%w: repair: %s advertises %v", ErrHub, peer, err)
 	}
 	cl := s.cluster
-	actx, cancel := context.WithTimeout(ctx, 10*cl.peerTimeout)
+	ctx, cancel := context.WithTimeout(ctx, 10*cl.peerTimeout)
 	defer cancel()
-	u := fmt.Sprintf("%s/api/pull?name=%s", peer, url.QueryEscape(want.Name))
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, u, nil)
-	if err != nil {
-		return fmt.Errorf("%w: repair: %v", ErrHub, err)
-	}
-	obs.FromContext(actx).Inject(req.Header)
-	resp, err := cl.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: repair pull from %s: %v", ErrHub, peer, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%w: repair pull from %s failed (%d)", ErrHub, peer, resp.StatusCode)
-	}
-	sp, err := spool(s.dir, resp.Body, want.SHA256)
+	st := newPullStream(ctx, cl.hc, peer, want.Name, want.SHA256, Options{StallTimeout: cl.peerTimeout}.withDefaults())
+	defer st.release(true) // spool stops reading past maxPublishBytes
+	sp, err := spool(s.dir, st, want.SHA256)
 	if err != nil {
 		return fmt.Errorf("%w: repair pull from %s: %v", ErrHub, peer, err)
 	}

@@ -40,8 +40,8 @@ type Options struct {
 	// makes no progress for this long. Default 30s.
 	StallTimeout time.Duration
 	// Retries is the number of extra attempts (after the first) for
-	// idempotent requests. Pull retries resume from the verified byte
-	// offset via a Range request. Default 2.
+	// idempotent requests; one pull's resumes (Range requests from the
+	// bytes already read) and restarts share them. Default 2.
 	Retries int
 
 	// backoff is the first retry's delay before jitter and seed pins the
@@ -139,23 +139,23 @@ func isTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// retry runs op, retrying transient failures up to o.Retries times with
-// jittered exponential backoff. Each attempt gets its own timeout context
-// when o.Timeout is set. Search and pull run through it; pull's closure
-// carries the resume state from one attempt to the next.
-func retry(ctx context.Context, o Options, op func(context.Context) error) error {
-	attempt := 0
-	for {
-		err := runAttempt(ctx, o.Timeout, op)
-		if err == nil || !isTransient(err) || attempt >= o.Retries {
-			return ctxAbort(ctx, err)
-		}
-		attempt++
-		mRetries.Inc()
-		if serr := sleepCtx(ctx, backoffDelay(attempt, o)); serr != nil {
-			return ctxAbort(ctx, err)
-		}
+// budget is one operation's retry allowance: every attempt of a search, and
+// every resume and restart of one pull stream, draws on the same o.Retries.
+type budget struct {
+	o    Options
+	used int
+}
+
+// again reports whether err is worth one more attempt and, if so, spends a
+// retry and waits out its backoff. It is false for a nil or permanent err,
+// once the budget is spent, and when ctx ends during the wait.
+func (b *budget) again(ctx context.Context, err error) bool {
+	if err == nil || !isTransient(err) || b.used >= b.o.Retries {
+		return false
 	}
+	b.used++
+	mRetries.Inc()
+	return sleepCtx(ctx, backoffDelay(b.used, b.o)) == nil
 }
 
 // ctxAbort surfaces caller cancellation: when the operation context ended,
@@ -170,16 +170,6 @@ func ctxAbort(ctx context.Context, err error) error {
 		return fmt.Errorf("%w: aborted: %w", ErrHub, cerr)
 	}
 	return err
-}
-
-// runAttempt executes one attempt under an optional per-attempt deadline.
-func runAttempt(ctx context.Context, timeout time.Duration, op func(context.Context) error) error {
-	if timeout <= 0 {
-		return op(ctx)
-	}
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	return op(actx)
 }
 
 // backoffDelay is the jittered exponential delay before retry `attempt`

@@ -340,14 +340,47 @@ func TestBackoffDelayBounds(t *testing.T) {
 }
 
 func TestParseContentRangeStart(t *testing.T) {
-	if start, err := parseContentRangeStart("bytes 42-99/100"); err != nil || start != 42 {
-		t.Fatalf("start = %d, %v", start, err)
+	for v, want := range map[string]int64{"bytes 42-99/100": 42, "bytes 0-0/*": 0, "bytes 007-9/10": 7} {
+		if start, err := parseContentRangeStart(v); err != nil || start != want {
+			t.Errorf("%q: start = %d, %v; want %d", v, start, err, want)
+		}
 	}
-	for _, bad := range []string{"", "bytes", "bytes x-9/10", "units 1-2/3"} {
+	for _, bad := range []string{"", "bytes", "bytes x-9/10", "units 1-2/3",
+		"bytes +5-9/10", "bytes 0005-x", "bytes 5-garbage", "bytes -5-9/10", "bytes 5-+9/10",
+		"bytes 5-9", "bytes 9-5/10", "bytes 5-9/9", "bytes 5-9/+10", "bytes 5-9/x", "bytes  5-9/10"} {
 		if _, err := parseContentRangeStart(bad); err == nil {
 			t.Errorf("%q must not parse", bad)
 		}
 	}
+}
+
+// An accepted Content-Range has a digits-only first-pos, which is the start
+// returned, and a digits-only last-pos no smaller than it.
+func FuzzParseContentRange(f *testing.F) {
+	for _, seed := range []string{"bytes 42-99/100", "bytes 0-0/*", "bytes +5-9/10", "bytes 0005-x",
+		"bytes 5-garbage", "bytes 9-5/10", "bytes 5-9/9"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		start, err := parseContentRangeStart(v)
+		if err != nil {
+			return
+		}
+		rng, ok := strings.CutPrefix(v, "bytes ")
+		first, rest, _ := strings.Cut(rng, "-")
+		last, _, _ := strings.Cut(rest, "/")
+		for _, num := range []string{first, last} {
+			if !ok || num == "" || strings.Trim(num, "0123456789") != "" {
+				t.Fatalf("accepted %q: %q is not a digits-only position", v, num)
+			}
+		}
+		if n, err := strconv.ParseInt(first, 10, 64); err != nil || n != start {
+			t.Fatalf("accepted %q: start %d, first-pos %q", v, start, first)
+		}
+		if n, err := strconv.ParseInt(last, 10, 64); err != nil || n < start {
+			t.Fatalf("accepted %q: last-pos %q before start %d", v, last, start)
+		}
+	})
 }
 
 func TestOptionsDefaultsAndDisable(t *testing.T) {
@@ -394,4 +427,110 @@ func TestPullRefusesExistingRepoBeforeDownload(t *testing.T) {
 	if pulls.Load() != 0 {
 		t.Fatal("pull must refuse before contacting the server")
 	}
+}
+
+// roundTripFunc lets a test watch or reorder requests in flight.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// A pull writes nothing outside destRoot: TMPDIR stays empty at every
+// request of a plain pull and of a cut-and-resumed one.
+func TestPullLeavesTempDirEmpty(t *testing.T) {
+	_, client := newTestServer(t)
+	publishTo(t, client, makeRepo(t, "m"), "r")
+	infos, err := client.Search(context.Background(), "r")
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("search = %v, %v", infos, err)
+	}
+	dests := []string{t.TempDir(), t.TempDir()}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	for cuts, dest := range dests {
+		ft := &flakyTransport{base: http.DefaultTransport, cutAt: infos[0].SizeBytes / 2, cuts: int32(cuts)}
+		client.HTTP = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			entries, err := os.ReadDir(tmp)
+			if err != nil || len(entries) > 0 {
+				t.Errorf("pull with %d cut(s): TMPDIR holds %v (%v) at a request", cuts, entries, err)
+			}
+			return ft.RoundTrip(req)
+		})}
+		client.Opts = fastOpts(2)
+		if err := client.Pull(context.Background(), "r", dest); err != nil {
+			t.Fatalf("pull with %d cut(s): %v", cuts, err)
+		}
+		if n := len(ft.seenRanges()); n != cuts+1 {
+			t.Fatalf("pull with %d cut(s) sent %d requests", cuts, n)
+		}
+		if entries, err := os.ReadDir(tmp); err != nil || len(entries) > 0 {
+			t.Fatalf("pull with %d cut(s) left %v (%v) in TMPDIR", cuts, entries, err)
+		}
+	}
+}
+
+// A republish between a cut and its resume makes the server answer the
+// If-Range request with the whole new archive (200). The pull starts over
+// in a fresh stage and lands the new archive bit-exact, and no stage stays
+// behind in destRoot.
+func TestPullRestartsWhenRepublishedBeforeResume(t *testing.T) {
+	_, client := newTestServer(t)
+	v1, v2 := makeRepo(t, "v1"), makeRepo(t, "v2")
+	publishTo(t, client, v1, "r")
+	infos, err := client.Search(context.Background(), "r")
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("search = %v, %v", infos, err)
+	}
+	ft := &flakyTransport{base: http.DefaultTransport, cutAt: infos[0].SizeBytes / 2, cuts: 1}
+	puller := NewClientWith(client.Base, fastOpts(3))
+	var once sync.Once
+	puller.HTTP = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.Header.Get("Range") != "" {
+			once.Do(func() { publishTo(t, client, v2, "r") })
+		}
+		return ft.RoundTrip(req)
+	})}
+	dest := t.TempDir()
+	if err := puller.Pull(context.Background(), "r", dest); err != nil {
+		t.Fatalf("pull across a republish: %v", err)
+	}
+	if got, want := packedDigest(t, dest), packedDigest(t, v2); got != want {
+		t.Fatalf("pulled archive %.12s, want the republished %.12s", got, want)
+	}
+	want := fmt.Sprintf("bytes=%d-", infos[0].SizeBytes/2)
+	if ranges := ft.seenRanges(); len(ranges) != 3 || ranges[0] != "" || ranges[1] != want || ranges[2] != "" {
+		t.Fatalf("pull ranges = %q, want [\"\" %q \"\"]", ranges, want)
+	}
+	entries, err := os.ReadDir(dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != ".dlv" {
+			t.Errorf("pull left %q in the destination", e.Name())
+		}
+	}
+}
+
+// A well-formed archive whose bytes do not match the served digest is never
+// promoted: the pull fails with a digest mismatch and leaves the
+// destination empty, though every byte unpacked cleanly into the stage.
+func TestPullWrongDigestOnValidArchiveLeavesNoRepo(t *testing.T) {
+	blob, err := io.ReadAll(packedRepo(t, makeRepo(t, "m")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/pull", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(DigestHeader, strings.Repeat("0", 64))
+		w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+		_, _ = w.Write(blob)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	dest := t.TempDir()
+	err = NewClientWith(ts.URL, fastOpts(1)).Pull(context.Background(), "r", dest)
+	if !errors.Is(err, ErrHub) || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("pull = %v, want digest mismatch", err)
+	}
+	assertDirClean(t, dest)
 }
